@@ -34,8 +34,11 @@ fi
 echo "==> recovery chaos experiment (release)"
 cargo test --release -q -p mayflower-sim --test recovery_chaos
 
-echo "==> erasure-coding tier: codec proptests + replication-vs-EC experiment (release)"
+echo "==> erasure-coding tier: codec + checksum-kernel proptests, replication-vs-EC experiment (release)"
 cargo test --release -q -p mayflower-ec
+# The CRC kernel against its bitwise oracle as it is built for
+# production, not only with debug assertions.
+cargo test --release -q -p mayflower-kvstore crc
 cargo test --release -q -p mayflower-sim --test erasure_tier
 
 echo "==> sharded metadata plane: ring proptests + scaling experiment (release)"
@@ -52,6 +55,12 @@ RUST_TEST_THREADS=1 cargo test --release -q -p mayflower-fs
 echo "==> causal tracing: telemetry suite + trace determinism/well-formedness (release)"
 cargo test --release -q -p mayflower-telemetry
 cargo test --release -q --test trace_determinism
+
+echo "==> benchmark/ package: builds against the current API, own tests pass (read-only use)"
+# benchmark/ is a standalone workspace the root build never compiles;
+# without this gate a renamed API it pins stays green until the
+# pipeline runs it.
+cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 
 echo "==> cargo bench --no-run --workspace (benches must compile)"
 cargo bench --no-run --workspace

@@ -517,7 +517,13 @@ impl Client {
             let mut grown = meta.clone();
             grown.size = size;
             let ext = self.read_range_collect(&grown, hint, size - hint)?;
-            outcome.data.extend_from_slice(&ext.data);
+            if outcome.data.is_empty() {
+                // Nothing was read over the hint (always so for coded
+                // files): the extension is the whole result.
+                outcome.data = ext.data;
+            } else {
+                outcome.data.extend_from_slice(&ext.data);
+            }
         }
         if let Some((cached, _)) = self.cache.get_mut(name) {
             cached.size = size;
@@ -618,42 +624,8 @@ impl Client {
         let sealed_end = meta.sealed_bytes();
         if meta.is_coded() && offset < sealed_end {
             let span_end = (offset + len).min(sealed_end);
-            let (k, _) = meta.redundancy.coded_params().expect("coded file");
-            let mut pos = offset;
-            while pos < span_end {
-                let chunk = pos / meta.chunk_size;
-                let chunk_start = chunk * meta.chunk_size;
-                let take_end = span_end.min(chunk_start + meta.chunk_size);
-                // Live candidates in fragment order; the selector picks
-                // which k to fetch, the rest stay as failover.
-                let available: Vec<(usize, HostId)> = meta
-                    .fragments
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, h)| {
-                        self.dataservers
-                            .get(h)
-                            .is_some_and(|d| d.has_fragment(meta.id, chunk, *i))
-                    })
-                    .map(|(i, h)| (i, *h))
-                    .collect();
-                let preferred = self.selector.select_fragments(self.host, &available, k);
-                let payload = self.with_retry(|| {
-                    coding::read_sealed_chunk(
-                        &self.dataservers,
-                        meta,
-                        chunk,
-                        &preferred,
-                        self.parallelism,
-                        Some(&self.ec),
-                        Some(&self.datapath),
-                    )
-                })?;
-                out.extend_from_slice(
-                    &payload[(pos - chunk_start) as usize..(take_end - chunk_start) as usize],
-                );
-                pos = take_end;
-            }
+            out.resize((span_end - offset) as usize, 0);
+            self.read_sealed_span(meta, offset, &mut out)?;
             len -= span_end - offset;
             offset = span_end;
             if len == 0 {
@@ -716,6 +688,81 @@ impl Client {
             primary_size: outcome.primary_size,
             max_size: outcome.max_size,
         })
+    }
+
+    /// Fills `out` with sealed bytes `[offset, offset + out.len())` of
+    /// a coded file. Every chunk the selector would serve from its data
+    /// fragments goes through the fast plan — one fan-out for the whole
+    /// range, each overlapping data fragment read and verified in its
+    /// own slice of `out`; any other chunk, and any chunk with a failed
+    /// or corrupt fetch, takes the promote-and-decode path.
+    fn read_sealed_span(
+        &mut self,
+        meta: &FileMeta,
+        offset: u64,
+        out: &mut [u8],
+    ) -> Result<(), FsError> {
+        let (k, _) = meta.redundancy.coded_params().expect("coded file");
+        let end = offset + out.len() as u64;
+        let first_chunk = offset / meta.chunk_size;
+        let preferred: Vec<Vec<usize>> = (first_chunk..=(end - 1) / meta.chunk_size)
+            .map(|chunk| {
+                // Live candidates in fragment order; the selector picks
+                // which k to fetch, the rest stay as failover.
+                let available: Vec<(usize, HostId)> = meta
+                    .fragments
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, h)| {
+                        self.dataservers
+                            .get(h)
+                            .is_some_and(|d| d.has_fragment(meta.id, chunk, *i))
+                    })
+                    .map(|(i, h)| (i, *h))
+                    .collect();
+                self.selector.select_fragments(self.host, &available, k)
+            })
+            .collect();
+        let served = coding::read_sealed_fast(
+            &self.dataservers,
+            meta,
+            offset,
+            out,
+            &preferred,
+            self.parallelism,
+            Some(&self.datapath),
+        );
+        for (slot, pref) in preferred.iter().enumerate() {
+            if served[slot] {
+                continue;
+            }
+            let chunk = first_chunk + slot as u64;
+            let chunk_start = chunk * meta.chunk_size;
+            let payload = self.with_retry(|| {
+                coding::read_sealed_chunk(
+                    &self.dataservers,
+                    meta,
+                    chunk,
+                    pref,
+                    self.parallelism,
+                    Some(&self.ec),
+                    Some(&self.datapath),
+                )
+            })?;
+            let from = offset.max(chunk_start);
+            let to = end.min(chunk_start + meta.chunk_size);
+            let bytes = payload
+                .get((from - chunk_start) as usize..(to - chunk_start) as usize)
+                .ok_or_else(|| {
+                    FsError::CorruptMetadata(format!(
+                        "{}: sealed chunk {chunk} is {} bytes",
+                        meta.name,
+                        payload.len()
+                    ))
+                })?;
+            out[(from - offset) as usize..(to - offset) as usize].copy_from_slice(bytes);
+        }
+        Ok(())
     }
 
     /// Fetches the planned pieces — concurrently when the pool is

@@ -155,6 +155,148 @@ pub(crate) fn seal_complete_chunks(
     Ok(meta.sealed_chunks)
 }
 
+/// Fragment fetch order for one sealed chunk: the selector's
+/// preference (each in-range index once, first mention wins), then
+/// every other fragment in index order as failover.
+fn fetch_order(preferred: &[usize], n: usize) -> Vec<usize> {
+    let mut order = Vec::with_capacity(n);
+    for i in preferred.iter().copied().chain(0..n) {
+        if i < n && !order.contains(&i) {
+            order.push(i);
+        }
+    }
+    order
+}
+
+/// One fragment fetch of the fast plan: data fragment `index` of
+/// `chunk`, of which bytes `[skip, skip + dst.len())` of the shard are
+/// wanted in `dst`.
+struct ShardFetch<'a> {
+    /// Position of the chunk among the chunks the range touches.
+    slot: usize,
+    chunk: u64,
+    index: usize,
+    shard_len: usize,
+    skip: usize,
+    dst: &'a mut [u8],
+}
+
+impl ShardFetch<'_> {
+    /// Fetches and verifies the shard. A whole-shard request lands
+    /// directly in the output slice; a partial one (a range starting
+    /// or ending mid-shard, or the zero-padded last shard of a chunk
+    /// `k` does not divide) goes through a scratch shard, because the
+    /// checksum covers the whole stored shard.
+    fn run(self, dataservers: &BTreeMap<HostId, Arc<Dataserver>>, meta: &FileMeta) -> bool {
+        let Some(server) = meta
+            .fragments
+            .get(self.index)
+            .and_then(|host| dataservers.get(host))
+        else {
+            return false;
+        };
+        let mut scratch = Vec::new();
+        let whole = self.dst.len() == self.shard_len;
+        let buf: &mut [u8] = if whole {
+            &mut *self.dst
+        } else {
+            scratch = vec![0u8; self.shard_len];
+            &mut scratch
+        };
+        let ok = server
+            .read_fragment_into(meta.id, self.chunk, self.index, buf)
+            .is_ok_and(|payload_len| payload_len == meta.chunk_size);
+        if ok && !whole {
+            self.dst
+                .copy_from_slice(&scratch[self.skip..self.skip + self.dst.len()]);
+        }
+        ok
+    }
+}
+
+/// The sealed-read fast plan: fills `out` with file bytes
+/// `[offset, offset + out.len())` — which must lie inside the sealed
+/// region — straight from the **data** fragments that overlap the
+/// range, one fetch per (chunk, data fragment) into a disjoint slice
+/// of `out`, all on a single `width`-bounded fan-out. No payload is
+/// assembled and nothing is decoded.
+///
+/// `preferred[slot]` is the selector's fragment choice for the
+/// `slot`-th chunk the range touches. Returns, per chunk, whether its
+/// bytes are in place. A chunk is left unserved — its part of `out`
+/// unspecified — when the selector did not choose exactly the data
+/// fragments, or when any of its fetches failed (host down, fragment
+/// missing, frame corrupt): the caller reads those chunks through
+/// [`read_sealed_chunk`], which promotes parity and decodes.
+pub(crate) fn read_sealed_fast(
+    dataservers: &BTreeMap<HostId, Arc<Dataserver>>,
+    meta: &FileMeta,
+    offset: u64,
+    out: &mut [u8],
+    preferred: &[Vec<usize>],
+    width: usize,
+    datapath: Option<&crate::datapath::DatapathMetrics>,
+) -> Vec<bool> {
+    let mut served = vec![false; preferred.len()];
+    let Some((k, _)) = meta.redundancy.coded_params() else {
+        return served;
+    };
+    let end = offset + out.len() as u64;
+    let first_chunk = offset / meta.chunk_size;
+    let shard_len = meta.chunk_size.div_ceil(k as u64);
+
+    let mut jobs: Vec<ShardFetch<'_>> = Vec::new();
+    let mut rest = out;
+    for (slot, pref) in preferred.iter().enumerate() {
+        let chunk = first_chunk + slot as u64;
+        let chunk_start = chunk * meta.chunk_size;
+        // The chunk's share of the range, chunk-relative.
+        let lo = offset.max(chunk_start) - chunk_start;
+        let hi = end.min(chunk_start + meta.chunk_size) - chunk_start;
+        let (mut region, tail) = std::mem::take(&mut rest).split_at_mut((hi - lo) as usize);
+        rest = tail;
+        // The fast plan stands in for a first fetch round that asks
+        // for exactly the data fragments. A sealed chunk is a complete
+        // one; metadata saying otherwise is the degraded path's to
+        // report.
+        let all_data = fetch_order(pref, meta.fragments.len())
+            .iter()
+            .take(k)
+            .all(|i| *i < k);
+        if !all_data || meta.chunk_payload_len(chunk) != meta.chunk_size {
+            continue;
+        }
+        served[slot] = true;
+        for index in (lo / shard_len)..=((hi - 1) / shard_len) {
+            let shard_start = index * shard_len;
+            let from = lo.max(shard_start);
+            let to = hi.min(shard_start + shard_len);
+            let (dst, more) = std::mem::take(&mut region).split_at_mut((to - from) as usize);
+            region = more;
+            jobs.push(ShardFetch {
+                slot,
+                chunk,
+                index: index as usize,
+                shard_len: shard_len as usize,
+                skip: (from - shard_start) as usize,
+                dst,
+            });
+        }
+    }
+
+    let fetched = crate::datapath::fan_out(
+        width,
+        jobs.into_iter()
+            .map(|job| move || (job.slot, job.run(dataservers, meta)))
+            .collect(),
+        datapath,
+    );
+    for (slot, ok) in fetched {
+        served[slot] &= ok;
+    }
+    served
+}
+
 /// Reads the full payload of sealed chunk `chunk` from its fragments.
 ///
 /// Fast path: every data fragment the `selector_order` asks for first
@@ -191,15 +333,7 @@ pub(crate) fn read_sealed_chunk(
     let n = k + m;
     let payload_len = meta.chunk_payload_len(chunk);
 
-    // Fetch order: the selector's preference, then every other
-    // fragment in index order as failover.
-    let mut order: Vec<usize> = preferred.iter().copied().filter(|i| *i < n).collect();
-    order.dedup();
-    for i in 0..n {
-        if !order.contains(&i) {
-            order.push(i);
-        }
-    }
+    let order = fetch_order(preferred, n);
 
     let mut shards: Vec<Option<Vec<u8>>> = vec![None; n];
     let mut have = 0;

@@ -251,11 +251,8 @@ impl Dataserver {
     /// [`FsError::CorruptMetadata`] if the metadata fails to parse.
     pub fn read_meta(&self, id: FileId) -> Result<FileMeta, FsError> {
         self.ensure_up()?;
-        let path = self.file_dir(id).join("meta");
-        if !path.exists() {
-            return Err(FsError::NotFound(id.to_string()));
-        }
-        let body = std::fs::read(&path)?;
+        let body = std::fs::read(self.file_dir(id).join("meta"))
+            .map_err(|e| not_found_or_io(e, || id.to_string()))?;
         serde_json::from_slice(&body).map_err(|e| FsError::CorruptMetadata(e.to_string()))
     }
 
@@ -462,17 +459,21 @@ impl Dataserver {
         self.ensure_up()?;
         let dir = self.file_dir(id);
         std::fs::create_dir_all(&dir)?;
-        let mut body = Vec::with_capacity(FRAGMENT_HEADER + shard.len());
-        body.extend_from_slice(FRAGMENT_MAGIC);
-        body.extend_from_slice(&payload_len.to_le_bytes());
-        body.extend_from_slice(&mayflower_kvstore::crc::crc32(shard).to_le_bytes());
-        body.extend_from_slice(shard);
+        let mut header = [0u8; FRAGMENT_HEADER];
+        header[..4].copy_from_slice(FRAGMENT_MAGIC);
+        header[4..12].copy_from_slice(&payload_len.to_le_bytes());
+        header[12..].copy_from_slice(&mayflower_kvstore::crc::crc32(shard).to_le_bytes());
         let tmp = dir.join(format!(
             "f{}.{index}.tmp.{:?}",
             chunk + 1,
             std::thread::current().id()
         ));
-        std::fs::write(&tmp, body)?;
+        // Header and shard go to the file as two writes: no framed
+        // copy of the shard is ever built.
+        let mut f = std::fs::File::create(&tmp)?;
+        f.write_all(&header)?;
+        f.write_all(shard)?;
+        drop(f);
         std::fs::rename(&tmp, self.fragment_path(id, chunk, index))?;
         if let Some(m) = self.metrics.get() {
             m.appends.inc();
@@ -483,63 +484,105 @@ impl Dataserver {
 
     /// Reads fragment `index` of sealed chunk `chunk`, verifying the
     /// checksum. Returns the shard bytes and the chunk's original
-    /// payload length.
+    /// payload length. The allocating twin of
+    /// [`Dataserver::read_fragment_into`]: same read core, with a
+    /// buffer sized from the stored frame.
     ///
     /// # Errors
     ///
-    /// Returns [`FsError::Unavailable`] if down, [`FsError::NotFound`]
-    /// if the fragment is absent, or [`FsError::CorruptMetadata`] when
-    /// the frame or checksum fails — callers treat a corrupt fragment
-    /// exactly like a lost one and fetch a different source.
+    /// As [`Dataserver::read_fragment_into`].
     pub fn read_fragment(
         &self,
         id: FileId,
         chunk: u64,
         index: usize,
     ) -> Result<(Vec<u8>, u64), FsError> {
+        let mut shard = Vec::new();
+        let payload_len = self.read_fragment_traced(id, chunk, index, |len| {
+            shard = vec![0u8; len];
+            Some(&mut shard[..])
+        })?;
+        Ok((shard, payload_len))
+    }
+
+    /// Reads the shard of fragment `index` of sealed chunk `chunk`
+    /// straight into `dst` — which must be exactly the stored shard's
+    /// length — and verifies the checksum in place. Returns the chunk's
+    /// original payload length. On error `dst` holds unspecified bytes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FsError::Unavailable`] if down, [`FsError::NotFound`]
+    /// if the fragment is absent, or [`FsError::CorruptMetadata`] when
+    /// the frame is truncated, mis-sized or fails its magic or checksum
+    /// — callers treat a corrupt fragment exactly like a lost one and
+    /// fetch a different source.
+    pub fn read_fragment_into(
+        &self,
+        id: FileId,
+        chunk: u64,
+        index: usize,
+        dst: &mut [u8],
+    ) -> Result<u64, FsError> {
+        self.read_fragment_traced(id, chunk, index, |len| (len == dst.len()).then_some(dst))
+    }
+
+    fn read_fragment_traced<'a>(
+        &self,
+        id: FileId,
+        chunk: u64,
+        index: usize,
+        dst_for: impl FnOnce(usize) -> Option<&'a mut [u8]>,
+    ) -> Result<u64, FsError> {
         let mut span = self.io_span("fragment_read");
         trace::annotate(&mut span, "chunk", chunk.to_string());
         trace::annotate(&mut span, "fragment", index.to_string());
-        let out = self.read_fragment_inner(id, chunk, index);
+        let out = self.read_fragment_inner(id, chunk, index, dst_for);
         if out.is_err() {
             trace::mark_error(&mut span);
         }
         out
     }
 
-    fn read_fragment_inner(
+    /// The one fragment-read core: open, 16-byte header, the shard
+    /// `read_exact` into the buffer `dst_for` supplies for the stored
+    /// shard length (`None` rejects that length), checksum in place.
+    fn read_fragment_inner<'a>(
         &self,
         id: FileId,
         chunk: u64,
         index: usize,
-    ) -> Result<(Vec<u8>, u64), FsError> {
+        dst_for: impl FnOnce(usize) -> Option<&'a mut [u8]>,
+    ) -> Result<u64, FsError> {
         self.simulate_rtt();
         self.ensure_up()?;
-        let path = self.fragment_path(id, chunk, index);
-        if !path.exists() {
-            return Err(FsError::NotFound(format!(
-                "fragment {index} of chunk {chunk} of {id}"
-            )));
+        let what = || format!("fragment {index} of chunk {chunk} of {id}");
+        let corrupt = |why: &str| FsError::CorruptMetadata(format!("{}: {why}", what()));
+        let mut f = std::fs::File::open(self.fragment_path(id, chunk, index))
+            .map_err(|e| not_found_or_io(e, what))?;
+        let stored = f.metadata()?.len();
+        let mut header = [0u8; FRAGMENT_HEADER];
+        if f.read_exact(&mut header).is_err() || &header[..4] != FRAGMENT_MAGIC {
+            return Err(corrupt("bad frame"));
         }
-        let body = std::fs::read(&path)?;
-        if body.len() < FRAGMENT_HEADER || &body[..4] != FRAGMENT_MAGIC {
-            return Err(FsError::CorruptMetadata(format!(
-                "fragment {index} of chunk {chunk} of {id}: bad frame"
-            )));
-        }
-        let payload_len = u64::from_le_bytes(body[4..12].try_into().expect("8 bytes"));
-        let want_crc = u32::from_le_bytes(body[12..16].try_into().expect("4 bytes"));
-        let shard = &body[FRAGMENT_HEADER..];
+        let payload_len = u64::from_le_bytes(header[4..12].try_into().expect("8 bytes"));
+        let want_crc = u32::from_le_bytes(header[12..].try_into().expect("4 bytes"));
+        let shard = stored
+            .checked_sub(FRAGMENT_HEADER as u64)
+            .and_then(|len| usize::try_from(len).ok())
+            .and_then(dst_for)
+            .ok_or_else(|| corrupt("unexpected shard length"))?;
+        // A file that shrank since the stat is a torn frame, not an
+        // I/O failure.
+        f.read_exact(shard).map_err(|_| corrupt("short shard"))?;
         if mayflower_kvstore::crc::crc32(shard) != want_crc {
-            return Err(FsError::CorruptMetadata(format!(
-                "fragment {index} of chunk {chunk} of {id}: checksum mismatch"
-            )));
+            return Err(corrupt("checksum mismatch"));
         }
         if let Some(m) = self.metrics.get() {
             m.reads.inc();
             m.read_bytes.record(shard.len() as u64);
         }
-        Ok((shard.to_vec(), payload_len))
+        Ok(payload_len)
     }
 
     /// Whether this dataserver holds the given fragment. A downed
@@ -679,6 +722,16 @@ impl Dataserver {
                 Err(e)
             }
         }
+    }
+}
+
+/// Maps a failed open or read of a path that should exist: absence is
+/// [`FsError::NotFound`] of `what`, anything else the I/O error.
+fn not_found_or_io(e: std::io::Error, what: impl FnOnce() -> String) -> FsError {
+    if e.kind() == std::io::ErrorKind::NotFound {
+        FsError::NotFound(what())
+    } else {
+        e.into()
     }
 }
 
@@ -935,6 +988,41 @@ mod tests {
         ));
         // The failed pull cleaned up after itself.
         assert!(!dst.has_file(m.id));
+    }
+
+    #[test]
+    fn fragment_frame_is_byte_identical_to_the_pinned_layout() {
+        let dir = TempDir::new("frame");
+        let ds = Dataserver::open(HostId(0), &dir.0).unwrap();
+        let shard: Vec<u8> = (0..300u32)
+            .map(|i| (i as u8).wrapping_mul(37).wrapping_add(11))
+            .collect();
+        ds.put_fragment(FileId(7), 0, 2, 1200, &shard).unwrap();
+        // The frame the commit before the CRC kernel swap wrote for the
+        // same input: magic, payload length LE, crc32 LE, shard.
+        let mut want = b"MFEC\xb0\x04\0\0\0\0\0\0\x76\x5e\xec\x32".to_vec();
+        want.extend_from_slice(&shard);
+        assert_eq!(
+            std::fs::read(ds.fragment_path(FileId(7), 0, 2)).unwrap(),
+            want
+        );
+        // No temporary file is left beside it.
+        assert_eq!(
+            std::fs::read_dir(ds.file_dir(FileId(7))).unwrap().count(),
+            1
+        );
+
+        let mut dst = vec![0u8; shard.len()];
+        assert_eq!(
+            ds.read_fragment_into(FileId(7), 0, 2, &mut dst).unwrap(),
+            1200
+        );
+        assert_eq!(dst, shard);
+        assert_eq!(ds.read_fragment(FileId(7), 0, 2).unwrap(), (shard, 1200));
+        assert!(matches!(
+            ds.read_fragment(FileId(7), 0, 3),
+            Err(FsError::NotFound(_))
+        ));
     }
 
     #[test]

@@ -5,7 +5,10 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use mayflower_fs::{Cluster, ClusterConfig, Consistency, FsError, NameserverConfig, Redundancy};
+use mayflower_fs::{
+    Cluster, ClusterConfig, Consistency, FsError, NameserverConfig, ReadAssignment, Redundancy,
+    ReplicaSelector,
+};
 use mayflower_net::{HostId, Topology, TreeParams};
 
 struct TempDir(PathBuf);
@@ -247,6 +250,46 @@ fn strong_consistency_reads_span_fragments_and_primary_tail() {
     assert_eq!(client.read("strict").unwrap(), data);
     // A range crossing the sealed/tail boundary.
     assert_eq!(client.read_range("strict", 24, 18).unwrap(), &data[24..42]);
+}
+
+/// A selector that names a fragment twice must not make the client
+/// count it twice: `[0, 2, 0]` used to reach `k` with `k - 1` distinct
+/// shards and fail a healthy chunk as unavailable.
+#[test]
+fn repeated_fragment_preferences_are_fetched_once() {
+    struct Repeats(Vec<usize>);
+    impl ReplicaSelector for Repeats {
+        fn select_read(
+            &mut self,
+            _: HostId,
+            replicas: &[HostId],
+            bytes: u64,
+        ) -> Vec<ReadAssignment> {
+            vec![ReadAssignment {
+                replica: replicas[0],
+                bytes,
+            }]
+        }
+        fn select_fragments(&mut self, _: HostId, _: &[(usize, HostId)], _: usize) -> Vec<usize> {
+            self.0.clone()
+        }
+    }
+
+    let dir = TempDir::new("repeats");
+    let c = cluster(&dir, Consistency::Sequential);
+    let data = payload(40);
+    let mut writer = c.client(HostId(0));
+    writer
+        .create_with("twice", Redundancy::Coded { k: 4, m: 2 })
+        .unwrap();
+    writer.append("twice", &data).unwrap();
+    // All-data preference (served without a decode), a preference that
+    // pulls in parity (decoded), and out-of-range noise.
+    for preference in [vec![0, 2, 0], vec![0, 4, 0], vec![9, 1, 1, 9, 5, 5]] {
+        let mut reader = c.client_with_selector(HostId(3), Box::new(Repeats(preference.clone())));
+        reader.set_retry_policy(1, std::time::Duration::ZERO);
+        assert_eq!(reader.read("twice").unwrap(), data, "{preference:?}");
+    }
 }
 
 #[test]
