@@ -163,6 +163,7 @@ pub fn estimate_demands(
         .map(|(_, d)| topo.link(topo.host_downlink(*d)).capacity())
         .collect();
 
+    let (mut alloc, mut order) = (Vec::new(), Vec::new());
     for _ in 0..32 {
         let before = demand.clone();
         // Sender pass.
@@ -200,7 +201,7 @@ pub fn estimate_demands(
             if total > cap * (1.0 + 1e-9) {
                 // Waterfill the receiver capacity over current demands.
                 let demands: Vec<f64> = idx.iter().map(|i| demand[*i]).collect();
-                let alloc = mayflower_net::fairshare::waterfill(cap, &demands);
+                mayflower_net::fairshare::waterfill_into(cap, &demands, &mut alloc, &mut order);
                 for (k, i) in idx.iter().enumerate() {
                     if alloc[k] < demand[*i] - 1e-9 {
                         demand[*i] = alloc[k];

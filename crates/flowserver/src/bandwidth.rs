@@ -16,9 +16,7 @@
 //! Estimation error does not accumulate because periodic stats polls
 //! re-anchor the model to measured counters.
 
-use mayflower_net::fairshare::{
-    new_flow_share_into, waterfill, waterfill_with_extra, FairshareScratch,
-};
+use mayflower_net::fairshare::{new_flow_share_into, waterfill_with_extra, FairshareScratch};
 use mayflower_net::{LinkId, Topology};
 use mayflower_sdn::FlowCookie;
 
@@ -29,75 +27,11 @@ use crate::tracker::FlowTracker;
 /// waterfilled share on each link (existing flows demanding their
 /// current modelled bandwidth, the new flow demanding infinity), then
 /// the minimum across links — the bottleneck share `b_j` of Eq. 2.
-#[must_use]
-pub fn new_flow_share_on_path(
-    topo: &Topology,
-    tracker: &FlowTracker,
-    path_links: &[LinkId],
-) -> f64 {
-    let mut share = f64::INFINITY;
-    for &l in path_links {
-        let cap = topo.link(l).capacity();
-        let demands = tracker.demands_on_link(l);
-        let s = mayflower_net::fairshare::new_flow_share(cap, &demands);
-        share = share.min(s);
-    }
-    share
-}
-
-/// For every existing flow on `path_links`, its estimated bandwidth
-/// after a new flow with demand `new_flow_bw` joins those links
-/// (§4.2: "the new bandwidth estimate of the existing flows is their
-/// bandwidth share when a new flow with bandwidth demand `b_j` is
-/// added in the links in the path").
 ///
-/// A flow crossing several of the path's links gets the minimum of its
-/// per-link shares. Returns `(cookie, new_bw)` pairs in cookie order
-/// for flows whose share changed (`new_bw < current bw`), which are
-/// exactly the flows Pseudocode 1 re-freezes.
-#[must_use]
-pub fn existing_flow_new_shares(
-    topo: &Topology,
-    tracker: &FlowTracker,
-    path_links: &[LinkId],
-    new_flow_bw: f64,
-) -> Vec<(FlowCookie, f64)> {
-    use std::collections::BTreeMap;
-    // Per flow: (current bw, min share across links). The current bw is
-    // captured while building the demand vector, so the change filter
-    // below needs no second tracker lookup per flow.
-    let mut new_bw: BTreeMap<FlowCookie, (f64, f64)> = BTreeMap::new();
-    for &l in path_links {
-        let cookies = tracker.flows_on_link(l);
-        if cookies.is_empty() {
-            continue;
-        }
-        let cap = topo.link(l).capacity();
-        let mut demands: Vec<f64> = cookies
-            .iter()
-            .map(|c| tracker.get(*c).expect("indexed flow exists").bw)
-            .collect();
-        demands.push(new_flow_bw);
-        let alloc = waterfill(cap, &demands);
-        for ((c, cur), share) in cookies.iter().zip(&demands).zip(&alloc) {
-            new_bw
-                .entry(*c)
-                .and_modify(|(_, b)| *b = b.min(*share))
-                .or_insert((*cur, *share));
-        }
-    }
-    new_bw
-        .into_iter()
-        .filter(|(_, (cur, b))| *b < cur - 1e-9)
-        .map(|(c, (_, b))| (c, b))
-        .collect()
-}
-
-/// Allocation-free [`new_flow_share_on_path`]: reads each link's
-/// demand vector from the tracker's incremental [`crate::tracker::
-/// LinkLoad`] index instead of scanning every flow, and waterfills
-/// into scratch buffers. Bit-identical to the naive scan; falls back
-/// to it while the tracker index is dirty.
+/// Reads each link's demand vector from the tracker's incremental
+/// [`crate::tracker::LinkLoad`] index and waterfills into scratch
+/// buffers, so the tracker must be fresh ([`FlowTracker::
+/// ensure_fresh`]); reading a dirty index panics.
 #[must_use]
 pub fn new_flow_share_on_path_into(
     topo: &Topology,
@@ -105,9 +39,7 @@ pub fn new_flow_share_on_path_into(
     path_links: &[LinkId],
     fair: &mut FairshareScratch,
 ) -> f64 {
-    if tracker.is_dirty() {
-        return new_flow_share_on_path(topo, tracker, path_links);
-    }
+    tracker.assert_fresh();
     let mut share = f64::INFINITY;
     for &l in path_links {
         let cap = topo.link(l).capacity();
@@ -123,10 +55,17 @@ pub fn new_flow_share_on_path_into(
     share
 }
 
-/// Allocation-free [`existing_flow_new_shares`]: accumulates the
-/// impacted rows (already change-filtered, cookie order) into
-/// `scratch.impact`. Bit-identical to the naive version; falls back
-/// to it while the tracker index is dirty.
+/// For every existing flow on `path_links`, its estimated bandwidth
+/// after a new flow with demand `new_flow_bw` joins those links
+/// (§4.2: "the new bandwidth estimate of the existing flows is their
+/// bandwidth share when a new flow with bandwidth demand `b_j` is
+/// added in the links in the path").
+///
+/// A flow crossing several of the path's links gets the minimum of its
+/// per-link shares. Leaves one row per flow whose share changed
+/// (`new_bw < current bw`) in `scratch.impact`, in cookie order —
+/// exactly the flows Pseudocode 1 re-freezes. Same freshness
+/// precondition as [`new_flow_share_on_path_into`].
 pub fn existing_flow_new_shares_into(
     topo: &Topology,
     tracker: &FlowTracker,
@@ -134,18 +73,8 @@ pub fn existing_flow_new_shares_into(
     new_flow_bw: f64,
     scratch: &mut SelectionScratch,
 ) {
+    tracker.assert_fresh();
     scratch.impact.clear();
-    if tracker.is_dirty() {
-        for (cookie, new_bw) in existing_flow_new_shares(topo, tracker, path_links, new_flow_bw) {
-            let cur_bw = tracker.get(cookie).expect("impacted flow exists").bw;
-            scratch.impact.push(ImpactRow {
-                cookie,
-                new_bw,
-                cur_bw,
-            });
-        }
-        return;
-    }
     for &l in path_links {
         let Some(load) = tracker.link_load(l) else {
             continue;
@@ -163,14 +92,12 @@ pub fn existing_flow_new_shares_into(
             alloc,
         );
     }
-    // Same change filter (and epsilon) as the naive BTreeMap version.
     scratch.impact.retain(|r| r.new_bw < r.cur_bw - 1e-9);
 }
 
 /// Merges one link's `(cookie, share)` pairs into the accumulator,
-/// keeping per-cookie minima — the sorted-vector equivalent of the
-/// naive version's `BTreeMap::entry().and_modify(min)` loop. Both
-/// inputs are cookie-sorted; the result stays cookie-sorted.
+/// keeping per-cookie minima. Both inputs are cookie-sorted; the
+/// result stays cookie-sorted.
 fn merge_link_shares(
     impact: &mut Vec<ImpactRow>,
     merged: &mut Vec<ImpactRow>,
@@ -196,8 +123,8 @@ fn merge_link_shares(
             }
             std::cmp::Ordering::Equal => {
                 let mut row = impact[i];
-                // Operand order matches `b.min(*share)` in the naive
-                // version (relevant only for NaN, but kept identical).
+                // Operand order matches the oracle's `b.min(*share)`
+                // (relevant only for NaN, but kept identical).
                 row.new_bw = row.new_bw.min(alloc[j]);
                 merged.push(row);
                 i += 1;
@@ -284,12 +211,27 @@ pub(crate) mod tests {
         tr
     }
 
+    fn share(t: &Topology, tr: &FlowTracker, links: &[LinkId]) -> f64 {
+        new_flow_share_on_path_into(t, tr, links, &mut FairshareScratch::new())
+    }
+
+    fn impacts(
+        t: &Topology,
+        tr: &FlowTracker,
+        links: &[LinkId],
+        new_flow_bw: f64,
+    ) -> Vec<(FlowCookie, f64)> {
+        let mut scratch = SelectionScratch::new();
+        existing_flow_new_shares_into(t, tr, links, new_flow_bw, &mut scratch);
+        scratch.take_impacted()
+    }
+
     #[test]
     fn fig2_new_flow_shares_are_3_on_both_paths() {
         let (t, p1, p2, _, _) = fig2();
         let tr = fig2_tracker(&p1, &p2);
-        let b1 = new_flow_share_on_path(&t, &tr, p1.links());
-        let b2 = new_flow_share_on_path(&t, &tr, p2.links());
+        let b1 = share(&t, &tr, p1.links());
+        let b2 = share(&t, &tr, p2.links());
         assert!((b1 - 3.0).abs() < 1e-9, "b1={b1}");
         assert!((b2 - 3.0).abs() < 1e-9, "b2={b2}");
     }
@@ -298,7 +240,7 @@ pub(crate) mod tests {
     fn fig2_existing_flow_impacts_first_path() {
         let (t, p1, p2, _, _) = fig2();
         let tr = fig2_tracker(&p1, &p2);
-        let changes = existing_flow_new_shares(&t, &tr, p1.links(), 3.0);
+        let changes = impacts(&t, &tr, p1.links(), 3.0);
         // The 6 Mbps flow drops to 3; the 10 Mbps flow drops to 7.
         let get = |c: u64| {
             changes
@@ -317,7 +259,7 @@ pub(crate) mod tests {
     fn fig2_existing_flow_impacts_second_path() {
         let (t, p1, p2, _, _) = fig2();
         let tr = fig2_tracker(&p1, &p2);
-        let changes = existing_flow_new_shares(&t, &tr, p2.links(), 3.0);
+        let changes = impacts(&t, &tr, p2.links(), 3.0);
         let get = |c: u64| {
             changes
                 .iter()
@@ -333,14 +275,14 @@ pub(crate) mod tests {
     fn empty_path_share_is_infinite() {
         let (t, p1, p2, _, _) = fig2();
         let tr = fig2_tracker(&p1, &p2);
-        assert!(new_flow_share_on_path(&t, &tr, &[]).is_infinite());
+        assert!(share(&t, &tr, &[]).is_infinite());
     }
 
     #[test]
     fn idle_path_gets_line_rate() {
         let (t, p1, _, _, _) = fig2();
         let tr = FlowTracker::new();
-        let b = new_flow_share_on_path(&t, &tr, p1.links());
+        let b = share(&t, &tr, p1.links());
         assert!((b - 10.0).abs() < 1e-9);
     }
 
@@ -350,7 +292,7 @@ pub(crate) mod tests {
         let mut tr = FlowTracker::new();
         // One flow occupying both interior links of p1 at 10 Mbps.
         tr.insert(bg_flow(1, vec![p1.links()[1], p1.links()[2]], 10.0));
-        let changes = existing_flow_new_shares(&t, &tr, p1.links(), 5.0);
+        let changes = impacts(&t, &tr, p1.links(), 5.0);
         assert_eq!(changes.len(), 1);
         // waterfill(10, [10, 5]) → existing gets 5 on each link.
         assert!((changes[0].1 - 5.0).abs() < 1e-9);

@@ -25,7 +25,8 @@ pub struct PathCost {
 /// every existing flow on the path.
 ///
 /// Returns a cost of `f64::INFINITY` when the path has no available
-/// bandwidth (`b_j = 0`) or an impacted flow would be starved.
+/// bandwidth (`b_j = 0`) or an impacted flow would be starved. The
+/// tracker's link index must be fresh ([`FlowTracker::ensure_fresh`]).
 #[must_use]
 pub fn flow_cost(
     topo: &Topology,
@@ -34,26 +35,6 @@ pub fn flow_cost(
     flow_size_bits: f64,
     now: SimTime,
 ) -> PathCost {
-    flow_cost_opts(topo, tracker, path_links, flow_size_bits, now, true)
-}
-
-/// [`flow_cost`] with the impact term switchable.
-///
-/// With `impact_aware = false` the cost is just `d_j / b_j` — greedy
-/// own-bandwidth maximization, the strawman the paper argues against
-/// in §4: "the path with the most bandwidth share is a good choice,
-/// [but] it is not always the best choice in highly dynamic settings."
-/// The bandwidth changes of existing flows are still computed and
-/// returned (even a greedy scheduler must keep its model consistent).
-#[must_use]
-pub fn flow_cost_opts(
-    topo: &Topology,
-    tracker: &FlowTracker,
-    path_links: &[LinkId],
-    flow_size_bits: f64,
-    now: SimTime,
-    impact_aware: bool,
-) -> PathCost {
     let mut scratch = SelectionScratch::new();
     let (est_bw, cost) = flow_cost_into(
         topo,
@@ -61,7 +42,7 @@ pub fn flow_cost_opts(
         path_links,
         flow_size_bits,
         now,
-        impact_aware,
+        true,
         None,
         &mut scratch,
     );
@@ -72,15 +53,23 @@ pub fn flow_cost_opts(
     }
 }
 
-/// The allocation-free evaluation core behind [`flow_cost_opts`]:
-/// returns `(est_bw, cost)` and leaves the impacted rows in
-/// `scratch.impact` (materialize them with `take_impacted` only for
-/// the winning candidate — losing candidates never touch the heap).
+/// The allocation-free evaluation core behind [`flow_cost`]: returns
+/// `(est_bw, cost)` and leaves the impacted rows in `scratch.impact`
+/// (materialize them with `take_impacted` only for the winning
+/// candidate — losing candidates never touch the heap).
+///
+/// With `impact_aware = false` the cost is just `d_j / b_j` — greedy
+/// own-bandwidth maximization, the strawman the paper argues against
+/// in §4: "the path with the most bandwidth share is a good choice,
+/// [but] it is not always the best choice in highly dynamic settings."
+/// The bandwidth changes of existing flows are still computed and left
+/// in the scratch (even a greedy scheduler must keep its model
+/// consistent).
 ///
 /// `est_bw_hint` lets a caller that already knows the path's
 /// bottleneck share (from a per-link share cache) skip recomputing it;
-/// the hint **must** equal what [`crate::bandwidth::
-/// new_flow_share_on_path`] would return, bit for bit.
+/// the hint **must** equal what [`new_flow_share_on_path_into`] would
+/// return, bit for bit.
 #[allow(clippy::too_many_arguments)]
 pub fn flow_cost_into(
     topo: &Topology,
@@ -216,6 +205,7 @@ mod tests {
                 f.remaining_bits = 0.0;
             }
         }
+        tr.ensure_fresh(); // `get_mut` dirtied the link index
         let pc = flow_cost(&t, &tr, p1.links(), 9.0, SimTime::ZERO);
         assert!((pc.cost - 3.0).abs() < 1e-9, "only the new flow's time");
     }
@@ -287,9 +277,7 @@ mod tests {
         let (t, p1, p2, _, _) = fig2();
         let mut tr = fig2_tracker(&p1, &p2);
         for c in [1u64, 2, 3, 4] {
-            if let Some(f) = tr.get_mut(mayflower_sdn::FlowCookie(c)) {
-                f.set_bw(0.0, SimTime::ZERO);
-            }
+            tr.set_flow_bw(mayflower_sdn::FlowCookie(c), 0.0, SimTime::ZERO);
         }
         let pc = flow_cost(&t, &tr, p1.links(), 9.0, SimTime::ZERO);
         assert!(pc.cost.is_finite());

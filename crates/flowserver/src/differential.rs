@@ -4,10 +4,10 @@
 //! lower-bound prune + allocation-free evaluation) claims to be
 //! **behaviour-identical** to the naive implementation it replaced:
 //! same winning replica and path, bit-identical bandwidth estimates,
-//! bit-identical post-commit model state. This module keeps a verbatim
-//! copy of the naive selection loop as an oracle and runs both sides
-//! over randomized topologies, flow populations, link failures, stats
-//! polls, and freeze expirations.
+//! bit-identical post-commit model state. This module keeps the naive
+//! selection loop as an oracle — the only place it still exists — and
+//! runs both sides over randomized topologies, flow populations, link
+//! failures, stats polls, and freeze expirations.
 
 use std::sync::Arc;
 
@@ -16,27 +16,95 @@ use mayflower_sdn::{FlowCookie, FlowStat, StatsReport};
 use mayflower_simcore::SimTime;
 use proptest::prelude::*;
 
-use crate::bandwidth::{
-    existing_flow_new_shares, existing_flow_new_shares_into, new_flow_share_on_path,
-    new_flow_share_on_path_into,
-};
+use crate::bandwidth::{existing_flow_new_shares_into, new_flow_share_on_path_into};
 use crate::cost::{flow_cost_into, PathCost};
 use crate::scratch::SelectionScratch;
 use crate::server::{FlowPriority, Flowserver, FlowserverConfig, Selection};
 use crate::tracker::{FlowTracker, TrackedFlow};
 
-/// The naive implementation, kept verbatim from before the fast path
-/// landed. Scans every tracked flow per link, allocates per candidate,
-/// recomputes every shortest-path set, and never prunes.
+/// The naive implementation from before the fast path landed. Scans
+/// every tracked flow per link, allocates per candidate, recomputes
+/// every shortest-path set, and never prunes.
+///
+/// Its single-link arithmetic is `waterfill_into` on fresh buffers:
+/// `mayflower_net::fairshare`'s own proptests pin that to the
+/// quadratic reference loop bit for bit, so what is checked here is
+/// everything built on top — the link index, the sorted merge, the
+/// share memo, the path cache and the prune.
 mod oracle {
+    use std::collections::BTreeMap;
+
+    use mayflower_net::fairshare::waterfill_into;
+    use mayflower_net::LinkId;
+
     use super::*;
 
-    /// The original `flow_cost_opts`, built on the naive per-link
-    /// scans ([`new_flow_share_on_path`], [`existing_flow_new_shares`]).
+    fn waterfill(capacity: f64, demands: &[f64]) -> Vec<f64> {
+        let (mut alloc, mut order) = (Vec::new(), Vec::new());
+        waterfill_into(capacity, demands, &mut alloc, &mut order);
+        alloc
+    }
+
+    /// The new flow's bottleneck share: per link, waterfill the
+    /// scanned demands plus an unbounded newcomer; minimum over links.
+    pub fn new_flow_share_on_path(
+        topo: &Topology,
+        tracker: &FlowTracker,
+        path_links: &[LinkId],
+    ) -> f64 {
+        let mut share = f64::INFINITY;
+        for &l in path_links {
+            let cap = topo.link(l).capacity();
+            let mut demands = tracker.demands_on_link(l);
+            demands.push(f64::INFINITY);
+            let s = *waterfill(cap, &demands).last().expect("non-empty");
+            share = share.min(s);
+        }
+        share
+    }
+
+    /// `(cookie, new_bw)` in cookie order for every flow whose share
+    /// shrinks when a flow demanding `new_flow_bw` joins `path_links`;
+    /// a flow on several of the links gets its minimum.
+    pub fn existing_flow_new_shares(
+        topo: &Topology,
+        tracker: &FlowTracker,
+        path_links: &[LinkId],
+        new_flow_bw: f64,
+    ) -> Vec<(FlowCookie, f64)> {
+        // Per flow: (current bw, min share across links).
+        let mut new_bw: BTreeMap<FlowCookie, (f64, f64)> = BTreeMap::new();
+        for &l in path_links {
+            let cookies = tracker.flows_on_link(l);
+            if cookies.is_empty() {
+                continue;
+            }
+            let cap = topo.link(l).capacity();
+            let mut demands: Vec<f64> = cookies
+                .iter()
+                .map(|c| tracker.get(*c).expect("indexed flow exists").bw)
+                .collect();
+            demands.push(new_flow_bw);
+            let alloc = waterfill(cap, &demands);
+            for ((c, cur), share) in cookies.iter().zip(&demands).zip(&alloc) {
+                new_bw
+                    .entry(*c)
+                    .and_modify(|(_, b)| *b = b.min(*share))
+                    .or_insert((*cur, *share));
+            }
+        }
+        new_bw
+            .into_iter()
+            .filter(|(_, (cur, b))| *b < cur - 1e-9)
+            .map(|(c, (_, b))| (c, b))
+            .collect()
+    }
+
+    /// The original `flow_cost`, built on the per-link scans above.
     pub fn flow_cost(
         topo: &Topology,
         tracker: &FlowTracker,
-        path_links: &[mayflower_net::LinkId],
+        path_links: &[LinkId],
         flow_size_bits: f64,
         now: SimTime,
         impact_aware: bool,
@@ -265,12 +333,12 @@ proptest! {
 
         let mut scratch = SelectionScratch::new();
         let fast = new_flow_share_on_path_into(&topo, &tracker, links, &mut scratch.fair);
-        let naive = new_flow_share_on_path(&topo, &tracker, links);
+        let naive = oracle::new_flow_share_on_path(&topo, &tracker, links);
         prop_assert_eq!(fast.to_bits(), naive.to_bits());
 
         existing_flow_new_shares_into(&topo, &tracker, links, new_bw, &mut scratch);
         let got = scratch.take_impacted();
-        let want = existing_flow_new_shares(&topo, &tracker, links, new_bw);
+        let want = oracle::existing_flow_new_shares(&topo, &tracker, links, new_bw);
         prop_assert_eq!(got.len(), want.len());
         for ((gc, gb), (wc, wb)) in got.iter().zip(&want) {
             prop_assert_eq!(gc, wc);
@@ -428,34 +496,42 @@ proptest! {
     }
 }
 
-mod fallback {
+mod freshness {
     use super::*;
     use crate::bandwidth::tests::{fig2, fig2_tracker};
 
-    /// Direct mutable access dirties the index; the fast entry points
-    /// must fall back to the naive scans and still agree with them.
+    /// Direct mutable access dirties the index. After `ensure_fresh`
+    /// the fast entry points give the oracle's answer to the bit.
     #[test]
-    fn dirty_tracker_falls_back_to_naive() {
+    fn dirtied_tracker_after_ensure_fresh_matches_oracle() {
         let (t, p1, p2, _, _) = fig2();
         let mut tr = fig2_tracker(&p1, &p2);
         tr.get_mut(FlowCookie(3)).unwrap().bw = 5.5; // dirties the index
         assert!(tr.is_dirty());
+        // The oracle scans the flows themselves, index or no index.
+        let naive = oracle::new_flow_share_on_path(&t, &tr, p1.links());
+        let want = oracle::existing_flow_new_shares(&t, &tr, p1.links(), naive);
 
-        let mut scratch = SelectionScratch::new();
-        let fast = new_flow_share_on_path_into(&t, &tr, p1.links(), &mut scratch.fair);
-        let naive = new_flow_share_on_path(&t, &tr, p1.links());
-        assert_eq!(fast.to_bits(), naive.to_bits());
-
-        existing_flow_new_shares_into(&t, &tr, p1.links(), fast, &mut scratch);
-        let got = scratch.take_impacted();
-        let want = existing_flow_new_shares(&t, &tr, p1.links(), fast);
-        assert_eq!(got, want);
-
-        // Rebuilding clears the dirty bit and the fast path takes over
-        // with the same result.
         tr.ensure_fresh();
         assert!(!tr.is_dirty());
-        let fast2 = new_flow_share_on_path_into(&t, &tr, p1.links(), &mut scratch.fair);
-        assert_eq!(fast2.to_bits(), naive.to_bits());
+        let mut scratch = SelectionScratch::new();
+        let fast = new_flow_share_on_path_into(&t, &tr, p1.links(), &mut scratch.fair);
+        assert_eq!(fast.to_bits(), naive.to_bits());
+        existing_flow_new_shares_into(&t, &tr, p1.links(), fast, &mut scratch);
+        let bits = |rows: &[(FlowCookie, f64)]| -> Vec<(FlowCookie, u64)> {
+            rows.iter().map(|(c, b)| (*c, b.to_bits())).collect()
+        };
+        assert_eq!(bits(&scratch.take_impacted()), bits(&want));
+    }
+
+    /// There is no silent fallback: evaluating against a dirty index
+    /// is a bug in the caller and fails loudly.
+    #[test]
+    #[should_panic(expected = "link index read while dirty")]
+    fn reading_the_index_while_dirty_panics() {
+        let (t, p1, p2, _, _) = fig2();
+        let mut tr = fig2_tracker(&p1, &p2);
+        tr.get_mut(FlowCookie(3)).unwrap().bw = 5.5;
+        let _ = new_flow_share_on_path_into(&t, &tr, p1.links(), &mut Default::default());
     }
 }

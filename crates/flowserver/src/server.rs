@@ -770,9 +770,7 @@ impl Flowserver {
     /// paths maintain the index incrementally and never dirty it, so
     /// this is a no-op in the steady state.
     pub(crate) fn ensure_model_fresh(&mut self) {
-        if self.tracker.is_dirty() {
-            self.tracker.ensure_fresh();
-        }
+        self.tracker.ensure_fresh();
     }
 
     /// Cached shortest-path lookup (replica → client direction),
@@ -790,12 +788,12 @@ impl Flowserver {
     /// The exact bottleneck share `b_j` a new flow would get on
     /// `links`, served from the per-link share memo where the tracker
     /// epoch proves it fresh. Bit-identical to
-    /// [`crate::bandwidth::new_flow_share_on_path`]: idle links
+    /// [`crate::bandwidth::new_flow_share_on_path_into`]: idle links
     /// contribute their raw capacity (`waterfill(cap, [∞]) ≡ cap`),
     /// loaded links re-run the same waterfill over the same
     /// cookie-ordered demands.
     pub(crate) fn path_share(&mut self, links: &[LinkId]) -> f64 {
-        debug_assert!(!self.tracker.is_dirty(), "call ensure_model_fresh first");
+        self.tracker.assert_fresh();
         let mut share = f64::INFINITY;
         for l in links {
             let cap = self.topo.link(*l).capacity();

@@ -96,10 +96,6 @@ pub struct Client {
     trace_datapath: TraceHandle,
 }
 
-/// Backoff growth is capped so a long retry budget cannot make a
-/// client hang for seconds on a dead component.
-const MAX_RETRY_BACKOFF: std::time::Duration = datapath::MAX_RETRY_BACKOFF;
-
 /// What a ranged read brought back: the bytes, plus the file sizes the
 /// serving dataservers piggybacked on their responses — the fold that
 /// replaces the standalone size-probe RPC in [`Client::read`].
@@ -205,24 +201,8 @@ impl Client {
 
     /// Runs `op`, retrying transient [`FsError::Unavailable`] failures
     /// under the client's retry policy.
-    fn with_retry<T>(&self, mut op: impl FnMut() -> Result<T, FsError>) -> Result<T, FsError> {
-        let mut delay = self.retry_backoff;
-        let mut last = None;
-        for attempt in 0..self.retry_attempts {
-            if attempt > 0 {
-                self.metrics.retries.inc();
-            }
-            match op() {
-                Ok(v) => return Ok(v),
-                Err(e @ FsError::Unavailable(_)) => last = Some(e),
-                Err(e) => return Err(e),
-            }
-            if attempt + 1 < self.retry_attempts && !delay.is_zero() {
-                std::thread::sleep(delay);
-                delay = (delay * 2).min(MAX_RETRY_BACKOFF);
-            }
-        }
-        Err(last.expect("at least one attempt runs"))
+    fn with_retry<T>(&self, op: impl FnMut() -> Result<T, FsError>) -> Result<T, FsError> {
+        datapath::with_retry(self.retry_policy(), &self.metrics.retries, op)
     }
 
     /// Sets the metadata cache expiry (default five minutes). Shorter

@@ -117,9 +117,8 @@ impl Cluster {
         &self.tracer
     }
 
-    /// Applies a simulated per-request round-trip delay to every
-    /// dataserver — the knob single-machine benchmarks turn to stand
-    /// in for network latency on the data plane.
+    /// Applies a per-request delay to every dataserver: a test hook
+    /// for widening race windows, see [`Dataserver::set_simulated_rtt`].
     pub fn set_simulated_rtt(&self, rtt: std::time::Duration) {
         for ds in self.dataservers.values() {
             ds.set_simulated_rtt(rtt);

@@ -27,7 +27,7 @@ use crate::types::FileMeta;
 
 /// Backoff growth is capped so a long retry budget cannot make a
 /// client hang for seconds on a dead component.
-pub(crate) const MAX_RETRY_BACKOFF: std::time::Duration = std::time::Duration::from_millis(16);
+const MAX_RETRY_BACKOFF: std::time::Duration = std::time::Duration::from_millis(16);
 
 /// Telemetry for the parallel pipeline, shared by every client of a
 /// cluster (the registry dedups by metric name).
@@ -125,9 +125,9 @@ pub(crate) struct RetryPolicy {
     pub(crate) backoff: std::time::Duration,
 }
 
-/// Runs `op`, retrying transient [`FsError::Unavailable`] failures —
-/// the free-function twin of `Client::with_retry`, safe to call from
-/// worker threads.
+/// Runs `op`, retrying transient [`FsError::Unavailable`] failures.
+/// A free function (not a `Client` method) so worker threads can call
+/// it too.
 pub(crate) fn with_retry<T>(
     policy: RetryPolicy,
     retries: &Counter,
@@ -285,8 +285,35 @@ mod tests {
         let none: Vec<Box<dyn FnOnce() -> u32 + Send>> = Vec::new();
         assert!(fan_out(8, none, None).is_empty());
         let caller = std::thread::current().id();
-        let out = fan_out(8, vec![move || std::thread::current().id() == caller], None);
+        let on_caller = move || std::thread::current().id() == caller;
+        let out = fan_out(8, vec![on_caller], None);
         assert_eq!(out, vec![true], "single job runs on the caller's thread");
+        let out = fan_out(1, vec![on_caller; 3], None);
+        assert_eq!(out, vec![true; 3], "width 1 runs on the caller's thread");
+    }
+
+    /// `width` jobs that each wait until all `width` have started can
+    /// only finish if the pool really runs them at the same time: run
+    /// one after another, the first would wait for ever. The wait has
+    /// a deadline so that regression fails instead of hanging.
+    #[test]
+    fn fan_out_overlaps_jobs_up_to_width() {
+        use std::sync::{Condvar, Mutex};
+        for width in [2usize, 4] {
+            let started = (Mutex::new(0usize), Condvar::new());
+            let rendezvous = || {
+                let (count, all_in) = &started;
+                let mut n = count.lock().expect("no job panics holding the count");
+                *n += 1;
+                all_in.notify_all();
+                let (_n, wait) = all_in
+                    .wait_timeout_while(n, std::time::Duration::from_secs(20), |n| *n < width)
+                    .expect("no job panics holding the count");
+                !wait.timed_out()
+            };
+            let met = fan_out(width, vec![rendezvous; width], None);
+            assert_eq!(met, vec![true; width], "width {width} did not overlap");
+        }
     }
 
     #[test]

@@ -92,9 +92,9 @@ impl Dataserver {
         })
     }
 
-    /// Sets the simulated per-request round-trip delay applied to
-    /// data-plane operations (reads, appends, fragment IO). Benchmarks
-    /// use this to stand in for network latency; zero disables it.
+    /// Sets a per-request delay applied to data-plane operations
+    /// (reads, appends, fragment IO): a test hook for widening race
+    /// windows (kill a replica mid-fetch). Zero disables it.
     pub fn set_simulated_rtt(&self, rtt: std::time::Duration) {
         self.rtt_us.store(
             rtt.as_micros().min(u128::from(u64::MAX)) as u64,

@@ -19,8 +19,7 @@
 //! The crate is **std-only** (no external dependencies) so the offline
 //! vendored build stays intact, and every data structure is lock-free
 //! on the record path: counters and histogram buckets are plain
-//! relaxed atomics, so instrumentation can sit on hot paths (the
-//! `mayflower-bench` crate guards the increment and record costs).
+//! relaxed atomics, so instrumentation can sit on hot paths.
 //!
 //! # Determinism
 //!

@@ -22,8 +22,9 @@
 //! one relaxed atomic load per would-be span, and an enabled one costs
 //! a ring push (one `fetch_add` plus one pointer swap) per finished
 //! span — full event collection only happens inside an explicit
-//! [`Tracer::begin_capture`] window. `mayflower-bench`'s `trace_smoke`
-//! guards both costs.
+//! [`Tracer::begin_capture`] window. The benchmark's
+//! `bench.trace_overhead_ratio.*` metrics set traced batches against
+//! untraced ones.
 //!
 //! The analyzer ([`TraceTree`]) rebuilds the span forest from events,
 //! checks well-formedness, extracts the **critical path** (from each
