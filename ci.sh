@@ -45,11 +45,15 @@ echo "==> sharded metadata plane: ring proptests + scaling experiment (release)"
 cargo test --release -q -p mayflower-shard
 cargo test --release -q -p mayflower-sim --test metadata_scaling
 
-echo "==> data-plane pipeline: stress tests + single-threaded fs suite (release)"
+echo "==> data-plane pipeline: stress tests, replica-table recovery equivalence + single-threaded fs suite (release)"
 # The fs suite runs multi-threaded under the workspace `cargo test -q`
 # above; rerunning it pinned to one test thread shakes out any hidden
 # reliance on test-level parallelism masking worker-pool races.
 cargo test --release -q -p mayflower-fs --test datapath_stress
+# The dataserver's load rule (size derived from the chunk files) and its
+# publish-after-write ordering as they are built for production: the
+# arithmetic must hold without debug assertions.
+cargo test --release -q -p mayflower-fs --test replica_table
 RUST_TEST_THREADS=1 cargo test --release -q -p mayflower-fs
 
 echo "==> causal tracing: telemetry suite + trace determinism/well-formedness (release)"

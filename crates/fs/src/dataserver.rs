@@ -8,6 +8,12 @@
 //! <root>/<file-uuid>/2         # second chunk
 //! ...
 //! ```
+//!
+//! `meta` persists what only the nameserver can tell a replica (name,
+//! hosts, redundancy, seal watermark). A replica's **size** is a fact
+//! about its chunk files: it is derived from them when the replica is
+//! first touched and lives, from then on, in the in-memory replica
+//! table (DESIGN.md §10, "Dataserver state model").
 
 use std::collections::HashMap;
 use std::fs::OpenOptions;
@@ -42,16 +48,58 @@ struct DsMetrics {
 const FRAGMENT_MAGIC: &[u8; 4] = b"MFEC";
 const FRAGMENT_HEADER: usize = 16;
 
+/// What the dataserver knows about one replica it stores: one entry of
+/// the replica table.
+#[derive(Debug)]
+struct ReplicaState {
+    /// Fixed at creation, so reads take it without a lock.
+    chunk_size: u64,
+    /// The `meta` file's content as last written (its `size` field is
+    /// not used). The lock is also the file's append lock ("the
+    /// dataserver only services one append request at a time for each
+    /// file"): an append holds it from start to finish, so neither a
+    /// second append nor a seal-watermark advance moves the end of the
+    /// file under it.
+    meta: Mutex<FileMeta>,
+    /// Bytes a read may return. Only the holder of `meta` stores it,
+    /// with `Release` and only after the bytes are in the chunk files;
+    /// readers load it with `Acquire`, so a reader never sees a size
+    /// whose bytes it cannot read.
+    size: AtomicU64,
+    /// Set (under `meta`) when the entry is dropped from the table
+    /// while the replica lives on — by `restart`, or by an append that
+    /// failed part-way: a caller that still holds the entry is refused
+    /// instead of moving the end of the file behind the back of the
+    /// entry loaded next.
+    retired: AtomicBool,
+}
+
+impl ReplicaState {
+    fn new(meta: &FileMeta, size: u64) -> Arc<ReplicaState> {
+        Arc::new(ReplicaState {
+            chunk_size: meta.chunk_size,
+            meta: Mutex::new(meta.clone()),
+            size: AtomicU64::new(size),
+            retired: AtomicBool::new(false),
+        })
+    }
+}
+
 /// A single storage server: owns one directory tree of file-UUID
 /// directories, services appends (one at a time per file) and
-/// concurrent reads.
+/// concurrent reads. Appends and reads work from the in-memory replica
+/// table; the `meta` file is read once per replica per process and
+/// written only when something other than the size changes.
 #[derive(Debug)]
 pub struct Dataserver {
     host: HostId,
     root: PathBuf,
-    /// Per-file append locks, lazily created ("the dataserver only
-    /// services one append request at a time for each file").
-    append_locks: Mutex<HashMap<FileId, Arc<Mutex<()>>>>,
+    /// The replica table: every replica touched since
+    /// [`Dataserver::open`] or the last [`Dataserver::restart`]. An
+    /// entry is loaded on first touch (`meta` parsed once, size derived
+    /// from the chunk files) and dropped by `delete_file`; the table is
+    /// bounded by the replicas the store holds.
+    replicas: Mutex<HashMap<FileId, Arc<ReplicaState>>>,
     /// Fault-injection switch: while false, every data operation
     /// returns [`FsError::Unavailable`], as a crashed process would
     /// refuse connections. State on disk is untouched, so a restart
@@ -84,7 +132,7 @@ impl Dataserver {
         Ok(Dataserver {
             host,
             root: root.to_path_buf(),
-            append_locks: Mutex::new(HashMap::new()),
+            replicas: Mutex::new(HashMap::new()),
             up: AtomicBool::new(true),
             rtt_us: AtomicU64::new(0),
             metrics: std::sync::OnceLock::new(),
@@ -145,8 +193,20 @@ impl Dataserver {
         self.up.store(false, Ordering::SeqCst);
     }
 
-    /// Brings a crashed dataserver back; on-disk state is intact.
+    /// Brings a crashed dataserver back; on-disk state is intact. The
+    /// replica table is emptied, as a new process's would be: every
+    /// replica is loaded from disk again on its next touch. An append
+    /// that was running when the dataserver went down finishes first;
+    /// one that arrives at a dropped entry later is refused, as a
+    /// request to the crashed process would have been.
     pub fn restart(&self) {
+        let mut table = self.replicas.lock();
+        for (_, state) in table.drain() {
+            // Holding the table lock keeps loads out until every old
+            // entry is quiet, so no load sees half an append.
+            let _held = state.meta.lock();
+            state.retired.store(true, Ordering::Relaxed);
+        }
         self.up.store(true, Ordering::SeqCst);
     }
 
@@ -199,7 +259,95 @@ impl Dataserver {
         self.file_dir(id).join(format!("f{}.{index}", chunk + 1))
     }
 
+    /// The table entry of replica `id`, loaded from disk on first touch:
+    /// `meta` parsed once, the size derived from the chunk files. The
+    /// load runs under the table lock, so a replica never has two
+    /// entries and `delete_file` cannot interleave with it.
+    fn replica(&self, id: FileId) -> Result<Arc<ReplicaState>, FsError> {
+        self.ensure_up()?;
+        let mut table = self.replicas.lock();
+        if let Some(state) = table.get(&id) {
+            return Ok(state.clone());
+        }
+        let body = std::fs::read(self.file_dir(id).join("meta"))
+            .map_err(|e| not_found_or_io(e, || id.to_string()))?;
+        let meta: FileMeta = serde_json::from_slice(&body)
+            .map_err(|e| FsError::CorruptMetadata(format!("meta of {id}: {e}")))?;
+        if meta.chunk_size == 0 {
+            return Err(FsError::CorruptMetadata(format!(
+                "meta of {id}: chunk size 0"
+            )));
+        }
+        let size = self.derive_size(id, meta.chunk_size, meta.sealed_chunks)?;
+        let state = ReplicaState::new(&meta, size);
+        table.insert(id, state.clone());
+        Ok(state)
+    }
+
+    /// Takes a replica's append lock for a call that changes the
+    /// replica, refusing an entry that was dropped meanwhile.
+    fn hold<'a>(
+        &self,
+        state: &'a ReplicaState,
+    ) -> Result<parking_lot::MutexGuard<'a, FileMeta>, FsError> {
+        let held = state.meta.lock();
+        if state.retired.load(Ordering::Relaxed) {
+            return Err(FsError::Unavailable(format!(
+                "dataserver on host {} reloads the replica",
+                self.host.0
+            )));
+        }
+        Ok(held)
+    }
+
+    /// The load rule: a replica's size is where its chunk files end.
+    /// Chunks below the seal watermark live in fragments and may be
+    /// absent here, so the watermark is the floor; from it upwards the
+    /// chunk files must be a run of full chunks ending in at most one
+    /// partial chunk, which is all `append_local` ever leaves behind.
+    /// Any other layout has no offset at which an append would be
+    /// right, and is reported instead of guessed at.
+    fn derive_size(&self, id: FileId, chunk_size: u64, sealed_chunks: u64) -> Result<u64, FsError> {
+        let corrupt = |chunk: u64, why: &str| {
+            FsError::CorruptMetadata(format!("chunk {chunk} of {id}: {why}"))
+        };
+        let mut chunks = Vec::new();
+        for entry in std::fs::read_dir(self.file_dir(id))? {
+            let entry = entry?;
+            // Chunk files are named by their 1-based number; `meta` and
+            // fragment files are not numbers.
+            let chunk = entry
+                .file_name()
+                .to_str()
+                .and_then(|n| n.parse::<u64>().ok())
+                .and_then(|n| n.checked_sub(1));
+            if let Some(chunk) = chunk.filter(|c| *c >= sealed_chunks) {
+                chunks.push((chunk, entry.metadata()?.len()));
+            }
+        }
+        chunks.sort_unstable();
+        let mut size = sealed_chunks
+            .checked_mul(chunk_size)
+            .ok_or_else(|| corrupt(sealed_chunks, "seal watermark out of range"))?;
+        for (chunk, len) in chunks {
+            if chunk.checked_mul(chunk_size) != Some(size) {
+                return Err(corrupt(
+                    size / chunk_size,
+                    &format!("short or missing, yet chunk {chunk} exists"),
+                ));
+            }
+            if len > chunk_size {
+                return Err(corrupt(chunk, "longer than the chunk size"));
+            }
+            size += len;
+        }
+        Ok(size)
+    }
+
     /// Creates the local directory and metadata for a new file replica.
+    /// The replica starts at its seal watermark (zero for a new file;
+    /// a repair destination of a coded file starts where the replicated
+    /// tail does); `meta.size` is not used.
     ///
     /// # Errors
     ///
@@ -207,20 +355,29 @@ impl Dataserver {
     /// the file.
     pub fn create_file(&self, meta: &FileMeta) -> Result<(), FsError> {
         self.ensure_up()?;
+        if meta.chunk_size == 0 {
+            return Err(FsError::InvalidArgument(format!(
+                "{}: chunk size 0",
+                meta.name
+            )));
+        }
         let dir = self.file_dir(meta.id);
         if dir.exists() {
             return Err(FsError::AlreadyExists(meta.name.clone()));
         }
         std::fs::create_dir_all(&dir)?;
         self.write_meta(meta)?;
+        self.replicas
+            .lock()
+            .insert(meta.id, ReplicaState::new(meta, meta.sealed_bytes()));
         Ok(())
     }
 
     fn write_meta(&self, meta: &FileMeta) -> Result<(), FsError> {
         let body =
             serde_json::to_vec_pretty(meta).map_err(|e| FsError::CorruptMetadata(e.to_string()))?;
-        // Write-then-rename: concurrent readers must never observe a
-        // truncated metadata file mid-rewrite.
+        // Write-then-rename: a loader must never observe a truncated
+        // metadata file mid-rewrite.
         let dir = self.file_dir(meta.id);
         let tmp = dir.join(format!("meta.tmp.{:?}", std::thread::current().id()));
         std::fs::write(&tmp, body)?;
@@ -228,32 +385,49 @@ impl Dataserver {
         Ok(())
     }
 
-    /// Overwrites the locally stored metadata of a replica (used when
-    /// a file is renamed, so a post-crash nameserver rebuild sees the
-    /// current name).
+    /// Replaces the locally stored metadata of a replica (a rename, a
+    /// new replica or fragment map, a seal-watermark advance), so a
+    /// post-crash nameserver rebuild sees the current mapping. The
+    /// replica's size stays what its chunk files say — `meta.size` is
+    /// not used — except that it never lies below the seal watermark.
     ///
     /// # Errors
     ///
-    /// Returns [`FsError::NotFound`] if the replica is absent.
+    /// Returns [`FsError::NotFound`] if the replica is absent and
+    /// [`FsError::InvalidArgument`] if `meta` would change the chunk
+    /// size.
     pub fn update_meta(&self, meta: &FileMeta) -> Result<(), FsError> {
-        self.ensure_up()?;
-        if !self.has_file(meta.id) {
-            return Err(FsError::NotFound(meta.id.to_string()));
+        let state = self.replica(meta.id)?;
+        if meta.chunk_size != state.chunk_size {
+            return Err(FsError::InvalidArgument(format!(
+                "{}: chunk size is fixed at creation",
+                meta.name
+            )));
         }
-        self.write_meta(meta)
+        let mut held = self.hold(&state)?;
+        self.write_meta(meta)?;
+        held.clone_from(meta);
+        // The same floor the load rule applies, so the replica reads
+        // the same before and after a restart.
+        state.size.fetch_max(meta.sealed_bytes(), Ordering::Release);
+        Ok(())
     }
 
-    /// Reads the locally stored metadata of a file replica.
+    /// The replica's metadata as last written by `create_file` or
+    /// `update_meta`, carrying the replica's current size. Served from
+    /// the replica table; the `meta` file is read only to load the
+    /// entry.
     ///
     /// # Errors
     ///
     /// Returns [`FsError::NotFound`] if the replica is absent, or
-    /// [`FsError::CorruptMetadata`] if the metadata fails to parse.
+    /// [`FsError::CorruptMetadata`] if its `meta` fails to parse or its
+    /// chunk files are in a layout no append leaves behind.
     pub fn read_meta(&self, id: FileId) -> Result<FileMeta, FsError> {
-        self.ensure_up()?;
-        let body = std::fs::read(self.file_dir(id).join("meta"))
-            .map_err(|e| not_found_or_io(e, || id.to_string()))?;
-        serde_json::from_slice(&body).map_err(|e| FsError::CorruptMetadata(e.to_string()))
+        let state = self.replica(id)?;
+        let mut meta = state.meta.lock().clone();
+        meta.size = state.size.load(Ordering::Acquire);
+        Ok(meta)
     }
 
     /// Whether this dataserver holds a replica of the file. A downed
@@ -264,30 +438,37 @@ impl Dataserver {
         self.is_up() && self.file_dir(id).join("meta").exists()
     }
 
-    /// The replica's current size in bytes (sum of chunk files).
+    /// Bytes the replica's chunk files hold (their summed lengths).
+    /// Less than the replica's size for a coded file, whose sealed
+    /// chunks were reclaimed and leave holes below the seal watermark.
     ///
     /// # Errors
     ///
-    /// Returns [`FsError::NotFound`] if the replica is absent.
+    /// As [`Dataserver::read_meta`].
     pub fn local_size(&self, id: FileId) -> Result<u64, FsError> {
-        let meta = self.read_meta(id)?;
-        // Sum every chunk file the replica holds. Sealed chunks of a
-        // coded file are dropped locally, leaving holes below the seal
-        // watermark, so absence must not terminate the walk early.
-        let mut size = 0u64;
-        for chunk in 0..meta.chunk_count().max(meta.sealed_chunks) {
+        let state = self.replica(id)?;
+        let chunks = state
+            .size
+            .load(Ordering::Acquire)
+            .div_ceil(state.chunk_size);
+        let mut held = 0u64;
+        for chunk in 0..chunks {
             if let Ok(md) = std::fs::metadata(self.chunk_path(id, chunk)) {
-                size += md.len();
+                held += md.len();
             }
         }
-        Ok(size)
+        Ok(held)
     }
 
     /// Appends `data` to the local replica, spilling across chunk
-    /// boundaries as needed. Returns the file's new size.
+    /// boundaries as needed. Returns the file's new size. One chunk
+    /// write per touched chunk and nothing else: the position comes
+    /// from the replica table and the new size is published there once
+    /// the bytes are written; `meta` is not touched.
     ///
-    /// Only one append per file runs at a time; concurrent reads of
-    /// non-last chunks proceed unblocked (§3.3.2).
+    /// Only one append per file runs at a time; concurrent reads
+    /// proceed unblocked (§3.3.2) and see either the old size or the
+    /// new one with all of its bytes.
     ///
     /// # Errors
     ///
@@ -305,34 +486,54 @@ impl Dataserver {
 
     fn append_local_inner(&self, id: FileId, data: &[u8]) -> Result<u64, FsError> {
         self.simulate_rtt();
-        let lock = {
-            let mut locks = self.append_locks.lock();
-            locks.entry(id).or_default().clone()
-        };
-        let _guard = lock.lock();
+        let state = self.replica(id)?;
+        let held = self.hold(&state)?;
+        let size = state.size.load(Ordering::Relaxed); // stored only under `meta`
+        match self.write_chunks(id, state.chunk_size, size, data) {
+            Ok(new_size) => {
+                state.size.store(new_size, Ordering::Release);
+                if let Some(m) = self.metrics.get() {
+                    m.appends.inc();
+                    m.append_bytes.record(data.len() as u64);
+                }
+                Ok(new_size)
+            }
+            Err(e) => {
+                // A write cut short leaves bytes past the published
+                // size. Give the entry up: the next touch loads the
+                // replica from its chunk files again, as a restart
+                // would, so the next append lands where they end.
+                state.retired.store(true, Ordering::Relaxed);
+                drop(held);
+                let mut table = self.replicas.lock();
+                if table.get(&id).is_some_and(|cur| Arc::ptr_eq(cur, &state)) {
+                    table.remove(&id);
+                }
+                Err(e)
+            }
+        }
+    }
 
-        let mut meta = self.read_meta(id)?;
-        let chunk_size = meta.chunk_size;
-        let mut pos = meta.size;
-        let mut remaining = data;
-        while !remaining.is_empty() {
-            let chunk = pos / chunk_size;
+    /// Writes `data` at `pos`, the end of the replica: one
+    /// open-append-close per touched chunk. Returns the new end.
+    fn write_chunks(
+        &self,
+        id: FileId,
+        chunk_size: u64,
+        mut pos: u64,
+        mut data: &[u8],
+    ) -> Result<u64, FsError> {
+        while !data.is_empty() {
             let offset_in_chunk = pos % chunk_size;
-            let take = ((chunk_size - offset_in_chunk) as usize).min(remaining.len());
+            let take = ((chunk_size - offset_in_chunk) as usize).min(data.len());
             let mut f = OpenOptions::new()
                 .create(true)
                 .append(true)
-                .open(self.chunk_path(id, chunk))?;
+                .open(self.chunk_path(id, pos / chunk_size))?;
             debug_assert_eq!(f.metadata()?.len(), offset_in_chunk);
-            f.write_all(&remaining[..take])?;
-            remaining = &remaining[take..];
+            f.write_all(&data[..take])?;
+            data = &data[take..];
             pos += take as u64;
-        }
-        meta.size = pos;
-        self.write_meta(&meta)?;
-        if let Some(m) = self.metrics.get() {
-            m.appends.inc();
-            m.append_bytes.record(data.len() as u64);
         }
         Ok(pos)
     }
@@ -348,12 +549,13 @@ impl Dataserver {
     /// Returns [`FsError::NotFound`] if the replica is absent.
     pub fn read_local(&self, id: FileId, offset: u64, len: u64) -> Result<(Vec<u8>, u64), FsError> {
         self.simulate_rtt();
-        let meta = self.read_meta(id)?;
+        let state = self.replica(id)?;
         // Size the allocation from the replica's actual extent — `len`
         // may reach far past end-of-file.
-        let want = (offset + len).min(meta.size).saturating_sub(offset);
+        let size = state.size.load(Ordering::Acquire);
+        let want = offset.saturating_add(len).min(size).saturating_sub(offset);
         let mut out = vec![0u8; want as usize];
-        let (filled, size) = self.fill_from_chunks(&meta, offset, &mut out)?;
+        let (filled, size) = self.fill_from_chunks(id, &state, offset, &mut out)?;
         debug_assert_eq!(filled, out.len());
         Ok((out, size))
     }
@@ -378,8 +580,8 @@ impl Dataserver {
         trace::annotate(&mut span, "offset", offset.to_string());
         let out = (|| {
             self.simulate_rtt();
-            let meta = self.read_meta(id)?;
-            self.fill_from_chunks(&meta, offset, buf)
+            let state = self.replica(id)?;
+            self.fill_from_chunks(id, &state, offset, buf)
         })();
         match &out {
             Ok((filled, _)) => trace::annotate(&mut span, "bytes", filled.to_string()),
@@ -389,15 +591,16 @@ impl Dataserver {
     }
 
     /// The shared read core: fills `buf` from the chunk files starting
-    /// at `offset`, truncating at the replica's size.
+    /// at `offset`, truncating at the replica's published size.
     fn fill_from_chunks(
         &self,
-        meta: &FileMeta,
+        id: FileId,
+        state: &ReplicaState,
         offset: u64,
         buf: &mut [u8],
     ) -> Result<(usize, u64), FsError> {
-        let size = meta.size;
-        let end = (offset + buf.len() as u64).min(size);
+        let size = state.size.load(Ordering::Acquire);
+        let end = offset.saturating_add(buf.len() as u64).min(size);
         if offset >= end {
             // Size probes (zero-length reads) are requests too.
             if let Some(m) = self.metrics.get() {
@@ -407,8 +610,8 @@ impl Dataserver {
             return Ok((0, size));
         }
         let mut filled = 0usize;
-        for slice in split_range(meta.chunk_size, offset, end - offset) {
-            let mut f = std::fs::File::open(self.chunk_path(meta.id, slice.chunk))?;
+        for slice in split_range(state.chunk_size, offset, end - offset) {
+            let mut f = std::fs::File::open(self.chunk_path(id, slice.chunk))?;
             f.seek(SeekFrom::Start(slice.offset_in_chunk))?;
             f.read_exact(&mut buf[filled..filled + slice.len as usize])?;
             filled += slice.len as usize;
@@ -620,19 +823,25 @@ impl Dataserver {
             return Err(FsError::NotFound(id.to_string()));
         }
         std::fs::remove_dir_all(dir)?;
-        self.append_locks.lock().remove(&id);
+        self.replicas.lock().remove(&id);
         Ok(())
     }
 
-    /// Lists the metadata of every replica stored here — the
-    /// nameserver's rebuild source after an unclean restart (§3.3.1).
+    /// Lists the metadata of every replica stored here, each with its
+    /// current (chunk-derived) size — the nameserver's rebuild source
+    /// after an unclean restart (§3.3.1). A replica whose state cannot
+    /// be loaded (unparsable `meta`, impossible chunk layout) is left
+    /// out of the list and its id returned beside it, so the caller can
+    /// tell a partial listing from a complete one. Both halves are
+    /// sorted by id.
     ///
     /// # Errors
     ///
     /// Returns an error if the root directory cannot be read.
-    pub fn list_files(&self) -> Result<Vec<FileMeta>, FsError> {
+    pub fn list_files(&self) -> Result<(Vec<FileMeta>, Vec<FileId>), FsError> {
         self.ensure_up()?;
-        let mut out = Vec::new();
+        let mut listed = Vec::new();
+        let mut skipped = Vec::new();
         for entry in std::fs::read_dir(&self.root)? {
             let entry = entry?;
             if !entry.file_type()?.is_dir() {
@@ -641,18 +850,23 @@ impl Dataserver {
             let Some(id) = entry.file_name().to_str().and_then(FileId::from_hex) else {
                 continue;
             };
-            if let Ok(meta) = self.read_meta(id) {
-                out.push(meta);
+            match self.read_meta(id) {
+                Ok(meta) => listed.push(meta),
+                // A directory holding only fragments is not a replica.
+                Err(FsError::NotFound(_)) => {}
+                Err(_) => skipped.push(id),
             }
         }
-        out.sort_by_key(|a| a.id);
-        Ok(out)
+        listed.sort_by_key(|a| a.id);
+        skipped.sort();
+        Ok((listed, skipped))
     }
 
     /// **Repair pull** (dataserver → dataserver): copies a replica
     /// from `source` onto this dataserver chunk-by-chunk, creating the
-    /// local directory and stamping the authoritative metadata when
-    /// the copy completes. This is the receiving half of the repair
+    /// local directory with `meta` as its metadata (written once: the
+    /// copied size is what the chunk files say, not a field to stamp
+    /// afterwards). This is the receiving half of the repair
     /// RPC — `source` is either a co-resident [`Dataserver`] or a
     /// remote stub speaking `dataserver.repair_read` over the RPC
     /// layer.
@@ -689,12 +903,11 @@ impl Dataserver {
         }
         // A coded file's replicas hold only the chunks above the seal
         // watermark (the sealed region lives in fragments), so the copy
-        // starts there. `sealed_bytes` is chunk-aligned, which keeps
-        // `append_local`'s chunk numbering consistent with the source.
-        let start = meta.sealed_bytes().min(meta.size);
-        let mut shell = meta.clone();
-        shell.size = start;
-        self.create_file(&shell)?;
+        // starts there — which is where `create_file` puts the end of
+        // the new replica, keeping `append_local`'s chunk numbering
+        // consistent with the source.
+        let start = meta.sealed_bytes();
+        self.create_file(meta)?;
         let copy = || -> Result<u64, FsError> {
             let mut copied = 0u64;
             loop {
@@ -708,20 +921,9 @@ impl Dataserver {
                 }
             }
         };
-        match copy() {
-            Ok(copied) => {
-                // Stamp the replica with the copied size so a
-                // nameserver rebuild sees a consistent mapping.
-                let mut stamped = meta.clone();
-                stamped.size = start + copied;
-                self.update_meta(&stamped)?;
-                Ok(copied)
-            }
-            Err(e) => {
-                let _ = self.delete_file(meta.id);
-                Err(e)
-            }
-        }
+        copy().inspect_err(|_| {
+            let _ = self.delete_file(meta.id);
+        })
     }
 }
 
@@ -870,9 +1072,10 @@ mod tests {
         for i in 0..5u128 {
             ds.create_file(&meta(i, 8)).unwrap();
         }
-        let listed = ds.list_files().unwrap();
+        let (listed, skipped) = ds.list_files().unwrap();
         assert_eq!(listed.len(), 5);
         assert!(listed.windows(2).all(|w| w[0].id < w[1].id));
+        assert!(skipped.is_empty());
     }
 
     #[test]

@@ -531,12 +531,22 @@ impl Nameserver {
     /// possibly stale database, the nameserver rebuilds the mappings by
     /// scanning the file metadata stored at the dataservers".
     ///
-    /// Any existing database content is replaced.
+    /// Any existing database content is replaced. A replica whose
+    /// dataserver could not load it (unparsable `meta`, impossible
+    /// chunk layout) contributes nothing; the rebuild goes on from the
+    /// healthy replicas and returns the ids of the files that had such
+    /// a replica (sorted, each once), so the caller knows which
+    /// mappings rest on fewer copies than were stored — or, when every
+    /// copy of a file was unreadable, that the file is missing from the
+    /// rebuilt namespace.
     ///
     /// # Errors
     ///
     /// Returns an error if a dataserver scan or a database write fails.
-    pub fn rebuild_from_dataservers(&self, dataservers: &[Arc<Dataserver>]) -> Result<(), FsError> {
+    pub fn rebuild_from_dataservers(
+        &self,
+        dataservers: &[Arc<Dataserver>],
+    ) -> Result<Vec<FileId>, FsError> {
         let mut db = self.db.lock();
         // Clear the possibly-stale namespace.
         let stale: Vec<Vec<u8>> = db
@@ -550,8 +560,11 @@ impl Nameserver {
         // Adopt the freshest replica metadata per file (largest size:
         // with primary-relayed appends the primary is never behind).
         let mut best: std::collections::HashMap<FileId, FileMeta> = Default::default();
+        let mut skipped = Vec::new();
         for ds in dataservers {
-            for meta in ds.list_files()? {
+            let (listed, unreadable) = ds.list_files()?;
+            skipped.extend(unreadable);
+            for meta in listed {
                 let entry = best.entry(meta.id).or_insert_with(|| meta.clone());
                 if meta.size > entry.size {
                     *entry = meta;
@@ -563,7 +576,9 @@ impl Nameserver {
                 serde_json::to_vec(meta).map_err(|e| FsError::CorruptMetadata(e.to_string()))?;
             db.put(&Self::name_key(&meta.name), &body)?;
         }
-        Ok(())
+        skipped.sort();
+        skipped.dedup();
+        Ok(skipped)
     }
 }
 
@@ -735,6 +750,43 @@ mod tests {
         assert_eq!(rebuilt.id, meta.id);
         assert_eq!(rebuilt.size, 7, "freshest replica wins");
         assert_eq!(rebuilt.replicas, meta.replicas);
+    }
+
+    #[test]
+    fn rebuild_reports_the_files_with_an_unreadable_replica() {
+        let dir = TempDir::new("rebuild-skipped");
+        let topo = Arc::new(Topology::three_tier(&TreeParams::paper_testbed()));
+        let ns =
+            Nameserver::open(topo.clone(), &dir.0.join("db"), NameserverConfig::default()).unwrap();
+        let hurt = ns.create("hurt").unwrap();
+        let whole = ns.create_placed("whole", hurt.replicas.clone()).unwrap();
+        let roots: Vec<_> = hurt
+            .replicas
+            .iter()
+            .map(|h| (*h, dir.0.join(format!("ds-{h}"))))
+            .collect();
+        for (host, root) in &roots {
+            let ds = Dataserver::open(*host, root).unwrap();
+            for meta in [&hurt, &whole] {
+                ds.create_file(meta).unwrap();
+                ds.append_local(meta.id, b"payload").unwrap();
+            }
+        }
+        // One of the three copies of `hurt` loses its metadata; the
+        // dataservers come back as new processes.
+        std::fs::write(roots[1].1.join(hurt.id.as_hex()).join("meta"), b"\0\0").unwrap();
+        let ds: Vec<Arc<Dataserver>> = roots
+            .iter()
+            .map(|(host, root)| Arc::new(Dataserver::open(*host, root).unwrap()))
+            .collect();
+
+        let fresh =
+            Nameserver::open(topo, &dir.0.join("db2"), NameserverConfig::default()).unwrap();
+        assert_eq!(fresh.rebuild_from_dataservers(&ds).unwrap(), vec![hurt.id]);
+        // Both files are back, from the copies that could be read.
+        for name in ["hurt", "whole"] {
+            assert_eq!(fresh.lookup(name).unwrap().size, 7, "{name}");
+        }
     }
 
     #[test]
