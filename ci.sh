@@ -56,6 +56,11 @@ cargo test --release -q -p mayflower-fs --test datapath_stress
 cargo test --release -q -p mayflower-fs --test replica_table
 RUST_TEST_THREADS=1 cargo test --release -q -p mayflower-fs
 
+echo "==> rpc envelope + framing: decoder bounds, reply-id check, poisoned connections (release)"
+# The id check and the envelope decoder's bounds arithmetic must hold
+# without debug assertions: a release build is what serves real peers.
+cargo test --release -q -p mayflower-rpc
+
 echo "==> causal tracing: telemetry suite + trace determinism/well-formedness (release)"
 cargo test --release -q -p mayflower-telemetry
 cargo test --release -q --test trace_determinism

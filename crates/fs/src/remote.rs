@@ -11,6 +11,10 @@
 //! | `nameserver.delete` | file name       | `FileMeta` |
 //! | `nameserver.size`   | `(name, size)`  | `()`       |
 //! | `nameserver.list`   | `()`            | `Vec<FileMeta>` |
+//!
+//! Arguments and results are serde JSON in the rpc envelope's body
+//! (DESIGN.md §18); the one exception is the `dataserver.repair_read`
+//! reply below, whose payload is file bytes.
 
 use std::sync::Arc;
 
@@ -138,9 +142,13 @@ impl<T: Transport> RemoteNameserver<T> {
 ///
 /// Methods:
 ///
-/// | method                   | argument              | result             |
-/// |--------------------------|-----------------------|--------------------|
-/// | `dataserver.repair_read` | `(id, offset, len)`   | `(bytes, size)`    |
+/// | method                   | argument                   | result                         |
+/// |--------------------------|----------------------------|--------------------------------|
+/// | `dataserver.repair_read` | `(id, offset, len)` (JSON) | `size` u64 LE ‖ the bytes, raw |
+///
+/// The reply is the one rpc body that is not JSON: chunk bytes go on
+/// the wire as they are, behind the replica's total size in a fixed
+/// 8-byte field, so a repair pull of `n` bytes is a reply of `n + 8`.
 pub struct DataserverRepairService {
     inner: Arc<Dataserver>,
 }
@@ -158,9 +166,12 @@ impl Service for DataserverRepairService {
         match method {
             "dataserver.repair_read" => {
                 let (id, offset, len): (FileId, u64, u64) = serde_json::from_slice(body)?;
-                let reply = RepairSource::repair_read(&*self.inner, id, offset, len)
+                let (data, size) = RepairSource::repair_read(&*self.inner, id, offset, len)
                     .map_err(|e| to_remote(&e))?;
-                Ok(serde_json::to_vec(&reply)?)
+                let mut reply = Vec::with_capacity(8 + data.len());
+                reply.extend_from_slice(&size.to_le_bytes());
+                reply.extend_from_slice(&data);
+                Ok(reply)
             }
             other => Err(RpcError::UnknownMethod(other.to_string())),
         }
@@ -186,9 +197,19 @@ impl<T: Transport> RemoteRepairSource<T> {
 
 impl<T: Transport> RepairSource for RemoteRepairSource<T> {
     fn repair_read(&self, id: FileId, offset: u64, len: u64) -> Result<(Vec<u8>, u64), FsError> {
-        Ok(self
-            .rpc
-            .call("dataserver.repair_read", &(id, offset, len))?)
+        let arg = serde_json::to_vec(&(id, offset, len)).map_err(RpcError::Codec)?;
+        let mut reply = self.rpc.call_raw("dataserver.repair_read", arg)?;
+        let Some(size) = reply.first_chunk::<8>() else {
+            return Err(RpcError::Transport(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "repair_read reply is shorter than its size field",
+            ))
+            .into());
+        };
+        let size = u64::from_le_bytes(*size);
+        // The bytes move down in place; no second megabyte is allocated.
+        reply.drain(..8);
+        Ok((reply, size))
     }
 }
 
@@ -308,6 +329,75 @@ mod tests {
         };
         assert!(dst.pull_repair(&remote, &other).is_err());
         server.shutdown();
+    }
+
+    /// Counts the framed bytes of every reply envelope.
+    struct ReplyBytes<T> {
+        inner: T,
+        bytes: std::sync::atomic::AtomicUsize,
+    }
+    impl<T: Transport> Transport for &ReplyBytes<T> {
+        fn round_trip(
+            &self,
+            request: mayflower_rpc::Request,
+        ) -> Result<mayflower_rpc::Response, RpcError> {
+            let response = self.inner.round_trip(request)?;
+            self.bytes.fetch_add(
+                4 + response.encode().len(),
+                std::sync::atomic::Ordering::Relaxed,
+            );
+            Ok(response)
+        }
+    }
+
+    #[test]
+    fn repair_read_reply_costs_its_bytes_and_a_header() {
+        use mayflower_net::HostId;
+        const MIB: usize = 1 << 20;
+
+        let dir = TempDir::new("repair-wire");
+        let src = Arc::new(Dataserver::open(HostId(0), &dir.0).unwrap());
+        let meta = FileMeta {
+            id: FileId(0xC0DE),
+            name: "repair/wire".into(),
+            chunk_size: MIB as u64,
+            size: 0,
+            replicas: vec![HostId(0)],
+            redundancy: crate::types::Redundancy::default(),
+            fragments: Vec::new(),
+            sealed_chunks: 0,
+        };
+        src.create_file(&meta).unwrap();
+        // Every byte value, so an encoding that spends more than one
+        // byte on some of them cannot hide.
+        let payload: Vec<u8> = (0..MIB).map(|i| (i % 251) as u8).collect();
+        src.append_local(meta.id, &payload).unwrap();
+
+        let wire = ReplyBytes {
+            inner: InProcTransport::new(Arc::new(DataserverRepairService::new(src))),
+            bytes: std::sync::atomic::AtomicUsize::new(0),
+        };
+        let remote = RemoteRepairSource::new(&wire);
+        let (data, size) = remote.repair_read(meta.id, 0, MIB as u64).unwrap();
+        assert_eq!(size, MIB as u64);
+        assert!(data == payload, "repair_read returned different bytes");
+        let frame = wire.bytes.load(std::sync::atomic::Ordering::Relaxed);
+        assert!(frame <= MIB + 64, "1 MiB reply took a {frame}-byte frame");
+    }
+
+    #[test]
+    fn repair_read_short_reply_is_an_error() {
+        struct Short;
+        impl Service for Short {
+            fn call(&self, _method: &str, _body: &[u8]) -> Result<Vec<u8>, RpcError> {
+                Ok(vec![1, 2, 3])
+            }
+        }
+        let remote = RemoteRepairSource::new(InProcTransport::new(Arc::new(Short)));
+        assert!(matches!(
+            remote.repair_read(FileId(1), 0, 8),
+            Err(FsError::Rpc(RpcError::Transport(_)))
+        ));
     }
 
     #[test]

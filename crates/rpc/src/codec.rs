@@ -1,8 +1,10 @@
 //! Length-prefixed framing.
 //!
-//! Frame format: `[u32 little-endian length][length bytes]`. A length
-//! cap rejects absurd frames before allocation (a malformed or
-//! malicious peer cannot make the server allocate gigabytes).
+//! Frame format: `[u32 little-endian length][length bytes]`; the
+//! payload is one [`crate::message`] envelope. A length cap rejects
+//! absurd frames, and the read buffer grows with the bytes that
+//! actually arrive, so a malformed or malicious peer cannot make the
+//! server allocate on the strength of a header alone.
 
 use std::io::{Read, Write};
 
@@ -10,7 +12,10 @@ use std::io::{Read, Write};
 /// control message, far below a memory-exhaustion attack.
 pub const MAX_FRAME_LEN: usize = 64 << 20;
 
-/// Writes one frame.
+/// What [`read_frame`] reserves before any payload byte has arrived.
+const READ_RESERVE: usize = 8 << 10;
+
+/// Writes one frame and flushes `w`.
 ///
 /// # Errors
 ///
@@ -48,8 +53,16 @@ pub fn read_frame<R: Read>(mut r: R) -> std::io::Result<Option<Vec<u8>>> {
             "frame exceeds MAX_FRAME_LEN",
         ));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    // The header is the peer's claim, not bytes in hand: reserve a
+    // little and let `read_to_end` grow the buffer as the body arrives.
+    let mut payload = Vec::with_capacity(len.min(READ_RESERVE));
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "frame body ends early",
+        ));
+    }
     Ok(Some(payload))
 }
 
@@ -90,6 +103,31 @@ mod tests {
         buf.truncate(buf.len() - 2);
         let mut cur = Cursor::new(buf);
         assert!(read_frame(&mut cur).is_err());
+    }
+
+    #[test]
+    fn read_buffer_follows_the_bytes_not_the_header() {
+        /// Records the largest buffer `read` was ever offered.
+        struct Offered<R> {
+            inner: R,
+            largest: usize,
+        }
+        impl<R: Read> Read for Offered<R> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                self.largest = self.largest.max(buf.len());
+                self.inner.read(buf)
+            }
+        }
+        // The header claims the maximum; ten bytes follow, then EOF.
+        let mut bytes = (MAX_FRAME_LEN as u32).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[1u8; 10]);
+        let mut r = Offered {
+            inner: Cursor::new(bytes),
+            largest: 0,
+        };
+        let err = read_frame(&mut r).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        assert!(r.largest <= 64 << 10, "offered {} bytes", r.largest);
     }
 
     #[test]

@@ -10,12 +10,17 @@
 //! crate keeps the same architecture:
 //!
 //! * [`codec`] — length-prefixed framing over any `Read`/`Write` pair.
-//! * [`message`] — request/response envelopes with typed payloads
-//!   (serde-encoded).
+//! * [`message`] — request/response envelopes: a fixed binary header
+//!   (version, correlation id, method, trace context / result tag) in
+//!   front of an opaque body that is copied, never parsed.
 //! * [`transport`] — a [`Service`] trait for servers, a blocking
-//!   [`Client`], an in-process transport (zero-copy dispatch used by
-//!   the simulations), and a real TCP transport with a threaded server
-//!   for deployments and integration tests.
+//!   [`Client`] whose typed `call` puts serde JSON in the body and
+//!   whose `call_raw` puts the caller's bytes there, an in-process
+//!   transport (envelope encode and decode, no frame and no socket;
+//!   used by the simulations), and a real TCP transport with a threaded
+//!   server for deployments and integration tests.
+//!
+//! The wire format is specified byte by byte in DESIGN.md §18.
 //!
 //! # Example
 //!

@@ -98,9 +98,10 @@ pub trait Transport {
     fn round_trip(&self, request: Request) -> Result<Response, RpcError>;
 }
 
-/// In-process transport: full envelope encode/decode (so serialization
-/// bugs surface in tests) but no sockets. This is what the simulation
-/// binds the Mayflower components together with.
+/// In-process transport: the request envelope is encoded and decoded
+/// exactly as a socket transport would (so envelope bugs surface in
+/// tests), but no frame is written and no socket is involved. This is
+/// what the simulation binds the Mayflower components together with.
 pub struct InProcTransport {
     service: Arc<dyn Service>,
 }
@@ -118,18 +119,24 @@ impl Transport for InProcTransport {
         // Encode/decode the envelope exactly as a socket transport
         // would, to keep the code path honest.
         let request = Request::decode(&request.encode())?;
-        let result = match mayflower_telemetry::trace::with_context(request.trace, || {
-            self.service.call(&request.method, &request.body)
-        }) {
-            Ok(body) => Ok(body),
-            Err(RpcError::UnknownMethod(m)) => Err(format!("unknown method: {m}")),
-            Err(RpcError::Remote(msg)) => Err(msg),
-            Err(other) => Err(other.to_string()),
-        };
-        Ok(Response {
-            id: request.id,
-            result,
-        })
+        Ok(dispatch(&*self.service, &request))
+    }
+}
+
+/// Runs one decoded request against `service`, under the caller's
+/// trace context, and folds the outcome into the reply envelope.
+fn dispatch(service: &dyn Service, request: &Request) -> Response {
+    let result = match mayflower_telemetry::trace::with_context(request.trace, || {
+        service.call(&request.method, &request.body)
+    }) {
+        Ok(body) => Ok(body),
+        Err(RpcError::UnknownMethod(m)) => Err(format!("unknown method: {m}")),
+        Err(RpcError::Remote(msg)) => Err(msg),
+        Err(other) => Err(other.to_string()),
+    };
+    Response {
+        id: request.id,
+        result,
     }
 }
 
@@ -165,7 +172,7 @@ impl<T: Transport> Client<T> {
     }
 
     /// Calls `method` with a serializable argument, deserializing the
-    /// typed reply.
+    /// typed reply. Both bodies are serde JSON.
     ///
     /// # Errors
     ///
@@ -176,11 +183,37 @@ impl<T: Transport> Client<T> {
         method: &str,
         arg: &A,
     ) -> Result<R, RpcError> {
+        self.measured(method, || {
+            let reply = self.exchange(method, serde_json::to_vec(arg)?)?;
+            Ok(serde_json::from_slice(&reply)?)
+        })
+    }
+
+    /// Calls `method` with `body` as the request body, verbatim, and
+    /// returns the reply body undecoded — for the payloads that are
+    /// bytes already (`dataserver.repair_read`), which serde JSON would
+    /// spell out as an array of numbers.
+    ///
+    /// # Errors
+    ///
+    /// Returns transport failures or [`RpcError::Remote`] when the
+    /// server reports an application error.
+    pub fn call_raw(&self, method: &str, body: Vec<u8>) -> Result<Vec<u8>, RpcError> {
+        self.measured(method, || self.exchange(method, body))
+    }
+
+    /// Runs one call under the per-method call, latency and error
+    /// telemetry, when this client records any.
+    fn measured<R>(
+        &self,
+        method: &str,
+        call: impl FnOnce() -> Result<R, RpcError>,
+    ) -> Result<R, RpcError> {
         let Some(scope) = &self.metrics else {
-            return self.call_inner(method, arg, None);
+            return call();
         };
         let started = std::time::Instant::now();
-        let result = self.call_inner(method, arg, Some(scope));
+        let result = call();
         scope
             .counter_with("calls_total", &[("method", method)])
             .inc();
@@ -198,15 +231,10 @@ impl<T: Transport> Client<T> {
         result
     }
 
-    fn call_inner<A: Serialize, R: DeserializeOwned>(
-        &self,
-        method: &str,
-        arg: &A,
-        scope: Option<&mayflower_telemetry::Scope>,
-    ) -> Result<R, RpcError> {
+    /// One round trip: `body` out, the matching reply's body back.
+    fn exchange(&self, method: &str, body: Vec<u8>) -> Result<Vec<u8>, RpcError> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let body = serde_json::to_vec(arg)?;
-        if let Some(scope) = scope {
+        if let Some(scope) = &self.metrics {
             scope
                 .counter_with("bytes_sent_total", &[("method", method)])
                 .add(body.len() as u64);
@@ -218,24 +246,44 @@ impl<T: Transport> Client<T> {
             trace: mayflower_telemetry::trace::current_context(),
         };
         let response = self.transport.round_trip(request)?;
-        debug_assert_eq!(response.id, id, "correlation id mismatch");
-        match response.result {
-            Ok(body) => {
-                if let Some(scope) = scope {
-                    scope
-                        .counter_with("bytes_received_total", &[("method", method)])
-                        .add(body.len() as u64);
-                }
-                Ok(serde_json::from_slice(&body)?)
-            }
-            Err(msg) => Err(RpcError::Remote(msg)),
+        check_id(id, response.id)?;
+        let body = response.result.map_err(RpcError::Remote)?;
+        if let Some(scope) = &self.metrics {
+            scope
+                .counter_with("bytes_received_total", &[("method", method)])
+                .add(body.len() as u64);
         }
+        Ok(body)
     }
 }
 
+/// A reply answers the request whose id it echoes; any other reply is
+/// somebody else's answer and must not reach the caller as this one's.
+fn check_id(sent: u64, received: u64) -> Result<(), RpcError> {
+    if received == sent {
+        return Ok(());
+    }
+    Err(RpcError::Transport(std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        format!("reply carries id {received}, request was {sent}"),
+    )))
+}
+
 /// A blocking TCP transport: one connection, sequential round trips.
+///
+/// A connection that has seen any failure — I/O error, torn or
+/// oversized frame, undecodable envelope, reply with the wrong id — is
+/// out of step with its peer: whatever bytes come next are not known
+/// to start a frame. It is poisoned, and every later round trip fails
+/// with a transport error without touching the socket. Reconnect to
+/// recover.
 pub struct TcpTransport {
-    stream: Mutex<TcpStream>,
+    connection: Mutex<Connection>,
+}
+
+struct Connection {
+    stream: TcpStream,
+    poisoned: bool,
 }
 
 impl TcpTransport {
@@ -248,22 +296,41 @@ impl TcpTransport {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         Ok(TcpTransport {
-            stream: Mutex::new(stream),
+            connection: Mutex::new(Connection {
+                stream,
+                poisoned: false,
+            }),
         })
     }
 }
 
-impl Transport for TcpTransport {
-    fn round_trip(&self, request: Request) -> Result<Response, RpcError> {
-        let mut stream = self.stream.lock();
-        write_frame(&mut *stream, &request.encode())?;
-        let Some(frame) = read_frame(&mut *stream)? else {
+impl Connection {
+    fn round_trip(&mut self, request: &Request) -> Result<Response, RpcError> {
+        write_frame(&mut self.stream, &request.encode())?;
+        let Some(frame) = read_frame(&mut self.stream)? else {
             return Err(RpcError::Transport(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "server closed the connection",
             )));
         };
-        Ok(Response::decode(&frame)?)
+        let response = Response::decode(&frame)?;
+        check_id(request.id, response.id)?;
+        Ok(response)
+    }
+}
+
+impl Transport for TcpTransport {
+    fn round_trip(&self, request: Request) -> Result<Response, RpcError> {
+        let mut connection = self.connection.lock();
+        if connection.poisoned {
+            return Err(RpcError::Transport(std::io::Error::new(
+                std::io::ErrorKind::BrokenPipe,
+                "connection is out of step with its peer after an earlier failure",
+            )));
+        }
+        let result = connection.round_trip(&request);
+        connection.poisoned = result.is_err();
+        result
     }
 }
 
@@ -345,18 +412,7 @@ fn serve_connection(stream: TcpStream, service: &dyn Service) {
         let Ok(request) = Request::decode(&frame) else {
             return;
         };
-        let result = match mayflower_telemetry::trace::with_context(request.trace, || {
-            service.call(&request.method, &request.body)
-        }) {
-            Ok(body) => Ok(body),
-            Err(RpcError::UnknownMethod(m)) => Err(format!("unknown method: {m}")),
-            Err(RpcError::Remote(msg)) => Err(msg),
-            Err(other) => Err(other.to_string()),
-        };
-        let response = Response {
-            id: request.id,
-            result,
-        };
+        let response = dispatch(service, &request);
         if write_frame(&mut writer, &response.encode()).is_err() {
             return;
         }
@@ -488,6 +544,187 @@ mod tests {
             panic!("expected transport error, got {err:?}");
         };
         assert_eq!(io.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    /// A fake server that reads request frames until the client goes
+    /// away, answers the first one with `reply` verbatim and no other,
+    /// and reports how many requests reached it.
+    fn scripted_server(reply: Vec<u8>) -> (SocketAddr, std::thread::JoinHandle<usize>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let handle = std::thread::spawn(move || {
+            use std::io::Write as _;
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut requests = 0;
+            while let Ok(Some(_)) = read_frame(&mut reader) {
+                requests += 1;
+                if requests == 1 {
+                    stream.write_all(&reply).unwrap();
+                }
+            }
+            requests
+        });
+        (addr, handle)
+    }
+
+    fn framed(envelope: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_frame(&mut out, envelope).unwrap();
+        out
+    }
+
+    fn reply_envelope(id: u64) -> Vec<u8> {
+        Response {
+            id,
+            result: Ok(b"3".to_vec()),
+        }
+        .encode()
+    }
+
+    /// The id check is a real check in every build (CI runs this
+    /// under `--release`), and a connection that has failed once never
+    /// parses another byte.
+    #[test]
+    fn tcp_failed_connection_is_poisoned() {
+        let torn = {
+            let mut bytes = 100u32.to_le_bytes().to_vec();
+            bytes.extend_from_slice(b"abc");
+            bytes
+        };
+        let wrong_id_error = Response {
+            id: 7,
+            result: Err("not yours".into()),
+        };
+        let scripts: [(&str, Vec<u8>); 4] = [
+            (
+                "wrong id, then a torn frame, then garbage",
+                [framed(&reply_envelope(999)), torn, b"garbage".to_vec()].concat(),
+            ),
+            (
+                "undecodable envelope",
+                framed(br#"{"id":1,"result":{"Ok":[51]}}"#),
+            ),
+            (
+                "oversized frame header",
+                ((crate::codec::MAX_FRAME_LEN as u32) + 1)
+                    .to_le_bytes()
+                    .to_vec(),
+            ),
+            (
+                "remote error with the wrong id",
+                framed(&wrong_id_error.encode()),
+            ),
+        ];
+        for (what, mut reply) in scripts {
+            // A well-formed reply to the *second* call is already on
+            // the wire behind the bad one: a transport that kept going
+            // would find it.
+            reply.extend_from_slice(&framed(&reply_envelope(2)));
+            let (addr, server) = scripted_server(reply);
+            let client = Client::new(TcpTransport::connect(addr).unwrap());
+            let first: Result<i64, _> = client.call("add", &(1i64, 2i64));
+            match first.unwrap_err() {
+                RpcError::Transport(io) => {
+                    assert_eq!(io.kind(), std::io::ErrorKind::InvalidData, "{what}");
+                }
+                other => panic!("{what}: expected transport error, got {other:?}"),
+            }
+            let second: Result<i64, _> = client.call("add", &(1i64, 2i64));
+            match second.unwrap_err() {
+                RpcError::Transport(io) => {
+                    assert_eq!(io.kind(), std::io::ErrorKind::BrokenPipe, "{what}");
+                }
+                other => panic!("{what}: expected transport error, got {other:?}"),
+            }
+            drop(client);
+            assert_eq!(
+                server.join().unwrap(),
+                1,
+                "{what}: second call hit the wire"
+            );
+        }
+    }
+
+    /// The id check holds over any transport, not only the TCP one.
+    #[test]
+    fn mismatched_reply_id_is_a_transport_error() {
+        struct OffByOne;
+        impl Transport for OffByOne {
+            fn round_trip(&self, request: Request) -> Result<Response, RpcError> {
+                Ok(Response {
+                    id: request.id + 1,
+                    result: Ok(request.body),
+                })
+            }
+        }
+        let client = Client::new(OffByOne);
+        let r: Result<i64, _> = client.call("echo", &5i64);
+        let RpcError::Transport(io) = r.unwrap_err() else {
+            panic!("expected transport error");
+        };
+        assert_eq!(io.kind(), std::io::ErrorKind::InvalidData);
+        assert!(matches!(
+            client.call_raw("echo", b"5".to_vec()),
+            Err(RpcError::Transport(_))
+        ));
+    }
+
+    #[test]
+    fn call_raw_carries_bodies_verbatim() {
+        struct Reverse;
+        impl Service for Reverse {
+            fn call(&self, _method: &str, body: &[u8]) -> Result<Vec<u8>, RpcError> {
+                Ok(body.iter().rev().copied().collect())
+            }
+        }
+        let server = TcpServer::bind("127.0.0.1:0", Arc::new(Reverse)).unwrap();
+        let client = Client::new(TcpTransport::connect(server.local_addr()).unwrap());
+        // Not JSON, not UTF-8: the rpc layer does not look.
+        let body = vec![0xFF, 0x00, b'{', 0x80];
+        assert_eq!(
+            client.call_raw("reverse", body).unwrap(),
+            [0x80, b'{', 0x00, 0xFF]
+        );
+        assert_eq!(client.call_raw("reverse", Vec::new()).unwrap(), []);
+    }
+
+    /// The server reassembles a frame from any segmentation: one frame
+    /// a byte at a time, then two frames in one write.
+    #[test]
+    fn tcp_server_reframes_dribbles_and_coalesced_frames() {
+        use std::io::Write as _;
+        let server = TcpServer::bind("127.0.0.1:0", Arc::new(Arith)).unwrap();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        let add = |id: u64, a: i64, b: i64| {
+            framed(
+                &Request {
+                    id,
+                    method: "add".into(),
+                    body: serde_json::to_vec(&(a, b)).unwrap(),
+                    trace: None,
+                }
+                .encode(),
+            )
+        };
+        for byte in add(1, 20, 22) {
+            stream.write_all(&[byte]).unwrap();
+        }
+        stream
+            .write_all(&[add(2, 1, 1), add(3, -5, 2)].concat())
+            .unwrap();
+        let mut reader = BufReader::new(stream);
+        for (id, sum) in [(1, "42"), (2, "2"), (3, "-3")] {
+            let frame = read_frame(&mut reader).unwrap().unwrap();
+            assert_eq!(
+                Response::decode(&frame).unwrap(),
+                Response {
+                    id,
+                    result: Ok(sum.as_bytes().to_vec()),
+                }
+            );
+        }
     }
 
     #[test]
