@@ -65,6 +65,23 @@ echo "==> causal tracing: telemetry suite + trace determinism/well-formedness (r
 cargo test --release -q -p mayflower-telemetry
 cargo test --release -q --test trace_determinism
 
+echo "==> figures: every regenerated figure matches results/ (release; wall-clock column masked)"
+# The simulator, the Figure 8 prototype and the recovery experiment are
+# deterministic, so a change that is meant to keep behaviour must
+# reproduce results/ byte for byte. The one wall-clock reading — the
+# scalability experiment's per-job decision time — is masked on both
+# sides. After an intended change of behaviour, regenerate with
+#   figures --fig all --json results/ > results/full_run.txt
+figs=$(mktemp -d)
+trap 'rm -rf "$figs"' EXIT
+mkdir "$figs/got" "$figs/want"
+cp results/* "$figs/want/"
+cargo run --release -q -p mayflower-sim --bin figures -- --fig all --json "$figs/got" \
+  > "$figs/got/full_run.txt" 2>/dev/null
+sed -i -E -e '/"mean_decision_us":/d' -e '/μs\/job \(wall\)/,/^$/ s/ +[^ ]+$//' \
+  "$figs"/{got,want}/scale.json "$figs"/{got,want}/full_run.txt
+diff -r "$figs/want" "$figs/got"
+
 echo "==> benchmark/ package: builds against the current API, own tests pass (read-only use)"
 # benchmark/ is a standalone workspace the root build never compiles;
 # without this gate a renamed API it pins stays green until the

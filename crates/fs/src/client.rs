@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use mayflower_net::HostId;
 use mayflower_telemetry::trace::{self, TraceHandle};
-use mayflower_telemetry::{Counter, Histogram, Scope, Span};
+use mayflower_telemetry::{Counter, Histogram, Scope};
 
 use crate::cluster::AppendCoordinator;
 use crate::coding::{self, EcMetrics};
@@ -319,6 +319,7 @@ impl Client {
         let mut span = self.trace.span("append");
         trace::annotate(&mut span, "file", name);
         trace::annotate(&mut span, "bytes", data.len().to_string());
+        let started = std::time::Instant::now();
         let out = {
             let _g = span.as_ref().map(trace::ActiveSpan::enter);
             match self.append_attempt(name, data) {
@@ -332,6 +333,9 @@ impl Client {
                 other => other,
             }
         };
+        self.metrics
+            .append_latency_us
+            .record_duration(started.elapsed());
         match &out {
             Ok(size) => trace::annotate(&mut span, "size", size.to_string()),
             Err(_) => trace::mark_error(&mut span),
@@ -340,7 +344,6 @@ impl Client {
     }
 
     fn append_attempt(&mut self, name: &str, data: &[u8]) -> Result<u64, FsError> {
-        let _span = Span::start(self.metrics.append_latency_us.clone());
         self.metrics.append_bytes.add(data.len() as u64);
         let meta = self.meta(name)?;
         let lock = self.coordinator.file_lock(meta.id);
@@ -434,6 +437,7 @@ impl Client {
     pub fn read(&mut self, name: &str) -> Result<Vec<u8>, FsError> {
         let mut span = self.trace.span("read");
         trace::annotate(&mut span, "file", name);
+        let started = std::time::Instant::now();
         let out = {
             let _g = span.as_ref().map(trace::ActiveSpan::enter);
             match self.read_attempt(name) {
@@ -447,6 +451,9 @@ impl Client {
                 other => other,
             }
         };
+        self.metrics
+            .read_latency_us
+            .record_duration(started.elapsed());
         match &out {
             Ok(data) => trace::annotate(&mut span, "bytes", data.len().to_string()),
             Err(_) => trace::mark_error(&mut span),
@@ -455,7 +462,6 @@ impl Client {
     }
 
     fn read_attempt(&mut self, name: &str) -> Result<Vec<u8>, FsError> {
-        let _span = Span::start(self.metrics.read_latency_us.clone());
         let meta = self.meta(name)?;
         // Size discovery rides on the data reads themselves: every
         // dataserver read returns the replica's current size (the

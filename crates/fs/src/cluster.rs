@@ -14,7 +14,7 @@ use crate::coding::{self, EcMetrics};
 use crate::datapath::DatapathMetrics;
 use crate::dataserver::Dataserver;
 use crate::error::FsError;
-use crate::nameserver::{Nameserver, NameserverConfig};
+use crate::nameserver::{Nameserver, NameserverConfig, NsOp};
 use crate::selector::{NearestSelector, ReplicaSelector};
 use crate::types::{Consistency, FileId, FileMeta};
 
@@ -320,13 +320,19 @@ impl Cluster {
             }
         }
         meta.replicas = spliced;
-        // Persist the new mapping (rename-in-place keeps name + id).
-        self.nameserver.delete(name)?;
-        self.nameserver.create_exact(&meta)?;
-        for r in &meta.replicas {
-            let _ = self.dataserver(*r).update_meta(&meta);
-        }
+        self.replace_mapping(&meta)?;
         Ok(new_hosts)
+    }
+
+    /// Stores `meta` over the file's nameserver entry in one step — a
+    /// concurrent lookup sees the old mapping or the new one, never
+    /// `NotFound` — then refreshes the replicas' local copies of it.
+    fn replace_mapping(&self, meta: &FileMeta) -> Result<(), FsError> {
+        self.nameserver.apply(&NsOp::Replace(meta.clone()))?;
+        for r in &meta.replicas {
+            let _ = self.dataserver(*r).update_meta(meta);
+        }
+        Ok(())
     }
 
     /// One **targeted** repair step, the unit of work the recovery
@@ -390,11 +396,7 @@ impl Cluster {
             .dataserver(dest)
             .pull_repair(&**self.dataserver(source), &meta)?;
         meta.replicas[lost] = dest;
-        self.nameserver.delete(name)?;
-        self.nameserver.create_exact(&meta)?;
-        for r in &meta.replicas {
-            let _ = self.dataserver(*r).update_meta(&meta);
-        }
+        self.replace_mapping(&meta)?;
         Ok(copied)
     }
 
@@ -437,47 +439,8 @@ impl Cluster {
         };
         let new_primary = meta.replicas.remove(pos);
         meta.replicas.insert(0, new_primary);
-        // Persist the new order (same idiom as repair: delete +
-        // create_exact keeps name and id).
-        self.nameserver.delete(name)?;
-        self.nameserver.create_exact(&meta)?;
-        for r in &meta.replicas {
-            let _ = self.dataserver(*r).update_meta(&meta);
-        }
+        self.replace_mapping(&meta)?;
         Ok(Some(new_primary))
-    }
-
-    /// Appends through the primary: takes the file's append lock,
-    /// writes the primary replica, relays to the remaining replicas in
-    /// order, then records the new size at the nameserver.
-    ///
-    /// # Errors
-    ///
-    /// Propagates dataserver or nameserver failures.
-    pub fn append_via_primary(&self, meta: &FileMeta, data: &[u8]) -> Result<u64, FsError> {
-        let lock = self.coordinator.file_lock(meta.id);
-        let _guard = lock.lock();
-        let mut new_size = 0;
-        for (i, host) in meta.replicas.iter().enumerate() {
-            let size = self.dataserver(*host).append_local(meta.id, data)?;
-            if i == 0 {
-                new_size = size;
-            } else {
-                debug_assert_eq!(size, new_size, "replica divergence on append");
-            }
-        }
-        self.nameserver.record_size(&meta.name, new_size)?;
-        if meta.is_coded() && new_size / meta.chunk_size > meta.sealed_chunks {
-            // Best-effort seal of newly complete chunks, still under
-            // the file lock (same policy as the client append path).
-            let _ = coding::seal_complete_chunks(
-                self.nameserver.as_ref(),
-                &self.dataservers,
-                &meta.name,
-                Some(&self.ec),
-            );
-        }
-        Ok(new_size)
     }
 
     /// Seals every complete-but-unsealed chunk of a coded file now,
@@ -641,7 +604,7 @@ mod tests {
         for r in &meta.replicas {
             c.dataserver(*r).create_file(&meta).unwrap();
         }
-        c.append_via_primary(&meta, b"hello").unwrap();
+        c.client(meta.primary()).append("f", b"hello").unwrap();
         for r in &meta.replicas {
             let (data, size) = c.dataserver(*r).read_local(meta.id, 0, 5).unwrap();
             assert_eq!(data, b"hello", "replica {r} diverged");
@@ -659,7 +622,9 @@ mod tests {
         for r in &meta.replicas {
             c.dataserver(*r).create_file(&meta).unwrap();
         }
-        c.append_via_primary(&meta, b"precious payload").unwrap();
+        c.client(meta.primary())
+            .append("fixme", b"precious payload")
+            .unwrap();
 
         // Lose a non-primary replica.
         let victim = meta.replicas[1];
@@ -698,7 +663,8 @@ mod tests {
         for r in &meta.replicas {
             c.dataserver(*r).create_file(&meta).unwrap();
         }
-        c.append_via_primary(&meta, b"before crash ").unwrap();
+        let mut client = c.client(meta.primary());
+        client.append("hot", b"before crash ").unwrap();
 
         // Live primary: nothing to do.
         assert_eq!(c.reelect_primary("hot").unwrap(), None);
@@ -715,10 +681,17 @@ mod tests {
             "no replica dropped"
         );
 
-        // Appends keep working through the surviving replicas.
-        let mut live = after.clone();
-        live.replicas.retain(|r| c.dataserver(*r).is_up());
-        c.append_via_primary(&live, b"after crash").unwrap();
+        // Once repair has replaced the crashed replica, appends go
+        // through again, ordered by the promoted primary.
+        let spare = c
+            .topology()
+            .hosts()
+            .into_iter()
+            .find(|h| !after.replicas.contains(h))
+            .unwrap();
+        c.repair_to("hot", promoted, spare).unwrap();
+        let mut client = c.client(promoted);
+        client.append("hot", b"after crash").unwrap();
         let (data, _) = c.dataserver(promoted).read_local(meta.id, 0, 100).unwrap();
         assert_eq!(data, b"before crash after crash");
 
@@ -730,6 +703,51 @@ mod tests {
             .read_local(meta.id, 0, 100)
             .unwrap();
         assert_eq!(stale, b"before crash ");
+    }
+
+    /// Repair and re-election change where a file lives in one
+    /// namespace op: a lookup racing them always finds the file.
+    #[test]
+    fn a_file_stays_mapped_while_its_mapping_is_replaced() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let dir = TempDir::new("replace");
+        let c = Arc::new(small_cluster(&dir));
+        let id = c.client(HostId(0)).create("busy").unwrap().id;
+        c.client(HostId(0)).append("busy", b"payload").unwrap();
+
+        let done = Arc::new(AtomicBool::new(false));
+        let reader = {
+            let (c, done) = (c.clone(), done.clone());
+            std::thread::spawn(move || {
+                let mut lookups = 0u64;
+                while !done.load(Ordering::Relaxed) {
+                    assert_eq!(c.nameserver().lookup("busy").unwrap().id, id);
+                    lookups += 1;
+                }
+                lookups
+            })
+        };
+        for _ in 0..200 {
+            let before = c.nameserver().lookup("busy").unwrap();
+            let crashed = before.primary();
+            c.dataserver(crashed).crash();
+            let promoted = c.reelect_primary("busy").unwrap().unwrap();
+            let spare = c
+                .topology()
+                .hosts()
+                .into_iter()
+                .find(|h| !before.replicas.contains(h))
+                .unwrap();
+            c.repair_to("busy", promoted, spare).unwrap();
+            // The crashed host comes back empty, free to be a spare.
+            c.dataserver(crashed).restart();
+            c.dataserver(crashed).delete_file(id).unwrap();
+        }
+        done.store(true, Ordering::Relaxed);
+        assert!(reader.join().unwrap() > 0);
+        let after = c.nameserver().lookup("busy").unwrap();
+        assert_eq!(after.replicas.len(), 3);
+        assert_eq!(c.client(HostId(0)).read("busy").unwrap(), b"payload");
     }
 
     #[test]
@@ -774,11 +792,10 @@ mod tests {
         }
         let threads: Vec<_> = (0..6u8)
             .map(|t| {
-                let c = c.clone();
-                let meta = meta.clone();
+                let mut client = c.client(meta.primary());
                 std::thread::spawn(move || {
                     for _ in 0..30 {
-                        c.append_via_primary(&meta, &[t; 8]).unwrap();
+                        client.append("f", &[t; 8]).unwrap();
                     }
                 })
             })

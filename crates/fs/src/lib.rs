@@ -14,7 +14,12 @@
 //! * [`Nameserver`] — file → chunks and file → dataservers mappings in
 //!   a persistent KV store ([`mayflower_kvstore`], the LevelDB
 //!   substitute), replica placement at creation time, rebuild from
-//!   dataserver metadata after an unclean restart.
+//!   dataserver metadata after an unclean restart. It is also the
+//!   namespace's one rule book: every mutation is an [`NsOp`] that
+//!   [`Nameserver::apply`] validates and makes under one lock hold,
+//!   after [`Nameserver::decide`] has drawn a create's UUID and
+//!   placement. [`replicated`] (the nameserver behind a Paxos log) and
+//!   the shard plane carry ops to it and restate none of its rules.
 //! * [`Dataserver`] — stores each file as a directory named by its
 //!   UUID containing numbered chunk files plus a metadata file;
 //!   services one append at a time per file; serves concurrent reads.
@@ -71,7 +76,7 @@ pub use client::Client;
 pub use cluster::{Cluster, ClusterConfig};
 pub use dataserver::{Dataserver, RepairSource};
 pub use error::FsError;
-pub use nameserver::{Nameserver, NameserverConfig};
+pub use nameserver::{Nameserver, NameserverConfig, NsOp};
 pub use selector::{
     FallbackSelector, NearestSelector, PrimarySelector, ReadAssignment, ReplicaSelector,
     SplitSelector,

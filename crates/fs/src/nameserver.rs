@@ -37,6 +37,87 @@ impl Default for NameserverConfig {
     }
 }
 
+/// One transition of the namespace: the unit [`Nameserver::apply`]
+/// validates and makes, the value a replicated nameserver sequences
+/// through its log, and what a shard router sends to the shard that
+/// owns the name. An op is fully decided — it carries no randomness and
+/// reads no clock — so applying the same ops in the same order yields
+/// the same namespace anywhere.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum NsOp {
+    /// Create a file with pre-decided metadata (the output of
+    /// [`Nameserver::decide`]). Refused with `AlreadyExists` if the
+    /// name is taken, `InvalidArgument` if it is empty.
+    Create(FileMeta),
+    /// Store fully decided metadata over the existing entry of the same
+    /// name, in one step: how repair, primary re-election and shard
+    /// migration change where a file lives without the name ever being
+    /// unmapped. Refused with `NotFound` if the name has no entry.
+    Replace(FileMeta),
+    /// Delete a file by name, returning its metadata. Refused with
+    /// `NotFound`.
+    Delete(String),
+    /// Record a file's new size after an append. Refused with
+    /// `NotFound`.
+    RecordSize {
+        /// File name.
+        name: String,
+        /// New size in bytes.
+        size: u64,
+    },
+    /// Move a file to a new name (the paper's §3.3 move), returning the
+    /// file an overwrite displaced. Renaming a file to itself changes
+    /// nothing. Refused with `InvalidArgument` for an empty target,
+    /// `NotFound` if `from` is missing, `AlreadyExists` if `to` exists
+    /// and `overwrite` is false.
+    Rename {
+        /// Current name.
+        from: String,
+        /// New name.
+        to: String,
+        /// Whether an existing destination is displaced.
+        overwrite: bool,
+    },
+    /// Advance a coded file's seal watermark. Refused with `NotFound`,
+    /// or `InvalidArgument` for a replicated file or a watermark that
+    /// moves backwards.
+    RecordSeal {
+        /// File name.
+        name: String,
+        /// New watermark, in chunks.
+        sealed_chunks: u64,
+    },
+    /// Re-point one fragment slot at a new host after coded repair.
+    /// Refused with `NotFound`, or `InvalidArgument` for an index the
+    /// file has no fragment at.
+    SetFragment {
+        /// File name.
+        name: String,
+        /// Fragment index.
+        index: usize,
+        /// The fragment's new home.
+        host: mayflower_net::HostId,
+    },
+}
+
+impl NsOp {
+    /// The names whose entries the op reads or writes: the first for
+    /// every op, and the target of a rename. A partitioned namespace
+    /// can apply the op on one partition only if that partition owns
+    /// all of them.
+    #[must_use]
+    pub fn names(&self) -> (&str, Option<&str>) {
+        match self {
+            NsOp::Create(meta) | NsOp::Replace(meta) => (&meta.name, None),
+            NsOp::Delete(name)
+            | NsOp::RecordSize { name, .. }
+            | NsOp::RecordSeal { name, .. }
+            | NsOp::SetFragment { name, .. } => (name, None),
+            NsOp::Rename { from, to, .. } => (from, Some(to)),
+        }
+    }
+}
+
 /// The centralized metadata service: stores file → chunks and file →
 /// dataservers mappings in a persistent KV store, makes replica
 /// placement decisions at file creation, and can rebuild its state by
@@ -164,53 +245,71 @@ impl Nameserver {
         k
     }
 
-    /// Creates a file: assigns a UUID, places replicas under the
-    /// configured fault-domain policy, records the mappings.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FsError::AlreadyExists`] for duplicate names or
-    /// [`FsError::InvalidArgument`] for an empty name.
-    pub fn create(&self, name: &str) -> Result<FileMeta, FsError> {
-        self.create_with(
-            name,
-            Redundancy::Replicated {
-                n: self.config.replication,
-            },
-        )
+    fn load(db: &KvStore, name: &str) -> Result<FileMeta, FsError> {
+        let Some(body) = db.get(&Self::name_key(name)) else {
+            return Err(FsError::NotFound(name.to_string()));
+        };
+        serde_json::from_slice(&body).map_err(|e| FsError::CorruptMetadata(e.to_string()))
     }
 
-    /// Creates a file under an explicit [`Redundancy`] policy. For
-    /// `Replicated{n}` this places `n` replicas; for `Coded{k, m}` it
-    /// places the configured number of tail replicas (the unsealed
-    /// append chunk stays replicated, §3.2) **plus** `k + m` fragment
-    /// hosts under the same fault-domain policy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FsError::AlreadyExists`] for duplicate names or
-    /// [`FsError::InvalidArgument`] for an empty name or a policy the
-    /// topology cannot host (`k + m` exceeding the host count).
-    pub fn create_with(&self, name: &str, redundancy: Redundancy) -> Result<FileMeta, FsError> {
+    fn store(db: &mut KvStore, meta: &FileMeta) -> Result<(), FsError> {
+        let body = serde_json::to_vec(meta).map_err(|e| FsError::CorruptMetadata(e.to_string()))?;
+        db.put(&Self::name_key(&meta.name), &body)?;
+        Ok(())
+    }
+
+    /// Whether a file may be created under `name`: the check the decide
+    /// step makes before it draws anything and [`NsOp::Create`] makes
+    /// again when it is applied.
+    fn vacant(db: &KvStore, name: &str) -> Result<(), FsError> {
         if name.is_empty() {
             return Err(FsError::InvalidArgument("file name is empty".into()));
         }
-        let key = Self::name_key(name);
-        let mut db = self.db.lock();
-        if db.get(&key).is_some() {
+        if db.get(&Self::name_key(name)).is_some() {
             return Err(FsError::AlreadyExists(name.to_string()));
         }
+        Ok(())
+    }
+
+    /// The **decide** step of a create: draws the [`FileId`] and the
+    /// placement — `replicas` when the caller pins them, the configured
+    /// fault-domain policy otherwise, plus `k + m` fragment hosts for a
+    /// coded file — and returns the metadata an [`NsOp::Create`]
+    /// carries. Everything random happens here, once, on the node that
+    /// takes the request; [`Nameserver::apply`] is deterministic, so
+    /// every replica of a replicated nameserver stores the same entry.
+    ///
+    /// Nothing is stored. A name that [`NsOp::Create`] would refuse is
+    /// refused here too, before anything is drawn, so a failed create
+    /// leaves the id/placement stream where it was.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FsError::AlreadyExists`] for a name that is taken, or
+    /// [`FsError::InvalidArgument`] for an empty name, an empty replica
+    /// list or a policy the topology cannot host (`k + m` exceeding the
+    /// host count).
+    pub fn decide(
+        &self,
+        name: &str,
+        redundancy: Redundancy,
+        replicas: Option<Vec<mayflower_net::HostId>>,
+    ) -> Result<FileMeta, FsError> {
+        if replicas.as_ref().is_some_and(Vec::is_empty) {
+            return Err(FsError::InvalidArgument("replica list is empty".into()));
+        }
+        Self::vacant(&self.db.lock(), name)?;
         let mut rng = self.rng.lock();
         let id = FileId((u128::from(rng.next_u64()) << 64) | u128::from(rng.next_u64()));
+        let place = |n: usize, rng: &mut SimRng| {
+            replicas.unwrap_or_else(|| self.config.placement.place(&self.topo, n, rng))
+        };
         let (replicas, fragments) = match redundancy {
             Redundancy::Replicated { n } => {
                 if n == 0 {
                     return Err(FsError::InvalidArgument("replication factor 0".into()));
                 }
-                (
-                    self.config.placement.place(&self.topo, n, &mut rng),
-                    Vec::new(),
-                )
+                (place(n, &mut rng), Vec::new())
             }
             Redundancy::Coded { k, m } => {
                 if k == 0 || m == 0 || k + m > 255 {
@@ -224,10 +323,8 @@ impl Nameserver {
                         self.topo.hosts().len()
                     )));
                 }
-                let replicas =
-                    self.config
-                        .placement
-                        .place(&self.topo, self.config.replication, &mut rng);
+                // The unsealed append chunk stays replicated (§3.2).
+                let replicas = place(self.config.replication, &mut rng);
                 // Fragment hosts must be pairwise distinct or a single
                 // host failure costs several fragments, and `k + m`
                 // routinely exceeds the rack count (which the replica
@@ -265,8 +362,7 @@ impl Nameserver {
                 (replicas, fragments)
             }
         };
-        drop(rng);
-        let meta = FileMeta {
+        Ok(FileMeta {
             id,
             name: name.to_string(),
             chunk_size: self.config.chunk_size,
@@ -275,11 +371,153 @@ impl Nameserver {
             redundancy,
             fragments,
             sealed_chunks: 0,
-        };
-        let body =
-            serde_json::to_vec(&meta).map_err(|e| FsError::CorruptMetadata(e.to_string()))?;
-        db.put(&key, &body)?;
+        })
+    }
+
+    /// Validates `op` against the namespace and, if it is allowed,
+    /// makes its transition — both under one hold of the database lock,
+    /// so no other op or lookup sees the entry between the check and
+    /// the write. Returns what the op removed from the namespace: the
+    /// deleted file for [`NsOp::Delete`], the file an overwriting
+    /// [`NsOp::Rename`] displaced (whose replica data the caller must
+    /// garbage-collect), `None` otherwise.
+    ///
+    /// This is the only place the namespace's rules are written. A
+    /// refused op (`NotFound`, `AlreadyExists`, `InvalidArgument`)
+    /// changes nothing, and the verdict depends on nothing but the op
+    /// and the entries it names — which is what lets a replicated
+    /// nameserver apply the same log on every node.
+    ///
+    /// # Errors
+    ///
+    /// Per op, see [`NsOp`]; database failures as [`FsError::Kv`].
+    pub fn apply(&self, op: &NsOp) -> Result<Option<FileMeta>, FsError> {
+        let db = &mut *self.db.lock();
+        match op {
+            NsOp::Create(meta) => {
+                Self::vacant(db, &meta.name)?;
+                Self::store(db, meta)?;
+                Ok(None)
+            }
+            NsOp::Replace(meta) => {
+                Self::load(db, &meta.name)?;
+                Self::store(db, meta)?;
+                Ok(None)
+            }
+            NsOp::Delete(name) => {
+                let meta = Self::load(db, name)?;
+                db.delete(&Self::name_key(name))?;
+                Ok(Some(meta))
+            }
+            NsOp::RecordSize { name, size } => {
+                let mut meta = Self::load(db, name)?;
+                meta.size = *size;
+                Self::store(db, &meta)?;
+                Ok(None)
+            }
+            NsOp::Rename {
+                from,
+                to,
+                overwrite,
+            } => {
+                if to.is_empty() {
+                    return Err(FsError::InvalidArgument("target name is empty".into()));
+                }
+                let mut meta = Self::load(db, from)?;
+                if from == to {
+                    // Self-rename is a no-op (anything else would
+                    // displace — and garbage-collect — the file itself).
+                    return Ok(None);
+                }
+                let displaced = match Self::load(db, to) {
+                    Ok(_) if !overwrite => return Err(FsError::AlreadyExists(to.clone())),
+                    Ok(existing) => Some(existing),
+                    Err(FsError::NotFound(_)) => None,
+                    Err(e) => return Err(e),
+                };
+                // The new entry lands before the old one goes: a crash
+                // between the two writes leaves both names, never
+                // neither.
+                meta.name.clone_from(to);
+                Self::store(db, &meta)?;
+                db.delete(&Self::name_key(from))?;
+                Ok(displaced)
+            }
+            NsOp::RecordSeal {
+                name,
+                sealed_chunks,
+            } => {
+                let mut meta = Self::load(db, name)?;
+                if !meta.is_coded() {
+                    return Err(FsError::InvalidArgument(format!(
+                        "{name} is not a coded file"
+                    )));
+                }
+                if *sealed_chunks < meta.sealed_chunks {
+                    return Err(FsError::InvalidArgument(format!(
+                        "seal watermark cannot regress ({} -> {sealed_chunks})",
+                        meta.sealed_chunks
+                    )));
+                }
+                meta.sealed_chunks = *sealed_chunks;
+                Self::store(db, &meta)?;
+                Ok(None)
+            }
+            NsOp::SetFragment { name, index, host } => {
+                let mut meta = Self::load(db, name)?;
+                let Some(slot) = meta.fragments.get_mut(*index) else {
+                    return Err(FsError::InvalidArgument(format!(
+                        "fragment index {index} out of range for {name}"
+                    )));
+                };
+                *slot = *host;
+                Self::store(db, &meta)?;
+                Ok(None)
+            }
+        }
+    }
+
+    /// Decides and applies a create, returning the stored metadata.
+    fn create_decided(
+        &self,
+        name: &str,
+        redundancy: Redundancy,
+        replicas: Option<Vec<mayflower_net::HostId>>,
+    ) -> Result<FileMeta, FsError> {
+        let meta = self.decide(name, redundancy, replicas)?;
+        self.apply(&NsOp::Create(meta.clone()))?;
         Ok(meta)
+    }
+
+    /// Creates a file: assigns a UUID, places replicas under the
+    /// configured fault-domain policy, records the mappings.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FsError::AlreadyExists`] for duplicate names or
+    /// [`FsError::InvalidArgument`] for an empty name.
+    pub fn create(&self, name: &str) -> Result<FileMeta, FsError> {
+        self.create_with(
+            name,
+            Redundancy::Replicated {
+                n: self.config.replication,
+            },
+        )
+    }
+
+    /// Creates a file under an explicit [`Redundancy`] policy. For
+    /// `Replicated{n}` this places `n` replicas; for `Coded{k, m}` it
+    /// places the configured number of tail replicas (the unsealed
+    /// append chunk stays replicated, §3.2) **plus** `k + m` fragment
+    /// hosts under the same fault-domain policy.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FsError::AlreadyExists`] for duplicate names or
+    /// [`FsError::InvalidArgument`] for an empty name or a policy the
+    /// topology cannot host (`k + m` exceeding the host count).
+    pub fn create_with(&self, name: &str, redundancy: Redundancy) -> Result<FileMeta, FsError> {
+        self.create_decided(name, redundancy, None)
     }
 
     /// Creates a file with an **explicit** replica placement instead of
@@ -297,53 +535,17 @@ impl Nameserver {
         name: &str,
         replicas: Vec<mayflower_net::HostId>,
     ) -> Result<FileMeta, FsError> {
-        if name.is_empty() {
-            return Err(FsError::InvalidArgument("file name is empty".into()));
-        }
-        if replicas.is_empty() {
-            return Err(FsError::InvalidArgument("replica list is empty".into()));
-        }
-        let key = Self::name_key(name);
-        let mut db = self.db.lock();
-        if db.get(&key).is_some() {
-            return Err(FsError::AlreadyExists(name.to_string()));
-        }
-        let mut rng = self.rng.lock();
-        let id = FileId((u128::from(rng.next_u64()) << 64) | u128::from(rng.next_u64()));
-        drop(rng);
-        let meta = FileMeta {
-            id,
-            name: name.to_string(),
-            chunk_size: self.config.chunk_size,
-            size: 0,
-            replicas,
-            redundancy: Redundancy::default(),
-            fragments: Vec::new(),
-            sealed_chunks: 0,
-        };
-        let body =
-            serde_json::to_vec(&meta).map_err(|e| FsError::CorruptMetadata(e.to_string()))?;
-        db.put(&key, &body)?;
-        Ok(meta)
+        self.create_decided(name, Redundancy::default(), Some(replicas))
     }
 
-    /// Stores fully-specified metadata verbatim — the deterministic
-    /// apply operation used by the replicated nameserver (UUID and
-    /// placement decided by the proposing node, so every replica's
-    /// state machine transitions identically).
+    /// Stores fully-specified metadata verbatim: [`NsOp::Create`] for a
+    /// caller that has already decided the UUID and placement.
     ///
     /// # Errors
     ///
     /// Returns [`FsError::AlreadyExists`] if the name is taken.
     pub fn create_exact(&self, meta: &FileMeta) -> Result<(), FsError> {
-        let key = Self::name_key(&meta.name);
-        let mut db = self.db.lock();
-        if db.get(&key).is_some() {
-            return Err(FsError::AlreadyExists(meta.name.clone()));
-        }
-        let body = serde_json::to_vec(meta).map_err(|e| FsError::CorruptMetadata(e.to_string()))?;
-        db.put(&key, &body)?;
-        Ok(())
+        self.apply(&NsOp::Create(meta.clone())).map(drop)
     }
 
     /// Looks a file up by name.
@@ -352,11 +554,7 @@ impl Nameserver {
     ///
     /// Returns [`FsError::NotFound`] for unknown names.
     pub fn lookup(&self, name: &str) -> Result<FileMeta, FsError> {
-        let db = self.db.lock();
-        let Some(body) = db.get(&Self::name_key(name)) else {
-            return Err(FsError::NotFound(name.to_string()));
-        };
-        serde_json::from_slice(&body).map_err(|e| FsError::CorruptMetadata(e.to_string()))
+        Self::load(&self.db.lock(), name)
     }
 
     /// Records a file's new size after an append.
@@ -365,12 +563,8 @@ impl Nameserver {
     ///
     /// Returns [`FsError::NotFound`] for unknown names.
     pub fn record_size(&self, name: &str, size: u64) -> Result<(), FsError> {
-        let mut meta = self.lookup(name)?;
-        meta.size = size;
-        let body =
-            serde_json::to_vec(&meta).map_err(|e| FsError::CorruptMetadata(e.to_string()))?;
-        self.db.lock().put(&Self::name_key(name), &body)?;
-        Ok(())
+        let name = name.to_string();
+        self.apply(&NsOp::RecordSize { name, size }).map(drop)
     }
 
     /// Records that chunks `[0, sealed_chunks)` of a coded file are now
@@ -382,23 +576,12 @@ impl Nameserver {
     /// [`FsError::InvalidArgument`] when the file is not coded or the
     /// watermark moves backwards.
     pub fn record_seal(&self, name: &str, sealed_chunks: u64) -> Result<(), FsError> {
-        let mut meta = self.lookup(name)?;
-        if !meta.is_coded() {
-            return Err(FsError::InvalidArgument(format!(
-                "{name} is not a coded file"
-            )));
-        }
-        if sealed_chunks < meta.sealed_chunks {
-            return Err(FsError::InvalidArgument(format!(
-                "seal watermark cannot regress ({} -> {sealed_chunks})",
-                meta.sealed_chunks
-            )));
-        }
-        meta.sealed_chunks = sealed_chunks;
-        let body =
-            serde_json::to_vec(&meta).map_err(|e| FsError::CorruptMetadata(e.to_string()))?;
-        self.db.lock().put(&Self::name_key(name), &body)?;
-        Ok(())
+        let name = name.to_string();
+        self.apply(&NsOp::RecordSeal {
+            name,
+            sealed_chunks,
+        })
+        .map(drop)
     }
 
     /// Re-homes fragment `index` of a coded file onto `host` after a
@@ -414,17 +597,9 @@ impl Nameserver {
         index: usize,
         host: mayflower_net::HostId,
     ) -> Result<(), FsError> {
-        let mut meta = self.lookup(name)?;
-        if index >= meta.fragments.len() {
-            return Err(FsError::InvalidArgument(format!(
-                "fragment index {index} out of range for {name}"
-            )));
-        }
-        meta.fragments[index] = host;
-        let body =
-            serde_json::to_vec(&meta).map_err(|e| FsError::CorruptMetadata(e.to_string()))?;
-        self.db.lock().put(&Self::name_key(name), &body)?;
-        Ok(())
+        let name = name.to_string();
+        self.apply(&NsOp::SetFragment { name, index, host })
+            .map(drop)
     }
 
     /// Renames `old` to `new`, optionally overwriting an existing
@@ -448,33 +623,11 @@ impl Nameserver {
         new: &str,
         overwrite: bool,
     ) -> Result<Option<FileMeta>, FsError> {
-        if new.is_empty() {
-            return Err(FsError::InvalidArgument("target name is empty".into()));
-        }
-        let mut meta = self.lookup(old)?;
-        if old == new {
-            // Self-rename is a no-op (anything else would displace —
-            // and garbage-collect — the file itself).
-            return Ok(None);
-        }
-        let mut db = self.db.lock();
-        let displaced = match db.get(&Self::name_key(new)) {
-            Some(body) if !overwrite => {
-                let _ = body;
-                return Err(FsError::AlreadyExists(new.to_string()));
-            }
-            Some(body) => Some(
-                serde_json::from_slice(&body)
-                    .map_err(|e| FsError::CorruptMetadata(e.to_string()))?,
-            ),
-            None => None,
-        };
-        meta.name = new.to_string();
-        let body =
-            serde_json::to_vec(&meta).map_err(|e| FsError::CorruptMetadata(e.to_string()))?;
-        db.put(&Self::name_key(new), &body)?;
-        db.delete(&Self::name_key(old))?;
-        Ok(displaced)
+        self.apply(&NsOp::Rename {
+            from: old.to_string(),
+            to: new.to_string(),
+            overwrite,
+        })
     }
 
     /// Deletes a file's mappings.
@@ -483,9 +636,8 @@ impl Nameserver {
     ///
     /// Returns [`FsError::NotFound`] for unknown names.
     pub fn delete(&self, name: &str) -> Result<FileMeta, FsError> {
-        let meta = self.lookup(name)?;
-        self.db.lock().delete(&Self::name_key(name))?;
-        Ok(meta)
+        self.apply(&NsOp::Delete(name.to_string()))?
+            .ok_or_else(|| FsError::NotFound(name.to_string()))
     }
 
     /// Lists all files, sorted by name.
@@ -572,9 +724,7 @@ impl Nameserver {
             }
         }
         for meta in best.values() {
-            let body =
-                serde_json::to_vec(meta).map_err(|e| FsError::CorruptMetadata(e.to_string()))?;
-            db.put(&Self::name_key(&meta.name), &body)?;
+            Self::store(&mut db, meta)?;
         }
         skipped.sort();
         skipped.dedup();

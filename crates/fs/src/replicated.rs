@@ -4,13 +4,19 @@
 //! replication algorithm, such as Paxos, to replicate the nameserver
 //! to multiple nodes").
 //!
-//! Design: every mutation is a fully-deterministic [`NsOp`] — the
-//! *proposing* node decides the UUID and replica placement, so each
-//! replica's [`Nameserver`] applies the identical transition. Ops are
-//! sequenced by the [`mayflower_consensus`] replicated log; each
-//! replica applies its log's gap-free committed prefix in slot order.
-//! Reads can then be served by any replica that has applied the ops
-//! the caller depends on (read-your-writes via the proposing node).
+//! The state machine is [`Nameserver`] and this module owns none of its
+//! rules: it sequences [`NsOp`]s through the [`mayflower_consensus`]
+//! replicated log and hands each replica's gap-free committed prefix,
+//! in slot order, to that replica's [`Nameserver::apply`]. The one
+//! random step of the namespace — a create's UUID and placement — is
+//! taken before the log, by the proposing node's
+//! [`Nameserver::decide`], so every replica stores the identical
+//! entry. What [`ReplicatedNameserver::submit`] returns *is* the
+//! proposing node's `apply` result; an op the rule book refuses is
+//! refused identically on every replica, changes none of them, and
+//! still advances every applied prefix — the log has no poison entry.
+//! Reads can be served by any replica that has applied the ops the
+//! caller depends on (read-your-writes via the proposing node).
 
 use std::path::Path;
 use std::sync::Arc;
@@ -18,72 +24,26 @@ use std::sync::Arc;
 use mayflower_consensus::cluster::{Cluster as PaxosGroup, FaultModel};
 use mayflower_consensus::ReplicaId;
 use mayflower_net::Topology;
-use mayflower_simcore::SimRng;
 
 use crate::error::FsError;
-use crate::nameserver::{Nameserver, NameserverConfig};
-use crate::types::{FileId, FileMeta, Redundancy};
-
-/// A deterministic nameserver mutation, replicated through the log.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum NsOp {
-    /// Create a file with pre-decided metadata.
-    Create(FileMeta),
-    /// Delete a file by name.
-    Delete(String),
-    /// Record a file's new size after an append.
-    RecordSize {
-        /// File name.
-        name: String,
-        /// New size in bytes.
-        size: u64,
-    },
-    /// Move a file to a new name, optionally displacing an existing
-    /// file at the destination.
-    Rename {
-        /// Current name.
-        from: String,
-        /// New name.
-        to: String,
-        /// Whether an existing destination is displaced.
-        overwrite: bool,
-    },
-    /// Advance a coded file's seal watermark.
-    RecordSeal {
-        /// File name.
-        name: String,
-        /// New watermark, in chunks.
-        sealed_chunks: u64,
-    },
-    /// Re-point one fragment slot at a new host after coded repair.
-    SetFragment {
-        /// File name.
-        name: String,
-        /// Fragment index.
-        index: usize,
-        /// The fragment's new home.
-        host: mayflower_net::HostId,
-    },
-}
+use crate::nameserver::{Nameserver, NameserverConfig, NsOp};
+use crate::types::{FileMeta, Redundancy};
 
 /// A nameserver replicated across `n` nodes via Paxos.
 ///
-/// Mutations go through [`ReplicatedNameserver::create`] /
-/// [`ReplicatedNameserver::delete`] / [`ReplicatedNameserver::
-/// record_size`], each proposed at a chosen node (tolerating crashed
-/// minorities); reads are served from any live node's applied state.
+/// Mutations are [`NsOp`]s passed to [`ReplicatedNameserver::submit`]
+/// at a chosen node (tolerating crashed minorities); reads are served
+/// from any live node's applied state.
 pub struct ReplicatedNameserver {
     group: PaxosGroup<NsOp>,
     nameservers: Vec<Arc<Nameserver>>,
     /// Ops applied so far per node (prefix length).
     applied: Vec<usize>,
-    config: NameserverConfig,
-    rng: SimRng,
 }
 
 impl ReplicatedNameserver {
     /// Creates an `n`-way replicated nameserver with databases under
-    /// `dir/ns-<i>`.
+    /// `dir/ns-<i>`; `seed` drives the Paxos message schedule.
     ///
     /// # Errors
     ///
@@ -97,16 +57,19 @@ impl ReplicatedNameserver {
     ) -> Result<ReplicatedNameserver, FsError> {
         let nameservers = (0..n)
             .map(|i| {
-                Nameserver::open(topo.clone(), &dir.join(format!("ns-{i}")), config.clone())
-                    .map(Arc::new)
+                // Any node may take a create, and the files of all of
+                // them share the dataservers: each node must decide
+                // from its own id/placement stream (node 0 keeps the
+                // configured one).
+                let mut config = config.clone();
+                config.seed ^= 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64);
+                Nameserver::open(topo.clone(), &dir.join(format!("ns-{i}")), config).map(Arc::new)
             })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(ReplicatedNameserver {
             group: PaxosGroup::with_faults(n, seed, FaultModel::default()),
             nameservers,
             applied: vec![0; n],
-            config,
-            rng: SimRng::seed_from(seed ^ 0x5253), // "RS"
         })
     }
 
@@ -127,305 +90,98 @@ impl ReplicatedNameserver {
         self.group.restart(ReplicaId(node));
     }
 
-    /// Proposes an op at `node`, drives consensus to quiescence, and
-    /// applies every newly-committed op everywhere.
-    fn replicate(&mut self, node: u32, op: NsOp) -> Result<(), FsError> {
+    /// Proposes `op` at `node`, drives consensus to quiescence, applies
+    /// every newly committed op on every replica, and returns what
+    /// `node`'s [`Nameserver::apply`] returned for `op`.
+    ///
+    /// An `Err` that is the rule book's refusal (`NotFound`,
+    /// `AlreadyExists`, `InvalidArgument`) means the op was committed
+    /// and changed nothing anywhere; the group stays usable.
+    ///
+    /// # Errors
+    ///
+    /// The op's own refusal; [`FsError::Consistency`] if no quorum is
+    /// reachable (the op is withdrawn and was applied nowhere); or a
+    /// replica's database failure, which leaves that replica behind to
+    /// retry from the same op at the next submit.
+    pub fn submit(&mut self, node: u32, op: &NsOp) -> Result<Option<FileMeta>, FsError> {
         self.group.propose(ReplicaId(node), op.clone());
         self.group.run_to_quiescence();
-        self.apply_committed()?;
-        // If a minority partition blocked the op, surface it.
-        let committed = self
-            .group
-            .replica(ReplicaId(node))
-            .log()
-            .values()
-            .any(|v| *v == op);
-        if committed {
-            Ok(())
-        } else {
+        let mut outcome = None;
+        for (i, ns) in self.nameservers.iter().enumerate() {
+            let committed = self.group.replica(ReplicaId(i as u32)).committed_prefix();
+            for chosen in committed.into_iter().skip(self.applied[i]) {
+                let result = ns.apply(chosen);
+                let refused = matches!(
+                    result,
+                    Err(FsError::NotFound(_)
+                        | FsError::AlreadyExists(_)
+                        | FsError::InvalidArgument(_))
+                );
+                if result.is_err() && !refused {
+                    // Not a verdict on the op: this replica's store failed.
+                    return result;
+                }
+                self.applied[i] += 1;
+                if i == node as usize && chosen == op {
+                    outcome = Some(result);
+                }
+            }
+        }
+        outcome.unwrap_or_else(|| {
             // Withdraw so the stuck proposal cannot wedge later ops.
             self.group.abandon(ReplicaId(node));
             Err(FsError::Consistency(
                 "operation not committed (no quorum reachable)".into(),
             ))
-        }
+        })
     }
 
-    /// Applies each node's committed prefix to its nameserver.
-    fn apply_committed(&mut self) -> Result<(), FsError> {
-        for i in 0..self.nameservers.len() {
-            let prefix: Vec<NsOp> = self
-                .group
-                .replica(ReplicaId(i as u32))
-                .committed_prefix()
-                .into_iter()
-                .cloned()
-                .collect();
-            for op in prefix.iter().skip(self.applied[i]) {
-                Self::apply(&self.nameservers[i], op)?;
-            }
-            self.applied[i] = prefix.len();
-        }
-        Ok(())
-    }
-
-    fn apply(ns: &Nameserver, op: &NsOp) -> Result<(), FsError> {
-        match op {
-            NsOp::Create(meta) => match ns.create_exact(meta) {
-                Ok(()) | Err(FsError::AlreadyExists(_)) => Ok(()),
-                Err(e) => Err(e),
-            },
-            NsOp::Delete(name) => match ns.delete(name) {
-                Ok(_) | Err(FsError::NotFound(_)) => Ok(()),
-                Err(e) => Err(e),
-            },
-            NsOp::RecordSize { name, size } => match ns.record_size(name, *size) {
-                Ok(()) | Err(FsError::NotFound(_)) => Ok(()),
-                Err(e) => Err(e),
-            },
-            NsOp::Rename {
-                from,
-                to,
-                overwrite,
-            } => match ns.rename(from, to, *overwrite) {
-                // NotFound tolerated: a replayed rename already moved
-                // the entry.
-                Ok(_) | Err(FsError::NotFound(_)) => Ok(()),
-                Err(e) => Err(e),
-            },
-            NsOp::RecordSeal {
-                name,
-                sealed_chunks,
-            } => match ns.record_seal(name, *sealed_chunks) {
-                // InvalidArgument tolerated: a replay of an
-                // already-applied watermark looks like a regression.
-                Ok(()) | Err(FsError::NotFound(_) | FsError::InvalidArgument(_)) => Ok(()),
-                Err(e) => Err(e),
-            },
-            NsOp::SetFragment { name, index, host } => match ns.set_fragment(name, *index, *host) {
-                Ok(()) | Err(FsError::NotFound(_)) => Ok(()),
-                Err(e) => Err(e),
-            },
-        }
-    }
-
-    /// Creates a file: the proposing `node` decides UUID and placement,
-    /// then replicates the decision.
+    /// The decide step of a create at `node`: see
+    /// [`Nameserver::decide`]. Stores and proposes nothing.
     ///
     /// # Errors
     ///
-    /// Returns [`FsError::AlreadyExists`] for duplicate names, or
-    /// [`FsError::Consistency`] if no quorum is reachable.
-    pub fn create(&mut self, node: u32, name: &str) -> Result<FileMeta, FsError> {
-        if name.is_empty() {
-            return Err(FsError::InvalidArgument("file name is empty".into()));
-        }
-        // Duplicate check against the proposer's applied state.
-        if self.lookup_at(node, name).is_ok() {
-            return Err(FsError::AlreadyExists(name.to_string()));
-        }
-        let topo = self.nameservers[node as usize].topology().clone();
-        let id = FileId((u128::from(self.rng.next_u64()) << 64) | u128::from(self.rng.next_u64()));
-        let replicas = self
-            .config
-            .placement
-            .place(&topo, self.config.replication, &mut self.rng);
-        let meta = FileMeta {
-            id,
-            name: name.to_string(),
-            chunk_size: self.config.chunk_size,
-            size: 0,
-            replicas,
-            redundancy: Redundancy::default(),
-            fragments: Vec::new(),
-            sealed_chunks: 0,
-        };
-        self.replicate(node, NsOp::Create(meta.clone()))?;
-        Ok(meta)
+    /// Returns [`FsError::AlreadyExists`] if `node`'s applied state has
+    /// the name, or [`FsError::InvalidArgument`].
+    pub fn decide(
+        &self,
+        node: u32,
+        name: &str,
+        redundancy: Redundancy,
+    ) -> Result<FileMeta, FsError> {
+        self.nameservers[node as usize].decide(name, redundancy, None)
     }
 
-    /// Creates a file under an explicit redundancy policy, the
-    /// replicated analogue of [`Nameserver::create_with`]. Coded
-    /// policies are rejected: seal-and-encode is driven by cluster
-    /// machinery that is not yet replicated-nameserver-aware.
+    /// Creates a file under the configured replication factor: `node`
+    /// decides UUID and placement, then replicates the decision.
+    ///
+    /// # Errors
+    ///
+    /// See [`ReplicatedNameserver::create_with`].
+    pub fn create(&mut self, node: u32, name: &str) -> Result<FileMeta, FsError> {
+        let n = self.nameservers[node as usize].config().replication;
+        self.create_with(node, name, Redundancy::Replicated { n })
+    }
+
+    /// Creates a file under an explicit redundancy policy, replicated
+    /// or coded: [`ReplicatedNameserver::decide`] at `node`, then
+    /// [`ReplicatedNameserver::submit`] of the [`NsOp::Create`].
     ///
     /// # Errors
     ///
     /// Returns [`FsError::AlreadyExists`], [`FsError::InvalidArgument`]
-    /// for coded policies, or [`FsError::Consistency`].
+    /// for an empty name or an unsatisfiable policy, or
+    /// [`FsError::Consistency`] if no quorum is reachable.
     pub fn create_with(
         &mut self,
         node: u32,
         name: &str,
         redundancy: Redundancy,
     ) -> Result<FileMeta, FsError> {
-        let Redundancy::Replicated { n } = redundancy else {
-            return Err(FsError::InvalidArgument(
-                "coded files are not supported on a replicated nameserver".into(),
-            ));
-        };
-        if name.is_empty() {
-            return Err(FsError::InvalidArgument("file name is empty".into()));
-        }
-        if self.lookup_at(node, name).is_ok() {
-            return Err(FsError::AlreadyExists(name.to_string()));
-        }
-        let topo = self.nameservers[node as usize].topology().clone();
-        let id = FileId((u128::from(self.rng.next_u64()) << 64) | u128::from(self.rng.next_u64()));
-        let replicas = self.config.placement.place(&topo, n, &mut self.rng);
-        let meta = FileMeta {
-            id,
-            name: name.to_string(),
-            chunk_size: self.config.chunk_size,
-            size: 0,
-            replicas,
-            redundancy,
-            fragments: Vec::new(),
-            sealed_chunks: 0,
-        };
-        self.replicate(node, NsOp::Create(meta.clone()))?;
+        let meta = self.decide(node, name, redundancy)?;
+        self.submit(node, &NsOp::Create(meta.clone()))?;
         Ok(meta)
-    }
-
-    /// Replicates **pre-decided** metadata verbatim — the hook shard
-    /// migration uses to move an existing file's mapping onto a
-    /// replicated shard without re-placing its replicas.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FsError::AlreadyExists`] or [`FsError::Consistency`].
-    pub fn create_exact(&mut self, node: u32, meta: &FileMeta) -> Result<(), FsError> {
-        if self.lookup_at(node, &meta.name).is_ok() {
-            return Err(FsError::AlreadyExists(meta.name.clone()));
-        }
-        self.replicate(node, NsOp::Create(meta.clone()))
-    }
-
-    /// Renames `old` to `new` through `node`, returning any displaced
-    /// metadata when `overwrite` is set.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FsError::NotFound`], [`FsError::AlreadyExists`]
-    /// without `overwrite`, or [`FsError::Consistency`].
-    pub fn rename(
-        &mut self,
-        node: u32,
-        old: &str,
-        new: &str,
-        overwrite: bool,
-    ) -> Result<Option<FileMeta>, FsError> {
-        self.lookup_at(node, old)?;
-        let displaced = match self.lookup_at(node, new) {
-            Ok(meta) => {
-                if !overwrite {
-                    return Err(FsError::AlreadyExists(new.to_string()));
-                }
-                Some(meta)
-            }
-            Err(_) => None,
-        };
-        self.replicate(
-            node,
-            NsOp::Rename {
-                from: old.to_string(),
-                to: new.to_string(),
-                overwrite,
-            },
-        )?;
-        Ok(displaced)
-    }
-
-    /// Advances a coded file's seal watermark through `node`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FsError::NotFound`], [`FsError::InvalidArgument`] for
-    /// non-coded files or a regressing watermark, or
-    /// [`FsError::Consistency`].
-    pub fn record_seal(
-        &mut self,
-        node: u32,
-        name: &str,
-        sealed_chunks: u64,
-    ) -> Result<(), FsError> {
-        let meta = self.lookup_at(node, name)?;
-        if !meta.is_coded() {
-            return Err(FsError::InvalidArgument(format!(
-                "{name} is not a coded file"
-            )));
-        }
-        if sealed_chunks < meta.sealed_chunks {
-            return Err(FsError::InvalidArgument(format!(
-                "seal watermark cannot regress ({} -> {sealed_chunks})",
-                meta.sealed_chunks
-            )));
-        }
-        self.replicate(
-            node,
-            NsOp::RecordSeal {
-                name: name.to_string(),
-                sealed_chunks,
-            },
-        )
-    }
-
-    /// Re-homes one fragment slot through `node` after a coded repair.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FsError::NotFound`], [`FsError::InvalidArgument`] for
-    /// an out-of-range index, or [`FsError::Consistency`].
-    pub fn set_fragment(
-        &mut self,
-        node: u32,
-        name: &str,
-        index: usize,
-        host: mayflower_net::HostId,
-    ) -> Result<(), FsError> {
-        let meta = self.lookup_at(node, name)?;
-        if index >= meta.fragments.len() {
-            return Err(FsError::InvalidArgument(format!(
-                "fragment index {index} out of range for {name}"
-            )));
-        }
-        self.replicate(
-            node,
-            NsOp::SetFragment {
-                name: name.to_string(),
-                index,
-                host,
-            },
-        )
-    }
-
-    /// Deletes a file through `node`, returning the deleted metadata —
-    /// the same contract as the direct and remote nameservers, so
-    /// callers can release the file's chunks and fragments.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FsError::NotFound`] or [`FsError::Consistency`].
-    pub fn delete(&mut self, node: u32, name: &str) -> Result<FileMeta, FsError> {
-        let meta = self.lookup_at(node, name)?;
-        self.replicate(node, NsOp::Delete(name.to_string()))?;
-        Ok(meta)
-    }
-
-    /// Records a size change through `node`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FsError::NotFound`] or [`FsError::Consistency`].
-    pub fn record_size(&mut self, node: u32, name: &str, size: u64) -> Result<(), FsError> {
-        self.lookup_at(node, name)?;
-        self.replicate(
-            node,
-            NsOp::RecordSize {
-                name: name.to_string(),
-                size,
-            },
-        )
     }
 
     /// Reads a file's metadata from a specific node's applied state.
@@ -507,12 +263,16 @@ mod tests {
     fn ops_through_different_nodes_stay_consistent() {
         let dir = TempDir::new("multi");
         let mut rns = replicated(&dir, 3);
-        rns.create(0, "f1").unwrap();
+        let f1 = rns.create(0, "f1").unwrap();
         let f2 = rns.create(1, "f2").unwrap();
-        rns.record_size(2, "f1", 99).unwrap();
-        let deleted = rns.delete(1, "f2").unwrap();
-        assert_eq!(deleted.id, f2.id, "delete returns the dead metadata");
-        assert_eq!(deleted.name, "f2");
+        assert_ne!(f1.id, f2.id, "each node decides from its own id stream");
+        let size = NsOp::RecordSize {
+            name: "f1".into(),
+            size: 99,
+        };
+        rns.submit(2, &size).unwrap();
+        let deleted = rns.submit(1, &NsOp::Delete("f2".into())).unwrap();
+        assert_eq!(deleted, Some(f2), "delete returns the dead metadata");
         for node in 0..3 {
             assert_eq!(rns.file_count_at(node), 1, "node {node}");
             assert_eq!(rns.lookup_at(node, "f1").unwrap().size, 99);
@@ -532,7 +292,11 @@ mod tests {
         assert_eq!(rns.lookup_at(2, "after").unwrap().id, meta.id);
         // The crashed node recovers and catches up on the next op.
         rns.restart(0);
-        rns.record_size(1, "after", 5).unwrap();
+        let size = NsOp::RecordSize {
+            name: "after".into(),
+            size: 5,
+        };
+        rns.submit(1, &size).unwrap();
         assert!(rns.lookup_at(0, "after").is_ok());
     }
 
@@ -552,12 +316,44 @@ mod tests {
         assert!(rns.lookup_at(0, "ok").is_ok());
     }
 
+    /// A refused op is committed like any other; if a replica's
+    /// applied prefix stopped at it, every later op on the group would
+    /// fail with that op's error for ever.
     #[test]
-    fn duplicate_create_rejected() {
-        let dir = TempDir::new("dup");
+    fn a_refused_op_advances_every_replica_and_leaves_the_group_usable() {
+        use crate::types::Redundancy;
+        let dir = TempDir::new("refused");
         let mut rns = replicated(&dir, 3);
-        rns.create(0, "x").unwrap();
-        assert!(matches!(rns.create(1, "x"), Err(FsError::AlreadyExists(_))));
+        rns.create(0, "a").unwrap();
+        rns.create_with(0, "coded", Redundancy::Coded { k: 4, m: 2 })
+            .unwrap();
+        let seal = |sealed_chunks| NsOp::RecordSeal {
+            name: "coded".into(),
+            sealed_chunks,
+        };
+        rns.submit(0, &seal(2)).unwrap();
+        let refused = [
+            NsOp::Rename {
+                from: "a".into(),
+                to: String::new(),
+                overwrite: true,
+            },
+            NsOp::Create(rns.lookup_at(0, "a").unwrap()),
+            seal(1),
+        ];
+        for (i, op) in refused.into_iter().enumerate() {
+            let err = rns.submit(0, &op).unwrap_err();
+            assert!(
+                matches!(err, FsError::InvalidArgument(_) | FsError::AlreadyExists(_)),
+                "{op:?}: {err}"
+            );
+            rns.create(1, &format!("after-{i}")).unwrap();
+            let listing = rns.list_at(0);
+            assert_eq!(listing.len(), 3 + i, "{op:?}");
+            assert_eq!(rns.list_at(1), listing, "{op:?}");
+            assert_eq!(rns.list_at(2), listing, "{op:?}");
+        }
+        assert_eq!(rns.lookup_at(2, "coded").unwrap().sealed_chunks, 2);
     }
 
     #[test]

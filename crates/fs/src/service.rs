@@ -1,12 +1,20 @@
 //! The metadata-plane interface clients program against.
 //!
-//! [`Client`](crate::Client) historically talked straight to a single
-//! [`Nameserver`]; the sharded metadata plane (`mayflower-shard`)
-//! introduces routers that spread the namespace over many nameservers
-//! behind a consistent-hash ring. [`MetadataService`] is the seam: it
-//! captures exactly the metadata operations the client and the coded
-//! seal path perform, so a `Client` works identically against one
-//! nameserver, a Paxos group, or a shard router.
+//! A [`Client`](crate::Client) talks to one [`Nameserver`] in the
+//! paper; here the same client may be handed a shard router
+//! (`mayflower-shard`) that spreads the namespace over many
+//! nameservers, plain or Paxos-replicated. [`MetadataService`] is the
+//! seam: exactly the metadata operations the client and the coded seal
+//! path perform.
+//!
+//! What makes a `Client` behave the same over every implementation is
+//! not this trait but that each of them ends in the same
+//! [`Nameserver::apply`] — the one place an op is validated and applied
+//! — and carries [`NsOp`](crate::NsOp)s to it rather than re-deciding
+//! them. That is checked, not assumed: the shard crate's
+//! `tests/conformance.rs` replays one op script against a plain
+//! nameserver, a Paxos group and routers over {1, 4} shards × {plain,
+//! Paxos}, and compares every result and the final listing.
 
 use crate::error::FsError;
 use crate::nameserver::Nameserver;

@@ -47,7 +47,7 @@ fn put(c: &Cluster, name: &str, data: &[u8]) -> mayflower_fs::FileMeta {
     for r in &meta.replicas {
         c.dataserver(*r).create_file(&meta).unwrap();
     }
-    c.append_via_primary(&meta, data).unwrap();
+    c.client(meta.primary()).append(name, data).unwrap();
     c.nameserver().lookup(name).unwrap()
 }
 

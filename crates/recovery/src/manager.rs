@@ -223,7 +223,7 @@ mod tests {
         for r in &meta.replicas {
             c.dataserver(*r).create_file(&meta).unwrap();
         }
-        c.append_via_primary(&meta, data).unwrap();
+        c.client(meta.primary()).append(name, data).unwrap();
         c.nameserver().lookup(name).unwrap()
     }
 

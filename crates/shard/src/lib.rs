@@ -15,11 +15,18 @@
 //!   epoch.
 //! * [`ShardedNameserver`] — the plane: one [`Nameserver`]
 //!   (or Paxos-backed `ReplicatedNameserver`) per shard, with every
-//!   client operation fenced by `(epoch, ownership)` checks.
+//!   client operation fenced by `(epoch, ownership)` checks. The plane
+//!   has no namespace rules of its own: a mutation is an [`NsOp`]
+//!   that `submit_at` hands, once fenced, to the owning shard's
+//!   [`Nameserver::apply`] (through the Paxos log when the shard is
+//!   replicated); `create_with_at` runs that shard's decide step
+//!   first.
 //! * [`ShardRouter`] — the client side: caches the map under a lease,
 //!   implements [`MetadataService`] so a plain
-//!   `Client` works unchanged, and rides out fence rejections with
-//!   refresh-and-retry.
+//!   `Client` works unchanged, builds the op for each call, and rides
+//!   out fence rejections with refresh-and-retry. A rename whose names
+//!   share a shard is one atomic op there; across shards it is
+//!   lookup → displace → create → delete.
 //! * [`Rebalancer`] / [`Handoff`] — online migration: hot-shard
 //!   detection from telemetry, minimal-disruption ring growth, batched
 //!   key streaming scheduled through the flowserver at `Background`
@@ -29,6 +36,8 @@
 //!   [`Cluster`], clients route metadata through per-client routers.
 //!
 //! [`Nameserver`]: mayflower_fs::Nameserver
+//! [`Nameserver::apply`]: mayflower_fs::Nameserver::apply
+//! [`NsOp`]: mayflower_fs::NsOp
 //! [`MetadataService`]: mayflower_fs::MetadataService
 //! [`Cluster`]: mayflower_fs::Cluster
 

@@ -3,7 +3,10 @@
 //!
 //! [`ShardedNameserver`] owns a set of shards (each a plain
 //! [`Nameserver`] or a Paxos-backed [`ReplicatedNameserver`]), the
-//! authoritative [`ShardMap`], and its materialized ring. Every
+//! authoritative [`ShardMap`], and its materialized ring. It decides
+//! *where* an op runs, never *whether* it is allowed: a shard offers
+//! decide, submit, lookup, list and count, and `submit` is the owning
+//! nameserver's [`Nameserver::apply`] on the [`NsOp`] as given. Every
 //! client-path operation arrives stamped with the shard the caller
 //! believes owns the key **and** the map epoch that belief came from;
 //! the plane rejects the call with [`ShardError::StaleMap`] or
@@ -21,7 +24,7 @@ use std::sync::Arc;
 
 use mayflower_fs::nameserver::NameserverConfig;
 use mayflower_fs::replicated::ReplicatedNameserver;
-use mayflower_fs::{FileMeta, FsError, Nameserver, Redundancy};
+use mayflower_fs::{FileMeta, FsError, Nameserver, NsOp, Redundancy};
 use mayflower_net::{HostId, Topology};
 use mayflower_telemetry::{Counter, Scope};
 use parking_lot::Mutex;
@@ -45,7 +48,9 @@ pub struct ShardPlaneConfig {
     /// nameserver; `None` uses a plain single-node nameserver per
     /// shard.
     pub paxos_replicas: Option<usize>,
-    /// Seed for per-shard placement randomness (and Paxos schedules).
+    /// Seed for the Paxos message schedules of replicated shards
+    /// (ids and placement come from `nameserver.seed`, whatever the
+    /// backend).
     pub seed: u64,
 }
 
@@ -112,17 +117,20 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    pub(crate) fn create_with(&self, name: &str, r: Redundancy) -> Result<FileMeta, FsError> {
+    /// The decide step of a create (see [`Nameserver::decide`]).
+    pub(crate) fn decide(&self, name: &str, r: Redundancy) -> Result<FileMeta, FsError> {
         match &self.backend {
-            ShardBackend::Plain(ns) => ns.create_with(name, r),
-            ShardBackend::Replicated(rns) => rns.lock().create_with(0, name, r),
+            ShardBackend::Plain(ns) => ns.decide(name, r, None),
+            ShardBackend::Replicated(rns) => rns.lock().decide(0, name, r),
         }
     }
 
-    pub(crate) fn create_exact(&self, meta: &FileMeta) -> Result<(), FsError> {
+    /// Validates and applies one namespace op on this shard's state
+    /// machine (see [`Nameserver::apply`]).
+    pub(crate) fn submit(&self, op: &NsOp) -> Result<Option<FileMeta>, FsError> {
         match &self.backend {
-            ShardBackend::Plain(ns) => ns.create_exact(meta),
-            ShardBackend::Replicated(rns) => rns.lock().create_exact(0, meta),
+            ShardBackend::Plain(ns) => ns.apply(op),
+            ShardBackend::Replicated(rns) => rns.lock().submit(0, op),
         }
     }
 
@@ -130,39 +138,6 @@ impl Shard {
         match &self.backend {
             ShardBackend::Plain(ns) => ns.lookup(name),
             ShardBackend::Replicated(rns) => rns.lock().lookup_at(0, name),
-        }
-    }
-
-    pub(crate) fn record_size(&self, name: &str, size: u64) -> Result<(), FsError> {
-        match &self.backend {
-            ShardBackend::Plain(ns) => ns.record_size(name, size),
-            ShardBackend::Replicated(rns) => rns.lock().record_size(0, name, size),
-        }
-    }
-
-    pub(crate) fn record_seal(&self, name: &str, sealed: u64) -> Result<(), FsError> {
-        match &self.backend {
-            ShardBackend::Plain(ns) => ns.record_seal(name, sealed),
-            ShardBackend::Replicated(rns) => rns.lock().record_seal(0, name, sealed),
-        }
-    }
-
-    pub(crate) fn set_fragment(
-        &self,
-        name: &str,
-        index: usize,
-        host: HostId,
-    ) -> Result<(), FsError> {
-        match &self.backend {
-            ShardBackend::Plain(ns) => ns.set_fragment(name, index, host),
-            ShardBackend::Replicated(rns) => rns.lock().set_fragment(0, name, index, host),
-        }
-    }
-
-    pub(crate) fn delete(&self, name: &str) -> Result<FileMeta, FsError> {
-        match &self.backend {
-            ShardBackend::Plain(ns) => ns.delete(name),
-            ShardBackend::Replicated(rns) => rns.lock().delete(0, name),
         }
     }
 
@@ -419,13 +394,13 @@ impl ShardedNameserver {
     }
 
     /// Runs one fenced operation against `shard`: verifies the caller's
-    /// epoch and the shard's ownership of `name` under the read lock,
-    /// then executes.
+    /// epoch and the shard's ownership of every name in `names` under
+    /// the read lock, then executes.
     fn fenced<T>(
         &self,
         shard: ShardId,
         epoch: u64,
-        name: &str,
+        names: (&str, Option<&str>),
         op: impl FnOnce(&Shard) -> Result<T, FsError>,
     ) -> Result<T, ShardError> {
         let st = self.state.read().unwrap();
@@ -436,22 +411,26 @@ impl ShardedNameserver {
                     current_epoch: st.map.epoch,
                 });
             }
-            let owner = st.ring.owner(name);
-            if owner != shard {
-                self.metrics.not_owner.inc();
-                return Err(ShardError::NotOwner { owner });
+            for name in std::iter::once(names.0).chain(names.1) {
+                let owner = st.ring.owner(name);
+                if owner != shard {
+                    self.metrics.not_owner.inc();
+                    return Err(ShardError::NotOwner { owner });
+                }
             }
         }
         let Some(s) = st.shards.get(&shard) else {
             return Err(ShardError::NotOwner {
-                owner: st.ring.owner(name),
+                owner: st.ring.owner(names.0),
             });
         };
         s.ops.inc();
         op(s).map_err(ShardError::Fs)
     }
 
-    /// Fenced create (see [`Nameserver::create_with`]).
+    /// Fenced create (see [`Nameserver::create_with`]): the owning
+    /// shard decides the UUID and placement, then applies the
+    /// [`NsOp::Create`].
     ///
     /// # Errors
     ///
@@ -464,21 +443,27 @@ impl ShardedNameserver {
         name: &str,
         redundancy: Redundancy,
     ) -> Result<FileMeta, ShardError> {
-        self.fenced(shard, epoch, name, |s| s.create_with(name, redundancy))
+        self.fenced(shard, epoch, (name, None), |s| {
+            let meta = s.decide(name, redundancy)?;
+            s.submit(&NsOp::Create(meta.clone()))?;
+            Ok(meta)
+        })
     }
 
-    /// Fenced create of pre-decided metadata (renames, repair splices).
+    /// Fenced namespace op: `shard` validates and applies `op` (see
+    /// [`Nameserver::apply`]) if it owns every name the op touches —
+    /// for a rename, both.
     ///
     /// # Errors
     ///
     /// See [`ShardedNameserver::create_with_at`].
-    pub fn create_exact_at(
+    pub fn submit_at(
         &self,
         shard: ShardId,
         epoch: u64,
-        meta: &FileMeta,
-    ) -> Result<(), ShardError> {
-        self.fenced(shard, epoch, &meta.name, |s| s.create_exact(meta))
+        op: &NsOp,
+    ) -> Result<Option<FileMeta>, ShardError> {
+        self.fenced(shard, epoch, op.names(), |s| s.submit(op))
     }
 
     /// Fenced lookup.
@@ -492,67 +477,7 @@ impl ShardedNameserver {
         epoch: u64,
         name: &str,
     ) -> Result<FileMeta, ShardError> {
-        self.fenced(shard, epoch, name, |s| s.lookup(name))
-    }
-
-    /// Fenced size record.
-    ///
-    /// # Errors
-    ///
-    /// See [`ShardedNameserver::create_with_at`].
-    pub fn record_size_at(
-        &self,
-        shard: ShardId,
-        epoch: u64,
-        name: &str,
-        size: u64,
-    ) -> Result<(), ShardError> {
-        self.fenced(shard, epoch, name, |s| s.record_size(name, size))
-    }
-
-    /// Fenced seal-watermark advance.
-    ///
-    /// # Errors
-    ///
-    /// See [`ShardedNameserver::create_with_at`].
-    pub fn record_seal_at(
-        &self,
-        shard: ShardId,
-        epoch: u64,
-        name: &str,
-        sealed: u64,
-    ) -> Result<(), ShardError> {
-        self.fenced(shard, epoch, name, |s| s.record_seal(name, sealed))
-    }
-
-    /// Fenced fragment re-home.
-    ///
-    /// # Errors
-    ///
-    /// See [`ShardedNameserver::create_with_at`].
-    pub fn set_fragment_at(
-        &self,
-        shard: ShardId,
-        epoch: u64,
-        name: &str,
-        index: usize,
-        host: HostId,
-    ) -> Result<(), ShardError> {
-        self.fenced(shard, epoch, name, |s| s.set_fragment(name, index, host))
-    }
-
-    /// Fenced delete.
-    ///
-    /// # Errors
-    ///
-    /// See [`ShardedNameserver::create_with_at`].
-    pub fn delete_at(
-        &self,
-        shard: ShardId,
-        epoch: u64,
-        name: &str,
-    ) -> Result<FileMeta, ShardError> {
-        self.fenced(shard, epoch, name, |s| s.delete(name))
+        self.fenced(shard, epoch, (name, None), |s| s.lookup(name))
     }
 
     // ---- migration internals (used by crate::rebalance) ----

@@ -24,7 +24,7 @@
 //!    serve-from-old-owner mutant exploits.
 
 use mayflower_flowserver::{Flowserver, Selection};
-use mayflower_fs::{FileMeta, FsError};
+use mayflower_fs::{FileMeta, FsError, NsOp};
 use mayflower_net::HostId;
 use mayflower_simcore::SimTime;
 use serde::{Deserialize, Serialize};
@@ -117,18 +117,16 @@ fn meta_bytes(meta: &FileMeta) -> u64 {
         .unwrap_or(0)
 }
 
-/// Copies `meta` into `dest`, replacing any older copy of the same
-/// name (a previous batch's now-stale version).
+/// Copies `meta` into `dest`, replacing in one step any older copy of
+/// the same name (a previous batch's now-stale version).
 fn upsert(dest: &Shard, meta: &FileMeta) -> Result<(), FsError> {
-    match dest.lookup(&meta.name) {
+    let op = match dest.lookup(&meta.name) {
         Ok(existing) if existing == *meta => return Ok(()),
-        Ok(_) => {
-            dest.delete(&meta.name)?;
-        }
-        Err(FsError::NotFound(_)) => {}
+        Ok(_) => NsOp::Replace(meta.clone()),
+        Err(FsError::NotFound(_)) => NsOp::Create(meta.clone()),
         Err(e) => return Err(e),
-    }
-    dest.create_exact(meta)
+    };
+    dest.submit(&op).map(drop)
 }
 
 /// A stepwise shard handoff (see module docs). Built by
@@ -318,7 +316,7 @@ impl<'a> Handoff<'a> {
                     let from = old_ring.owner(&meta.name);
                     let gone = st.shard(from).is_none_or(|s| s.lookup(&meta.name).is_err());
                     if gone {
-                        dest.delete(&meta.name)?;
+                        dest.submit(&NsOp::Delete(meta.name))?;
                         reconciled += 1;
                     }
                 }
@@ -344,7 +342,8 @@ impl<'a> Handoff<'a> {
             let metas = self.plane.with_shard(from, Shard::list).unwrap_or_default();
             for meta in metas {
                 if self.new_ring.owner(&meta.name) != from {
-                    match self.plane.with_shard(from, |s| s.delete(&meta.name)) {
+                    let delete = NsOp::Delete(meta.name);
+                    match self.plane.with_shard(from, |s| s.submit(&delete)) {
                         Some(Ok(_)) => gced += 1,
                         Some(Err(FsError::NotFound(_))) | None => {}
                         Some(Err(e)) => return Err(e),

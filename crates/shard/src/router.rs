@@ -14,7 +14,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mayflower_fs::{FileMeta, FsError, MetadataService, Redundancy};
+use mayflower_fs::{FileMeta, FsError, MetadataService, NsOp, Redundancy};
 use mayflower_telemetry::trace::{self, TraceHandle};
 use mayflower_telemetry::{Counter, Scope};
 use parking_lot::Mutex;
@@ -171,6 +171,14 @@ impl ShardRouter {
             "shard map churned through every routing retry".into(),
         ))
     }
+
+    /// Sends `op` to the shard that owns the first of the names it
+    /// touches.
+    fn submit(&self, op: &NsOp) -> Result<Option<FileMeta>, FsError> {
+        self.with_route(op.names().0, |shard, epoch| {
+            self.plane.submit_at(shard, epoch, op)
+        })
+    }
 }
 
 impl MetadataService for ShardRouter {
@@ -187,21 +195,38 @@ impl MetadataService for ShardRouter {
     }
 
     fn record_size(&self, name: &str, size: u64) -> Result<(), FsError> {
-        self.with_route(name, |shard, epoch| {
-            self.plane.record_size_at(shard, epoch, name, size)
-        })
+        let op = NsOp::RecordSize {
+            name: name.to_string(),
+            size,
+        };
+        self.submit(&op).map(drop)
     }
 
     fn record_seal(&self, name: &str, sealed_chunks: u64) -> Result<(), FsError> {
-        self.with_route(name, |shard, epoch| {
-            self.plane.record_seal_at(shard, epoch, name, sealed_chunks)
-        })
+        let op = NsOp::RecordSeal {
+            name: name.to_string(),
+            sealed_chunks,
+        };
+        self.submit(&op).map(drop)
     }
 
     fn rename(&self, old: &str, new: &str, overwrite: bool) -> Result<Option<FileMeta>, FsError> {
-        // `old` and `new` usually hash to different shards, so a rename
+        if self.route(old).0 == self.route(new).0 {
+            // One shard owns both names — always so for `old == new` —
+            // and renames atomically under every guard of the rule
+            // book. A handoff that splits the two names mid-call is
+            // fenced off by the plane and surfaces as `Unavailable`; a
+            // retry then takes the cross-shard path below.
+            let op = NsOp::Rename {
+                from: old.to_string(),
+                to: new.to_string(),
+                overwrite,
+            };
+            return self.submit(&op);
+        }
+        // `old` and `new` live on different shards, so the rename
         // decomposes into lookup(old) → displace(new) → create(new) →
-        // delete(old). Unlike the single-nameserver rename this is not
+        // delete(old). Unlike the single-shard rename this is not
         // atomic: a concurrent reader can observe both names (never
         // neither — the new entry lands before the old one is removed).
         let meta = self.lookup(old)?;
@@ -218,17 +243,14 @@ impl MetadataService for ShardRouter {
         };
         let mut moved = meta;
         moved.name = new.to_string();
-        self.with_route(new, |shard, epoch| {
-            self.plane.create_exact_at(shard, epoch, &moved)
-        })?;
+        self.submit(&NsOp::Create(moved))?;
         self.delete(old)?;
         Ok(displaced)
     }
 
     fn delete(&self, name: &str) -> Result<FileMeta, FsError> {
-        self.with_route(name, |shard, epoch| {
-            self.plane.delete_at(shard, epoch, name)
-        })
+        self.submit(&NsOp::Delete(name.to_string()))?
+            .ok_or_else(|| FsError::NotFound(name.to_string()))
     }
 }
 

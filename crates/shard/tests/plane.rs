@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use mayflower_flowserver::{Flowserver, FlowserverConfig, Selection};
 use mayflower_fs::nameserver::NameserverConfig;
-use mayflower_fs::{ClusterConfig, FsError, MetadataService};
+use mayflower_fs::{ClusterConfig, FsError, MetadataService, NsOp, Redundancy};
 use mayflower_net::{Topology, TreeParams};
 use mayflower_shard::{
     migrate, FlowserverScheduler, Handoff, RebalanceConfig, Rebalancer, ShardError,
@@ -206,10 +206,18 @@ fn flip_reconciles_writes_that_raced_the_bulk_copy() {
     let deleted = &moving[0];
     let resized = &moving[1];
     plane
-        .delete_at(ring.owner(deleted), map.epoch, deleted)
+        .submit_at(
+            ring.owner(deleted),
+            map.epoch,
+            &NsOp::Delete(deleted.clone()),
+        )
         .unwrap();
+    let resize = NsOp::RecordSize {
+        name: resized.clone(),
+        size: 4096,
+    };
     plane
-        .record_size_at(ring.owner(resized), map.epoch, resized, 4096)
+        .submit_at(ring.owner(resized), map.epoch, &resize)
         .unwrap();
 
     handoff.flip().unwrap();
@@ -403,4 +411,132 @@ fn rename_across_shards_moves_the_entry() {
     assert!(displaced.is_some());
     assert_eq!(router.lookup("third").unwrap().size, 77);
     assert_eq!(plane.file_count(), 1);
+}
+
+/// A sharded deployment whose files have 16-byte chunks (the shards'
+/// own nameserver settings decide that, not the data-path cluster's).
+fn small_sharded_cluster(dir: &TempDir, paxos_replicas: Option<usize>) -> ShardedCluster {
+    ShardedCluster::create(
+        &dir.0,
+        small_topo(),
+        ClusterConfig::default(),
+        ShardPlaneConfig {
+            shards: 4,
+            vnodes: 32,
+            paxos_replicas,
+            nameserver: NameserverConfig {
+                chunk_size: 16,
+                ..NameserverConfig::default()
+            },
+            ..ShardPlaneConfig::default()
+        },
+    )
+    .unwrap()
+}
+
+/// A self-rename must reach the nameserver's self-rename guard. The
+/// cross-shard decomposition has none: it would displace the name by
+/// itself and lose the entry — and, once the client garbage-collects
+/// the "displaced" file, its bytes.
+#[test]
+fn self_rename_through_a_sharded_client_keeps_the_file_and_its_bytes() {
+    let dir = TempDir::new("self-rename");
+    let sc = small_sharded_cluster(&dir, None);
+    let mut client = sc.client(small_topo().hosts()[0]);
+    client.create("a").unwrap();
+    client.append("a", b"still here").unwrap();
+    client.rename("a", "a").unwrap();
+    assert_eq!(client.read("a").unwrap(), b"still here");
+    assert_eq!(sc.plane().file_count(), 1);
+}
+
+#[test]
+fn same_shard_rename_is_one_op_under_the_nameserver_rules() {
+    let dir = TempDir::new("rename-same");
+    let (plane, reg) = open_plane(&dir, 4);
+    let router = ShardRouter::new(plane.clone(), &reg.scope("shard_router"));
+    let ring = plane.shard_map().ring();
+    // Three names one shard owns, and one it does not.
+    let home = ring.owner("n0");
+    let mut here = (0..)
+        .map(|i| format!("n{i}"))
+        .filter(|n| ring.owner(n) == home);
+    let (a, b, c) = (
+        here.next().unwrap(),
+        here.next().unwrap(),
+        here.next().unwrap(),
+    );
+    let away = (0..)
+        .map(|i| format!("m{i}"))
+        .find(|n| ring.owner(n) != home)
+        .unwrap();
+
+    let created = router.create_with(&a, Default::default()).unwrap();
+    router.record_size(&a, 7).unwrap();
+    let routed = reg.scope("shard_router").counter("routed_ops_total");
+    let before = routed.get();
+    assert!(router.rename(&a, &b, false).unwrap().is_none());
+    assert_eq!(routed.get(), before + 1, "one routed op, not four");
+    assert!(matches!(router.lookup(&a), Err(FsError::NotFound(_))));
+    let moved = router.lookup(&b).unwrap();
+    assert_eq!((moved.id, moved.size), (created.id, 7));
+
+    // Overwrite: refused without the flag, displaced with it.
+    let other = router.create_with(&c, Default::default()).unwrap();
+    assert!(matches!(
+        router.rename(&b, &c, false),
+        Err(FsError::AlreadyExists(_))
+    ));
+    assert_eq!(router.rename(&b, &c, true).unwrap(), Some(other));
+    assert_eq!(router.lookup(&c).unwrap().id, created.id);
+    // Guards only the nameserver has.
+    assert!(matches!(
+        router.rename(&c, "", true),
+        Err(FsError::InvalidArgument(_))
+    ));
+    assert!(router.rename(&c, &c, true).unwrap().is_none());
+    assert_eq!(plane.file_count(), 1);
+
+    // Across shards the entry still moves, through the decomposition.
+    let before = routed.get();
+    assert!(router.rename(&c, &away, false).unwrap().is_none());
+    assert!(routed.get() > before + 1);
+    assert_eq!(router.lookup(&away).unwrap().id, created.id);
+    assert!(matches!(router.lookup(&c), Err(FsError::NotFound(_))));
+    assert_eq!(plane.file_count(), 1);
+
+    // A rename handed to a shard that owns only one of its names is
+    // fenced off, not half-applied.
+    let map = plane.shard_map();
+    let split = NsOp::Rename {
+        from: away.clone(),
+        to: a.clone(),
+        overwrite: false,
+    };
+    assert!(matches!(
+        plane.submit_at(ring.owner(&away), map.epoch, &split),
+        Err(ShardError::NotOwner { owner }) if owner == home
+    ));
+    assert!(router.lookup(&away).is_ok());
+}
+
+/// A Paxos-backed shard decides a create with the same code a plain
+/// one does, the coded half included.
+#[test]
+fn coded_files_create_and_seal_on_paxos_backed_shards() {
+    let dir = TempDir::new("paxos-coded");
+    let sc = small_sharded_cluster(&dir, Some(3));
+    let hosts = small_topo().hosts();
+    let mut writer = sc.client(hosts[0]);
+    let policy = Redundancy::Coded { k: 4, m: 2 };
+    let meta = writer.create_with("coded/log", policy).unwrap();
+    assert_eq!(meta.fragments.len(), 6);
+    let payload: Vec<u8> = (0..40u8).collect(); // 2.5 chunks of 16 bytes
+    writer.append("coded/log", &payload).unwrap();
+
+    let mut reader = sc.client(hosts[5]);
+    assert_eq!(reader.read("coded/log").unwrap(), payload);
+    let sealed = reader.meta("coded/log").unwrap();
+    assert_eq!(sealed.sealed_chunks, 2, "both complete chunks sealed");
+    assert_eq!(sealed.redundancy, policy);
 }

@@ -141,7 +141,8 @@ fn build_cluster(
             *b = ((spec.rank as u64 + i as u64) & 0xFF) as u8;
         }
         cluster
-            .append_via_primary(&meta, &payload)
+            .client(meta.primary())
+            .append(&name, &payload)
             .expect("append succeeds");
         metas.push(cluster.nameserver().lookup(&name).expect("just created"));
     }

@@ -205,7 +205,9 @@ pub fn run_recovery_chaos(
             cluster.dataserver(*r).create_file(&meta)?;
             replica_hosts.insert(*r);
         }
-        cluster.append_via_primary(&meta, &payload(i))?;
+        cluster
+            .client(meta.primary())
+            .append(&meta.name, &payload(i))?;
     }
     let replica_hosts: Vec<HostId> = replica_hosts.into_iter().collect();
 

@@ -10,8 +10,6 @@
 //! * [`Counter`] / [`Gauge`] — lock-free atomic scalars.
 //! * [`Histogram`] — log2-bucketed distribution with deterministic
 //!   p50/p95/p99 extraction; records latencies, sizes, or costs.
-//! * [`Span`] — a scoped wall-clock timer that records into a
-//!   histogram on drop.
 //! * [`Registry`] / [`Scope`] — hierarchical metric registration and
 //!   byte-deterministic snapshot rendering as Prometheus text format
 //!   and JSON.
@@ -27,9 +25,9 @@
 //! fixed integer formatting. A registry fed only deterministic values
 //! (e.g. simulation time) therefore renders **byte-identical**
 //! snapshots across runs — the property `tests/determinism.rs`
-//! asserts for fixed-seed simulations. Wall-clock spans are reserved
-//! for the live filesystem/RPC layers, which are never part of a
-//! simulation snapshot.
+//! asserts for fixed-seed simulations. Wall-clock durations are
+//! recorded only by the live filesystem/RPC layers, which are never
+//! part of a simulation snapshot.
 //!
 //! # Example
 //!
@@ -48,12 +46,10 @@
 
 pub mod metrics;
 pub mod registry;
-pub mod span;
 pub mod trace;
 
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, BUCKETS};
 pub use registry::{MetricId, Registry, Scope, Snapshot, SnapshotEntry, SnapshotValue};
-pub use span::Span;
 pub use trace::{
     ActiveSpan, CriticalHop, FlightRecorder, SpanEvent, SpanId, TraceHandle, TraceId, TraceTree,
     Tracer,

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use mayflower::fs::nameserver::NameserverConfig;
 use mayflower::fs::replicated::ReplicatedNameserver;
-use mayflower::fs::FsError;
+use mayflower::fs::{FsError, NsOp};
 use mayflower::net::{Topology, TreeParams};
 
 fn main() -> Result<(), FsError> {
@@ -37,13 +37,31 @@ fn main() -> Result<(), FsError> {
         println!("  node {node} sees uuid {}", seen.id);
     }
 
-    ns.record_size(1, "warehouse/events.log", 1 << 28)?;
+    // Every other mutation is an `NsOp` submitted at a node; what comes
+    // back is what that node's nameserver answered when it applied it.
+    let grow = NsOp::RecordSize {
+        name: "warehouse/events.log".into(),
+        size: 1 << 28,
+    };
+    ns.submit(1, &grow)?;
     println!("\nsize recorded via node 1:");
     for node in 0..3 {
         println!(
             "  node {node} sees size {} bytes",
             ns.lookup_at(node, "warehouse/events.log")?.size
         );
+    }
+
+    // An op the namespace's rules refuse is refused the same way on
+    // every node, changes none of them, and the log moves on.
+    let nowhere = NsOp::Rename {
+        from: "warehouse/events.log".into(),
+        to: String::new(),
+        overwrite: true,
+    };
+    match ns.submit(2, &nowhere) {
+        Err(e @ FsError::InvalidArgument(_)) => println!("\nrename to \"\" refused: {e}"),
+        other => panic!("expected a refusal, got {other:?}"),
     }
 
     // Node 0 (the node clients created through) crashes.
@@ -66,7 +84,11 @@ fn main() -> Result<(), FsError> {
     // Recovery: node 0 returns and catches up from the log.
     println!("\n*** restart node 0 ***");
     ns.restart(0);
-    ns.record_size(2, "warehouse/retries.log", 4096)?;
+    let grow = NsOp::RecordSize {
+        name: "warehouse/retries.log".into(),
+        size: 4096,
+    };
+    ns.submit(2, &grow)?;
     let caught_up = ns.lookup_at(0, "warehouse/retries.log")?;
     println!(
         "node 0 caught up: {} is {} bytes (learned the ops it missed)",

@@ -181,7 +181,10 @@ fn nameserver_over_tcp_serves_a_real_cluster() {
     for r in &meta.replicas {
         cluster.dataserver(*r).create_file(&meta).unwrap();
     }
-    cluster.append_via_primary(&meta, b"over the wire").unwrap();
+    cluster
+        .client(meta.primary())
+        .append("tcp/data", b"over the wire")
+        .unwrap();
     assert_eq!(remote.lookup("tcp/data").unwrap().size, 13);
 
     let (data, size) = cluster
