@@ -65,6 +65,13 @@ echo "==> causal tracing: telemetry suite + trace determinism/well-formedness (r
 cargo test --release -q -p mayflower-telemetry
 cargo test --release -q --test trace_determinism
 
+echo "==> simulated fabric: driver, engine and experiment unit suites, engine chaos, figures CLI (release)"
+# No flow, cookie or Flowserver model entry outlives a run (fault-free or
+# through the abort path), the consistency and write-placement runs poll
+# for real, each timeline arm equals a bare FluidNet drain, and a
+# mistyped `figures` invocation is a usage error the next stage can trust.
+cargo test --release -q -p mayflower-sim --lib --test engine_chaos --test figures_cli
+
 echo "==> figures: every regenerated figure matches results/ (release; wall-clock column masked)"
 # The simulator, the Figure 8 prototype and the recovery experiment are
 # deterministic, so a change that is meant to keep behaviour must
@@ -82,6 +89,20 @@ sed -i -E -e '/"mean_decision_us":/d' -e '/μs\/job \(wall\)/,/^$/ s/ +[^ ]+$//'
   "$figs"/{got,want}/scale.json "$figs"/{got,want}/full_run.txt
 diff -r "$figs/want" "$figs/got"
 
+echo "==> one fabric loop: only sim::driver builds a FluidNet or keys a map by FlowId; no private fair-share model"
+# Non-test code only (loc.sh's cut at the first test module): tests may
+# build a bare FluidNet as an oracle. A hit means an experiment has gone
+# back to driving the network beside the Flowserver on its own.
+if ./loc.sh --lines crates/sim/src | grep -v '^crates/sim/src/driver\.rs:' |
+  grep -E 'FluidNet::new|HashMap<FlowId'; then
+  echo "crates/sim: drive the fabric through sim::driver::Driver" >&2
+  exit 1
+fi
+if grep -rn --include='*.rs' fair_bandwidths crates src tests examples benchmark/src; then
+  echo "flow rates come from simnet or net::fairshare, nothing else" >&2
+  exit 1
+fi
+
 echo "==> benchmark/ package: builds against the current API, own tests pass (read-only use)"
 # benchmark/ is a standalone workspace the root build never compiles;
 # without this gate a renamed API it pins stays green until the
@@ -97,4 +118,4 @@ echo "==> no gate rewrote a tracked file"
 # build that refreshes a lock file) and fails the gate.
 git diff --exit-code && test -z "$(git status --porcelain --untracked-files=no)"
 
-echo "==> ci.sh: all green"
+echo "==> ci.sh: all green ($(./loc.sh | tail -n 1 | xargs))"

@@ -27,7 +27,7 @@ use mayflower_simcore::SimRng;
 use mayflower_workload::{LocalityDist, TrafficMatrix, WorkloadParams};
 use serde::{Deserialize, Serialize};
 
-use crate::engine::{replay_with_options, JobRecord, NoHooks, ReplayOptions};
+use crate::engine::{remote_durations, replay_full, NoHooks, ReplayOptions};
 use crate::figures::Effort;
 use crate::stats::Summary;
 use crate::strategy::Strategy;
@@ -57,20 +57,16 @@ fn run_variant(
     seed: u64,
 ) -> Summary {
     let mut rng = SimRng::seed_from(seed);
-    let records = replay_with_options(
+    let records = replay_full(
         topo,
         matrix,
         Strategy::Mayflower,
         opts,
         &mut rng,
         &mut NoHooks,
-    );
-    let durations: Vec<f64> = records
-        .iter()
-        .filter(|j| !j.local)
-        .map(JobRecord::duration_secs)
-        .collect();
-    Summary::of(&durations)
+    )
+    .jobs;
+    Summary::of(&remote_durations(&records))
 }
 
 /// Runs the full ablation on the rack-heavy workload at a load high

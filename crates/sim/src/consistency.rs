@@ -17,17 +17,15 @@
 //! replica choice entirely — the worst case; at 16 chunks only 1/16 of
 //! the bytes are pinned.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use mayflower_flowserver::{Flowserver, FlowserverConfig};
 use mayflower_net::{Topology, TreeParams};
-use mayflower_sdn::FlowCookie;
-use mayflower_simcore::{EventQueue, SimRng, SimTime};
-use mayflower_simnet::{FlowId, FluidNet};
-use mayflower_workload::{TrafficMatrix, WorkloadParams};
+use mayflower_simcore::{SimRng, SimTime};
+use mayflower_workload::{ReadJob, TrafficMatrix, WorkloadParams};
 use serde::{Deserialize, Serialize};
 
+use crate::driver::Driver;
 use crate::figures::Effort;
 use crate::stats::Summary;
 
@@ -71,12 +69,6 @@ pub struct ConsistencyExperiment {
 
 const CHUNK_BITS: f64 = 256.0 * 8e6;
 
-#[derive(Debug, Clone, Copy)]
-enum Event {
-    Arrival(usize),
-    Poll,
-}
-
 /// Runs the sweep over 1-, 4- and 16-chunk files.
 #[must_use]
 pub fn consistency_experiment(effort: Effort, seed: u64) -> ConsistencyExperiment {
@@ -100,7 +92,8 @@ pub fn consistency_experiment(effort: Effort, seed: u64) -> ConsistencyExperimen
         let mut rng = SimRng::seed_from(seed);
         let matrix = TrafficMatrix::generate(&topo, &params, &mut rng);
         for mode in [Mode::Sequential, Mode::Strong] {
-            let durations = run_mode(&topo, &matrix, chunks, mode);
+            let fs = Flowserver::new(topo.clone(), FlowserverConfig::default());
+            let durations = run_mode(&mut Driver::new(&topo, Some(fs)), &matrix, mode);
             points.push(ConsistencyPoint {
                 chunks,
                 mode,
@@ -111,92 +104,42 @@ pub fn consistency_experiment(effort: Effort, seed: u64) -> ConsistencyExperimen
     ConsistencyExperiment { points }
 }
 
-fn run_mode(topo: &Arc<Topology>, matrix: &TrafficMatrix, chunks: u64, mode: Mode) -> Vec<f64> {
-    let mut net = FluidNet::new(topo.clone());
-    let mut fs = Flowserver::new(topo.clone(), FlowserverConfig::default());
-    let mut queue: EventQueue<Event> = EventQueue::new();
-    for job in &matrix.jobs {
-        queue.schedule(job.arrival, Event::Arrival(job.id));
-    }
-    queue.schedule(SimTime::from_secs(1.0), Event::Poll);
-
-    let total = matrix.jobs.len();
-    let mut pending = vec![0usize; total];
-    let mut finish = vec![SimTime::ZERO; total];
-    let mut local = vec![false; total];
-    let mut flow_to_job: HashMap<FlowId, usize> = HashMap::new();
-    let mut flow_to_cookie: HashMap<FlowId, FlowCookie> = HashMap::new();
-    let mut done = 0usize;
-
-    while done < total {
-        let next_event = queue.peek_time().unwrap_or(SimTime::MAX);
-        let next_completion = net.next_completion_time();
-        let t = next_event.min(next_completion);
-        for c in net.advance_to(t) {
-            let job = flow_to_job.remove(&c.flow).expect("flow has a job");
-            if let Some(cookie) = flow_to_cookie.remove(&c.flow) {
-                fs.flow_completed(cookie);
-            }
-            pending[job] -= 1;
-            if pending[job] == 0 {
-                finish[job] = c.at;
-                done += 1;
-            }
+/// Replays `matrix` under `mode` on `driver` (an idle fabric with a
+/// Flowserver) and returns the remote reads' completion times.
+fn run_mode(driver: &mut Driver, matrix: &TrafficMatrix, mode: Mode) -> Vec<f64> {
+    let is_local = |job: &ReadJob| matrix.replicas_of(job).contains(&job.client);
+    let arrivals: Vec<SimTime> = matrix.jobs.iter().map(|job| job.arrival).collect();
+    let finish = driver.run_arrivals(&arrivals, |fs, id, t| {
+        let job = &matrix.jobs[id];
+        if is_local(job) {
+            return Vec::new();
         }
-        if next_completion <= next_event {
-            continue;
+        let replicas = matrix.replicas_of(job);
+        let size = matrix.size_of(job);
+        let last_chunk_bits = CHUNK_BITS.min(size);
+        let free_bits = size
+            - if mode == Mode::Strong {
+                last_chunk_bits
+            } else {
+                0.0
+            };
+        let mut assignments = Vec::new();
+        if free_bits > 0.0 {
+            let sel = fs.select_replica_path(job.client, replicas, free_bits, t);
+            assignments.extend(sel.assignments().iter().cloned());
         }
-        let Some((t, ev)) = queue.pop() else {
-            unreachable!("stalled with {done}/{total} done");
-        };
-        match ev {
-            Event::Poll => {
-                if done < total {
-                    queue.schedule(t + SimTime::from_secs(1.0), Event::Poll);
-                }
-            }
-            Event::Arrival(id) => {
-                let job = &matrix.jobs[id];
-                let replicas = matrix.replicas_of(job);
-                if replicas.contains(&job.client) {
-                    finish[id] = t;
-                    local[id] = true;
-                    done += 1;
-                    continue;
-                }
-                let size = matrix.size_of(job);
-                let last_chunk_bits = CHUNK_BITS.min(size);
-                let free_bits = size
-                    - if mode == Mode::Strong {
-                        last_chunk_bits
-                    } else {
-                        0.0
-                    };
-                let mut assignments = Vec::new();
-                if free_bits > 0.0 {
-                    let sel = fs.select_replica_path(job.client, replicas, free_bits, t);
-                    assignments.extend(sel.assignments().iter().cloned());
-                }
-                if mode == Mode::Strong {
-                    let primary = replicas[0];
-                    let sel = fs.select_path_for_replica(job.client, primary, last_chunk_bits, t);
-                    assignments.extend(sel.assignments().iter().cloned());
-                }
-                debug_assert!(!assignments.is_empty());
-                let _ = chunks;
-                pending[id] = assignments.len();
-                for a in assignments {
-                    let fid = net.add_flow(a.path.clone(), a.size_bits, t);
-                    flow_to_job.insert(fid, id);
-                    flow_to_cookie.insert(fid, a.cookie);
-                }
-            }
+        if mode == Mode::Strong {
+            let primary = replicas[0];
+            let sel = fs.select_path_for_replica(job.client, primary, last_chunk_bits, t);
+            assignments.extend(sel.assignments().iter().cloned());
         }
-    }
+        debug_assert!(!assignments.is_empty());
+        assignments
+    });
 
-    (0..total)
-        .filter(|j| !local[*j])
-        .map(|j| finish[j].secs_since(matrix.jobs[j].arrival))
+    let remote = matrix.jobs.iter().filter(|job| !is_local(job));
+    remote
+        .map(|job| finish[job.id].secs_since(job.arrival))
         .collect()
 }
 
@@ -273,6 +216,36 @@ mod tests {
             "large-file strong consistency should be cheap: {:+.1}%",
             overhead(16) * 100.0
         );
+    }
+
+    #[test]
+    fn the_flowserver_is_polled_every_second_and_forgets_every_flow() {
+        let topo = Arc::new(Topology::three_tier(&TreeParams::paper_testbed()));
+        let params = WorkloadParams {
+            job_count: 60,
+            file_count: 40,
+            file_size_bits: 4.0 * CHUNK_BITS,
+            lambda_per_server: 0.07 / 4.0,
+            ..WorkloadParams::default()
+        };
+        let matrix = TrafficMatrix::generate(&topo, &params, &mut SimRng::seed_from(17));
+        for mode in [Mode::Sequential, Mode::Strong] {
+            let registry = mayflower_telemetry::Registry::new();
+            let mut fs = Flowserver::new(topo.clone(), FlowserverConfig::default());
+            fs.attach_metrics(&registry);
+            let mut driver = Driver::new(&topo, Some(fs));
+            let durations = run_mode(&mut driver, &matrix, mode);
+            assert!(!durations.is_empty());
+            assert!(driver.is_idle(), "{mode:?}: flows or cookies leaked");
+            // The run ends at its last completion; every whole second
+            // before that saw one real stats poll.
+            let makespan = driver.net().now().as_secs();
+            let polls = registry.snapshot().counter("flowserver_polls_total");
+            assert!(
+                polls >= Some(makespan.floor() as u64) && polls > Some(0),
+                "{mode:?}: {polls:?} polls over {makespan} s"
+            );
+        }
     }
 
     #[test]

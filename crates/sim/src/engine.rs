@@ -6,14 +6,16 @@ use std::sync::Arc;
 
 use mayflower_baselines::hedera::{estimate_demands, Hedera, HederaFlow};
 use mayflower_baselines::{nearest_replica, SinbadR};
-use mayflower_flowserver::{Flowserver, FlowserverConfig};
+use mayflower_flowserver::{Flowserver, FlowserverConfig, Selection};
 use mayflower_net::{ecmp_path, FlowKey, HostId, LinkId, Path, Topology};
-use mayflower_sdn::{BlackoutCounters, CounterSource, FlowCookie};
+use mayflower_sdn::FlowCookie;
 use mayflower_simcore::{EventQueue, FaultSchedule, SimRng, SimTime};
-use mayflower_simnet::{FlowCompletion, FlowId, FluidNet};
-use mayflower_workload::TrafficMatrix;
+use mayflower_simnet::{FlowCompletion, FlowId};
+use mayflower_telemetry::Registry;
+use mayflower_workload::{ReadJob, TrafficMatrix};
 use serde::{Deserialize, Serialize};
 
+use crate::driver::Driver;
 use crate::faults::{
     self, AppliedFault, DegradedDecision, FaultAction, FaultReport, FlowAbort, JobRetry, MissedPoll,
 };
@@ -46,24 +48,6 @@ impl JobRecord {
     }
 }
 
-/// Adapter exposing the fluid simulator's counters to the SDN control
-/// plane under the controller's own flow identifiers.
-struct FabricCounters<'a> {
-    net: &'a FluidNet,
-    cookie_to_flow: &'a HashMap<FlowCookie, FlowId>,
-}
-
-impl CounterSource for FabricCounters<'_> {
-    fn port_bits(&self, link: LinkId) -> f64 {
-        self.net.link_bits(link)
-    }
-    fn flow_bits(&self, cookie: FlowCookie) -> Option<f64> {
-        self.cookie_to_flow
-            .get(&cookie)
-            .and_then(|f| self.net.flow_bits(*f))
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 enum Event {
     Arrival(usize),
@@ -83,11 +67,11 @@ enum Event {
 /// charging transfer *time* through the fluid network model.
 pub trait JobHooks {
     /// A job arrived (before replica selection).
-    fn on_arrival(&mut self, job: &mayflower_workload::ReadJob) {
+    fn on_arrival(&mut self, job: &ReadJob) {
         let _ = job;
     }
     /// A replica was assigned `bytes` of the job's read.
-    fn on_assignment(&mut self, job: &mayflower_workload::ReadJob, replica: HostId, bytes: f64) {
+    fn on_assignment(&mut self, job: &ReadJob, replica: HostId, bytes: f64) {
         let _ = (job, replica, bytes);
     }
 }
@@ -127,6 +111,25 @@ impl Default for ReplayOptions {
     }
 }
 
+/// Everything one replay produced.
+#[derive(Debug)]
+pub struct ReplayOutput {
+    /// Per-job records, in job order.
+    pub jobs: Vec<JobRecord>,
+    /// Cumulative bits carried per directed link — the raw material
+    /// for hotspot/utilization analysis.
+    pub link_bits: HashMap<LinkId, f64>,
+    /// Every fault applied and every degraded-mode decision taken
+    /// (empty on a fault-free run).
+    pub fault_report: FaultReport,
+    /// The run's telemetry. Every layer under the engine — the
+    /// Flowserver, Sinbad's monitor, and the engine itself — homes its
+    /// metrics here, and all recorded values are sim-time- or
+    /// model-derived, so the snapshot renders to identical bytes across
+    /// runs with the same seed.
+    pub registry: Registry,
+}
+
 /// Replays `matrix` on `topo` under `strategy` and returns the per-job
 /// records in job order.
 ///
@@ -145,61 +148,11 @@ pub fn replay(
         poll_interval_secs,
         ..ReplayOptions::default()
     };
-    replay_with_options(topo, matrix, strategy, &opts, rng, &mut NoHooks)
+    replay_full(topo, matrix, strategy, &opts, rng, &mut NoHooks).jobs
 }
 
-/// [`replay`] with [`JobHooks`] attached — see the trait docs.
-pub fn replay_with_hooks(
-    topo: &Arc<Topology>,
-    matrix: &TrafficMatrix,
-    strategy: Strategy,
-    poll_interval_secs: f64,
-    rng: &mut SimRng,
-    hooks: &mut dyn JobHooks,
-) -> Vec<JobRecord> {
-    let opts = ReplayOptions {
-        poll_interval_secs,
-        ..ReplayOptions::default()
-    };
-    replay_with_options(topo, matrix, strategy, &opts, rng, hooks)
-}
-
-/// [`replay`] that also returns the cumulative bits carried per
-/// directed link — the raw material for hotspot/utilization analysis.
-pub fn replay_with_usage(
-    topo: &Arc<Topology>,
-    matrix: &TrafficMatrix,
-    strategy: Strategy,
-    poll_interval_secs: f64,
-    rng: &mut SimRng,
-) -> (Vec<JobRecord>, HashMap<LinkId, f64>) {
-    let opts = ReplayOptions {
-        poll_interval_secs,
-        ..ReplayOptions::default()
-    };
-    let (jobs, usage, _, _) = replay_inner(topo, matrix, strategy, &opts, rng, &mut NoHooks);
-    (jobs, usage)
-}
-
-/// The fully-parameterized engine: [`replay`] plus hooks plus the
-/// Flowserver ablation/tuning options.
-pub fn replay_with_options(
-    topo: &Arc<Topology>,
-    matrix: &TrafficMatrix,
-    strategy: Strategy,
-    opts: &ReplayOptions,
-    rng: &mut SimRng,
-    hooks: &mut dyn JobHooks,
-) -> Vec<JobRecord> {
-    replay_inner(topo, matrix, strategy, opts, rng, hooks).0
-}
-
-/// [`replay_with_options`] that also returns the fault report and the
-/// run's telemetry registry. Every layer under the engine — the
-/// Flowserver, Sinbad's monitor, and the engine itself — homes its
-/// metrics there, and all recorded values are sim-time- or
-/// model-derived, so the registry's snapshot renders to identical
-/// bytes across runs with the same seed.
+/// [`replay_full`] narrowed to the records, the fault report and the
+/// telemetry registry.
 pub fn replay_with_telemetry(
     topo: &Arc<Topology>,
     matrix: &TrafficMatrix,
@@ -207,146 +160,45 @@ pub fn replay_with_telemetry(
     opts: &ReplayOptions,
     rng: &mut SimRng,
     hooks: &mut dyn JobHooks,
-) -> (Vec<JobRecord>, FaultReport, mayflower_telemetry::Registry) {
-    let (jobs, _, report, registry) = replay_inner(topo, matrix, strategy, opts, rng, hooks);
-    (jobs, report, registry)
+) -> (Vec<JobRecord>, FaultReport, Registry) {
+    let out = replay_full(topo, matrix, strategy, opts, rng, hooks);
+    (out.jobs, out.fault_report, out.registry)
 }
 
-/// [`replay`] under a fault schedule (`opts.faults`): injects the
-/// compiled faults, drives the abort-and-retry recovery machinery, and
-/// returns the per-job records together with the [`FaultReport`] of
-/// every degraded-mode decision. Same seed + same schedule ⇒
-/// byte-identical records and report.
-pub fn replay_with_faults(
+/// The fully-parameterized engine: [`replay`] plus [`JobHooks`], the
+/// Flowserver ablation/tuning options and a fault schedule
+/// (`opts.faults`), whose compiled faults drive the abort-and-retry
+/// recovery machinery. Same seed + same schedule ⇒ byte-identical
+/// output.
+pub fn replay_full(
     topo: &Arc<Topology>,
     matrix: &TrafficMatrix,
     strategy: Strategy,
     opts: &ReplayOptions,
     rng: &mut SimRng,
-) -> (Vec<JobRecord>, FaultReport) {
-    let (jobs, _, report, _) = replay_inner(topo, matrix, strategy, opts, rng, &mut NoHooks);
-    (jobs, report)
+    hooks: &mut dyn JobHooks,
+) -> ReplayOutput {
+    let mut run = Run::new(topo, matrix, strategy, opts);
+    run.execute(rng, hooks);
+    run.finish()
 }
 
-/// Marks a cause for `link` being down, severing it on the first
-/// cause: the data plane zeroes its capacity and the Flowserver gets
-/// the OpenFlow-style port-status notification.
-fn sever_link(
-    link: LinkId,
-    causes: &mut BTreeMap<LinkId, u32>,
-    down_links: &mut BTreeSet<LinkId>,
-    net: &mut FluidNet,
-    flowserver: &mut Option<Flowserver>,
-) {
-    let c = causes.entry(link).or_insert(0);
-    *c += 1;
-    if *c == 1 {
-        down_links.insert(link);
-        net.set_link_up(link, false);
-        if let Some(fs) = flowserver.as_mut() {
-            fs.set_link_state(link, false);
-        }
-    }
+/// One subflow to admit: source replica, route, bits, and the
+/// Flowserver's cookie if it scheduled the flow.
+type Subflow = (HostId, Path, f64, Option<FlowCookie>);
+
+/// The subflows of a Flowserver selection.
+fn scheduled(sel: &Selection) -> Vec<Subflow> {
+    let assignments = sel.assignments().iter();
+    assignments
+        .map(|a| (a.replica, a.path.clone(), a.size_bits, Some(a.cookie)))
+        .collect()
 }
 
-/// Removes one cause for `link` being down, healing it when no cause
-/// remains (a link under both a cable cut and a dead switch stays down
-/// until both recover).
-fn heal_link(
-    link: LinkId,
-    causes: &mut BTreeMap<LinkId, u32>,
-    down_links: &mut BTreeSet<LinkId>,
-    net: &mut FluidNet,
-    flowserver: &mut Option<Flowserver>,
-) {
-    let Some(c) = causes.get_mut(&link) else {
-        return;
-    };
-    *c = c.saturating_sub(1);
-    if *c == 0 {
-        causes.remove(&link);
-        down_links.remove(&link);
-        net.set_link_up(link, true);
-        if let Some(fs) = flowserver.as_mut() {
-            fs.set_link_state(link, true);
-        }
-    }
-}
-
-/// Schedules the job's next retry with linear per-attempt backoff.
-fn schedule_retry(
-    job: usize,
-    now: SimTime,
-    retry_count: &mut [u32],
-    backoff_secs: f64,
-    queue: &mut EventQueue<Event>,
-    report: &mut FaultReport,
-) {
-    retry_count[job] += 1;
-    let attempt = retry_count[job];
-    assert!(
-        attempt <= 200,
-        "job {job} exhausted its retry budget: the fault schedule leaves \
-         no usable replica or path for it"
-    );
-    let fire = now + SimTime::from_secs(backoff_secs * f64::from(attempt));
-    queue.schedule(fire, Event::Retry(job));
-    report.retries.push(JobRetry {
-        at: fire,
-        job,
-        attempt,
-    });
-}
-
-/// Aborts every in-flight subflow of each hit job (client timeout
-/// semantics: the read restarts as a unit), credits delivered bits,
-/// and schedules the retries.
-#[allow(clippy::too_many_arguments)]
-fn abort_and_retry(
-    jobs_hit: &BTreeSet<usize>,
-    t: SimTime,
-    net: &mut FluidNet,
-    flowserver: &mut Option<Flowserver>,
-    flow_to_job: &mut HashMap<FlowId, usize>,
-    flow_to_cookie: &mut HashMap<FlowId, FlowCookie>,
-    cookie_to_flow: &mut HashMap<FlowCookie, FlowId>,
-    pending_subflows: &mut [usize],
-    retry_bits: &mut [f64],
-    retry_count: &mut [u32],
-    retry_backoff_secs: f64,
-    queue: &mut EventQueue<Event>,
-    report: &mut FaultReport,
-) {
-    for &job in jobs_hit {
-        let mut flows: Vec<FlowId> = flow_to_job
-            .iter()
-            .filter_map(|(f, j)| (*j == job).then_some(*f))
-            .collect();
-        flows.sort_unstable();
-        let mut remaining = 0.0;
-        for fid in flows {
-            let state = net.remove_flow(fid).expect("aborted flow is active");
-            remaining += state.remaining_bits;
-            flow_to_job.remove(&fid);
-            if let Some(cookie) = flow_to_cookie.remove(&fid) {
-                cookie_to_flow.remove(&cookie);
-                if let Some(fs) = flowserver.as_mut() {
-                    fs.flow_completed(cookie);
-                }
-            }
-        }
-        pending_subflows[job] = 0;
-        // Bits already delivered (by completed sibling subflows and
-        // the aborted flows' own progress) stay delivered; only the
-        // remainder is re-fetched.
-        retry_bits[job] = remaining.max(1.0);
-        report.aborts.push(FlowAbort {
-            at: t,
-            job,
-            bits_refetched: remaining,
-        });
-        schedule_retry(job, t, retry_count, retry_backoff_secs, queue, report);
-    }
+/// Completion times (seconds) of the remote jobs, in job order.
+pub(crate) fn remote_durations(jobs: &[JobRecord]) -> Vec<f64> {
+    let remote = jobs.iter().filter(|j| !j.local);
+    remote.map(JobRecord::duration_secs).collect()
 }
 
 /// Picks a shortest path from `replica` to `client` that avoids every
@@ -371,579 +223,524 @@ fn path_avoiding(
     }
 }
 
-/// Replica + path selection for one job, fault-aware: filters out
-/// crashed hosts and severed paths, falls back to nearest-replica when
-/// the Flowserver is unreachable, and returns an empty vector (retry
-/// later) when no usable assignment exists. On the fault-free path it
-/// reproduces the original selection logic exactly.
-#[allow(clippy::too_many_arguments)]
-fn select_assignments(
-    topo: &Arc<Topology>,
+/// One replay in progress: the driven fabric, the observers and
+/// baselines beside it, the event queue, the fault state and every
+/// job's progress.
+struct Run<'a> {
+    topo: &'a Arc<Topology>,
+    matrix: &'a TrafficMatrix,
     strategy: Strategy,
-    flowserver: &mut Option<Flowserver>,
-    sinbad: &SinbadR,
-    monitor: &LinkLoadMonitor,
-    rng: &mut SimRng,
-    job_id: usize,
-    client: HostId,
-    live_replicas: &[HostId],
-    size: f64,
-    t: SimTime,
-    flowserver_up: bool,
-    down_links: &BTreeSet<LinkId>,
-    report: &mut FaultReport,
-) -> Vec<(HostId, Path, f64, Option<FlowCookie>)> {
-    if live_replicas.is_empty() {
-        report.degraded.push(DegradedDecision {
-            at: t,
-            job: job_id,
-            reason: "replicas-down".into(),
-            replica: u32::MAX,
-        });
-        return Vec::new();
-    }
-
-    if strategy.uses_flowserver() && !flowserver_up {
-        // Flowserver outage: degrade to the HDFS-style nearest-replica
-        // policy with a severed-link-aware path — reads never block on
-        // the control plane.
-        let replica = nearest_replica(topo, client, live_replicas, rng);
-        return match path_avoiding(topo, replica, client, job_id, down_links) {
-            Some(path) => {
-                report.degraded.push(DegradedDecision {
-                    at: t,
-                    job: job_id,
-                    reason: "flowserver-outage-nearest-fallback".into(),
-                    replica: replica.0,
-                });
-                vec![(replica, path, size, None)]
-            }
-            None => {
-                report.degraded.push(DegradedDecision {
-                    at: t,
-                    job: job_id,
-                    reason: "selection-unavailable".into(),
-                    replica: u32::MAX,
-                });
-                Vec::new()
-            }
-        };
-    }
-
-    let assignments: Vec<(HostId, Path, f64, Option<FlowCookie>)> = match strategy {
-        Strategy::Mayflower | Strategy::MayflowerMultipath => {
-            let fs = flowserver.as_mut().expect("mayflower uses flowserver");
-            let sel = fs.select_replica_path(client, live_replicas, size, t);
-            sel.assignments()
-                .iter()
-                .map(|a| (a.replica, a.path.clone(), a.size_bits, Some(a.cookie)))
-                .collect()
-        }
-        Strategy::NearestMayflower | Strategy::SinbadRMayflower => {
-            let replica = if strategy == Strategy::NearestMayflower {
-                nearest_replica(topo, client, live_replicas, rng)
-            } else {
-                sinbad.select(topo, client, live_replicas, monitor, rng)
-            };
-            let fs = flowserver.as_mut().expect("scheduler uses flowserver");
-            let sel = fs.select_path_for_replica(client, replica, size, t);
-            sel.assignments()
-                .iter()
-                .map(|a| (a.replica, a.path.clone(), a.size_bits, Some(a.cookie)))
-                .collect()
-        }
-        Strategy::NearestEcmp
-        | Strategy::SinbadREcmp
-        | Strategy::NearestHedera
-        | Strategy::SinbadRHedera => {
-            let replica =
-                if strategy == Strategy::NearestEcmp || strategy == Strategy::NearestHedera {
-                    nearest_replica(topo, client, live_replicas, rng)
-                } else {
-                    sinbad.select(topo, client, live_replicas, monitor, rng)
-                };
-            let key = FlowKey::new(replica, client, job_id as u64);
-            let hashed = ecmp_path(topo, key).expect("distinct hosts always have a path");
-            if down_links.is_empty() || hashed.links().iter().all(|l| !down_links.contains(l)) {
-                vec![(replica, hashed, size, None)]
-            } else {
-                // ECMP is fault-oblivious; the rerouted pick models the
-                // fabric converging after the port-down notification.
-                match path_avoiding(topo, replica, client, job_id, down_links) {
-                    Some(path) => {
-                        report.degraded.push(DegradedDecision {
-                            at: t,
-                            job: job_id,
-                            reason: "ecmp-rerouted".into(),
-                            replica: replica.0,
-                        });
-                        vec![(replica, path, size, None)]
-                    }
-                    None => Vec::new(),
-                }
-            }
-        }
-    };
-
-    if assignments.is_empty() {
-        // The Flowserver answered `Unavailable` (or every ECMP path is
-        // severed): nothing installed, the client backs off.
-        report.degraded.push(DegradedDecision {
-            at: t,
-            job: job_id,
-            reason: "selection-unavailable".into(),
-            replica: u32::MAX,
-        });
-    }
-    assignments
-}
-
-fn replay_inner(
-    topo: &Arc<Topology>,
-    matrix: &TrafficMatrix,
-    strategy: Strategy,
-    opts: &ReplayOptions,
-    rng: &mut SimRng,
-    hooks: &mut dyn JobHooks,
-) -> (
-    Vec<JobRecord>,
-    HashMap<LinkId, f64>,
-    FaultReport,
-    mayflower_telemetry::Registry,
-) {
-    let poll_interval_secs = opts.poll_interval_secs;
-    assert!(poll_interval_secs > 0.0, "poll interval must be positive");
-    let registry = mayflower_telemetry::Registry::new();
-    let mut net = FluidNet::new(topo.clone());
-    let mut flowserver = strategy.uses_flowserver().then(|| {
-        let mut fs = Flowserver::new(
-            topo.clone(),
-            FlowserverConfig {
-                poll_interval_secs,
-                multipath: strategy == Strategy::MayflowerMultipath,
-                ..opts.flowserver.clone()
-            },
-        );
-        fs.attach_metrics(&registry);
-        fs
-    });
-    let sinbad = SinbadR::new();
-    let hedera = strategy.uses_hedera().then(Hedera::new);
-    let mut monitor = LinkLoadMonitor::new(topo);
-    monitor.attach_metrics(&registry.scope("sim").scope("monitor"));
-
-    let total_jobs = matrix.jobs.len();
-    let mut queue: EventQueue<Event> = EventQueue::new();
-    for job in &matrix.jobs {
-        queue.schedule(job.arrival, Event::Arrival(job.id));
-    }
-    queue.schedule(SimTime::from_secs(poll_interval_secs), Event::Poll);
+    opts: &'a ReplayOptions,
+    registry: Registry,
+    driver: Driver,
+    sinbad: SinbadR,
+    hedera: Option<Hedera>,
+    monitor: LinkLoadMonitor,
+    queue: EventQueue<Event>,
 
     // Fault-injection state. With an empty schedule every structure
     // stays empty and the engine follows the exact pre-fault paths.
-    let actions = faults::compile(topo, &opts.faults);
-    for (i, (at, _)) in actions.iter().enumerate() {
-        queue.schedule(*at, Event::Fault(i));
-    }
-    let mut report = FaultReport::default();
-    let mut link_down_causes: BTreeMap<LinkId, u32> = BTreeMap::new();
-    let mut down_links: BTreeSet<LinkId> = BTreeSet::new();
-    let mut down_hosts: BTreeSet<HostId> = BTreeSet::new();
-    let mut flowserver_up = true;
-    let mut pending_poll_losses: usize = 0;
-    let mut retry_bits: Vec<f64> = vec![0.0; total_jobs];
-    let mut retry_count: Vec<u32> = vec![0; total_jobs];
+    actions: Vec<(SimTime, FaultAction)>,
+    report: FaultReport,
+    link_down_causes: BTreeMap<LinkId, u32>,
+    down_links: BTreeSet<LinkId>,
+    down_hosts: BTreeSet<HostId>,
+    flowserver_up: bool,
+    pending_poll_losses: usize,
 
-    let mut pending_subflows: Vec<usize> = vec![0; total_jobs];
-    let mut records: Vec<Option<JobRecord>> = vec![None; total_jobs];
-    let mut partial: Vec<Vec<SimTime>> = vec![Vec::new(); total_jobs];
-    let mut flow_to_job: HashMap<FlowId, usize> = HashMap::new();
-    let mut flow_to_cookie: HashMap<FlowId, FlowCookie> = HashMap::new();
-    let mut cookie_to_flow: HashMap<FlowCookie, FlowId> = HashMap::new();
-    let mut jobs_done = 0usize;
+    // Per-job progress, indexed by job id.
+    retry_bits: Vec<f64>,
+    retry_count: Vec<u32>,
+    pending_subflows: Vec<usize>,
+    partial: Vec<Vec<SimTime>>,
+    records: Vec<Option<JobRecord>>,
+    jobs_done: usize,
+}
 
-    let handle_completions = |comps: Vec<FlowCompletion>,
-                              flowserver: &mut Option<Flowserver>,
-                              flow_to_job: &mut HashMap<FlowId, usize>,
-                              flow_to_cookie: &mut HashMap<FlowId, FlowCookie>,
-                              cookie_to_flow: &mut HashMap<FlowCookie, FlowId>,
-                              pending_subflows: &mut Vec<usize>,
-                              partial: &mut Vec<Vec<SimTime>>,
-                              records: &mut Vec<Option<JobRecord>>,
-                              jobs_done: &mut usize,
-                              matrix: &TrafficMatrix| {
-        for c in comps {
-            let job = flow_to_job
-                .remove(&c.flow)
-                .expect("completed flow belongs to a job");
-            if let Some(cookie) = flow_to_cookie.remove(&c.flow) {
-                cookie_to_flow.remove(&cookie);
-                if let Some(fs) = flowserver.as_mut() {
-                    fs.flow_completed(cookie);
-                }
-            }
-            partial[job].push(c.at);
-            pending_subflows[job] -= 1;
-            if pending_subflows[job] == 0 {
-                let arrival = matrix.jobs[job].arrival;
-                records[job] = Some(JobRecord {
-                    id: job,
-                    arrival,
-                    finish: c.at,
-                    local: false,
-                    subflows: partial[job].len(),
-                    subflow_finishes: std::mem::take(&mut partial[job]),
-                });
-                *jobs_done += 1;
-            }
-        }
-    };
-
-    while jobs_done < total_jobs {
-        let next_event = queue.peek_time().unwrap_or(SimTime::MAX);
-        let next_completion = net.next_completion_time();
-
-        if next_completion <= next_event {
-            let t = next_completion;
-            let comps = net.advance_to(t);
-            handle_completions(
-                comps,
-                &mut flowserver,
-                &mut flow_to_job,
-                &mut flow_to_cookie,
-                &mut cookie_to_flow,
-                &mut pending_subflows,
-                &mut partial,
-                &mut records,
-                &mut jobs_done,
-                matrix,
-            );
-            continue;
-        }
-
-        let Some((t, ev)) = queue.pop() else {
-            // No events, no completions, jobs outstanding: flows are
-            // starved (cannot happen with positive capacities).
-            unreachable!("simulation stalled with {jobs_done}/{total_jobs} jobs done");
-        };
-        let comps = net.advance_to(t);
-        handle_completions(
-            comps,
-            &mut flowserver,
-            &mut flow_to_job,
-            &mut flow_to_cookie,
-            &mut cookie_to_flow,
-            &mut pending_subflows,
-            &mut partial,
-            &mut records,
-            &mut jobs_done,
-            matrix,
+impl<'a> Run<'a> {
+    fn new(
+        topo: &'a Arc<Topology>,
+        matrix: &'a TrafficMatrix,
+        strategy: Strategy,
+        opts: &'a ReplayOptions,
+    ) -> Run<'a> {
+        assert!(
+            opts.poll_interval_secs > 0.0,
+            "poll interval must be positive"
         );
+        let registry = Registry::new();
+        let flowserver = strategy.uses_flowserver().then(|| {
+            let mut fs = Flowserver::new(
+                topo.clone(),
+                FlowserverConfig {
+                    poll_interval_secs: opts.poll_interval_secs,
+                    multipath: strategy == Strategy::MayflowerMultipath,
+                    ..opts.flowserver.clone()
+                },
+            );
+            fs.attach_metrics(&registry);
+            fs
+        });
+        let mut monitor = LinkLoadMonitor::new(topo);
+        monitor.attach_metrics(&registry.scope("sim").scope("monitor"));
 
-        match ev {
-            Event::Poll => {
-                monitor.sample(&net, t);
-                if let Some(fs) = flowserver.as_mut() {
-                    if !flowserver_up || pending_poll_losses > 0 {
-                        // The poll never reaches the Flowserver (outage
-                        // or a lost stats reply): no UPDATEBW arrives,
-                        // so expired update-freezes are cleared on the
-                        // clock instead.
-                        let reason = if flowserver_up {
-                            pending_poll_losses -= 1;
-                            "stats-poll-loss"
-                        } else {
-                            "flowserver-outage"
-                        };
-                        fs.note_poll_missed(t);
-                        let freezes_expired = fs.expire_stale_freezes(t);
-                        report.missed_polls.push(MissedPoll {
-                            at: t,
-                            reason: reason.into(),
-                            freezes_expired,
-                        });
-                    } else {
-                        let counters = FabricCounters {
-                            net: &net,
-                            cookie_to_flow: &cookie_to_flow,
-                        };
-                        if down_links.is_empty() {
-                            let _ = fs.poll_stats(&counters, t);
-                        } else {
-                            // Stats requests to dead ports time out;
-                            // their counters read as zero.
-                            let dark = BlackoutCounters::new(&counters, &down_links);
-                            let _ = fs.poll_stats(&dark, t);
-                        }
-                    }
-                }
-                if let Some(hedera) = &hedera {
-                    // One Hedera round: estimate natural demands from
-                    // flow endpoints, then globally first-fit reroute.
-                    let snapshot: Vec<(FlowId, mayflower_net::Path)> = net
-                        .active_flows()
-                        .iter()
-                        .map(|f| (f.id, f.path.clone()))
-                        .collect();
-                    let endpoints: Vec<(HostId, HostId)> =
-                        snapshot.iter().map(|(_, p)| (p.src(), p.dst())).collect();
-                    let demands = estimate_demands(topo, &endpoints);
-                    let hflows: Vec<HederaFlow> = snapshot
-                        .iter()
-                        .zip(&demands)
-                        .map(|((id, path), demand)| HederaFlow {
-                            id: id.0,
-                            path: path.clone(),
-                            demand_bps: *demand,
-                        })
-                        .collect();
-                    for (id, new_path) in hedera.reschedule(topo, &hflows) {
-                        // Hedera is fault-oblivious: drop any reroute
-                        // that would land a flow on a severed link.
-                        if new_path.links().iter().all(|l| !down_links.contains(l)) {
-                            net.reroute_flow(FlowId(id), new_path);
-                        }
-                    }
-                }
-                queue.schedule(t + SimTime::from_secs(poll_interval_secs), Event::Poll);
+        let total_jobs = matrix.jobs.len();
+        let mut queue: EventQueue<Event> = EventQueue::new();
+        for job in &matrix.jobs {
+            queue.schedule(job.arrival, Event::Arrival(job.id));
+        }
+        queue.schedule(SimTime::from_secs(opts.poll_interval_secs), Event::Poll);
+        let actions = faults::compile(topo, &opts.faults);
+        for (i, (at, _)) in actions.iter().enumerate() {
+            queue.schedule(*at, Event::Fault(i));
+        }
+
+        Run {
+            topo,
+            matrix,
+            strategy,
+            opts,
+            driver: Driver::new(topo, flowserver),
+            registry,
+            sinbad: SinbadR::new(),
+            hedera: strategy.uses_hedera().then(Hedera::new),
+            monitor,
+            queue,
+            actions,
+            report: FaultReport::default(),
+            link_down_causes: BTreeMap::new(),
+            down_links: BTreeSet::new(),
+            down_hosts: BTreeSet::new(),
+            flowserver_up: true,
+            pending_poll_losses: 0,
+            retry_bits: vec![0.0; total_jobs],
+            retry_count: vec![0; total_jobs],
+            pending_subflows: vec![0; total_jobs],
+            partial: vec![Vec::new(); total_jobs],
+            records: vec![None; total_jobs],
+            jobs_done: 0,
+        }
+    }
+
+    /// Runs the event loop until every job has a record.
+    fn execute(&mut self, rng: &mut SimRng, hooks: &mut dyn JobHooks) {
+        while self.jobs_done < self.records.len() {
+            let (done, event) = self.driver.step(&mut self.queue);
+            for (job, c) in done {
+                self.subflow_done(job, &c);
             }
-            Event::Arrival(id) | Event::Retry(id) => {
-                if records[id].is_some() {
-                    // A retry raced a completion; nothing left to do.
-                    continue;
-                }
-                let job = &matrix.jobs[id];
-                let client = job.client;
-                let replicas = matrix.replicas_of(job);
-                let is_retry = matches!(ev, Event::Retry(_));
-                let size = if is_retry {
-                    // Only the un-delivered remainder is re-fetched.
-                    retry_bits[id].max(1.0)
-                } else {
-                    matrix.size_of(job)
-                };
-                if !is_retry {
-                    hooks.on_arrival(job);
-                }
-
-                if replicas.contains(&client) && !down_hosts.contains(&client) {
-                    // Served locally: the paper excludes this from
-                    // network analysis; completion is immediate. (A
-                    // retry lands here when the co-located dataserver
-                    // restarted in the meantime — the remainder is
-                    // then a local read.)
-                    let finishes = std::mem::take(&mut partial[id]);
-                    records[id] = Some(JobRecord {
-                        id,
-                        arrival: job.arrival,
-                        finish: t,
-                        local: finishes.is_empty(),
-                        subflows: finishes.len(),
-                        subflow_finishes: finishes,
-                    });
-                    jobs_done += 1;
-                    continue;
-                }
-                if replicas.contains(&client) {
-                    // The co-located replica's dataserver is down: the
-                    // read degrades to a remote transfer.
-                    report.degraded.push(DegradedDecision {
-                        at: t,
-                        job: id,
-                        reason: "local-replica-down".into(),
-                        replica: u32::MAX,
-                    });
-                }
-
-                let live: Vec<HostId> = replicas
-                    .iter()
-                    .copied()
-                    .filter(|r| !down_hosts.contains(r))
-                    .collect();
-                let assignments = select_assignments(
-                    topo,
-                    strategy,
-                    &mut flowserver,
-                    &sinbad,
-                    &monitor,
-                    rng,
-                    id,
-                    client,
-                    &live,
-                    size,
-                    t,
-                    flowserver_up,
-                    &down_links,
-                    &mut report,
-                );
-                if assignments.is_empty() {
-                    // No usable replica or path right now: back off and
-                    // retry once the fault window passes.
-                    retry_bits[id] = size;
-                    schedule_retry(
-                        id,
-                        t,
-                        &mut retry_count,
-                        opts.retry_backoff_secs,
-                        &mut queue,
-                        &mut report,
-                    );
-                    continue;
-                }
-                pending_subflows[id] = assignments.len();
-                for (replica, path, bits, cookie) in assignments {
-                    hooks.on_assignment(job, replica, bits);
-                    let fid = net.add_flow(path, bits, t);
-                    flow_to_job.insert(fid, id);
-                    if let Some(c) = cookie {
-                        flow_to_cookie.insert(fid, c);
-                        cookie_to_flow.insert(c, fid);
-                    }
-                }
-            }
-            Event::Fault(i) => {
-                let (_, action) = &actions[i];
-                let component = match action {
-                    FaultAction::LinkDown(l) | FaultAction::LinkUp(l) => l.0,
-                    FaultAction::DataserverCrash(h) | FaultAction::DataserverRestart(h) => h.0,
-                    FaultAction::SwitchDown(links) | FaultAction::SwitchUp(links) => {
-                        links.first().map_or(u32::MAX, |l| l.0)
-                    }
-                    _ => u32::MAX,
-                };
-                report.applied.push(AppliedFault {
-                    at: t,
-                    kind: action.label().into(),
-                    component,
-                });
-
-                let mut jobs_hit: BTreeSet<usize> = BTreeSet::new();
-                match action {
-                    FaultAction::LinkDown(l) => {
-                        for link in [*l, topo.reverse_link(*l)] {
-                            sever_link(
-                                link,
-                                &mut link_down_causes,
-                                &mut down_links,
-                                &mut net,
-                                &mut flowserver,
-                            );
-                        }
-                    }
-                    FaultAction::LinkUp(l) => {
-                        for link in [*l, topo.reverse_link(*l)] {
-                            heal_link(
-                                link,
-                                &mut link_down_causes,
-                                &mut down_links,
-                                &mut net,
-                                &mut flowserver,
-                            );
-                        }
-                    }
-                    FaultAction::SwitchDown(links) => {
-                        for link in links {
-                            sever_link(
-                                *link,
-                                &mut link_down_causes,
-                                &mut down_links,
-                                &mut net,
-                                &mut flowserver,
-                            );
-                        }
-                    }
-                    FaultAction::SwitchUp(links) => {
-                        for link in links {
-                            heal_link(
-                                *link,
-                                &mut link_down_causes,
-                                &mut down_links,
-                                &mut net,
-                                &mut flowserver,
-                            );
-                        }
-                    }
-                    FaultAction::DataserverCrash(h) => {
-                        down_hosts.insert(*h);
-                        // Transfers sourced at the crashed dataserver
-                        // die with it.
-                        for f in net.active_flows() {
-                            if f.path.src() == *h {
-                                jobs_hit.insert(flow_to_job[&f.id]);
-                            }
-                        }
-                    }
-                    FaultAction::DataserverRestart(h) => {
-                        down_hosts.remove(h);
-                    }
-                    FaultAction::FlowserverDown => flowserver_up = false,
-                    FaultAction::FlowserverUp => flowserver_up = true,
-                    FaultAction::StatsPollLoss => pending_poll_losses += 1,
-                }
-                // Severed links stall every flow crossing them; the
-                // owning clients time out and retry.
-                for f in net.stalled_flows() {
-                    jobs_hit.insert(flow_to_job[&f]);
-                }
-                if !jobs_hit.is_empty() {
-                    abort_and_retry(
-                        &jobs_hit,
-                        t,
-                        &mut net,
-                        &mut flowserver,
-                        &mut flow_to_job,
-                        &mut flow_to_cookie,
-                        &mut cookie_to_flow,
-                        &mut pending_subflows,
-                        &mut retry_bits,
-                        &mut retry_count,
-                        opts.retry_backoff_secs,
-                        &mut queue,
-                        &mut report,
-                    );
-                }
+            match event {
+                None => {}
+                Some((t, Event::Poll)) => self.poll(t),
+                Some((t, Event::Arrival(id))) => self.start(id, false, t, rng, hooks),
+                Some((t, Event::Retry(id))) => self.start(id, true, t, rng, hooks),
+                Some((t, Event::Fault(i))) => self.apply_fault(i, t),
             }
         }
     }
 
-    let usage: HashMap<LinkId, f64> = topo
-        .links()
-        .iter()
-        .map(|l| (l.id(), net.link_bits(l.id())))
-        .collect();
-    let records: Vec<JobRecord> = records
-        .into_iter()
-        .map(|r| r.expect("every job completed"))
-        .collect();
+    /// One subflow of `job` delivered its last byte; the job is done
+    /// when its last subflow is.
+    fn subflow_done(&mut self, job: usize, c: &FlowCompletion) {
+        self.partial[job].push(c.at);
+        self.pending_subflows[job] -= 1;
+        if self.pending_subflows[job] == 0 {
+            self.records[job] = Some(JobRecord {
+                id: job,
+                arrival: self.matrix.jobs[job].arrival,
+                finish: c.at,
+                local: false,
+                subflows: self.partial[job].len(),
+                subflow_finishes: std::mem::take(&mut self.partial[job]),
+            });
+            self.jobs_done += 1;
+        }
+    }
 
-    // Job-level metrics, fed from sim-time completion records (never
-    // wall clock) so a fixed seed renders a byte-identical snapshot.
-    let sim = registry.scope("sim");
-    let jobs_total = sim.counter("jobs_total");
-    let jobs_local = sim.counter("jobs_local_total");
-    let jobs_split = sim.counter("jobs_split_total");
-    let duration_us = sim.histogram("job_duration_us");
-    for r in &records {
-        jobs_total.inc();
-        if r.local {
-            jobs_local.inc();
+    /// A poll tick: Sinbad's monitor samples, the Flowserver polls (or
+    /// misses the poll), Hedera runs a round.
+    fn poll(&mut self, t: SimTime) {
+        self.monitor.sample(self.driver.net(), t);
+        let missed = self.strategy.uses_flowserver()
+            && (!self.flowserver_up || self.pending_poll_losses > 0);
+        if missed {
+            // The poll never reaches the Flowserver (outage or a lost
+            // stats reply): no UPDATEBW arrives, so expired
+            // update-freezes are cleared on the clock instead.
+            let reason = if self.flowserver_up {
+                self.pending_poll_losses -= 1;
+                "stats-poll-loss"
+            } else {
+                "flowserver-outage"
+            };
+            let fs = self.driver.flowserver();
+            fs.note_poll_missed(t);
+            let freezes_expired = fs.expire_stale_freezes(t);
+            self.report.missed_polls.push(MissedPoll {
+                at: t,
+                reason: reason.into(),
+                freezes_expired,
+            });
         } else {
-            duration_us.record_secs(r.duration_secs());
+            self.driver.poll(t, &self.down_links);
         }
-        if r.subflows >= 2 {
-            jobs_split.inc();
+        if let Some(hedera) = &self.hedera {
+            // One Hedera round: estimate natural demands from flow
+            // endpoints, then globally first-fit reroute.
+            let snapshot = self.driver.active_paths();
+            let endpoints: Vec<(HostId, HostId)> =
+                snapshot.iter().map(|(_, p)| (p.src(), p.dst())).collect();
+            let demands = estimate_demands(self.topo, &endpoints);
+            let hflows: Vec<HederaFlow> = snapshot
+                .iter()
+                .zip(&demands)
+                .map(|((id, path), demand)| HederaFlow {
+                    id: id.0,
+                    path: path.clone(),
+                    demand_bps: *demand,
+                })
+                .collect();
+            for (id, new_path) in hedera.reschedule(self.topo, &hflows) {
+                // Hedera is fault-oblivious: drop any reroute that
+                // would land a flow on a severed link.
+                if new_path
+                    .links()
+                    .iter()
+                    .all(|l| !self.down_links.contains(l))
+                {
+                    self.driver.reroute(FlowId(id), new_path);
+                }
+            }
+        }
+        let next = t + SimTime::from_secs(self.opts.poll_interval_secs);
+        self.queue.schedule(next, Event::Poll);
+    }
+
+    /// A job arrives, or retries after an abort or a failed selection:
+    /// serve it locally, or select and admit its subflows, or back off.
+    fn start(
+        &mut self,
+        id: usize,
+        is_retry: bool,
+        t: SimTime,
+        rng: &mut SimRng,
+        hooks: &mut dyn JobHooks,
+    ) {
+        if self.records[id].is_some() {
+            // A retry raced a completion; nothing left to do.
+            return;
+        }
+        let job = &self.matrix.jobs[id];
+        let client = job.client;
+        let replicas = self.matrix.replicas_of(job);
+        let size = if is_retry {
+            // Only the un-delivered remainder is re-fetched.
+            self.retry_bits[id].max(1.0)
+        } else {
+            hooks.on_arrival(job);
+            self.matrix.size_of(job)
+        };
+
+        if replicas.contains(&client) && !self.down_hosts.contains(&client) {
+            // Served locally: the paper excludes this from network
+            // analysis; completion is immediate. (A retry lands here
+            // when the co-located dataserver restarted in the meantime
+            // — the remainder is then a local read.)
+            let finishes = std::mem::take(&mut self.partial[id]);
+            self.records[id] = Some(JobRecord {
+                id,
+                arrival: job.arrival,
+                finish: t,
+                local: finishes.is_empty(),
+                subflows: finishes.len(),
+                subflow_finishes: finishes,
+            });
+            self.jobs_done += 1;
+            return;
+        }
+        if replicas.contains(&client) {
+            // The co-located replica's dataserver is down: the read
+            // degrades to a remote transfer.
+            self.degraded(t, id, "local-replica-down", u32::MAX);
+        }
+
+        let live: Vec<HostId> = replicas
+            .iter()
+            .copied()
+            .filter(|r| !self.down_hosts.contains(r))
+            .collect();
+        let assignments = self.select_assignments(rng, job, &live, size, t);
+        if assignments.is_empty() {
+            // No usable replica or path right now: back off and retry
+            // once the fault window passes.
+            self.retry_bits[id] = size;
+            self.schedule_retry(id, t);
+            return;
+        }
+        self.pending_subflows[id] = assignments.len();
+        for (replica, path, bits, cookie) in assignments {
+            hooks.on_assignment(job, replica, bits);
+            self.driver.admit(id, path, bits, cookie, t);
         }
     }
-    sim.counter("job_retries_total")
-        .add(report.retries.len() as u64);
-    sim.counter("flow_aborts_total")
-        .add(report.aborts.len() as u64);
-    sim.counter("faults_applied_total")
-        .add(report.applied.len() as u64);
-    sim.counter("degraded_selections_total")
-        .add(report.degraded.len() as u64);
 
-    (records, usage, report, registry)
+    /// Records a degraded-mode decision in the fault report.
+    fn degraded(&mut self, at: SimTime, job: usize, reason: &str, replica: u32) {
+        self.report.degraded.push(DegradedDecision {
+            at,
+            job,
+            reason: reason.into(),
+            replica,
+        });
+    }
+
+    /// Replica + path selection for one job, fault-aware: filters out
+    /// crashed hosts and severed paths, falls back to nearest-replica
+    /// when the Flowserver is unreachable, and returns an empty vector
+    /// (retry later) when no usable assignment exists. On the
+    /// fault-free path it reproduces the original selection logic
+    /// exactly.
+    fn select_assignments(
+        &mut self,
+        rng: &mut SimRng,
+        job: &ReadJob,
+        live_replicas: &[HostId],
+        size: f64,
+        t: SimTime,
+    ) -> Vec<Subflow> {
+        let (topo, strategy, client) = (self.topo, self.strategy, job.client);
+        if live_replicas.is_empty() {
+            self.degraded(t, job.id, "replicas-down", u32::MAX);
+            return Vec::new();
+        }
+
+        if strategy.uses_flowserver() && !self.flowserver_up {
+            // Flowserver outage: degrade to the HDFS-style
+            // nearest-replica policy with a severed-link-aware path —
+            // reads never block on the control plane.
+            let replica = nearest_replica(topo, client, live_replicas, rng);
+            return match path_avoiding(topo, replica, client, job.id, &self.down_links) {
+                Some(path) => {
+                    self.degraded(t, job.id, "flowserver-outage-nearest-fallback", replica.0);
+                    vec![(replica, path, size, None)]
+                }
+                None => {
+                    self.degraded(t, job.id, "selection-unavailable", u32::MAX);
+                    Vec::new()
+                }
+            };
+        }
+
+        let assignments = if matches!(strategy, Strategy::Mayflower | Strategy::MayflowerMultipath)
+        {
+            let fs = self.driver.flowserver();
+            scheduled(&fs.select_replica_path(client, live_replicas, size, t))
+        } else {
+            // Every other scheme fixes the replica first: Sinbad-R by
+            // measured load, the rest by distance.
+            let replica = if strategy.uses_sinbad() {
+                self.sinbad
+                    .select(topo, client, live_replicas, &self.monitor, rng)
+            } else {
+                nearest_replica(topo, client, live_replicas, rng)
+            };
+            if strategy.uses_flowserver() {
+                let fs = self.driver.flowserver();
+                scheduled(&fs.select_path_for_replica(client, replica, size, t))
+            } else {
+                let key = FlowKey::new(replica, client, job.id as u64);
+                let hashed = ecmp_path(topo, key).expect("distinct hosts always have a path");
+                let down = &self.down_links;
+                if down.is_empty() || hashed.links().iter().all(|l| !down.contains(l)) {
+                    vec![(replica, hashed, size, None)]
+                } else {
+                    // ECMP is fault-oblivious; the rerouted pick models
+                    // the fabric converging after the port-down
+                    // notification.
+                    match path_avoiding(topo, replica, client, job.id, down) {
+                        Some(path) => {
+                            self.degraded(t, job.id, "ecmp-rerouted", replica.0);
+                            vec![(replica, path, size, None)]
+                        }
+                        None => Vec::new(),
+                    }
+                }
+            }
+        };
+
+        if assignments.is_empty() {
+            // The Flowserver answered `Unavailable` (or every ECMP path
+            // is severed): nothing installed, the client backs off.
+            self.degraded(t, job.id, "selection-unavailable", u32::MAX);
+        }
+        assignments
+    }
+
+    /// Schedules the job's next retry with linear per-attempt backoff.
+    fn schedule_retry(&mut self, job: usize, now: SimTime) {
+        self.retry_count[job] += 1;
+        let attempt = self.retry_count[job];
+        assert!(
+            attempt <= 200,
+            "job {job} exhausted its retry budget: the fault schedule leaves \
+             no usable replica or path for it"
+        );
+        let backoff = self.opts.retry_backoff_secs * f64::from(attempt);
+        let fire = now + SimTime::from_secs(backoff);
+        self.queue.schedule(fire, Event::Retry(job));
+        self.report.retries.push(JobRetry {
+            at: fire,
+            job,
+            attempt,
+        });
+    }
+
+    /// Aborts every in-flight subflow of `job` (client timeout
+    /// semantics: the read restarts as a unit), credits delivered bits,
+    /// and schedules the retry.
+    fn abort_and_retry(&mut self, job: usize, t: SimTime) {
+        let remaining = self.driver.abort(job);
+        self.pending_subflows[job] = 0;
+        // Bits already delivered (by completed sibling subflows and the
+        // aborted flows' own progress) stay delivered; only the
+        // remainder is re-fetched.
+        self.retry_bits[job] = remaining.max(1.0);
+        self.report.aborts.push(FlowAbort {
+            at: t,
+            job,
+            bits_refetched: remaining,
+        });
+        self.schedule_retry(job, t);
+    }
+
+    /// Marks a cause for `link` being down, severing it on the first
+    /// cause.
+    fn sever_link(&mut self, link: LinkId) {
+        let c = self.link_down_causes.entry(link).or_insert(0);
+        *c += 1;
+        if *c == 1 {
+            self.down_links.insert(link);
+            self.driver.set_link_up(link, false);
+        }
+    }
+
+    /// Removes one cause for `link` being down, healing it when no
+    /// cause remains (a link under both a cable cut and a dead switch
+    /// stays down until both recover).
+    fn heal_link(&mut self, link: LinkId) {
+        let Some(c) = self.link_down_causes.get_mut(&link) else {
+            return;
+        };
+        *c = c.saturating_sub(1);
+        if *c == 0 {
+            self.link_down_causes.remove(&link);
+            self.down_links.remove(&link);
+            self.driver.set_link_up(link, true);
+        }
+    }
+
+    /// Applies the `i`-th compiled fault, then aborts every job it
+    /// stalled or whose source it killed.
+    fn apply_fault(&mut self, i: usize, t: SimTime) {
+        let action = self.actions[i].1.clone();
+        let component = match &action {
+            FaultAction::LinkDown(l) | FaultAction::LinkUp(l) => l.0,
+            FaultAction::DataserverCrash(h) | FaultAction::DataserverRestart(h) => h.0,
+            FaultAction::SwitchDown(links) | FaultAction::SwitchUp(links) => {
+                links.first().map_or(u32::MAX, |l| l.0)
+            }
+            _ => u32::MAX,
+        };
+        self.report.applied.push(AppliedFault {
+            at: t,
+            kind: action.label().into(),
+            component,
+        });
+
+        let mut jobs_hit: BTreeSet<usize> = BTreeSet::new();
+        match action {
+            FaultAction::LinkDown(l) => {
+                self.sever_link(l);
+                self.sever_link(self.topo.reverse_link(l));
+            }
+            FaultAction::LinkUp(l) => {
+                self.heal_link(l);
+                self.heal_link(self.topo.reverse_link(l));
+            }
+            FaultAction::SwitchDown(links) => links.into_iter().for_each(|l| self.sever_link(l)),
+            FaultAction::SwitchUp(links) => links.into_iter().for_each(|l| self.heal_link(l)),
+            FaultAction::DataserverCrash(h) => {
+                self.down_hosts.insert(h);
+                // Transfers sourced at the crashed dataserver die with
+                // it.
+                jobs_hit.extend(self.driver.jobs_sourced_at(h));
+            }
+            FaultAction::DataserverRestart(h) => {
+                self.down_hosts.remove(&h);
+            }
+            FaultAction::FlowserverDown => self.flowserver_up = false,
+            FaultAction::FlowserverUp => self.flowserver_up = true,
+            FaultAction::StatsPollLoss => self.pending_poll_losses += 1,
+        }
+        // Severed links stall every flow crossing them; the owning
+        // clients time out and retry.
+        jobs_hit.extend(self.driver.stalled_jobs());
+        for job in jobs_hit {
+            self.abort_and_retry(job, t);
+        }
+    }
+
+    /// Closes the run: per-link usage, the records in job order and the
+    /// job-level metrics.
+    fn finish(self) -> ReplayOutput {
+        let net = self.driver.net();
+        let link_bits: HashMap<LinkId, f64> = self
+            .topo
+            .links()
+            .iter()
+            .map(|l| (l.id(), net.link_bits(l.id())))
+            .collect();
+        let jobs: Vec<JobRecord> = self
+            .records
+            .into_iter()
+            .map(|r| r.expect("every job completed"))
+            .collect();
+
+        // Job-level metrics, fed from sim-time completion records (never
+        // wall clock) so a fixed seed renders a byte-identical snapshot.
+        let report = self.report;
+        let sim = self.registry.scope("sim");
+        let jobs_total = sim.counter("jobs_total");
+        let jobs_local = sim.counter("jobs_local_total");
+        let jobs_split = sim.counter("jobs_split_total");
+        let duration_us = sim.histogram("job_duration_us");
+        for r in &jobs {
+            jobs_total.inc();
+            if r.local {
+                jobs_local.inc();
+            } else {
+                duration_us.record_secs(r.duration_secs());
+            }
+            if r.subflows >= 2 {
+                jobs_split.inc();
+            }
+        }
+        sim.counter("job_retries_total")
+            .add(report.retries.len() as u64);
+        sim.counter("flow_aborts_total")
+            .add(report.aborts.len() as u64);
+        sim.counter("faults_applied_total")
+            .add(report.applied.len() as u64);
+        sim.counter("degraded_selections_total")
+            .add(report.degraded.len() as u64);
+
+        ReplayOutput {
+            jobs,
+            link_bits,
+            fault_report: report,
+            registry: self.registry,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1083,6 +880,55 @@ mod tests {
                 > 0,
             "Eq. 2 selection costs must be distributed"
         );
+    }
+
+    #[test]
+    fn nothing_stays_in_flight_after_a_run_with_or_without_faults() {
+        let topo = Arc::new(Topology::three_tier(&TreeParams::paper_testbed()));
+        let mut rng = SimRng::seed_from(11);
+        let params = WorkloadParams {
+            job_count: 60,
+            file_count: 40,
+            ..WorkloadParams::default()
+        };
+        let matrix = TrafficMatrix::generate(&topo, &params, &mut rng);
+        let chaos = FaultSchedule::generate(
+            &mayflower_simcore::FaultScheduleParams {
+                horizon_secs: 20.0,
+                mean_downtime_secs: 4.0,
+                link_flaps: 3,
+                switch_failures: 2,
+                dataserver_crashes: 2,
+                flowserver_outages: 1,
+                stats_poll_losses: 2,
+            },
+            &mut SimRng::seed_from(4),
+        );
+        for (faults, expect_aborts) in [(FaultSchedule::default(), false), (chaos, true)] {
+            for strategy in [
+                Strategy::Mayflower,
+                Strategy::MayflowerMultipath,
+                Strategy::SinbadRMayflower,
+                Strategy::NearestHedera,
+            ] {
+                let opts = ReplayOptions {
+                    faults: faults.clone(),
+                    ..ReplayOptions::default()
+                };
+                let mut run = Run::new(&topo, &matrix, strategy, &opts);
+                run.execute(&mut rng.clone(), &mut NoHooks);
+                // Whichever way a flow left — completion, abort, a
+                // retry that turned local — its job, its cookie and the
+                // Flowserver's model of it left with it.
+                assert!(run.driver.is_idle(), "{strategy}: flows or cookies leaked");
+                assert_eq!(
+                    !run.report.aborts.is_empty(),
+                    expect_aborts,
+                    "{strategy}: the chaos schedule must exercise the abort path"
+                );
+                assert_eq!(run.finish().jobs.len(), 60);
+            }
+        }
     }
 
     #[test]

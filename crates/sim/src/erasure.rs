@@ -39,10 +39,16 @@ use std::sync::Arc;
 
 use mayflower_flowserver::{Flowserver, FlowserverConfig, Selection};
 use mayflower_fs::{Cluster, ClusterConfig, FileMeta, FsError, NameserverConfig, Redundancy};
-use mayflower_net::{ecmp_path, FlowKey, HostId, Path, Topology, TreeParams};
+use mayflower_net::{ecmp_path, FlowKey, HostId, Topology, TreeParams};
 use mayflower_simcore::{SimRng, SimTime};
-use mayflower_simnet::FluidNet;
 use serde::{Deserialize, Serialize};
+
+use crate::driver::{last_secs, mean_secs, Driver};
+use crate::stats::mean;
+
+/// Driver tags: the flows an arm times, and the traffic they run beside.
+const OWN: usize = 0;
+const BACKGROUND: usize = 1;
 
 /// Configuration of one replication-vs-EC run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -193,59 +199,6 @@ fn footprint(cluster: &Cluster, metas: &[FileMeta]) -> Result<StorageFootprint, 
     })
 }
 
-/// Times `flows` (path, bits) admitted together at `t0` on `net`,
-/// returning the completion time of the last one. Background flows
-/// already in `net` keep competing for bandwidth throughout.
-fn transfer_secs(net: &mut FluidNet, flows: &[(Path, f64)], t0: SimTime) -> f64 {
-    if flows.is_empty() {
-        return 0.0;
-    }
-    let ids: Vec<_> = flows
-        .iter()
-        .map(|(p, bits)| net.add_flow(p.clone(), *bits, t0))
-        .collect();
-    let mut pending: Vec<_> = ids.clone();
-    let mut last = t0;
-    while !pending.is_empty() {
-        let t = net.next_completion_time();
-        for done in net.advance_to(t) {
-            if let Some(pos) = pending.iter().position(|id| *id == done.flow) {
-                pending.swap_remove(pos);
-                if done.at > last {
-                    last = done.at;
-                }
-            }
-        }
-    }
-    last.secs_since(t0)
-}
-
-/// Runs one probe arm to exhaustion: admits the shard `flows` at
-/// `t0`, then drains the fabric. Returns the read completion (last
-/// shard done) and the mean completion of the pre-admitted background
-/// flows — the interference the read inflicted on them.
-fn probe_secs(net: &mut FluidNet, flows: &[(Path, f64)], t0: SimTime) -> (f64, f64) {
-    let shard_ids: Vec<_> = flows
-        .iter()
-        .map(|(p, bits)| net.add_flow(p.clone(), *bits, t0))
-        .collect();
-    let mut read_done = t0;
-    let mut bg_done = Vec::new();
-    while net.flow_count() > 0 {
-        let t = net.next_completion_time();
-        for done in net.advance_to(t) {
-            if shard_ids.contains(&done.flow) {
-                if done.at > read_done {
-                    read_done = done.at;
-                }
-            } else {
-                bg_done.push(done.at.secs_since(t0));
-            }
-        }
-    }
-    (read_done.secs_since(t0), mean(&bg_done))
-}
-
 /// One degraded-read probe, drawn up front so both arms replay the
 /// identical scenario.
 struct Probe {
@@ -254,14 +207,6 @@ struct Probe {
     chunk: u64,
     /// (src, dst, bits) of each background elephant.
     background: Vec<(HostId, HostId, f64)>,
-}
-
-fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
-    }
 }
 
 /// Runs the experiment in `dir` (the cluster's on-disk root).
@@ -384,53 +329,52 @@ pub fn run_erasure(
         let chunk_bits = (meta.chunk_payload_len(probe.chunk) as f64 * 8.0).max(1.0);
         let t0 = SimTime::ZERO;
 
-        let mut fsrv = Flowserver::new(Arc::clone(&topo), FlowserverConfig::default());
-        let mut net_mf = FluidNet::new(Arc::clone(&topo));
-        let mut net_ecmp = FluidNet::new(Arc::clone(&topo));
+        let fsrv = Flowserver::new(Arc::clone(&topo), FlowserverConfig::default());
+        let mut mf = Driver::new(&topo, Some(fsrv));
+        let mut ecmp = Driver::new(&topo, None);
         for (src, dst, bits) in &probe.background {
             // The elephants are other clients' foreground traffic: the
             // Flowserver schedules them (and therefore knows about
             // them); both fabrics carry the identical flows.
+            let fsrv = mf.flowserver();
             if let Selection::Single(a) = fsrv.select_path_for_replica(*dst, *src, *bits, t0) {
-                net_mf.add_flow(a.path.clone(), *bits, t0);
-                net_ecmp.add_flow(a.path, *bits, t0);
+                mf.admit(BACKGROUND, a.path.clone(), *bits, Some(a.cookie), t0);
+                ecmp.admit(BACKGROUND, a.path, *bits, None, t0);
             }
         }
 
         // Mayflower: joint k-source + path selection.
+        let fsrv = mf.flowserver();
         let selection = fsrv.select_coded_read(probe.client, &sources, cfg.k, chunk_bits, t0);
-        let flows: Vec<(Path, f64)> = selection
-            .assignments()
-            .iter()
-            .map(|a| (a.path.clone(), a.size_bits))
-            .collect();
-        let (read, bg) = probe_secs(&mut net_mf, &flows, t0);
-        mayflower_read_secs.push(read);
-        mayflower_bg_secs.push(bg);
+        for a in selection.assignments() {
+            mf.admit(OWN, a.path.clone(), a.size_bits, Some(a.cookie), t0);
+        }
+        let done = mf.drain();
+        mayflower_read_secs.push(last_secs(&done, OWN));
+        mayflower_bg_secs.push(mean_secs(&done, BACKGROUND));
 
         // ECMP: first k live fragments in fragment order, hash-routed.
         let shard_bits = chunk_bits / cfg.k as f64;
-        let flows: Vec<(Path, f64)> = sources
+        let shard_sources = sources
             .iter()
             .take(cfg.k)
-            .filter(|src| **src != probe.client)
-            .enumerate()
-            .filter_map(|(s, src)| {
-                let key = FlowKey::new(*src, probe.client, (j * 16 + s) as u64);
-                ecmp_path(&topo, key).map(|p| (p, shard_bits))
-            })
-            .collect();
-        let (read, bg) = probe_secs(&mut net_ecmp, &flows, t0);
-        ecmp_read_secs.push(read);
-        ecmp_bg_secs.push(bg);
+            .filter(|src| **src != probe.client);
+        for (s, src) in shard_sources.enumerate() {
+            let key = FlowKey::new(*src, probe.client, (j * 16 + s) as u64);
+            if let Some(path) = ecmp_path(&topo, key) {
+                ecmp.admit(OWN, path, shard_bits, None, t0);
+            }
+        }
+        let done = ecmp.drain();
+        ecmp_read_secs.push(last_secs(&done, OWN));
+        ecmp_bg_secs.push(mean_secs(&done, BACKGROUND));
     }
 
-    // Repair cost: one lost replica vs. one lost fragment, each over
-    // Flowserver-scheduled background flows on an otherwise idle
-    // fabric.
+    // Repair cost: one lost replica vs. one lost fragment, each
+    // scheduled by a fresh Flowserver on an otherwise idle fabric.
     let t0 = SimTime::ZERO;
-    let mut fsrv = Flowserver::new(Arc::clone(&topo), FlowserverConfig::default());
-    let mut net = FluidNet::new(Arc::clone(&topo));
+    let fsrv = || Flowserver::new(Arc::clone(&topo), FlowserverConfig::default());
+    let mut fabric = Driver::new(&topo, Some(fsrv()));
     let rep = &rep_metas[0];
     let rep_dest = live
         .iter()
@@ -438,14 +382,16 @@ pub fn run_erasure(
         .find(|h| !rep.replicas.contains(h))
         .expect("a spare host exists");
     let rep_bits = (rep.size as f64 * 8.0).max(1.0);
-    let flows = match fsrv.select_repair_flow(rep_dest, &[rep.primary()], rep_bits, t0) {
-        Selection::Single(a) => vec![(a.path, rep_bits)],
-        _ => Vec::new(),
-    };
+    let scheduler = fabric.flowserver();
+    if let Selection::Single(a) =
+        scheduler.select_repair_flow(rep_dest, &[rep.primary()], rep_bits, t0)
+    {
+        fabric.admit(OWN, a.path, rep_bits, Some(a.cookie), t0);
+    }
     let replica_repair = RepairSample {
         bytes_restored: rep.size,
         bytes_moved: rep.size,
-        secs: transfer_secs(&mut net, &flows, t0),
+        secs: last_secs(&fabric.drain(), OWN),
     };
 
     let ec = &ec_metas[0];
@@ -456,27 +402,21 @@ pub fn run_erasure(
         .expect("a spare host exists");
     let sealed = ec.sealed_bytes().min(ec.size);
     let shard_bits = (sealed as f64 * 8.0 / cfg.k as f64).max(1.0);
-    let mut fsrv = Flowserver::new(Arc::clone(&topo), FlowserverConfig::default());
-    let mut net = FluidNet::new(Arc::clone(&topo));
+    let mut fabric = Driver::new(&topo, Some(fsrv()));
     // The k shard pulls are scheduled one by one so each sees the
     // previously admitted ones (the planner's contention-aware idiom).
-    let flows: Vec<(Path, f64)> = ec
-        .fragments
-        .iter()
-        .copied()
-        .filter(|h| !crashed.contains(h))
-        .take(cfg.k)
-        .filter_map(
-            |src| match fsrv.select_repair_flow(ec_dest, &[src], shard_bits, t0) {
-                Selection::Single(a) => Some((a.path, shard_bits)),
-                _ => None,
-            },
-        )
-        .collect();
+    let shard_sources = ec.fragments.iter().filter(|h| !crashed.contains(h));
+    for src in shard_sources.take(cfg.k) {
+        let scheduler = fabric.flowserver();
+        if let Selection::Single(a) = scheduler.select_repair_flow(ec_dest, &[*src], shard_bits, t0)
+        {
+            fabric.admit(OWN, a.path, shard_bits, Some(a.cookie), t0);
+        }
+    }
     let coded_repair = RepairSample {
         bytes_restored: sealed / cfg.k as u64,
         bytes_moved: sealed,
-        secs: transfer_secs(&mut net, &flows, t0),
+        secs: last_secs(&fabric.drain(), OWN),
     };
 
     Ok(ErasureRunResult {

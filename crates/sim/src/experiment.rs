@@ -7,7 +7,7 @@ use mayflower_simcore::SimRng;
 use mayflower_workload::{TrafficMatrix, WorkloadParams};
 use serde::{Deserialize, Serialize};
 
-use crate::engine::{replay_with_telemetry, JobRecord, NoHooks, ReplayOptions};
+use crate::engine::{remote_durations, replay_with_telemetry, JobRecord, NoHooks, ReplayOptions};
 use crate::faults::{FaultReport, FaultSchedule};
 use crate::stats::Summary;
 use crate::strategy::Strategy;
@@ -72,11 +72,7 @@ impl RunResult {
     /// Completion times (seconds) of remote jobs, in job order.
     #[must_use]
     pub fn durations(&self) -> Vec<f64> {
-        self.jobs
-            .iter()
-            .filter(|j| !j.local)
-            .map(JobRecord::duration_secs)
-            .collect()
+        remote_durations(&self.jobs)
     }
 }
 
@@ -100,12 +96,7 @@ impl ExperimentConfig {
         let (jobs, report, registry) =
             replay_with_telemetry(&topo, &matrix, self.strategy, &opts, &mut rng, &mut NoHooks);
         let fault_report = self.faults.is_some().then_some(report);
-        let durations: Vec<f64> = jobs
-            .iter()
-            .filter(|j| !j.local)
-            .map(JobRecord::duration_secs)
-            .collect();
-        let summary = Summary::of(&durations);
+        let summary = Summary::of(&remote_durations(&jobs));
         summary.record_to(&registry.scope("sim"), "completion");
         let snapshot = registry.snapshot();
         RunResult {

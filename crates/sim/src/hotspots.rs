@@ -17,8 +17,9 @@ use mayflower_simcore::SimRng;
 use mayflower_workload::{LocalityDist, TrafficMatrix, WorkloadParams};
 use serde::{Deserialize, Serialize};
 
-use crate::engine::replay_with_usage;
+use crate::engine::{remote_durations, replay_full, NoHooks, ReplayOptions};
 use crate::figures::Effort;
+use crate::stats::mean;
 use crate::strategy::Strategy;
 
 /// A link tier in the 3-tier tree, by the endpoints' roles.
@@ -113,7 +114,9 @@ pub fn hotspot_report(effort: Effort, seed: u64) -> HotspotReport {
         let matrix = TrafficMatrix::generate(&topo, &params, &mut rng);
         for strategy in [Strategy::Mayflower, Strategy::NearestEcmp] {
             let mut run_rng = rng.clone();
-            let (records, usage) = replay_with_usage(&topo, &matrix, strategy, 1.0, &mut run_rng);
+            let opts = ReplayOptions::default();
+            let out = replay_full(&topo, &matrix, strategy, &opts, &mut run_rng, &mut NoHooks);
+            let (records, usage) = (out.jobs, out.link_bits);
             let makespan = records
                 .iter()
                 .map(|r| r.finish.as_secs())
@@ -132,25 +135,19 @@ pub fn hotspot_report(effort: Effort, seed: u64) -> HotspotReport {
                 .into_iter()
                 .map(|tier| {
                     let utils = per_tier.remove(&tier).unwrap_or_default();
-                    let mean = utils.iter().sum::<f64>() / utils.len().max(1) as f64;
-                    let max = utils.iter().copied().fold(0.0f64, f64::max);
                     TierStats {
                         tier,
-                        mean_utilization: mean,
-                        max_utilization: max,
+                        mean_utilization: mean(&utils),
+                        max_utilization: utils.iter().copied().fold(0.0f64, f64::max),
                     }
                 })
                 .collect();
-            let remote: Vec<f64> = records
-                .iter()
-                .filter(|r| !r.local)
-                .map(crate::engine::JobRecord::duration_secs)
-                .collect();
+            let remote = remote_durations(&records);
             rows.push(HotspotRow {
                 strategy,
                 locality: label.to_string(),
                 tiers,
-                mean_secs: remote.iter().sum::<f64>() / remote.len().max(1) as f64,
+                mean_secs: mean(&remote),
             });
         }
     }

@@ -10,7 +10,13 @@
 //! paper's §6:
 //!
 //! * [`engine::replay`] — replays a traffic matrix under a
-//!   [`Strategy`], producing per-job completion records.
+//!   [`Strategy`], producing per-job completion records;
+//!   [`engine::replay_full`] adds hooks, options, faults and returns
+//!   everything the run produced ([`ReplayOutput`]).
+//! * `driver` (crate-private) — the one owner of the simulated fabric:
+//!   the fluid network, the Flowserver scheduling it and the flow ↔ job
+//!   ↔ cookie maps. The engine and every other experiment here admit,
+//!   retire, abort and poll flows through it and nowhere else.
 //! * [`ExperimentConfig`] — one topology × workload × strategy × seed
 //!   run.
 //! * [`figures`] — one function per paper figure (4, 5, 6a, 6b, 7,
@@ -31,6 +37,7 @@
 
 pub mod ablation;
 pub mod consistency;
+mod driver;
 pub mod engine;
 pub mod erasure;
 pub mod experiment;
@@ -50,7 +57,7 @@ pub mod topologies;
 pub mod writes;
 
 pub use engine::{
-    replay, replay_with_faults, replay_with_telemetry, replay_with_usage, JobRecord, ReplayOptions,
+    replay, replay_full, replay_with_telemetry, JobRecord, ReplayOptions, ReplayOutput,
 };
 pub use erasure::{
     run_erasure, ErasureExperimentConfig, ErasureRunResult, RepairSample, StorageFootprint,

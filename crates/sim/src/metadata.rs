@@ -37,16 +37,21 @@ use std::sync::Arc;
 
 use mayflower_flowserver::{Flowserver, FlowserverConfig, Selection};
 use mayflower_fs::{FsError, MetadataService, Redundancy};
-use mayflower_net::{ecmp_path, FlowKey, Path, Topology, TreeParams};
+use mayflower_net::{ecmp_path, FlowKey, Topology, TreeParams};
 use mayflower_shard::{
     migrate, FlowserverScheduler, MigrationReport, ShardMap, ShardPlaneConfig, ShardRouter,
     ShardedNameserver,
 };
 use mayflower_simcore::{SimRng, SimTime};
-use mayflower_simnet::FluidNet;
 use mayflower_telemetry::Registry;
 use mayflower_workload::Zipf;
 use serde::{Deserialize, Serialize};
+
+use crate::driver::{last_secs, mean_secs, Driver};
+
+/// Driver tags: the migration's flows, and the foreground they run beside.
+const MIGRATION: usize = 0;
+const FOREGROUND: usize = 1;
 
 /// Configuration of one metadata-scaling run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -185,14 +190,6 @@ fn meta_name(rank: usize) -> String {
     format!("meta/f{rank:04}")
 }
 
-fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
-    }
-}
-
 /// A per-client LRU over popularity ranks — the model of the lease
 /// cache: a hit answers locally, a miss goes to the owning shard.
 struct LruCache {
@@ -277,29 +274,15 @@ fn sweep_point(
     }
 }
 
-/// Admits `flows` at `t0`, then drains the fabric; returns the mean
-/// completion of the flows already in `net` (the foreground) and the
-/// completion of the last admitted flow (the migration).
-fn drain_arm(net: &mut FluidNet, flows: &[(Path, f64)], t0: SimTime) -> (f64, f64) {
-    let migration_ids: Vec<_> = flows
-        .iter()
-        .map(|(p, bits)| net.add_flow(p.clone(), *bits, t0))
-        .collect();
-    let mut fg_done = Vec::new();
-    let mut migration_done = t0;
-    while net.flow_count() > 0 {
-        let t = net.next_completion_time();
-        for done in net.advance_to(t) {
-            if migration_ids.contains(&done.flow) {
-                if done.at > migration_done {
-                    migration_done = done.at;
-                }
-            } else {
-                fg_done.push(done.at.secs_since(t0));
-            }
-        }
+/// Runs one arm's fabric empty and reads off how the foreground and
+/// the `migration_flows` admitted beside it fared.
+fn finish_arm(fabric: &mut Driver, migration_flows: usize) -> MigrationArm {
+    let done = fabric.drain();
+    MigrationArm {
+        migration_flows,
+        fg_mean_secs: mean_secs(&done, FOREGROUND),
+        migration_secs: last_secs(&done, MIGRATION),
     }
-    (mean(&fg_done), migration_done.secs_since(t0))
 }
 
 /// Runs the experiment; `dir` hosts the live plane's on-disk shards.
@@ -372,9 +355,9 @@ pub fn run_metadata_scaling(
     // with them.
     let t0 = SimTime::ZERO;
     let hosts = topo.hosts();
-    let mut fsrv = Flowserver::new(Arc::clone(&topo), FlowserverConfig::default());
-    let mut net_sched = FluidNet::new(Arc::clone(&topo));
-    let mut net_ecmp = FluidNet::new(Arc::clone(&topo));
+    let fsrv = Flowserver::new(Arc::clone(&topo), FlowserverConfig::default());
+    let mut sched = Driver::new(&topo, Some(fsrv));
+    let mut ecmp = Driver::new(&topo, None);
     let pick = |rng: &mut SimRng| hosts[(rng.next_u64() as usize) % hosts.len()];
     for _ in 0..cfg.foreground_flows {
         let src = pick(&mut rng);
@@ -383,10 +366,18 @@ pub fn run_metadata_scaling(
             dst = hosts[(hosts.iter().position(|h| *h == src).unwrap() + 1) % hosts.len()];
         }
         if let Selection::Single(a) =
-            fsrv.select_path_for_replica(dst, src, cfg.foreground_bits, t0)
+            sched
+                .flowserver()
+                .select_path_for_replica(dst, src, cfg.foreground_bits, t0)
         {
-            net_sched.add_flow(a.path.clone(), cfg.foreground_bits, t0);
-            net_ecmp.add_flow(a.path, cfg.foreground_bits, t0);
+            sched.admit(
+                FOREGROUND,
+                a.path.clone(),
+                cfg.foreground_bits,
+                Some(a.cookie),
+                t0,
+            );
+            ecmp.admit(FOREGROUND, a.path, cfg.foreground_bits, None, t0);
         }
     }
 
@@ -395,7 +386,7 @@ pub fn run_metadata_scaling(
         let map = plane.shard_map();
         map.with_shard_added(map.next_shard_id())
     };
-    let mut scheduler = FlowserverScheduler::new(&mut fsrv, t0);
+    let mut scheduler = FlowserverScheduler::new(sched.flowserver(), t0);
     let migration = migrate(
         &plane,
         grown,
@@ -407,33 +398,19 @@ pub fn run_metadata_scaling(
 
     // Scheduled arm: the flowserver's paths. Unscheduled arm: the
     // byte-identical transfers hashed onto ECMP, blind to load.
-    let sched_flows: Vec<(Path, f64)> = selections
-        .iter()
-        .filter_map(|(_, _, bits, sel)| match sel {
-            Selection::Single(a) => Some((a.path.clone(), *bits)),
-            _ => None,
-        })
-        .collect();
-    let ecmp_flows: Vec<(Path, f64)> = selections
-        .iter()
-        .enumerate()
-        .filter_map(|(i, (src, dst, bits, _))| {
-            let key = FlowKey::new(*src, *dst, i as u64);
-            ecmp_path(&topo, key).map(|p| (p, *bits))
-        })
-        .collect();
-    let (fg, mig) = drain_arm(&mut net_sched, &sched_flows, t0);
-    let scheduled = MigrationArm {
-        migration_flows: sched_flows.len(),
-        fg_mean_secs: fg,
-        migration_secs: mig,
-    };
-    let (fg, mig) = drain_arm(&mut net_ecmp, &ecmp_flows, t0);
-    let unscheduled = MigrationArm {
-        migration_flows: ecmp_flows.len(),
-        fg_mean_secs: fg,
-        migration_secs: mig,
-    };
+    let (mut sched_flows, mut ecmp_flows) = (0, 0);
+    for (i, (src, dst, bits, sel)) in selections.into_iter().enumerate() {
+        if let Selection::Single(a) = sel {
+            sched.admit(MIGRATION, a.path, bits, Some(a.cookie), t0);
+            sched_flows += 1;
+        }
+        if let Some(path) = ecmp_path(&topo, FlowKey::new(src, dst, i as u64)) {
+            ecmp.admit(MIGRATION, path, bits, None, t0);
+            ecmp_flows += 1;
+        }
+    }
+    let scheduled = finish_arm(&mut sched, sched_flows);
+    let unscheduled = finish_arm(&mut ecmp, ecmp_flows);
 
     Ok(MetadataScalingResult {
         config: cfg.clone(),

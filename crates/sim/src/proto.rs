@@ -31,8 +31,8 @@ use mayflower_simcore::SimRng;
 use mayflower_workload::{ReadJob, TrafficMatrix, WorkloadParams};
 use serde::{Deserialize, Serialize};
 
-use crate::engine::{replay_with_hooks, JobHooks};
-use crate::stats::Summary;
+use crate::engine::{remote_durations, replay_full, JobHooks, ReplayOptions};
+use crate::stats::{mean, Summary};
 use crate::strategy::Strategy;
 
 /// Real bytes stored per file in the prototype cluster.
@@ -188,13 +188,10 @@ pub fn figure8(
                 lookups: 0,
             };
             let mut run_rng = rng.clone();
+            let opts = ReplayOptions::default();
             let records =
-                replay_with_hooks(&topo, &matrix, strategy, 1.0, &mut run_rng, &mut hooks);
-            let durations: Vec<f64> = records
-                .iter()
-                .filter(|j| !j.local)
-                .map(crate::engine::JobRecord::duration_secs)
-                .collect();
+                replay_full(&topo, &matrix, strategy, &opts, &mut run_rng, &mut hooks).jobs;
+            let durations = remote_durations(&records);
             points.push(PrototypePoint {
                 lambda,
                 system: label.to_string(),
@@ -240,8 +237,8 @@ pub fn render_figure8(fig: &Figure8) -> String {
         }
     }
     if !mf.is_empty() && !hdfs.is_empty() {
-        let mf_avg: f64 = mf.iter().sum::<f64>() / mf.len() as f64;
-        let hdfs_avg: f64 = hdfs.iter().sum::<f64>() / hdfs.len() as f64;
+        let mf_avg = mean(&mf);
+        let hdfs_avg = mean(&hdfs);
         let _ = writeln!(
             out,
             "headline: read-time reduction vs HDFS-ECMP = {:.0}% (paper: >80%)",

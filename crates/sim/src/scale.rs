@@ -17,7 +17,7 @@ use mayflower_simcore::SimRng;
 use mayflower_workload::{TrafficMatrix, WorkloadParams};
 use serde::{Deserialize, Serialize};
 
-use crate::engine::{replay, JobRecord};
+use crate::engine::{remote_durations, replay};
 use crate::figures::Effort;
 use crate::stats::Summary;
 use crate::strategy::Strategy;
@@ -98,11 +98,7 @@ pub fn scale_experiment(effort: Effort, seed: u64) -> ScaleExperiment {
             let started = Instant::now();
             let records = replay(&topo, &matrix, strategy, 1.0, &mut run_rng);
             let elapsed = started.elapsed();
-            let remote: Vec<f64> = records
-                .iter()
-                .filter(|j| !j.local)
-                .map(JobRecord::duration_secs)
-                .collect();
+            let remote = remote_durations(&records);
             points.push(ScalePoint {
                 hosts,
                 strategy,

@@ -131,6 +131,16 @@ impl Summary {
     }
 }
 
+/// Arithmetic mean; 0 for an empty sample (experiments that may time
+/// nothing report zero rather than NaN).
+pub(crate) fn mean(values: &[f64]) -> f64 {
+    if values.is_empty() {
+        0.0
+    } else {
+        values.iter().sum::<f64>() / values.len() as f64
+    }
+}
+
 /// Linear-interpolation percentile (R type 7) of pre-sorted data.
 ///
 /// # Panics

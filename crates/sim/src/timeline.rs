@@ -4,8 +4,8 @@
 //!
 //! Unlike the throughput experiments, this module cares about *where
 //! the time goes inside one operation*: every arm runs a single
-//! operation under a manual-clock [`Tracer`], drives span start/end
-//! times from a deterministic fluid estimate, and exports the
+//! operation under a manual-clock [`Tracer`], takes span end times
+//! from the fluid network every other figure runs on, and exports the
 //! byte-deterministic JSON / Chrome trace-event renderings plus the
 //! critical path. The scheduled arms use the real
 //! [`Flowserver`] (with its decision-record spans: candidates
@@ -17,18 +17,21 @@
 //! Both arms of an operation face the same scenario — same client,
 //! same replicas, same background flow endpoints — but each arm routes
 //! the background its own way (a fabric is ECMP end to end or
-//! scheduled end to end). Flow bandwidth in both arms comes from one
-//! shared count-based fair-share model, so completion times are
-//! comparable.
+//! scheduled end to end). Every flow, background included, is admitted
+//! to the arm's fabric (`driver::Driver`) at t = 0 and the fabric is
+//! run empty: a span ends when its flow completes at max-min rates, so
+//! a background flow that finishes gives its share back.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use mayflower_flowserver::{Flowserver, FlowserverConfig, Selection};
 use mayflower_net::{ecmp_path, FlowKey, HostId, Path, Topology, TreeParams};
+use mayflower_sdn::FlowCookie;
 use mayflower_simcore::{SimRng, SimTime};
 use mayflower_telemetry::trace::{self, TraceHandle, TraceTree, Tracer};
 use serde::{Deserialize, Serialize};
+
+use crate::driver::Driver;
 
 /// Bits moved by the traced operation (a 256 MB chunk read / append,
 /// the paper's file size).
@@ -39,6 +42,10 @@ const BG_BITS: f64 = 64.0 * 8e6;
 
 /// How many background flows congest the fabric.
 const BG_FLOWS: usize = 6;
+
+/// Driver tag of the background flows; the operation's own flows are
+/// tagged with their span index.
+const BG: usize = usize::MAX;
 
 /// One traced arm: an operation under one scheduler.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -111,37 +118,17 @@ impl Scenario {
     }
 }
 
-/// Count-based fair share: each flow gets, on every link it crosses,
-/// `capacity / flows_on_link`; its bandwidth is the minimum across its
-/// links. A coarse (demand-oblivious) cut of max-min fairness, but
-/// identical for both arms, which is what makes their completion
-/// times comparable.
-fn fair_bandwidths(topo: &Topology, flows: &[Path]) -> Vec<f64> {
-    let mut load: BTreeMap<usize, f64> = BTreeMap::new();
-    for p in flows {
-        for l in p.links() {
-            *load.entry(l.index()).or_insert(0.0) += 1.0;
+/// Runs the arm's fabric empty and returns when each of the
+/// operation's `spans` flows completed, in whole microseconds (at least
+/// one, so a transfer never renders as a zero-length span).
+fn span_ends_us(fabric: &mut Driver, spans: usize) -> Vec<u64> {
+    let mut ends = vec![0; spans];
+    for (tag, c) in fabric.drain() {
+        if tag != BG {
+            ends[tag] = mayflower_telemetry::secs_to_us(c.duration_secs()).max(1);
         }
     }
-    flows
-        .iter()
-        .map(|p| {
-            p.links()
-                .iter()
-                .map(|l| topo.link(*l).capacity() / load[&l.index()])
-                .fold(f64::INFINITY, f64::min)
-        })
-        .collect()
-}
-
-/// Microseconds to move `bits` at `bw` bits/sec, rounded up so a
-/// nonzero transfer never renders as a zero-length span.
-#[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-fn transfer_us(bits: f64, bw: f64) -> u64 {
-    if bw <= 0.0 || !bw.is_finite() {
-        return 1;
-    }
-    ((bits / bw) * 1e6).ceil().max(1.0) as u64
+    ends
 }
 
 /// One planned child span of the operation: opened at t=0, closed at
@@ -173,27 +160,37 @@ fn render_links(path: &Path) -> String {
         .join("->")
 }
 
-/// Installs the background flows through the Flowserver (the scheduled
-/// fabric routes everything) and returns their chosen paths.
-fn scheduled_background(fs: &mut Flowserver, background: &[(HostId, HostId)]) -> Vec<Path> {
-    background
-        .iter()
-        .filter_map(|&(src, dst)| {
-            match fs.select_path_for_replica(dst, src, BG_BITS, SimTime::ZERO) {
-                Selection::Single(a) => Some(a.path),
-                _ => None,
-            }
-        })
-        .collect()
+/// A fabric scheduled end to end: a fresh Flowserver (its decision
+/// records going to `tracer`) routes and admits the background flows.
+fn scheduled_fabric(tracer: &Arc<Tracer>, sc: &Scenario, multipath: bool) -> Driver {
+    let mut fs = Flowserver::new(
+        sc.topo.clone(),
+        FlowserverConfig {
+            multipath,
+            ..FlowserverConfig::default()
+        },
+    );
+    fs.attach_tracer(tracer.handle("flowserver"));
+    let mut fabric = Driver::new(&sc.topo, Some(fs));
+    for &(src, dst) in &sc.background {
+        let fs = fabric.flowserver();
+        if let Selection::Single(a) = fs.select_path_for_replica(dst, src, BG_BITS, SimTime::ZERO) {
+            fabric.admit(BG, a.path, BG_BITS, Some(a.cookie), SimTime::ZERO);
+        }
+    }
+    fabric
 }
 
-/// Pins the background flows with ECMP hashing.
-fn ecmp_background(topo: &Topology, background: &[(HostId, HostId)]) -> Vec<Path> {
-    background
-        .iter()
-        .enumerate()
-        .filter_map(|(i, &(src, dst))| ecmp_path(topo, FlowKey::new(src, dst, 1000 + i as u64)))
-        .collect()
+/// A fabric with no scheduler: the background flows are pinned by ECMP
+/// hashing.
+fn ecmp_fabric(sc: &Scenario) -> Driver {
+    let mut fabric = Driver::new(&sc.topo, None);
+    for (i, &(src, dst)) in sc.background.iter().enumerate() {
+        if let Some(path) = ecmp_path(&sc.topo, FlowKey::new(src, dst, 1000 + i as u64)) {
+            fabric.admit(BG, path, BG_BITS, None, SimTime::ZERO);
+        }
+    }
+    fabric
 }
 
 /// Extracts Flowserver decision-record lines from a finished tree.
@@ -244,15 +241,7 @@ fn finish_arm(op: &str, scheduler: &str, completion_us: u64, tree: &TraceTree) -
 /// Runs the scheduled read: `SELECTREPLICAANDPATH` with multipath on,
 /// one `piece` span per subflow.
 fn scheduled_read(tracer: &Arc<Tracer>, sc: &Scenario) -> TimelineArm {
-    let mut fs = Flowserver::new(
-        sc.topo.clone(),
-        FlowserverConfig {
-            multipath: true,
-            ..FlowserverConfig::default()
-        },
-    );
-    fs.attach_tracer(tracer.handle("flowserver"));
-    let bg = scheduled_background(&mut fs, &sc.background);
+    let mut fabric = scheduled_fabric(tracer, sc, true);
 
     let client: TraceHandle = tracer.handle("client");
     let datapath: TraceHandle = tracer.handle("datapath");
@@ -263,29 +252,35 @@ fn scheduled_read(tracer: &Arc<Tracer>, sc: &Scenario) -> TimelineArm {
     trace::annotate(&mut root, "scheduler", "mayflower");
     let completion = {
         let _g = root.as_ref().map(trace::ActiveSpan::enter);
+        let fs = fabric.flowserver();
         let sel = fs.select_replica_path(sc.client, &sc.replicas, OP_BITS, SimTime::ZERO);
         let assignments = sel.assignments();
         assert!(
             !assignments.is_empty(),
             "scheduled read must select at least one subflow"
         );
-        let mut flows = bg.clone();
-        flows.extend(assignments.iter().map(|a| a.path.clone()));
-        let bws = fair_bandwidths(&sc.topo, &flows);
+        for (i, a) in assignments.iter().enumerate() {
+            fabric.admit(
+                i,
+                a.path.clone(),
+                a.size_bits,
+                Some(a.cookie),
+                SimTime::ZERO,
+            );
+        }
+        let ends = span_ends_us(&mut fabric, assignments.len());
         let planned = assignments
             .iter()
+            .zip(ends)
             .enumerate()
-            .map(|(i, a)| {
+            .map(|(i, (a, end_us))| {
                 let mut span = datapath.child("piece");
                 trace::annotate(&mut span, "index", i.to_string());
                 trace::annotate(&mut span, "replica", a.replica.0.to_string());
                 trace::annotate(&mut span, "links", render_links(&a.path));
                 trace::annotate(&mut span, "est_bw", format!("{:.3e}", a.est_bw));
                 trace::annotate(&mut span, "bits", format!("{:.3e}", a.size_bits));
-                PlannedSpan {
-                    span,
-                    end_us: transfer_us(a.size_bits, bws[bg.len() + i]),
-                }
+                PlannedSpan { span, end_us }
             })
             .collect();
         close_in_order(tracer, planned)
@@ -298,7 +293,7 @@ fn scheduled_read(tracer: &Arc<Tracer>, sc: &Scenario) -> TimelineArm {
 /// Runs the ECMP read: whole chunk from the nearest replica over the
 /// ECMP-hashed shortest path.
 fn ecmp_read(tracer: &Arc<Tracer>, sc: &Scenario) -> TimelineArm {
-    let bg = ecmp_background(&sc.topo, &sc.background);
+    let mut fabric = ecmp_fabric(sc);
     let replica = *sc
         .replicas
         .iter()
@@ -316,9 +311,7 @@ fn ecmp_read(tracer: &Arc<Tracer>, sc: &Scenario) -> TimelineArm {
         let _g = root.as_ref().map(trace::ActiveSpan::enter);
         let path = ecmp_path(&sc.topo, FlowKey::new(replica, sc.client, 1))
             .expect("distinct hosts have a path");
-        let mut flows = bg.clone();
-        flows.push(path.clone());
-        let bws = fair_bandwidths(&sc.topo, &flows);
+        fabric.admit(0, path.clone(), OP_BITS, None, SimTime::ZERO);
         let mut span = datapath.child("piece");
         trace::annotate(&mut span, "index", "0");
         trace::annotate(&mut span, "replica", replica.0.to_string());
@@ -326,7 +319,7 @@ fn ecmp_read(tracer: &Arc<Tracer>, sc: &Scenario) -> TimelineArm {
         trace::annotate(&mut span, "bits", format!("{OP_BITS:.3e}"));
         let planned = vec![PlannedSpan {
             span,
-            end_us: transfer_us(OP_BITS, bws[bg.len()]),
+            end_us: span_ends_us(&mut fabric, 1)[0],
         }];
         close_in_order(tracer, planned)
     };
@@ -343,13 +336,14 @@ fn relay_hops(sc: &Scenario) -> Vec<(HostId, HostId)> {
     chain.windows(2).map(|w| (w[0], w[1])).collect()
 }
 
-/// Runs one append arm; `pick_path` chooses each hop's path.
+/// Runs one append arm on `fabric`; `route` chooses each hop's path
+/// (and returns the Flowserver's cookie for it, if it scheduled it).
 fn append_arm(
     tracer: &Arc<Tracer>,
     sc: &Scenario,
     scheduler: &str,
-    bg: &[Path],
-    mut pick_path: impl FnMut(usize, HostId, HostId) -> Path,
+    mut fabric: Driver,
+    mut route: impl FnMut(&mut Driver, usize, HostId, HostId) -> (Path, Option<FlowCookie>),
 ) -> TimelineArm {
     let hops = relay_hops(sc);
     let client: TraceHandle = tracer.handle("client");
@@ -365,24 +359,24 @@ fn append_arm(
         let paths: Vec<Path> = hops
             .iter()
             .enumerate()
-            .map(|(i, &(src, dst))| pick_path(i, src, dst))
+            .map(|(i, &(src, dst))| {
+                let (path, cookie) = route(&mut fabric, i, src, dst);
+                fabric.admit(i, path.clone(), OP_BITS, cookie, SimTime::ZERO);
+                path
+            })
             .collect();
-        let mut flows = bg.to_vec();
-        flows.extend(paths.iter().cloned());
-        let bws = fair_bandwidths(&sc.topo, &flows);
+        let ends = span_ends_us(&mut fabric, paths.len());
         let planned = paths
             .iter()
+            .zip(ends)
             .enumerate()
-            .map(|(i, path)| {
+            .map(|(i, (path, end_us))| {
                 let mut span = datapath.child("relay");
                 trace::annotate(&mut span, "stage", i.to_string());
                 trace::annotate(&mut span, "src", hops[i].0 .0.to_string());
                 trace::annotate(&mut span, "dst", hops[i].1 .0.to_string());
                 trace::annotate(&mut span, "links", render_links(path));
-                PlannedSpan {
-                    span,
-                    end_us: transfer_us(OP_BITS, bws[bg.len() + i]),
-                }
+                PlannedSpan { span, end_us }
             })
             .collect();
         close_in_order(tracer, planned)
@@ -409,20 +403,19 @@ pub fn timeline(seed: u64) -> TimelineReport {
 
     // Scheduled append: a fresh Flowserver per arm, loaded with the
     // same background endpoints, schedules each relay hop.
-    let mut fs = Flowserver::new(sc.topo.clone(), FlowserverConfig::default());
-    fs.attach_tracer(tracer.handle("flowserver"));
-    let sched_bg = scheduled_background(&mut fs, &sc.background);
-    let append_sched = append_arm(&tracer, &sc, "mayflower", &sched_bg, |_, src, dst| match fs
-        .select_path_for_replica(dst, src, OP_BITS, SimTime::ZERO)
-    {
-        Selection::Single(a) => a.path,
-        other => panic!("hop selection on a healthy fabric returned {other:?}"),
+    let fabric = scheduled_fabric(&tracer, &sc, false);
+    let append_sched = append_arm(&tracer, &sc, "mayflower", fabric, |fabric, _, src, dst| {
+        let fs = fabric.flowserver();
+        match fs.select_path_for_replica(dst, src, OP_BITS, SimTime::ZERO) {
+            Selection::Single(a) => (a.path, Some(a.cookie)),
+            other => panic!("hop selection on a healthy fabric returned {other:?}"),
+        }
     });
 
-    let ecmp_bg = ecmp_background(&sc.topo, &sc.background);
-    let append_ecmp = append_arm(&tracer, &sc, "ecmp", &ecmp_bg, |i, src, dst| {
-        ecmp_path(&sc.topo, FlowKey::new(src, dst, 2 + i as u64))
-            .expect("distinct hosts have a path")
+    let append_ecmp = append_arm(&tracer, &sc, "ecmp", ecmp_fabric(&sc), |_, i, src, dst| {
+        let key = FlowKey::new(src, dst, 2 + i as u64);
+        let path = ecmp_path(&sc.topo, key).expect("distinct hosts have a path");
+        (path, None)
     });
 
     TimelineReport {
@@ -476,6 +469,97 @@ mod tests {
             } else {
                 assert!(arm.decision.is_empty());
             }
+        }
+    }
+
+    /// The oracle: `flows` on a bare [`FluidNet`], run empty. Returns
+    /// when the last flow after the first `background` ones completed,
+    /// in whole microseconds.
+    fn bare_fluid_us(topo: &Arc<Topology>, flows: &[(Path, f64)], background: usize) -> u64 {
+        let mut net = mayflower_simnet::FluidNet::new(topo.clone());
+        let ids: Vec<_> = flows
+            .iter()
+            .map(|(path, bits)| net.add_flow(path.clone(), *bits, SimTime::ZERO))
+            .collect();
+        let mut last = SimTime::ZERO;
+        while net.flow_count() > 0 {
+            let t = net.next_completion_time();
+            for c in net.advance_to(t) {
+                if ids[background..].contains(&c.flow) {
+                    last = last.max(c.at);
+                }
+            }
+        }
+        mayflower_telemetry::secs_to_us(last.as_secs())
+    }
+
+    /// One hop scheduled by `fs` on a healthy fabric.
+    fn scheduled_hop(fs: &mut Flowserver, src: HostId, dst: HostId, bits: f64) -> (Path, f64) {
+        match fs.select_path_for_replica(dst, src, bits, SimTime::ZERO) {
+            Selection::Single(a) => (a.path, bits),
+            other => panic!("hop selection on a healthy fabric returned {other:?}"),
+        }
+    }
+
+    /// A fresh Flowserver that has scheduled the background, and the
+    /// flows it chose — what `scheduled_fabric` does, without a fabric.
+    fn scheduled_background(sc: &Scenario, multipath: bool) -> (Flowserver, Vec<(Path, f64)>) {
+        let config = FlowserverConfig {
+            multipath,
+            ..FlowserverConfig::default()
+        };
+        let mut fs = Flowserver::new(sc.topo.clone(), config);
+        let background = sc.background.iter();
+        let flows = background
+            .map(|&(src, dst)| scheduled_hop(&mut fs, src, dst, BG_BITS))
+            .collect();
+        (fs, flows)
+    }
+
+    #[test]
+    fn every_arm_completes_when_a_bare_fluid_net_says_it_does() {
+        for seed in [0x4D41_5946, 7, 42] {
+            let sc = Scenario::generate(seed);
+            let arms = timeline(seed).arms;
+            let hops = relay_hops(&sc);
+            let oracle = |flows: &[(Path, f64)]| bare_fluid_us(&sc.topo, flows, BG_FLOWS);
+
+            // Scheduled arms: a fresh Flowserver makes the same
+            // selections in the same order, background first.
+            let (mut fs, mut flows) = scheduled_background(&sc, true);
+            let sel = fs.select_replica_path(sc.client, &sc.replicas, OP_BITS, SimTime::ZERO);
+            let pieces = sel.assignments().iter();
+            flows.extend(pieces.map(|a| (a.path.clone(), a.size_bits)));
+            assert_eq!(arms[0].completion_us, oracle(&flows), "read/mayflower");
+
+            let (mut fs, mut flows) = scheduled_background(&sc, false);
+            for &(src, dst) in &hops {
+                flows.push(scheduled_hop(&mut fs, src, dst, OP_BITS));
+            }
+            assert_eq!(arms[2].completion_us, oracle(&flows), "append/mayflower");
+
+            // ECMP arms: the hash keys the arms use.
+            let hashed = |src, dst, key| ecmp_path(&sc.topo, FlowKey::new(src, dst, key)).unwrap();
+            let background: Vec<(Path, f64)> = sc
+                .background
+                .iter()
+                .enumerate()
+                .map(|(i, &(src, dst))| (hashed(src, dst, 1000 + i as u64), BG_BITS))
+                .collect();
+            let nearest = *sc
+                .replicas
+                .iter()
+                .min_by_key(|r| (sc.topo.distance(sc.client, **r), r.0))
+                .unwrap();
+            let mut flows = background.clone();
+            flows.push((hashed(nearest, sc.client, 1), OP_BITS));
+            assert_eq!(arms[1].completion_us, oracle(&flows), "read/ecmp");
+
+            let mut flows = background;
+            for (i, &(src, dst)) in hops.iter().enumerate() {
+                flows.push((hashed(src, dst, 2 + i as u64), OP_BITS));
+            }
+            assert_eq!(arms[3].completion_us, oracle(&flows), "append/ecmp");
         }
     }
 

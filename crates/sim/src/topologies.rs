@@ -19,7 +19,7 @@ use mayflower_simcore::SimRng;
 use mayflower_workload::{LocalityDist, TrafficMatrix, WorkloadParams};
 use serde::{Deserialize, Serialize};
 
-use crate::engine::{replay, JobRecord};
+use crate::engine::{remote_durations, replay};
 use crate::figures::Effort;
 use crate::stats::Summary;
 use crate::strategy::Strategy;
@@ -92,11 +92,7 @@ pub fn topology_comparison(effort: Effort, seed: u64) -> TopologyComparison {
             for strategy in [Strategy::Mayflower, Strategy::NearestEcmp] {
                 let mut run_rng = rng.clone();
                 let records = replay(&topo, &matrix, strategy, 1.0, &mut run_rng);
-                let remote: Vec<f64> = records
-                    .iter()
-                    .filter(|r| !r.local)
-                    .map(JobRecord::duration_secs)
-                    .collect();
+                let remote = remote_durations(&records);
                 points.push(TopologyPoint {
                     topology: label.clone(),
                     locality: loc_label.to_string(),

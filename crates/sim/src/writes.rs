@@ -17,17 +17,15 @@
 //! with cut-through relaying, the fluid model's concurrent pipeline
 //! flows, completed at the slowest hop.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use mayflower_flowserver::{Flowserver, FlowserverConfig};
 use mayflower_net::{HostId, Topology, TreeParams};
-use mayflower_sdn::FlowCookie;
-use mayflower_simcore::{EventQueue, SimRng, SimTime};
-use mayflower_simnet::{FlowId, FluidNet};
+use mayflower_simcore::{SimRng, SimTime};
 use mayflower_workload::{PlacementPolicy, PoissonArrivals, TrafficMatrix, WorkloadParams};
 use serde::{Deserialize, Serialize};
 
+use crate::driver::Driver;
 use crate::figures::Effort;
 use crate::stats::Summary;
 
@@ -71,19 +69,6 @@ pub struct WriteExperiment {
     pub runs: Vec<WriteRunResult>,
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Event {
-    ReadArrival(usize),
-    WriteArrival(usize),
-    Poll,
-}
-
-struct JobState {
-    pending: usize,
-    arrival: SimTime,
-    finish: SimTime,
-}
-
 /// Runs the experiment: same background matrix and write schedule for
 /// both policies.
 #[must_use]
@@ -118,8 +103,10 @@ pub fn write_placement_experiment(effort: Effort, seed: u64) -> WriteExperiment 
         .into_iter()
         .map(|policy| {
             let mut run_rng = SimRng::seed_from(seed ^ 0x9E37);
+            let fs = Flowserver::new(topo.clone(), FlowserverConfig::default());
+            let mut driver = Driver::new(&topo, Some(fs));
             let (write_times, read_times) =
-                run_policy(&topo, &matrix, &writes, MB256, policy, &mut run_rng);
+                run_policy(&mut driver, &matrix, &writes, MB256, policy, &mut run_rng);
             WriteRunResult {
                 policy,
                 write_summary: Summary::of(&write_times),
@@ -130,137 +117,58 @@ pub fn write_placement_experiment(effort: Effort, seed: u64) -> WriteExperiment 
     WriteExperiment { runs }
 }
 
-#[allow(clippy::too_many_lines)]
+/// Runs the reads of `matrix` and the `writes` (arrival, writer) of
+/// `write_bits` each under `policy` on `driver` (an idle fabric with a
+/// Flowserver). Returns the write and the remote read completion times.
 fn run_policy(
-    topo: &Arc<Topology>,
+    driver: &mut Driver,
     matrix: &TrafficMatrix,
     writes: &[(SimTime, HostId)],
     write_bits: f64,
     policy: WritePolicy,
     rng: &mut SimRng,
 ) -> (Vec<f64>, Vec<f64>) {
-    let mut net = FluidNet::new(topo.clone());
-    let mut fs = Flowserver::new(topo.clone(), FlowserverConfig::default());
-
+    let topo = driver.net().topology().clone();
+    // Jobs: the reads are 0..n_reads, the writes follow.
     let n_reads = matrix.jobs.len();
-    let n_writes = writes.len();
-    let mut queue: EventQueue<Event> = EventQueue::new();
-    for job in &matrix.jobs {
-        queue.schedule(job.arrival, Event::ReadArrival(job.id));
-    }
-    for (i, (t, _)) in writes.iter().enumerate() {
-        queue.schedule(*t, Event::WriteArrival(i));
-    }
-    queue.schedule(SimTime::from_secs(1.0), Event::Poll);
+    let reads = matrix.jobs.iter().map(|job| job.arrival);
+    let arrivals: Vec<SimTime> = reads.chain(writes.iter().map(|(t, _)| *t)).collect();
 
-    // Job bookkeeping: reads are 0..n_reads, writes n_reads..+n_writes.
-    let mut jobs: Vec<JobState> = (0..n_reads + n_writes)
-        .map(|_| JobState {
-            pending: 0,
-            arrival: SimTime::ZERO,
-            finish: SimTime::ZERO,
-        })
-        .collect();
-    let mut flow_to_job: HashMap<FlowId, usize> = HashMap::new();
-    let mut flow_to_cookie: HashMap<FlowId, FlowCookie> = HashMap::new();
-    let mut done = 0usize;
-    let total = n_reads + n_writes;
-    let mut local_reads = 0usize;
-
-    while done < total {
-        let next_event = queue.peek_time().unwrap_or(SimTime::MAX);
-        let next_completion = net.next_completion_time();
-        let t = next_event.min(next_completion);
-        let completions = net.advance_to(t);
-        for c in completions {
-            let job = flow_to_job.remove(&c.flow).expect("flow has a job");
-            if let Some(cookie) = flow_to_cookie.remove(&c.flow) {
-                fs.flow_completed(cookie);
+    let finish = driver.run_arrivals(&arrivals, |fs, id, t| {
+        if let Some(job) = matrix.jobs.get(id) {
+            let replicas = matrix.replicas_of(job);
+            if replicas.contains(&job.client) {
+                return Vec::new();
             }
-            jobs[job].pending -= 1;
-            if jobs[job].pending == 0 {
-                jobs[job].finish = c.at;
-                done += 1;
-            }
+            let sel = fs.select_replica_path(job.client, replicas, matrix.size_of(job), t);
+            return sel.assignments().to_vec();
         }
-        if next_completion <= next_event {
-            continue;
-        }
-        let Some((t, ev)) = queue.pop() else {
-            unreachable!("no events while {done}/{total} jobs outstanding");
-        };
-        match ev {
-            Event::Poll => {
-                if done < total {
-                    queue.schedule(t + SimTime::from_secs(1.0), Event::Poll);
-                }
-            }
-            Event::ReadArrival(id) => {
-                let job = &matrix.jobs[id];
-                jobs[id].arrival = job.arrival;
-                let replicas = matrix.replicas_of(job);
-                if replicas.contains(&job.client) {
-                    jobs[id].finish = t;
-                    local_reads += 1;
-                    done += 1;
-                    continue;
-                }
-                let sel = fs.select_replica_path(job.client, replicas, matrix.size_of(job), t);
-                jobs[id].pending = sel.assignments().len();
-                for a in sel.assignments() {
-                    let fid = net.add_flow(a.path.clone(), a.size_bits, t);
-                    flow_to_job.insert(fid, id);
-                    flow_to_cookie.insert(fid, a.cookie);
-                }
-            }
-            Event::WriteArrival(i) => {
-                let job_idx = n_reads + i;
-                let (_, writer) = writes[i];
-                jobs[job_idx].arrival = t;
-                let pipeline = match policy {
-                    WritePolicy::CoDesigned => {
-                        fs.select_write_placement(writer, 3, write_bits, t).pipeline
+        // A write's flows are its pipeline's hops; empty only for a
+        // fully machine-local pipeline (can't happen with 3 fault
+        // domains).
+        let (_, writer) = writes[id - n_reads];
+        match policy {
+            WritePolicy::CoDesigned => fs.select_write_placement(writer, 3, write_bits, t).pipeline,
+            WritePolicy::Static => {
+                let replicas = PlacementPolicy::PaperEval.place(&topo, 3, rng);
+                let mut pipeline = Vec::new();
+                let mut src = writer;
+                for &replica in &replicas {
+                    if replica != src {
+                        let sel = fs.select_path_for_replica(replica, src, write_bits, t);
+                        pipeline.extend(sel.assignments().iter().cloned());
                     }
-                    WritePolicy::Static => {
-                        let replicas = PlacementPolicy::PaperEval.place(topo, 3, rng);
-                        let mut pipeline = Vec::new();
-                        let mut src = writer;
-                        for &replica in &replicas {
-                            if replica != src {
-                                let sel = fs.select_path_for_replica(replica, src, write_bits, t);
-                                pipeline.extend(sel.assignments().iter().cloned());
-                            }
-                            src = replica;
-                        }
-                        pipeline
-                    }
-                };
-                if pipeline.is_empty() {
-                    // Fully machine-local pipeline (can't happen with 3
-                    // fault domains, but stay total).
-                    jobs[job_idx].finish = t;
-                    done += 1;
-                    continue;
+                    src = replica;
                 }
-                jobs[job_idx].pending = pipeline.len();
-                for a in &pipeline {
-                    let fid = net.add_flow(a.path.clone(), a.size_bits, t);
-                    flow_to_job.insert(fid, job_idx);
-                    flow_to_cookie.insert(fid, a.cookie);
-                }
+                pipeline
             }
         }
-    }
-    let _ = local_reads;
+    });
 
-    let write_times: Vec<f64> = (n_reads..total)
-        .map(|j| jobs[j].finish.secs_since(jobs[j].arrival))
-        .collect();
-    let read_times: Vec<f64> = (0..n_reads)
-        .filter(|j| jobs[*j].finish > jobs[*j].arrival)
-        .map(|j| jobs[j].finish.secs_since(jobs[j].arrival))
-        .collect();
-    (write_times, read_times)
+    let secs = |j: usize| finish[j].secs_since(arrivals[j]);
+    let write_times = (n_reads..arrivals.len()).map(secs).collect();
+    let remote_reads = (0..n_reads).filter(|j| finish[*j] > arrivals[*j]);
+    (write_times, remote_reads.map(secs).collect())
 }
 
 /// Renders the experiment as a text table.
@@ -318,6 +226,40 @@ mod tests {
             stat.write_summary.mean
         );
         assert!(co.write_summary.p95 > 0.0);
+    }
+
+    #[test]
+    fn the_flowserver_is_polled_every_second_and_forgets_every_flow() {
+        let topo = Arc::new(Topology::three_tier(&TreeParams::paper_testbed()));
+        let params = WorkloadParams {
+            job_count: 60,
+            file_count: 40,
+            ..WorkloadParams::default()
+        };
+        let mut rng = SimRng::seed_from(13);
+        let matrix = TrafficMatrix::generate(&topo, &params, &mut rng);
+        let writes: Vec<(SimTime, HostId)> = (0..15u32)
+            .map(|i| (SimTime::from_secs(f64::from(i) * 0.7), HostId(i * 4)))
+            .collect();
+        for policy in [WritePolicy::Static, WritePolicy::CoDesigned] {
+            let registry = mayflower_telemetry::Registry::new();
+            let mut fs = Flowserver::new(topo.clone(), FlowserverConfig::default());
+            fs.attach_metrics(&registry);
+            let mut driver = Driver::new(&topo, Some(fs));
+            let (write_times, read_times) =
+                run_policy(&mut driver, &matrix, &writes, 2.048e9, policy, &mut rng);
+            assert_eq!(write_times.len(), writes.len());
+            assert!(!read_times.is_empty());
+            assert!(driver.is_idle(), "{policy:?}: flows or cookies leaked");
+            // The run ends at its last completion; every whole second
+            // before that saw one real stats poll.
+            let makespan = driver.net().now().as_secs();
+            let polls = registry.snapshot().counter("flowserver_polls_total");
+            assert!(
+                polls >= Some(makespan.floor() as u64) && polls > Some(0),
+                "{policy:?}: {polls:?} polls over {makespan} s"
+            );
+        }
     }
 
     #[test]

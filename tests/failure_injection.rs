@@ -12,7 +12,8 @@ use mayflower::fs::{
     Cluster, ClusterConfig, FallbackSelector, NearestSelector, ReadAssignment, ReplicaSelector,
 };
 use mayflower::net::{HostId, NodeKind, Topology, TreeParams};
-use mayflower::sim::{replay_with_faults, FaultEvent, FaultSchedule, ReplayOptions, Strategy};
+use mayflower::sim::engine::NoHooks;
+use mayflower::sim::{replay_full, FaultEvent, FaultSchedule, ReplayOptions, Strategy};
 use mayflower::simcore::testutil::SeedGuard;
 use mayflower::simcore::{SimRng, SimTime};
 use mayflower::workload::{TrafficMatrix, WorkloadParams};
@@ -253,7 +254,15 @@ fn agg_switch_failure_mid_read_reroutes_and_every_job_completes() {
         faults,
         ..ReplayOptions::default()
     };
-    let (jobs, report) = replay_with_faults(&topo, &matrix, Strategy::Mayflower, &opts, &mut rng);
+    let out = replay_full(
+        &topo,
+        &matrix,
+        Strategy::Mayflower,
+        &opts,
+        &mut rng,
+        &mut NoHooks,
+    );
+    let (jobs, report) = (out.jobs, out.fault_report);
     assert_eq!(jobs.len(), 60, "no job is lost to the dead switch");
     for j in &jobs {
         assert!(j.finish >= j.arrival, "job {} finished", j.id);
