@@ -65,12 +65,17 @@ echo "==> causal tracing: telemetry suite + trace determinism/well-formedness (r
 cargo test --release -q -p mayflower-telemetry
 cargo test --release -q --test trace_determinism
 
-echo "==> simulated fabric: driver, engine and experiment unit suites, engine chaos, figures CLI (release)"
+echo "==> simulated fabric: driver, engine and experiment unit suites, engine chaos, figures CLI, simnet vs its oracle (release)"
 # No flow, cookie or Flowserver model entry outlives a run (fault-free or
 # through the abort path), the consistency and write-placement runs poll
 # for real, each timeline arm equals a bare FluidNet drain, and a
 # mistyped `figures` invocation is a usage error the next stage can trust.
 cargo test --release -q -p mayflower-sim --lib --test engine_chaos --test figures_cli
+# simnet's own suite (the root `cargo test -q` covers the root package
+# only): rates and FluidNet state walks equal the full-rescan oracle to
+# the bit in the build that is measured, and add_flow's "advance_to()
+# first" guard holds without debug assertions.
+cargo test --release -q -p mayflower-simnet
 
 echo "==> figures: every regenerated figure matches results/ (release; wall-clock column masked)"
 # The simulator, the Figure 8 prototype and the recovery experiment are

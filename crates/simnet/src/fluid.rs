@@ -151,10 +151,11 @@ impl FluidNet {
     ///
     /// # Panics
     ///
-    /// Panics if `at` is in the past, if a completion is pending
-    /// strictly before `at` (call [`FluidNet::advance_to`] first and
-    /// process the completions), or if `size_bits` is not positive and
-    /// finite.
+    /// Panics if `at` is in the past, if a completion is pending at or
+    /// before `at` (call [`FluidNet::advance_to`] first and process the
+    /// completions — in every build: the finished flow would otherwise
+    /// be retired here and reported to nobody), or if `size_bits` is
+    /// not positive and finite.
     pub fn add_flow(&mut self, path: Path, size_bits: f64, at: SimTime) -> FlowId {
         assert!(
             size_bits.is_finite() && size_bits > 0.0,
@@ -163,11 +164,10 @@ impl FluidNet {
         assert!(at >= self.now, "cannot add a flow in the past");
         let next = self.next_completion_time();
         assert!(
-            next >= at,
-            "a completion at {next} precedes the admission at {at}; advance_to() first"
+            next > at,
+            "a completion at {next} is due by the admission at {at}; advance_to() first"
         );
-        let done = self.advance_to(at);
-        debug_assert!(done.is_empty());
+        self.advance_to(at);
 
         let id = FlowId(self.next_id);
         self.next_id += 1;
@@ -563,6 +563,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "advance_to")]
+    fn cannot_admit_at_the_instant_of_a_pending_completion() {
+        let (topo, mut net) = testbed();
+        net.add_flow(path(&topo, 0, 1), 1e9, SimTime::ZERO);
+        // The first flow completes at exactly t=1: admitting there
+        // without advancing would retire it unreported.
+        net.add_flow(path(&topo, 2, 3), 1e9, SimTime::from_secs(1.0));
+    }
+
+    #[test]
     fn simultaneous_completions_all_reported() {
         let (topo, mut net) = testbed();
         // Independent racks, same size: complete at the same instant.
@@ -683,8 +693,116 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::maxmin::oracle;
     use mayflower_net::{HostId, TreeParams};
     use proptest::prelude::*;
+
+    /// Every active flow's rate against the oracle's over the same
+    /// paths and link mask, to the bit.
+    fn rates_match_oracle(net: &mut FluidNet) -> Result<(), String> {
+        let topo = net.topology().clone();
+        let mask: Vec<bool> = topo
+            .links()
+            .iter()
+            .map(|l| net.link_is_up(l.id()))
+            .collect();
+        let active = net.active_flows();
+        let routed: Vec<RoutedFlow<'_>> = active
+            .iter()
+            .map(|f| RoutedFlow {
+                links: f.path.links(),
+            })
+            .collect();
+        let want = oracle::compute_rates_masked(&topo, &routed, Some(&mask));
+        for (f, w) in active.iter().zip(want) {
+            prop_assert!(
+                f.rate.to_bits() == w.to_bits(),
+                "{} of {} flows: {:e} vs oracle {w:e}",
+                f.id,
+                active.len(),
+                f.rate
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// A random walk over every state-changing call. After each one
+        /// the active flows' rates equal the oracle's to the bit; at
+        /// the end every admitted flow that was not removed has
+        /// completed exactly once, in non-decreasing time. It compares
+        /// states only, so it holds for whatever `FluidNet` keeps
+        /// between calls.
+        #[test]
+        fn state_walk_matches_the_oracle(
+            tree in oracle::trees(),
+            crowd in 0u32..6,
+            script in proptest::collection::vec(
+                (0u8..10, (any::<u32>(), any::<u32>(), any::<u32>()), 0.0f64..1.0, 0.0f64..1.0),
+                1..150),
+        ) {
+            let topo = Arc::new(Topology::three_tier(&tree));
+            let mut net = FluidNet::new(topo.clone());
+            let mut expected = Vec::new();
+            let mut completions = Vec::new();
+            for (op, raw, frac, size) in script {
+                let now = net.now().as_secs();
+                let later = |secs: f64| SimTime::from_secs(now + secs);
+                let active: Vec<FlowId> = net.active_flows().iter().map(|f| f.id).collect();
+                let victim = active.get(raw.0 as usize % active.len().max(1)).copied();
+                match (op, victim) {
+                    // Admission: op 0 lands on the current instant, so
+                    // runs of it are bursts.
+                    (0..=4, _) => {
+                        let at = later(frac * 0.01 * f64::from(op));
+                        completions.extend(net.advance_to(at));
+                        let path = oracle::route(&topo, crowd, raw);
+                        expected.push(net.add_flow(path, 1e5 + size * 1e9, at));
+                    }
+                    (5, Some(id)) => {
+                        net.remove_flow(id).expect("active flow");
+                        expected.retain(|e| *e != id);
+                    }
+                    (6, Some(id)) => {
+                        let old = net.flow(id).expect("active flow").path.clone();
+                        let paths = topo.shortest_paths(old.src(), old.dst());
+                        if !paths.is_empty() {
+                            net.reroute_flow(id, paths[raw.1 as usize % paths.len()].clone());
+                        }
+                    }
+                    // Flip a link under an active flow, or any link.
+                    (7 | 8, _) => {
+                        let on_path = match victim {
+                            Some(id) if op == 7 => net.flow(id).expect("active flow").path.links().to_vec(),
+                            _ => Vec::new(),
+                        };
+                        let any = topo.links()[raw.1 as usize % topo.links().len()].id();
+                        let link = on_path.get(raw.1 as usize % on_path.len().max(1)).copied().unwrap_or(any);
+                        net.set_link_up(link, raw.2 % 2 == 0);
+                    }
+                    _ => completions.extend(net.advance_to(later(frac * 0.2))),
+                }
+                rates_match_oracle(&mut net)?;
+            }
+            // Heal everything so stalled flows can finish, then drain
+            // one completion instant at a time.
+            for l in topo.links() {
+                net.set_link_up(l.id(), true);
+            }
+            rates_match_oracle(&mut net)?;
+            while net.flow_count() > 0 {
+                let next = net.next_completion_time();
+                prop_assert!(!next.is_never(), "every link is up, yet a flow cannot finish");
+                completions.extend(net.advance_to(next));
+                rates_match_oracle(&mut net)?;
+            }
+            prop_assert!(completions.windows(2).all(|w| w[0].at <= w[1].at));
+            let mut completed: Vec<FlowId> = completions.iter().map(|c| c.flow).collect();
+            completed.sort();
+            prop_assert_eq!(completed, expected);
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]

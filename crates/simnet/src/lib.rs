@@ -41,4 +41,4 @@ pub mod fluid;
 pub mod maxmin;
 
 pub use fluid::{FlowCompletion, FlowId, FlowState, FluidNet};
-pub use maxmin::{compute_rates, RoutedFlow};
+pub use maxmin::RoutedFlow;

@@ -2,7 +2,7 @@
 
 use mayflower_net::{LinkId, Topology};
 
-/// A flow with its route, as input to [`compute_rates`].
+/// A flow with its route, as input to [`compute_rates_masked`].
 #[derive(Debug, Clone)]
 pub struct RoutedFlow<'a> {
     /// The directed links the flow traverses.
@@ -27,21 +27,26 @@ pub struct RoutedFlow<'a> {
 /// `f64::INFINITY` — they complete instantly as far as the network is
 /// concerned.
 ///
-/// Complexity: `O(rounds × flows × path_len)` with at most one link
-/// saturated per round; fine for the thousands of concurrent flows the
-/// experiments create.
-#[must_use]
-pub fn compute_rates(topo: &Topology, flows: &[RoutedFlow<'_>]) -> Vec<f64> {
-    compute_rates_masked(topo, flows, None)
-}
-
-/// [`compute_rates`] with a link up/down mask for fault injection.
+/// `link_up[l]` gives the state of link `l` (by index) for fault
+/// injection; `None` means all links up. A downed link contributes
+/// **zero** capacity, so every flow routed across it is allocated a
+/// zero rate — the fluid model of a transfer stalling on a dead path.
+/// All other flows share the surviving capacity max-min fairly as
+/// usual.
 ///
-/// `link_up[l]` gives the state of link `l` (by index); `None` means
-/// all links up. A downed link contributes **zero** capacity, so every
-/// flow routed across it is allocated a zero rate — the fluid model of
-/// a transfer stalling on a dead path. All other flows share the
-/// surviving capacity max-min fairly as usual.
+/// Complexity: `O(links + rounds × (loaded_links + flows × path_len))`
+/// with at most one link saturated per round, where `loaded_links`
+/// counts the links that still carry an unfrozen flow — a few hundred
+/// of the ~2.5k in a 1024-host tree, and the only ones a round looks
+/// at.
+///
+/// Bit-identity rule: every rate equals, to the bit, what a scan of
+/// *all* links in every round yields (the `oracle` module, which the
+/// proptests here and in `fluid.rs` compare against). Three things
+/// carry that and must survive any further speed-up: candidates are
+/// visited in ascending link index, the comparison is a strict `<` (so
+/// a tie goes to the lowest index), and a frozen flow's share is
+/// subtracted from each of its links one flow at a time.
 ///
 /// # Panics
 ///
@@ -88,17 +93,19 @@ pub fn compute_rates_masked(
         }
     }
 
+    // Only a link that still carries an unfrozen flow can saturate
+    // next. Ascending, and `retain` keeps it so.
+    let mut loaded: Vec<usize> = (0..n_links).filter(|&l| count[l] > 0).collect();
+
     while unfrozen_left > 0 {
         // Find the most constrained link.
         let mut best_share = f64::INFINITY;
         let mut best_link = None;
-        for l in 0..n_links {
-            if count[l] > 0 {
-                let share = (residual[l] / f64::from(count[l])).max(0.0);
-                if share < best_share {
-                    best_share = share;
-                    best_link = Some(l);
-                }
+        for &l in &loaded {
+            let share = (residual[l] / f64::from(count[l])).max(0.0);
+            if share < best_share {
+                best_share = share;
+                best_link = Some(l);
             }
         }
         let Some(bottleneck) = best_link else {
@@ -122,9 +129,150 @@ pub fn compute_rates_masked(
                 }
             }
         }
+        loaded.retain(|&l| count[l] > 0);
     }
 
     rates
+}
+
+/// The reference every faster solver is proven against, to the bit:
+/// progressive filling that rescans all links in every round (the
+/// solver as it stood before the loaded-link list), plus the inputs the
+/// bit-identity suites here and in `fluid.rs` draw. Test-only —
+/// non-test code has one solver, [`compute_rates_masked`].
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::RoutedFlow;
+    use mayflower_net::{HostId, Path, Topology, TreeParams};
+    use proptest::prelude::*;
+
+    pub fn compute_rates_masked(
+        topo: &Topology,
+        flows: &[RoutedFlow<'_>],
+        link_up: Option<&[bool]>,
+    ) -> Vec<f64> {
+        let n_links = topo.links().len();
+        let n_flows = flows.len();
+        if let Some(mask) = link_up {
+            assert_eq!(mask.len(), n_links, "mask must cover every link");
+        }
+        let mut rates = vec![0.0f64; n_flows];
+        if n_flows == 0 {
+            return rates;
+        }
+
+        // Residual capacity and unfrozen-flow count per link.
+        let mut residual: Vec<f64> = topo
+            .links()
+            .iter()
+            .enumerate()
+            .map(|(i, l)| match link_up {
+                Some(mask) if !mask[i] => 0.0,
+                _ => l.capacity(),
+            })
+            .collect();
+        let mut count = vec![0u32; n_links];
+        let mut frozen = vec![false; n_flows];
+        let mut unfrozen_left = 0usize;
+
+        for (i, f) in flows.iter().enumerate() {
+            if f.links.is_empty() {
+                rates[i] = f64::INFINITY;
+                frozen[i] = true;
+            } else {
+                unfrozen_left += 1;
+                for &l in f.links {
+                    count[l.index()] += 1;
+                }
+            }
+        }
+
+        while unfrozen_left > 0 {
+            // Find the most constrained link.
+            let mut best_share = f64::INFINITY;
+            let mut best_link = None;
+            for l in 0..n_links {
+                if count[l] > 0 {
+                    let share = (residual[l] / f64::from(count[l])).max(0.0);
+                    if share < best_share {
+                        best_share = share;
+                        best_link = Some(l);
+                    }
+                }
+            }
+            let Some(bottleneck) = best_link else {
+                // No unfrozen flow crosses any counted link (can't happen
+                // while unfrozen_left > 0, but stay safe).
+                break;
+            };
+
+            // Freeze every unfrozen flow crossing the bottleneck.
+            for (i, f) in flows.iter().enumerate() {
+                if frozen[i] || f.links.is_empty() {
+                    continue;
+                }
+                if f.links.iter().any(|l| l.index() == bottleneck) {
+                    rates[i] = best_share;
+                    frozen[i] = true;
+                    unfrozen_left -= 1;
+                    for &l in f.links {
+                        residual[l.index()] = (residual[l.index()] - best_share).max(0.0);
+                        count[l.index()] -= 1;
+                    }
+                }
+            }
+        }
+
+        rates
+    }
+
+    /// Three-tier trees: the paper's 64-host testbed, the 256- and
+    /// 1024-host (8×8×16) presets of `sim::scale`, and small random
+    /// shapes with random oversubscription.
+    pub fn trees() -> impl Strategy<Value = TreeParams> {
+        let preset = |pods, racks_per_pod, hosts_per_rack| TreeParams {
+            pods,
+            racks_per_pod,
+            hosts_per_rack,
+            ..TreeParams::paper_testbed()
+        };
+        let small = (
+            (1usize..4, 1usize..4, 1usize..5),
+            (1usize..4, 1usize..4),
+            (1.0f64..2.0, 1.0f64..4.0),
+        )
+            .prop_map(
+                move |(shape, (aggs_per_pod, cores), (edge_tier, agg_tier))| TreeParams {
+                    aggs_per_pod,
+                    cores,
+                    oversubscription: edge_tier * agg_tier,
+                    edge_tier_oversub: edge_tier,
+                    ..preset(shape.0, shape.1, shape.2)
+                },
+            );
+        prop_oneof![
+            2 => Just(TreeParams::paper_testbed()),
+            1 => Just(preset(8, 4, 8)),
+            1 => Just(preset(8, 8, 16)),
+            4 => small,
+        ]
+    }
+
+    /// A route for one raw draw: endpoints from a pool of
+    /// `hosts >> crowd` hosts spread evenly over the tree (a small pool
+    /// repeats paths and piles flows onto few links), one of the
+    /// shortest paths between them, or the empty route when they
+    /// coincide.
+    pub fn route(topo: &Topology, crowd: u32, (src, dst, pick): (u32, u32, u32)) -> Path {
+        let hosts = topo.host_count() as u32;
+        let pool = (hosts >> crowd).max(1);
+        let host = |raw: u32| HostId(raw % pool * (hosts / pool));
+        let mut paths = topo.shortest_paths(host(src), host(dst));
+        if paths.is_empty() {
+            return Path::new(host(src), host(dst), Vec::new());
+        }
+        paths.swap_remove(pick as usize % paths.len())
+    }
 }
 
 #[cfg(test)]
@@ -167,7 +315,7 @@ mod tests {
             .iter()
             .map(|p| RoutedFlow { links: p.links() })
             .collect();
-        let rates = compute_rates(&t, &flows);
+        let rates = compute_rates_masked(&t, &flows, None);
         assert!((rates[0] - 5.0).abs() < 1e-9);
         assert!((rates[1] - 5.0).abs() < 1e-9);
     }
@@ -181,7 +329,7 @@ mod tests {
             .iter()
             .map(|p| RoutedFlow { links: p.links() })
             .collect();
-        let rates = compute_rates(&t, &flows);
+        let rates = compute_rates_masked(&t, &flows, None);
         assert!((rates[0] - 10.0).abs() < 1e-9);
         assert!((rates[1] - 10.0).abs() < 1e-9);
     }
@@ -211,12 +359,13 @@ mod tests {
         t.freeze();
         let pa = t.shortest_paths(a, c)[0].clone();
         let pb = t.shortest_paths(b, d)[0].clone();
-        let rates = compute_rates(
+        let rates = compute_rates_masked(
             &t,
             &[
                 RoutedFlow { links: pa.links() },
                 RoutedFlow { links: pb.links() },
             ],
+            None,
         );
         assert!((rates[0] - 2.0).abs() < 1e-9, "capped flow: {}", rates[0]);
         assert!((rates[1] - 8.0).abs() < 1e-9, "greedy flow: {}", rates[1]);
@@ -225,14 +374,14 @@ mod tests {
     #[test]
     fn empty_route_is_infinite() {
         let (t, _) = dumbbell(10.0);
-        let rates = compute_rates(&t, &[RoutedFlow { links: &[] }]);
+        let rates = compute_rates_masked(&t, &[RoutedFlow { links: &[] }], None);
         assert!(rates[0].is_infinite());
     }
 
     #[test]
     fn no_flows_no_rates() {
         let (t, _) = dumbbell(10.0);
-        assert!(compute_rates(&t, &[]).is_empty());
+        assert!(compute_rates_masked(&t, &[], None).is_empty());
     }
 
     #[test]
@@ -254,7 +403,7 @@ mod tests {
         let all_up = vec![true; t.links().len()];
         assert_eq!(
             compute_rates_masked(&t, &flows, Some(&all_up)),
-            compute_rates(&t, &flows)
+            compute_rates_masked(&t, &flows, None)
         );
     }
 }
@@ -280,7 +429,7 @@ mod proptests {
                 .map(|(a, b)| topo.shortest_paths(HostId(*a), HostId(*b))[0].clone())
                 .collect();
             let flows: Vec<RoutedFlow> = paths.iter().map(|p| RoutedFlow { links: p.links() }).collect();
-            let rates = compute_rates(&topo, &flows);
+            let rates = compute_rates_masked(&topo, &flows, None);
 
             // Feasibility: per-link load ≤ capacity.
             let mut load = vec![0.0f64; topo.links().len()];
@@ -304,6 +453,41 @@ mod proptests {
                     load[l.index()] >= cap * (1.0 - 1e-6)
                 });
                 prop_assert!(bottlenecked, "flow at rate {r} crosses no saturated link");
+            }
+        }
+
+        /// Every rate equals the oracle's to the bit: any tree, 0–300
+        /// flows with repeated and empty routes, no mask, up to 40
+        /// random links down, everything down.
+        #[test]
+        fn rates_equal_the_oracle_to_the_bit(
+            tree in oracle::trees(),
+            crowd in 0u32..6,
+            draws in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<u32>()), 0..=300),
+            mask_kind in 0u8..4,
+            down in proptest::collection::vec(any::<u32>(), 0..40),
+        ) {
+            let topo = Topology::three_tier(&tree);
+            let paths: Vec<_> = draws.iter().map(|d| oracle::route(&topo, crowd, *d)).collect();
+            let flows: Vec<RoutedFlow> = paths.iter().map(|p| RoutedFlow { links: p.links() }).collect();
+            let n_links = topo.links().len();
+            let mask = match mask_kind {
+                0 => None,
+                1 => Some(vec![false; n_links]),
+                _ => {
+                    let mut mask = vec![true; n_links];
+                    for raw in &down {
+                        mask[*raw as usize % n_links] = false;
+                    }
+                    Some(mask)
+                }
+            };
+            let got = compute_rates_masked(&topo, &flows, mask.as_deref());
+            let want = oracle::compute_rates_masked(&topo, &flows, mask.as_deref());
+            prop_assert_eq!(got.len(), want.len());
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                prop_assert!(g.to_bits() == w.to_bits(),
+                    "flow {i} of {}: {g:e} vs oracle {w:e}", flows.len());
             }
         }
     }
