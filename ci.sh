@@ -77,6 +77,33 @@ cargo test --release -q -p mayflower-sim --lib --test engine_chaos --test figure
 # first" guard holds without debug assertions.
 cargo test --release -q -p mayflower-simnet
 
+echo "==> member suites no stage above runs: selection vs its oracles, waterfill, sdn, baselines, workload, simcore, consensus, recovery, kvstore (release)"
+# The root `cargo test -q` covers the root package only. After touching
+# selection, the flowserver suite is the first thing to run: its
+# differential walk holds every `select_*` entry point, split and coded
+# reads included, to the naive loops and the tentative-admission oracle
+# — selections, estimates and model state to the bit — and after every
+# event holds the link index to a rescan of the flows.
+cargo test --release -q -p mayflower-flowserver
+# The waterfill kernels against their quadratic oracle.
+cargo test --release -q -p mayflower-net
+cargo test --release -q -p mayflower-sdn
+cargo test --release -q -p mayflower-baselines
+cargo test --release -q -p mayflower-workload
+cargo test --release -q -p mayflower-simcore
+cargo test --release -q -p mayflower-consensus
+cargo test --release -q -p mayflower-recovery
+# All of kvstore, not only the CRC kernel named above.
+cargo test --release -q -p mayflower-kvstore
+# A workspace member whose suite no stage names runs nowhere.
+for manifest in crates/*/Cargo.toml; do
+  member=$(sed -n 's/^name = "\(.*\)"$/\1/p' "$manifest" | head -n 1)
+  if ! grep -Eq "^[^#]*cargo test .*-p $member( |\$)" ci.sh; then
+    echo "ci.sh: no cargo test line names $member" >&2
+    exit 1
+  fi
+done
+
 echo "==> figures: every regenerated figure matches results/ (release; wall-clock column masked)"
 # The simulator, the Figure 8 prototype and the recovery experiment are
 # deterministic, so a change that is meant to keep behaviour must

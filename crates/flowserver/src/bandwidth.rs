@@ -30,8 +30,7 @@ use crate::tracker::FlowTracker;
 ///
 /// Reads each link's demand vector from the tracker's incremental
 /// [`crate::tracker::LinkLoad`] index and waterfills into scratch
-/// buffers, so the tracker must be fresh ([`FlowTracker::
-/// ensure_fresh`]); reading a dirty index panics.
+/// buffers.
 #[must_use]
 pub fn new_flow_share_on_path_into(
     topo: &Topology,
@@ -39,7 +38,6 @@ pub fn new_flow_share_on_path_into(
     path_links: &[LinkId],
     fair: &mut FairshareScratch,
 ) -> f64 {
-    tracker.assert_fresh();
     let mut share = f64::INFINITY;
     for &l in path_links {
         let cap = topo.link(l).capacity();
@@ -64,8 +62,7 @@ pub fn new_flow_share_on_path_into(
 /// A flow crossing several of the path's links gets the minimum of its
 /// per-link shares. Leaves one row per flow whose share changed
 /// (`new_bw < current bw`) in `scratch.impact`, in cookie order —
-/// exactly the flows Pseudocode 1 re-freezes. Same freshness
-/// precondition as [`new_flow_share_on_path_into`].
+/// exactly the flows Pseudocode 1 re-freezes.
 pub fn existing_flow_new_shares_into(
     topo: &Topology,
     tracker: &FlowTracker,
@@ -73,7 +70,6 @@ pub fn existing_flow_new_shares_into(
     new_flow_bw: f64,
     scratch: &mut SelectionScratch,
 ) {
-    tracker.assert_fresh();
     scratch.impact.clear();
     for &l in path_links {
         let Some(load) = tracker.link_load(l) else {

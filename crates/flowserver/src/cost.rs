@@ -25,8 +25,7 @@ pub struct PathCost {
 /// every existing flow on the path.
 ///
 /// Returns a cost of `f64::INFINITY` when the path has no available
-/// bandwidth (`b_j = 0`) or an impacted flow would be starved. The
-/// tracker's link index must be fresh ([`FlowTracker::ensure_fresh`]).
+/// bandwidth (`b_j = 0`) or an impacted flow would be starved.
 #[must_use]
 pub fn flow_cost(
     topo: &Topology,
@@ -199,13 +198,13 @@ mod tests {
         // zero-size request instead: cost stays finite for tiny flows.
         let pc = flow_cost(&t, &tr, p1.links(), 0.0, SimTime::ZERO);
         assert!(pc.cost.is_finite());
-        // And a flow with zero remaining contributes zero slowdown.
-        for c in [1u64, 2, 3, 4] {
-            if let Some(f) = tr.get_mut(mayflower_sdn::FlowCookie(c)) {
-                f.remaining_bits = 0.0;
-            }
+        // And a flow with zero remaining contributes zero slowdown: a
+        // poll reporting every bit delivered at the modelled rate.
+        for c in [1u64, 2, 3, 4].map(mayflower_sdn::FlowCookie) {
+            let f = tr.get(c).expect("fig2 background flow").clone();
+            assert!(tr.apply_stats(c, f.bw, f.size_bits, SimTime::ZERO, false));
+            assert_eq!(tr.get(c).unwrap().remaining_bits, 0.0);
         }
-        tr.ensure_fresh(); // `get_mut` dirtied the link index
         let pc = flow_cost(&t, &tr, p1.links(), 9.0, SimTime::ZERO);
         assert!((pc.cost - 3.0).abs() < 1e-9, "only the new flow's time");
     }

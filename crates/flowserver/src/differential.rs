@@ -1,13 +1,16 @@
-//! Differential proof of the selection fast path.
+//! Differential proof of the selection fast path and of
+//! decide-then-commit admission.
 //!
 //! The fast path (path cache + incremental link index + share memo +
 //! lower-bound prune + allocation-free evaluation) claims to be
 //! **behaviour-identical** to the naive implementation it replaced:
 //! same winning replica and path, bit-identical bandwidth estimates,
-//! bit-identical post-commit model state. This module keeps the naive
-//! selection loop as an oracle — the only place it still exists — and
-//! runs both sides over randomized topologies, flow populations, link
-//! failures, stats polls, and freeze expirations.
+//! bit-identical post-commit model state. Split and coded reads claim
+//! the same of the tentative admission they replaced (commit, look at
+//! the model, roll back). This module keeps the naive selection loop
+//! and those admission loops as an oracle — the only place they still
+//! exist — and runs both sides over randomized topologies, flow
+//! populations, link failures, stats polls, and freeze expirations.
 
 use std::sync::Arc;
 
@@ -18,8 +21,9 @@ use proptest::prelude::*;
 
 use crate::bandwidth::{existing_flow_new_shares_into, new_flow_share_on_path_into};
 use crate::cost::{flow_cost_into, PathCost};
+use crate::placement::{candidate_hosts, WritePlacement};
 use crate::scratch::SelectionScratch;
-use crate::server::{FlowPriority, Flowserver, FlowserverConfig, Selection};
+use crate::server::{Assignment, FlowPriority, Flowserver, FlowserverConfig, Selection};
 use crate::tracker::{FlowTracker, TrackedFlow};
 
 /// The naive implementation from before the fast path landed. Scans
@@ -151,7 +155,7 @@ mod oracle {
         size_bits: f64,
         now: SimTime,
         priority: FlowPriority,
-    ) -> Option<(HostId, Path, PathCost)> {
+    ) -> Option<(Path, PathCost)> {
         let key = |pc: &PathCost| -> (f64, f64) {
             match priority {
                 FlowPriority::Foreground => (pc.cost, 0.0),
@@ -166,7 +170,7 @@ mod oracle {
             }
         };
         let down = fs.down_links();
-        let mut best: Option<(HostId, Path, PathCost)> = None;
+        let mut best: Option<(Path, PathCost)> = None;
         let mut best_key = (f64::INFINITY, f64::INFINITY);
         for &replica in replicas {
             if replica == client {
@@ -187,11 +191,202 @@ mod oracle {
                 let k = key(&pc);
                 if best.is_none() || k < best_key {
                     best_key = k;
-                    best = Some((replica, path, pc));
+                    best = Some((path, pc));
                 }
             }
         }
         best
+    }
+
+    /// One pick: the naive loop's winner, committed.
+    pub fn select_one(
+        fs: &mut Flowserver,
+        client: HostId,
+        sources: &[HostId],
+        size_bits: f64,
+        now: SimTime,
+        priority: FlowPriority,
+    ) -> Selection {
+        if sources.contains(&client) {
+            return Selection::Local;
+        }
+        match best_path(fs, client, sources, size_bits, now, priority) {
+            Some((path, pc)) => Selection::Single(fs.commit(path, pc, size_bits, now)),
+            None => Selection::Unavailable,
+        }
+    }
+
+    /// §4.3 as it was before selection decided first: admit subflow
+    /// `i` tentatively, read the earlier subflows' bandwidths back
+    /// from the model, and roll back — here by putting a clone of the
+    /// whole Flowserver back — if the split does not pay.
+    pub fn select_multipath(
+        fs: &mut Flowserver,
+        client: HostId,
+        replicas: &[HostId],
+        size_bits: f64,
+        now: SimTime,
+    ) -> Selection {
+        if replicas.contains(&client) {
+            return Selection::Local;
+        }
+        let fg = FlowPriority::Foreground;
+        // First subflow, chosen over all replicas.
+        let Some((path1, pc1)) = best_path(fs, client, replicas, size_bits, now, fg) else {
+            return Selection::Unavailable;
+        };
+        let b1 = pc1.est_bw;
+        let a1 = fs.commit(path1, pc1, size_bits, now);
+
+        let mut assignments = vec![a1];
+        let mut committed_b: Vec<f64> = vec![b1];
+        for _ in 1..fs.config().max_subflows {
+            let remaining: Vec<HostId> = replicas
+                .iter()
+                .copied()
+                .filter(|r| assignments.iter().all(|a| a.replica != *r))
+                .collect();
+            if remaining.is_empty() {
+                break;
+            }
+            let Some((path_i, pc_i)) = best_path(fs, client, &remaining, size_bits, now, fg) else {
+                break;
+            };
+            if pc_i.est_bw <= 0.0 {
+                break;
+            }
+            let b_i = pc_i.est_bw;
+            // Admitting subflow i may shrink the earlier subflows.
+            let snapshot_i = fs.clone();
+            let a_i = fs.commit(path_i, pc_i, size_bits, now);
+            let adjusted: Vec<f64> = assignments
+                .iter()
+                .map(|a| fs.tracker().get(a.cookie).expect("tracked").bw)
+                .collect();
+            let combined: f64 = adjusted.iter().sum::<f64>() + b_i;
+            let solo_best = committed_b[0].max(b1);
+            if combined > solo_best + 1e-9 {
+                assignments.push(a_i);
+                committed_b = adjusted;
+                committed_b.push(b_i);
+            } else {
+                // Roll back subflow i.
+                *fs = snapshot_i;
+                break;
+            }
+        }
+
+        if assignments.len() == 1 {
+            return Selection::Single(assignments.pop().expect("one assignment"));
+        }
+
+        // Proportion sizes so subflows finish together: S_i = d·b_i/b.
+        let total_b: f64 = committed_b.iter().sum();
+        for (a, b_i) in assignments.iter_mut().zip(&committed_b) {
+            a.size_bits = size_bits * b_i / total_b;
+            a.est_bw = *b_i;
+            fs.tracker_mut().resize_flow(a.cookie, a.size_bits, now);
+        }
+        Selection::Split(assignments)
+    }
+
+    /// The coded read as it was: commit pick after pick and undo the
+    /// partial schedule — put the clone back — when a pick finds no
+    /// reachable source left.
+    pub fn select_coded_read(
+        fs: &mut Flowserver,
+        client: HostId,
+        sources: &[HostId],
+        k: usize,
+        size_bits: f64,
+        now: SimTime,
+    ) -> Selection {
+        let local = usize::from(sources.contains(&client));
+        let needed = k - local.min(k);
+        if needed == 0 {
+            return Selection::Local;
+        }
+        let shard_bits = size_bits / k as f64;
+
+        let rollback = fs.clone();
+        let mut assignments: Vec<Assignment> = Vec::with_capacity(needed);
+        for _ in 0..needed {
+            let remaining: Vec<HostId> = sources
+                .iter()
+                .copied()
+                .filter(|s| *s != client && assignments.iter().all(|a| a.replica != *s))
+                .collect();
+            let fg = FlowPriority::Foreground;
+            match best_path(fs, client, &remaining, shard_bits, now, fg) {
+                Some((path, pc)) => {
+                    assignments.push(fs.commit(path, pc, shard_bits, now));
+                }
+                None => {
+                    // Fewer than k reachable: undo the partial schedule.
+                    *fs = rollback;
+                    return Selection::Unavailable;
+                }
+            }
+        }
+        if assignments.len() == 1 {
+            Selection::Single(assignments.pop().expect("one assignment"))
+        } else {
+            Selection::Split(assignments)
+        }
+    }
+
+    /// Write placement hop by hop with its own naive candidate loop:
+    /// every candidate endpoint in order, a machine-local one at zero
+    /// cost, every live path fully evaluated, strict `<`. With every
+    /// link up this is the loop placement had before it shared the
+    /// read path's.
+    pub fn write_placement(
+        fs: &mut Flowserver,
+        writer: HostId,
+        replication: usize,
+        size_bits: f64,
+        now: SimTime,
+    ) -> WritePlacement {
+        let topo = fs.topology().clone();
+        let mut placed = WritePlacement {
+            replicas: Vec::new(),
+            pipeline: Vec::new(),
+            total_cost: 0.0,
+        };
+        let mut src = writer;
+        for position in 0..replication {
+            let candidates = candidate_hosts(&topo, writer, &placed.replicas, position);
+            // The winner so far: its endpoint and cost, and its path
+            // and evaluation unless it is the machine-local relay.
+            let mut best: Option<(HostId, f64)> = None;
+            let mut hop: Option<(Path, PathCost)> = None;
+            for &cand in &candidates {
+                if cand == src {
+                    if best.is_none_or(|(_, c)| c > 0.0) {
+                        (best, hop) = (Some((cand, 0.0)), None);
+                    }
+                    continue;
+                }
+                for path in topo.shortest_paths(src, cand) {
+                    if path.links().iter().any(|l| fs.down_links().contains(l)) {
+                        continue;
+                    }
+                    let (tr, aware) = (fs.tracker(), fs.config().impact_aware);
+                    let pc = flow_cost(&topo, tr, path.links(), size_bits, now, aware);
+                    if best.is_none_or(|(_, c)| pc.cost < c) {
+                        (best, hop) = (Some((cand, pc.cost)), Some((path, pc)));
+                    }
+                }
+            }
+            let (host, cost) = best.unwrap_or((candidates[0], f64::INFINITY));
+            placed.total_cost += cost;
+            placed
+                .pipeline
+                .extend(hop.map(|(path, pc)| fs.commit(path, pc, size_bits, now)));
+            placed.replicas.push(host);
+            src = host;
+        }
+        placed
     }
 }
 
@@ -347,13 +542,23 @@ proptest! {
     }
 }
 
-/// One step of the randomized end-to-end scenario.
+/// One step of the randomized end-to-end scenario. Hosts are
+/// selectors, reduced modulo the host count.
 #[derive(Debug, Clone)]
 enum Ev {
-    /// Foreground read selection: client, replica selectors, size.
+    /// Foreground read selection (a §4.3 split on a multipath
+    /// Flowserver): client, replicas, size.
     Select(usize, Vec<usize>, f64),
-    /// Background repair selection: dest, source selectors, size.
+    /// Path-only selection: client, the pre-selected replica, size.
+    PathOnly(usize, usize, f64),
+    /// Background repair selection: dest, sources, size.
     Repair(usize, Vec<usize>, f64),
+    /// Background migration selection: dest, sources, size.
+    Migrate(usize, Vec<usize>, f64),
+    /// Coded read: client, fragment sources, a selector for `k`, size.
+    Coded(usize, Vec<usize>, usize, f64),
+    /// Write placement: writer, replication selector, size.
+    Write(usize, usize, f64),
     /// Complete the n-th live flow.
     Complete(usize),
     /// Ingest a stats report with pseudo-random per-flow rates.
@@ -365,15 +570,19 @@ enum Ev {
 }
 
 fn events() -> impl Strategy<Value = Vec<Ev>> {
-    let host_sel = 0usize..1000;
+    let host = || 0usize..1000;
+    let hosts = |max| proptest::collection::vec(0usize..1000, 1..max);
+    let size = || 1.0f64..1e10;
     let ev = prop_oneof![
-        4 => (host_sel.clone(), proptest::collection::vec(0usize..1000, 1..4), 1.0f64..1e10)
-            .prop_map(|(c, r, s)| Ev::Select(c, r, s)),
-        2 => (host_sel.clone(), proptest::collection::vec(0usize..1000, 1..4), 1.0f64..1e10)
-            .prop_map(|(d, s, z)| Ev::Repair(d, s, z)),
-        2 => (0usize..1000).prop_map(Ev::Complete),
+        5 => (host(), hosts(4), size()).prop_map(|(c, r, s)| Ev::Select(c, r, s)),
+        1 => (host(), host(), size()).prop_map(|(c, r, s)| Ev::PathOnly(c, r, s)),
+        2 => (host(), hosts(4), size()).prop_map(|(d, s, z)| Ev::Repair(d, s, z)),
+        1 => (host(), hosts(4), size()).prop_map(|(d, s, z)| Ev::Migrate(d, s, z)),
+        3 => (host(), hosts(7), host(), size()).prop_map(|(c, s, k, z)| Ev::Coded(c, s, k, z)),
+        1 => (host(), host(), size()).prop_map(|(w, r, z)| Ev::Write(w, r, z)),
+        3 => host().prop_map(Ev::Complete),
         2 => any::<u64>().prop_map(Ev::Stats),
-        1 => (0usize..1000, any::<bool>()).prop_map(|(l, up)| Ev::Link(l, up)),
+        2 => (host(), any::<bool>()).prop_map(|(l, up)| Ev::Link(l, up)),
         1 => Just(Ev::Expire),
     ];
     proptest::collection::vec(ev, 1..40)
@@ -385,153 +594,279 @@ fn frac(seed: u64, salt: u64) -> f64 {
     ((h >> 11) % 1000 + 1) as f64 / 1000.0
 }
 
+/// Which of the rewritten paths a walk went down, so a scripted walk
+/// can prove it reaches all of them.
+#[derive(Debug, Default)]
+struct Coverage {
+    splits_kept: usize,
+    splits_declined: usize,
+    coded_scheduled: usize,
+    coded_short_of_k: usize,
+    unavailable: usize,
+    write_hops: usize,
+    write_hops_cut_off: usize,
+}
+
+fn same_assignments(want: &[Assignment], got: &[Assignment]) -> bool {
+    want.len() == got.len()
+        && want.iter().zip(got).all(|(w, g)| {
+            w.cookie == g.cookie
+                && w.replica == g.replica
+                && w.path.links() == g.path.links()
+                && w.size_bits.to_bits() == g.size_bits.to_bits()
+                && w.est_bw.to_bits() == g.est_bw.to_bits()
+        })
+}
+
+/// The post-event state: the flow model equals the oracle's field for
+/// field, the fabric carries exactly the tracked flows, and every
+/// link's index entry equals a rescan of the flows.
+fn assert_same_state(want: &Flowserver, got: &Flowserver, n_links: usize, ev: &Ev) {
+    let flows = |fs: &Flowserver| -> Vec<String> {
+        fs.tracker()
+            .iter()
+            .map(|f| {
+                format!(
+                    "{:?} {:?} size={:x} rem={:x} bw={:x} at={:?} frozen={} until={:?}",
+                    f.cookie,
+                    f.path,
+                    f.size_bits.to_bits(),
+                    f.remaining_bits.to_bits(),
+                    f.bw.to_bits(),
+                    f.updated_at,
+                    f.frozen,
+                    f.freeze_until
+                )
+            })
+            .collect()
+    };
+    assert_eq!(flows(want), flows(got), "model diverged after {ev:?}");
+    let installed = |fs: &Flowserver| -> Vec<(FlowCookie, Path)> {
+        fs.fabric().flows().map(|(c, p)| (c, p.clone())).collect()
+    };
+    assert_eq!(installed(want), installed(got), "fabric after {ev:?}");
+    assert_eq!(got.fabric().flow_count(), got.tracked_flows());
+    for l in (0..n_links as u32).map(mayflower_net::LinkId) {
+        let (cookies, demands) = match got.tracker().link_load(l) {
+            Some(load) => (load.cookies().to_vec(), load.demands().to_vec()),
+            None => (Vec::new(), Vec::new()),
+        };
+        assert_eq!(
+            cookies,
+            got.tracker().flows_on_link(l),
+            "{l:?} after {ev:?}"
+        );
+        let bits = |d: &[f64]| d.iter().map(|b| b.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&demands),
+            bits(&got.tracker().demands_on_link(l)),
+            "{l:?} after {ev:?}"
+        );
+    }
+}
+
+/// Drives one Flowserver through `evs`; before every selection event
+/// the oracle runs on a clone, and after every event the two must be
+/// in the same state.
+fn walk(params: &TreeParams, config: FlowserverConfig, evs: &[Ev]) -> Coverage {
+    let topo = Arc::new(Topology::three_tier(params));
+    let hosts = topo.hosts();
+    let host = |sel: &usize| hosts[sel % hosts.len()];
+    let n_links = topo.links().len();
+    let multipath = config.multipath;
+    let mut fs = Flowserver::new(topo, config);
+    let registry = mayflower_telemetry::Registry::new();
+    fs.attach_metrics(&registry);
+    let mut cov = Coverage::default();
+
+    for (step, ev) in evs.iter().enumerate() {
+        let now = SimTime::from_millis(13.0 * (step as f64 + 1.0));
+        let mut want_fs = fs.clone();
+        let picked = match ev {
+            Ev::Select(c, reps, size) => {
+                let (client, reps) = (host(c), reps.iter().map(host).collect::<Vec<_>>());
+                let want = if multipath && reps.len() >= 2 {
+                    oracle::select_multipath(&mut want_fs, client, &reps, *size, now)
+                } else {
+                    let fg = FlowPriority::Foreground;
+                    oracle::select_one(&mut want_fs, client, &reps, *size, now, fg)
+                };
+                Some((want, fs.select_replica_path(client, &reps, *size, now)))
+            }
+            Ev::PathOnly(c, r, size) => {
+                let (client, fg) = (host(c), FlowPriority::Foreground);
+                let want = oracle::select_one(&mut want_fs, client, &[host(r)], *size, now, fg);
+                Some((
+                    want,
+                    fs.select_path_for_replica(client, host(r), *size, now),
+                ))
+            }
+            Ev::Repair(d, srcs, size) | Ev::Migrate(d, srcs, size) => {
+                let (dest, srcs) = (host(d), srcs.iter().map(host).collect::<Vec<_>>());
+                let bg = FlowPriority::Background;
+                let want = oracle::select_one(&mut want_fs, dest, &srcs, *size, now, bg);
+                let got = if matches!(ev, Ev::Repair(..)) {
+                    fs.select_repair_flow(dest, &srcs, *size, now)
+                } else {
+                    fs.select_migration_flow(dest, &srcs, *size, now)
+                };
+                Some((want, got))
+            }
+            Ev::Coded(c, srcs, k, size) => {
+                let (client, srcs) = (host(c), srcs.iter().map(host).collect::<Vec<_>>());
+                let k = 1 + k % srcs.len();
+                let want = oracle::select_coded_read(&mut want_fs, client, &srcs, k, *size, now);
+                match want {
+                    Selection::Unavailable => cov.coded_short_of_k += 1,
+                    Selection::Local => {}
+                    _ => cov.coded_scheduled += 1,
+                }
+                Some((want, fs.select_coded_read(client, &srcs, k, *size, now)))
+            }
+            Ev::Write(w, r, size) => {
+                let (writer, replication) = (host(w), 1 + r % 3);
+                let want = oracle::write_placement(&mut want_fs, writer, replication, *size, now);
+                let got = fs.select_write_placement(writer, replication, *size, now);
+                assert_eq!(want.replicas, got.replicas, "placement of {ev:?}");
+                assert_eq!(want.total_cost.to_bits(), got.total_cost.to_bits());
+                assert!(same_assignments(&want.pipeline, &got.pipeline), "{ev:?}");
+                cov.write_hops += got.pipeline.len();
+                cov.write_hops_cut_off += usize::from(got.total_cost.is_infinite());
+                None
+            }
+            Ev::Complete(i) => {
+                let live: Vec<FlowCookie> = fs.tracker().iter().map(|f| f.cookie).collect();
+                if let Some(&cookie) = live.get(i % live.len().max(1)) {
+                    want_fs.flow_completed(cookie);
+                    fs.flow_completed(cookie);
+                    assert!(fs.flow_model(cookie).is_none());
+                }
+                None
+            }
+            Ev::Stats(seed) => {
+                let flows = fs.tracker().iter().map(|f| FlowStat {
+                    cookie: f.cookie,
+                    total_bits: f.size_bits * frac(*seed, f.cookie.0),
+                    rate_bps: 2e9 * frac(*seed, f.cookie.0 ^ 0xFFFF),
+                });
+                let report = StatsReport {
+                    measured_at: now,
+                    flows: flows.collect(),
+                    ports: Vec::new(),
+                };
+                want_fs.on_stats(&report);
+                fs.on_stats(&report);
+                None
+            }
+            Ev::Link(l, up) => {
+                let link = mayflower_net::LinkId((l % n_links) as u32);
+                want_fs.set_link_state(link, *up);
+                fs.set_link_state(link, *up);
+                None
+            }
+            Ev::Expire => {
+                want_fs.expire_stale_freezes(now);
+                fs.expire_stale_freezes(now);
+                None
+            }
+        };
+        if let Some((want, got)) = picked {
+            let same_kind = std::mem::discriminant(&want) == std::mem::discriminant(&got);
+            assert!(
+                same_kind && same_assignments(want.assignments(), got.assignments()),
+                "{ev:?}: oracle {want:?} vs fast {got:?}"
+            );
+            cov.unavailable += usize::from(matches!(got, Selection::Unavailable));
+        }
+        assert_same_state(&want_fs, &fs, n_links, ev);
+    }
+    // Counted by the selection under test; the oracle agreed with
+    // every one of its outcomes above.
+    let count = |name: &str| registry.snapshot().counter(name).unwrap_or(0) as usize;
+    cov.splits_kept = count("flowserver_split_accepted_total");
+    cov.splits_declined = count("flowserver_split_rejected_total");
+    cov
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// End-to-end differential: a Flowserver driven through a random
-    /// sequence of selections, repairs, completions, stats polls, link
-    /// failures, and freeze expirations always selects exactly what
-    /// the naive oracle predicts, and commits bit-identical model
-    /// state. This is the proof that the cached/incremental/pruned
-    /// fast path never changes behaviour, only speed.
+    /// sequence of every kind of selection, completions, stats polls,
+    /// link failures and freeze expirations always selects exactly
+    /// what the naive oracle predicts and ends every event in
+    /// bit-identical model state. This is the proof that the
+    /// cached/incremental/pruned fast path and decide-then-commit
+    /// admission never change behaviour.
     #[test]
     fn selection_sequence_matches_oracle(
         params in small_params(),
         evs in events(),
         impact_aware in any::<bool>(),
         freeze_enabled in any::<bool>(),
+        multipath in any::<bool>(),
+        max_subflows in 2usize..4,
     ) {
-        let topo = Arc::new(Topology::three_tier(&params));
-        let hosts = topo.hosts().to_vec();
-        let n_links = topo.links().len();
-        let mut fs = Flowserver::new(
-            topo,
-            FlowserverConfig { impact_aware, freeze_enabled, ..FlowserverConfig::default() },
-        );
-        let mut live: Vec<FlowCookie> = Vec::new();
-
-        for (step, ev) in evs.iter().enumerate() {
-            let now = SimTime::from_millis(13.0 * (step as f64 + 1.0));
-            match ev {
-                Ev::Select(c, reps, size) | Ev::Repair(c, reps, size) => {
-                    let endpoint = hosts[c % hosts.len()];
-                    let others: Vec<HostId> =
-                        reps.iter().map(|r| hosts[r % hosts.len()]).collect();
-                    let background = matches!(ev, Ev::Repair(..));
-                    if others.contains(&endpoint) {
-                        // Local short-circuit on both sides; no state.
-                        let sel = if background {
-                            fs.select_repair_flow(endpoint, &others, *size, now)
-                        } else {
-                            fs.select_replica_path(endpoint, &others, *size, now)
-                        };
-                        prop_assert!(matches!(sel, Selection::Local));
-                        continue;
-                    }
-                    let priority = if background {
-                        FlowPriority::Background
-                    } else {
-                        FlowPriority::Foreground
-                    };
-                    let want = oracle::best_path(&fs, endpoint, &others, *size, now, priority);
-                    let sel = if background {
-                        fs.select_repair_flow(endpoint, &others, *size, now)
-                    } else {
-                        fs.select_replica_path(endpoint, &others, *size, now)
-                    };
-                    match (want, sel) {
-                        (None, Selection::Unavailable) => {}
-                        (Some((replica, path, pc)), Selection::Single(a)) => {
-                            prop_assert_eq!(a.replica, replica);
-                            prop_assert_eq!(a.path.links(), path.links());
-                            prop_assert_eq!(a.est_bw.to_bits(), pc.est_bw.to_bits());
-                            // Post-commit model state: the new flow is
-                            // registered at the oracle's estimate and
-                            // every impacted flow at its oracle share.
-                            let f = fs.flow_model(a.cookie).expect("new flow tracked");
-                            prop_assert_eq!(f.bw.to_bits(), pc.est_bw.to_bits());
-                            for (cookie, new_bw) in &pc.impacted {
-                                let imp = fs.flow_model(*cookie).expect("impacted tracked");
-                                prop_assert_eq!(imp.bw.to_bits(), new_bw.to_bits());
-                            }
-                            live.push(a.cookie);
-                        }
-                        (w, s) => prop_assert!(false, "oracle {w:?} vs fast {s:?}"),
-                    }
-                }
-                Ev::Complete(i) => {
-                    if live.is_empty() {
-                        continue;
-                    }
-                    let cookie = live.swap_remove(i % live.len());
-                    fs.flow_completed(cookie);
-                    prop_assert!(fs.flow_model(cookie).is_none());
-                }
-                Ev::Stats(seed) => {
-                    let flows = live
-                        .iter()
-                        .map(|&c| {
-                            let size = fs.flow_model(c).expect("live").size_bits;
-                            FlowStat {
-                                cookie: c,
-                                total_bits: size * frac(*seed, c.0),
-                                rate_bps: 2e9 * frac(*seed, c.0 ^ 0xFFFF),
-                            }
-                        })
-                        .collect();
-                    fs.on_stats(&StatsReport {
-                        measured_at: now,
-                        flows,
-                        ports: Vec::new(),
-                    });
-                }
-                Ev::Link(l, up) => {
-                    fs.set_link_state(mayflower_net::LinkId((l % n_links) as u32), *up);
-                }
-                Ev::Expire => {
-                    fs.expire_stale_freezes(now);
-                }
-            }
-        }
+        let config = FlowserverConfig {
+            impact_aware,
+            freeze_enabled,
+            multipath,
+            max_subflows,
+            ..FlowserverConfig::default()
+        };
+        walk(&params, config, &evs);
     }
 }
 
-mod freshness {
-    use super::*;
-    use crate::bandwidth::tests::{fig2, fig2_tracker};
-
-    /// Direct mutable access dirties the index. After `ensure_fresh`
-    /// the fast entry points give the oracle's answer to the bit.
-    #[test]
-    fn dirtied_tracker_after_ensure_fresh_matches_oracle() {
-        let (t, p1, p2, _, _) = fig2();
-        let mut tr = fig2_tracker(&p1, &p2);
-        tr.get_mut(FlowCookie(3)).unwrap().bw = 5.5; // dirties the index
-        assert!(tr.is_dirty());
-        // The oracle scans the flows themselves, index or no index.
-        let naive = oracle::new_flow_share_on_path(&t, &tr, p1.links());
-        let want = oracle::existing_flow_new_shares(&t, &tr, p1.links(), naive);
-
-        tr.ensure_fresh();
-        assert!(!tr.is_dirty());
-        let mut scratch = SelectionScratch::new();
-        let fast = new_flow_share_on_path_into(&t, &tr, p1.links(), &mut scratch.fair);
-        assert_eq!(fast.to_bits(), naive.to_bits());
-        existing_flow_new_shares_into(&t, &tr, p1.links(), fast, &mut scratch);
-        let bits = |rows: &[(FlowCookie, f64)]| -> Vec<(FlowCookie, u64)> {
-            rows.iter().map(|(c, b)| (*c, b.to_bits())).collect()
-        };
-        assert_eq!(bits(&scratch.take_impacted()), bits(&want));
-    }
-
-    /// There is no silent fallback: evaluating against a dirty index
-    /// is a bug in the caller and fails loudly.
-    #[test]
-    #[should_panic(expected = "link index read while dirty")]
-    fn reading_the_index_while_dirty_panics() {
-        let (t, p1, p2, _, _) = fig2();
-        let mut tr = fig2_tracker(&p1, &p2);
-        tr.get_mut(FlowCookie(3)).unwrap().bw = 5.5;
-        let _ = new_flow_share_on_path_into(&t, &tr, p1.links(), &mut Default::default());
-    }
+/// A fixed script on the paper tree that goes down every rewritten
+/// path at least once — what the random walk reaches only by luck.
+#[test]
+fn scripted_walk_reaches_every_rewritten_path() {
+    const MB256: f64 = 256.0 * 8e6;
+    let params = TreeParams::paper_testbed();
+    let topo = Topology::three_tier(&params);
+    let uplink = |h: u32| topo.host_uplink(HostId(h)).index();
+    let evs = [
+        // Cross-pod replicas in two pods: the split pays.
+        Ev::Select(0, vec![20, 36], MB256),
+        // Same-rack replica already fills the client's downlink: the
+        // second subflow is weighed and declined.
+        Ev::Select(4, vec![5, 6], MB256),
+        Ev::Stats(7),
+        // A split whose second subflow shrinks the first (both cross
+        // client 0's loaded downlink).
+        Ev::Select(0, vec![21, 37, 52], 4.0 * MB256),
+        Ev::Coded(8, vec![1, 5, 9, 20, 25], 2, MB256),
+        // Two of three sources cut off: fewer than k = 2 reachable.
+        Ev::Link(uplink(1), false),
+        Ev::Link(uplink(5), false),
+        Ev::Coded(0, vec![1, 5, 20], 1, MB256),
+        // ...but k = 1 still schedules.
+        Ev::Coded(0, vec![1, 5, 20], 0, MB256),
+        Ev::Select(2, vec![1, 5], MB256),
+        Ev::PathOnly(12, 40, MB256),
+        Ev::Repair(9, vec![1, 20, 44], MB256),
+        Ev::Migrate(30, vec![2, 50], MB256),
+        Ev::Link(uplink(1), true),
+        Ev::Write(17, 2, MB256),
+        Ev::Expire,
+        Ev::Complete(3),
+        // Host 5's uplink is still down: it can take the second copy
+        // but cannot relay the third.
+        Ev::Write(3, 2, 2.0 * MB256),
+        Ev::Select(0, vec![1, 36], MB256),
+    ];
+    let config = FlowserverConfig {
+        multipath: true,
+        max_subflows: 3,
+        ..FlowserverConfig::default()
+    };
+    let cov = walk(&params, config, &evs);
+    assert!(cov.splits_kept >= 2, "{cov:?}");
+    assert!(cov.splits_declined >= 1, "{cov:?}");
+    assert!(cov.coded_scheduled >= 2, "{cov:?}");
+    assert!(cov.coded_short_of_k >= 1, "{cov:?}");
+    assert!(cov.unavailable >= 2, "{cov:?}");
+    assert!(cov.write_hops >= 3, "{cov:?}");
+    assert!(cov.write_hops_cut_off >= 1, "{cov:?}");
 }

@@ -23,7 +23,7 @@
 use mayflower_net::{HostId, Topology};
 use mayflower_simcore::SimTime;
 
-use crate::server::{prune_candidate, Assignment, FlowPriority, Flowserver};
+use crate::server::{Assignment, FlowPriority, Flowserver};
 
 /// The outcome of a co-designed write placement.
 #[derive(Debug, Clone)]
@@ -51,6 +51,12 @@ impl Flowserver {
     /// matching HDFS's write-local behaviour, but never pick the same
     /// host twice); the second replica shares the primary's pod but
     /// not its rack; further replicas go to pods unused so far.
+    ///
+    /// Each hop's endpoint, path and cost come from the candidate loop
+    /// reads use and are committed as chosen, so a path crossing a
+    /// known-down link is never a candidate; a hop with no live path to
+    /// any candidate still fills its position (the first candidate) but
+    /// installs no flow and makes `total_cost` infinite.
     ///
     /// # Panics
     ///
@@ -80,12 +86,11 @@ impl Flowserver {
             let (host, cost, assignment) =
                 self.cheapest_write_hop(src, &candidates, size_bits, now);
             total_cost += cost;
-            if let Some(a) = assignment {
-                pipeline.push(a);
-            }
+            pipeline.extend(assignment);
             replicas.push(host);
             src = host; // relay chain
         }
+        self.refresh_flow_gauges();
         WritePlacement {
             replicas,
             pipeline,
@@ -93,9 +98,9 @@ impl Flowserver {
         }
     }
 
-    /// Evaluates every candidate endpoint for one pipeline hop and
-    /// commits the cheapest (installing its flow). A candidate on the
-    /// source host itself costs nothing (machine-local relay).
+    /// Picks the endpoint of one pipeline hop and commits the hop's
+    /// flow `src → endpoint`: the cheapest live path over all
+    /// candidates, from the same candidate loop as reads.
     fn cheapest_write_hop(
         &mut self,
         src: HostId,
@@ -103,59 +108,28 @@ impl Flowserver {
         size_bits: f64,
         now: SimTime,
     ) -> (HostId, f64, Option<Assignment>) {
-        self.ensure_model_fresh();
-        let mut best: Option<(HostId, f64)> = None;
-        for &cand in candidates {
-            if cand == src {
-                if best.as_ref().is_none_or(|(_, c)| *c > 0.0) {
-                    best = Some((cand, 0.0));
-                }
-                continue;
-            }
-            // Placement deliberately evaluates the full cached path
-            // set (down links don't constrain *placement*; the hop's
-            // flow is installed through the normal selection path,
-            // which does route around them).
-            let set = self.lookup_paths(src, cand);
-            for path in set.paths().iter() {
-                let est_bw = self.path_share(path.links());
-                // Same lower-bound prune as read selection: with a
-                // strict `cost < best` acceptance and cost ≥
-                // size/est_bw, a candidate whose bound already loses
-                // can never be chosen.
-                let prune = match &best {
-                    None => false,
-                    Some((_, c)) => {
-                        prune_candidate(FlowPriority::Foreground, est_bw, size_bits, (*c, 0.0))
-                    }
-                };
-                if prune {
-                    self.note_candidate_pruned();
-                    continue;
-                }
-                self.note_candidate_evaluated();
-                let (_, cost) = self.eval_candidate(path.links(), size_bits, now, est_bw);
-                if best.as_ref().is_none_or(|(_, c)| cost < *c) {
-                    best = Some((cand, cost));
-                }
-            }
+        // A machine-local relay costs nothing; every network hop costs
+        // more than that.
+        if candidates.contains(&src) {
+            return (src, 0.0, None);
         }
-        let (host, cost) = best.expect("candidates are non-empty");
-        if host == src {
-            return (host, cost, None);
+        let routes = candidates.iter().map(|&host| (src, host));
+        match self.best_path(routes, size_bits, now, FlowPriority::Foreground) {
+            Some((path, pc)) => {
+                let (host, cost) = (path.dst(), pc.cost);
+                (host, cost, Some(self.commit(path, pc, size_bits, now)))
+            }
+            // Every path to every candidate is severed: the position
+            // is still filled, but like `Selection::Unavailable`
+            // nothing is installed.
+            None => (candidates[0], f64::INFINITY, None),
         }
-        // Commit through the normal selection path so impacted flows
-        // get re-frozen and the pipeline flow is tracked. Write data
-        // flows src → host.
-        let selection = self.select_path_for_replica(host, src, size_bits, now);
-        let assignment = selection.assignments().first().cloned();
-        (host, cost, assignment)
     }
 }
 
 /// Hosts satisfying the fault-domain constraint for replica
 /// `position`, excluding hosts already chosen.
-fn candidate_hosts(
+pub(crate) fn candidate_hosts(
     topo: &Topology,
     _writer: HostId,
     chosen: &[HostId],

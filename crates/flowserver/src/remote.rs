@@ -38,6 +38,26 @@ impl FlowserverService {
     pub fn new(inner: Arc<Mutex<Flowserver>>) -> FlowserverService {
         FlowserverService { inner }
     }
+
+    /// Runs `select` on the locked Flowserver, unless one of `hosts`
+    /// is an id its topology does not have: ids arrive off the wire
+    /// and the topology indexes by them, so an unknown one must be
+    /// refused here, not panic inside selection.
+    fn select_among<R>(
+        &self,
+        hosts: impl IntoIterator<Item = HostId>,
+        select: impl FnOnce(&mut Flowserver) -> R,
+    ) -> Result<R, RpcError> {
+        let mut fs = self.inner.lock();
+        let n = fs.topology().host_count();
+        match hosts.into_iter().find(|h| h.index() >= n) {
+            Some(h) => Err(RpcError::Remote(format!(
+                "unknown host {}: the topology has {n} hosts",
+                h.0
+            ))),
+            None => Ok(select(&mut fs)),
+        }
+    }
 }
 
 impl Service for FlowserverService {
@@ -52,12 +72,11 @@ impl Service for FlowserverService {
                         "need a non-empty replica list and a positive size".into(),
                     ));
                 }
-                let sel = self.inner.lock().select_replica_path(
-                    HostId(client),
-                    &replicas,
-                    size_bits,
-                    SimTime::from_secs(now_secs),
-                );
+                let (client, now) = (HostId(client), SimTime::from_secs(now_secs));
+                let hosts = replicas.iter().copied().chain([client]);
+                let sel = self.select_among(hosts, |fs| {
+                    fs.select_replica_path(client, &replicas, size_bits, now)
+                })?;
                 Ok(serde_json::to_vec(&sel)?)
             }
             "flowserver.select_path" => {
@@ -66,12 +85,11 @@ impl Service for FlowserverService {
                 if size_bits <= 0.0 {
                     return Err(RpcError::Remote("size must be positive".into()));
                 }
-                let sel = self.inner.lock().select_path_for_replica(
-                    HostId(client),
-                    HostId(replica),
-                    size_bits,
-                    SimTime::from_secs(now_secs),
-                );
+                let (client, replica) = (HostId(client), HostId(replica));
+                let now = SimTime::from_secs(now_secs);
+                let sel = self.select_among([client, replica], |fs| {
+                    fs.select_path_for_replica(client, replica, size_bits, now)
+                })?;
                 Ok(serde_json::to_vec(&sel)?)
             }
             "flowserver.completed" => {
@@ -209,6 +227,46 @@ mod tests {
             .select(HostId(0), &[], MB256, SimTime::ZERO)
             .unwrap_err();
         assert!(matches!(err, RpcError::Remote(_)));
+    }
+
+    /// A host id the topology does not have is refused as an error
+    /// value, and the same connection then serves a valid request.
+    fn unknown_hosts_are_refused_and_the_connection_survives<T: Transport>(transport: T) {
+        let remote = RemoteFlowserver::new(transport);
+        let (now, ghost) = (SimTime::ZERO, HostId(9999));
+        let refusals = [
+            remote.select(ghost, &[HostId(1)], MB256, now),
+            remote.select(HostId(0), &[HostId(1), ghost], MB256, now),
+            remote.select_path(ghost, HostId(1), MB256, now),
+            remote.select_path(HostId(0), ghost, MB256, now),
+            // One past the last host of the 64-host paper tree.
+            remote.select(HostId(64), &[HostId(1)], MB256, now),
+        ];
+        for r in refusals {
+            match r {
+                Err(RpcError::Remote(msg)) => assert!(msg.contains("unknown host"), "{msg}"),
+                other => panic!("expected a remote refusal, got {other:?}"),
+            }
+        }
+        assert_eq!(remote.tracked().unwrap(), 0, "nothing was installed");
+        let sel = remote.select(HostId(0), &[HostId(63)], MB256, now).unwrap();
+        assert_eq!(sel.assignments().len(), 1);
+        let sel = remote
+            .select_path(HostId(2), HostId(1), MB256, now)
+            .unwrap();
+        assert_eq!(sel.assignments().len(), 1);
+    }
+
+    #[test]
+    fn unknown_hosts_are_refused_over_inproc() {
+        unknown_hosts_are_refused_and_the_connection_survives(InProcTransport::new(service()));
+    }
+
+    #[test]
+    fn unknown_hosts_are_refused_over_loopback_tcp() {
+        let server = TcpServer::bind("127.0.0.1:0", service()).unwrap();
+        let transport = TcpTransport::connect(server.local_addr()).unwrap();
+        unknown_hosts_are_refused_and_the_connection_survives(transport);
     }
 
     #[test]

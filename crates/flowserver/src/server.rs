@@ -189,6 +189,33 @@ impl Selection {
             Selection::Split(v) => v,
         }
     }
+
+    /// The outcome carrying one or more committed flows.
+    fn of(mut assignments: Vec<Assignment>) -> Selection {
+        match assignments.len() {
+            1 => Selection::Single(assignments.remove(0)),
+            _ => Selection::Split(assignments),
+        }
+    }
+}
+
+/// What one selection request asks the admission funnel to commit.
+enum Picks {
+    /// The cheapest candidate at this priority.
+    One(FlowPriority),
+    /// §4.3: the cheapest candidate, then further replicas while each
+    /// one raises the combined bandwidth, up to [`FlowserverConfig::
+    /// max_subflows`].
+    Split,
+    /// Exactly this many distinct sources, or nothing (a coded read's
+    /// remote fragments).
+    Exactly(usize),
+}
+
+/// The candidate routes of a read-shaped request: every source toward
+/// the one `client`.
+fn routes_to(client: HostId, sources: &[HostId]) -> impl Iterator<Item = (HostId, HostId)> + '_ {
+    sources.iter().map(move |&s| (s, client))
 }
 
 /// A memoized per-link "share a new flow would get" value, stamped
@@ -382,7 +409,7 @@ impl Flowserver {
     }
 
     /// Refreshes the tracked/frozen flow gauges from model state.
-    fn refresh_flow_gauges(&self) {
+    pub(crate) fn refresh_flow_gauges(&self) {
         self.metrics.tracked_flows.set(self.tracker.len() as i64);
         self.metrics
             .frozen_flows
@@ -458,6 +485,13 @@ impl Flowserver {
         &self.tracker
     }
 
+    /// The flow model itself, for the admission loops the differential
+    /// oracle keeps (every mutator keeps the link index exact).
+    #[cfg(test)]
+    pub(crate) fn tracker_mut(&mut self) -> &mut FlowTracker {
+        &mut self.tracker
+    }
+
     /// The configuration in effect.
     #[must_use]
     pub fn config(&self) -> &FlowserverConfig {
@@ -496,29 +530,19 @@ impl Flowserver {
         size_bits: f64,
         now: SimTime,
     ) -> Selection {
-        assert!(!replicas.is_empty(), "need at least one replica");
-        assert!(size_bits > 0.0, "request size must be positive");
-        let mut span = self.decision_span("select_replica_path");
-        if replicas.contains(&client) {
-            self.metrics.selections_local.inc();
-            let sel = Selection::Local;
-            self.finish_decision(&mut span, &sel);
-            return sel;
-        }
-        let sel = if self.config.multipath && replicas.len() >= 2 {
-            self.select_multipath(client, replicas, size_bits, now)
+        let picks = if self.config.multipath && replicas.len() >= 2 {
+            Picks::Split
         } else {
-            match self.select_single(client, replicas, size_bits, now) {
-                Some(a) => Selection::Single(a),
-                // With all links up this cannot happen on a connected
-                // topology; with down links it means every candidate
-                // path is severed right now.
-                None => Selection::Unavailable,
-            }
+            Picks::One(FlowPriority::Foreground)
         };
-        self.note_selection(&sel);
-        self.finish_decision(&mut span, &sel);
-        sel
+        self.select(
+            "select_replica_path",
+            client,
+            replicas,
+            size_bits,
+            now,
+            picks,
+        )
     }
 
     /// Path-only scheduling for a pre-selected replica: the dynamic
@@ -536,21 +560,15 @@ impl Flowserver {
         size_bits: f64,
         now: SimTime,
     ) -> Selection {
-        assert!(size_bits > 0.0, "request size must be positive");
-        let mut span = self.decision_span("select_path_for_replica");
-        if replica == client {
-            self.metrics.selections_local.inc();
-            let sel = Selection::Local;
-            self.finish_decision(&mut span, &sel);
-            return sel;
-        }
-        let sel = match self.select_single(client, &[replica], size_bits, now) {
-            Some(a) => Selection::Single(a),
-            None => Selection::Unavailable,
-        };
-        self.note_selection(&sel);
-        self.finish_decision(&mut span, &sel);
-        sel
+        let picks = Picks::One(FlowPriority::Foreground);
+        self.select(
+            "select_path_for_replica",
+            client,
+            &[replica],
+            size_bits,
+            now,
+            picks,
+        )
     }
 
     /// Joint source-replica + path selection for a **repair flow** at
@@ -577,36 +595,18 @@ impl Flowserver {
         size_bits: f64,
         now: SimTime,
     ) -> Selection {
-        assert!(!sources.is_empty(), "need at least one repair source");
-        assert!(size_bits > 0.0, "repair size must be positive");
         self.metrics.repair_selections.inc();
-        let mut span = self.decision_span("select_repair_flow");
-        if sources.contains(&dest) {
-            self.metrics.selections_local.inc();
-            let sel = Selection::Local;
-            self.finish_decision(&mut span, &sel);
-            return sel;
-        }
-        let sel = match self.best_path(dest, sources, size_bits, now, FlowPriority::Background) {
-            Some((source, path, pc)) => {
-                Selection::Single(self.commit(source, path, pc, size_bits, now))
-            }
-            None => Selection::Unavailable,
-        };
-        self.note_selection(&sel);
-        self.finish_decision(&mut span, &sel);
-        sel
+        let picks = Picks::One(FlowPriority::Background);
+        self.select("select_repair_flow", dest, sources, size_bits, now, picks)
     }
 
     /// Joint source + path selection for a **shard-migration flow**:
     /// the bulk metadata batches the rebalancer streams from an old
-    /// shard owner to a new one (DESIGN.md §15). Identical machinery
-    /// to [`Flowserver::select_repair_flow`] — the transfer rides
-    /// [`FlowPriority::Background`], so Eq. 2 ranks candidates by the
-    /// slowdown inflicted on existing foreground flows first and
-    /// rebalancing never competes with client reads — but accounted
-    /// separately so operators can tell repair traffic from
-    /// rebalancing traffic.
+    /// shard owner to a new one (DESIGN.md §15). The same request as
+    /// [`Flowserver::select_repair_flow`] — the transfer rides
+    /// [`FlowPriority::Background`], so rebalancing never competes with
+    /// client reads — but accounted separately so operators can tell
+    /// repair traffic from rebalancing traffic.
     ///
     /// # Panics
     ///
@@ -618,41 +618,32 @@ impl Flowserver {
         size_bits: f64,
         now: SimTime,
     ) -> Selection {
-        assert!(!sources.is_empty(), "need at least one migration source");
-        assert!(size_bits > 0.0, "migration size must be positive");
         self.metrics.migration_selections.inc();
-        let mut span = self.decision_span("select_migration_flow");
-        if sources.contains(&dest) {
-            self.metrics.selections_local.inc();
-            let sel = Selection::Local;
-            self.finish_decision(&mut span, &sel);
-            return sel;
-        }
-        let sel = match self.best_path(dest, sources, size_bits, now, FlowPriority::Background) {
-            Some((source, path, pc)) => {
-                Selection::Single(self.commit(source, path, pc, size_bits, now))
-            }
-            None => Selection::Unavailable,
-        };
-        self.note_selection(&sel);
-        self.finish_decision(&mut span, &sel);
-        sel
+        let picks = Picks::One(FlowPriority::Background);
+        self.select(
+            "select_migration_flow",
+            dest,
+            sources,
+            size_bits,
+            now,
+            picks,
+        )
     }
 
     /// Joint `k`-source + path selection for a **degraded coded read**
     /// (DESIGN.md §14): a client reconstructing a sealed chunk needs
     /// any `k` of its surviving fragments, so the Flowserver greedily
     /// commits the cheapest source×path pair `k` times — each pick
-    /// seeing the load the previous subflows added, the same
-    /// tentative-admission machinery as §4.3 split reads — with every
+    /// seeing the load the previous subflows added — with every
     /// subflow carrying one fragment's share (`size_bits / k`).
     ///
     /// A fragment co-located with the client is served locally and
     /// reduces the remote picks needed; [`Selection::Local`] is
-    /// returned when that already satisfies `k`. If fewer than `k`
-    /// sources are reachable the partial schedule is rolled back
-    /// (flows removed, model restored) and [`Selection::Unavailable`]
-    /// is returned: the read must not start if it cannot finish.
+    /// returned when that already satisfies `k`. Whether a source can
+    /// be reached depends on severed paths, never on load, so the
+    /// reachable sources are counted before the first pick: with fewer
+    /// than `k` nothing is installed and [`Selection::Unavailable`] is
+    /// returned — the read must not start if it cannot finish.
     ///
     /// # Panics
     ///
@@ -668,67 +659,43 @@ impl Flowserver {
     ) -> Selection {
         assert!(k >= 1, "need at least one fragment");
         assert!(sources.len() >= k, "need at least k candidate sources");
-        assert!(size_bits > 0.0, "request size must be positive");
         self.metrics.coded_selections.inc();
-        let mut span = self.decision_span("select_coded_read");
-        let local = usize::from(sources.contains(&client));
-        let needed = k - local.min(k);
-        if needed == 0 {
-            self.metrics.selections_local.inc();
-            let sel = Selection::Local;
-            self.finish_decision(&mut span, &sel);
-            return sel;
-        }
+        let picks = Picks::Exactly(k - usize::from(sources.contains(&client)));
         let shard_bits = size_bits / k as f64;
-
-        let rollback = self.tracker.snapshot();
-        let mut assignments: Vec<Assignment> = Vec::with_capacity(needed);
-        for _ in 0..needed {
-            let remaining: Vec<HostId> = sources
-                .iter()
-                .copied()
-                .filter(|s| *s != client && assignments.iter().all(|a| a.replica != *s))
-                .collect();
-            let picked = if remaining.is_empty() {
-                None
-            } else {
-                self.best_path(
-                    client,
-                    &remaining,
-                    shard_bits,
-                    now,
-                    FlowPriority::Foreground,
-                )
-            };
-            match picked {
-                Some((source, path, pc)) => {
-                    assignments.push(self.commit(source, path, pc, shard_bits, now));
-                }
-                None => {
-                    // Fewer than k reachable: undo the partial schedule.
-                    for a in &assignments {
-                        self.fabric.remove_flow(a.cookie);
-                    }
-                    self.tracker.restore(rollback);
-                    let sel = Selection::Unavailable;
-                    self.note_selection(&sel);
-                    self.finish_decision(&mut span, &sel);
-                    return sel;
-                }
-            }
-        }
-        let sel = if assignments.len() == 1 {
-            Selection::Single(assignments.pop().expect("one assignment"))
-        } else {
-            Selection::Split(assignments)
-        };
-        self.note_selection(&sel);
-        self.finish_decision(&mut span, &sel);
-        sel
+        self.select("select_coded_read", client, sources, shard_bits, now, picks)
     }
 
-    /// Counts a finished selection by outcome and refreshes gauges.
-    fn note_selection(&self, sel: &Selection) {
+    /// The one admission funnel behind every `select_*` entry point:
+    /// decision span, local short-circuit, the picks (each flow
+    /// carrying `size_bits`, source → `client`), outcome counters.
+    fn select(
+        &mut self,
+        name: &str,
+        client: HostId,
+        sources: &[HostId],
+        size_bits: f64,
+        now: SimTime,
+        picks: Picks,
+    ) -> Selection {
+        assert!(!sources.is_empty(), "need at least one replica or source");
+        assert!(size_bits > 0.0, "request size must be positive");
+        let mut span = self.decision_span(name);
+        let sel = match picks {
+            // A coded read already counted its local fragment.
+            Picks::Exactly(0) => Selection::Local,
+            Picks::Exactly(n) => self.pick_exactly(client, sources, n, size_bits, now),
+            _ if sources.contains(&client) => Selection::Local,
+            Picks::One(priority) => {
+                match self.best_path(routes_to(client, sources), size_bits, now, priority) {
+                    Some((path, pc)) => Selection::Single(self.commit(path, pc, size_bits, now)),
+                    // With all links up this cannot happen on a
+                    // connected topology; with down links it means
+                    // every candidate path is severed right now.
+                    None => Selection::Unavailable,
+                }
+            }
+            Picks::Split => self.pick_split(client, sources, size_bits, now),
+        };
         match sel {
             Selection::Local => self.metrics.selections_local.inc(),
             Selection::Single(_) => self.metrics.selections_single.inc(),
@@ -736,46 +703,13 @@ impl Flowserver {
             Selection::Unavailable => self.metrics.selections_unavailable.inc(),
         }
         self.refresh_flow_gauges();
+        self.finish_decision(&mut span, &sel);
+        sel
     }
 
-    /// Core of Pseudocode 1 over an arbitrary replica set. Applies the
-    /// selection (installs rules, freezes impacted flows, registers the
-    /// new flow) and returns the assignment.
-    fn select_single(
-        &mut self,
-        client: HostId,
-        replicas: &[HostId],
-        size_bits: f64,
-        now: SimTime,
-    ) -> Option<Assignment> {
-        let (replica, path, pc) = self.cheapest_path(client, replicas, size_bits, now)?;
-        Some(self.commit(replica, path, pc, size_bits, now))
-    }
-
-    /// Evaluates every candidate path of every replica and returns the
-    /// minimum-cost one. Mutates only caches and scratch buffers —
-    /// never the flow model itself.
-    fn cheapest_path(
-        &mut self,
-        client: HostId,
-        replicas: &[HostId],
-        size_bits: f64,
-        now: SimTime,
-    ) -> Option<(HostId, Path, PathCost)> {
-        self.best_path(client, replicas, size_bits, now, FlowPriority::Foreground)
-    }
-
-    /// Rebuilds the tracker's per-link load index if direct mutable
-    /// access (tests, snapshots) left it dirty. Production mutation
-    /// paths maintain the index incrementally and never dirty it, so
-    /// this is a no-op in the steady state.
-    pub(crate) fn ensure_model_fresh(&mut self) {
-        self.tracker.ensure_fresh();
-    }
-
-    /// Cached shortest-path lookup (replica → client direction),
-    /// counting hits and misses.
-    pub(crate) fn lookup_paths(&mut self, src: HostId, dst: HostId) -> PathSet {
+    /// Cached shortest-path lookup (`src → dst`), counting hits and
+    /// misses.
+    fn lookup_paths(&mut self, src: HostId, dst: HostId) -> PathSet {
         let (set, hit) = self.path_cache.lookup(&self.topo, src, dst);
         if hit {
             self.metrics.path_cache_hits.inc();
@@ -792,8 +726,7 @@ impl Flowserver {
     /// contribute their raw capacity (`waterfill(cap, [∞]) ≡ cap`),
     /// loaded links re-run the same waterfill over the same
     /// cookie-ordered demands.
-    pub(crate) fn path_share(&mut self, links: &[LinkId]) -> f64 {
-        self.tracker.assert_fresh();
+    fn path_share(&mut self, links: &[LinkId]) -> f64 {
         let mut share = f64::INFINITY;
         for l in links {
             let cap = self.topo.link(*l).capacity();
@@ -815,69 +748,38 @@ impl Flowserver {
         share
     }
 
-    /// Runs the full Eq. 2 evaluation for one candidate path, feeding
-    /// it the pre-computed bottleneck share. Impacted rows are left in
-    /// the scratch; materialize them only for a winning candidate.
-    pub(crate) fn eval_candidate(
-        &mut self,
-        links: &[LinkId],
-        size_bits: f64,
-        now: SimTime,
-        est_bw: f64,
-    ) -> (f64, f64) {
-        flow_cost_into(
-            &self.topo,
-            &self.tracker,
-            links,
-            size_bits,
-            now,
-            self.config.impact_aware,
-            Some(est_bw),
-            &mut self.scratch,
-        )
-    }
-
-    /// Counts a candidate skipped by the lower-bound prune.
-    pub(crate) fn note_candidate_pruned(&self) {
-        self.metrics.candidates_pruned.inc();
-    }
-
-    /// Counts a candidate that went through the full evaluation.
-    pub(crate) fn note_candidate_evaluated(&self) {
-        self.metrics.candidates_evaluated.inc();
-    }
-
-    /// [`Flowserver::cheapest_path`] with an explicit priority class.
+    /// The one loop over candidate paths: evaluates every live
+    /// shortest path of every `(src, dst)` route and returns the best
+    /// one with its Eq. 2 evaluation. Mutates only caches and scratch
+    /// buffers — never the flow model itself.
     ///
     /// Foreground flows minimize the full Eq. 2 cost. Background
-    /// (repair) flows rank candidates by the **slowdown inflicted on
-    /// existing flows** first and their own completion time second, so
-    /// repair traffic is steered onto idle links and only competes
-    /// with client reads when every path is loaded.
+    /// (repair, migration) flows rank candidates by the **slowdown
+    /// inflicted on existing flows** first and their own completion
+    /// time second, so they are steered onto idle links and only
+    /// compete with client reads when every path is loaded.
     ///
     /// Fast path: candidate paths come from the [`PathCache`] (severed
-    /// ones pre-flagged), the bottleneck share comes from the per-link
-    /// share memo, and a candidate whose **optimistic lower bound**
-    /// already loses to the incumbent is pruned before any waterfill
-    /// runs. See `DESIGN.md` §11 for the soundness argument; the
-    /// differential tests prove selection-identical behaviour against
-    /// the naive implementation.
-    fn best_path(
+    /// ones pre-flagged and skipped), the bottleneck share comes from
+    /// the per-link share memo, and a candidate whose **optimistic
+    /// lower bound** already loses to the incumbent is pruned before
+    /// any waterfill runs. See `DESIGN.md` §11 for the soundness
+    /// argument; the differential tests prove selection-identical
+    /// behaviour against the naive implementation.
+    pub(crate) fn best_path(
         &mut self,
-        client: HostId,
-        replicas: &[HostId],
+        routes: impl Iterator<Item = (HostId, HostId)>,
         size_bits: f64,
         now: SimTime,
         priority: FlowPriority,
-    ) -> Option<(HostId, Path, PathCost)> {
-        self.ensure_model_fresh();
-        let mut best: Option<(HostId, Path, PathCost)> = None;
+    ) -> Option<(Path, PathCost)> {
+        let mut best: Option<(Path, PathCost)> = None;
         let mut best_key = (f64::INFINITY, f64::INFINITY);
-        for &replica in replicas {
-            if replica == client {
+        for (src, dst) in routes {
+            if src == dst {
                 continue;
             }
-            let set = self.lookup_paths(replica, client);
+            let set = self.lookup_paths(src, dst);
             for (i, path) in set.paths().iter().enumerate() {
                 if set.is_severed(i) {
                     continue; // severed by a known-down link
@@ -888,20 +790,28 @@ impl Flowserver {
                 // (even at infinite cost) and commits its impacted
                 // list, so we must evaluate it fully.
                 if best.is_some() && prune_candidate(priority, est_bw, size_bits, best_key) {
-                    self.note_candidate_pruned();
+                    self.metrics.candidates_pruned.inc();
                     if self.decision.is_some() {
-                        let row = format!("replica={} path={i} bw={est_bw:.3e} pruned", replica.0);
+                        let row = format!("replica={} path={i} bw={est_bw:.3e} pruned", src.0);
                         self.push_decision_row(row, true);
                     }
                     continue;
                 }
-                self.note_candidate_evaluated();
-                let (est_bw, cost) = self.eval_candidate(path.links(), size_bits, now, est_bw);
+                self.metrics.candidates_evaluated.inc();
+                // Impacted rows are left in the scratch and
+                // materialized only for a winning candidate.
+                let (est_bw, cost) = flow_cost_into(
+                    &self.topo,
+                    &self.tracker,
+                    path.links(),
+                    size_bits,
+                    now,
+                    self.config.impact_aware,
+                    Some(est_bw),
+                    &mut self.scratch,
+                );
                 if self.decision.is_some() {
-                    let row = format!(
-                        "replica={} path={i} bw={est_bw:.3e} cost={cost:.6}",
-                        replica.0
-                    );
+                    let row = format!("replica={} path={i} bw={est_bw:.3e} cost={cost:.6}", src.0);
                     self.push_decision_row(row, false);
                 }
                 let k = selection_key(priority, size_bits, est_bw, cost);
@@ -915,7 +825,7 @@ impl Flowserver {
                         cost,
                         impacted: self.scratch.take_impacted(),
                     };
-                    best = Some((replica, path.clone(), pc));
+                    best = Some((path.clone(), pc));
                 }
             }
         }
@@ -924,10 +834,11 @@ impl Flowserver {
 
     /// Applies a chosen path: `SETBW` on impacted flows (Pseudocode 1
     /// lines 9–11), rule installation, and registration of the new
-    /// flow (itself frozen at its estimate).
-    fn commit(
+    /// flow (itself frozen at its estimate). The only place a
+    /// selection changes the model, and nothing it does is undone:
+    /// callers decide first.
+    pub(crate) fn commit(
         &mut self,
-        replica: HostId,
         path: Path,
         pc: PathCost,
         size_bits: f64,
@@ -955,95 +866,114 @@ impl Flowserver {
         self.tracker.insert(flow);
         Assignment {
             cookie,
-            replica,
+            replica: path.src(),
             path,
             size_bits,
             est_bw: pc.est_bw,
         }
     }
 
-    /// §4.3's multiple-replica selection: greedily pick `p1`;
-    /// tentatively admit it; pick `p2` from the remaining replicas; if
-    /// the combined share `b'_1 + b_2` beats `b_1` alone, keep the
-    /// split with sizes `S_i = d · b_i / b`; otherwise roll back to
-    /// the single flow.
-    fn select_multipath(
+    /// §4.3's multiple-replica selection: greedily pick and admit
+    /// `p1`; pick `p2` from the remaining replicas and decide before
+    /// admitting it. The candidate's impact list already says what
+    /// bandwidth every earlier subflow would keep (`b'_1`), so the
+    /// subflow is committed only if the combined share `b'_1 + b_2`
+    /// beats `b_1` alone; the kept subflows get sizes `S_i = d · b_i /
+    /// b`. A declined subflow is never installed.
+    fn pick_split(
         &mut self,
         client: HostId,
         replicas: &[HostId],
         size_bits: f64,
         now: SimTime,
     ) -> Selection {
-        // First subflow, chosen over all replicas.
-        let Some((r1, path1, pc1)) = self.cheapest_path(client, replicas, size_bits, now) else {
+        let fg = FlowPriority::Foreground;
+        let Some((path, pc)) = self.best_path(routes_to(client, replicas), size_bits, now, fg)
+        else {
             return Selection::Unavailable;
         };
-        let b1 = pc1.est_bw;
-
-        // Tentatively admit subflow 1 so subflow 2 sees its impact.
-        let tracker_snapshot = self.tracker.snapshot();
-        let a1 = self.commit(r1, path1, pc1, size_bits, now);
-
-        let mut assignments = vec![a1];
-        let mut committed_b: Vec<f64> = vec![b1];
+        let b1 = pc.est_bw;
+        let mut assignments = vec![self.commit(path, pc, size_bits, now)];
+        let mut committed_b = vec![b1];
         for _ in 1..self.config.max_subflows {
             let remaining: Vec<HostId> = replicas
                 .iter()
                 .copied()
                 .filter(|r| assignments.iter().all(|a| a.replica != *r))
                 .collect();
-            if remaining.is_empty() {
-                break;
-            }
-            let Some((r_i, path_i, pc_i)) = self.cheapest_path(client, &remaining, size_bits, now)
+            let Some((path, pc)) =
+                self.best_path(routes_to(client, &remaining), size_bits, now, fg)
             else {
                 break;
             };
-            if pc_i.est_bw <= 0.0 {
+            let b_i = pc.est_bw;
+            if b_i <= 0.0 {
                 break;
             }
-            let b_i = pc_i.est_bw;
             // Admitting subflow i may shrink the earlier subflows.
-            let snapshot_i = self.tracker.snapshot();
-            let a_i = self.commit(r_i, path_i, pc_i, size_bits, now);
             let adjusted: Vec<f64> = assignments
                 .iter()
-                .map(|a| self.tracker.get(a.cookie).expect("tracked").bw)
+                .map(|a| match pc.impacted.iter().find(|(c, _)| *c == a.cookie) {
+                    Some((_, new_bw)) => *new_bw,
+                    None => self.tracker.get(a.cookie).expect("tracked").bw,
+                })
                 .collect();
             let combined: f64 = adjusted.iter().sum::<f64>() + b_i;
-            let solo_best = committed_b[0].max(b1);
-            if combined > solo_best + 1e-9 {
-                self.fabric.flow_path(a_i.cookie).expect("just installed");
+            if combined > b1 + 1e-9 {
                 self.metrics.split_accepted.inc();
-                assignments.push(a_i);
+                assignments.push(self.commit(path, pc, size_bits, now));
                 committed_b = adjusted;
                 committed_b.push(b_i);
             } else {
-                // Roll back subflow i.
                 self.metrics.split_rejected.inc();
-                self.fabric.remove_flow(a_i.cookie);
-                self.tracker.restore(snapshot_i);
-                // Restore requires re-adding the already-committed
-                // subflows' entries — snapshot_i already contains them.
                 break;
             }
         }
-
-        if assignments.len() == 1 {
-            // No beneficial split; nothing to undo (subflow 1 stays).
-            let _ = tracker_snapshot;
-            return Selection::Single(assignments.pop().expect("one assignment"));
+        if assignments.len() > 1 {
+            // Proportion sizes so subflows finish together: S_i = d·b_i/b.
+            let total_b: f64 = committed_b.iter().sum();
+            for (a, b_i) in assignments.iter_mut().zip(&committed_b) {
+                a.size_bits = size_bits * b_i / total_b;
+                a.est_bw = *b_i;
+                // Also refreshes the freeze window for the reduced size.
+                self.tracker.resize_flow(a.cookie, a.size_bits, now);
+            }
         }
+        Selection::of(assignments)
+    }
 
-        // Proportion sizes so subflows finish together: S_i = d·b_i/b.
-        let total_b: f64 = committed_b.iter().sum();
-        for (a, b_i) in assignments.iter_mut().zip(&committed_b) {
-            a.size_bits = size_bits * b_i / total_b;
-            a.est_bw = *b_i;
-            // Also refreshes the freeze window for the reduced size.
-            self.tracker.resize_flow(a.cookie, a.size_bits, now);
+    /// Exactly `needed` flows of `shard_bits` each from distinct
+    /// sources, or none at all.
+    fn pick_exactly(
+        &mut self,
+        client: HostId,
+        sources: &[HostId],
+        needed: usize,
+        shard_bits: f64,
+        now: SimTime,
+    ) -> Selection {
+        let mut remaining: Vec<HostId> = Vec::with_capacity(sources.len());
+        for &s in sources {
+            if s != client
+                && !remaining.contains(&s)
+                && self.lookup_paths(s, client).live().next().is_some()
+            {
+                remaining.push(s);
+            }
         }
-        Selection::Split(assignments)
+        if remaining.len() < needed {
+            return Selection::Unavailable;
+        }
+        let mut assignments = Vec::with_capacity(needed);
+        for _ in 0..needed {
+            let fg = FlowPriority::Foreground;
+            let (path, pc) = self
+                .best_path(routes_to(client, &remaining), shard_bits, now, fg)
+                .expect("every remaining source has a live path");
+            remaining.retain(|s| *s != path.src());
+            assignments.push(self.commit(path, pc, shard_bits, now));
+        }
+        Selection::of(assignments)
     }
 
     /// Ingests a stats report: `UPDATEBW` per flow (respecting freeze
@@ -1088,12 +1018,7 @@ impl Flowserver {
 
 /// The lexicographic ranking key of a fully-evaluated candidate, per
 /// priority class (identical to the naive implementation's closure).
-pub(crate) fn selection_key(
-    priority: FlowPriority,
-    size_bits: f64,
-    est_bw: f64,
-    cost: f64,
-) -> (f64, f64) {
+fn selection_key(priority: FlowPriority, size_bits: f64, est_bw: f64, cost: f64) -> (f64, f64) {
     match priority {
         FlowPriority::Foreground => (cost, 0.0),
         FlowPriority::Background => {
@@ -1124,7 +1049,7 @@ pub(crate) fn selection_key(
 ///   when `est_bw ≤ 0` (never wins). Since `impact` could be `0`, a
 ///   candidate is only provably beaten when the incumbent's impact is
 ///   already `0` and `own ≥ best.1`.
-pub(crate) fn prune_candidate(
+fn prune_candidate(
     priority: FlowPriority,
     est_bw: f64,
     size_bits: f64,
@@ -1338,10 +1263,16 @@ mod tests {
     }
 
     #[test]
-    fn coded_read_rolls_back_when_fewer_than_k_reachable() {
+    fn coded_read_short_of_k_installs_and_counts_nothing() {
+        let registry = mayflower_telemetry::Registry::new();
         let mut fs = server();
+        fs.attach_metrics(&registry);
+        // A flow into the client that any fragment subflow would slow.
+        let bystander = fs.select_path_for_replica(HostId(0), HostId(2), MB256, SimTime::ZERO);
+        let bystander = bystander.assignments()[0].cookie;
         // Sever two of three sources: only host 20 stays reachable, so
-        // a k = 2 schedule cannot complete and must leave no residue.
+        // a k = 2 schedule cannot complete and nothing may be admitted
+        // on the way to finding that out.
         fs.set_link_state(fs.topology().host_uplink(HostId(1)), false);
         fs.set_link_state(fs.topology().host_uplink(HostId(5)), false);
         let sel = fs.select_coded_read(
@@ -1349,11 +1280,31 @@ mod tests {
             &[HostId(1), HostId(5), HostId(20)],
             2,
             MB256,
-            SimTime::ZERO,
+            SimTime::from_secs(0.5),
         );
         assert!(matches!(sel, Selection::Unavailable), "got {sel:?}");
-        assert_eq!(fs.tracked_flows(), 0, "partial schedule rolled back");
-        assert_eq!(fs.fabric().flow_count(), 0);
+        assert_eq!(fs.tracked_flows(), 1, "only the bystander");
+        assert_eq!(fs.fabric().flow_count(), 1);
+        let f = fs.flow_model(bystander).unwrap();
+        assert_eq!(
+            (f.bw, f.updated_at),
+            (GBPS, SimTime::ZERO),
+            "never re-frozen"
+        );
+
+        let snap = registry.snapshot();
+        let count = |name: &str| snap.counter(name).unwrap_or(0);
+        assert_eq!(
+            count("flowserver_selections_total{outcome=\"unavailable\"}"),
+            1
+        );
+        assert_eq!(count("flowserver_coded_selections_total"), 1);
+        assert_eq!(count("flowserver_update_freezes_total"), 0);
+        let cost = snap.histogram("flowserver_selection_cost_us").unwrap();
+        assert_eq!(cost.count, 1, "the bystander's commit only");
+        // No cookie was spent on a subflow that was never admitted.
+        let next = fs.select_path_for_replica(HostId(8), HostId(9), MB256, SimTime::ZERO);
+        assert_eq!(next.assignments()[0].cookie, FlowCookie(1));
     }
 
     #[test]
@@ -1438,7 +1389,46 @@ mod tests {
             "split of a line-rate read must be declined: {sel:?}"
         );
         assert_eq!(fs.tracked_flows(), 1);
-        assert_eq!(fs.fabric().flow_count(), 1, "rollback removed rules");
+        assert_eq!(
+            fs.fabric().flow_count(),
+            1,
+            "no rules for the declined subflow"
+        );
+    }
+
+    #[test]
+    fn declined_split_is_not_counted_as_if_it_happened() {
+        let registry = mayflower_telemetry::Registry::new();
+        let mut fs = server_multipath();
+        fs.attach_metrics(&registry);
+        let sel = fs.select_replica_path(HostId(0), &[HostId(1), HostId(2)], MB256, SimTime::ZERO);
+        let Selection::Single(kept) = sel else {
+            panic!("split of a line-rate read must be declined: {sel:?}")
+        };
+        assert_eq!(kept.cookie, FlowCookie(0));
+
+        let snap = registry.snapshot();
+        let count = |name: &str| snap.counter(name).unwrap_or(0);
+        assert_eq!(count("flowserver_split_rejected_total"), 1);
+        // The second subflow would have halved the first; it was never
+        // admitted, so nothing was re-frozen, costed or numbered.
+        assert_eq!(count("flowserver_update_freezes_total"), 0);
+        let cost = snap.histogram("flowserver_selection_cost_us").unwrap();
+        assert_eq!(cost.count, 1);
+        let next = fs.select_path_for_replica(HostId(8), HostId(9), MB256, SimTime::ZERO);
+        assert_eq!(next.assignments()[0].cookie, FlowCookie(1));
+        // The kept flow is what a Flowserver that never splits installs.
+        let mut plain = server();
+        plain.select_replica_path(HostId(0), &[HostId(1), HostId(2)], MB256, SimTime::ZERO);
+        let (got, want) = (
+            fs.flow_model(kept.cookie).unwrap(),
+            plain.flow_model(kept.cookie).unwrap(),
+        );
+        assert_eq!(got.path, want.path);
+        assert_eq!(
+            (got.bw, got.remaining_bits, got.freeze_until),
+            (want.bw, want.remaining_bits, want.freeze_until)
+        );
     }
 
     #[test]

@@ -87,13 +87,12 @@ impl TrackedFlow {
 /// The incrementally-maintained load summary of one directed link: the
 /// cookies and modelled bandwidths (demands) of every flow crossing
 /// it, in cookie order — exactly the demand vector a per-link
-/// waterfill consumes — plus their sum and a change epoch for
-/// downstream share caches.
+/// waterfill consumes — plus a change epoch for downstream share
+/// caches.
 #[derive(Debug, Clone, Default)]
 pub struct LinkLoad {
     cookies: Vec<FlowCookie>,
     demands: Vec<f64>,
-    demand_sum: f64,
     epoch: u64,
 }
 
@@ -111,12 +110,6 @@ impl LinkLoad {
         &self.demands
     }
 
-    /// Sum of the demands — the link's total modelled offered load.
-    #[must_use]
-    pub fn demand_sum(&self) -> f64 {
-        self.demand_sum
-    }
-
     /// Bumped whenever this link's flow set or demands change; share
     /// caches keyed on it stay exact.
     #[must_use]
@@ -129,23 +122,17 @@ impl LinkLoad {
     pub fn is_empty(&self) -> bool {
         self.cookies.is_empty()
     }
-
-    fn refresh_sum(&mut self, epoch: u64) {
-        self.demand_sum = self.demands.iter().sum();
-        self.epoch = epoch;
-    }
 }
 
 /// An ordered collection of tracked flows with per-link indexing.
 ///
-/// The per-link [`LinkLoad`] index is maintained incrementally by the
-/// structured mutators ([`FlowTracker::insert`], [`FlowTracker::
+/// The structured mutators ([`FlowTracker::insert`], [`FlowTracker::
 /// remove`], [`FlowTracker::set_flow_bw`], [`FlowTracker::
-/// apply_stats`], ...). The raw escape hatches ([`FlowTracker::
-/// get_mut`], [`FlowTracker::iter_mut`], [`FlowTracker::restore`])
-/// cannot know what they changed, so they mark the tracker *dirty*;
-/// [`FlowTracker::ensure_fresh`] rebuilds the index before the next
-/// indexed read.
+/// apply_stats`], [`FlowTracker::resize_flow`], [`FlowTracker::
+/// unfreeze_where`]) are the only way a tracked flow changes, and each
+/// updates the per-link [`LinkLoad`] index in the same step — so the
+/// index equals a rescan of the flows by construction and no reader
+/// has a freshness precondition to check.
 #[derive(Debug, Clone, Default)]
 pub struct FlowTracker {
     flows: BTreeMap<FlowCookie, TrackedFlow>,
@@ -153,8 +140,6 @@ pub struct FlowTracker {
     links: Vec<LinkLoad>,
     /// Global change counter; touched links are stamped with it.
     epoch: u64,
-    /// Whether an unstructured mutation may have desynced the index.
-    dirty: bool,
 }
 
 impl FlowTracker {
@@ -169,6 +154,19 @@ impl FlowTracker {
             links.resize_with(link.index() + 1, LinkLoad::default);
         }
         &mut links[link.index()]
+    }
+
+    /// Writes `flow`'s current bandwidth into its slot on every link it
+    /// crosses and stamps those links with `epoch`.
+    fn reindex_demand(links: &mut [LinkLoad], epoch: u64, flow: &TrackedFlow) {
+        for &l in flow.path.links() {
+            if let Some(load) = links.get_mut(l.index()) {
+                if let Ok(pos) = load.cookies.binary_search(&flow.cookie) {
+                    load.demands[pos] = flow.bw;
+                    load.epoch = epoch;
+                }
+            }
+        }
     }
 
     /// Registers a flow.
@@ -192,7 +190,7 @@ impl FlowTracker {
             if let Err(pos) = load.cookies.binary_search(&flow.cookie) {
                 load.cookies.insert(pos, flow.cookie);
                 load.demands.insert(pos, flow.bw);
-                load.refresh_sum(epoch);
+                load.epoch = epoch;
             }
         }
         self.flows.insert(flow.cookie, flow);
@@ -208,7 +206,7 @@ impl FlowTracker {
                 if let Ok(pos) = load.cookies.binary_search(&cookie) {
                     load.cookies.remove(pos);
                     load.demands.remove(pos);
-                    load.refresh_sum(epoch);
+                    load.epoch = epoch;
                 }
             }
         }
@@ -221,24 +219,9 @@ impl FlowTracker {
         self.flows.get(&cookie)
     }
 
-    /// Mutable lookup. Marks the link index dirty — prefer the
-    /// structured mutators ([`FlowTracker::set_flow_bw`] and friends),
-    /// which keep it exact.
-    pub fn get_mut(&mut self, cookie: FlowCookie) -> Option<&mut TrackedFlow> {
-        self.dirty = true;
-        self.flows.get_mut(&cookie)
-    }
-
     /// All tracked flows in cookie order.
     pub fn iter(&self) -> impl Iterator<Item = &TrackedFlow> {
         self.flows.values()
-    }
-
-    /// Mutable iteration over all tracked flows, in cookie order.
-    /// Marks the link index dirty, like [`FlowTracker::get_mut`].
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut TrackedFlow> {
-        self.dirty = true;
-        self.flows.values_mut()
     }
 
     /// `SETBW` on a tracked flow (see [`TrackedFlow::set_bw`]),
@@ -248,17 +231,8 @@ impl FlowTracker {
             return false;
         };
         f.set_bw(bw, now);
-        let new_bw = f.bw;
         self.epoch += 1;
-        let epoch = self.epoch;
-        for &l in f.path.links() {
-            if let Some(load) = self.links.get_mut(l.index()) {
-                if let Ok(pos) = load.cookies.binary_search(&cookie) {
-                    load.demands[pos] = new_bw;
-                    load.refresh_sum(epoch);
-                }
-            }
-        }
+        Self::reindex_demand(&mut self.links, self.epoch, f);
         true
     }
 
@@ -283,27 +257,27 @@ impl FlowTracker {
         if !f.update_from_stats(measured_bw, total_bits, now) {
             return false;
         }
-        let new_bw = f.bw;
         self.epoch += 1;
-        let epoch = self.epoch;
-        for &l in f.path.links() {
-            if let Some(load) = self.links.get_mut(l.index()) {
-                if let Ok(pos) = load.cookies.binary_search(&cookie) {
-                    load.demands[pos] = new_bw;
-                    load.refresh_sum(epoch);
-                }
-            }
-        }
+        Self::reindex_demand(&mut self.links, self.epoch, f);
         true
     }
 
     /// Clock-side freeze expiry: unfreezes every flow whose freeze
-    /// window has lapsed, returning how many. Demands are untouched,
-    /// so the link index stays exact without reindexing.
+    /// window has lapsed (strictly after `freeze_until`, Pseudocode 2),
+    /// returning how many.
     pub fn expire_frozen(&mut self, now: SimTime) -> usize {
+        self.unfreeze_where(|f| now > f.freeze_until)
+    }
+
+    /// Unfreezes every frozen flow `lapsed` accepts, in cookie order,
+    /// returning how many. Demands are untouched, so the link index
+    /// stays exact without reindexing. [`FlowTracker::expire_frozen`]
+    /// is the production predicate; the model checker's off-by-one
+    /// mutant passes a wrong one.
+    pub fn unfreeze_where(&mut self, lapsed: impl Fn(&TrackedFlow) -> bool) -> usize {
         let mut expired = 0;
         for f in self.flows.values_mut() {
-            if f.frozen && now > f.freeze_until {
+            if f.frozen && lapsed(f) {
                 f.frozen = false;
                 expired += 1;
             }
@@ -326,66 +300,16 @@ impl FlowTracker {
         true
     }
 
-    /// The incrementally-maintained load summary for `link`, if any
-    /// flow ever touched it. Exact only while [`FlowTracker::
-    /// is_dirty`] is false; call [`FlowTracker::ensure_fresh`] first.
+    /// The load summary for `link`, if any flow ever touched it.
     #[must_use]
     pub fn link_load(&self, link: LinkId) -> Option<&LinkLoad> {
         self.links.get(link.index())
-    }
-
-    /// The precondition of every function that computes a selection
-    /// from the link index: a dirty index may disagree with the flows,
-    /// and there is no other source to fall back on. Checked once per
-    /// evaluated path, not per link read (the per-read check cost the
-    /// 1024-host replay 8–10%).
-    #[track_caller]
-    pub(crate) fn assert_fresh(&self) {
-        assert!(
-            !self.dirty,
-            "link index read while dirty: call ensure_fresh first"
-        );
-    }
-
-    /// Whether an unstructured mutation may have desynced the link
-    /// index since the last rebuild.
-    #[must_use]
-    pub fn is_dirty(&self) -> bool {
-        self.dirty
     }
 
     /// The global change counter; see [`LinkLoad::epoch`].
     #[must_use]
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Rebuilds the link index from scratch if it is dirty.
-    pub fn ensure_fresh(&mut self) {
-        if !self.dirty {
-            return;
-        }
-        self.dirty = false;
-        self.epoch += 1;
-        let epoch = self.epoch;
-        for load in &mut self.links {
-            load.cookies.clear();
-            load.demands.clear();
-        }
-        for f in self.flows.values() {
-            let links = f.path.links();
-            for (i, &l) in links.iter().enumerate() {
-                if links[..i].contains(&l) {
-                    continue;
-                }
-                let load = Self::load_slot(&mut self.links, l);
-                load.cookies.push(f.cookie);
-                load.demands.push(f.bw);
-            }
-        }
-        for load in &mut self.links {
-            load.refresh_sum(epoch);
-        }
     }
 
     /// Number of tracked flows.
@@ -421,20 +345,6 @@ impl FlowTracker {
             .filter(|f| f.path.links().contains(&link))
             .map(|f| f.bw)
             .collect()
-    }
-
-    /// Snapshot of all flow model state, for tentative (§4.3 rollback)
-    /// operations.
-    #[must_use]
-    pub fn snapshot(&self) -> BTreeMap<FlowCookie, TrackedFlow> {
-        self.flows.clone()
-    }
-
-    /// Restores a snapshot taken with [`FlowTracker::snapshot`].
-    /// Marks the link index dirty (the snapshot carries no index).
-    pub fn restore(&mut self, snapshot: BTreeMap<FlowCookie, TrackedFlow>) {
-        self.flows = snapshot;
-        self.dirty = true;
     }
 }
 
@@ -523,10 +433,10 @@ mod tests {
     }
 
     #[test]
-    fn clock_side_expiry_sweep_unfreezes_in_cookie_order() {
+    fn unfreeze_where_sweeps_only_frozen_flows_the_predicate_accepts() {
         // When no stats arrive (Flowserver outage, lost polls) nothing
         // calls UPDATEBW, so expired freezes are cleared clock-side by
-        // sweeping `iter_mut` — the tracker half of the server's
+        // this sweep — the tracker half of the server's
         // `expire_stale_freezes`.
         let mut t = FlowTracker::new();
         for (cookie, bw) in [(1u64, 10.0), (2, 5.0), (3, 1.0)] {
@@ -534,18 +444,15 @@ mod tests {
             f.set_bw(bw, SimTime::ZERO); // freezes until 50/bw secs
             t.insert(f);
         }
+        t.insert(flow(4, vec![0], 2.0)); // never frozen: not counted
         let now = SimTime::from_secs(20.0); // past 5 and 10, before 50
-        let expired: Vec<FlowCookie> = t
-            .iter_mut()
-            .filter(|f| f.frozen && now > f.freeze_until)
-            .map(|f| {
-                f.frozen = false;
-                f.cookie
-            })
-            .collect();
-        assert_eq!(expired, vec![FlowCookie(1), FlowCookie(2)]);
-        assert!(t.get(FlowCookie(3)).unwrap().frozen, "still inside window");
+        assert_eq!(t.unfreeze_where(|f| now > f.freeze_until), 2);
         assert!(!t.get(FlowCookie(1)).unwrap().frozen);
+        assert!(!t.get(FlowCookie(2)).unwrap().frozen);
+        assert!(t.get(FlowCookie(3)).unwrap().frozen, "still inside window");
+        // A second sweep finds nothing left to do.
+        assert_eq!(t.unfreeze_where(|f| now > f.freeze_until), 0);
+        assert_eq!(t.unfreeze_where(|_| true), 1);
     }
 
     #[test]
@@ -578,18 +485,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_roundtrip() {
-        let mut t = FlowTracker::new();
-        t.insert(flow(1, vec![0], 2.0));
-        let snap = t.snapshot();
-        t.get_mut(FlowCookie(1)).unwrap().bw = 99.0;
-        t.insert(flow(2, vec![1], 1.0));
-        t.restore(snap);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.get(FlowCookie(1)).unwrap().bw, 2.0);
-    }
-
-    #[test]
     #[should_panic(expected = "already tracked")]
     fn double_insert_rejected() {
         let mut t = FlowTracker::new();
@@ -600,7 +495,6 @@ mod tests {
     /// The incremental index must agree with the naive scans after any
     /// sequence of structured mutations.
     fn assert_index_matches_scans(t: &FlowTracker, links: &[u32]) {
-        assert!(!t.is_dirty());
         for &l in links {
             let link = LinkId(l);
             let cookies = t.flows_on_link(link);
@@ -610,8 +504,6 @@ mod tests {
                 Some(load) => {
                     assert_eq!(load.cookies(), cookies.as_slice(), "link {l}");
                     assert_eq!(load.demands(), demands.as_slice(), "link {l}");
-                    let sum: f64 = demands.iter().sum();
-                    assert_eq!(load.demand_sum().to_bits(), sum.to_bits());
                 }
             }
         }
@@ -659,30 +551,6 @@ mod tests {
     }
 
     #[test]
-    fn raw_mutation_dirties_and_ensure_fresh_rebuilds() {
-        let mut t = FlowTracker::new();
-        t.insert(flow(1, vec![0, 1], 2.0));
-        t.insert(flow(2, vec![1], 3.0));
-        assert!(!t.is_dirty());
-        t.get_mut(FlowCookie(1)).unwrap().bw = 42.0;
-        assert!(t.is_dirty());
-        t.ensure_fresh();
-        assert_index_matches_scans(&t, &[0, 1]);
-        assert_eq!(t.link_load(LinkId(0)).unwrap().demands(), &[42.0]);
-
-        let snap = t.snapshot();
-        for f in t.iter_mut() {
-            f.bw = 1.0;
-        }
-        assert!(t.is_dirty());
-        t.restore(snap);
-        assert!(t.is_dirty());
-        t.ensure_fresh();
-        assert_eq!(t.link_load(LinkId(0)).unwrap().demands(), &[42.0]);
-        assert_index_matches_scans(&t, &[0, 1]);
-    }
-
-    #[test]
     fn expire_frozen_sweeps_without_touching_demands() {
         let mut t = FlowTracker::new();
         for (cookie, bw) in [(1u64, 10.0), (2, 5.0), (3, 1.0)] {
@@ -692,8 +560,8 @@ mod tests {
         }
         let epoch = t.link_load(LinkId(0)).unwrap().epoch();
         assert_eq!(t.expire_frozen(SimTime::from_secs(20.0)), 2);
-        assert!(!t.is_dirty());
         assert_eq!(t.link_load(LinkId(0)).unwrap().epoch(), epoch);
+        assert_index_matches_scans(&t, &[0]);
         assert!(t.get(FlowCookie(3)).unwrap().frozen);
     }
 
@@ -710,8 +578,8 @@ mod tests {
         assert_eq!(f.remaining_bits, 30.0);
         assert!(f.frozen);
         assert_eq!(f.freeze_until, SimTime::from_secs(3.0));
-        assert!(!t.is_dirty());
         assert_eq!(t.link_load(LinkId(0)).unwrap().epoch(), epoch);
+        assert_index_matches_scans(&t, &[0]);
         assert!(!t.resize_flow(FlowCookie(9), 1.0, SimTime::ZERO));
     }
 

@@ -233,11 +233,7 @@ impl Scenario for FreezeScenario {
                     if self.mutant == Mutant::FreezeExpiryBeforePoll {
                         // The off-by-one sweep: `>=` where Pseudocode 2
                         // requires strictly after.
-                        for f in tracker.iter_mut() {
-                            if f.frozen && now >= f.freeze_until {
-                                f.frozen = false;
-                            }
-                        }
+                        tracker.unfreeze_where(|f| now >= f.freeze_until);
                     } else {
                         tracker.expire_frozen(now);
                     }

@@ -56,8 +56,7 @@ use mayflower_net::{HostId, Topology};
 pub use map::ShardMap;
 pub use plane::{ShardError, ShardPlaneConfig, ShardedNameserver};
 pub use rebalance::{
-    migrate, FlowserverScheduler, Handoff, MigrationReport, MigrationScheduler, RebalanceConfig,
-    Rebalancer,
+    migrate, FlowserverScheduler, Handoff, MigrationReport, RebalanceConfig, Rebalancer,
 };
 pub use ring::{hash_name, HashRing, ShardId};
 pub use router::ShardRouter;

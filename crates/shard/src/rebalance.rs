@@ -33,19 +33,10 @@ use crate::map::ShardMap;
 use crate::plane::{Shard, ShardedNameserver};
 use crate::ring::{HashRing, ShardId};
 
-/// Where rebalancing traffic gets its network paths.
-///
-/// The flowserver-backed implementation is [`FlowserverScheduler`];
-/// experiments compare it against an ECMP-hashing stand-in.
-pub trait MigrationScheduler {
-    /// Called once per `(source host, dest host)` transfer of each
-    /// copied batch, before the bytes move.
-    fn schedule_batch(&mut self, src: HostId, dst: HostId, bytes: u64);
-}
-
-/// Schedules each batch transfer with the flowserver at `Background`
-/// priority, reusing the repair-flow machinery (joint path selection
-/// under Eq. 2 against the current network state).
+/// Where rebalancing traffic gets its network paths: schedules each
+/// batch transfer with the flowserver at `Background` priority,
+/// reusing the repair-flow machinery (joint path selection under Eq. 2
+/// against the current network state).
 pub struct FlowserverScheduler<'a> {
     /// The flowserver making path decisions.
     pub flowserver: &'a mut Flowserver,
@@ -66,9 +57,9 @@ impl<'a> FlowserverScheduler<'a> {
             selections: Vec::new(),
         }
     }
-}
 
-impl MigrationScheduler for FlowserverScheduler<'_> {
+    /// Called once per `(source host, dest host)` transfer of each
+    /// copied batch, before the bytes move.
     fn schedule_batch(&mut self, src: HostId, dst: HostId, bytes: u64) {
         if bytes == 0 || src == dst {
             return;
@@ -376,7 +367,7 @@ pub fn migrate(
     plane: &ShardedNameserver,
     new_map: ShardMap,
     batch_keys: usize,
-    mut scheduler: Option<&mut dyn MigrationScheduler>,
+    mut scheduler: Option<&mut FlowserverScheduler<'_>>,
 ) -> Result<MigrationReport, FsError> {
     let mut handoff = Handoff::begin(plane, new_map, batch_keys)?;
     loop {
@@ -467,7 +458,7 @@ impl Rebalancer {
     pub fn rebalance(
         &self,
         plane: &ShardedNameserver,
-        scheduler: Option<&mut dyn MigrationScheduler>,
+        scheduler: Option<&mut FlowserverScheduler<'_>>,
     ) -> Result<Option<MigrationReport>, FsError> {
         match self.plan(plane) {
             None => Ok(None),
