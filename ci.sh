@@ -65,7 +65,7 @@ echo "==> causal tracing: telemetry suite + trace determinism/well-formedness (r
 cargo test --release -q -p mayflower-telemetry
 cargo test --release -q --test trace_determinism
 
-echo "==> simulated fabric: driver, engine and experiment unit suites, engine chaos, figures CLI, simnet vs its oracle (release)"
+echo "==> simulated fabric: driver, engine and experiment unit suites, engine chaos, figures CLI, net and simnet vs their oracles (release)"
 # No flow, cookie or Flowserver model entry outlives a run (fault-free or
 # through the abort path), the consistency and write-placement runs poll
 # for real, each timeline arm equals a bare FluidNet drain, and a
@@ -76,8 +76,12 @@ cargo test --release -q -p mayflower-sim --lib --test engine_chaos --test figure
 # the bit in the build that is measured, and add_flow's "advance_to()
 # first" guard holds without debug assertions.
 cargo test --release -q -p mayflower-simnet
+# net's own suite: `shortest_paths` and `distance` equal the full-fabric
+# BFS kept as `topology::oracle`, the search stops at the destination's
+# level, and the waterfill kernels equal their quadratic oracle.
+cargo test --release -q -p mayflower-net
 
-echo "==> member suites no stage above runs: selection vs its oracles, waterfill, sdn, baselines, workload, simcore, consensus, recovery, kvstore (release)"
+echo "==> member suites no stage above runs: selection vs its oracles, sdn, baselines, workload, simcore, consensus, recovery, kvstore (release)"
 # The root `cargo test -q` covers the root package only. After touching
 # selection, the flowserver suite is the first thing to run: its
 # differential walk holds every `select_*` entry point, split and coded
@@ -85,8 +89,6 @@ echo "==> member suites no stage above runs: selection vs its oracles, waterfill
 # — selections, estimates and model state to the bit — and after every
 # event holds the link index to a rescan of the flows.
 cargo test --release -q -p mayflower-flowserver
-# The waterfill kernels against their quadratic oracle.
-cargo test --release -q -p mayflower-net
 cargo test --release -q -p mayflower-sdn
 cargo test --release -q -p mayflower-baselines
 cargo test --release -q -p mayflower-workload

@@ -1,10 +1,12 @@
 //! Memoized shortest-path sets with a link-state overlay.
 //!
-//! [`crate::Topology::shortest_paths`] re-runs a BFS plus an
-//! all-shortest-paths DFS on every call, and the Flowserver calls it
-//! for every (replica, client) pair of every selection. The topology
-//! is frozen, so the answer never changes — a [`PathCache`] computes
-//! each host pair's path set once and hands out shared slices.
+//! [`crate::Topology::shortest_paths`] re-runs a breadth-first search
+//! out to the destination's level plus a walk back over every shortest
+//! path on every call, and the Flowserver calls it for every (replica,
+//! client) pair of every selection. The topology is frozen, so the
+//! answer never changes — a [`PathCache`] computes each host pair's
+//! path set once and hands out shared slices. Every simulated replay
+//! builds a fresh `Flowserver`, so it starts with a cold cache.
 //!
 //! Link failures do not change the set of shortest paths either (the
 //! scheduler skips severed candidates rather than re-routing around

@@ -1,8 +1,6 @@
 //! The topology graph: nodes, directed links, and shortest-path
 //! enumeration.
 
-use std::collections::VecDeque;
-
 use serde::{Deserialize, Serialize};
 
 use crate::ids::{HostId, LinkId, NodeId, NodeKind, PodId, RackId};
@@ -353,11 +351,118 @@ impl Topology {
     /// unreachable. Two hosts on the same machine have distance 0.
     #[must_use]
     pub fn distance(&self, a: HostId, b: HostId) -> Option<usize> {
+        let goal = self.host_node(b);
+        self.levels_to(self.host_node(a), goal)
+            .map(|dist| dist[goal.index()] as usize)
+    }
+
+    /// Enumerates **all** shortest paths from `src` to `dst`, in link order.
+    ///
+    /// In a 3-tier tree these have length 2 (same rack), 4 (same pod)
+    /// or 6 (cross-pod), exactly the path-length restriction of §4.2.
+    /// Returns an empty vector when `src == dst` (no network involved)
+    /// or when no path exists.
+    ///
+    /// Cost: a BFS that stops at `dst`'s level `d`, expanding only the
+    /// nodes closer than `d` to `src` (210 of the 1106 nodes of the
+    /// 1024-host tree for a cross-pod pair, 2 for a same-rack one) over
+    /// one `u32` per node, then a walk back from `dst` over the paths and
+    /// their sort. Nothing is kept between calls; [`crate::PathCache`] is the memo.
+    #[must_use]
+    pub fn shortest_paths(&self, src: HostId, dst: HostId) -> Vec<Path> {
+        if src == dst {
+            return Vec::new();
+        }
+        let goal = self.host_node(dst);
+        let Some(dist) = self.levels_to(self.host_node(src), goal) else {
+            return Vec::new();
+        };
+        let mut paths = Vec::new();
+        self.walk_back(&dist, goal, &mut Vec::new(), &mut |back| {
+            paths.push(Path::new(src, dst, back.iter().rev().copied().collect()));
+        });
+        paths.sort_by(|a, b| a.links().cmp(b.links()));
+        paths
+    }
+
+    /// Level-order BFS from `start` that stops when it pops the first node
+    /// at `goal`'s level `d`: every node up to `d` has its distance by
+    /// then (its discoverer, one level up, came off the queue first) and
+    /// none beyond. `None` if `goal` is unreachable.
+    fn levels_to(&self, start: NodeId, goal: NodeId) -> Option<Vec<u32>> {
+        let mut dist = vec![UNSEEN; self.nodes.len()];
+        dist[start.index()] = 0;
+        let mut queue = Vec::with_capacity(self.nodes.len());
+        queue.push(start);
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
+            let du = dist[u.index()];
+            if du >= dist[goal.index()] {
+                return Some(dist);
+            }
+            for &l in &self.out_links[u.index()] {
+                let v = self.links[l.index()].dst;
+                if dist[v.index()] == UNSEEN {
+                    dist[v.index()] = du + 1;
+                    queue.push(v);
+                }
+            }
+        }
+        None
+    }
+
+    /// Calls `emit` with every shortest route from the start to `v`, as
+    /// links from `v` backwards appended to `back`. Its predecessor links
+    /// are the reverses of its out-links to a node one level closer — exact
+    /// only because [`Topology::add_duplex_link`], the only way to build a
+    /// link, gives every link a reverse.
+    fn walk_back(
+        &self,
+        dist: &[u32],
+        v: NodeId,
+        back: &mut Vec<LinkId>,
+        emit: &mut dyn FnMut(&[LinkId]),
+    ) {
+        let dv = dist[v.index()];
+        if dv == 0 {
+            emit(back);
+            return;
+        }
+        for &out in &self.out_links[v.index()] {
+            let w = self.links[out.index()].dst;
+            // An unseen `w` wraps to 0, which only the start has.
+            if dist[w.index()].wrapping_add(1) == dv {
+                back.push(self.reverse[out.index()]);
+                self.walk_back(dist, w, back, emit);
+                back.pop();
+            }
+        }
+    }
+}
+
+/// `Topology::levels_to`'s distance for a node it has not discovered.
+const UNSEEN: u32 = u32::MAX;
+
+/// The enumerator as it was before the search learnt to stop at the
+/// destination's level, kept verbatim as free functions: a BFS over the
+/// whole fabric that records every node's predecessor links, then a DFS
+/// over them. The tests below hold `shortest_paths`, `distance` and the
+/// search's frontier to it.
+#[cfg(test)]
+mod oracle {
+    use std::collections::VecDeque;
+
+    use crate::ids::{HostId, LinkId, NodeId};
+    use crate::path::Path;
+    use crate::topology::Topology;
+
+    pub fn distance(t: &Topology, a: HostId, b: HostId) -> Option<usize> {
         if a == b {
             return Some(0);
         }
-        let (dist, _) = self.bfs(self.host_node(a));
-        let d = dist[self.host_node(b).index()];
+        let (dist, _) = bfs(t, t.host_node(a));
+        let d = dist[t.host_node(b).index()];
         if d == usize::MAX {
             None
         } else {
@@ -365,20 +470,13 @@ impl Topology {
         }
     }
 
-    /// Enumerates **all** shortest paths from host `src` to host `dst`.
-    ///
-    /// In a 3-tier tree these have length 2 (same rack), 4 (same pod)
-    /// or 6 (cross-pod), exactly the path-length restriction of §4.2.
-    /// Returns an empty vector when `src == dst` (no network involved)
-    /// or when no path exists.
-    #[must_use]
-    pub fn shortest_paths(&self, src: HostId, dst: HostId) -> Vec<Path> {
+    pub fn shortest_paths(t: &Topology, src: HostId, dst: HostId) -> Vec<Path> {
         if src == dst {
             return Vec::new();
         }
-        let src_node = self.host_node(src);
-        let dst_node = self.host_node(dst);
-        let (dist, preds) = self.bfs(src_node);
+        let src_node = t.host_node(src);
+        let dst_node = t.host_node(dst);
+        let (dist, preds) = bfs(t, src_node);
         if dist[dst_node.index()] == usize::MAX {
             return Vec::new();
         }
@@ -392,13 +490,13 @@ impl Topology {
             src,
             dst,
         };
-        self.collect_paths(&walk, dst_node, &mut stack, &mut paths);
+        collect_paths(t, &walk, dst_node, &mut stack, &mut paths);
         paths.sort_by(|a, b| a.links().cmp(b.links()));
         paths
     }
 
     fn collect_paths(
-        &self,
+        t: &Topology,
         walk: &PathWalk<'_>,
         cur: NodeId,
         stack: &mut Vec<LinkId>,
@@ -411,19 +509,15 @@ impl Topology {
         }
         for &l in &walk.preds[cur.index()] {
             stack.push(l);
-            self.collect_paths(walk, self.link(l).src(), stack, out);
+            collect_paths(t, walk, t.link(l).src(), stack, out);
             stack.pop();
         }
     }
 
     /// BFS from `start`, returning per-node distance and the incoming
     /// links that realize each node's shortest distance.
-    ///
-    /// (`PathWalk` below carries the fixed context of the
-    /// all-shortest-paths DFS so the recursion's signature stays
-    /// small.)
-    fn bfs(&self, start: NodeId) -> (Vec<usize>, Vec<Vec<LinkId>>) {
-        let n = self.nodes.len();
+    pub fn bfs(t: &Topology, start: NodeId) -> (Vec<usize>, Vec<Vec<LinkId>>) {
+        let n = t.nodes().len();
         let mut dist = vec![usize::MAX; n];
         let mut preds: Vec<Vec<LinkId>> = vec![Vec::new(); n];
         dist[start.index()] = 0;
@@ -431,8 +525,8 @@ impl Topology {
         q.push_back(start);
         while let Some(u) = q.pop_front() {
             let du = dist[u.index()];
-            for &l in self.out_links(u) {
-                let v = self.link(l).dst();
+            for &l in t.out_links(u) {
+                let v = t.link(l).dst();
                 let dv = dist[v.index()];
                 if dv == usize::MAX {
                     dist[v.index()] = du + 1;
@@ -445,20 +539,210 @@ impl Topology {
         }
         (dist, preds)
     }
-}
 
-/// Fixed context for the all-shortest-paths DFS.
-struct PathWalk<'a> {
-    src_node: NodeId,
-    preds: &'a [Vec<LinkId>],
-    src: HostId,
-    dst: HostId,
+    /// Fixed context for the all-shortest-paths DFS.
+    struct PathWalk<'a> {
+        src_node: NodeId,
+        preds: &'a [Vec<LinkId>],
+        src: HostId,
+        dst: HostId,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::GBPS;
+    use crate::{FatTreeParams, TreeParams, GBPS};
+    use proptest::prelude::*;
+
+    /// `shortest_paths` and `distance` equal the oracle's for every
+    /// listed pair, element for element, and the search's distances
+    /// are exactly the oracle's up to the destination's level and
+    /// unset beyond it.
+    fn agrees_with_oracle(t: &Topology, pairs: impl IntoIterator<Item = (u32, u32)>) {
+        for (a, b) in pairs {
+            let (ha, hb) = (HostId(a), HostId(b));
+            assert_eq!(
+                t.shortest_paths(ha, hb),
+                oracle::shortest_paths(t, ha, hb),
+                "{a} -> {b}"
+            );
+            assert_eq!(
+                t.distance(ha, hb),
+                oracle::distance(t, ha, hb),
+                "{a} -> {b}"
+            );
+            let (full, _) = oracle::bfs(t, t.host_node(ha));
+            let d = full[t.host_node(hb).index()];
+            let Some(got) = t.levels_to(t.host_node(ha), t.host_node(hb)) else {
+                assert_eq!(d, usize::MAX, "{a} -> {b} is reachable");
+                continue;
+            };
+            let want: Vec<u32> = full
+                .iter()
+                .map(|&n| if n <= d { n as u32 } else { UNSEEN })
+                .collect();
+            assert_eq!(got, want, "{a} -> {b}: frontier");
+        }
+    }
+
+    fn all_pairs(t: &Topology) -> impl Iterator<Item = (u32, u32)> {
+        let n = t.host_count() as u32;
+        (0..n).flat_map(move |a| (0..n).map(move |b| (a, b)))
+    }
+
+    #[test]
+    fn every_pair_of_the_paper_tree_matches_the_oracle() {
+        let t = Topology::three_tier(&TreeParams::paper_testbed());
+        agrees_with_oracle(&t, all_pairs(&t));
+    }
+
+    #[test]
+    fn strided_pairs_of_the_1024_host_tree_match_the_oracle() {
+        let t = Topology::three_tier(&TreeParams {
+            pods: 8,
+            racks_per_pod: 8,
+            hosts_per_rack: 16,
+            ..TreeParams::paper_testbed()
+        });
+        let pairs = (0..1024)
+            .step_by(73)
+            .flat_map(|a| (0..1024).step_by(7).map(move |b| (a, b)));
+        agrees_with_oracle(&t, pairs);
+        // The counts `shortest_paths`' rustdoc quotes: nodes expanded,
+        // i.e. closer to the source than the destination is.
+        let expanded = |a, b| {
+            let goal = t.host_node(HostId(b));
+            let dist = t.levels_to(t.host_node(HostId(a)), goal).unwrap();
+            dist.iter().filter(|&&d| d < dist[goal.index()]).count()
+        };
+        assert_eq!(t.nodes().len(), 1106);
+        assert_eq!(expanded(0, 1023), 210);
+        assert_eq!(t.shortest_paths(HostId(0), HostId(1023)).len(), 8);
+        assert_eq!(expanded(0, 1), 2);
+    }
+
+    #[test]
+    fn fat_trees_match_the_oracle() {
+        for k in [2, 4, 6] {
+            let t = Topology::fat_tree(&FatTreeParams {
+                k,
+                link_capacity: GBPS,
+            });
+            agrees_with_oracle(&t, all_pairs(&t));
+        }
+    }
+
+    #[test]
+    fn single_agg_single_core_tree_matches_the_oracle() {
+        let t = Topology::three_tier(&TreeParams {
+            pods: 3,
+            racks_per_pod: 2,
+            hosts_per_rack: 2,
+            aggs_per_pod: 1,
+            cores: 1,
+            ..TreeParams::paper_testbed()
+        });
+        agrees_with_oracle(&t, all_pairs(&t));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn random_small_trees_match_the_oracle(
+            (pods, racks_per_pod, hosts_per_rack) in (1usize..4, 1usize..4, 1usize..4),
+            (aggs_per_pod, cores) in (1usize..4, 1usize..4),
+        ) {
+            let t = Topology::three_tier(&TreeParams {
+                pods,
+                racks_per_pod,
+                hosts_per_rack,
+                aggs_per_pod,
+                cores,
+                ..TreeParams::paper_testbed()
+            });
+            agrees_with_oracle(&t, all_pairs(&t));
+        }
+    }
+
+    /// The paper's Figure 2: two racks joined by two aggregation
+    /// switches, so two 4-link paths each way.
+    #[test]
+    fn figure_2_graph_matches_the_oracle() {
+        let mut t = Topology::new();
+        let e1 = t.add_node(NodeKind::EdgeSwitch, Some(RackId(0)), Some(PodId(0)));
+        let e2 = t.add_node(NodeKind::EdgeSwitch, Some(RackId(1)), Some(PodId(0)));
+        let a1 = t.add_node(NodeKind::AggSwitch, None, Some(PodId(0)));
+        let a2 = t.add_node(NodeKind::AggSwitch, None, Some(PodId(0)));
+        let hs = t.add_node(NodeKind::Host, Some(RackId(0)), Some(PodId(0)));
+        t.register_host(hs, RackId(0), PodId(0));
+        let hr = t.add_node(NodeKind::Host, Some(RackId(1)), Some(PodId(0)));
+        t.register_host(hr, RackId(1), PodId(0));
+        for (a, b) in [(hs, e1), (hr, e2), (e1, a1), (e1, a2), (a1, e2), (a2, e2)] {
+            t.add_duplex_link(a, b, 10.0);
+        }
+        t.freeze();
+        agrees_with_oracle(&t, all_pairs(&t));
+        assert_eq!(t.shortest_paths(HostId(0), HostId(1)).len(), 2);
+    }
+
+    /// Shapes no tree builder makes: parallel cables (two paths over
+    /// the same switches), a cable between two switches of one level
+    /// (on no shortest path), and a destination cabled to a switch
+    /// beyond its own level, which the search never reaches.
+    #[test]
+    fn hand_built_irregular_graph_matches_the_oracle() {
+        let mut t = Topology::new();
+        let r = (Some(RackId(0)), Some(PodId(0)));
+        let s: Vec<NodeId> = (0..5)
+            .map(|_| t.add_node(NodeKind::EdgeSwitch, r.0, r.1))
+            .collect();
+        let h: Vec<NodeId> = (0..3)
+            .map(|_| t.add_node(NodeKind::Host, r.0, r.1))
+            .collect();
+        for &n in &h {
+            t.register_host(n, RackId(0), PodId(0));
+        }
+        for (a, b) in [
+            (h[0], s[0]),
+            (s[0], s[1]),
+            (s[0], s[1]),
+            (s[0], s[2]),
+            (s[1], s[2]),
+            (s[1], s[3]),
+            (s[2], s[3]),
+            (h[1], s[3]),
+            (h[1], s[4]),
+            (s[4], h[2]),
+        ] {
+            t.add_duplex_link(a, b, GBPS);
+        }
+        t.freeze();
+        agrees_with_oracle(&t, all_pairs(&t));
+        assert_eq!(t.shortest_paths(HostId(0), HostId(1)).len(), 3);
+        assert_eq!(t.distance(HostId(0), HostId(2)), Some(6));
+    }
+
+    #[test]
+    fn a_host_with_no_links_has_no_paths_and_no_distance() {
+        let mut t = Topology::new();
+        let nodes: Vec<NodeId> = (0..3)
+            .map(|_| t.add_node(NodeKind::Host, Some(RackId(0)), Some(PodId(0))))
+            .collect();
+        for &n in &nodes {
+            t.register_host(n, RackId(0), PodId(0));
+        }
+        t.add_duplex_link(nodes[0], nodes[1], GBPS);
+        t.freeze();
+        for other in [HostId(0), HostId(1)] {
+            assert!(t.shortest_paths(HostId(2), other).is_empty());
+            assert!(t.shortest_paths(other, HostId(2)).is_empty());
+            assert_eq!(t.distance(HostId(2), other), None);
+            assert_eq!(t.distance(other, HostId(2)), None);
+        }
+        assert_eq!(t.distance(HostId(2), HostId(2)), Some(0));
+        agrees_with_oracle(&t, all_pairs(&t));
+    }
 
     /// Two hosts connected through one switch.
     fn tiny() -> (Topology, HostId, HostId) {

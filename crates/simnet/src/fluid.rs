@@ -304,11 +304,18 @@ impl FluidNet {
                 break;
             }
             // Complete everything that has drained (tolerance covers
-            // floating-point residue from the rate × dt arithmetic).
+            // floating-point residue from the rate × dt arithmetic), and
+            // every flow whose residue no longer moves the clock: once
+            // `rate × ulp(now)` outgrows the tolerance (1 Gbps: past
+            // ~16k s), `now + remaining/rate` can round back to `now`
+            // and no later step would ever drain it.
             let done_ids: Vec<FlowId> = self
                 .flows
                 .values()
-                .filter(|f| f.remaining_bits <= completion_epsilon(f.size_bits))
+                .filter(|f| {
+                    f.remaining_bits <= completion_epsilon(f.size_bits)
+                        || self.completion_instant(f) <= self.now
+                })
                 .map(|f| f.id)
                 .collect();
             for id in done_ids {
@@ -682,6 +689,24 @@ mod tests {
     }
 
     #[test]
+    fn a_residue_too_small_to_move_the_clock_completes() {
+        // At 40000.25 s one ulp of the clock carries ~7e-3 bits at
+        // 1 Gbps, above the 1e-3-bit tolerance: a 0.1 Gb flow's first
+        // step leaves a residue whose completion instant rounds back to
+        // `now`. (A 1 Gb flow happens to divide exactly and never hits
+        // it.) Before the fix the second call never returned.
+        let (topo, mut net) = testbed();
+        let start = SimTime::from_secs(40000.25);
+        assert!(net.advance_to(start).is_empty());
+        for size in [1e8, 1e9] {
+            net.add_flow(path(&topo, 0, 1), size, net.now());
+            let done = net.advance_to(net.now() + SimTime::from_secs(10.0));
+            assert_eq!(done.len(), 1, "{size} bits");
+            assert!((done[0].duration_secs() - size / 1e9).abs() < 1e-9);
+        }
+    }
+
+    #[test]
     fn advance_without_flows_moves_clock() {
         let (_, mut net) = testbed();
         let done = net.advance_to(SimTime::from_secs(3.0));
@@ -781,7 +806,12 @@ mod proptests {
                         let link = on_path.get(raw.1 as usize % on_path.len().max(1)).copied().unwrap_or(any);
                         net.set_link_up(link, raw.2 % 2 == 0);
                     }
-                    _ => completions.extend(net.advance_to(later(frac * 0.2))),
+                    // Advance; one time in eight by 10^4-10^5 s, where an
+                    // ulp of the clock outweighs the completion epsilon.
+                    _ => {
+                        let secs = if raw.2 % 8 == 0 { 1e4 + frac * 9e4 } else { frac * 0.2 };
+                        completions.extend(net.advance_to(later(secs)));
+                    }
                 }
                 rates_match_oracle(&mut net)?;
             }
