@@ -41,7 +41,10 @@ cargo test --release -q -p mayflower-ec
 cargo test --release -q -p mayflower-kvstore crc
 cargo test --release -q -p mayflower-sim --test erasure_tier
 
-echo "==> sharded metadata plane: ring proptests + scaling experiment (release)"
+echo "==> sharded metadata plane: ring proptests, conformance walk over plain / Paxos / 1- and 4-shard planes, scaling experiment (release)"
+# The conformance walk replays one script, refusals included, against
+# every metadata plane and compares verdict by verdict: it is what
+# holds a cross-shard rename to one nameserver's order of checks.
 cargo test --release -q -p mayflower-shard
 cargo test --release -q -p mayflower-sim --test metadata_scaling
 
@@ -72,9 +75,11 @@ echo "==> simulated fabric: driver, engine and experiment unit suites, engine ch
 # mistyped `figures` invocation is a usage error the next stage can trust.
 cargo test --release -q -p mayflower-sim --lib --test engine_chaos --test figures_cli
 # simnet's own suite (the root `cargo test -q` covers the root package
-# only): rates and FluidNet state walks equal the full-rescan oracle to
-# the bit in the build that is measured, and add_flow's "advance_to()
-# first" guard holds without debug assertions.
+# only): rates — over shortest paths and over arbitrary link sequences
+# with repeats, which the solver's member lists must index as given —
+# and FluidNet state walks equal the full-rescan oracle to the bit in
+# the build that is measured, and add_flow's "advance_to() first" guard
+# holds without debug assertions.
 cargo test --release -q -p mayflower-simnet
 # net's own suite: `shortest_paths` and `distance` equal the full-fabric
 # BFS kept as `topology::oracle`, the search stops at the destination's

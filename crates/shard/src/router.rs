@@ -229,6 +229,12 @@ impl MetadataService for ShardRouter {
         // delete(old). Unlike the single-shard rename this is not
         // atomic: a concurrent reader can observe both names (never
         // neither — the new entry lands before the old one is removed).
+        // The steps answer in the rule book's order of checks (empty
+        // target, missing source, existing target), so an input that is
+        // wrong twice gets the verdict one nameserver gives it.
+        if new.is_empty() {
+            return Err(FsError::InvalidArgument("target name is empty".into()));
+        }
         let meta = self.lookup(old)?;
         let displaced = match self.lookup(new) {
             Ok(existing) => {

@@ -271,6 +271,9 @@ fn fixed_script() -> Vec<Step> {
         rename("b", "b", false),
         rename("b", "", true), // empty target
         rename("missing", "c", true),
+        // Wrong twice, across shards of the 4-shard ring: the empty
+        // target is refused before the missing source is looked up.
+        rename("ghost", "", true),
         size("b", 41),
         delete("b"),
         delete("b"), // again
@@ -279,10 +282,12 @@ fn fixed_script() -> Vec<Step> {
 }
 
 const NAMES: [&str; 6] = ["a", "b", "c", "dir/d", "dir/e", "coded"];
+/// Rename targets: the pool and the empty name the rule book refuses.
+const TARGETS: [&str; 7] = ["a", "b", "c", "dir/d", "dir/e", "coded", ""];
 
 /// A seeded walk over a small name pool, so that renames cross and
-/// stay within shards, overwrite live and dead names, and hit files in
-/// every state the fixed script leaves behind.
+/// stay within shards, overwrite live and dead names, aim at the empty
+/// name, and hit files in every state the fixed script leaves behind.
 fn random_script(seed: u64, steps: usize) -> Vec<Step> {
     let mut rng = SimRng::seed_from(seed);
     (0..steps)
@@ -295,7 +300,7 @@ fn random_script(seed: u64, steps: usize) -> Vec<Step> {
                 3 => seal(name, rng.next_u64() % 4),
                 4 => fragment(name, rng.index(8)),
                 5 | 6 => {
-                    let to = *rng.choose(&NAMES);
+                    let to = *rng.choose(&TARGETS);
                     rename(name, to, rng.chance(0.5))
                 }
                 _ => delete(name),

@@ -34,19 +34,22 @@ pub struct RoutedFlow<'a> {
 /// All other flows share the surviving capacity max-min fairly as
 /// usual.
 ///
-/// Complexity: `O(links + rounds × (loaded_links + flows × path_len))`
-/// with at most one link saturated per round, where `loaded_links`
-/// counts the links that still carry an unfrozen flow — a few hundred
-/// of the ~2.5k in a 1024-host tree, and the only ones a round looks
-/// at.
+/// Complexity: `O(links + flow_links + rounds × (loaded_links +
+/// frozen_flows × path_len))`, one link saturated per round: the total
+/// route length `flow_links` builds per-link member lists once, and a
+/// round makes one pass over the links that still carry an unfrozen
+/// flow (a few hundred of the ~2.5k in a 1024-host tree), then visits
+/// only the bottleneck's members.
 ///
 /// Bit-identity rule: every rate equals, to the bit, what a scan of
-/// *all* links in every round yields (the `oracle` module, which the
-/// proptests here and in `fluid.rs` compare against). Three things
-/// carry that and must survive any further speed-up: candidates are
-/// visited in ascending link index, the comparison is a strict `<` (so
-/// a tie goes to the lowest index), and a frozen flow's share is
-/// subtracted from each of its links one flow at a time.
+/// *all* links and flows in every round yields (the `oracle` module,
+/// which the proptests here and in `fluid.rs` compare against). Any
+/// further speed-up must keep the three things that carry it:
+/// candidates in ascending link index under a strict `<`, so the
+/// bottleneck is the lowest-index link with the minimum share; one
+/// share for every flow a round freezes, so the order a round visits
+/// them in cannot change a bit; and a frozen flow's share subtracted
+/// from each of its links one flow at a time.
 ///
 /// # Panics
 ///
@@ -93,43 +96,64 @@ pub fn compute_rates_masked(
         }
     }
 
+    // Member lists: link `l`'s flows are `members[start[l]..start[l + 1]]`,
+    // ascending, once per time the route lists `l`. While filling,
+    // `start[l + 1]` is `l`'s cursor and stops where `l + 1` begins.
+    let mut start = vec![0u32; n_links + 1];
+    for l in 1..n_links {
+        start[l + 1] = start[l] + count[l - 1];
+    }
+    let mut members = vec![0u32; count.iter().sum::<u32>() as usize];
+    for (i, f) in flows.iter().enumerate() {
+        for &l in f.links {
+            let slot = &mut start[l.index() + 1];
+            members[*slot as usize] = i as u32;
+            *slot += 1;
+        }
+    }
+
     // Only a link that still carries an unfrozen flow can saturate
-    // next. Ascending, and `retain` keeps it so.
-    let mut loaded: Vec<usize> = (0..n_links).filter(|&l| count[l] > 0).collect();
+    // next. Ascending; each round's search drops the links the round
+    // before emptied, in place.
+    let mut loaded: Vec<usize> = (0..n_links).collect();
 
     while unfrozen_left > 0 {
         // Find the most constrained link.
         let mut best_share = f64::INFINITY;
         let mut best_link = None;
-        for &l in &loaded {
+        loaded.retain(|&l| {
+            if count[l] == 0 {
+                return false;
+            }
             let share = (residual[l] / f64::from(count[l])).max(0.0);
             if share < best_share {
                 best_share = share;
                 best_link = Some(l);
             }
-        }
+            true
+        });
         let Some(bottleneck) = best_link else {
             // No unfrozen flow crosses any counted link (can't happen
             // while unfrozen_left > 0, but stay safe).
             break;
         };
 
-        // Freeze every unfrozen flow crossing the bottleneck.
-        for (i, f) in flows.iter().enumerate() {
-            if frozen[i] || f.links.is_empty() {
+        // Freeze every unfrozen flow crossing the bottleneck; its list
+        // also holds earlier-frozen flows and repeat entries, skipped.
+        let crossing = start[bottleneck] as usize..start[bottleneck + 1] as usize;
+        for &i in &members[crossing] {
+            let i = i as usize;
+            if frozen[i] {
                 continue;
             }
-            if f.links.iter().any(|l| l.index() == bottleneck) {
-                rates[i] = best_share;
-                frozen[i] = true;
-                unfrozen_left -= 1;
-                for &l in f.links {
-                    residual[l.index()] = (residual[l.index()] - best_share).max(0.0);
-                    count[l.index()] -= 1;
-                }
+            rates[i] = best_share;
+            frozen[i] = true;
+            unfrozen_left -= 1;
+            for &l in flows[i].links {
+                residual[l.index()] = (residual[l.index()] - best_share).max(0.0);
+                count[l.index()] -= 1;
             }
         }
-        loaded.retain(|&l| count[l] > 0);
     }
 
     rates
@@ -411,7 +435,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use mayflower_net::{HostId, Topology, TreeParams};
+    use mayflower_net::{HostId, LinkId, Topology, TreeParams};
     use proptest::prelude::*;
 
     proptest! {
@@ -470,25 +494,73 @@ mod proptests {
             let topo = Topology::three_tier(&tree);
             let paths: Vec<_> = draws.iter().map(|d| oracle::route(&topo, crowd, *d)).collect();
             let flows: Vec<RoutedFlow> = paths.iter().map(|p| RoutedFlow { links: p.links() }).collect();
+            let mask = mask(topo.links().len(), mask_kind, &down);
+            equal_to_the_oracle(&topo, &flows, mask.as_deref())?;
+        }
+
+        /// The same to the bit for routes the member lists must index
+        /// as given, not only shortest paths: 1–8 links drawn from a pool
+        /// of `links >> crowd`, repeats allowed, mixed with shortest
+        /// paths and empty routes, under the same masks.
+        #[test]
+        fn arbitrary_routes_equal_the_oracle_to_the_bit(
+            tree in oracle::trees(),
+            crowd in 0u32..6,
+            draws in proptest::collection::vec(
+                (0u8..4, (any::<u32>(), any::<u32>(), any::<u32>()),
+                 proptest::collection::vec(any::<u32>(), 1..=8)),
+                0..=300,
+            ),
+            mask_kind in 0u8..4,
+            down in proptest::collection::vec(any::<u32>(), 0..40),
+        ) {
+            let topo = Topology::three_tier(&tree);
             let n_links = topo.links().len();
-            let mask = match mask_kind {
-                0 => None,
-                1 => Some(vec![false; n_links]),
-                _ => {
-                    let mut mask = vec![true; n_links];
-                    for raw in &down {
-                        mask[*raw as usize % n_links] = false;
-                    }
-                    Some(mask)
+            let pool = (n_links >> crowd).max(1) as u32;
+            let routes: Vec<Vec<LinkId>> = draws
+                .iter()
+                .map(|(kind, draw, raw_links)| match kind {
+                    0 => oracle::route(&topo, crowd, *draw).links().to_vec(),
+                    1 => Vec::new(),
+                    _ => raw_links.iter().map(|raw| LinkId(raw % pool)).collect(),
+                })
+                .collect();
+            let flows: Vec<RoutedFlow> = routes.iter().map(|r| RoutedFlow { links: r }).collect();
+            let mask = mask(n_links, mask_kind, &down);
+            equal_to_the_oracle(&topo, &flows, mask.as_deref())?;
+        }
+    }
+
+    /// No mask, every link down, or the links `down` names down.
+    fn mask(n_links: usize, kind: u8, down: &[u32]) -> Option<Vec<bool>> {
+        match kind {
+            0 => None,
+            1 => Some(vec![false; n_links]),
+            _ => {
+                let mut mask = vec![true; n_links];
+                for raw in down {
+                    mask[*raw as usize % n_links] = false;
                 }
-            };
-            let got = compute_rates_masked(&topo, &flows, mask.as_deref());
-            let want = oracle::compute_rates_masked(&topo, &flows, mask.as_deref());
-            prop_assert_eq!(got.len(), want.len());
-            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                prop_assert!(g.to_bits() == w.to_bits(),
-                    "flow {i} of {}: {g:e} vs oracle {w:e}", flows.len());
+                Some(mask)
             }
         }
+    }
+
+    fn equal_to_the_oracle(
+        topo: &Topology,
+        flows: &[RoutedFlow<'_>],
+        mask: Option<&[bool]>,
+    ) -> Result<(), String> {
+        let got = compute_rates_masked(topo, flows, mask);
+        let want = oracle::compute_rates_masked(topo, flows, mask);
+        prop_assert_eq!(got.len(), want.len());
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            prop_assert!(
+                g.to_bits() == w.to_bits(),
+                "flow {i} of {}: {g:e} vs oracle {w:e}",
+                flows.len()
+            );
+        }
+        Ok(())
     }
 }
