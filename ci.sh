@@ -86,13 +86,16 @@ cargo test --release -q -p mayflower-simnet
 # level, and the waterfill kernels equal their quadratic oracle.
 cargo test --release -q -p mayflower-net
 
-echo "==> member suites no stage above runs: selection vs its oracles, sdn, baselines, workload, simcore, consensus, recovery, kvstore (release)"
+echo "==> member suites no stage above runs: selection vs its oracles, the stats poll, sdn, baselines, workload, simcore, consensus, recovery, kvstore (release)"
 # The root `cargo test -q` covers the root package only. After touching
-# selection, the flowserver suite is the first thing to run: its
-# differential walk holds every `select_*` entry point, split and coded
-# reads included, to the naive loops and the tentative-admission oracle
-# — selections, estimates and model state to the bit — and after every
-# event holds the link index to a rescan of the flows.
+# selection or the stats poll, the flowserver suite is the first thing
+# to run: its differential walk holds every `select_*` entry point,
+# split and coded reads included, to the naive loops and the
+# tentative-admission oracle — selections, estimates and model state to
+# the bit — and after every event holds the link index to a rescan of
+# the flows; its poll tests (`server.rs`) hold `poll_stats` to the
+# counter-differencing rules and, over a seeded walk on a three-tier
+# tree and a fat-tree, to reporting each tracked flow exactly once.
 cargo test --release -q -p mayflower-flowserver
 cargo test --release -q -p mayflower-sdn
 cargo test --release -q -p mayflower-baselines

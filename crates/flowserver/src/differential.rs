@@ -619,8 +619,7 @@ fn same_assignments(want: &[Assignment], got: &[Assignment]) -> bool {
 }
 
 /// The post-event state: the flow model equals the oracle's field for
-/// field, the fabric carries exactly the tracked flows, and every
-/// link's index entry equals a rescan of the flows.
+/// field, and every link's index entry equals a rescan of the flows.
 fn assert_same_state(want: &Flowserver, got: &Flowserver, n_links: usize, ev: &Ev) {
     let flows = |fs: &Flowserver| -> Vec<String> {
         fs.tracker()
@@ -641,11 +640,6 @@ fn assert_same_state(want: &Flowserver, got: &Flowserver, n_links: usize, ev: &E
             .collect()
     };
     assert_eq!(flows(want), flows(got), "model diverged after {ev:?}");
-    let installed = |fs: &Flowserver| -> Vec<(FlowCookie, Path)> {
-        fs.fabric().flows().map(|(c, p)| (c, p.clone())).collect()
-    };
-    assert_eq!(installed(want), installed(got), "fabric after {ev:?}");
-    assert_eq!(got.fabric().flow_count(), got.tracked_flows());
     for l in (0..n_links as u32).map(mayflower_net::LinkId) {
         let (cookies, demands) = match got.tracker().link_load(l) {
             Some(load) => (load.cookies().to_vec(), load.demands().to_vec()),
@@ -752,7 +746,6 @@ fn walk(params: &TreeParams, config: FlowserverConfig, evs: &[Ev]) -> Coverage {
                 let report = StatsReport {
                     measured_at: now,
                     flows: flows.collect(),
-                    ports: Vec::new(),
                 };
                 want_fs.on_stats(&report);
                 fs.on_stats(&report);

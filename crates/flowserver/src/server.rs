@@ -1,11 +1,12 @@
 //! The Flowserver service: joint replica–path selection, flow
 //! lifecycle, stats ingestion, and multi-replica split reads.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use mayflower_net::fairshare::new_flow_share_into;
 use mayflower_net::{HostId, LinkId, Path, PathCache, PathSet, Topology};
-use mayflower_sdn::{CounterSource, Fabric, FlowCookie, StatsCollector, StatsReport};
+use mayflower_sdn::{CounterSource, FlowCookie, FlowStat, StatsReport};
 use mayflower_simcore::SimTime;
 use mayflower_telemetry::trace::{ActiveSpan, TraceHandle};
 use mayflower_telemetry::{Counter, Gauge, Histogram, Scope};
@@ -28,9 +29,6 @@ struct FlowserverMetrics {
     /// seconds, recorded as microseconds).
     selection_cost_us: Arc<Histogram>,
     polls: Arc<Counter>,
-    /// Sim-time gap between consecutive ingested stats reports.
-    poll_gap_us: Arc<Histogram>,
-    missed_polls: Arc<Counter>,
     update_freezes: Arc<Counter>,
     freeze_expirations: Arc<Counter>,
     split_accepted: Arc<Counter>,
@@ -64,8 +62,6 @@ impl FlowserverMetrics {
                 .counter_with("selections_total", &[("outcome", "unavailable")]),
             selection_cost_us: scope.histogram("selection_cost_us"),
             polls: scope.counter("polls_total"),
-            poll_gap_us: scope.histogram("poll_gap_us"),
-            missed_polls: scope.counter("missed_polls_total"),
             update_freezes: scope.counter("update_freezes_total"),
             freeze_expirations: scope.counter("stale_freeze_expirations_total"),
             split_accepted: scope.counter("split_accepted_total"),
@@ -247,8 +243,8 @@ impl Default for ShareSlot {
 #[derive(Debug, Clone)]
 pub struct Flowserver {
     topo: Arc<Topology>,
-    fabric: Fabric,
-    collector: StatsCollector,
+    /// The one record of installed flows: selection commits to it,
+    /// completion removes from it, and the stats poll walks it.
     tracker: FlowTracker,
     config: FlowserverConfig,
     next_cookie: u64,
@@ -262,6 +258,9 @@ pub struct Flowserver {
     share_cache: Vec<ShareSlot>,
     /// When the model was last refreshed by a stats poll.
     last_stats_at: SimTime,
+    /// Each flow's counter reading at the previous poll, the baseline
+    /// the next poll differences against.
+    prev_flow_bits: HashMap<FlowCookie, f64>,
     /// Polls the controller expected but never received (fault
     /// injection: switch→controller message loss).
     missed_polls: u64,
@@ -314,8 +313,6 @@ impl Flowserver {
     #[must_use]
     pub fn new(topo: Arc<Topology>, config: FlowserverConfig) -> Flowserver {
         Flowserver {
-            fabric: Fabric::with_topology(topo.clone()),
-            collector: StatsCollector::new(&topo),
             tracker: FlowTracker::new(),
             share_cache: vec![ShareSlot::default(); topo.links().len()],
             topo,
@@ -324,6 +321,7 @@ impl Flowserver {
             path_cache: PathCache::new(),
             scratch: SelectionScratch::new(),
             last_stats_at: SimTime::ZERO,
+            prev_flow_bits: HashMap::new(),
             missed_polls: 0,
             metrics: FlowserverMetrics::detached(),
             trace: None,
@@ -438,7 +436,6 @@ impl Flowserver {
     /// [`Flowserver::expire_stale_freezes`] may still unfreeze flows.
     pub fn note_poll_missed(&mut self, _now: SimTime) {
         self.missed_polls += 1;
-        self.metrics.missed_polls.inc();
     }
 
     /// How many expected polls were lost so far.
@@ -464,12 +461,6 @@ impl Flowserver {
         self.metrics.freeze_expirations.add(expired as u64);
         self.refresh_flow_gauges();
         expired
-    }
-
-    /// The controller's view of the data plane.
-    #[must_use]
-    pub fn fabric(&self) -> &Fabric {
-        &self.fabric
     }
 
     /// The topology under control.
@@ -833,10 +824,9 @@ impl Flowserver {
     }
 
     /// Applies a chosen path: `SETBW` on impacted flows (Pseudocode 1
-    /// lines 9–11), rule installation, and registration of the new
-    /// flow (itself frozen at its estimate). The only place a
-    /// selection changes the model, and nothing it does is undone:
-    /// callers decide first.
+    /// lines 9–11) and registration of the new flow (itself frozen at
+    /// its estimate). The only place a selection changes the model, and
+    /// nothing it does is undone: callers decide first.
     pub(crate) fn commit(
         &mut self,
         path: Path,
@@ -851,7 +841,6 @@ impl Flowserver {
         }
         let cookie = FlowCookie(self.next_cookie);
         self.next_cookie += 1;
-        self.fabric.install_path(cookie, &path);
         let mut flow = TrackedFlow {
             cookie,
             path: path.clone(),
@@ -981,9 +970,6 @@ impl Flowserver {
     pub fn on_stats(&mut self, report: &StatsReport) {
         let now = report.measured_at;
         self.metrics.polls.inc();
-        self.metrics
-            .poll_gap_us
-            .record_secs(now.secs_since(self.last_stats_at));
         self.last_stats_at = now;
         for stat in &report.flows {
             // Force-unfreeze in ablation mode: estimates are never
@@ -1001,16 +987,44 @@ impl Flowserver {
     /// Runs one poll cycle against a counter source and ingests it.
     /// The experiment driver calls this every
     /// [`FlowserverConfig::poll_interval_secs`].
+    ///
+    /// Reads one counter per tracked flow, in cookie order — the byte
+    /// counter of the flow's rule at its ingress edge switch (§4: edge
+    /// switches report the flows that originate from their hosts) —
+    /// and differences it against the flow's reading at the previous
+    /// poll. A flow seen for the first time is differenced from 0; a
+    /// flow whose counter is gone is skipped and its reading
+    /// forgotten; a zero interval gives rate 0.
     pub fn poll_stats<C: CounterSource>(&mut self, counters: &C, now: SimTime) -> StatsReport {
-        let report = self.collector.poll(&self.fabric, counters, now);
+        let dt = now.secs_since(self.last_stats_at);
+        let mut flows = Vec::with_capacity(self.tracker.len());
+        for f in self.tracker.iter() {
+            let Some(total_bits) = counters.flow_bits(f.cookie) else {
+                continue;
+            };
+            let prev = self.prev_flow_bits.get(&f.cookie).copied().unwrap_or(0.0);
+            let rate_bps = if dt > 0.0 {
+                (total_bits - prev).max(0.0) / dt
+            } else {
+                0.0
+            };
+            flows.push(FlowStat {
+                cookie: f.cookie,
+                total_bits,
+                rate_bps,
+            });
+        }
+        self.prev_flow_bits = flows.iter().map(|s| (s.cookie, s.total_bits)).collect();
+        let report = StatsReport {
+            measured_at: now,
+            flows,
+        };
         self.on_stats(&report);
         report
     }
 
-    /// Notification that a flow finished: drops its rules and model
-    /// state.
+    /// Notification that a flow finished: drops its model state.
     pub fn flow_completed(&mut self, cookie: FlowCookie) {
-        self.fabric.remove_flow(cookie);
         self.tracker.remove(cookie);
         self.refresh_flow_gauges();
     }
@@ -1068,7 +1082,9 @@ fn prune_candidate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mayflower_net::{TreeParams, GBPS};
+    use mayflower_net::{FatTreeParams, TreeParams, GBPS};
+    use mayflower_sdn::counters::StaticCounters;
+    use mayflower_simcore::SimRng;
 
     fn server() -> Flowserver {
         let topo = Arc::new(Topology::three_tier(&TreeParams::paper_testbed()));
@@ -1149,7 +1165,6 @@ mod tests {
         assert_eq!(a.replica, HostId(1));
         assert!((a.est_bw - GBPS).abs() < 1.0);
         assert_eq!(fs.tracked_flows(), 1);
-        assert_eq!(fs.fabric().flow_count(), 1);
     }
 
     #[test]
@@ -1284,7 +1299,6 @@ mod tests {
         );
         assert!(matches!(sel, Selection::Unavailable), "got {sel:?}");
         assert_eq!(fs.tracked_flows(), 1, "only the bystander");
-        assert_eq!(fs.fabric().flow_count(), 1);
         let f = fs.flow_model(bystander).unwrap();
         assert_eq!(
             (f.bw, f.updated_at),
@@ -1355,7 +1369,6 @@ mod tests {
         let cookie = sel.assignments()[0].cookie;
         fs.flow_completed(cookie);
         assert_eq!(fs.tracked_flows(), 0);
-        assert_eq!(fs.fabric().flow_count(), 0);
         assert!(fs.flow_model(cookie).is_none());
     }
 
@@ -1388,11 +1401,10 @@ mod tests {
             matches!(sel, Selection::Single(_)),
             "split of a line-rate read must be declined: {sel:?}"
         );
-        assert_eq!(fs.tracked_flows(), 1);
         assert_eq!(
-            fs.fabric().flow_count(),
+            fs.tracked_flows(),
             1,
-            "no rules for the declined subflow"
+            "the declined subflow is not installed"
         );
     }
 
@@ -1488,7 +1500,6 @@ mod tests {
 
     #[test]
     fn stats_poll_reanchors_unfrozen_flows() {
-        use mayflower_sdn::counters::StaticCounters;
         let mut fs = server();
         let sel = fs.select_replica_path(HostId(0), &[HostId(20)], MB256, SimTime::ZERO);
         let cookie = sel.assignments()[0].cookie;
@@ -1504,7 +1515,6 @@ mod tests {
 
     #[test]
     fn frozen_flow_ignores_stats_within_window() {
-        use mayflower_sdn::counters::StaticCounters;
         let mut fs = server();
         let sel = fs.select_replica_path(HostId(0), &[HostId(20)], MB256, SimTime::ZERO);
         let cookie = sel.assignments()[0].cookie;
@@ -1516,6 +1526,132 @@ mod tests {
         let f = fs.flow_model(cookie).unwrap();
         assert_eq!(f.bw, bw_before, "freeze must shield the estimate");
         assert!(f.frozen);
+    }
+
+    /// One cross-pod flow, 0 → 20: it leaves through host 0's edge
+    /// switch and arrives through host 20's.
+    fn cross_pod_flow(fs: &mut Flowserver) -> FlowCookie {
+        let sel = fs.select_path_for_replica(HostId(20), HostId(0), MB256, SimTime::ZERO);
+        sel.assignments()[0].cookie
+    }
+
+    #[test]
+    fn poll_rate_is_the_counter_delta_over_the_interval() {
+        let mut fs = server();
+        let cookie = cross_pod_flow(&mut fs);
+        let mut counters = StaticCounters::default();
+        counters.flows.insert(cookie, 1e9);
+        let r1 = fs.poll_stats(&counters, SimTime::from_secs(1.0));
+        assert_eq!(r1.flow(cookie).unwrap().rate_bps, 1e9);
+
+        counters.flows.insert(cookie, 1.5e9);
+        let r2 = fs.poll_stats(&counters, SimTime::from_secs(2.0));
+        let f2 = r2.flow(cookie).unwrap();
+        assert_eq!((f2.rate_bps, f2.total_bits), (0.5e9, 1.5e9));
+    }
+
+    #[test]
+    fn a_vanished_counter_is_skipped_and_restarts_from_zero() {
+        let mut fs = server();
+        let cookie = cross_pod_flow(&mut fs);
+        let mut counters = StaticCounters::default();
+        counters.flows.insert(cookie, 4e8);
+        let r = fs.poll_stats(&counters, SimTime::from_secs(1.0));
+        assert_eq!(r.flows.len(), 1);
+
+        // The counter is gone: the flow is skipped and its reading
+        // forgotten, so when the counter returns it is differenced
+        // from 0 again, not from 4e8.
+        counters.flows.remove(&cookie);
+        assert!(fs
+            .poll_stats(&counters, SimTime::from_secs(2.0))
+            .flows
+            .is_empty());
+        counters.flows.insert(cookie, 6e8);
+        let r = fs.poll_stats(&counters, SimTime::from_secs(3.0));
+        assert_eq!(r.flow(cookie).unwrap().rate_bps, 6e8);
+
+        // A completed flow is not polled, whatever its counter reads.
+        fs.flow_completed(cookie);
+        let r = fs.poll_stats(&counters, SimTime::from_secs(4.0));
+        assert!(r.flows.is_empty());
+    }
+
+    #[test]
+    fn a_zero_interval_poll_gives_rate_zero() {
+        let mut fs = server();
+        let cookie = cross_pod_flow(&mut fs);
+        let mut counters = StaticCounters::default();
+        counters.flows.insert(cookie, 5.0);
+        let r = fs.poll_stats(&counters, SimTime::ZERO);
+        assert_eq!(r.flow(cookie).unwrap().rate_bps, 0.0);
+    }
+
+    #[test]
+    fn a_flow_across_two_edge_racks_is_reported_once() {
+        let mut fs = server();
+        let cookie = cross_pod_flow(&mut fs);
+        let mut counters = StaticCounters::default();
+        counters.flows.insert(cookie, 10.0);
+        let r = fs.poll_stats(&counters, SimTime::from_secs(1.0));
+        assert_eq!(r.flows.len(), 1);
+    }
+
+    /// A seeded walk of selections (splits included), completions and
+    /// polls on both topology builders: every poll reports each
+    /// tracked flow exactly once and nothing else.
+    #[test]
+    fn every_poll_reports_each_tracked_flow_once() {
+        let fat = FatTreeParams {
+            k: 4,
+            link_capacity: GBPS,
+        };
+        for topo in [
+            Topology::three_tier(&TreeParams::paper_testbed()),
+            Topology::fat_tree(&fat),
+        ] {
+            let hosts = topo.hosts();
+            let mut fs = Flowserver::new(
+                Arc::new(topo),
+                FlowserverConfig {
+                    multipath: true,
+                    ..FlowserverConfig::default()
+                },
+            );
+            let mut rng = SimRng::seed_from(23);
+            let mut counters = StaticCounters::default();
+            let mut polled = 0;
+            for step in 1..=600u32 {
+                let now = SimTime::from_millis(10.0 * f64::from(step));
+                match rng.index(4) {
+                    0 | 1 => {
+                        let client = *rng.choose(&hosts);
+                        let replicas: Vec<HostId> =
+                            (0..=rng.index(3)).map(|_| *rng.choose(&hosts)).collect();
+                        fs.select_replica_path(client, &replicas, MB256, now);
+                    }
+                    2 => {
+                        let live: Vec<FlowCookie> = fs.tracker().iter().map(|f| f.cookie).collect();
+                        if !live.is_empty() {
+                            fs.flow_completed(live[rng.index(live.len())]);
+                        }
+                    }
+                    _ => {
+                        for f in fs.tracker().iter() {
+                            *counters.flows.entry(f.cookie).or_default() += 1e6;
+                        }
+                        let report = fs.poll_stats(&counters, now);
+                        let mut got: Vec<FlowCookie> =
+                            report.flows.iter().map(|s| s.cookie).collect();
+                        got.sort_unstable();
+                        let want: Vec<FlowCookie> = fs.tracker().iter().map(|f| f.cookie).collect();
+                        assert_eq!(got, want, "poll at step {step}");
+                        polled += want.len();
+                    }
+                }
+            }
+            assert!(polled > 1000, "the walk kept flows in flight: {polled}");
+        }
     }
 
     #[test]
@@ -1618,15 +1754,12 @@ mod tests {
         assert_eq!(outcome("unavailable"), 0);
         assert_eq!(snap.counter("flowserver_split_accepted_total"), Some(1));
         assert_eq!(snap.counter("flowserver_polls_total"), Some(1));
-        assert_eq!(snap.counter("flowserver_missed_polls_total"), Some(1));
+        assert_eq!(fs.missed_polls(), 1);
         // One commit per subflow plus the single pick.
         let cost = snap.histogram("flowserver_selection_cost_us").unwrap();
         assert_eq!(cost.count, 3);
         // The split pair is still in flight after the single completed.
         assert_eq!(snap.gauge("flowserver_tracked_flows"), Some(2));
-        // Sim-time poll gap of exactly one second.
-        let gap = snap.histogram("flowserver_poll_gap_us").unwrap();
-        assert_eq!(gap.sum, 1_000_000);
 
         // The fast path's own counters: every selection above went
         // through the path cache and the candidate loop.

@@ -80,8 +80,7 @@ proptest! {
                 prop_assert!(false, "unavailable on a healthy fabric");
             }
         }
-        // The fabric mirrors the tracker, and completion cleans up.
-        prop_assert_eq!(fs.fabric().flow_count(), fs.tracked_flows());
+        // Completion cleans up.
         for a in sel.assignments() {
             fs.flow_completed(a.cookie);
         }

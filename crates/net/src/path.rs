@@ -9,8 +9,8 @@ use crate::topology::Topology;
 /// destination host.
 ///
 /// Produced by [`Topology::shortest_paths`]; consumed by the flow
-/// simulator, the SDN controller (to install flow rules at each hop)
-/// and the Flowserver's cost function.
+/// simulator and by the Flowserver (its flow model and cost
+/// function).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Path {
     src: HostId,

@@ -1,4 +1,8 @@
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 //! A small typed request/response RPC layer — the reproduction's
 //! substitute for the Apache Thrift framework the paper uses for

@@ -86,13 +86,22 @@ impl<'a> Fields<'a> {
         Ok(head)
     }
 
+    /// [`Fields::take`] of a length known at compile time.
+    fn array<const N: usize>(&mut self, what: &str) -> io::Result<[u8; N]> {
+        let (head, rest) = self
+            .0
+            .split_first_chunk()
+            .ok_or_else(|| invalid(format!("envelope ends inside {what}")))?;
+        self.0 = rest;
+        Ok(*head)
+    }
+
     fn u8(&mut self, what: &str) -> io::Result<u8> {
         Ok(self.take(1, what)?[0])
     }
 
     fn u64(&mut self, what: &str) -> io::Result<u64> {
-        let bytes = self.take(8, what)?;
-        Ok(u64::from_le_bytes(bytes.try_into().expect("took 8 bytes")))
+        self.array(what).map(u64::from_le_bytes)
     }
 
     fn rest(self) -> &'a [u8] {

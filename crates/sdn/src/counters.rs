@@ -2,15 +2,16 @@
 
 use mayflower_net::LinkId;
 
-use crate::fabric::FlowCookie;
+use crate::FlowCookie;
 
 /// A source of cumulative byte/bit counters — the data plane as seen by
 /// the control plane.
 ///
 /// Real OpenFlow switches expose cumulative byte counters per port and
-/// per flow-table entry. The reproduction's fluid simulator implements
-/// this trait (through an adapter in the experiment harness), and a
-/// test double can script arbitrary counter trajectories.
+/// per flow-table entry. The simulator's driver implements this trait
+/// over the fluid network, the benchmark implements it with fixed
+/// readings, and [`StaticCounters`] scripts arbitrary trajectories for
+/// tests.
 ///
 /// **Information hiding is the point**: the Flowserver's bandwidth
 /// model is built exclusively from these counters plus its own
@@ -19,58 +20,15 @@ use crate::fabric::FlowCookie;
 pub trait CounterSource {
     /// Cumulative bits carried by a directed link (switch port) since
     /// boot.
+    ///
+    /// Nothing in this repository calls it: the Flowserver polls flow
+    /// counters only. It stays because the benchmark implements the
+    /// trait; the benchmark's next revision may drop it.
     fn port_bits(&self, link: LinkId) -> f64;
 
     /// Cumulative bits forwarded so far for the given flow, or `None`
     /// if the flow's rules have expired (flow finished).
     fn flow_bits(&self, cookie: FlowCookie) -> Option<f64>;
-}
-
-/// A [`CounterSource`] decorator that blacks out the counters of
-/// failed components (fault injection).
-///
-/// Ports on `dead_links` read as zero — a real controller's stats
-/// request to a dead switch times out, and differencing a zero counter
-/// yields a zero rate, which is exactly what the Flowserver would
-/// conclude from the missing reply. Flow counters whose ingress switch
-/// is dark are reported as absent, so the collector skips them and the
-/// flow's model entry goes stale (update-freeze expiry then governs
-/// when the stale estimate may be overwritten).
-#[derive(Debug)]
-pub struct BlackoutCounters<'a, C> {
-    inner: &'a C,
-    dead_links: &'a std::collections::BTreeSet<LinkId>,
-}
-
-impl<'a, C: CounterSource> BlackoutCounters<'a, C> {
-    /// Wraps `inner`, blacking out every link in `dead_links`.
-    #[must_use]
-    pub fn new(
-        inner: &'a C,
-        dead_links: &'a std::collections::BTreeSet<LinkId>,
-    ) -> BlackoutCounters<'a, C> {
-        BlackoutCounters { inner, dead_links }
-    }
-
-    /// Whether any blackout is in effect.
-    #[must_use]
-    pub fn any_dark(&self) -> bool {
-        !self.dead_links.is_empty()
-    }
-}
-
-impl<C: CounterSource> CounterSource for BlackoutCounters<'_, C> {
-    fn port_bits(&self, link: LinkId) -> f64 {
-        if self.dead_links.contains(&link) {
-            0.0
-        } else {
-            self.inner.port_bits(link)
-        }
-    }
-
-    fn flow_bits(&self, cookie: FlowCookie) -> Option<f64> {
-        self.inner.flow_bits(cookie)
-    }
 }
 
 /// A scriptable counter source for tests.
@@ -110,19 +68,5 @@ mod tests {
         c.flows.insert(FlowCookie(9), 50.0);
         assert_eq!(c.port_bits(LinkId(0)), 100.0);
         assert_eq!(c.flow_bits(FlowCookie(9)), Some(50.0));
-    }
-
-    #[test]
-    fn blackout_masks_dead_ports_and_passes_the_rest() {
-        let mut c = StaticCounters::default();
-        c.ports.insert(LinkId(0), 100.0);
-        c.ports.insert(LinkId(1), 200.0);
-        c.flows.insert(FlowCookie(9), 50.0);
-        let dead: std::collections::BTreeSet<LinkId> = [LinkId(0)].into_iter().collect();
-        let b = BlackoutCounters::new(&c, &dead);
-        assert!(b.any_dark());
-        assert_eq!(b.port_bits(LinkId(0)), 0.0, "dark port reads zero");
-        assert_eq!(b.port_bits(LinkId(1)), 200.0, "live port passes through");
-        assert_eq!(b.flow_bits(FlowCookie(9)), Some(50.0));
     }
 }

@@ -19,12 +19,12 @@
 //! Flowserver's `net::fairshare` estimate (what it believes) and from
 //! nowhere else, so this is also the one place the two can be compared.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use mayflower_flowserver::{Assignment, Flowserver};
 use mayflower_net::{HostId, LinkId, Path, Topology};
-use mayflower_sdn::{BlackoutCounters, CounterSource, FlowCookie, StatsReport};
+use mayflower_sdn::{CounterSource, FlowCookie, StatsReport};
 use mayflower_simcore::{EventQueue, SimTime};
 use mayflower_simnet::{FlowCompletion, FlowId, FluidNet};
 
@@ -187,7 +187,7 @@ impl Driver {
             match event {
                 None => {}
                 Some((t, Event::Poll)) => {
-                    self.poll(t, &BTreeSet::new());
+                    self.poll(t);
                     queue.schedule(t + poll_interval, Event::Poll);
                 }
                 Some((t, Event::Arrival(job))) => {
@@ -234,21 +234,15 @@ impl Driver {
         remaining
     }
 
-    /// One stats poll at `t`: the Flowserver reads the edge switches'
-    /// port and flow counters. Stats requests to the ports in
-    /// `down_links` time out, so those read as zero. `None` without a
-    /// Flowserver.
-    pub(crate) fn poll(
-        &mut self,
-        t: SimTime,
-        down_links: &BTreeSet<LinkId>,
-    ) -> Option<StatsReport> {
+    /// One stats poll at `t`: the Flowserver reads the flow counter of
+    /// every flow it tracks. `None` without a Flowserver.
+    pub(crate) fn poll(&mut self, t: SimTime) -> Option<StatsReport> {
         let fs = self.flowserver.as_mut()?;
         let counters = FabricCounters {
             net: &self.net,
             cookie_to_flow: &self.cookie_to_flow,
         };
-        Some(fs.poll_stats(&BlackoutCounters::new(&counters, down_links), t))
+        Some(fs.poll_stats(&counters, t))
     }
 
     /// Fails or heals a directed link: the data plane zeroes or
@@ -406,23 +400,26 @@ mod tests {
     }
 
     #[test]
-    fn a_poll_reads_the_ports_of_down_links_as_zero() {
+    fn a_poll_reports_the_bits_each_flow_delivered() {
         let mut d = scheduled();
         let a = start(&mut d, 0, 0, 5, 4e9);
-        let uplink = a.path.links()[0];
+        let b = start(&mut d, 1, 20, 40, 4e9);
         let (_, event) = d.step(&mut wake_at(1.0));
         let (t, ()) = event.expect("the wake-up");
 
-        let lit = d.poll(t, &BTreeSet::new()).expect("a Flowserver polls");
-        assert!(lit.port(uplink).expect("an edge port").total_bits > 0.0);
-        assert!(lit.flow(a.cookie).expect("a tracked flow").total_bits > 0.0);
-
-        let dark = d.poll(t, &BTreeSet::from([uplink])).expect("polls");
-        assert_eq!(dark.port(uplink).expect("an edge port").total_bits, 0.0);
-        let other = a.path.links()[a.path.links().len() - 1];
-        assert!(dark.port(other).expect("an edge port").total_bits > 0.0);
+        let report = d.poll(t).expect("a Flowserver polls");
+        assert_eq!(report.measured_at, t);
+        assert_eq!(report.flows.len(), 2);
+        for x in [&a, &b] {
+            let delivered = d.net().flow_bits(d.cookie_to_flow[&x.cookie]);
+            let stat = report.flow(x.cookie).expect("a tracked flow");
+            assert!(stat.total_bits > 0.0);
+            assert_eq!(Some(stat.total_bits), delivered);
+            // The first poll differences from zero over the first second.
+            assert_eq!(stat.rate_bps, stat.total_bits / t.as_secs());
+        }
 
         let topo = d.net().topology().clone();
-        assert!(Driver::new(&topo, None).poll(t, &BTreeSet::new()).is_none());
+        assert!(Driver::new(&topo, None).poll(t).is_none());
     }
 }

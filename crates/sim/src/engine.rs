@@ -382,7 +382,7 @@ impl<'a> Run<'a> {
                 freezes_expired,
             });
         } else {
-            self.driver.poll(t, &self.down_links);
+            self.driver.poll(t);
         }
         if let Some(hedera) = &self.hedera {
             // One Hedera round: estimate natural demands from flow

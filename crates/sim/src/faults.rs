@@ -30,7 +30,9 @@ pub enum FaultAction {
     /// Heal the cable.
     LinkUp(LinkId),
     /// An edge or aggregation switch dies: every adjacent directed
-    /// link (both directions) is severed and its counters go dark.
+    /// link (both directions) is severed and the flows crossing them
+    /// are aborted. Polls keep reading the other flows' counters; only
+    /// [`FaultAction::StatsPollLoss`] loses a poll.
     SwitchDown(Vec<LinkId>),
     /// The switch comes back.
     SwitchUp(Vec<LinkId>),

@@ -3,8 +3,8 @@
 //! End-to-end experiment harness for the Mayflower reproduction.
 //!
 //! This crate wires every substrate together — topology ([`mayflower_net`]),
-//! fluid network simulator ([`mayflower_simnet`]), SDN control plane
-//! ([`mayflower_sdn`]), the Flowserver ([`mayflower_flowserver`]),
+//! fluid network simulator ([`mayflower_simnet`]), the counter
+//! interface ([`mayflower_sdn`]), the Flowserver ([`mayflower_flowserver`]),
 //! the baseline selectors ([`mayflower_baselines`]) and the workload
 //! generator ([`mayflower_workload`]) — into the experiments of the
 //! paper's §6:

@@ -43,7 +43,7 @@ impl Strategy {
     ];
 
     /// Whether this scheme schedules paths through the Flowserver
-    /// (and therefore needs SDN rule installation + stats polling).
+    /// (and therefore needs stats polling).
     #[must_use]
     pub fn uses_flowserver(self) -> bool {
         matches!(

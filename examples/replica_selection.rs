@@ -132,7 +132,7 @@ fn main() {
         a.est_bw
     );
     println!(
-        "and installs {} flow rules along it (one per switch).",
-        a.path.len() - 1
+        "and tracks the flow on each of that path's {} links.",
+        a.path.len()
     );
 }

@@ -20,7 +20,7 @@
 //! |---|---|
 //! | [`net`] | datacenter topologies, shortest paths, ECMP, fair-share math |
 //! | [`simnet`] | fluid flow-level network simulator (max-min rates) |
-//! | [`sdn`] | OpenFlow-style fabric, flow rules, stats polling |
+//! | [`sdn`] | flow cookies, the counter interface, stats reports |
 //! | [`flowserver`] | the paper's contribution: cost-based replica–path selection |
 //! | [`fs`] | the distributed filesystem: nameserver, dataservers, client |
 //! | [`recovery`] | failure detection, prioritized re-replication, repair scheduling |

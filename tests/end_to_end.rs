@@ -147,22 +147,21 @@ fn flowserver_installs_and_removes_rules_per_read() {
     writer.append("rules/file", b"payload").unwrap();
 
     // A remote client (one that holds no replica) requests a
-    // selection: rules appear in the fabric.
+    // selection: the Flowserver tracks the flow.
     let client = (0..64)
         .map(HostId)
         .find(|h| !meta.replicas.contains(h))
         .expect("64 hosts, 3 replicas");
     let sel = fs.select_replica_path(client, &meta.replicas, 7.0 * 8.0, SimTime::ZERO);
-    assert!(fs.fabric().flow_count() >= 1);
+    assert!(fs.tracked_flows() >= 1);
     let a = &sel.assignments()[0];
     assert!(meta.replicas.contains(&a.replica));
     assert_eq!(a.path.dst(), client);
-    // The transfer finishes: rules disappear.
+    // The transfer finishes: the flow is forgotten.
     for a in sel.assignments() {
         fs.flow_completed(a.cookie);
     }
-    assert_eq!(fs.fabric().flow_count(), 0);
-    assert_eq!(fs.fabric().rule_count(), 0);
+    assert_eq!(fs.tracked_flows(), 0);
 }
 
 #[test]

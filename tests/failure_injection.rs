@@ -311,9 +311,9 @@ fn stale_stats_after_missed_polls_still_selects_and_reads_correctly() {
     writer.create("stale").unwrap();
     writer.append("stale", &payload).unwrap();
 
-    // Three poll intervals go by without a single counter arriving
-    // (e.g. the stats path through the fabric is lossy). The model is
-    // stale and says so; selection must keep answering regardless.
+    // Three polls in a row are lost: no counter reaches the
+    // Flowserver, which is the only way its model goes dark. The model
+    // is stale and says so; selection must keep answering regardless.
     let mut fs = Flowserver::new(topo, FlowserverConfig::default());
     let poll = fs.config().poll_interval_secs;
     for k in 1..=3u32 {
