@@ -145,6 +145,30 @@ if grep -rn --include='*.rs' fair_bandwidths crates src tests examples benchmark
   exit 1
 fi
 
+echo "==> every pub fn has a reader: its name occurs on some line besides its definition"
+# Non-test definitions only (loc.sh's cut); any other line under the
+# trees a caller can live in counts, tests and doc links included. A
+# hit is a public function nothing names: delete it.
+defs=$(./loc.sh --lines crates/*/src src |
+  sed -nE 's/^([^:]+:[0-9]+):[[:space:]]*pub ((const|unsafe|async) )*fn ([A-Za-z_][A-Za-z0-9_]*).*/\1 \4/p')
+dead=$(grep -rnowF --include='*.rs' -f <(cut -d' ' -f2 <<<"$defs" | sort -u) \
+    crates src tests examples benchmark/src |
+  awk 'NR == FNR { at[NR] = $1; nm[NR] = $2; n = NR; next }
+       {
+         i = index($0, ":"); j = index(substr($0, i + 1), ":")
+         pos = substr($0, 1, i + j - 1); w = substr($0, i + j + 1)
+         if (!((w, pos) in seen)) { seen[w, pos] = 1; lines[w]++; last[w] = pos }
+       }
+       END {
+         for (k = 1; k <= n; k++)
+           if (lines[nm[k]] == 0 || (lines[nm[k]] == 1 && last[nm[k]] == at[k])) print at[k] " " nm[k]
+       }' <(printf '%s\n' "$defs") -)
+if [[ -n "$dead" ]]; then
+  echo "$dead" >&2
+  echo "pub fn named nowhere but its definition: delete it" >&2
+  exit 1
+fi
+
 echo "==> benchmark/ package: builds against the current API, own tests pass (read-only use)"
 # benchmark/ is a standalone workspace the root build never compiles;
 # without this gate a renamed API it pins stays green until the

@@ -5,20 +5,6 @@ use crate::gf;
 use crate::matrix::Matrix;
 use std::fmt;
 
-/// Which construction builds the encode matrix. Both are MDS; they
-/// differ only in the parity coefficients (and therefore in which
-/// bytes an implementation bug would corrupt — the proptests run
-/// both).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MatrixKind {
-    /// `[I; C]` with a Cauchy parity block — every square submatrix of
-    /// a Cauchy matrix is invertible by construction.
-    Cauchy,
-    /// A raw Vandermonde matrix normalised to systematic form by
-    /// multiplying with the inverse of its top `k × k` block.
-    Vandermonde,
-}
-
 /// Codec errors. Shard-shape violations are errors rather than panics
 /// because the shards arrive from remote dataservers at runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,59 +45,39 @@ impl std::error::Error for EcError {}
 
 /// A `(k, m)` systematic Reed-Solomon codec over GF(2^8).
 ///
-/// Construction is deterministic: the same `(k, m, MatrixKind)` always
-/// yields the same encode matrix, so fragments written by one process
-/// decode in any other.
+/// Construction is deterministic: the same `(k, m)` always yields the
+/// same encode matrix, so fragments written by one process decode in
+/// any other.
 #[derive(Debug, Clone)]
 pub struct Codec {
     k: usize,
     m: usize,
-    /// Systematic `(k + m) × k` encode matrix; top block is `I_k`.
+    /// Systematic `(k + m) × k` encode matrix `[I_k; C]`, with a
+    /// Cauchy parity block `C` — every square submatrix of a Cauchy
+    /// matrix is invertible, so any `k` rows decode.
     enc: Matrix,
 }
 
 impl Codec {
-    /// Builds a `(k, m)` codec with the default (Cauchy) matrix.
+    /// Builds a `(k, m)` codec.
     ///
     /// # Panics
     /// Panics when `k == 0`, `m == 0`, or `k + m > 255`.
     #[must_use]
     pub fn new(k: usize, m: usize) -> Codec {
-        Codec::with_matrix(k, m, MatrixKind::Cauchy)
-    }
-
-    /// Builds a `(k, m)` codec with an explicit matrix construction.
-    ///
-    /// # Panics
-    /// Panics when `k == 0`, `m == 0`, or `k + m > 255`.
-    #[must_use]
-    pub fn with_matrix(k: usize, m: usize, kind: MatrixKind) -> Codec {
         assert!(k > 0, "k must be positive");
         assert!(m > 0, "m must be positive");
         assert!(k + m <= 255, "k + m must fit in GF(256) minus zero");
-        let enc = match kind {
-            MatrixKind::Cauchy => {
-                let parity = Matrix::cauchy(m, k);
-                let mut sys = Matrix::zero(k + m, k);
-                for i in 0..k {
-                    sys.set(i, i, 1);
-                }
-                for r in 0..m {
-                    for c in 0..k {
-                        sys.set(k + r, c, parity.get(r, c));
-                    }
-                }
-                sys
+        let parity = Matrix::cauchy(m, k);
+        let mut enc = Matrix::zero(k + m, k);
+        for i in 0..k {
+            enc.set(i, i, 1);
+        }
+        for r in 0..m {
+            for c in 0..k {
+                enc.set(k + r, c, parity.get(r, c));
             }
-            MatrixKind::Vandermonde => {
-                let raw = Matrix::vandermonde(k + m, k);
-                let top_inv = raw
-                    .select_rows(&(0..k).collect::<Vec<_>>())
-                    .inverse()
-                    .expect("vandermonde top block is invertible");
-                raw.mul(&top_inv)
-            }
-        };
+        }
         Codec { k, m, enc }
     }
 
@@ -300,15 +266,13 @@ mod tests {
 
     #[test]
     fn encode_then_full_decode_round_trips() {
-        for kind in [MatrixKind::Cauchy, MatrixKind::Vandermonde] {
-            let codec = Codec::with_matrix(4, 2, kind);
-            let data = payload(4096 + 17);
-            let shards = codec.encode_payload(&data);
-            assert_eq!(shards.len(), 6);
-            let mut opts: Vec<Option<Vec<u8>>> = shards.into_iter().map(Some).collect();
-            let back = codec.decode_payload(&mut opts, data.len()).unwrap();
-            assert_eq!(back, data, "kind={kind:?}");
-        }
+        let codec = Codec::new(4, 2);
+        let data = payload(4096 + 17);
+        let shards = codec.encode_payload(&data);
+        assert_eq!(shards.len(), 6);
+        let mut opts: Vec<Option<Vec<u8>>> = shards.into_iter().map(Some).collect();
+        let back = codec.decode_payload(&mut opts, data.len()).unwrap();
+        assert_eq!(back, data);
     }
 
     #[test]
@@ -362,18 +326,16 @@ mod tests {
     }
 
     #[test]
-    fn vandermonde_and_cauchy_are_both_systematic() {
-        for kind in [MatrixKind::Cauchy, MatrixKind::Vandermonde] {
-            let codec = Codec::with_matrix(5, 3, kind);
-            let data = payload(555);
-            let shards = codec.encode_payload(&data);
-            let len = codec.shard_len(data.len());
-            // Data shards are the payload verbatim (plus padding).
-            let mut flat: Vec<u8> = shards[..5].concat();
-            flat.truncate(data.len());
-            assert_eq!(flat, data, "kind={kind:?} systematic property");
-            assert_eq!(shards[5].len(), len);
-        }
+    fn the_codec_is_systematic() {
+        let codec = Codec::new(5, 3);
+        let data = payload(555);
+        let shards = codec.encode_payload(&data);
+        let len = codec.shard_len(data.len());
+        // Data shards are the payload verbatim (plus padding).
+        let mut flat: Vec<u8> = shards[..5].concat();
+        flat.truncate(data.len());
+        assert_eq!(flat, data, "systematic property");
+        assert_eq!(shards[5].len(), len);
     }
 
     #[test]

@@ -124,19 +124,6 @@ pub fn inv(a: u8) -> u8 {
     INV[a as usize]
 }
 
-/// Exponentiation `base^exp` by log/exp tables.
-#[must_use]
-pub fn pow(base: u8, exp: usize) -> u8 {
-    if exp == 0 {
-        return 1;
-    }
-    if base == 0 {
-        return 0;
-    }
-    let l = (LOG[base as usize] as usize * exp) % 255;
-    EXP[l]
-}
-
 /// The low bit of every byte lane in a 64-bit word.
 const LANE_LSB: u64 = 0x0101_0101_0101_0101;
 
@@ -372,17 +359,6 @@ mod tests {
     fn inverse_is_inverse() {
         for a in 1..=255u8 {
             assert_eq!(mul(a, inv(a)), 1, "a={a}");
-        }
-    }
-
-    #[test]
-    fn pow_matches_repeated_mul() {
-        for base in 0..=255u8 {
-            let mut acc = 1u8;
-            for e in 0..10 {
-                assert_eq!(pow(base, e), acc, "base={base} e={e}");
-                acc = mul(acc, base);
-            }
         }
     }
 

@@ -12,9 +12,10 @@
 //!
 //! * [`gf`] — GF(2^8) arithmetic with compile-time `MUL`/`INV` tables
 //!   and the slice kernels (`mul_acc_slice`) everything reduces to.
-//! * [`matrix`] — small dense matrices: Vandermonde and Cauchy
-//!   constructions, Gauss-Jordan inversion.
-//! * [`codec`] — [`Codec`]: systematic encode, any-k-of-n reconstruct,
+//! * [`matrix`] — small dense matrices: the Cauchy construction and
+//!   Gauss-Jordan inversion.
+//! * [`codec`] — [`Codec`]: systematic Cauchy encode, any-k-of-n
+//!   reconstruct,
 //!   and the payload-level helpers used at seal / degraded-read time.
 //!
 //! # Example
@@ -39,5 +40,5 @@ pub mod codec;
 pub mod gf;
 pub mod matrix;
 
-pub use codec::{Codec, EcError, MatrixKind};
+pub use codec::{Codec, EcError};
 pub use matrix::Matrix;

@@ -1,6 +1,6 @@
-//! Small dense matrices over GF(2^8): construction (Vandermonde,
-//! Cauchy), Gauss-Jordan inversion, and multiplication. Matrix sizes
-//! here are `(k + m) × k` with `k ≤ 255`, so clarity beats asymptotics.
+//! Small dense matrices over GF(2^8): the Cauchy construction and
+//! Gauss-Jordan inversion. Matrix sizes here are `(k + m) × k` with
+//! `k ≤ 255`, so clarity beats asymptotics.
 
 use crate::gf;
 
@@ -37,25 +37,6 @@ impl Matrix {
         m
     }
 
-    /// Raw Vandermonde matrix: `V[r][c] = r^c`. Any `cols` rows are
-    /// linearly independent because the row indices are distinct field
-    /// elements.
-    ///
-    /// # Panics
-    /// Panics when `rows > 256` (row indices must be distinct in
-    /// GF(256)) or either dimension is zero.
-    #[must_use]
-    pub fn vandermonde(rows: usize, cols: usize) -> Matrix {
-        assert!(rows <= 256, "vandermonde needs distinct field elements");
-        let mut m = Matrix::zero(rows, cols);
-        for r in 0..rows {
-            for c in 0..cols {
-                m.set(r, c, gf::pow(r as u8, c));
-            }
-        }
-        m
-    }
-
     /// `m × k` Cauchy matrix `C[r][c] = 1 / (x_r + y_c)` with
     /// `x_r = k + r` and `y_c = c`: every square submatrix is
     /// invertible, which is exactly the MDS property.
@@ -77,18 +58,6 @@ impl Matrix {
         m
     }
 
-    /// Number of rows.
-    #[must_use]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    #[must_use]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Element at `(r, c)`.
     #[must_use]
     #[inline]
@@ -106,29 +75,6 @@ impl Matrix {
     #[must_use]
     pub fn row(&self, r: usize) -> &[u8] {
         &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Matrix product `self · rhs`.
-    ///
-    /// # Panics
-    /// Panics when the inner dimensions disagree.
-    #[must_use]
-    pub fn mul(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.cols, rhs.rows, "matrix product dimension mismatch");
-        let mut out = Matrix::zero(self.rows, rhs.cols);
-        for r in 0..self.rows {
-            for i in 0..self.cols {
-                let a = self.get(r, i);
-                if a == 0 {
-                    continue;
-                }
-                for c in 0..rhs.cols {
-                    let v = out.get(r, c) ^ gf::mul(a, rhs.get(i, c));
-                    out.set(r, c, v);
-                }
-            }
-        }
-        out
     }
 
     /// New matrix made of the given rows of `self`, in order.
@@ -212,6 +158,18 @@ impl Matrix {
 mod tests {
     use super::*;
 
+    /// Matrix product `a · b`.
+    fn product(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zero(a.rows, b.cols);
+        for r in 0..a.rows {
+            for c in 0..b.cols {
+                let v = (0..a.cols).fold(0, |acc, i| acc ^ gf::mul(a.get(r, i), b.get(i, c)));
+                out.set(r, c, v);
+            }
+        }
+        out
+    }
+
     #[test]
     fn identity_inverse_is_identity() {
         let id = Matrix::identity(5);
@@ -223,8 +181,8 @@ mod tests {
         // A Cauchy square is always invertible.
         let c = Matrix::cauchy(4, 4);
         let inv = c.inverse().expect("cauchy square is invertible");
-        assert_eq!(c.mul(&inv), Matrix::identity(4));
-        assert_eq!(inv.mul(&c), Matrix::identity(4));
+        assert_eq!(product(&c, &inv), Matrix::identity(4));
+        assert_eq!(product(&inv, &c), Matrix::identity(4));
     }
 
     #[test]

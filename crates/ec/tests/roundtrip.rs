@@ -1,8 +1,8 @@
 //! Property tests for the Reed-Solomon codec: any-k-of-(k+m)
-//! reconstruction round-trips for every k ≤ 10, m ≤ 4, both matrix
-//! constructions, with ragged last stripes and adversarial loss sets.
+//! reconstruction round-trips for every k ≤ 10, m ≤ 4, with ragged
+//! last stripes and adversarial loss sets.
 
-use mayflower_ec::{Codec, EcError, MatrixKind};
+use mayflower_ec::{Codec, EcError};
 use mayflower_simcore::testutil::SeedGuard;
 use mayflower_simcore::SimRng;
 use proptest::prelude::*;
@@ -31,19 +31,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Encode → lose up to m shards → decode is the identity for every
-    /// (k, m) the storage tier supports, under both matrix kinds and
-    /// ragged (non-multiple-of-k) payload lengths.
+    /// (k, m) the storage tier supports, with ragged
+    /// (non-multiple-of-k) payload lengths.
     #[test]
     fn any_k_of_n_round_trips(
         k in 1usize..11,
         m in 1usize..5,
         len in 0usize..4096,
         seed in any::<u64>(),
-        vandermonde in any::<bool>(),
     ) {
         let _guard = SeedGuard::new("ec::any_k_of_n_round_trips", seed);
-        let kind = if vandermonde { MatrixKind::Vandermonde } else { MatrixKind::Cauchy };
-        let codec = Codec::with_matrix(k, m, kind);
+        let codec = Codec::new(k, m);
         let data = payload(seed, len);
         let shards = codec.encode_payload(&data);
         prop_assert_eq!(shards.len(), k + m);

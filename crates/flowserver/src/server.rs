@@ -30,13 +30,10 @@ struct FlowserverMetrics {
     selection_cost_us: Arc<Histogram>,
     polls: Arc<Counter>,
     update_freezes: Arc<Counter>,
-    freeze_expirations: Arc<Counter>,
     split_accepted: Arc<Counter>,
     split_rejected: Arc<Counter>,
     tracked_flows: Arc<Gauge>,
     frozen_flows: Arc<Gauge>,
-    /// Background-priority repair-flow selections served.
-    repair_selections: Arc<Counter>,
     /// Background-priority shard-migration selections served.
     migration_selections: Arc<Counter>,
     /// Joint k-source selections served for degraded coded reads.
@@ -63,12 +60,10 @@ impl FlowserverMetrics {
             selection_cost_us: scope.histogram("selection_cost_us"),
             polls: scope.counter("polls_total"),
             update_freezes: scope.counter("update_freezes_total"),
-            freeze_expirations: scope.counter("stale_freeze_expirations_total"),
             split_accepted: scope.counter("split_accepted_total"),
             split_rejected: scope.counter("split_rejected_total"),
             tracked_flows: scope.gauge("tracked_flows"),
             frozen_flows: scope.gauge("frozen_flows"),
-            repair_selections: scope.counter("repair_selections_total"),
             migration_selections: scope.counter("migration_selections_total"),
             coded_selections: scope.counter("coded_selections_total"),
             path_cache_hits: scope.counter("path_cache_hits_total"),
@@ -458,7 +453,6 @@ impl Flowserver {
     /// flows were unfrozen.
     pub fn expire_stale_freezes(&mut self, now: SimTime) -> usize {
         let expired = self.tracker.expire_frozen(now);
-        self.metrics.freeze_expirations.add(expired as u64);
         self.refresh_flow_gauges();
         expired
     }
@@ -586,7 +580,6 @@ impl Flowserver {
         size_bits: f64,
         now: SimTime,
     ) -> Selection {
-        self.metrics.repair_selections.inc();
         let picks = Picks::One(FlowPriority::Background);
         self.select("select_repair_flow", dest, sources, size_bits, now, picks)
     }

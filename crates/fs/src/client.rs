@@ -351,9 +351,10 @@ impl Client {
         // The primary orders the append (§3.3.2): it is written first,
         // alone, and its size is the one recorded. Each replica write
         // retries transient unavailability; if a replica stays down
-        // past the retry budget the append fails as a whole and the
-        // caller may re-elect the primary
-        // ([`crate::Cluster::reelect_primary`]) before retrying.
+        // past the retry budget the append fails as a whole; once
+        // recovery has rebuilt the lost copy
+        // ([`crate::Cluster::repair_to`], which puts the rebuilt copy
+        // of a lost primary in its slot) a retry goes through.
         let new_size = {
             let mut span = self.trace.child("primary_write");
             trace::annotate(&mut span, "host", meta.primary().0.to_string());
@@ -1192,7 +1193,6 @@ mod tests {
 
     #[test]
     fn cache_ttl_observes_replica_migration() {
-        use mayflower_simcore::SimRng;
         let dir = TempDir::new("ttl");
         let c = cluster(&dir, Consistency::Sequential);
         let mut client = c.client(HostId(0));
@@ -1203,8 +1203,13 @@ mod tests {
         // Lose a replica and repair: the replica set changes.
         let victim = meta.replicas[1];
         c.dataserver(victim).delete_file(meta.id).unwrap();
-        let mut rng = SimRng::seed_from(9);
-        c.repair("migrating", &mut rng).unwrap();
+        let dest = c
+            .topology()
+            .hosts()
+            .into_iter()
+            .find(|h| !meta.replicas.contains(h))
+            .unwrap();
+        c.repair_to("migrating", meta.primary(), dest).unwrap();
 
         // With a zero TTL the client sees the new replica set at once.
         let fresh = client.meta("migrating").unwrap();

@@ -59,7 +59,7 @@ pub struct Cluster {
     /// Causal-tracing root (DESIGN.md §17), disabled by default; every
     /// component handle below shares it.
     tracer: Arc<Tracer>,
-    /// Repair/re-election flow spans.
+    /// Repair and seal spans.
     trace_recovery: TraceHandle,
 }
 
@@ -212,28 +212,6 @@ impl Cluster {
         )
     }
 
-    /// Restores a file's replication factor after replica loss: finds
-    /// replicas whose dataserver no longer holds the data, copies the
-    /// file from a surviving replica onto replacement hosts chosen
-    /// under the same fault-domain constraints, and updates the
-    /// nameserver mapping. Returns the hosts that received new copies.
-    ///
-    /// This is the re-replication background task every GFS/HDFS-class
-    /// system runs; the paper folds it into its fault-tolerance goals
-    /// (§3.2).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FsError::NotFound`] if no surviving replica holds the
-    /// data, or I/O errors from the copy.
-    pub fn repair(
-        &self,
-        name: &str,
-        rng: &mut mayflower_simcore::SimRng,
-    ) -> Result<Vec<HostId>, FsError> {
-        self.traced("repair", name, |c| c.repair_inner(name, rng))
-    }
-
     /// Runs `f` under a recovery-flow span named `op` (a child when an
     /// ambient span exists — e.g. the recovery executor's task span —
     /// else a root), marking it failed on error.
@@ -255,75 +233,6 @@ impl Cluster {
         out
     }
 
-    fn repair_inner(
-        &self,
-        name: &str,
-        rng: &mut mayflower_simcore::SimRng,
-    ) -> Result<Vec<HostId>, FsError> {
-        let meta = self.nameserver.lookup(name)?;
-        let lock = self.coordinator.file_lock(meta.id);
-        let _guard = lock.lock();
-        // Re-read under the lock (an append may have just finished).
-        let mut meta = self.nameserver.lookup(name)?;
-
-        let (alive, dead): (Vec<HostId>, Vec<HostId>) = meta
-            .replicas
-            .iter()
-            .partition(|r| self.dataserver(**r).has_file(meta.id));
-        if dead.is_empty() {
-            return Ok(Vec::new());
-        }
-        let Some(&source) = alive.first() else {
-            return Err(FsError::NotFound(format!(
-                "{name}: all replicas lost, cannot re-replicate"
-            )));
-        };
-
-        // Replacements come from the cluster's placement policy, which
-        // re-checks the fault-domain spread of the *whole* final
-        // replica set (§3.1's no-two-replicas-per-rack constraint) —
-        // including the case where the survivors are concentrated in
-        // one rack — and degrades to any live host when too few racks
-        // survive, instead of panicking. Only hosts whose dataserver
-        // is up are eligible: copying onto a crashed server would fail.
-        let eligible: Vec<HostId> = self
-            .topo
-            .hosts()
-            .into_iter()
-            .filter(|h| !meta.replicas.contains(h) && self.dataserver(*h).is_up())
-            .collect();
-        let policy = self.nameserver.config().placement;
-        let new_hosts = policy.replacements(&self.topo, &alive, &eligible, dead.len(), rng);
-        if new_hosts.len() < dead.len() {
-            return Err(FsError::Unavailable(format!(
-                "{name}: only {} of {} replacement hosts available",
-                new_hosts.len(),
-                dead.len()
-            )));
-        }
-        for replacement in &new_hosts {
-            // Dataserver-to-dataserver pull: the destination streams
-            // chunks straight from the surviving source replica.
-            self.dataserver(*replacement)
-                .pull_repair(&**self.dataserver(source), &meta)?;
-        }
-
-        // Splice the replacements into the replica list, preserving
-        // the primary position when the primary survived.
-        let mut spliced = Vec::with_capacity(meta.replicas.len());
-        let mut fresh = new_hosts.iter().copied();
-        for r in &meta.replicas {
-            if dead.contains(r) {
-                spliced.push(fresh.next().expect("one replacement per loss"));
-            } else {
-                spliced.push(*r);
-            }
-        }
-        meta.replicas = spliced;
-        self.replace_mapping(&meta)?;
-        Ok(new_hosts)
-    }
-
     /// Stores `meta` over the file's nameserver entry in one step — a
     /// concurrent lookup sees the old mapping or the new one, never
     /// `NotFound` — then refreshes the replicas' local copies of it.
@@ -339,12 +248,12 @@ impl Cluster {
     /// subsystem's throttled executor issues: copy `name` from
     /// `source` onto `dest` over the dataserver-to-dataserver repair
     /// RPC and splice `dest` into the replica set in place of the
-    /// first lost replica.
+    /// first lost replica. A lost primary is replaced in slot 0, so
+    /// `dest` becomes the file's primary and appends resume through it.
     ///
-    /// Unlike [`Cluster::repair`], the source and destination are
-    /// decided by the caller — the repair planner picks them jointly
-    /// with a network path by consulting the Flowserver at background
-    /// priority.
+    /// The source and destination are decided by the caller — the
+    /// repair planner picks them jointly with a network path by
+    /// consulting the Flowserver at background priority.
     ///
     /// Idempotent under the per-file lock: if the file is no longer
     /// under-replicated (a concurrent repair won the race) or `dest`
@@ -398,49 +307,6 @@ impl Cluster {
         meta.replicas[lost] = dest;
         self.replace_mapping(&meta)?;
         Ok(copied)
-    }
-
-    /// Promotes the first live replica to primary when the current
-    /// primary's dataserver has crashed, so appends (which are relayed
-    /// primary-first) and strong-consistency reads (which pin the last
-    /// chunk to the primary) keep working through the outage. Returns
-    /// the new primary, or `None` if the primary was already live and
-    /// nothing changed.
-    ///
-    /// The paper places replicas in distinct fault domains precisely so
-    /// a single-component failure leaves a live copy to promote (§3.1);
-    /// this is the corresponding control-plane reaction.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FsError::Unavailable`] if no replica is live, or
-    /// nameserver errors from persisting the new order.
-    pub fn reelect_primary(&self, name: &str) -> Result<Option<HostId>, FsError> {
-        self.traced("reelect_primary", name, |c| c.reelect_primary_inner(name))
-    }
-
-    fn reelect_primary_inner(&self, name: &str) -> Result<Option<HostId>, FsError> {
-        let meta = self.nameserver.lookup(name)?;
-        let lock = self.coordinator.file_lock(meta.id);
-        let _guard = lock.lock();
-        let mut meta = self.nameserver.lookup(name)?;
-
-        if self.dataserver(meta.primary()).is_up() {
-            return Ok(None);
-        }
-        let Some(pos) = meta
-            .replicas
-            .iter()
-            .position(|r| self.dataserver(*r).has_file(meta.id))
-        else {
-            return Err(FsError::Unavailable(format!(
-                "{name}: no live replica to promote"
-            )));
-        };
-        let new_primary = meta.replicas.remove(pos);
-        meta.replicas.insert(0, new_primary);
-        self.replace_mapping(&meta)?;
-        Ok(Some(new_primary))
     }
 
     /// Seals every complete-but-unsealed chunk of a coded file now,
@@ -613,9 +479,27 @@ mod tests {
         assert_eq!(c.nameserver().lookup("f").unwrap().size, 5);
     }
 
+    /// The first host outside `meta`'s replica set whose rack no live
+    /// replica occupies — where the recovery planner would rebuild.
+    fn spare(c: &Cluster, meta: &FileMeta) -> HostId {
+        let topo = c.topology();
+        let live: Vec<HostId> = meta
+            .replicas
+            .iter()
+            .copied()
+            .filter(|r| c.dataserver(*r).has_file(meta.id))
+            .collect();
+        topo.hosts()
+            .into_iter()
+            .find(|h| {
+                !meta.replicas.contains(h)
+                    && live.iter().all(|r| topo.rack_of(*r) != topo.rack_of(*h))
+            })
+            .expect("a rack with no live replica")
+    }
+
     #[test]
     fn repair_restores_replication_after_loss() {
-        use mayflower_simcore::SimRng;
         let dir = TempDir::new("repair");
         let c = small_cluster(&dir);
         let meta = c.nameserver().create("fixme").unwrap();
@@ -630,12 +514,12 @@ mod tests {
         let victim = meta.replicas[1];
         c.dataserver(victim).delete_file(meta.id).unwrap();
 
-        let mut rng = SimRng::seed_from(5);
-        let new_hosts = c.repair("fixme", &mut rng).unwrap();
-        assert_eq!(new_hosts.len(), 1);
+        let dest = spare(&c, &meta);
+        assert_eq!(c.repair_to("fixme", meta.primary(), dest).unwrap(), 16);
         let fixed = c.nameserver().lookup("fixme").unwrap();
         assert_eq!(fixed.replicas.len(), 3);
         assert!(!fixed.replicas.contains(&victim));
+        assert_eq!(fixed.replicas[1], dest, "dest takes the lost slot");
         assert_eq!(fixed.primary(), meta.primary(), "primary preserved");
         // Every replica (incl. the new one) serves the full payload.
         for r in &fixed.replicas {
@@ -652,12 +536,12 @@ mod tests {
         racks.dedup();
         assert_eq!(racks.len(), 3);
         // Idempotent: nothing left to repair.
-        assert!(c.repair("fixme", &mut rng).unwrap().is_empty());
+        assert_eq!(c.repair_to("fixme", meta.primary(), dest).unwrap(), 0);
     }
 
     #[test]
-    fn primary_reelection_survives_dataserver_crash() {
-        let dir = TempDir::new("reelect");
+    fn repairing_a_crashed_primary_makes_dest_the_primary() {
+        let dir = TempDir::new("primary");
         let c = small_cluster(&dir);
         let meta = c.nameserver().create("hot").unwrap();
         for r in &meta.replicas {
@@ -666,37 +550,24 @@ mod tests {
         let mut client = c.client(meta.primary());
         client.append("hot", b"before crash ").unwrap();
 
-        // Live primary: nothing to do.
-        assert_eq!(c.reelect_primary("hot").unwrap(), None);
-
         let old_primary = meta.primary();
         c.dataserver(old_primary).crash();
-        let promoted = c.reelect_primary("hot").unwrap().unwrap();
-        assert_ne!(promoted, old_primary);
+        let dest = spare(&c, &meta);
+        c.repair_to("hot", meta.replicas[1], dest).unwrap();
         let after = c.nameserver().lookup("hot").unwrap();
-        assert_eq!(after.primary(), promoted);
-        assert_eq!(
-            after.replicas.len(),
-            meta.replicas.len(),
-            "no replica dropped"
-        );
+        assert_eq!(after.primary(), dest, "dest fills the primary's slot");
+        assert_eq!(after.replicas[1..], meta.replicas[1..], "survivors kept");
 
-        // Once repair has replaced the crashed replica, appends go
-        // through again, ordered by the promoted primary.
-        let spare = c
-            .topology()
-            .hosts()
-            .into_iter()
-            .find(|h| !after.replicas.contains(h))
-            .unwrap();
-        c.repair_to("hot", promoted, spare).unwrap();
-        let mut client = c.client(promoted);
+        // Appends go through again, ordered by the new primary.
+        let mut client = c.client(dest);
         client.append("hot", b"after crash").unwrap();
-        let (data, _) = c.dataserver(promoted).read_local(meta.id, 0, 100).unwrap();
-        assert_eq!(data, b"before crash after crash");
+        for r in &after.replicas {
+            let (data, _) = c.dataserver(*r).read_local(meta.id, 0, 100).unwrap();
+            assert_eq!(data, b"before crash after crash", "replica {r}");
+        }
 
         // The crashed host restarts with its pre-crash bytes intact —
-        // stale but recoverable (repair would re-sync it).
+        // stale, and no longer in the replica set.
         c.dataserver(old_primary).restart();
         let (stale, _) = c
             .dataserver(old_primary)
@@ -705,8 +576,8 @@ mod tests {
         assert_eq!(stale, b"before crash ");
     }
 
-    /// Repair and re-election change where a file lives in one
-    /// namespace op: a lookup racing them always finds the file.
+    /// Repair changes where a file lives in one namespace op: a lookup
+    /// racing it always finds the file.
     #[test]
     fn a_file_stays_mapped_while_its_mapping_is_replaced() {
         use std::sync::atomic::{AtomicBool, Ordering};
@@ -731,14 +602,8 @@ mod tests {
             let before = c.nameserver().lookup("busy").unwrap();
             let crashed = before.primary();
             c.dataserver(crashed).crash();
-            let promoted = c.reelect_primary("busy").unwrap().unwrap();
-            let spare = c
-                .topology()
-                .hosts()
-                .into_iter()
-                .find(|h| !before.replicas.contains(h))
-                .unwrap();
-            c.repair_to("busy", promoted, spare).unwrap();
+            let dest = spare(&c, &before);
+            c.repair_to("busy", before.replicas[1], dest).unwrap();
             // The crashed host comes back empty, free to be a spare.
             c.dataserver(crashed).restart();
             c.dataserver(crashed).delete_file(id).unwrap();
@@ -751,35 +616,31 @@ mod tests {
     }
 
     #[test]
-    fn reelection_with_all_replicas_down_is_unavailable() {
-        let dir = TempDir::new("reelect-none");
-        let c = small_cluster(&dir);
-        let meta = c.nameserver().create("doomed").unwrap();
-        for r in &meta.replicas {
-            c.dataserver(*r).create_file(&meta).unwrap();
-            c.dataserver(*r).crash();
-        }
-        assert!(matches!(
-            c.reelect_primary("doomed"),
-            Err(FsError::Unavailable(_))
-        ));
-    }
-
-    #[test]
-    fn repair_fails_when_everything_is_lost() {
-        use mayflower_simcore::SimRng;
+    fn repair_without_a_live_source_is_unavailable() {
         let dir = TempDir::new("unrepairable");
         let c = small_cluster(&dir);
-        let meta = c.nameserver().create("gone").unwrap();
-        for r in &meta.replicas {
-            c.dataserver(*r).create_file(&meta).unwrap();
-            c.dataserver(*r).delete_file(meta.id).unwrap();
+        // Lost files first: the crashed hosts stay down.
+        for (name, crash) in [("gone", false), ("doomed", true)] {
+            let meta = c.nameserver().create(name).unwrap();
+            for r in &meta.replicas {
+                let ds = c.dataserver(*r);
+                ds.create_file(&meta).unwrap();
+                if crash {
+                    ds.crash();
+                } else {
+                    ds.delete_file(meta.id).unwrap();
+                }
+            }
+            let dest = spare(&c, &meta);
+            assert!(
+                matches!(
+                    c.repair_to(name, meta.primary(), dest),
+                    Err(FsError::Unavailable(_))
+                ),
+                "{name}"
+            );
+            assert_eq!(c.nameserver().lookup(name).unwrap().replicas, meta.replicas);
         }
-        let mut rng = SimRng::seed_from(6);
-        assert!(matches!(
-            c.repair("gone", &mut rng),
-            Err(FsError::NotFound(_))
-        ));
     }
 
     #[test]

@@ -128,11 +128,6 @@ pub struct Nameserver {
     db: Mutex<KvStore>,
     config: NameserverConfig,
     rng: Mutex<SimRng>,
-    /// Liveness registry: hosts whose dataserver the failure detector
-    /// has confirmed dead. Fed by the recovery subsystem; consulted by
-    /// [`Nameserver::under_replicated`] and `mayfs status`. In-memory
-    /// only — liveness is an observation, not durable metadata.
-    down: Mutex<std::collections::BTreeSet<mayflower_net::HostId>>,
 }
 
 /// Key prefix for name → metadata entries.
@@ -169,62 +164,7 @@ impl Nameserver {
             db: Mutex::new(db),
             config,
             rng: Mutex::new(rng),
-            down: Mutex::new(std::collections::BTreeSet::new()),
         })
-    }
-
-    /// Records a liveness observation for a host's dataserver. The
-    /// recovery subsystem's failure detector calls this on every
-    /// confirmed state change; `live = false` marks the host dead,
-    /// `live = true` clears the mark after a restart.
-    pub fn set_host_live(&self, host: mayflower_net::HostId, live: bool) {
-        let mut down = self.down.lock();
-        if live {
-            down.remove(&host);
-        } else {
-            down.insert(host);
-        }
-    }
-
-    /// Whether a host's dataserver is currently believed live (hosts
-    /// never reported dead default to live).
-    #[must_use]
-    pub fn is_host_live(&self, host: mayflower_net::HostId) -> bool {
-        !self.down.lock().contains(&host)
-    }
-
-    /// The hosts currently marked dead, in host order.
-    #[must_use]
-    pub fn down_hosts(&self) -> Vec<mayflower_net::HostId> {
-        self.down.lock().iter().copied().collect()
-    }
-
-    /// The under-replicated set: every file with at least one replica
-    /// on a dead host, paired with its live replicas, ordered most
-    /// urgent first (fewest live replicas, then name) — the repair
-    /// planner's priority order.
-    #[must_use]
-    pub fn under_replicated(&self) -> Vec<(FileMeta, Vec<mayflower_net::HostId>)> {
-        let down = self.down.lock().clone();
-        let mut out: Vec<(FileMeta, Vec<mayflower_net::HostId>)> = self
-            .list()
-            .into_iter()
-            .filter_map(|meta| {
-                let live: Vec<mayflower_net::HostId> = meta
-                    .replicas
-                    .iter()
-                    .copied()
-                    .filter(|r| !down.contains(r))
-                    .collect();
-                if live.len() < meta.replicas.len() {
-                    Some((meta, live))
-                } else {
-                    None
-                }
-            })
-            .collect();
-        out.sort_by(|a, b| (a.1.len(), &a.0.name).cmp(&(b.1.len(), &b.0.name)));
-        out
     }
 
     /// The topology used for placement.
@@ -760,44 +700,6 @@ mod tests {
     fn nameserver(dir: &TempDir) -> Nameserver {
         let topo = Arc::new(Topology::three_tier(&TreeParams::paper_testbed()));
         Nameserver::open(topo, &dir.0.join("db"), NameserverConfig::default()).unwrap()
-    }
-
-    #[test]
-    fn liveness_registry_feeds_under_replicated_set() {
-        let dir = TempDir::new("liveness");
-        let ns = nameserver(&dir);
-        let a = ns.create("files/a").unwrap();
-        let b = ns.create("files/b").unwrap();
-        assert!(ns.under_replicated().is_empty());
-        assert!(ns.is_host_live(a.replicas[0]));
-
-        // Kill a's primary: a is under-replicated, b only if it also
-        // holds a replica there.
-        ns.set_host_live(a.replicas[0], false);
-        assert!(!ns.is_host_live(a.replicas[0]));
-        assert_eq!(ns.down_hosts(), vec![a.replicas[0]]);
-        let under = ns.under_replicated();
-        assert!(under.iter().any(|(m, _)| m.name == "files/a"));
-        let (meta, live) = under.iter().find(|(m, _)| m.name == "files/a").unwrap();
-        assert_eq!(live.len(), meta.replicas.len() - 1);
-        assert!(!live.contains(&a.replicas[0]));
-
-        // Priority order: fewest live replicas first, then name.
-        ns.set_host_live(a.replicas[0], true);
-        ns.set_host_live(b.replicas[0], false);
-        ns.set_host_live(b.replicas[1], false);
-        ns.set_host_live(a.replicas[2], false);
-        let under = ns.under_replicated();
-        assert_eq!(under.len(), 2);
-        assert!(under
-            .windows(2)
-            .all(|w| (w[0].1.len(), &w[0].0.name) <= (w[1].1.len(), &w[1].0.name)));
-
-        // Recovery clears the marks.
-        ns.set_host_live(b.replicas[0], true);
-        ns.set_host_live(b.replicas[1], true);
-        ns.set_host_live(a.replicas[2], true);
-        assert!(ns.under_replicated().is_empty());
     }
 
     #[test]

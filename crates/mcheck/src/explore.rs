@@ -2,7 +2,7 @@
 //! minimization, and telemetry.
 
 use mayflower_simcore::FifoSchedule;
-use mayflower_telemetry::{Counter, Registry, Scope};
+use mayflower_telemetry::{Counter, Registry};
 use std::sync::Arc;
 
 use crate::scenario::{Scenario, ScheduleOutcome};
@@ -107,8 +107,6 @@ pub struct CheckReport {
 struct Metrics {
     schedules: Arc<Counter>,
     violations: Arc<Counter>,
-    /// Keeps a detached registry alive when the caller supplied none.
-    _own: Option<Registry>,
 }
 
 /// Drives scenarios through schedule strategies, checks oracles,
@@ -133,20 +131,6 @@ impl Explorer {
             metrics: Metrics {
                 schedules: scope.counter("schedules_explored_total"),
                 violations: scope.counter("violations_total"),
-                _own: Some(registry),
-            },
-        }
-    }
-
-    /// An explorer reporting `schedules_explored_total` and
-    /// `violations_total` under `scope`.
-    #[must_use]
-    pub fn with_scope(scope: &Scope) -> Explorer {
-        Explorer {
-            metrics: Metrics {
-                schedules: scope.counter("schedules_explored_total"),
-                violations: scope.counter("violations_total"),
-                _own: None,
             },
         }
     }

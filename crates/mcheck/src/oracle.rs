@@ -33,7 +33,7 @@ pub enum DataOp {
         /// File name.
         file: String,
     },
-    /// A dataserver fail-stop crash (fault-schedule event).
+    /// A dataserver fail-stop crash.
     Crash {
         /// Replica index into the file's replica list.
         replica: u32,
@@ -43,7 +43,8 @@ pub enum DataOp {
         /// Replica index into the file's replica list.
         replica: u32,
     },
-    /// Replica loss + re-replication (`Cluster::repair`).
+    /// Replica loss + re-replication from the primary (the pull
+    /// `Cluster::repair_to` performs).
     Repair,
 }
 
@@ -69,7 +70,7 @@ pub enum DataRet {
     /// The operation failed (crashed replica, severed path); failed
     /// operations are exempt from the consistency checks.
     Failed(String),
-    /// A fault-schedule event completed.
+    /// A scripted fault event completed.
     Done,
 }
 

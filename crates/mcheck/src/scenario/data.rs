@@ -20,9 +20,9 @@
 //!   nameserver → read each chunk piece (strong mode: the last chunk
 //!   only from the primary; other chunks from any replica, short
 //!   reads patched from the primary, as the production client does).
-//! * **Faults**: crash/restart events mapped from a
-//!   [`FaultSchedule`], plus a two-phase repair (replica disk loss,
-//!   then [`Dataserver::pull_repair`] from the primary) racing the
+//! * **Faults**: a scripted crash/restart of one secondary, plus a
+//!   two-phase repair (replica disk loss, then
+//!   [`Dataserver::pull_repair`] from the primary) racing the
 //!   concurrent appends.
 //!
 //! The real protocol satisfies the oracle in *every* schedule. The
@@ -35,7 +35,7 @@ use std::sync::Arc;
 
 use mayflower_fs::{Dataserver, FileMeta, FsError, Nameserver, NameserverConfig};
 use mayflower_net::{HostId, Topology, TreeParams};
-use mayflower_simcore::{EventQueue, FaultEvent, FaultSchedule, SimTime};
+use mayflower_simcore::{EventQueue, SimTime};
 
 use crate::history::{CallId, History};
 use crate::oracle::{check_append_read, DataOp, DataRet};
@@ -84,29 +84,6 @@ impl DataScenario {
             DataOp::Restart { replica: 1 },
             DataOp::Repair,
         ];
-        self
-    }
-
-    /// Maps a [`FaultSchedule`]'s dataserver crash points onto the
-    /// scenario's replicas (raw id modulo the replica count, like the
-    /// experiment harness) in schedule order. The checker then
-    /// explores where each fault lands relative to the appends and
-    /// reads.
-    #[must_use]
-    pub fn with_fault_schedule(mut self, schedule: &FaultSchedule) -> DataScenario {
-        self.fault_ops = schedule
-            .entries()
-            .iter()
-            .filter_map(|(_, e)| match e {
-                FaultEvent::DataserverCrash(raw) => Some(DataOp::Crash {
-                    replica: raw % REPLICAS as u32,
-                }),
-                FaultEvent::DataserverRestart(raw) => Some(DataOp::Restart {
-                    replica: raw % REPLICAS as u32,
-                }),
-                _ => None,
-            })
-            .collect();
         self
     }
 }

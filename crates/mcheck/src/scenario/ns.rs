@@ -4,8 +4,8 @@
 //!
 //! Three logical clients run fixed operation scripts against one
 //! **real** [`Nameserver`] (backed by the real [`mayflower_kvstore`]
-//! WAL on disk); a fourth fault client injects nameserver
-//! crash-reopen points sourced from a [`FaultSchedule`]. Every
+//! WAL on disk); a fourth fault client injects a configured number of
+//! nameserver crash-reopen points. Every
 //! operation is two events at the same timestamp — *invoke* (recorded
 //! in the history, widening the concurrency window) and *execute*
 //! (the real call, response recorded) — so the scheduler's choices
@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use mayflower_fs::{FsError, Nameserver, NameserverConfig};
 use mayflower_net::{Topology, TreeParams};
-use mayflower_simcore::{EventQueue, FaultSchedule, SimTime};
+use mayflower_simcore::{EventQueue, SimTime};
 
 use crate::history::{CallId, History};
 use crate::lin::{check_linearizable, MetaOp, MetaRet};
@@ -54,21 +54,6 @@ impl NsMetaScenario {
     pub fn with_mutant(mut self, mutant: Mutant) -> NsMetaScenario {
         self.mutant = mutant;
         self
-    }
-
-    /// Derives the scenario's crash points from a fault schedule: each
-    /// `DataserverCrash` entry (the schedule's only fail-stop storage
-    /// fault) becomes one nameserver crash-reopen point, preserving
-    /// the schedule's order. The checker then explores where those
-    /// points land relative to the metadata operations.
-    #[must_use]
-    pub fn from_fault_schedule(schedule: &FaultSchedule) -> NsMetaScenario {
-        let crashes = schedule
-            .entries()
-            .iter()
-            .filter(|(_, e)| matches!(e, mayflower_simcore::FaultEvent::DataserverCrash(_)))
-            .count();
-        NsMetaScenario::new(crashes.max(1))
     }
 
     fn scripts(&self) -> Vec<Vec<MetaOp>> {

@@ -89,7 +89,6 @@ struct DetectorMetrics {
     to_suspect: Arc<Counter>,
     to_dead: Arc<Counter>,
     live_hosts: Arc<Gauge>,
-    suspect_hosts: Arc<Gauge>,
     dead_hosts: Arc<Gauge>,
 }
 
@@ -100,7 +99,6 @@ impl DetectorMetrics {
             to_suspect: scope.counter_with("transitions_total", &[("to", "suspect")]),
             to_dead: scope.counter_with("transitions_total", &[("to", "dead")]),
             live_hosts: scope.gauge("live_hosts"),
-            suspect_hosts: scope.gauge("suspect_hosts"),
             dead_hosts: scope.gauge("dead_hosts"),
         }
     }
@@ -141,15 +139,12 @@ impl FailureDetector {
     }
 
     /// Attaches telemetry: `transitions_total{to=…}` counters and
-    /// `live_hosts` / `suspect_hosts` / `dead_hosts` gauges. All
-    /// recorded values derive from sim time, keeping snapshots
-    /// deterministic.
+    /// `live_hosts` / `dead_hosts` gauges. All recorded values derive
+    /// from sim time, keeping snapshots deterministic.
     pub fn attach_metrics(&mut self, scope: &Scope) {
         let m = DetectorMetrics::new(scope);
         m.live_hosts
             .set(self.in_state(HealthState::Live).len() as i64);
-        m.suspect_hosts
-            .set(self.in_state(HealthState::Suspect).len() as i64);
         m.dead_hosts
             .set(self.in_state(HealthState::Dead).len() as i64);
         self.metrics = Some(m);
@@ -271,8 +266,6 @@ impl FailureDetector {
         }
         m.live_hosts
             .set(self.in_state(HealthState::Live).len() as i64);
-        m.suspect_hosts
-            .set(self.in_state(HealthState::Suspect).len() as i64);
         m.dead_hosts
             .set(self.in_state(HealthState::Dead).len() as i64);
     }

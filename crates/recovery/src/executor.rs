@@ -97,7 +97,6 @@ struct ExecutorMetrics {
     noop: Arc<Counter>,
     failed: Arc<Counter>,
     repair_bytes: Arc<Histogram>,
-    repair_latency_us: Arc<Histogram>,
 }
 
 impl ExecutorMetrics {
@@ -108,7 +107,6 @@ impl ExecutorMetrics {
             noop: scope.counter_with("repairs_total", &[("outcome", "noop")]),
             failed: scope.counter_with("repairs_total", &[("outcome", "failed")]),
             repair_bytes: scope.histogram("repair_bytes"),
-            repair_latency_us: scope.histogram("repair_latency_us"),
         }
     }
 }
@@ -135,9 +133,8 @@ impl RepairExecutor {
     }
 
     /// Attaches telemetry: the `repair_queue_depth` gauge,
-    /// per-outcome `repairs_total` counters, and the `repair_bytes` /
-    /// `repair_latency_us` histograms (latency is the flow-model
-    /// estimate `bytes / est_bw`, so it is sim-deterministic).
+    /// per-outcome `repairs_total` counters, and the `repair_bytes`
+    /// histogram.
     pub fn attach_metrics(&mut self, scope: &Scope) {
         let m = ExecutorMetrics::new(scope);
         m.queue_depth.set(self.queue.len() as i64);
@@ -236,12 +233,6 @@ impl RepairExecutor {
                     RepairOutcome::Failed => m.failed.inc(),
                 }
                 m.repair_bytes.record(bytes);
-                let secs = if task.est_bw > 0.0 {
-                    (bytes as f64 * 8.0) / task.est_bw
-                } else {
-                    0.0
-                };
-                m.repair_latency_us.record_secs(secs);
             }
             done.push(CompletedRepair {
                 at: now,
@@ -319,9 +310,9 @@ mod tests {
             (meta.size as f64 * 8.0).max(1.0),
             SimTime::ZERO,
         );
-        let (cookie, est_bw) = match sel {
-            Selection::Single(a) => (Some(a.cookie), a.est_bw),
-            _ => (None, 0.0),
+        let cookie = match sel {
+            Selection::Single(a) => Some(a.cookie),
+            _ => None,
         };
         RepairTask {
             name: name.to_string(),
@@ -330,7 +321,6 @@ mod tests {
             dest,
             bytes: meta.size,
             cookie,
-            est_bw,
             fragment: None,
         }
     }

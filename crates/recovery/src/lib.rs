@@ -16,8 +16,8 @@
 //!
 //! 1. [`FailureDetector`] — a heartbeat registry with sim-time
 //!    deadlines. A silent dataserver becomes *suspect*, then
-//!    confirmed *dead*; confirmations are pushed into the
-//!    nameserver's liveness registry.
+//!    confirmed *dead*. It is the system's only record of liveness;
+//!    every later stage reads it directly.
 //! 2. [`ReplicationTracker`] — derives the under-replicated set from
 //!    nameserver metadata plus detector state, ordered most urgent
 //!    first (fewest live replicas, then name). Coded files surface

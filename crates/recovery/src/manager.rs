@@ -1,10 +1,9 @@
 //! The recovery manager: one tick drives the whole pipeline.
 //!
-//! Detection → liveness sync → tracking → planning → throttled
-//! execution, all against simulated time and a seeded rng, so a
-//! recovery run is a pure function of `(cluster state, fault
-//! schedule, seed)` and its [`RecoveryReport`] is byte-identical
-//! across same-seed runs.
+//! Detection → tracking → planning → throttled execution, all
+//! against simulated time and a seeded rng, so a recovery run is a
+//! pure function of `(cluster state, fault schedule, seed)` and its
+//! [`RecoveryReport`] is byte-identical across same-seed runs.
 
 use std::sync::Arc;
 
@@ -89,8 +88,7 @@ impl RecoveryManager {
     /// Attaches all recovery telemetry under `registry`'s `recovery`
     /// scope: detector transition counters and population gauges
     /// (`recovery_detector_*`), the under-replication backlog gauge,
-    /// the repair queue depth gauge, and the repair byte/latency
-    /// histograms.
+    /// the repair queue depth gauge, and the repair byte histogram.
     pub fn attach_metrics(&mut self, registry: &Registry) {
         let scope = registry.scope("recovery");
         self.detector.attach_metrics(&scope.scope("detector"));
@@ -105,28 +103,26 @@ impl RecoveryManager {
     ///
     /// 1. Every dataserver that is up heartbeats; the detector's
     ///    deadlines turn silence into suspicion, then confirmation.
-    /// 2. Confirmed deaths (and recoveries) are pushed into the
-    ///    nameserver's liveness registry.
-    /// 3. The tracker derives the under-replicated backlog.
-    /// 4. If repair is enabled, files without queued repairs are
+    ///    The detector is the only judge of liveness: the tracker and
+    ///    planner read it directly.
+    /// 2. The tracker derives the under-replicated backlog.
+    /// 3. If repair is enabled, files without queued repairs are
     ///    planned — destinations via the placement policy, source +
     ///    path via the Flowserver at background priority — and the
     ///    executor performs a throttled batch of pulls.
-    /// 5. Once a confirmed death has occurred and the backlog and
+    /// 4. Once a confirmed death has occurred and the backlog and
     ///    queue are both empty, the time-to-full-replication is
     ///    stamped into the report.
     pub fn tick(&mut self, cluster: &Cluster, flowserver: &mut Flowserver, now: SimTime) -> usize {
         for host in self.topo.hosts() {
             if cluster.dataserver(host).is_up() {
                 if let Some(t) = self.detector.heartbeat(host, now) {
-                    cluster.nameserver().set_host_live(t.host, true);
                     self.report.transitions.push(t);
                 }
             }
         }
         for t in self.detector.tick(now) {
             if t.to == HealthState::Dead {
-                cluster.nameserver().set_host_live(t.host, false);
                 self.saw_death = true;
             }
             self.report.transitions.push(t);

@@ -60,9 +60,6 @@ pub struct RepairTask {
     /// path; `None` means the planner fell back to the first live
     /// replica without network scheduling.
     pub cookie: Option<FlowCookie>,
-    /// The Flowserver's bandwidth estimate for the repair flow, in
-    /// bits/sec (0.0 for unscheduled fallbacks).
-    pub est_bw: f64,
     /// `Some(j)` for a coded repair: rebuild fragment `j` of every
     /// sealed chunk onto `dest` (via [`Cluster::repair_fragment`]);
     /// `None` for a whole-replica copy.
@@ -169,13 +166,13 @@ impl RepairPlanner {
                 let size_bits = (bytes as f64 * 8.0).max(1.0);
                 for dest in dests {
                     taken.push(dest);
-                    let (source, cookie, est_bw) =
+                    let (source, cookie) =
                         match flowserver.select_repair_flow(dest, &file.live, size_bits, now) {
-                            Selection::Single(a) => (a.replica, Some(a.cookie), a.est_bw),
+                            Selection::Single(a) => (a.replica, Some(a.cookie)),
                             // Local is impossible (dest is never a current
                             // replica) and Split is never produced for
                             // repairs; both fall back like Unavailable.
-                            _ => (file.live[0], None, 0.0),
+                            _ => (file.live[0], None),
                         };
                     tasks.push(RepairTask {
                         name: file.name.clone(),
@@ -184,7 +181,6 @@ impl RepairPlanner {
                         dest,
                         bytes,
                         cookie,
-                        est_bw,
                         fragment: None,
                     });
                 }
@@ -226,10 +222,10 @@ impl RepairPlanner {
                 *rack_load.entry(topo.rack_of(dest)).or_insert(0) += 1;
                 // One background flow models the rebuild ingest: `k`
                 // shards of `sealed_bytes / k` each converge on `dest`.
-                let (source, cookie, est_bw) =
+                let (source, cookie) =
                     match flowserver.select_repair_flow(dest, &sources, size_bits, now) {
-                        Selection::Single(a) => (a.replica, Some(a.cookie), a.est_bw),
-                        _ => (sources[0], None, 0.0),
+                        Selection::Single(a) => (a.replica, Some(a.cookie)),
+                        _ => (sources[0], None),
                     };
                 tasks.push(RepairTask {
                     name: file.name.clone(),
@@ -238,7 +234,6 @@ impl RepairPlanner {
                     dest,
                     bytes: loss.sealed_bytes.div_ceil(loss.k as u64),
                     cookie,
-                    est_bw,
                     fragment: Some(index),
                 });
             }
@@ -334,7 +329,6 @@ mod tests {
             assert!(file.live.contains(&t.source), "source must be live");
             assert!(!file.replicas.contains(&t.dest), "dest must be new");
             assert!(t.cookie.is_some(), "idle fabric must schedule the flow");
-            assert!(t.est_bw > 0.0);
             assert_eq!(t.bytes, file.size);
             // Rack-aware spread: each new replica lands in a rack not
             // already used by the kept + previously chosen set.

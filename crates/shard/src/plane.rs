@@ -166,36 +166,6 @@ impl Shard {
     }
 }
 
-/// Plane-wide telemetry, under the registry scope `shard`.
-pub(crate) struct PlaneMetrics {
-    scope: Scope,
-    stale_epoch: Arc<Counter>,
-    not_owner: Arc<Counter>,
-    pub(crate) migrations: Arc<Counter>,
-    pub(crate) migration_keys: Arc<Counter>,
-    pub(crate) migration_bytes: Arc<Counter>,
-    pub(crate) migration_batches: Arc<Counter>,
-}
-
-impl PlaneMetrics {
-    fn new(scope: Scope) -> PlaneMetrics {
-        PlaneMetrics {
-            stale_epoch: scope.counter("stale_epoch_total"),
-            not_owner: scope.counter("not_owner_total"),
-            migrations: scope.counter("migrations_total"),
-            migration_keys: scope.counter("migration_keys_total"),
-            migration_bytes: scope.counter("migration_bytes_total"),
-            migration_batches: scope.counter("migration_batches_total"),
-            scope,
-        }
-    }
-
-    fn shard_ops(&self, shard: ShardId) -> Arc<Counter> {
-        self.scope
-            .counter_with("ops_total", &[("shard", &shard.0.to_string())])
-    }
-}
-
 pub(crate) struct PlaneState {
     map: ShardMap,
     ring: HashRing,
@@ -211,7 +181,9 @@ pub struct ShardedNameserver {
     dir: PathBuf,
     config: ShardPlaneConfig,
     state: RwLock<PlaneState>,
-    metrics: PlaneMetrics,
+    /// The registry scope `shard`: one `ops_total{shard}` counter per
+    /// shard, the rebalancer's heat signal.
+    metrics: Scope,
     /// Testing-only fault injection for the model checker's
     /// serve-from-old-owner-after-handoff mutant: when set, the plane
     /// skips the epoch and ownership checks and blindly serves from
@@ -244,7 +216,7 @@ impl ShardedNameserver {
         } else {
             ShardMap::initial(config.shards, config.vnodes)
         };
-        let metrics = PlaneMetrics::new(registry.scope("shard"));
+        let metrics = registry.scope("shard");
         let ring = map.ring();
         let plane = ShardedNameserver {
             topo,
@@ -304,7 +276,9 @@ impl ShardedNameserver {
         Ok(Shard {
             backend,
             host: hosts[(id.0 as usize).wrapping_mul(stride) % hosts.len()],
-            ops: self.metrics.shard_ops(id),
+            ops: self
+                .metrics
+                .counter_with("ops_total", &[("shard", &id.0.to_string())]),
         })
     }
 
@@ -406,7 +380,6 @@ impl ShardedNameserver {
         let st = self.state.read().unwrap();
         if !self.serve_stale_after_handoff.load(Ordering::Relaxed) {
             if epoch != st.map.epoch {
-                self.metrics.stale_epoch.inc();
                 return Err(ShardError::StaleMap {
                     current_epoch: st.map.epoch,
                 });
@@ -414,7 +387,6 @@ impl ShardedNameserver {
             for name in std::iter::once(names.0).chain(names.1) {
                 let owner = st.ring.owner(name);
                 if owner != shard {
-                    self.metrics.not_owner.inc();
                     return Err(ShardError::NotOwner { owner });
                 }
             }
@@ -518,11 +490,6 @@ impl ShardedNameserver {
         drop(st);
         self.persist_map()?;
         Ok(out)
-    }
-
-    /// Access to the plane's migration counters.
-    pub(crate) fn metrics(&self) -> &PlaneMetrics {
-        &self.metrics
     }
 }
 

@@ -252,8 +252,6 @@ impl<'a> Handoff<'a> {
         }
         self.cursor = end;
         self.report.batches += 1;
-        let m = self.plane.metrics();
-        m.migration_batches.inc();
         Ok(transfers)
     }
 
@@ -343,10 +341,6 @@ impl<'a> Handoff<'a> {
             }
         }
         self.report.keys_gced = gced;
-        let m = self.plane.metrics();
-        m.migrations.inc();
-        m.migration_keys.add(self.report.keys_copied);
-        m.migration_bytes.add(self.report.bytes_copied);
         Ok(gced)
     }
 

@@ -37,7 +37,6 @@ struct CachedMap {
 /// Router telemetry, shared across all routers of a registry scope.
 struct RouterMetrics {
     refreshes: Arc<Counter>,
-    stale_retries: Arc<Counter>,
     routed_ops: Arc<Counter>,
 }
 
@@ -71,7 +70,6 @@ impl ShardRouter {
             lease: Mutex::new(Duration::from_secs(60)),
             metrics: RouterMetrics {
                 refreshes: scope.counter("map_refreshes_total"),
-                stale_retries: scope.counter("stale_retries_total"),
                 routed_ops: scope.counter("routed_ops_total"),
             },
             trace: Mutex::new(None),
@@ -152,7 +150,6 @@ impl ShardRouter {
             match op(shard, epoch) {
                 Ok(v) => return Ok(v),
                 Err(ShardError::StaleMap { .. } | ShardError::NotOwner { .. }) => {
-                    self.metrics.stale_retries.inc();
                     trace::annotate(
                         &mut span,
                         "stale_retry",

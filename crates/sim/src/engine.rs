@@ -708,11 +708,9 @@ impl<'a> Run<'a> {
 
         // Job-level metrics, fed from sim-time completion records (never
         // wall clock) so a fixed seed renders a byte-identical snapshot.
-        let report = self.report;
         let sim = self.registry.scope("sim");
         let jobs_total = sim.counter("jobs_total");
         let jobs_local = sim.counter("jobs_local_total");
-        let jobs_split = sim.counter("jobs_split_total");
         let duration_us = sim.histogram("job_duration_us");
         for r in &jobs {
             jobs_total.inc();
@@ -721,23 +719,12 @@ impl<'a> Run<'a> {
             } else {
                 duration_us.record_secs(r.duration_secs());
             }
-            if r.subflows >= 2 {
-                jobs_split.inc();
-            }
         }
-        sim.counter("job_retries_total")
-            .add(report.retries.len() as u64);
-        sim.counter("flow_aborts_total")
-            .add(report.aborts.len() as u64);
-        sim.counter("faults_applied_total")
-            .add(report.applied.len() as u64);
-        sim.counter("degraded_selections_total")
-            .add(report.degraded.len() as u64);
 
         ReplayOutput {
             jobs,
             link_bits,
-            fault_report: report,
+            fault_report: self.report,
             registry: self.registry,
         }
     }

@@ -40,15 +40,6 @@ impl FileSizeDist {
         FileSizeDist::Fixed(256.0 * 8e6)
     }
 
-    /// The §3.1 workload description: log-uniform from 100 MB to 10 GB.
-    #[must_use]
-    pub fn section_3_1() -> FileSizeDist {
-        FileSizeDist::LogUniform {
-            lo: 100.0 * 8e6,
-            hi: 10_000.0 * 8e6,
-        }
-    }
-
     /// Draws one file size in bits.
     ///
     /// # Panics

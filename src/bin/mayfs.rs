@@ -181,17 +181,15 @@ struct StatusReport {
 }
 
 /// Offline health probe. A fresh process has no heartbeat stream, so
-/// liveness is judged from durable evidence: a host that holds every
-/// replica assigned to it is **live**, one that lost some of them is
-/// **suspect**, and one whose dataserver answers for none of its
-/// assignments — or that the nameserver's liveness registry marks
-/// down — is **dead**. Under-replication is the same comparison from
+/// liveness is judged from durable evidence only: a host that holds
+/// every replica assigned to it is **live**, one that lost some of
+/// them is **suspect**, and one whose dataserver answers for none of
+/// its assignments is **dead**. Under-replication is the same comparison from
 /// the file's side, ordered most urgent first like the recovery
 /// tracker's backlog.
 fn cmd_status(dir: &Path, args: &Args) -> Result<(), String> {
     let cluster = load_cluster(dir)?;
     let files = cluster.nameserver().list();
-    let down = cluster.nameserver().down_hosts();
 
     let mut hosts = Vec::new();
     for host in cluster.topology().hosts() {
@@ -206,7 +204,7 @@ fn cmd_status(dir: &Path, args: &Args) -> Result<(), String> {
                 }
             }
         }
-        let state = if down.contains(&host) || (assigned > 0 && held == 0) {
+        let state = if assigned > 0 && held == 0 {
             "dead"
         } else if held < assigned {
             "suspect"

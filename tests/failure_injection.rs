@@ -9,7 +9,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use mayflower::flowserver::{Flowserver, FlowserverConfig, Selection};
 use mayflower::fs::nameserver::NameserverConfig;
 use mayflower::fs::{
-    Cluster, ClusterConfig, FallbackSelector, NearestSelector, ReadAssignment, ReplicaSelector,
+    Cluster, ClusterConfig, FallbackSelector, FileMeta, NearestSelector, ReadAssignment,
+    ReplicaSelector,
 };
 use mayflower::net::{HostId, NodeKind, Topology, TreeParams};
 use mayflower::sim::engine::NoHooks;
@@ -52,6 +53,20 @@ fn cluster(dir: &TempDir) -> Cluster {
     .expect("cluster")
 }
 
+/// The first host outside `meta`'s replica set whose rack no replica
+/// occupies: an explicit repair destination.
+fn spare(c: &Cluster, meta: &FileMeta) -> HostId {
+    let topo = c.topology();
+    topo.hosts()
+        .into_iter()
+        .find(|h| {
+            meta.replicas
+                .iter()
+                .all(|r| topo.rack_of(*r) != topo.rack_of(*h))
+        })
+        .expect("a rack with no replica")
+}
+
 #[test]
 fn lose_repair_read_cycle_preserves_data() {
     let dir = TempDir::new("cycle");
@@ -61,8 +76,6 @@ fn lose_repair_read_cycle_preserves_data() {
     let _meta = client.create("cycled").unwrap();
     client.append("cycled", &payload).unwrap();
 
-    let _seed_guard = SeedGuard::new("failure_injection::lose_repair_cycle", 77);
-    let mut rng = SimRng::seed_from(77);
     // Lose and repair each non-primary replica in turn, reading after
     // every step; the replica set churns but the data never does.
     for round in 0..4 {
@@ -72,9 +85,10 @@ fn lose_repair_read_cycle_preserves_data() {
         // Read with a lost replica (failover path).
         let mut reader = c.client(HostId(37));
         assert_eq!(reader.read("cycled").unwrap(), payload, "round {round}");
-        // Repair and read again.
-        let new_hosts = c.repair("cycled", &mut rng).unwrap();
-        assert_eq!(new_hosts.len(), 1, "round {round}");
+        // Repair onto a host outside the replica set, and read again.
+        let dest = spare(&c, &current);
+        let copied = c.repair_to("cycled", current.primary(), dest).unwrap();
+        assert_eq!(copied, payload.len() as u64, "round {round}");
         let mut reader = c.client(HostId(22));
         reader.set_cache_ttl(std::time::Duration::ZERO);
         assert_eq!(reader.read("cycled").unwrap(), payload, "round {round}");
@@ -161,9 +175,8 @@ fn flowserver_steered_reads_survive_replica_loss_and_migration() {
     assert_eq!(reader.read("steered").unwrap(), payload);
 
     // After repair, steered reads use the *new* replica set.
-    let _seed_guard = SeedGuard::new("failure_injection::steered_reads_after_repair", 3);
-    let mut rng = SimRng::seed_from(3);
-    c.repair("steered", &mut rng).unwrap();
+    let dest = spare(&c, &meta);
+    c.repair_to("steered", meta.primary(), dest).unwrap();
     let mut reader = c.client_with_selector(
         HostId(63),
         Box::new(Steered {
@@ -174,6 +187,7 @@ fn flowserver_steered_reads_survive_replica_loss_and_migration() {
     assert_eq!(reader.read("steered").unwrap(), payload);
     let repaired = c.nameserver().lookup("steered").unwrap();
     assert!(!repaired.replicas.contains(&victim));
+    assert!(repaired.replicas.contains(&dest));
 }
 
 #[test]
