@@ -64,9 +64,13 @@ echo "==> rpc envelope + framing: decoder bounds, reply-id check, poisoned conne
 # without debug assertions: a release build is what serves real peers.
 cargo test --release -q -p mayflower-rpc
 
-echo "==> causal tracing: telemetry suite + trace determinism/well-formedness (release)"
+echo "==> causal tracing: telemetry suite + trace determinism/well-formedness + mayfs trace (release)"
 cargo test --release -q -p mayflower-telemetry
 cargo test --release -q --test trace_determinism
+# The built CLI on an init'd cluster: a traced read prints its critical
+# path down to the chunk read; a failed one prints its capture, the
+# failed root marked, and exits non-zero.
+cargo test --release -q --test mayfs_trace
 
 echo "==> simulated fabric: driver, engine and experiment unit suites, engine chaos, figures CLI, net and simnet vs their oracles (release)"
 # No flow, cookie or Flowserver model entry outlives a run (fault-free or
@@ -166,6 +170,34 @@ dead=$(grep -rnowF --include='*.rs' -f <(cut -d' ' -f2 <<<"$defs" | sort -u) \
 if [[ -n "$dead" ]]; then
   echo "$dead" >&2
   echo "pub fn named nowhere but its definition: delete it" >&2
+  exit 1
+fi
+
+echo "==> every registered series has a reader: its name occurs on some line besides its registration"
+# Literal names in non-test `.counter(`, `.counter_with(`, `.gauge(` and
+# `.histogram(` calls (loc.sh's cut). Scoped names carry prefixes, so a
+# fixed-string substring anywhere a reader can live counts. A hit is a
+# series nothing reads: delete it with its field and update sites.
+regs=$(./loc.sh --lines crates/*/src src |
+  awk '{
+         i = index($0, ":"); j = index(substr($0, i + 1), ":")
+         at = substr($0, 1, i + j - 1); rest = substr($0, i + j + 1)
+         while (match(rest, /\.(counter|counter_with|gauge|histogram)\("[A-Za-z0-9_:]+"/)) {
+           name = substr(rest, RSTART, RLENGTH); sub(/^[^"]*"/, "", name); sub(/"$/, "", name)
+           print at " " name
+           rest = substr(rest, RSTART + RLENGTH)
+         }
+       }')
+unread=""
+while read -r at name; do
+  hits=$(grep -rnF --include='*.rs' -- "$name" crates src tests examples benchmark/src | cut -d: -f1,2)
+  if [[ -z "$(grep -vxF -- "$at" <<<"$hits" || true)" ]]; then
+    unread+="$at $name"$'\n'
+  fi
+done <<<"$regs"
+if [[ -n "$unread" ]]; then
+  printf '%s' "$unread" >&2
+  echo "series named nowhere but its registration: delete it" >&2
   exit 1
 fi
 

@@ -36,16 +36,11 @@ struct FlowserverMetrics {
     frozen_flows: Arc<Gauge>,
     /// Background-priority shard-migration selections served.
     migration_selections: Arc<Counter>,
-    /// Joint k-source selections served for degraded coded reads.
-    coded_selections: Arc<Counter>,
     /// Shortest-path cache lookups served from / filled into the memo.
     path_cache_hits: Arc<Counter>,
     path_cache_misses: Arc<Counter>,
-    /// Link-state changes that invalidated the severed-path overlays.
-    path_cache_invalidations: Arc<Counter>,
-    /// Candidate paths fully evaluated vs skipped by the
-    /// branch-and-bound lower-bound prune.
-    candidates_evaluated: Arc<Counter>,
+    /// Candidate paths skipped by the branch-and-bound lower-bound
+    /// prune.
     candidates_pruned: Arc<Counter>,
 }
 
@@ -65,12 +60,8 @@ impl FlowserverMetrics {
             tracked_flows: scope.gauge("tracked_flows"),
             frozen_flows: scope.gauge("frozen_flows"),
             migration_selections: scope.counter("migration_selections_total"),
-            coded_selections: scope.counter("coded_selections_total"),
             path_cache_hits: scope.counter("path_cache_hits_total"),
             path_cache_misses: scope.counter("path_cache_misses_total"),
-            path_cache_invalidations: scope.counter("path_cache_invalidations_total"),
-            candidates_evaluated: scope
-                .counter_with("selection_candidates_total", &[("result", "evaluated")]),
             candidates_pruned: scope
                 .counter_with("selection_candidates_total", &[("result", "pruned")]),
         }
@@ -414,9 +405,7 @@ impl Flowserver {
     /// excluded from path selection; flows already routed over them
     /// are the client's problem (retry → reselect).
     pub fn set_link_state(&mut self, link: LinkId, up: bool) {
-        if self.path_cache.set_link_state(link, up) {
-            self.metrics.path_cache_invalidations.inc();
-        }
+        self.path_cache.set_link_state(link, up);
     }
 
     /// The links currently marked down.
@@ -643,7 +632,6 @@ impl Flowserver {
     ) -> Selection {
         assert!(k >= 1, "need at least one fragment");
         assert!(sources.len() >= k, "need at least k candidate sources");
-        self.metrics.coded_selections.inc();
         let picks = Picks::Exactly(k - usize::from(sources.contains(&client)));
         let shard_bits = size_bits / k as f64;
         self.select("select_coded_read", client, sources, shard_bits, now, picks)
@@ -781,7 +769,6 @@ impl Flowserver {
                     }
                     continue;
                 }
-                self.metrics.candidates_evaluated.inc();
                 // Impacted rows are left in the scratch and
                 // materialized only for a winning candidate.
                 let (est_bw, cost) = flow_cost_into(
@@ -1094,7 +1081,6 @@ mod tests {
         // Untraced selections record nothing (no ambient op).
         fs.select_replica_path(HostId(0), &[HostId(5)], MB256, SimTime::ZERO);
 
-        tracer.set_enabled(true);
         tracer.begin_capture();
         let op = tracer.handle("client").root("read").unwrap();
         let sel = {
@@ -1305,7 +1291,6 @@ mod tests {
             count("flowserver_selections_total{outcome=\"unavailable\"}"),
             1
         );
-        assert_eq!(count("flowserver_coded_selections_total"), 1);
         assert_eq!(count("flowserver_update_freezes_total"), 0);
         let cost = snap.histogram("flowserver_selection_cost_us").unwrap();
         assert_eq!(cost.count, 1, "the bystander's commit only");
@@ -1760,10 +1745,6 @@ mod tests {
             .counter("flowserver_path_cache_misses_total")
             .unwrap_or(0);
         assert!(misses > 0, "first lookups must miss");
-        let evaluated = snap
-            .counter("flowserver_selection_candidates_total{result=\"evaluated\"}")
-            .unwrap_or(0);
-        assert!(evaluated > 0, "candidates were evaluated");
     }
 
     #[test]
@@ -1789,15 +1770,6 @@ mod tests {
             "repeat lookup must not miss"
         );
         assert!(c(&snap, "flowserver_path_cache_hits_total") > 0);
-
-        // Link-state changes count as invalidations; a no-op repeat
-        // does not.
-        let uplink = fs.topology().host_uplink(HostId(1));
-        fs.set_link_state(uplink, false);
-        fs.set_link_state(uplink, false);
-        fs.set_link_state(uplink, true);
-        let snap = registry.snapshot();
-        assert_eq!(c(&snap, "flowserver_path_cache_invalidations_total"), 2);
 
         // A multi-replica selection over a loaded network exercises
         // the prune: once a finite incumbent exists, hopeless

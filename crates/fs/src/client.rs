@@ -22,28 +22,18 @@ use crate::types::{Consistency, FileMeta, Redundancy};
 #[derive(Debug)]
 pub(crate) struct ClientMetrics {
     read_latency_us: Arc<Histogram>,
-    append_latency_us: Arc<Histogram>,
-    read_bytes: Arc<Counter>,
-    append_bytes: Arc<Counter>,
     retries: Arc<Counter>,
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
-    cache_evictions: Arc<Counter>,
-    cache_stale_invalidations: Arc<Counter>,
 }
 
 impl ClientMetrics {
     pub(crate) fn new(scope: &Scope) -> ClientMetrics {
         ClientMetrics {
             read_latency_us: scope.histogram("read_latency_us"),
-            append_latency_us: scope.histogram("append_latency_us"),
-            read_bytes: scope.counter("read_bytes_total"),
-            append_bytes: scope.counter("append_bytes_total"),
             retries: scope.counter("retries_total"),
             cache_hits: scope.counter("cache_hits_total"),
             cache_misses: scope.counter("cache_misses_total"),
-            cache_evictions: scope.counter("cache_evictions_total"),
-            cache_stale_invalidations: scope.counter("cache_stale_invalidations_total"),
         }
     }
 }
@@ -233,7 +223,6 @@ impl Client {
             return;
         };
         self.cache.remove(&victim);
-        self.metrics.cache_evictions.inc();
     }
 
     /// Inserts into the metadata cache, evicting the oldest entry when
@@ -319,7 +308,6 @@ impl Client {
         let mut span = self.trace.span("append");
         trace::annotate(&mut span, "file", name);
         trace::annotate(&mut span, "bytes", data.len().to_string());
-        let started = std::time::Instant::now();
         let out = {
             let _g = span.as_ref().map(trace::ActiveSpan::enter);
             match self.append_attempt(name, data) {
@@ -333,9 +321,6 @@ impl Client {
                 other => other,
             }
         };
-        self.metrics
-            .append_latency_us
-            .record_duration(started.elapsed());
         match &out {
             Ok(size) => trace::annotate(&mut span, "size", size.to_string()),
             Err(_) => trace::mark_error(&mut span),
@@ -344,7 +329,6 @@ impl Client {
     }
 
     fn append_attempt(&mut self, name: &str, data: &[u8]) -> Result<u64, FsError> {
-        self.metrics.append_bytes.add(data.len() as u64);
         let meta = self.meta(name)?;
         let lock = self.coordinator.file_lock(meta.id);
         let _guard = lock.lock();
@@ -515,7 +499,6 @@ impl Client {
         if let Some((cached, _)) = self.cache.get_mut(name) {
             cached.size = size;
         }
-        self.metrics.read_bytes.add(outcome.data.len() as u64);
         Ok(outcome.data)
     }
 
@@ -944,12 +927,7 @@ impl Client {
     /// whether an entry was actually present (callers use this to
     /// decide whether a retry against fresh metadata can help).
     fn invalidate_stale(&mut self, name: &str) -> bool {
-        if self.cache.remove(name).is_some() {
-            self.metrics.cache_stale_invalidations.inc();
-            true
-        } else {
-            false
-        }
+        self.cache.remove(name).is_some()
     }
 
     /// Number of cached metadata entries.
@@ -1104,8 +1082,6 @@ mod tests {
         }
         assert_eq!(client.cached_entries(), 3, "population stays bounded");
         // The oldest inserts (f0, f1) were evicted; the newest remain.
-        let snap = c.registry().snapshot();
-        assert_eq!(snap.counter("fs_client_cache_evictions_total"), Some(2));
         // Re-reading an evicted file's meta is a miss...
         client.meta("f0").unwrap();
         // ...and a cached one is a hit.
@@ -1137,12 +1113,6 @@ mod tests {
         client.append("observed", b"0123456789").unwrap();
         assert_eq!(client.read("observed").unwrap().len(), 10);
         let snap = c.registry().snapshot();
-        assert_eq!(snap.counter("fs_client_append_bytes_total"), Some(10));
-        assert_eq!(snap.counter("fs_client_read_bytes_total"), Some(10));
-        assert_eq!(
-            snap.histogram("fs_client_append_latency_us").unwrap().count,
-            1
-        );
         assert_eq!(
             snap.histogram("fs_client_read_latency_us").unwrap().count,
             1
@@ -1252,12 +1222,6 @@ mod tests {
         // The stale entry is detected, invalidated, and the retry
         // returns the new incarnation's content.
         assert_eq!(a.read("volatile").unwrap(), b"second");
-        let snap = c.registry().snapshot();
-        assert!(
-            snap.counter("fs_client_cache_stale_invalidations_total")
-                .unwrap()
-                >= 1
-        );
 
         // Appends through a stale entry recover the same way.
         b.delete("volatile").unwrap();
@@ -1497,12 +1461,10 @@ mod tests {
         }
 
         let tracer = c.tracer().clone();
-        tracer.set_enabled(true);
         tracer.begin_capture();
         let mut reader = c.client_with_selector(HostId(9), Box::new(Fixed(victim)));
         reader.set_retry_policy(1, std::time::Duration::ZERO);
         assert_eq!(reader.read("traced").unwrap(), b"observable bytes");
-        tracer.set_enabled(false);
 
         let tree = trace::TraceTree::build(tracer.take_capture());
         tree.validate().expect("well-formed failover trace");
@@ -1539,10 +1501,8 @@ mod tests {
         let tracer = c.tracer().clone();
         let mut client = c.client(HostId(0));
         client.create("fanout").unwrap();
-        tracer.set_enabled(true);
         tracer.begin_capture();
         client.append("fanout", b"0123456789").unwrap();
-        tracer.set_enabled(false);
         let tree = trace::TraceTree::build(tracer.take_capture());
         tree.validate().expect("well-formed append trace");
         let names: Vec<(&str, &str)> = tree
@@ -1565,8 +1525,6 @@ mod tests {
             3,
             "every replica write traced"
         );
-        // The flight recorder retained the same spans for post-hoc dumps.
-        assert!(!tracer.dump_flight_recorders().is_empty());
     }
 
     #[test]

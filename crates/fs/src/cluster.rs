@@ -109,20 +109,13 @@ impl Cluster {
         })
     }
 
-    /// The cluster's causal tracer. Disabled by default; enable it
-    /// (and usually [`Tracer::begin_capture`]) to record per-operation
-    /// span trees across clients, dataservers and repair flows.
+    /// The cluster's causal tracer. It records nothing until
+    /// [`Tracer::begin_capture`]; from then until `take_capture` it
+    /// records per-operation span trees across clients, dataservers and
+    /// repair flows.
     #[must_use]
     pub fn tracer(&self) -> &Arc<Tracer> {
         &self.tracer
-    }
-
-    /// Applies a per-request delay to every dataserver: a test hook
-    /// for widening race windows, see [`Dataserver::set_simulated_rtt`].
-    pub fn set_simulated_rtt(&self, rtt: std::time::Duration) {
-        for ds in self.dataservers.values() {
-            ds.set_simulated_rtt(rtt);
-        }
     }
 
     /// The cluster-wide telemetry registry: dataserver chunk IO and

@@ -14,7 +14,6 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 use mayflower_net::HostId;
 use mayflower_telemetry::trace::{self, TraceHandle};
@@ -37,10 +36,6 @@ pub(crate) struct DatapathMetrics {
     pub(crate) inflight_fetches: Arc<Gauge>,
     /// Jobs dispatched per parallel operation (1 = serial path).
     pub(crate) fan_out_width: Arc<Histogram>,
-    /// Straggler penalty per dispatch: time between the first and the
-    /// last job of one fan-out completing. Zero when perfectly
-    /// overlapped, the whole residual latency when one replica lags.
-    pub(crate) pipeline_stall_us: Arc<Histogram>,
 }
 
 impl DatapathMetrics {
@@ -48,7 +43,6 @@ impl DatapathMetrics {
         DatapathMetrics {
             inflight_fetches: scope.gauge("inflight_fetches"),
             fan_out_width: scope.histogram("fan_out_width"),
-            pipeline_stall_us: scope.histogram("pipeline_stall_us"),
         }
     }
 }
@@ -77,33 +71,22 @@ where
     // Work queue popped from the back; jobs are pushed reversed so the
     // lowest index dispatches first.
     let queue: Mutex<Vec<(usize, F)>> = Mutex::new(jobs.into_iter().enumerate().rev().collect());
-    let slots: Vec<Mutex<Option<(T, Instant)>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|s| {
         for _ in 0..workers {
             s.spawn(|| loop {
                 let next = queue.lock().pop();
                 let Some((index, job)) = next else { break };
                 let value = run_one(job, metrics);
-                *slots[index].lock() = Some((value, Instant::now()));
+                *slots[index].lock() = Some(value);
             });
         }
     });
 
-    let mut first_done: Option<Instant> = None;
-    let mut last_done: Option<Instant> = None;
-    let out: Vec<T> = slots
+    slots
         .into_iter()
-        .map(|slot| {
-            let (value, at) = slot.into_inner().expect("every job ran to completion");
-            first_done = Some(first_done.map_or(at, |f| f.min(at)));
-            last_done = Some(last_done.map_or(at, |l| l.max(at)));
-            value
-        })
-        .collect();
-    if let (Some(m), Some(first), Some(last)) = (metrics, first_done, last_done) {
-        m.pipeline_stall_us.record_duration(last - first);
-    }
-    out
+        .map(|slot| slot.into_inner().expect("every job ran to completion"))
+        .collect()
 }
 
 fn run_one<T>(job: impl FnOnce() -> T, metrics: Option<&DatapathMetrics>) -> T {
@@ -326,7 +309,6 @@ mod tests {
         let snap = registry.snapshot();
         let width = snap.histogram("dp_fan_out_width").unwrap();
         assert_eq!((width.count, width.sum), (1, 4));
-        assert_eq!(snap.histogram("dp_pipeline_stall_us").unwrap().count, 1);
         assert_eq!(metrics.inflight_fetches.get(), 0, "gauge drains to zero");
     }
 

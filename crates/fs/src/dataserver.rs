@@ -105,13 +105,6 @@ pub struct Dataserver {
     /// refuse connections. State on disk is untouched, so a restart
     /// recovers everything — a fail-stop crash, not data loss.
     up: AtomicBool,
-    /// Injected per-request service delay in microseconds: simulates
-    /// the network round trip of a data-plane RPC so single-machine
-    /// benchmarks can measure how much of it the parallel pipeline
-    /// overlaps. Zero (the default) adds nothing; the fluid simulator
-    /// and the model checker never set it, so modeled timing stays
-    /// deterministic.
-    rtt_us: AtomicU64,
     /// Chunk-IO telemetry, attached once by the cluster (absent in
     /// bare unit-test deployments).
     metrics: std::sync::OnceLock<DsMetrics>,
@@ -134,27 +127,9 @@ impl Dataserver {
             root: root.to_path_buf(),
             replicas: Mutex::new(HashMap::new()),
             up: AtomicBool::new(true),
-            rtt_us: AtomicU64::new(0),
             metrics: std::sync::OnceLock::new(),
             trace: std::sync::OnceLock::new(),
         })
-    }
-
-    /// Sets a per-request delay applied to data-plane operations
-    /// (reads, appends, fragment IO): a test hook for widening race
-    /// windows (kill a replica mid-fetch). Zero disables it.
-    pub fn set_simulated_rtt(&self, rtt: std::time::Duration) {
-        self.rtt_us.store(
-            rtt.as_micros().min(u128::from(u64::MAX)) as u64,
-            Ordering::Relaxed,
-        );
-    }
-
-    fn simulate_rtt(&self) {
-        let us = self.rtt_us.load(Ordering::Relaxed);
-        if us > 0 {
-            std::thread::sleep(std::time::Duration::from_micros(us));
-        }
     }
 
     /// Attaches chunk-IO telemetry: `appends_total` / `reads_total`,
@@ -485,7 +460,6 @@ impl Dataserver {
     }
 
     fn append_local_inner(&self, id: FileId, data: &[u8]) -> Result<u64, FsError> {
-        self.simulate_rtt();
         let state = self.replica(id)?;
         let held = self.hold(&state)?;
         let size = state.size.load(Ordering::Relaxed); // stored only under `meta`
@@ -548,7 +522,6 @@ impl Dataserver {
     ///
     /// Returns [`FsError::NotFound`] if the replica is absent.
     pub fn read_local(&self, id: FileId, offset: u64, len: u64) -> Result<(Vec<u8>, u64), FsError> {
-        self.simulate_rtt();
         let state = self.replica(id)?;
         // Size the allocation from the replica's actual extent — `len`
         // may reach far past end-of-file.
@@ -578,11 +551,9 @@ impl Dataserver {
     ) -> Result<(usize, u64), FsError> {
         let mut span = self.io_span("chunk_read");
         trace::annotate(&mut span, "offset", offset.to_string());
-        let out = (|| {
-            self.simulate_rtt();
-            let state = self.replica(id)?;
-            self.fill_from_chunks(id, &state, offset, buf)
-        })();
+        let out = self
+            .replica(id)
+            .and_then(|state| self.fill_from_chunks(id, &state, offset, buf));
         match &out {
             Ok((filled, _)) => trace::annotate(&mut span, "bytes", filled.to_string()),
             Err(_) => trace::mark_error(&mut span),
@@ -658,7 +629,6 @@ impl Dataserver {
         payload_len: u64,
         shard: &[u8],
     ) -> Result<(), FsError> {
-        self.simulate_rtt();
         self.ensure_up()?;
         let dir = self.file_dir(id);
         std::fs::create_dir_all(&dir)?;
@@ -757,7 +727,6 @@ impl Dataserver {
         index: usize,
         dst_for: impl FnOnce(usize) -> Option<&'a mut [u8]>,
     ) -> Result<u64, FsError> {
-        self.simulate_rtt();
         self.ensure_up()?;
         let what = || format!("fragment {index} of chunk {chunk} of {id}");
         let corrupt = |why: &str| FsError::CorruptMetadata(format!("{}: {why}", what()));

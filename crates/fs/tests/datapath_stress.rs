@@ -1,14 +1,16 @@
 //! Stress tests for the parallel data-plane pipeline (DESIGN.md §16):
 //! split reads and append fan-out under replica kill/restart cycles,
-//! coded reads racing a dying fragment host, and width-independence —
-//! parallel and serial reads must return identical bytes.
+//! coded reads losing a fragment host they already chose, and
+//! width-independence — parallel and serial reads must return
+//! identical bytes.
 
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use mayflower_fs::{
-    Cluster, ClusterConfig, Consistency, NameserverConfig, Redundancy, SplitSelector,
+    Cluster, ClusterConfig, Consistency, Dataserver, NameserverConfig, NearestSelector,
+    ReadAssignment, Redundancy, ReplicaSelector, SplitSelector,
 };
 use mayflower_net::{HostId, Topology, TreeParams};
 
@@ -51,6 +53,67 @@ fn cluster(dir: &TempDir, consistency: Consistency) -> Cluster {
     .unwrap()
 }
 
+/// The dataserver to crash the next time a read selects it. Shared
+/// between the test, which arms it, and a [`CrashOnSelect`] inside the
+/// client, which fires it.
+#[derive(Clone, Default)]
+struct Kill(Arc<Mutex<Option<Arc<Dataserver>>>>);
+
+impl Kill {
+    fn arm(&self, victim: &Arc<Dataserver>) {
+        *self.0.lock().unwrap() = Some(victim.clone());
+    }
+
+    /// Whether the armed kill has fired.
+    fn landed(&self) -> bool {
+        self.0.lock().unwrap().is_none()
+    }
+
+    fn fire_if(&self, picked: impl Fn(HostId) -> bool) {
+        let mut armed = self.0.lock().unwrap();
+        if armed.as_ref().is_some_and(|ds| picked(ds.host())) {
+            armed.take().unwrap().crash();
+        }
+    }
+}
+
+/// Wraps a selector and crashes the armed victim right after the inner
+/// selector has chosen it and before any fetch starts: the read always
+/// runs into a dead host it planned on, so every run fails over.
+struct CrashOnSelect<S> {
+    inner: S,
+    kill: Kill,
+}
+
+impl<S: ReplicaSelector> ReplicaSelector for CrashOnSelect<S> {
+    fn select_read(
+        &mut self,
+        client: HostId,
+        replicas: &[HostId],
+        size_bytes: u64,
+    ) -> Vec<ReadAssignment> {
+        let picks = self.inner.select_read(client, replicas, size_bytes);
+        self.kill
+            .fire_if(|host| picks.iter().any(|a| a.replica == host && a.bytes > 0));
+        picks
+    }
+
+    fn select_fragments(
+        &mut self,
+        client: HostId,
+        available: &[(usize, HostId)],
+        k: usize,
+    ) -> Vec<usize> {
+        let picks = self.inner.select_fragments(client, available, k);
+        self.kill.fire_if(|host| {
+            available
+                .iter()
+                .any(|(i, h)| *h == host && picks.contains(i))
+        });
+        picks
+    }
+}
+
 /// Deterministic payload bytes.
 fn payload(len: usize) -> Vec<u8> {
     (0..len)
@@ -62,7 +125,14 @@ fn payload(len: usize) -> Vec<u8> {
 fn parallel_split_read_fails_over_when_a_replica_dies_mid_fetch() {
     let dir = TempDir::new("read-kill");
     let c = cluster(&dir, Consistency::Sequential);
-    let mut client = c.client_with_selector(HostId(0), Box::new(SplitSelector::new(3)));
+    let kill = Kill::default();
+    let mut client = c.client_with_selector(
+        HostId(0),
+        Box::new(CrashOnSelect {
+            inner: SplitSelector::new(3),
+            kill: kill.clone(),
+        }),
+    );
     client.set_parallelism(4);
     let data = payload(64 * 5);
     client.create("victim").unwrap();
@@ -70,19 +140,17 @@ fn parallel_split_read_fails_over_when_a_replica_dies_mid_fetch() {
     let meta = client.meta("victim").unwrap();
     let secondary = meta.replicas[1];
 
-    // Stretch the fetch window so the kill lands while pieces are in
-    // flight, then crash a replica from another thread mid-read. The
-    // piece assigned to it must fail over inside the pool.
-    c.set_simulated_rtt(Duration::from_millis(3));
+    // The replica dies after the split has assigned it a piece and
+    // before that piece is fetched: the piece must fail over inside the
+    // pool.
     for round in 0..4 {
-        let ds = c.dataserver(secondary).clone();
-        let killer = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(1));
-            ds.crash();
-        });
+        kill.arm(c.dataserver(secondary));
         let got = client.read("victim").unwrap();
+        assert!(
+            kill.landed(),
+            "round {round}: the split never chose the victim"
+        );
         assert_eq!(got, data, "round {round}: bytes diverged after kill");
-        killer.join().unwrap();
         c.dataserver(secondary).restart();
         let got = client.read("victim").unwrap();
         assert_eq!(got, data, "round {round}: bytes diverged after restart");
@@ -93,25 +161,27 @@ fn parallel_split_read_fails_over_when_a_replica_dies_mid_fetch() {
 fn parallel_strong_read_survives_secondary_kill_cycles() {
     let dir = TempDir::new("strong-kill");
     let c = cluster(&dir, Consistency::Strong);
-    let mut client = c.client_with_selector(HostId(0), Box::new(SplitSelector::new(3)));
+    let kill = Kill::default();
+    let mut client = c.client_with_selector(
+        HostId(0),
+        Box::new(CrashOnSelect {
+            inner: SplitSelector::new(3),
+            kill: kill.clone(),
+        }),
+    );
     client.set_parallelism(8);
     let data = payload(64 * 4 + 17);
     client.create("strong").unwrap();
     client.append("strong", &data).unwrap();
     let meta = client.meta("strong").unwrap();
 
-    // Kill and restart each secondary in turn while split reads are in
-    // flight; the primary-pinned tail piece is untouched and the rest
-    // fail over, so every read sees the full append.
-    c.set_simulated_rtt(Duration::from_millis(2));
-    for victim in meta.replicas[1..].to_vec() {
-        let ds = c.dataserver(victim).clone();
-        let killer = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(1));
-            ds.crash();
-        });
+    // Kill and restart each secondary in turn between the split and
+    // its fetches; the primary-pinned tail piece is untouched and the
+    // rest fail over, so every read sees the full append.
+    for &victim in &meta.replicas[1..] {
+        kill.arm(c.dataserver(victim));
         assert_eq!(client.read("strong").unwrap(), data);
-        killer.join().unwrap();
+        assert!(kill.landed(), "the split never chose replica {victim}");
         c.dataserver(victim).restart();
         assert_eq!(client.read("strong").unwrap(), data);
     }
@@ -187,7 +257,14 @@ fn fan_out_append_fails_whole_when_a_replica_stays_down() {
 fn coded_read_survives_fragment_host_dying_after_selection() {
     let dir = TempDir::new("coded-kill");
     let c = cluster(&dir, Consistency::Sequential);
-    let mut client = c.client(HostId(0));
+    let kill = Kill::default();
+    let mut client = c.client_with_selector(
+        HostId(0),
+        Box::new(CrashOnSelect {
+            inner: NearestSelector::new(c.topology().clone()),
+            kill: kill.clone(),
+        }),
+    );
     client.set_parallelism(4);
     client
         .create_with("coded", Redundancy::Coded { k: 4, m: 2 })
@@ -201,16 +278,11 @@ fn coded_read_survives_fragment_host_dying_after_selection() {
     // already picked it as a preferred source: its fetch fails and the
     // round-based sweep promotes a parity fragment, so the read
     // decodes instead of erroring.
-    c.set_simulated_rtt(Duration::from_millis(2));
     let victim = meta.fragments[1];
-    let ds = c.dataserver(victim).clone();
-    let killer = std::thread::spawn(move || {
-        std::thread::sleep(Duration::from_millis(1));
-        ds.crash();
-    });
+    kill.arm(c.dataserver(victim));
     let got = client.read("coded").unwrap();
+    assert!(kill.landed(), "the selector never chose fragment 1");
     assert_eq!(got, data, "degraded coded read diverged");
-    killer.join().unwrap();
 
     // Still down: every subsequent read promotes deterministically.
     assert_eq!(client.read("coded").unwrap(), data);

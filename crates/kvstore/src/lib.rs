@@ -1,4 +1,8 @@
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 //! A persistent, log-structured key-value store — the reproduction's
 //! stand-in for LevelDB (§3.3.1, §5 of the paper).

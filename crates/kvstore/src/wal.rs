@@ -96,32 +96,28 @@ impl Wal {
         let mut buf = Vec::new();
         self.file.read_to_end(&mut buf)?;
         let mut records = Vec::new();
+        // End of the valid prefix: every frame before it decoded.
         let mut pos = 0usize;
-        let mut valid_end = 0usize;
-        while pos + 8 <= buf.len() {
-            let crc = u32::from_le_bytes(buf[pos..pos + 4].try_into().expect("4 bytes"));
-            let len =
-                u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().expect("4 bytes")) as usize;
-            let start = pos + 8;
-            let end = start.checked_add(len);
-            let Some(end) = end else { break };
-            if end > buf.len() {
+        while let Some((crc, rest)) = buf.get(pos..).and_then(<[u8]>::split_first_chunk) {
+            let Some((len, rest)) = rest.split_first_chunk() else {
+                break; // torn header
+            };
+            let len = u32::from_le_bytes(*len) as usize;
+            let Some(payload) = rest.get(..len) else {
                 break; // torn tail
-            }
-            let payload = &buf[start..end];
-            if crc32(payload) != crc {
+            };
+            if crc32(payload) != u32::from_le_bytes(*crc) {
                 break; // corrupt record
             }
             let Some(record) = decode_payload(payload) else {
                 break;
             };
             records.push(record);
-            pos = end;
-            valid_end = end;
+            pos += 8 + len;
         }
-        if valid_end < buf.len() {
+        if pos < buf.len() {
             // Truncate the torn tail so future appends start clean.
-            self.file.set_len(valid_end as u64)?;
+            self.file.set_len(pos as u64)?;
             self.file.seek(SeekFrom::End(0))?;
         }
         Ok(records)
@@ -169,22 +165,16 @@ fn encode_payload(record: &WalRecord) -> Vec<u8> {
 }
 
 fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
-    if payload.len() < 5 {
-        return None;
-    }
-    let kind = payload[0];
-    let key_len = u32::from_le_bytes(payload[1..5].try_into().ok()?) as usize;
-    let key_end = 5usize.checked_add(key_len)?;
-    if key_end > payload.len() {
-        return None;
-    }
-    let key = payload[5..key_end].to_vec();
+    let (&kind, rest) = payload.split_first()?;
+    let (key_len, rest) = rest.split_first_chunk()?;
+    let (key, value) = rest.split_at_checked(u32::from_le_bytes(*key_len) as usize)?;
+    let key = key.to_vec();
     match kind {
         0 => Some(WalRecord::Put {
             key,
-            value: Bytes::copy_from_slice(&payload[key_end..]),
+            value: Bytes::copy_from_slice(value),
         }),
-        1 if key_end == payload.len() => Some(WalRecord::Delete { key }),
+        1 if value.is_empty() => Some(WalRecord::Delete { key }),
         _ => None,
     }
 }

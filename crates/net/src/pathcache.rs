@@ -24,7 +24,8 @@ use crate::ids::{HostId, LinkId};
 use crate::path::Path;
 use crate::topology::Topology;
 
-/// Hit/miss/invalidation counts, mirrored into telemetry by the owner.
+/// Hit/miss/invalidation counts; the owner mirrors hits and misses
+/// into telemetry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PathCacheStats {
     /// Lookups served from a cached entry.

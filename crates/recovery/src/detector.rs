@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use mayflower_net::HostId;
 use mayflower_simcore::SimTime;
-use mayflower_telemetry::{Counter, Gauge, Scope};
+use mayflower_telemetry::{Counter, Scope};
 use serde::{Deserialize, Serialize};
 
 /// The detector's verdict on one host.
@@ -82,14 +82,12 @@ struct HostRecord {
     state: HealthState,
 }
 
-/// Per-state transition counters and population gauges.
+/// Per-state transition counters.
 #[derive(Debug)]
 struct DetectorMetrics {
     to_live: Arc<Counter>,
     to_suspect: Arc<Counter>,
     to_dead: Arc<Counter>,
-    live_hosts: Arc<Gauge>,
-    dead_hosts: Arc<Gauge>,
 }
 
 impl DetectorMetrics {
@@ -98,8 +96,6 @@ impl DetectorMetrics {
             to_live: scope.counter_with("transitions_total", &[("to", "live")]),
             to_suspect: scope.counter_with("transitions_total", &[("to", "suspect")]),
             to_dead: scope.counter_with("transitions_total", &[("to", "dead")]),
-            live_hosts: scope.gauge("live_hosts"),
-            dead_hosts: scope.gauge("dead_hosts"),
         }
     }
 }
@@ -138,16 +134,11 @@ impl FailureDetector {
         }
     }
 
-    /// Attaches telemetry: `transitions_total{to=…}` counters and
-    /// `live_hosts` / `dead_hosts` gauges. All recorded values derive
-    /// from sim time, keeping snapshots deterministic.
+    /// Attaches telemetry: `transitions_total{to=…}` counters. All
+    /// recorded values derive from sim time, keeping snapshots
+    /// deterministic.
     pub fn attach_metrics(&mut self, scope: &Scope) {
-        let m = DetectorMetrics::new(scope);
-        m.live_hosts
-            .set(self.in_state(HealthState::Live).len() as i64);
-        m.dead_hosts
-            .set(self.in_state(HealthState::Dead).len() as i64);
-        self.metrics = Some(m);
+        self.metrics = Some(DetectorMetrics::new(scope));
     }
 
     /// The timing configuration in effect.
@@ -264,10 +255,6 @@ impl FailureDetector {
             HealthState::Suspect => m.to_suspect.inc(),
             HealthState::Dead => m.to_dead.inc(),
         }
-        m.live_hosts
-            .set(self.in_state(HealthState::Live).len() as i64);
-        m.dead_hosts
-            .set(self.in_state(HealthState::Dead).len() as i64);
     }
 }
 
@@ -340,7 +327,7 @@ mod tests {
     }
 
     #[test]
-    fn metrics_track_populations_and_transitions() {
+    fn metrics_track_transitions() {
         let reg = mayflower_telemetry::Registry::new();
         let mut d = detector(2);
         d.attach_metrics(&reg.scope("recovery").scope("detector"));
@@ -356,8 +343,6 @@ mod tests {
             snap.counter("recovery_detector_transitions_total{to=\"live\"}"),
             Some(1)
         );
-        assert_eq!(snap.gauge("recovery_detector_live_hosts"), Some(2));
-        assert_eq!(snap.gauge("recovery_detector_dead_hosts"), Some(0));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use mayflower_flowserver::Flowserver;
 use mayflower_fs::Cluster;
 use mayflower_net::HostId;
 use mayflower_simcore::SimTime;
-use mayflower_telemetry::{Counter, Gauge, Histogram, Scope};
+use mayflower_telemetry::{Counter, Gauge, Scope};
 use serde::{Deserialize, Serialize};
 
 use crate::planner::RepairTask;
@@ -96,7 +96,6 @@ struct ExecutorMetrics {
     repaired: Arc<Counter>,
     noop: Arc<Counter>,
     failed: Arc<Counter>,
-    repair_bytes: Arc<Histogram>,
 }
 
 impl ExecutorMetrics {
@@ -106,7 +105,6 @@ impl ExecutorMetrics {
             repaired: scope.counter_with("repairs_total", &[("outcome", "repaired")]),
             noop: scope.counter_with("repairs_total", &[("outcome", "noop")]),
             failed: scope.counter_with("repairs_total", &[("outcome", "failed")]),
-            repair_bytes: scope.histogram("repair_bytes"),
         }
     }
 }
@@ -132,9 +130,8 @@ impl RepairExecutor {
         }
     }
 
-    /// Attaches telemetry: the `repair_queue_depth` gauge,
-    /// per-outcome `repairs_total` counters, and the `repair_bytes`
-    /// histogram.
+    /// Attaches telemetry: the `repair_queue_depth` gauge and
+    /// per-outcome `repairs_total` counters.
     pub fn attach_metrics(&mut self, scope: &Scope) {
         let m = ExecutorMetrics::new(scope);
         m.queue_depth.set(self.queue.len() as i64);
@@ -232,7 +229,6 @@ impl RepairExecutor {
                     RepairOutcome::AlreadyHealthy => m.noop.inc(),
                     RepairOutcome::Failed => m.failed.inc(),
                 }
-                m.repair_bytes.record(bytes);
             }
             done.push(CompletedRepair {
                 at: now,
@@ -376,7 +372,6 @@ mod tests {
             Some(1)
         );
         assert_eq!(snap.gauge("recovery_repair_queue_depth"), Some(0));
-        assert_eq!(snap.histogram("recovery_repair_bytes").unwrap().count, 1);
     }
 
     #[test]

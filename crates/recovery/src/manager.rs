@@ -86,13 +86,11 @@ impl RecoveryManager {
     }
 
     /// Attaches all recovery telemetry under `registry`'s `recovery`
-    /// scope: detector transition counters and population gauges
-    /// (`recovery_detector_*`), the under-replication backlog gauge,
-    /// the repair queue depth gauge, and the repair byte histogram.
+    /// scope: detector transition counters (`recovery_detector_*`),
+    /// the repair queue depth gauge and per-outcome repair counters.
     pub fn attach_metrics(&mut self, registry: &Registry) {
         let scope = registry.scope("recovery");
         self.detector.attach_metrics(&scope.scope("detector"));
-        self.tracker.attach_metrics(&scope);
         self.executor.attach_metrics(&scope);
     }
 

@@ -10,11 +10,8 @@
 //! planner drains the files closest to data loss before merely
 //! degraded ones.
 
-use std::sync::Arc;
-
 use mayflower_fs::{FileId, Nameserver};
 use mayflower_net::HostId;
-use mayflower_telemetry::{Gauge, Scope};
 
 use crate::detector::FailureDetector;
 
@@ -65,24 +62,15 @@ impl UnderReplicated {
     }
 }
 
-/// Scans nameserver metadata against detector verdicts and exposes
-/// the under-replicated backlog as a gauge.
+/// Scans nameserver metadata against detector verdicts.
 #[derive(Debug, Default)]
-pub struct ReplicationTracker {
-    under_gauge: Option<Arc<Gauge>>,
-}
+pub struct ReplicationTracker;
 
 impl ReplicationTracker {
-    /// Creates a tracker with no telemetry attached.
+    /// Creates a tracker.
     #[must_use]
     pub fn new() -> ReplicationTracker {
-        ReplicationTracker::default()
-    }
-
-    /// Attaches the `under_replicated_files` gauge, updated on every
-    /// [`scan`](ReplicationTracker::scan).
-    pub fn attach_metrics(&mut self, scope: &Scope) {
-        self.under_gauge = Some(scope.gauge("under_replicated_files"));
+        ReplicationTracker
     }
 
     /// Computes the under-replicated set: every file whose live
@@ -143,9 +131,6 @@ impl ReplicationTracker {
             })
             .collect();
         out.sort_by(|a, b| (a.live.len(), &a.name).cmp(&(b.live.len(), &b.name)));
-        if let Some(g) = &self.under_gauge {
-            g.set(out.len() as i64);
-        }
         out
     }
 }
@@ -280,34 +265,6 @@ mod tests {
         assert_eq!(loss.fragments, meta.fragments);
         let chunk = ns.config().chunk_size;
         assert_eq!(loss.sealed_bytes, (2 * chunk).min(4096));
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn gauge_tracks_backlog() {
-        let dir = temp_dir("gauge");
-        let topo = Arc::new(Topology::three_tier(&TreeParams::paper_testbed()));
-        let ns = Nameserver::open(Arc::clone(&topo), &dir, Default::default()).unwrap();
-        let a = ns.create("files/a").unwrap();
-
-        let reg = mayflower_telemetry::Registry::new();
-        let mut tracker = ReplicationTracker::new();
-        tracker.attach_metrics(&reg.scope("recovery"));
-
-        let mut det = FailureDetector::new(topo.hosts(), DetectorConfig::default());
-        let now = SimTime::from_secs(10.0);
-        for h in topo.hosts() {
-            if h != a.replicas[0] {
-                det.heartbeat(h, now);
-            }
-        }
-        det.tick(now);
-        tracker.scan(&ns, &det);
-        assert_eq!(
-            reg.snapshot().gauge("recovery_under_replicated_files"),
-            Some(1)
-        );
 
         let _ = std::fs::remove_dir_all(&dir);
     }

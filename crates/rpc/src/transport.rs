@@ -26,20 +26,6 @@ pub enum RpcError {
     Remote(String),
 }
 
-impl RpcError {
-    /// A stable, low-cardinality label for the error variant — the
-    /// `kind` label on `rpc_client_errors_total`.
-    #[must_use]
-    pub fn variant_label(&self) -> &'static str {
-        match self {
-            RpcError::Transport(_) => "transport",
-            RpcError::Codec(_) => "codec",
-            RpcError::UnknownMethod(_) => "unknown_method",
-            RpcError::Remote(_) => "remote",
-        }
-    }
-}
-
 impl fmt::Display for RpcError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -144,7 +130,6 @@ fn dispatch(service: &dyn Service, request: &Request) -> Response {
 pub struct Client<T> {
     transport: T,
     next_id: AtomicU64,
-    metrics: Option<mayflower_telemetry::Scope>,
 }
 
 impl<T: Transport> Client<T> {
@@ -154,20 +139,6 @@ impl<T: Transport> Client<T> {
         Client {
             transport,
             next_id: AtomicU64::new(1),
-            metrics: None,
-        }
-    }
-
-    /// Wraps a transport and records per-method call telemetry into
-    /// `scope`: `calls_total`, `call_latency_us`, `bytes_sent_total`,
-    /// `bytes_received_total` (all labeled `method`), and
-    /// `errors_total` labeled `method` and error-variant `kind`.
-    #[must_use]
-    pub fn with_metrics(transport: T, scope: mayflower_telemetry::Scope) -> Client<T> {
-        Client {
-            transport,
-            next_id: AtomicU64::new(1),
-            metrics: Some(scope),
         }
     }
 
@@ -183,10 +154,8 @@ impl<T: Transport> Client<T> {
         method: &str,
         arg: &A,
     ) -> Result<R, RpcError> {
-        self.measured(method, || {
-            let reply = self.exchange(method, serde_json::to_vec(arg)?)?;
-            Ok(serde_json::from_slice(&reply)?)
-        })
+        let reply = self.exchange(method, serde_json::to_vec(arg)?)?;
+        Ok(serde_json::from_slice(&reply)?)
     }
 
     /// Calls `method` with `body` as the request body, verbatim, and
@@ -199,46 +168,12 @@ impl<T: Transport> Client<T> {
     /// Returns transport failures or [`RpcError::Remote`] when the
     /// server reports an application error.
     pub fn call_raw(&self, method: &str, body: Vec<u8>) -> Result<Vec<u8>, RpcError> {
-        self.measured(method, || self.exchange(method, body))
-    }
-
-    /// Runs one call under the per-method call, latency and error
-    /// telemetry, when this client records any.
-    fn measured<R>(
-        &self,
-        method: &str,
-        call: impl FnOnce() -> Result<R, RpcError>,
-    ) -> Result<R, RpcError> {
-        let Some(scope) = &self.metrics else {
-            return call();
-        };
-        let started = std::time::Instant::now();
-        let result = call();
-        scope
-            .counter_with("calls_total", &[("method", method)])
-            .inc();
-        scope
-            .histogram_with("call_latency_us", &[("method", method)])
-            .record_duration(started.elapsed());
-        if let Err(e) = &result {
-            scope
-                .counter_with(
-                    "errors_total",
-                    &[("kind", e.variant_label()), ("method", method)],
-                )
-                .inc();
-        }
-        result
+        self.exchange(method, body)
     }
 
     /// One round trip: `body` out, the matching reply's body back.
     fn exchange(&self, method: &str, body: Vec<u8>) -> Result<Vec<u8>, RpcError> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        if let Some(scope) = &self.metrics {
-            scope
-                .counter_with("bytes_sent_total", &[("method", method)])
-                .add(body.len() as u64);
-        }
         let request = Request {
             id,
             method: method.to_string(),
@@ -247,13 +182,7 @@ impl<T: Transport> Client<T> {
         };
         let response = self.transport.round_trip(request)?;
         check_id(id, response.id)?;
-        let body = response.result.map_err(RpcError::Remote)?;
-        if let Some(scope) = &self.metrics {
-            scope
-                .counter_with("bytes_received_total", &[("method", method)])
-                .add(body.len() as u64);
-        }
-        Ok(body)
+        response.result.map_err(RpcError::Remote)
     }
 }
 
@@ -528,7 +457,6 @@ mod tests {
         let r: Result<i64, _> = client.call("add", &(1i64, 2i64));
         let err = r.unwrap_err();
         assert!(matches!(err, RpcError::Transport(_)), "got {err:?}");
-        assert_eq!(err.variant_label(), "transport");
     }
 
     #[test]
@@ -768,7 +696,6 @@ mod tests {
     #[test]
     fn trace_context_rides_the_envelope_across_tcp() {
         let tracer = mayflower_telemetry::Tracer::new_wall();
-        tracer.set_enabled(true);
         tracer.begin_capture();
         let server =
             TcpServer::bind("127.0.0.1:0", Arc::new(TracedEcho(tracer.handle("server")))).unwrap();
@@ -798,7 +725,6 @@ mod tests {
     #[test]
     fn untraced_calls_carry_no_context() {
         let tracer = mayflower_telemetry::Tracer::new_wall();
-        tracer.set_enabled(true);
         tracer.begin_capture();
         let client = Client::new(InProcTransport::new(Arc::new(TracedEcho(
             tracer.handle("server"),
@@ -808,45 +734,5 @@ mod tests {
         let echoed: Vec<u8> = client.call("echo", &vec![9u8]).unwrap();
         assert_eq!(echoed, vec![9]);
         assert!(tracer.take_capture().is_empty());
-    }
-
-    #[test]
-    fn client_metrics_track_calls_bytes_and_errors() {
-        let registry = mayflower_telemetry::Registry::new();
-        let server = TcpServer::bind("127.0.0.1:0", Arc::new(Arith)).unwrap();
-        let client = Client::with_metrics(
-            TcpTransport::connect(server.local_addr()).unwrap(),
-            registry.scope("rpc_client"),
-        );
-        let sum: i64 = client.call("add", &(2i64, 3i64)).unwrap();
-        assert_eq!(sum, 5);
-        let r: Result<i64, _> = client.call("fail", &());
-        assert!(r.is_err());
-        let snap = registry.snapshot();
-        assert_eq!(
-            snap.counter("rpc_client_calls_total{method=\"add\"}"),
-            Some(1)
-        );
-        assert_eq!(
-            snap.counter("rpc_client_calls_total{method=\"fail\"}"),
-            Some(1)
-        );
-        assert_eq!(
-            snap.counter("rpc_client_errors_total{kind=\"remote\",method=\"fail\"}"),
-            Some(1)
-        );
-        // "add" sent the JSON tuple `[2,3]` and received `5`.
-        assert_eq!(
-            snap.counter("rpc_client_bytes_sent_total{method=\"add\"}"),
-            Some(5)
-        );
-        assert_eq!(
-            snap.counter("rpc_client_bytes_received_total{method=\"add\"}"),
-            Some(1)
-        );
-        let lat = snap
-            .histogram("rpc_client_call_latency_us{method=\"add\"}")
-            .unwrap();
-        assert_eq!(lat.count, 1);
     }
 }

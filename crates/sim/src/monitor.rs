@@ -14,15 +14,7 @@ use mayflower_baselines::LinkLoadView;
 use mayflower_net::{LinkId, NodeKind, Topology};
 use mayflower_simcore::SimTime;
 use mayflower_simnet::FluidNet;
-use mayflower_telemetry::{Counter, Histogram, Scope};
-
-/// Registry-backed counters for the monitor, replacing the ad-hoc
-/// bookkeeping a caller previously had to scrape out of the rate maps.
-#[derive(Debug, Clone)]
-struct MonitorMetrics {
-    samples: Arc<Counter>,
-    link_rate_bps: Arc<Histogram>,
-}
+use mayflower_telemetry::{Counter, Scope};
 
 /// Periodically samples link byte counters and exposes measured rates
 /// as a [`LinkLoadView`] for Sinbad-R.
@@ -32,7 +24,8 @@ pub struct LinkLoadMonitor {
     prev_bits: HashMap<LinkId, f64>,
     rates: HashMap<LinkId, f64>,
     last_sample: SimTime,
-    metrics: Option<MonitorMetrics>,
+    /// Poll cycles taken, once a registry is attached.
+    samples: Option<Arc<Counter>>,
 }
 
 impl LinkLoadMonitor {
@@ -55,19 +48,14 @@ impl LinkLoadMonitor {
             prev_bits: HashMap::new(),
             rates: HashMap::new(),
             last_sample: SimTime::ZERO,
-            metrics: None,
+            samples: None,
         }
     }
 
-    /// Homes the monitor's counters in `scope`: `samples_total` counts
-    /// poll cycles, `link_rate_bps` distributes every measured link
-    /// rate. Both record only sim-derived values, so snapshots stay
-    /// byte-stable under a fixed seed.
+    /// Homes the monitor's `samples_total` counter (poll cycles) in
+    /// `scope`.
     pub fn attach_metrics(&mut self, scope: &Scope) {
-        self.metrics = Some(MonitorMetrics {
-            samples: scope.counter("samples_total"),
-            link_rate_bps: scope.histogram("link_rate_bps"),
-        });
+        self.samples = Some(scope.counter("samples_total"));
     }
 
     /// Takes one sample: reads cumulative counters from the network and
@@ -80,14 +68,11 @@ impl LinkLoadMonitor {
             if dt > 0.0 {
                 let rate = (total - prev).max(0.0) / dt;
                 self.rates.insert(l, rate);
-                if let Some(m) = &self.metrics {
-                    m.link_rate_bps.record(rate as u64);
-                }
             }
             self.prev_bits.insert(l, total);
         }
-        if let Some(m) = &self.metrics {
-            m.samples.inc();
+        if let Some(samples) = &self.samples {
+            samples.inc();
         }
         self.last_sample = now;
     }
@@ -156,7 +141,7 @@ mod tests {
     }
 
     #[test]
-    fn attached_metrics_count_samples_and_rates() {
+    fn attached_metrics_count_samples() {
         let topo = Arc::new(mayflower_net::Topology::three_tier(
             &TreeParams::paper_testbed(),
         ));
@@ -171,10 +156,5 @@ mod tests {
         mon.sample(&net, SimTime::from_secs(2.0));
         let snap = registry.snapshot();
         assert_eq!(snap.counter("sim_monitor_samples_total"), Some(2));
-        let rates = snap.histogram("sim_monitor_link_rate_bps").unwrap();
-        // Two samples over every watched link direction.
-        assert_eq!(rates.count, 2 * mon.watched.len() as u64);
-        // The active uplink measured ~1 Gbps in the first interval.
-        assert!(rates.percentile(100.0) >= 999_000_000);
     }
 }

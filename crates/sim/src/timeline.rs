@@ -396,7 +396,6 @@ fn append_arm(
 pub fn timeline(seed: u64) -> TimelineReport {
     let sc = Scenario::generate(seed);
     let tracer = Tracer::new_manual();
-    tracer.set_enabled(true);
 
     let read_sched = scheduled_read(&tracer, &sc);
     let read_ecmp = ecmp_read(&tracer, &sc);

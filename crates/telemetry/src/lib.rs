@@ -40,8 +40,9 @@
 //! let latency = rpc.histogram("call_latency_us");
 //! calls.inc();
 //! latency.record(420);
-//! let snap = registry.snapshot();
-//! assert!(snap.render_prometheus().contains("rpc_calls_total{method=\"lookup\"} 1"));
+//! let text = registry.snapshot().render_prometheus();
+//! assert!(text.contains("rpc_calls_total{method=\"lookup\"} 1"));
+//! assert!(text.contains("rpc_call_latency_us_count 1"));
 //! ```
 
 pub mod metrics;
@@ -51,8 +52,7 @@ pub mod trace;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, BUCKETS};
 pub use registry::{MetricId, Registry, Scope, Snapshot, SnapshotEntry, SnapshotValue};
 pub use trace::{
-    ActiveSpan, CriticalHop, FlightRecorder, SpanEvent, SpanId, TraceHandle, TraceId, TraceTree,
-    Tracer,
+    ActiveSpan, CriticalHop, SpanEvent, SpanId, TraceHandle, TraceId, TraceTree, Tracer,
 };
 
 /// Converts a non-negative duration in seconds to whole microseconds,

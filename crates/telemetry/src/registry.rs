@@ -163,13 +163,7 @@ impl Registry {
     /// Registers (or fetches) a gauge.
     #[must_use]
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        self.gauge_with(name, &[])
-    }
-
-    /// Registers (or fetches) a labeled gauge.
-    #[must_use]
-    pub fn gauge_with(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        let m = self.entry(MetricId::new(name, labels), || {
+        let m = self.entry(MetricId::new(name, &[]), || {
             Metric::Gauge(Arc::new(Gauge::new()))
         });
         match m {
@@ -181,13 +175,7 @@ impl Registry {
     /// Registers (or fetches) a histogram.
     #[must_use]
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        self.histogram_with(name, &[])
-    }
-
-    /// Registers (or fetches) a labeled histogram.
-    #[must_use]
-    pub fn histogram_with(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
-        let m = self.entry(MetricId::new(name, labels), || {
+        let m = self.entry(MetricId::new(name, &[]), || {
             Metric::Histogram(Arc::new(Histogram::new()))
         });
         match m {
@@ -279,22 +267,10 @@ impl Scope {
         self.registry.gauge(&self.qualify(name))
     }
 
-    /// Registers (or fetches) a labeled gauge under the prefix.
-    #[must_use]
-    pub fn gauge_with(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        self.registry.gauge_with(&self.qualify(name), labels)
-    }
-
     /// Registers (or fetches) a histogram under the prefix.
     #[must_use]
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         self.registry.histogram(&self.qualify(name))
-    }
-
-    /// Registers (or fetches) a labeled histogram under the prefix.
-    #[must_use]
-    pub fn histogram_with(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
-        self.registry.histogram_with(&self.qualify(name), labels)
     }
 }
 

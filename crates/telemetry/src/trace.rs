@@ -5,9 +5,9 @@
 //! A [`Tracer`] allocates trace/span ids and timestamps span events
 //! from either a wall clock (live clusters) or a manually driven
 //! simulation clock (byte-deterministic sim traces). Components hold a
-//! [`TraceHandle`] — their name plus a bounded lock-free
-//! [`FlightRecorder`] ring — and open [`ActiveSpan`]s that record a
-//! [`SpanEvent`] on drop. Causality propagates two ways:
+//! [`TraceHandle`] — the tracer plus their name — and open
+//! [`ActiveSpan`]s that record a [`SpanEvent`] on drop. Causality
+//! propagates two ways:
 //!
 //! * **in-process** through a thread-local ambient context
 //!   ([`current_context`] / [`ActiveSpan::enter`]), which also carries
@@ -18,13 +18,10 @@
 //!   [`ActiveSpan::ctx`] into the request, the server re-enters it
 //!   with [`with_context`].
 //!
-//! The record path is cheap by construction: a disabled tracer costs
-//! one relaxed atomic load per would-be span, and an enabled one costs
-//! a ring push (one `fetch_add` plus one pointer swap) per finished
-//! span — full event collection only happens inside an explicit
-//! [`Tracer::begin_capture`] window. The benchmark's
-//! `bench.trace_overhead_ratio.*` metrics set traced batches against
-//! untraced ones.
+//! There is one switch and one record: spans open only inside a
+//! [`Tracer::begin_capture`] … [`Tracer::take_capture`] window, and
+//! every span finished inside it lands in the capture. Outside a window
+//! a would-be span costs one atomic load and allocates nothing.
 //!
 //! The analyzer ([`TraceTree`]) rebuilds the span forest from events,
 //! checks well-formedness, extracts the **critical path** (from each
@@ -34,7 +31,7 @@
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -88,84 +85,7 @@ impl SpanEvent {
     }
 }
 
-/// A bounded lock-free ring of the most recent [`SpanEvent`]s of one
-/// component — the flight recorder dumped on failure or on demand.
-/// Push is a `fetch_add` on the head plus an `AtomicPtr` swap on the
-/// slot; older events in a contended slot are freed by the pusher.
-#[derive(Debug)]
-pub struct FlightRecorder {
-    slots: Vec<AtomicPtr<SpanEvent>>,
-    head: AtomicUsize,
-    dropped: AtomicU64,
-}
-
-impl FlightRecorder {
-    /// A recorder keeping the last `capacity` events (min 1).
-    #[must_use]
-    pub fn new(capacity: usize) -> FlightRecorder {
-        FlightRecorder {
-            slots: (0..capacity.max(1))
-                .map(|_| AtomicPtr::new(std::ptr::null_mut()))
-                .collect(),
-            head: AtomicUsize::new(0),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    /// Event capacity of the ring.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Events evicted before ever being dumped.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    fn push(&self, event: SpanEvent) {
-        let slot = self.head.fetch_add(1, Ordering::Relaxed) % self.slots.len();
-        let fresh = Box::into_raw(Box::new(event));
-        let old = self.slots[slot].swap(fresh, Ordering::AcqRel);
-        if !old.is_null() {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            // SAFETY: `old` came from `Box::into_raw` in `push` and the
-            // swap transferred exclusive ownership back to us.
-            drop(unsafe { Box::from_raw(old) });
-        }
-    }
-
-    /// Drains the ring, returning the retained events ordered by
-    /// `(trace, start, span)`.
-    pub fn dump(&self) -> Vec<SpanEvent> {
-        let mut out = Vec::new();
-        for slot in &self.slots {
-            let ptr = slot.swap(std::ptr::null_mut(), Ordering::AcqRel);
-            if !ptr.is_null() {
-                // SAFETY: the swap took exclusive ownership of a
-                // pointer produced by `Box::into_raw`.
-                out.push(*unsafe { Box::from_raw(ptr) });
-            }
-        }
-        sort_events(&mut out);
-        out
-    }
-}
-
-impl Drop for FlightRecorder {
-    fn drop(&mut self) {
-        for slot in &self.slots {
-            let ptr = slot.swap(std::ptr::null_mut(), Ordering::AcqRel);
-            if !ptr.is_null() {
-                // SAFETY: exclusive ownership as in `dump`.
-                drop(unsafe { Box::from_raw(ptr) });
-            }
-        }
-    }
-}
-
-/// Orders events deterministically for export and dumps.
+/// Orders events deterministically for export.
 fn sort_events(events: &mut [SpanEvent]) {
     events.sort_by_key(|e| (e.trace, e.start_us, e.span));
 }
@@ -176,22 +96,16 @@ enum TraceClock {
     Manual(AtomicU64),
 }
 
-/// Events each component's flight recorder retains by default.
-pub const DEFAULT_RING_CAPACITY: usize = 256;
-
-/// The tracing root: id allocation, the clock, per-component flight
-/// recorders, and the optional capture sink. Disabled by default —
-/// a disabled tracer never allocates a span.
+/// The tracing root: id allocation, the clock, and the capture sink.
+/// Spans open only inside a capture window; outside one the tracer
+/// never allocates a span.
 #[derive(Debug)]
 pub struct Tracer {
-    enabled: AtomicBool,
     clock: TraceClock,
     next_trace: AtomicU64,
     next_span: AtomicU64,
     capturing: AtomicBool,
     sink: Mutex<Vec<SpanEvent>>,
-    rings: Mutex<BTreeMap<&'static str, Arc<FlightRecorder>>>,
-    ring_capacity: usize,
 }
 
 impl Tracer {
@@ -212,26 +126,17 @@ impl Tracer {
 
     fn with_clock(clock: TraceClock) -> Arc<Tracer> {
         Arc::new(Tracer {
-            enabled: AtomicBool::new(false),
             clock,
             next_trace: AtomicU64::new(1),
             next_span: AtomicU64::new(1),
             capturing: AtomicBool::new(false),
             sink: Mutex::new(Vec::new()),
-            rings: Mutex::new(BTreeMap::new()),
-            ring_capacity: DEFAULT_RING_CAPACITY,
         })
     }
 
-    /// Turns span recording on or off.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether spans are currently recorded.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
+    /// Whether a capture window is open, i.e. whether spans open.
+    fn capturing(&self) -> bool {
+        self.capturing.load(Ordering::Acquire)
     }
 
     /// Advances the manual clock (no-op on a wall-clock tracer).
@@ -252,55 +157,29 @@ impl Tracer {
         }
     }
 
-    /// A handle for `component`, creating its flight recorder on first
-    /// use (all handles of one component share the ring).
+    /// A handle for `component`.
     #[must_use]
     pub fn handle(self: &Arc<Tracer>, component: &'static str) -> TraceHandle {
-        let ring = self
-            .rings
-            .lock()
-            .expect("tracer ring registry poisoned")
-            .entry(component)
-            .or_insert_with(|| Arc::new(FlightRecorder::new(self.ring_capacity)))
-            .clone();
         TraceHandle {
             tracer: self.clone(),
-            ring,
             component,
         }
     }
 
-    /// Starts collecting every finished span (in addition to the
-    /// flight-recorder rings) until [`Tracer::take_capture`].
+    /// Opens the capture window: from now until [`Tracer::take_capture`]
+    /// spans open and every finished one is collected.
     pub fn begin_capture(&self) {
         self.sink.lock().expect("trace sink poisoned").clear();
         self.capturing.store(true, Ordering::Release);
     }
 
-    /// Stops capture and returns the collected events ordered by
-    /// `(trace, start, span)`.
+    /// Closes the capture window and returns the collected events
+    /// ordered by `(trace, start, span)`.
     pub fn take_capture(&self) -> Vec<SpanEvent> {
         self.capturing.store(false, Ordering::Release);
         let mut events = std::mem::take(&mut *self.sink.lock().expect("trace sink poisoned"));
         sort_events(&mut events);
         events
-    }
-
-    /// Drains every component's flight recorder into one ordered dump.
-    pub fn dump_flight_recorders(&self) -> Vec<SpanEvent> {
-        let rings: Vec<Arc<FlightRecorder>> = self
-            .rings
-            .lock()
-            .expect("tracer ring registry poisoned")
-            .values()
-            .cloned()
-            .collect();
-        let mut out = Vec::new();
-        for ring in rings {
-            out.extend(ring.dump());
-        }
-        sort_events(&mut out);
-        out
     }
 
     fn next_trace_id(&self) -> TraceId {
@@ -311,14 +190,10 @@ impl Tracer {
         SpanId(self.next_span.fetch_add(1, Ordering::Relaxed))
     }
 
-    fn finish(&self, ring: &FlightRecorder, event: SpanEvent) {
-        if self.capturing.load(Ordering::Acquire) {
-            self.sink
-                .lock()
-                .expect("trace sink poisoned")
-                .push(event.clone());
+    fn finish(&self, event: SpanEvent) {
+        if self.capturing() {
+            self.sink.lock().expect("trace sink poisoned").push(event);
         }
-        ring.push(event);
     }
 }
 
@@ -355,51 +230,38 @@ impl Drop for EnterGuard {
     }
 }
 
-/// One component's entry point into a [`Tracer`]: its name plus its
-/// flight-recorder ring. Cheap to clone; clones share the ring.
+/// One component's entry point into a [`Tracer`]: the tracer plus the
+/// component's name. Cheap to clone.
 #[derive(Clone, Debug)]
 pub struct TraceHandle {
     tracer: Arc<Tracer>,
-    ring: Arc<FlightRecorder>,
     component: &'static str,
 }
 
 impl TraceHandle {
-    /// Whether the underlying tracer records spans right now.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.tracer.is_enabled()
-    }
-
     /// The underlying tracer.
     #[must_use]
     pub fn tracer(&self) -> &Arc<Tracer> {
         &self.tracer
     }
 
-    /// This component's flight recorder.
-    #[must_use]
-    pub fn ring(&self) -> &Arc<FlightRecorder> {
-        &self.ring
-    }
-
-    /// Opens a new root span (a fresh trace), or `None` when tracing
-    /// is disabled.
+    /// Opens a new root span (a fresh trace), or `None` outside a
+    /// capture.
     #[must_use]
     pub fn root(&self, name: &str) -> Option<ActiveSpan> {
-        if !self.enabled() {
+        if !self.tracer.capturing() {
             return None;
         }
         let trace = self.tracer.next_trace_id();
         Some(self.open(trace, None, name))
     }
 
-    /// Opens a child of the calling thread's ambient span; `None` when
-    /// tracing is disabled or no ambient span exists (spans never
+    /// Opens a child of the calling thread's ambient span; `None`
+    /// outside a capture or when no ambient span exists (spans never
     /// float unparented).
     #[must_use]
     pub fn child(&self, name: &str) -> Option<ActiveSpan> {
-        if !self.enabled() {
+        if !self.tracer.capturing() {
             return None;
         }
         let (trace, parent) = current_context()?;
@@ -412,7 +274,7 @@ impl TraceHandle {
     /// rpc serve).
     #[must_use]
     pub fn span(&self, name: &str) -> Option<ActiveSpan> {
-        if !self.enabled() {
+        if !self.tracer.capturing() {
             return None;
         }
         match current_context() {
@@ -421,20 +283,9 @@ impl TraceHandle {
         }
     }
 
-    /// Opens a child of an explicit `(trace, span)` context — the
-    /// receiving side of envelope propagation.
-    #[must_use]
-    pub fn child_of(&self, ctx: (u64, u64), name: &str) -> Option<ActiveSpan> {
-        if !self.enabled() {
-            return None;
-        }
-        Some(self.open(TraceId(ctx.0), Some(SpanId(ctx.1)), name))
-    }
-
     fn open(&self, trace: TraceId, parent: Option<SpanId>, name: &str) -> ActiveSpan {
         ActiveSpan {
             tracer: self.tracer.clone(),
-            ring: self.ring.clone(),
             component: self.component,
             trace,
             span: self.tracer.next_span_id(),
@@ -451,7 +302,6 @@ impl TraceHandle {
 #[derive(Debug)]
 pub struct ActiveSpan {
     tracer: Arc<Tracer>,
-    ring: Arc<FlightRecorder>,
     component: &'static str,
     trace: TraceId,
     span: SpanId,
@@ -463,8 +313,7 @@ pub struct ActiveSpan {
 }
 
 impl ActiveSpan {
-    /// This span's `(trace, span)` context, for envelope propagation
-    /// or explicit [`TraceHandle::child_of`] parenting.
+    /// This span's `(trace, span)` context, for envelope propagation.
     #[must_use]
     pub fn ctx(&self) -> (u64, u64) {
         (self.trace.0, self.span.0)
@@ -502,7 +351,7 @@ impl Drop for ActiveSpan {
             ok: self.ok,
             annotations: std::mem::take(&mut self.annotations),
         };
-        self.tracer.finish(&self.ring, event);
+        self.tracer.finish(event);
     }
 }
 
@@ -790,23 +639,32 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_tracer_opens_no_spans() {
+    fn no_span_opens_outside_a_capture() {
         let tracer = Tracer::new_wall();
         let handle = tracer.handle("test");
         assert!(handle.root("op").is_none());
-        assert!(handle.child("op").is_none());
-        tracer.set_enabled(true);
-        assert!(handle.root("op").is_some());
+        assert!(handle.span("op").is_none());
+        tracer.begin_capture();
+        let root = handle.root("op").expect("a capture opens spans");
         assert!(
             handle.child("op").is_none(),
             "no ambient context, no orphan child"
+        );
+        let _g = root.enter();
+        let late = handle.child("late").expect("child inside the capture");
+        drop(root);
+        assert_eq!(tracer.take_capture().len(), 1);
+        assert!(handle.child("op").is_none(), "capture closed");
+        drop(late);
+        assert!(
+            tracer.take_capture().is_empty(),
+            "a span finished after the window is not recorded"
         );
     }
 
     #[test]
     fn spans_nest_through_ambient_context_and_capture() {
         let tracer = Tracer::new_manual();
-        tracer.set_enabled(true);
         tracer.begin_capture();
         let handle = tracer.handle("test");
         tracer.set_time_us(10);
@@ -839,7 +697,6 @@ mod tests {
     #[test]
     fn cross_thread_parenting_via_explicit_enter() {
         let tracer = Tracer::new_wall();
-        tracer.set_enabled(true);
         tracer.begin_capture();
         let handle = tracer.handle("test");
         let root = handle.root("op").unwrap();
@@ -865,43 +722,6 @@ mod tests {
         tree.validate().expect("well-formed across threads");
         assert_eq!(tree.events().len(), 5);
         assert_eq!(tree.roots().len(), 1);
-    }
-
-    #[test]
-    fn flight_recorder_bounds_and_dumps() {
-        let ring = FlightRecorder::new(4);
-        let tracer = Tracer::new_manual();
-        tracer.set_enabled(true);
-        let handle = tracer.handle("ringed");
-        for i in 0..10 {
-            tracer.set_time_us(i);
-            drop(handle.root(&format!("op{i}")));
-        }
-        let dump = handle.ring().dump();
-        assert_eq!(dump.len(), DEFAULT_RING_CAPACITY.min(10));
-        assert!(handle.ring().dump().is_empty(), "dump drains");
-        drop(ring);
-    }
-
-    #[test]
-    fn flight_recorder_evicts_oldest() {
-        let ring = FlightRecorder::new(3);
-        for i in 0..5u64 {
-            ring.push(SpanEvent {
-                trace: TraceId(1),
-                span: SpanId(i),
-                parent: None,
-                component: "t",
-                name: "op".into(),
-                start_us: i,
-                end_us: i,
-                ok: true,
-                annotations: Vec::new(),
-            });
-        }
-        assert_eq!(ring.dropped(), 2);
-        let kept: Vec<u64> = ring.dump().iter().map(|e| e.span.0).collect();
-        assert_eq!(kept, vec![2, 3, 4]);
     }
 
     fn demo_events() -> Vec<SpanEvent> {

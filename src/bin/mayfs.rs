@@ -473,9 +473,9 @@ fn cmd_shards(dir: &Path, args: &Args) -> Result<(), String> {
 /// Runs one traced operation against the cluster and prints its causal
 /// span tree (DESIGN.md §17). On success the capture renders as a
 /// critical path (default), byte-deterministic JSON (`--json`), or a
-/// Chrome trace-event file (`--chrome`); on failure the per-component
-/// flight recorders are dumped to stderr so the last spans before the
-/// error survive.
+/// Chrome trace-event file (`--chrome`); on failure the same capture's
+/// critical paths go to stderr, the failed root marked `[error]`, and
+/// the error is returned.
 fn cmd_trace(dir: &Path, args: &Args) -> Result<(), String> {
     use mayflower_telemetry::trace::TraceTree;
 
@@ -487,7 +487,6 @@ fn cmd_trace(dir: &Path, args: &Args) -> Result<(), String> {
     let name = args.positional.get(2).cloned().ok_or("missing <name>")?;
     let cluster = load_cluster(dir)?;
     let tracer = cluster.tracer().clone();
-    tracer.set_enabled(true);
     tracer.begin_capture();
 
     let mut client = cluster.client(HostId(args.flag("client", 0u32)));
@@ -511,46 +510,32 @@ fn cmd_trace(dir: &Path, args: &Args) -> Result<(), String> {
         other => return Err(format!("bad operation {other:?}: want read or append")),
     };
 
-    match outcome {
-        Ok(summary) => {
-            let tree = TraceTree::build(tracer.take_capture());
-            tree.validate()
-                .map_err(|e| format!("malformed trace: {e}"))?;
-            if args.flags.contains_key("json") {
-                print!("{}", tree.render_json());
-            } else if args.flags.contains_key("chrome") {
-                print!("{}", tree.render_chrome());
-            } else {
-                eprintln!("{summary}");
-                println!("{} spans captured; critical path:", tree.events().len());
-                for &root in tree.roots() {
-                    print!("{}", tree.render_critical_path(tree.events()[root].trace));
-                }
-            }
-            Ok(())
+    let tree = TraceTree::build(tracer.take_capture());
+    let critical_paths = || {
+        let mut out = format!("{} spans captured; critical path:\n", tree.events().len());
+        for &root in tree.roots() {
+            out.push_str(&tree.render_critical_path(tree.events()[root].trace));
         }
+        out
+    };
+    let summary = match outcome {
+        Ok(summary) => summary,
         Err(e) => {
-            // The op failed: the capture is abandoned and the bounded
-            // flight recorders show the spans leading up to the error.
-            let dump = tracer.dump_flight_recorders();
-            eprintln!("flight recorder ({} spans):", dump.len());
-            for ev in &dump {
-                eprintln!(
-                    "  {}/{} [{} .. {}]us{}{}",
-                    ev.component,
-                    ev.name,
-                    ev.start_us,
-                    ev.end_us,
-                    if ev.ok { "" } else { " [error]" },
-                    ev.annotations
-                        .iter()
-                        .map(|(k, v)| format!(" {k}={v}"))
-                        .collect::<String>()
-                );
-            }
-            Err(format!("traced {op} failed: {e}"))
+            eprint!("{}", critical_paths());
+            return Err(format!("traced {op} failed: {e}"));
         }
+    };
+    tree.validate()
+        .map_err(|e| format!("malformed trace: {e}"))?;
+    if args.flags.contains_key("json") {
+        print!("{}", tree.render_json());
+    } else if args.flags.contains_key("chrome") {
+        print!("{}", tree.render_chrome());
+    } else {
+        eprintln!("{summary}");
+        print!("{}", critical_paths());
     }
+    Ok(())
 }
 
 /// Hottest shard's file count over the mean.

@@ -32,7 +32,7 @@
 //! | [`shard`] | sharded metadata plane: hash ring, routers, online migration |
 //! | [`sim`] | experiment harness regenerating every paper figure |
 //! | [`simcore`] | deterministic discrete-event kernel |
-//! | [`telemetry`] | metrics registry, causal tracing, flight recorders |
+//! | [`telemetry`] | metrics registry, causal tracing, critical paths |
 //! | [`mcheck`] | schedule-exploration model checker with linearizability oracle |
 //!
 //! # Quickstart

@@ -58,7 +58,6 @@ fn fs_capture_is_well_formed() {
     std::fs::remove_dir_all(&dir).ok();
     let cluster = Cluster::create(&dir, topo.into(), ClusterConfig::default()).unwrap();
     let tracer = cluster.tracer().clone();
-    tracer.set_enabled(true);
     tracer.begin_capture();
 
     let mut client = cluster.client(HostId(0));
