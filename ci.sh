@@ -207,8 +207,8 @@ echo "==> benchmark/ package: builds against the current API, own tests pass (re
 # pipeline runs it.
 cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> no gate rewrote a tracked file"
 # Run on a committed tree: any tracked file that differs from HEAD by

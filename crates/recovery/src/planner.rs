@@ -317,7 +317,7 @@ mod tests {
         let file = under("files/a", 1 << 20, &[0, 5, 10], &dead);
         let tasks = planner.plan(
             &topo,
-            &[file.clone()],
+            std::slice::from_ref(&file),
             &usable(&topo, &dead),
             &mut fsrv,
             SimTime::ZERO,
@@ -414,7 +414,7 @@ mod tests {
         let file = coded_under("files/coded", 4096, 4, &[0, 5, 10, 15, 20, 25], &[0, 2]);
         let tasks = planner.plan(
             &topo,
-            &[file.clone()],
+            std::slice::from_ref(&file),
             &usable(&topo, &dead),
             &mut fsrv,
             SimTime::ZERO,
@@ -474,7 +474,7 @@ mod tests {
         let dead = [dead_replica.0, 5];
         let tasks = planner.plan(
             &topo,
-            &[file.clone()],
+            std::slice::from_ref(&file),
             &usable(&topo, &dead),
             &mut fsrv,
             SimTime::ZERO,

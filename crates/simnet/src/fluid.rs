@@ -65,16 +65,22 @@ impl FlowCompletion {
 /// A fluid-model network simulator.
 ///
 /// Active flows transmit simultaneously at their global max-min fair
-/// share, recomputed on every admission and completion. Time advances
-/// only through [`FluidNet::advance_to`], which steps exactly through
-/// each completion instant so rates are piecewise-constant between
-/// events (the standard fluid approximation for long TCP flows).
+/// share. Every admission, completion, cancellation, reroute and link
+/// flap marks the links it changes, and the next read of the rates
+/// re-solves only the flows those links reach through shared links;
+/// every other rate is still exact (see `refresh_rates`). Time
+/// advances only through [`FluidNet::advance_to`], which steps exactly
+/// through each completion instant so rates are piecewise-constant
+/// between events (the standard fluid approximation for long TCP
+/// flows).
 ///
 /// The simulator also maintains the cumulative per-link and per-flow
-/// byte counters that real OpenFlow switches expose; the `sdn` crate's
-/// stats collector reads them through [`FluidNet::link_bits`] and
-/// [`FluidNet::flow_bits`], never through ground-truth rates — keeping
-/// the Flowserver's information model honest.
+/// byte counters that real OpenFlow switches expose. The Flowserver's
+/// stats poll reads [`FluidNet::flow_bits`] through `sim::driver`'s
+/// `CounterSource`; Sinbad's link-load monitor and the engine's fault
+/// report read [`FluidNet::link_bits`]. None of them reads a
+/// ground-truth rate — keeping the Flowserver's information model
+/// honest.
 #[derive(Debug, Clone)]
 pub struct FluidNet {
     topo: Arc<Topology>,
@@ -87,7 +93,123 @@ pub struct FluidNet {
     /// failed. Downed links contribute zero capacity, so flows routed
     /// across them stall at rate zero until rerouted or the link heals.
     link_up: Vec<bool>,
-    rates_dirty: bool,
+    /// The active flows on each link, and the links changed since the
+    /// last refresh.
+    index: LinkIndex,
+}
+
+/// The link → flows index a [`FluidNet`] keeps across events, the links
+/// touched since its last refresh, and the marks its walk reuses.
+///
+/// Lists name a flow by *slot*, a dense number a routed flow holds
+/// while it is active, so the walk marks flows in a flat buffer rather
+/// than by id. A flow with an empty route holds no slot and is on no
+/// list.
+#[derive(Debug, Clone)]
+struct LinkIndex {
+    /// `on_link[l]`: the slots of the active flows routed over link
+    /// `l`, once per time a route lists `l`, in no particular order.
+    on_link: Vec<Vec<u32>>,
+    /// The links whose flow set or capacity changed since the last
+    /// refresh, each once; a walk appends the links it reaches.
+    touched: Vec<LinkId>,
+    /// `link_seen[l]` iff `l` is in `touched`.
+    link_seen: Vec<bool>,
+    /// The flow holding each slot; a free slot keeps its last flow's.
+    slots: Vec<FlowId>,
+    /// Slots no flow holds.
+    free: Vec<u32>,
+    /// A walk's marks on the slots it has reached; clear between walks.
+    flow_seen: Vec<bool>,
+}
+
+impl LinkIndex {
+    fn new(n_links: usize) -> LinkIndex {
+        LinkIndex {
+            on_link: vec![Vec::new(); n_links],
+            touched: Vec::new(),
+            link_seen: vec![false; n_links],
+            slots: Vec::new(),
+            free: Vec::new(),
+            flow_seen: Vec::new(),
+        }
+    }
+
+    /// Marks a link whose flow set or capacity changed.
+    fn touch(&mut self, link: LinkId) {
+        if !std::mem::replace(&mut self.link_seen[link.index()], true) {
+            self.touched.push(link);
+        }
+    }
+
+    /// Lists flow `id` on every link of `route`, touching each.
+    fn insert(&mut self, id: FlowId, route: &[LinkId]) {
+        if route.is_empty() {
+            return;
+        }
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = id;
+                slot
+            }
+            None => {
+                self.slots.push(id);
+                self.flow_seen.push(false);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        for &l in route {
+            self.on_link[l.index()].push(slot);
+            self.touch(l);
+        }
+    }
+
+    /// Takes flow `id` off every link of `route`, the route it was
+    /// listed under, touching each.
+    fn remove(&mut self, id: FlowId, route: &[LinkId]) {
+        let mut slot = None;
+        for &l in route {
+            let list = &mut self.on_link[l.index()];
+            if let Some(at) = list.iter().position(|&s| self.slots[s as usize] == id) {
+                slot = Some(list.swap_remove(at));
+            }
+            self.touch(l);
+        }
+        self.free.extend(slot);
+    }
+
+    /// The active flows the touched links reach, each once: a flow
+    /// listed on a reached link is reached, and so is every link of its
+    /// route. Leaves no link touched and no mark set.
+    fn reach<'a>(&mut self, flows: &'a BTreeMap<FlowId, FlowState>) -> Vec<&'a FlowState> {
+        let mut reached = Vec::new();
+        let mut next = 0;
+        while let Some(&link) = self.touched.get(next) {
+            next += 1;
+            for &slot in &self.on_link[link.index()] {
+                if std::mem::replace(&mut self.flow_seen[slot as usize], true) {
+                    continue;
+                }
+                let Some(f) = flows.get(&self.slots[slot as usize]) else {
+                    continue;
+                };
+                reached.push(f);
+                for &l in f.path.links() {
+                    if !std::mem::replace(&mut self.link_seen[l.index()], true) {
+                        self.touched.push(l);
+                    }
+                }
+            }
+        }
+        // Every mark was set from the list of a link the walk reached.
+        for link in self.touched.drain(..) {
+            self.link_seen[link.index()] = false;
+            for &slot in &self.on_link[link.index()] {
+                self.flow_seen[slot as usize] = false;
+            }
+        }
+        reached
+    }
 }
 
 impl FluidNet {
@@ -102,7 +224,7 @@ impl FluidNet {
             now: SimTime::ZERO,
             link_bits: vec![0.0; n_links],
             link_up: vec![true; n_links],
-            rates_dirty: false,
+            index: LinkIndex::new(n_links),
         }
     }
 
@@ -120,7 +242,7 @@ impl FluidNet {
     pub fn set_link_up(&mut self, link: LinkId, up: bool) {
         if self.link_up[link.index()] != up {
             self.link_up[link.index()] = up;
-            self.rates_dirty = true;
+            self.index.touch(link);
         }
     }
 
@@ -171,6 +293,14 @@ impl FluidNet {
 
         let id = FlowId(self.next_id);
         self.next_id += 1;
+        self.index.insert(id, path.links());
+        // A flow on no link is on no list, so no refresh reaches it: it
+        // starts at the rate the solver gives an empty route.
+        let rate = if path.links().is_empty() {
+            f64::INFINITY
+        } else {
+            0.0
+        };
         self.flows.insert(
             id,
             FlowState {
@@ -178,12 +308,11 @@ impl FluidNet {
                 path,
                 size_bits,
                 remaining_bits: size_bits,
-                rate: 0.0,
+                rate,
                 started: at,
                 bits_sent: 0.0,
             },
         );
-        self.rates_dirty = true;
         id
     }
 
@@ -204,19 +333,22 @@ impl FluidNet {
             (flow.path.src(), flow.path.dst()),
             "reroute must keep the flow's endpoints"
         );
+        self.index.remove(id, flow.path.links());
+        self.index.insert(id, new_path.links());
+        if new_path.links().is_empty() {
+            // On no list, as in `add_flow`.
+            flow.rate = f64::INFINITY;
+        }
         flow.path = new_path;
-        self.rates_dirty = true;
         true
     }
 
     /// Cancels an active flow, returning its final state, or `None` if
     /// the flow is unknown (already completed or cancelled).
     pub fn remove_flow(&mut self, id: FlowId) -> Option<FlowState> {
-        let state = self.flows.remove(&id);
-        if state.is_some() {
-            self.rates_dirty = true;
-        }
-        state
+        let state = self.flows.remove(&id)?;
+        self.index.remove(id, state.path.links());
+        Some(state)
     }
 
     /// The states of all active flows, in flow-id order.
@@ -319,7 +451,10 @@ impl FluidNet {
                 .map(|f| f.id)
                 .collect();
             for id in done_ids {
-                let f = self.flows.remove(&id).expect("flow present");
+                let Some(f) = self.flows.remove(&id) else {
+                    continue;
+                };
+                self.index.remove(id, f.path.links());
                 completions.push(FlowCompletion {
                     flow: f.id,
                     at: step_to,
@@ -327,7 +462,6 @@ impl FluidNet {
                     size_bits: f.size_bits,
                     path: f.path,
                 });
-                self.rates_dirty = true;
             }
             if self.now >= t && completions.is_empty() && self.flows.is_empty() {
                 break;
@@ -374,27 +508,37 @@ impl FluidNet {
         self.now = to;
     }
 
+    /// Re-solves the flows the links touched since the last refresh
+    /// reach, and leaves every other rate as it is.
+    ///
+    /// That equals a solve of every flow. Every change touches *all*
+    /// links of the flow that changed (admitted, retired, cancelled, or
+    /// rerouted: old route and new) and every link whose capacity
+    /// changed, so each flow whose component of the flow–link graph
+    /// gained, lost or re-capacitated something reaches a touched link
+    /// and is re-solved with its whole component. Any other component is
+    /// as it was when its rates were last solved, and solving a
+    /// component alone repeats its rounds bit for bit
+    /// ([`compute_rates_masked`]).
     fn refresh_rates(&mut self) {
-        if !self.rates_dirty {
+        if self.index.touched.is_empty() {
             return;
         }
-        let routed: Vec<RoutedFlow<'_>> = self
-            .flows
-            .values()
-            .map(|f| RoutedFlow {
-                links: f.path.links(),
+        let (ids, routed): (Vec<FlowId>, Vec<RoutedFlow<'_>>) = self
+            .index
+            .reach(&self.flows)
+            .into_iter()
+            .map(|f| {
+                let links = f.path.links();
+                (f.id, RoutedFlow { links })
             })
-            .collect();
-        let mask = if self.link_up.iter().all(|u| *u) {
-            None
-        } else {
-            Some(self.link_up.as_slice())
-        };
-        let rates = compute_rates_masked(&self.topo, &routed, mask);
-        for (f, r) in self.flows.values_mut().zip(rates) {
-            f.rate = r;
+            .unzip();
+        let rates = compute_rates_masked(&self.topo, &routed, Some(&self.link_up));
+        for (id, rate) in ids.into_iter().zip(rates) {
+            if let Some(f) = self.flows.get_mut(&id) {
+                f.rate = rate;
+            }
         }
-        self.rates_dirty = false;
     }
 }
 
@@ -748,6 +892,33 @@ mod proptests {
                 f.rate
             );
         }
+        index_matches_rescan(net)
+    }
+
+    /// Every link's index entry against a rescan of the active routes,
+    /// as multisets of flow ids; `link_seen` marks exactly the touched
+    /// links, and no walk mark on a flow is left set.
+    fn index_matches_rescan(net: &FluidNet) -> Result<(), String> {
+        let index = &net.index;
+        // Each link's ids come out sorted: the map iterates in id order.
+        let mut rescan = vec![Vec::new(); index.on_link.len()];
+        for f in net.flows.values() {
+            for &l in f.path.links() {
+                rescan[l.index()].push(f.id);
+            }
+        }
+        for (l, (list, want)) in index.on_link.iter().zip(rescan).enumerate() {
+            let mut got: Vec<FlowId> = list.iter().map(|&s| index.slots[s as usize]).collect();
+            got.sort_unstable();
+            prop_assert_eq!(got, want, "link {}", l);
+        }
+        let mut touched: Vec<usize> = index.touched.iter().map(|l| l.index()).collect();
+        touched.sort_unstable();
+        let seen: Vec<usize> = (0..index.link_seen.len())
+            .filter(|&l| index.link_seen[l])
+            .collect();
+        prop_assert_eq!(touched, seen);
+        prop_assert!(!index.flow_seen.contains(&true), "a walk mark left set");
         Ok(())
     }
 
@@ -756,9 +927,9 @@ mod proptests {
         /// A random walk over every state-changing call. After each one
         /// the active flows' rates equal the oracle's to the bit; at
         /// the end every admitted flow that was not removed has
-        /// completed exactly once, in non-decreasing time. It compares
-        /// states only, so it holds for whatever `FluidNet` keeps
-        /// between calls.
+        /// completed exactly once, in non-decreasing time. After every
+        /// call, too, each link's index entry equals a rescan of the
+        /// active routes.
         #[test]
         fn state_walk_matches_the_oracle(
             tree in oracle::trees(),
@@ -782,6 +953,7 @@ mod proptests {
                     (0..=4, _) => {
                         let at = later(frac * 0.01 * f64::from(op));
                         completions.extend(net.advance_to(at));
+                        index_matches_rescan(&net)?;
                         let path = oracle::route(&topo, crowd, raw);
                         expected.push(net.add_flow(path, 1e5 + size * 1e9, at));
                     }
@@ -813,6 +985,7 @@ mod proptests {
                         completions.extend(net.advance_to(later(secs)));
                     }
                 }
+                index_matches_rescan(&net)?;
                 rates_match_oracle(&mut net)?;
             }
             // Heal everything so stalled flows can finish, then drain

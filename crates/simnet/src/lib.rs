@@ -1,14 +1,20 @@
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 //! Fluid (flow-level) network simulator.
 //!
 //! This crate is the reproduction's substitute for the paper's Mininet
 //! testbed (see DESIGN.md §2). It models TCP-like bandwidth sharing at
 //! the *flow* level: at any instant, every active flow transmits at its
-//! **global max-min fair share** of the network, recomputed whenever a
-//! flow starts or finishes. Read completion time — the paper's target
-//! metric — is then the integral of each flow's fair-share rate over
-//! its lifetime.
+//! **global max-min fair share** of the network. A flow starting,
+//! finishing or moving, or a link failing or healing, re-solves the
+//! flows that share links with the change, directly or through other
+//! flows; no other rate can move. Read completion time — the paper's
+//! target metric — is then the integral of each flow's fair-share rate
+//! over its lifetime.
 //!
 //! Two pieces:
 //!

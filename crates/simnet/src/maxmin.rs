@@ -34,12 +34,13 @@ pub struct RoutedFlow<'a> {
 /// All other flows share the surviving capacity max-min fairly as
 /// usual.
 ///
-/// Complexity: `O(links + flow_links + rounds × (loaded_links +
-/// frozen_flows × path_len))`, one link saturated per round: the total
-/// route length `flow_links` builds per-link member lists once, and a
-/// round makes one pass over the links that still carry an unfrozen
-/// flow (a few hundred of the ~2.5k in a 1024-host tree), then visits
-/// only the bottleneck's members.
+/// Complexity: `O(flow_links × log flow_links +
+/// rounds × loaded_links + frozen_flows × path_len)`, one link
+/// saturated per round, and nothing sized to the fabric: setup sorts
+/// the `flow_links` route entries to index only the links the flows
+/// cross, a round compares the cached shares of the links that still
+/// carry an unfrozen flow, and freezing a flow recomputes the share of
+/// each of its links.
 ///
 /// Bit-identity rule: every rate equals, to the bit, what a scan of
 /// *all* links and flows in every round yields (the `oracle` module,
@@ -49,7 +50,17 @@ pub struct RoutedFlow<'a> {
 /// bottleneck is the lowest-index link with the minimum share; one
 /// share for every flow a round freezes, so the order a round visits
 /// them in cannot change a bit; and a frozen flow's share subtracted
-/// from each of its links one flow at a time.
+/// from each of its links one flow at a time. A cached share is the
+/// scan's expression, `(residual / count).max(0.0)`, over the same two
+/// values, recomputed whenever either changes.
+///
+/// Solving a component of the flow–link graph alone repeats, bit for
+/// bit, the rounds a solve of every flow makes in it: a round changes
+/// only its bottleneck's component, and that bottleneck is its
+/// component's minimum share and, among ties, its lowest index, so the
+/// component's rounds pick the same links in the same order either way.
+/// [`crate::FluidNet`] relies on this to re-solve only the components
+/// an event reaches.
 ///
 /// # Panics
 ///
@@ -60,75 +71,89 @@ pub fn compute_rates_masked(
     flows: &[RoutedFlow<'_>],
     link_up: Option<&[bool]>,
 ) -> Vec<f64> {
-    let n_links = topo.links().len();
-    let n_flows = flows.len();
+    let links = topo.links();
     if let Some(mask) = link_up {
-        assert_eq!(mask.len(), n_links, "mask must cover every link");
+        assert_eq!(mask.len(), links.len(), "mask must cover every link");
     }
-    let mut rates = vec![0.0f64; n_flows];
-    if n_flows == 0 {
+    let mut rates = vec![0.0f64; flows.len()];
+    if flows.is_empty() {
         return rates;
     }
-
-    // Residual capacity and unfrozen-flow count per link.
-    let mut residual: Vec<f64> = topo
-        .links()
-        .iter()
-        .enumerate()
-        .map(|(i, l)| match link_up {
-            Some(mask) if !mask[i] => 0.0,
-            _ => l.capacity(),
-        })
-        .collect();
-    let mut count = vec![0u32; n_links];
-    let mut frozen = vec![false; n_flows];
+    let mut frozen = vec![false; flows.len()];
     let mut unfrozen_left = 0usize;
 
+    // Flat routes: flow `i`'s entries are `first[i]..first[i + 1]`, in
+    // route order. A key is an entry's link over its position, so the
+    // sorted keys run link by link, each link's entries in flow order.
+    let mut first = Vec::with_capacity(flows.len() + 1);
+    let mut owner = Vec::new();
+    let mut keys = Vec::new();
     for (i, f) in flows.iter().enumerate() {
+        first.push(owner.len() as u32);
         if f.links.is_empty() {
             rates[i] = f64::INFINITY;
             frozen[i] = true;
-        } else {
-            unfrozen_left += 1;
-            for &l in f.links {
-                count[l.index()] += 1;
-            }
+            continue;
         }
-    }
-
-    // Member lists: link `l`'s flows are `members[start[l]..start[l + 1]]`,
-    // ascending, once per time the route lists `l`. While filling,
-    // `start[l + 1]` is `l`'s cursor and stops where `l + 1` begins.
-    let mut start = vec![0u32; n_links + 1];
-    for l in 1..n_links {
-        start[l + 1] = start[l] + count[l - 1];
-    }
-    let mut members = vec![0u32; count.iter().sum::<u32>() as usize];
-    for (i, f) in flows.iter().enumerate() {
+        unfrozen_left += 1;
         for &l in f.links {
-            let slot = &mut start[l.index() + 1];
-            members[*slot as usize] = i as u32;
-            *slot += 1;
+            keys.push((u64::from(l.0) << 32) | owner.len() as u64);
+            owner.push(i as u32);
         }
     }
+    first.push(owner.len() as u32);
+    keys.sort_unstable();
+
+    // Local links: the distinct links the routes cross, ascending, so
+    // local order is `LinkId` order. `route[e]` is entry `e`'s local
+    // link; link `j`'s flows are `members[start[j]..start[j + 1]]`,
+    // ascending, once per time a route lists `j`.
+    let mut route = vec![0u32; keys.len()];
+    let mut members = Vec::with_capacity(keys.len());
+    let mut start = Vec::new();
+    let mut residual = Vec::new();
+    let mut last = None;
+    for &key in &keys {
+        let (link, entry) = ((key >> 32) as usize, key as u32 as usize);
+        if last != Some(link) {
+            last = Some(link);
+            start.push(members.len() as u32);
+            residual.push(match link_up {
+                Some(mask) if !mask[link] => 0.0,
+                _ => links[link].capacity(),
+            });
+        }
+        route[entry] = (start.len() - 1) as u32;
+        members.push(owner[entry]);
+    }
+    start.push(members.len() as u32);
+
+    // Unfrozen-flow count and fair share per local link; the share is
+    // recomputed whenever the freeze step changes either operand.
+    let mut count: Vec<u32> = start.windows(2).map(|w| w[1] - w[0]).collect();
+    let mut share: Vec<f64> = residual
+        .iter()
+        .zip(&count)
+        .map(|(r, &c)| (r / f64::from(c)).max(0.0))
+        .collect();
 
     // Only a link that still carries an unfrozen flow can saturate
     // next. Ascending; each round's search drops the links the round
     // before emptied, in place.
-    let mut loaded: Vec<usize> = (0..n_links).collect();
+    let mut loaded: Vec<u32> = (0..residual.len() as u32).collect();
 
     while unfrozen_left > 0 {
         // Find the most constrained link.
         let mut best_share = f64::INFINITY;
         let mut best_link = None;
-        loaded.retain(|&l| {
-            if count[l] == 0 {
+        loaded.retain(|&j| {
+            let j = j as usize;
+            if count[j] == 0 {
                 return false;
             }
-            let share = (residual[l] / f64::from(count[l])).max(0.0);
-            if share < best_share {
-                best_share = share;
-                best_link = Some(l);
+            if share[j] < best_share {
+                best_share = share[j];
+                best_link = Some(j);
             }
             true
         });
@@ -149,9 +174,11 @@ pub fn compute_rates_masked(
             rates[i] = best_share;
             frozen[i] = true;
             unfrozen_left -= 1;
-            for &l in flows[i].links {
-                residual[l.index()] = (residual[l.index()] - best_share).max(0.0);
-                count[l.index()] -= 1;
+            for &j in &route[first[i] as usize..first[i + 1] as usize] {
+                let j = j as usize;
+                residual[j] = (residual[j] - best_share).max(0.0);
+                count[j] -= 1;
+                share[j] = (residual[j] / f64::from(count[j])).max(0.0);
             }
         }
     }
