@@ -102,13 +102,6 @@ impl<V: Clone + Eq + std::fmt::Debug> Cluster<V> {
         self.crashed[id.0 as usize] = false;
     }
 
-    /// Withdraws node `at`'s in-flight proposal (after the caller
-    /// surfaced a no-quorum failure). See
-    /// [`Replica::abandon_current`] for the safety caveat.
-    pub fn abandon(&mut self, at: ReplicaId) -> Option<V> {
-        self.replicas[at.0 as usize].abandon_current()
-    }
-
     /// Submits `value` for replication through node `at`.
     pub fn propose(&mut self, at: ReplicaId, value: V) {
         if self.crashed[at.0 as usize] {

@@ -117,17 +117,6 @@ impl<V: Clone + Eq> Replica<V> {
         self.pending.len() + usize::from(self.proposer.is_some())
     }
 
-    /// Withdraws the in-flight proposal, if any, returning its value.
-    ///
-    /// Used by callers that surfaced a timeout/no-quorum error for the
-    /// value and must not leave it queued (Paxos caveat: a withdrawn
-    /// value that already reached phase 2 on some acceptor can still
-    /// be chosen later if a future proposer adopts it — appliers must
-    /// therefore be idempotent, as the replicated nameserver's are).
-    pub fn abandon_current(&mut self) -> Option<V> {
-        self.proposer.take().map(|(_, p)| p.own_value().clone())
-    }
-
     /// Submits a value for replication. Returns the messages to send
     /// (empty if another proposal is already in flight; the value is
     /// queued behind it).

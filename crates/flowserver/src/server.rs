@@ -39,9 +39,6 @@ struct FlowserverMetrics {
     /// Shortest-path cache lookups served from / filled into the memo.
     path_cache_hits: Arc<Counter>,
     path_cache_misses: Arc<Counter>,
-    /// Candidate paths skipped by the branch-and-bound lower-bound
-    /// prune.
-    candidates_pruned: Arc<Counter>,
 }
 
 impl FlowserverMetrics {
@@ -62,8 +59,6 @@ impl FlowserverMetrics {
             migration_selections: scope.counter("migration_selections_total"),
             path_cache_hits: scope.counter("path_cache_hits_total"),
             path_cache_misses: scope.counter("path_cache_misses_total"),
-            candidates_pruned: scope
-                .counter_with("selection_candidates_total", &[("result", "pruned")]),
         }
     }
 
@@ -762,7 +757,6 @@ impl Flowserver {
                 // (even at infinite cost) and commits its impacted
                 // list, so we must evaluate it fully.
                 if best.is_some() && prune_candidate(priority, est_bw, size_bits, best_key) {
-                    self.metrics.candidates_pruned.inc();
                     if self.decision.is_some() {
                         let row = format!("replica={} path={i} bw={est_bw:.3e} pruned", src.0);
                         self.push_decision_row(row, true);
@@ -1748,11 +1742,19 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_metrics_track_cache_and_prune() {
+    fn fast_path_tracks_the_path_cache_and_prunes() {
+        use mayflower_telemetry::trace::{TraceTree, Tracer};
         let registry = mayflower_telemetry::Registry::new();
         let mut fs = server();
         fs.attach_metrics(&registry);
         let c = |snap: &mayflower_telemetry::Snapshot, name: &str| snap.counter(name).unwrap_or(0);
+        // Every selection below leaves a decision record, which counts
+        // the candidates the lower-bound prune skipped.
+        let tracer = Tracer::new_manual();
+        fs.attach_tracer(tracer.handle("flowserver"));
+        tracer.begin_capture();
+        let op = tracer.handle("client").root("read").unwrap();
+        let _g = op.enter();
 
         // Two identical selections: the second is served from the
         // path cache.
@@ -1783,13 +1785,14 @@ mod tests {
             MB256,
             SimTime::ZERO,
         );
-        let snap = registry.snapshot();
-        assert!(
-            c(
-                &snap,
-                "flowserver_selection_candidates_total{result=\"pruned\"}"
-            ) > 0,
-            "loaded candidates must be pruned"
-        );
+        drop(_g);
+        drop(op);
+        let pruned: u64 = TraceTree::build(tracer.take_capture())
+            .events()
+            .iter()
+            .filter_map(|e| e.annotation("pruned"))
+            .map(|n| n.parse::<u64>().unwrap())
+            .sum();
+        assert!(pruned > 0, "loaded candidates must be pruned");
     }
 }

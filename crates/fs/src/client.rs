@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use mayflower_net::HostId;
 use mayflower_telemetry::trace::{self, TraceHandle};
-use mayflower_telemetry::{Counter, Histogram, Scope};
+use mayflower_telemetry::{Counter, Scope};
 
 use crate::cluster::AppendCoordinator;
 use crate::coding::{self, EcMetrics};
@@ -21,7 +21,6 @@ use crate::types::{Consistency, FileMeta, Redundancy};
 /// every client of a cluster aggregates into the same series.
 #[derive(Debug)]
 pub(crate) struct ClientMetrics {
-    read_latency_us: Arc<Histogram>,
     retries: Arc<Counter>,
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
@@ -30,7 +29,6 @@ pub(crate) struct ClientMetrics {
 impl ClientMetrics {
     pub(crate) fn new(scope: &Scope) -> ClientMetrics {
         ClientMetrics {
-            read_latency_us: scope.histogram("read_latency_us"),
             retries: scope.counter("retries_total"),
             cache_hits: scope.counter("cache_hits_total"),
             cache_misses: scope.counter("cache_misses_total"),
@@ -422,7 +420,6 @@ impl Client {
     pub fn read(&mut self, name: &str) -> Result<Vec<u8>, FsError> {
         let mut span = self.trace.span("read");
         trace::annotate(&mut span, "file", name);
-        let started = std::time::Instant::now();
         let out = {
             let _g = span.as_ref().map(trace::ActiveSpan::enter);
             match self.read_attempt(name) {
@@ -436,9 +433,6 @@ impl Client {
                 other => other,
             }
         };
-        self.metrics
-            .read_latency_us
-            .record_duration(started.elapsed());
         match &out {
             Ok(data) => trace::annotate(&mut span, "bytes", data.len().to_string()),
             Err(_) => trace::mark_error(&mut span),
@@ -1113,10 +1107,6 @@ mod tests {
         client.append("observed", b"0123456789").unwrap();
         assert_eq!(client.read("observed").unwrap().len(), 10);
         let snap = c.registry().snapshot();
-        assert_eq!(
-            snap.histogram("fs_client_read_latency_us").unwrap().count,
-            1
-        );
         // The append was relayed to all 3 replicas.
         assert_eq!(snap.counter("fs_dataserver_appends_total"), Some(3));
         assert_eq!(

@@ -17,9 +17,8 @@
 //!   dataserver metadata after an unclean restart. It is also the
 //!   namespace's one rule book: every mutation is an [`NsOp`] that
 //!   [`Nameserver::apply`] validates and makes under one lock hold,
-//!   after [`Nameserver::decide`] has drawn a create's UUID and
-//!   placement. [`replicated`] (the nameserver behind a Paxos log) and
-//!   the shard plane carry ops to it and restate none of its rules.
+//!   after a create's decide step has drawn its UUID and placement.
+//!   The shard plane carries ops to it and restates none of its rules.
 //! * [`Dataserver`] — stores each file as a directory named by its
 //!   UUID containing numbered chunk files plus a metadata file;
 //!   services one append at a time per file; serves concurrent reads.
@@ -67,7 +66,6 @@ pub mod dataserver;
 pub mod error;
 pub mod nameserver;
 pub mod remote;
-pub mod replicated;
 pub mod selector;
 pub mod service;
 pub mod types;

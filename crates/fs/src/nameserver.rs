@@ -38,15 +38,14 @@ impl Default for NameserverConfig {
 }
 
 /// One transition of the namespace: the unit [`Nameserver::apply`]
-/// validates and makes, the value a replicated nameserver sequences
-/// through its log, and what a shard router sends to the shard that
-/// owns the name. An op is fully decided — it carries no randomness and
-/// reads no clock — so applying the same ops in the same order yields
-/// the same namespace anywhere.
+/// validates and makes, and what a shard router sends to the shard
+/// that owns the name. An op is fully decided — it carries no
+/// randomness and reads no clock — so applying the same ops in the same
+/// order yields the same namespace anywhere.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NsOp {
-    /// Create a file with pre-decided metadata (the output of
-    /// [`Nameserver::decide`]). Refused with `AlreadyExists` if the
+    /// Create a file with pre-decided metadata (the output of a
+    /// create's decide step). Refused with `AlreadyExists` if the
     /// name is taken, `InvalidArgument` if it is empty.
     Create(FileMeta),
     /// Store fully decided metadata over the existing entry of the same
@@ -217,7 +216,7 @@ impl Nameserver {
     /// coded file — and returns the metadata an [`NsOp::Create`]
     /// carries. Everything random happens here, once, on the node that
     /// takes the request; [`Nameserver::apply`] is deterministic, so
-    /// every replica of a replicated nameserver stores the same entry.
+    /// the op it feeds stores the same entry wherever it is applied.
     ///
     /// Nothing is stored. A name that [`NsOp::Create`] would refuse is
     /// refused here too, before anything is drawn, so a failed create
@@ -229,7 +228,7 @@ impl Nameserver {
     /// [`FsError::InvalidArgument`] for an empty name, an empty replica
     /// list or a policy the topology cannot host (`k + m` exceeding the
     /// host count).
-    pub fn decide(
+    fn decide(
         &self,
         name: &str,
         redundancy: Redundancy,
@@ -325,8 +324,8 @@ impl Nameserver {
     /// This is the only place the namespace's rules are written. A
     /// refused op (`NotFound`, `AlreadyExists`, `InvalidArgument`)
     /// changes nothing, and the verdict depends on nothing but the op
-    /// and the entries it names — which is what lets a replicated
-    /// nameserver apply the same log on every node.
+    /// and the entries it names — which is what lets a shard router
+    /// carry an op to its owner and get the one nameserver's answer.
     ///
     /// # Errors
     ///

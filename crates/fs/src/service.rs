@@ -3,9 +3,8 @@
 //! A [`Client`](crate::Client) talks to one [`Nameserver`] in the
 //! paper; here the same client may be handed a shard router
 //! (`mayflower-shard`) that spreads the namespace over many
-//! nameservers, plain or Paxos-replicated. [`MetadataService`] is the
-//! seam: exactly the metadata operations the client and the coded seal
-//! path perform.
+//! nameservers. [`MetadataService`] is the seam: exactly the metadata
+//! operations the client and the coded seal path perform.
 //!
 //! What makes a `Client` behave the same over every implementation is
 //! not this trait but that each of them ends in the same
@@ -13,16 +12,15 @@
 //! — and carries [`NsOp`](crate::NsOp)s to it rather than re-deciding
 //! them. That is checked, not assumed: the shard crate's
 //! `tests/conformance.rs` replays one op script against a plain
-//! nameserver, a Paxos group and routers over {1, 4} shards × {plain,
-//! Paxos}, and compares every result and the final listing.
+//! nameserver and routers over 1 and 4 shards, and compares every
+//! result and the final listing.
 
 use crate::error::FsError;
 use crate::nameserver::Nameserver;
 use crate::types::{FileMeta, Redundancy};
 
 /// The metadata operations a filesystem client needs, abstracted over
-/// the plane that serves them (single nameserver, replicated group, or
-/// sharded router).
+/// the plane that serves them (single nameserver or sharded router).
 ///
 /// Implementations must be safe to share across client threads; the
 /// plain [`Nameserver`] already is (interior mutability over its KV

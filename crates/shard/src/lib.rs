@@ -1,26 +1,27 @@
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 //! The sharded metadata plane (DESIGN.md §15): partitioned
 //! nameservers behind a deterministic consistent-hash ring,
 //! lease/epoch-based client routing, and flowserver-scheduled shard
 //! migration.
 //!
-//! Mayflower's nameserver is centralized (§3.1 of the paper); the
-//! Paxos-replicated nameserver fixed fault tolerance but not
-//! throughput. This crate partitions the namespace across many
-//! independent nameserver shards:
+//! Mayflower's nameserver is centralized (§3.1 of the paper). This
+//! crate partitions the namespace across many independent nameserver
+//! shards:
 //!
 //! * [`HashRing`] / [`ShardMap`] — the deterministic routing state:
 //!   virtual-node consistent hashing over file names, versioned by an
 //!   epoch.
-//! * [`ShardedNameserver`] — the plane: one [`Nameserver`]
-//!   (or Paxos-backed `ReplicatedNameserver`) per shard, with every
-//!   client operation fenced by `(epoch, ownership)` checks. The plane
-//!   has no namespace rules of its own: a mutation is an [`NsOp`]
-//!   that `submit_at` hands, once fenced, to the owning shard's
-//!   [`Nameserver::apply`] (through the Paxos log when the shard is
-//!   replicated); `create_with_at` runs that shard's decide step
-//!   first.
+//! * [`ShardedNameserver`] — the plane: one [`Nameserver`] per shard,
+//!   with every client operation fenced by `(epoch, ownership)`
+//!   checks. The plane has no namespace rules of its own: a mutation
+//!   is an [`NsOp`] that `submit_at` hands, once fenced, to the owning
+//!   shard's [`Nameserver::apply`]; `create_with_at` is that shard's
+//!   `create_with`.
 //! * [`ShardRouter`] — the client side: caches the map under a lease,
 //!   implements [`MetadataService`] so a plain
 //!   `Client` works unchanged, builds the op for each call, and rides

@@ -1,12 +1,11 @@
 //! The sharded metadata plane: many independent nameservers, one
 //! epoch-fenced routing contract.
 //!
-//! [`ShardedNameserver`] owns a set of shards (each a plain
-//! [`Nameserver`] or a Paxos-backed [`ReplicatedNameserver`]), the
-//! authoritative [`ShardMap`], and its materialized ring. It decides
-//! *where* an op runs, never *whether* it is allowed: a shard offers
-//! decide, submit, lookup, list and count, and `submit` is the owning
-//! nameserver's [`Nameserver::apply`] on the [`NsOp`] as given. Every
+//! [`ShardedNameserver`] owns a set of shards (each a [`Nameserver`]),
+//! the authoritative [`ShardMap`], and its materialized ring. It
+//! decides *where* an op runs, never *whether* it is allowed: a fenced
+//! op is the owning nameserver's own call, and `submit_at` is its
+//! [`Nameserver::apply`] on the [`NsOp`] as given. Every
 //! client-path operation arrives stamped with the shard the caller
 //! believes owns the key **and** the map epoch that belief came from;
 //! the plane rejects the call with [`ShardError::StaleMap`] or
@@ -20,15 +19,12 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use mayflower_fs::nameserver::NameserverConfig;
-use mayflower_fs::replicated::ReplicatedNameserver;
 use mayflower_fs::{FileMeta, FsError, Nameserver, NsOp, Redundancy};
 use mayflower_net::{HostId, Topology};
 use mayflower_telemetry::{Counter, Scope};
-use parking_lot::Mutex;
-use std::sync::RwLock;
 
 use crate::map::ShardMap;
 use crate::ring::{HashRing, ShardId};
@@ -42,16 +38,9 @@ pub struct ShardPlaneConfig {
     /// proptests pin).
     pub vnodes: u32,
     /// Per-shard nameserver settings (replication, chunk size,
-    /// placement) — every shard places replicas over the same topology.
+    /// placement, and the seed each shard's own is derived from) —
+    /// every shard places replicas over the same topology.
     pub nameserver: NameserverConfig,
-    /// `Some(n)` backs every shard with an `n`-way Paxos-replicated
-    /// nameserver; `None` uses a plain single-node nameserver per
-    /// shard.
-    pub paxos_replicas: Option<usize>,
-    /// Seed for the Paxos message schedules of replicated shards
-    /// (ids and placement come from `nameserver.seed`, whatever the
-    /// backend).
-    pub seed: u64,
 }
 
 impl Default for ShardPlaneConfig {
@@ -60,8 +49,6 @@ impl Default for ShardPlaneConfig {
             shards: 4,
             vnodes: 64,
             nameserver: NameserverConfig::default(),
-            paxos_replicas: None,
-            seed: 1,
         }
     }
 }
@@ -98,80 +85,21 @@ impl std::fmt::Display for ShardError {
 
 impl std::error::Error for ShardError {}
 
-/// One shard's storage: a plain nameserver or a Paxos group.
-enum ShardBackend {
-    Plain(Arc<Nameserver>),
-    /// Proposals always go through node 0 here; the group still
-    /// tolerates minority crashes of its *other* members, and the
-    /// replicated-nameserver tests cover failover separately.
-    Replicated(Box<Mutex<ReplicatedNameserver>>),
-}
-
-/// A shard: its backend, the host it is modeled to run on (the
-/// endpoint migration flows are scheduled against), and its op
-/// counter (the rebalancer's heat signal).
-pub(crate) struct Shard {
-    backend: ShardBackend,
+/// A shard: its nameserver, the host it is modeled to run on (the
+/// endpoint migration flows are scheduled against), and its op counter
+/// (the rebalancer's heat signal).
+struct Shard {
+    ns: Nameserver,
     host: HostId,
     ops: Arc<Counter>,
-}
-
-impl Shard {
-    /// The decide step of a create (see [`Nameserver::decide`]).
-    pub(crate) fn decide(&self, name: &str, r: Redundancy) -> Result<FileMeta, FsError> {
-        match &self.backend {
-            ShardBackend::Plain(ns) => ns.decide(name, r, None),
-            ShardBackend::Replicated(rns) => rns.lock().decide(0, name, r),
-        }
-    }
-
-    /// Validates and applies one namespace op on this shard's state
-    /// machine (see [`Nameserver::apply`]).
-    pub(crate) fn submit(&self, op: &NsOp) -> Result<Option<FileMeta>, FsError> {
-        match &self.backend {
-            ShardBackend::Plain(ns) => ns.apply(op),
-            ShardBackend::Replicated(rns) => rns.lock().submit(0, op),
-        }
-    }
-
-    pub(crate) fn lookup(&self, name: &str) -> Result<FileMeta, FsError> {
-        match &self.backend {
-            ShardBackend::Plain(ns) => ns.lookup(name),
-            ShardBackend::Replicated(rns) => rns.lock().lookup_at(0, name),
-        }
-    }
-
-    pub(crate) fn list(&self) -> Vec<FileMeta> {
-        match &self.backend {
-            ShardBackend::Plain(ns) => ns.list(),
-            ShardBackend::Replicated(rns) => rns.lock().list_at(0),
-        }
-    }
-
-    pub(crate) fn file_count(&self) -> usize {
-        match &self.backend {
-            ShardBackend::Plain(ns) => ns.file_count(),
-            ShardBackend::Replicated(rns) => rns.lock().file_count_at(0),
-        }
-    }
-
-    /// The host this shard runs on.
-    pub(crate) fn host(&self) -> HostId {
-        self.host
-    }
-
-    /// Operations served so far (the rebalancer's heat signal).
-    pub(crate) fn ops_served(&self) -> u64 {
-        self.ops.get()
-    }
 }
 
 pub(crate) struct PlaneState {
     map: ShardMap,
     ring: HashRing,
-    /// Every shard with a live backend. A superset of `map.shards`
-    /// during migration: the destination's backend exists (and is
-    /// receiving copied keys) before the flip makes it ring-visible.
+    /// Every shard with a nameserver. A superset of `map.shards` during
+    /// migration: the destination's nameserver exists (and is receiving
+    /// copied keys) before the flip makes it ring-visible.
     shards: BTreeMap<ShardId, Shard>,
 }
 
@@ -199,8 +127,10 @@ impl ShardedNameserver {
     ///
     /// # Errors
     ///
-    /// Returns an error if directories cannot be created or an existing
-    /// map fails to parse.
+    /// Returns an error if directories cannot be created, or
+    /// [`FsError::CorruptMetadata`] if an existing map fails to parse
+    /// or describes no ring (no shards, ids not strictly ascending, or
+    /// a vnode count out of range).
     pub fn open(
         dir: &Path,
         topo: Arc<Topology>,
@@ -210,39 +140,46 @@ impl ShardedNameserver {
         std::fs::create_dir_all(dir).map_err(FsError::Io)?;
         let map_path = dir.join("shardmap.json");
         let map = if map_path.exists() {
-            let body = std::fs::read_to_string(&map_path).map_err(FsError::Io)?;
-            serde_json::from_str::<ShardMap>(&body)
-                .map_err(|e| FsError::CorruptMetadata(format!("shardmap.json: {e}")))?
+            ShardMap::decode(&std::fs::read(&map_path).map_err(FsError::Io)?)?
         } else {
             ShardMap::initial(config.shards, config.vnodes)
         };
-        let metrics = registry.scope("shard");
-        let ring = map.ring();
+        let ids = map.shards.clone();
         let plane = ShardedNameserver {
             topo,
             dir: dir.to_path_buf(),
             state: RwLock::new(PlaneState {
-                ring,
+                ring: map.ring(),
                 shards: BTreeMap::new(),
                 map,
             }),
-            metrics,
+            metrics: registry.scope("shard"),
             config,
             serve_stale_after_handoff: AtomicBool::new(false),
         };
-        {
-            let ids = plane.state.read().unwrap().map.shards.clone();
-            let mut st = plane.state.write().unwrap();
-            for id in ids {
-                let shard = plane.build_shard(id)?;
-                st.shards.insert(id, shard);
-            }
+        for id in ids {
+            let shard = plane.build_shard(id)?;
+            plane.write().shards.insert(id, shard);
         }
         plane.persist_map()?;
         Ok(plane)
     }
 
-    /// Builds one shard's backend at `dir/shard-<id>`.
+    /// The plane state, shared. Every write to it is one assignment or
+    /// insert made after everything that can fail (`install_map` builds
+    /// the ring before it touches `map`), so a panic while the lock was
+    /// held leaves nothing half-written: a poisoned lock's state is
+    /// used as it stands, as the vendored `parking_lot::Mutex` does.
+    fn read(&self) -> RwLockReadGuard<'_, PlaneState> {
+        self.state.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The plane state, exclusive (see [`ShardedNameserver::read`]).
+    fn write(&self) -> RwLockWriteGuard<'_, PlaneState> {
+        self.state.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Opens one shard's nameserver at `dir/shard-<id>`.
     fn build_shard(&self, id: ShardId) -> Result<Shard, FsError> {
         let shard_dir = self.dir.join(format!("shard-{}", id.0));
         // Every shard must draw a distinct randomness stream: shards
@@ -250,23 +187,7 @@ impl ShardedNameserver {
         // identically would mint colliding file ids.
         let mut ns_config = self.config.nameserver.clone();
         ns_config.seed ^= 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(u64::from(id.0) + 1);
-        let backend = match self.config.paxos_replicas {
-            None => ShardBackend::Plain(Arc::new(Nameserver::open(
-                self.topo.clone(),
-                &shard_dir,
-                ns_config,
-            )?)),
-            Some(n) => {
-                std::fs::create_dir_all(&shard_dir).map_err(FsError::Io)?;
-                ShardBackend::Replicated(Box::new(Mutex::new(ReplicatedNameserver::open(
-                    self.topo.clone(),
-                    &shard_dir,
-                    n,
-                    ns_config,
-                    self.config.seed ^ u64::from(id.0),
-                )?)))
-            }
-        };
+        let ns = Nameserver::open(self.topo.clone(), &shard_dir, ns_config)?;
         let hosts = self.topo.hosts();
         // Stride adjacent shard ids apart so co-resident shards (and
         // the migration traffic between them) do not share a rack
@@ -274,7 +195,7 @@ impl ShardedNameserver {
         // host counts of the tree topologies.
         let stride = (hosts.len() / 4).max(1) | 1;
         Ok(Shard {
-            backend,
+            ns,
             host: hosts[(id.0 as usize).wrapping_mul(stride) % hosts.len()],
             ops: self
                 .metrics
@@ -285,7 +206,7 @@ impl ShardedNameserver {
     /// Writes the current map to `shardmap.json` (atomic rename).
     fn persist_map(&self) -> Result<(), FsError> {
         let body = {
-            let st = self.state.read().unwrap();
+            let st = self.read();
             serde_json::to_string_pretty(&st.map)
                 .map_err(|e| FsError::CorruptMetadata(e.to_string()))?
         };
@@ -298,13 +219,13 @@ impl ShardedNameserver {
     /// The current shard map — what routers cache under their lease.
     #[must_use]
     pub fn shard_map(&self) -> ShardMap {
-        self.state.read().unwrap().map.clone()
+        self.read().map.clone()
     }
 
     /// The current map epoch.
     #[must_use]
     pub fn epoch(&self) -> u64 {
-        self.state.read().unwrap().map.epoch
+        self.read().map.epoch
     }
 
     /// The topology every shard places replicas over.
@@ -316,20 +237,20 @@ impl ShardedNameserver {
     /// The host a shard is modeled to run on (`None` for unknown ids).
     #[must_use]
     pub fn shard_host(&self, id: ShardId) -> Option<HostId> {
-        self.state.read().unwrap().shards.get(&id).map(Shard::host)
+        self.read().shards.get(&id).map(|s| s.host)
     }
 
     /// Per-shard `(id, files, ops served)` in id order — the input to
     /// the rebalancer's heat scan and to `mayfs shards`.
     #[must_use]
     pub fn shard_stats(&self) -> Vec<(ShardId, usize, u64)> {
-        let st = self.state.read().unwrap();
+        let st = self.read();
         st.map
             .shards
             .iter()
             .map(|id| {
                 let s = &st.shards[id];
-                (*id, s.file_count(), s.ops_served())
+                (*id, s.ns.file_count(), s.ops.get())
             })
             .collect()
     }
@@ -337,12 +258,12 @@ impl ShardedNameserver {
     /// Every file across every ring-member shard, name-sorted.
     #[must_use]
     pub fn list(&self) -> Vec<FileMeta> {
-        let st = self.state.read().unwrap();
+        let st = self.read();
         let mut all: Vec<FileMeta> = st
             .map
             .shards
             .iter()
-            .flat_map(|id| st.shards[id].list())
+            .flat_map(|id| st.shards[id].ns.list())
             .collect();
         all.sort_by(|a, b| a.name.cmp(&b.name));
         all
@@ -351,11 +272,11 @@ impl ShardedNameserver {
     /// Total files across ring-member shards.
     #[must_use]
     pub fn file_count(&self) -> usize {
-        let st = self.state.read().unwrap();
+        let st = self.read();
         st.map
             .shards
             .iter()
-            .map(|id| st.shards[id].file_count())
+            .map(|id| st.shards[id].ns.file_count())
             .sum()
     }
 
@@ -367,17 +288,17 @@ impl ShardedNameserver {
         self.serve_stale_after_handoff.store(on, Ordering::Relaxed);
     }
 
-    /// Runs one fenced operation against `shard`: verifies the caller's
-    /// epoch and the shard's ownership of every name in `names` under
-    /// the read lock, then executes.
+    /// Runs one fenced operation against `shard`'s nameserver: verifies
+    /// the caller's epoch and the shard's ownership of every name in
+    /// `names` under the read lock, then executes.
     fn fenced<T>(
         &self,
         shard: ShardId,
         epoch: u64,
         names: (&str, Option<&str>),
-        op: impl FnOnce(&Shard) -> Result<T, FsError>,
+        op: impl FnOnce(&Nameserver) -> Result<T, FsError>,
     ) -> Result<T, ShardError> {
-        let st = self.state.read().unwrap();
+        let st = self.read();
         if !self.serve_stale_after_handoff.load(Ordering::Relaxed) {
             if epoch != st.map.epoch {
                 return Err(ShardError::StaleMap {
@@ -397,11 +318,11 @@ impl ShardedNameserver {
             });
         };
         s.ops.inc();
-        op(s).map_err(ShardError::Fs)
+        op(&s.ns).map_err(ShardError::Fs)
     }
 
-    /// Fenced create (see [`Nameserver::create_with`]): the owning
-    /// shard decides the UUID and placement, then applies the
+    /// Fenced create: the owning shard's [`Nameserver::create_with`],
+    /// which decides the UUID and placement, then applies the
     /// [`NsOp::Create`].
     ///
     /// # Errors
@@ -415,10 +336,8 @@ impl ShardedNameserver {
         name: &str,
         redundancy: Redundancy,
     ) -> Result<FileMeta, ShardError> {
-        self.fenced(shard, epoch, (name, None), |s| {
-            let meta = s.decide(name, redundancy)?;
-            s.submit(&NsOp::Create(meta.clone()))?;
-            Ok(meta)
+        self.fenced(shard, epoch, (name, None), |ns| {
+            ns.create_with(name, redundancy)
         })
     }
 
@@ -435,7 +354,7 @@ impl ShardedNameserver {
         epoch: u64,
         op: &NsOp,
     ) -> Result<Option<FileMeta>, ShardError> {
-        self.fenced(shard, epoch, op.names(), |s| s.submit(op))
+        self.fenced(shard, epoch, op.names(), |ns| ns.apply(op))
     }
 
     /// Fenced lookup.
@@ -449,26 +368,24 @@ impl ShardedNameserver {
         epoch: u64,
         name: &str,
     ) -> Result<FileMeta, ShardError> {
-        self.fenced(shard, epoch, (name, None), |s| s.lookup(name))
+        self.fenced(shard, epoch, (name, None), |ns| ns.lookup(name))
     }
 
     // ---- migration internals (used by crate::rebalance) ----
 
-    /// Creates the backend for a ring-joining shard so migration can
+    /// Opens the nameserver of a ring-joining shard so migration can
     /// stream keys into it before the flip makes it ring-visible.
-    pub(crate) fn add_shard_backend(&self, id: ShardId) -> Result<(), FsError> {
+    pub(crate) fn add_shard(&self, id: ShardId) -> Result<(), FsError> {
         let shard = self.build_shard(id)?;
-        let mut st = self.state.write().unwrap();
-        st.shards.entry(id).or_insert(shard);
+        self.write().shards.entry(id).or_insert(shard);
         Ok(())
     }
 
-    /// Runs `f` with read access to a shard's storage, bypassing the
-    /// fences — migration's bulk copy reads the source while clients
-    /// keep mutating it; the flip reconciles the delta.
-    pub(crate) fn with_shard<T>(&self, id: ShardId, f: impl FnOnce(&Shard) -> T) -> Option<T> {
-        let st = self.state.read().unwrap();
-        st.shards.get(&id).map(f)
+    /// Runs `f` on a shard's nameserver, bypassing the fences —
+    /// migration's bulk copy reads the source while clients keep
+    /// mutating it; the flip reconciles the delta.
+    pub(crate) fn with_shard<T>(&self, id: ShardId, f: impl FnOnce(&Nameserver) -> T) -> Option<T> {
+        self.read().shard(id).map(f)
     }
 
     /// Atomically installs a new map (and its ring) while reconciling
@@ -482,11 +399,12 @@ impl ShardedNameserver {
         new_map: &ShardMap,
         reconcile: impl FnOnce(&PlaneState) -> Result<T, FsError>,
     ) -> Result<T, FsError> {
-        let mut st = self.state.write().unwrap();
+        let ring = new_map.ring();
+        let mut st = self.write();
         debug_assert!(new_map.epoch > st.map.epoch, "epochs advance monotonically");
         let out = reconcile(&st)?;
         st.map = new_map.clone();
-        st.ring = new_map.ring();
+        st.ring = ring;
         drop(st);
         self.persist_map()?;
         Ok(out)
@@ -494,15 +412,16 @@ impl ShardedNameserver {
 }
 
 impl PlaneState {
-    /// A shard's storage by id (ring member or migration destination).
-    pub(crate) fn shard(&self, id: ShardId) -> Option<&Shard> {
-        self.shards.get(&id)
+    /// A shard's nameserver by id (ring member or migration
+    /// destination).
+    pub(crate) fn shard(&self, id: ShardId) -> Option<&Nameserver> {
+        self.shards.get(&id).map(|s| &s.ns)
     }
 }
 
 impl std::fmt::Debug for ShardedNameserver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.state.read().unwrap();
+        let st = self.read();
         f.debug_struct("ShardedNameserver")
             .field("epoch", &st.map.epoch)
             .field("shards", &st.map.shards.len())

@@ -24,13 +24,13 @@
 //!    serve-from-old-owner mutant exploits.
 
 use mayflower_flowserver::{Flowserver, Selection};
-use mayflower_fs::{FileMeta, FsError, NsOp};
+use mayflower_fs::{FileMeta, FsError, Nameserver, NsOp};
 use mayflower_net::HostId;
 use mayflower_simcore::SimTime;
 use serde::{Deserialize, Serialize};
 
 use crate::map::ShardMap;
-use crate::plane::{Shard, ShardedNameserver};
+use crate::plane::ShardedNameserver;
 use crate::ring::{HashRing, ShardId};
 
 /// Where rebalancing traffic gets its network paths: schedules each
@@ -110,14 +110,14 @@ fn meta_bytes(meta: &FileMeta) -> u64 {
 
 /// Copies `meta` into `dest`, replacing in one step any older copy of
 /// the same name (a previous batch's now-stale version).
-fn upsert(dest: &Shard, meta: &FileMeta) -> Result<(), FsError> {
+fn upsert(dest: &Nameserver, meta: &FileMeta) -> Result<(), FsError> {
     let op = match dest.lookup(&meta.name) {
         Ok(existing) if existing == *meta => return Ok(()),
         Ok(_) => NsOp::Replace(meta.clone()),
         Err(FsError::NotFound(_)) => NsOp::Create(meta.clone()),
         Err(e) => return Err(e),
     };
-    dest.submit(&op).map(drop)
+    dest.apply(&op).map(drop)
 }
 
 /// A stepwise shard handoff (see module docs). Built by
@@ -136,7 +136,7 @@ pub struct Handoff<'a> {
 }
 
 impl<'a> Handoff<'a> {
-    /// Prepares a handoff to `new_map`: creates backends for
+    /// Prepares a handoff to `new_map`: opens the nameservers of
     /// ring-joining shards and snapshots the keys the ring change
     /// moves.
     ///
@@ -158,14 +158,16 @@ impl<'a> Handoff<'a> {
         }
         for id in &new_map.shards {
             if !old_map.shards.contains(id) {
-                plane.add_shard_backend(*id)?;
+                plane.add_shard(*id)?;
             }
         }
         let old_ring = old_map.ring();
         let new_ring = new_map.ring();
         let mut pending = Vec::new();
         for from in &old_map.shards {
-            let metas = plane.with_shard(*from, Shard::list).unwrap_or_default();
+            let metas = plane
+                .with_shard(*from, Nameserver::list)
+                .unwrap_or_default();
             for meta in metas {
                 let to = new_ring.owner(&meta.name);
                 if to != *from {
@@ -225,15 +227,17 @@ impl<'a> Handoff<'a> {
             // Re-read the live source copy: the snapshot may be stale,
             // and the key may have been deleted since (then there is
             // nothing to copy — the flip reconciles deletions).
-            let Some(Ok(meta)) = self.plane.with_shard(entry.from, |s| s.lookup(&entry.name))
+            let Some(Ok(meta)) = self
+                .plane
+                .with_shard(entry.from, |ns| ns.lookup(&entry.name))
             else {
                 continue;
             };
             self.plane
-                .with_shard(entry.to, |s| upsert(s, &meta))
+                .with_shard(entry.to, |ns| upsert(ns, &meta))
                 .unwrap_or_else(|| {
                     Err(FsError::InvalidArgument(format!(
-                        "destination {} has no backend",
+                        "destination {} has no nameserver",
                         entry.to
                     )))
                 })?;
@@ -282,7 +286,7 @@ impl<'a> Handoff<'a> {
                         continue;
                     }
                     let dest = st.shard(to).ok_or_else(|| {
-                        FsError::InvalidArgument(format!("destination {to} has no backend"))
+                        FsError::InvalidArgument(format!("destination {to} has no nameserver"))
                     })?;
                     match dest.lookup(&meta.name) {
                         Ok(existing) if existing == meta => {}
@@ -305,7 +309,7 @@ impl<'a> Handoff<'a> {
                     let from = old_ring.owner(&meta.name);
                     let gone = st.shard(from).is_none_or(|s| s.lookup(&meta.name).is_err());
                     if gone {
-                        dest.submit(&NsOp::Delete(meta.name))?;
+                        dest.apply(&NsOp::Delete(meta.name))?;
                         reconciled += 1;
                     }
                 }
@@ -328,11 +332,14 @@ impl<'a> Handoff<'a> {
         assert!(self.flipped, "gc runs after the flip");
         let mut gced = 0u64;
         for from in self.old_ring.shards() {
-            let metas = self.plane.with_shard(from, Shard::list).unwrap_or_default();
+            let metas = self
+                .plane
+                .with_shard(from, Nameserver::list)
+                .unwrap_or_default();
             for meta in metas {
                 if self.new_ring.owner(&meta.name) != from {
                     let delete = NsOp::Delete(meta.name);
-                    match self.plane.with_shard(from, |s| s.submit(&delete)) {
+                    match self.plane.with_shard(from, |ns| ns.apply(&delete)) {
                         Some(Ok(_)) => gced += 1,
                         Some(Err(FsError::NotFound(_))) | None => {}
                         Some(Err(e)) => return Err(e),

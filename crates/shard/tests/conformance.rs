@@ -1,9 +1,8 @@
 //! Differential conformance of the metadata planes: one op script,
-//! replayed against a plain [`Nameserver`], a 3-way
-//! [`ReplicatedNameserver`] and [`ShardRouter`]s over {1, 4} shards ×
-//! {plain, Paxos} backends, must produce the same result op by op —
-//! the refusal's kind, or the returned metadata up to `FileId` and
-//! placement — and the same final listing.
+//! replayed against a plain [`Nameserver`] and [`ShardRouter`]s over 1
+//! and 4 shards, must produce the same result op by op — the refusal's
+//! kind, or the returned metadata up to `FileId` and placement — and
+//! the same final listing.
 //!
 //! The namespace's rules are written once, in `Nameserver::apply`; this
 //! test is what notices a plane that answers an op any other way.
@@ -12,7 +11,6 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use mayflower_fs::nameserver::NameserverConfig;
-use mayflower_fs::replicated::ReplicatedNameserver;
 use mayflower_fs::{FileMeta, FsError, MetadataService, Nameserver, NsOp, Redundancy};
 use mayflower_net::{HostId, Topology, TreeParams};
 use mayflower_shard::{ShardError, ShardPlaneConfig, ShardRouter, ShardedNameserver};
@@ -133,23 +131,6 @@ impl Plane for Nameserver {
     }
 }
 
-impl Plane for ReplicatedNameserver {
-    fn step(&mut self, step: &Step) -> Result<Option<FileMeta>, FsError> {
-        match step.clone() {
-            Step::Create(name, r) => self.create_with(0, name, r).map(Some),
-            Step::Op(op) => self.submit(0, &op),
-        }
-    }
-
-    fn list(&self) -> Vec<FileMeta> {
-        let listing = self.list_at(0);
-        for node in 1..self.replicas() as u32 {
-            assert_eq!(self.list_at(node), listing, "replica {node} diverged");
-        }
-        listing
-    }
-}
-
 /// A router and the plane behind it: the six client operations go
 /// through the router like a `Client`'s do, the rest straight to the
 /// owning shard.
@@ -191,16 +172,15 @@ impl Plane for Routed {
     }
 }
 
-fn routed(dir: &TempDir, shards: u32, paxos_replicas: Option<usize>) -> Routed {
+fn routed(dir: &TempDir, shards: u32) -> Routed {
     let registry = Registry::new();
     let plane = Arc::new(
         ShardedNameserver::open(
-            &dir.0.join(format!("plane-{shards}-{paxos_replicas:?}")),
+            &dir.0.join(format!("plane-{shards}")),
             small_topo(),
             ShardPlaneConfig {
                 shards,
                 vnodes: 32,
-                paxos_replicas,
                 ..ShardPlaneConfig::default()
             },
             &registry,
@@ -245,39 +225,45 @@ fn delete(name: &str) -> Step {
     Step::Op(NsOp::Delete(name.into()))
 }
 
-/// Every rule once, each refusal followed by ops that must succeed.
-fn fixed_script() -> Vec<Step> {
+/// A step's verdict under the rule book: `Ok`, or the refusal's kind.
+type Verdict = Result<(), &'static str>;
+const OK: Verdict = Ok(());
+
+/// Every rule once, each refusal followed by ops that must succeed,
+/// with the verdict the rule book gives each step: the planes are
+/// compared with each other, and the reference with these.
+fn fixed_script() -> Vec<(Step, Verdict)> {
     let replicated = Redundancy::default();
     vec![
-        Step::Create("a", replicated),
-        Step::Create("a", replicated), // duplicate
-        Step::Create("", replicated),  // empty name
-        Step::Create("coded", CODED),
-        size("a", 40),
-        size("missing", 1),
-        seal("coded", 2),
-        seal("coded", 1), // regressing
-        seal("coded", 2), // to where it is
-        seal("a", 1),     // a replicated file
-        seal("missing", 1),
-        fragment("coded", 3),
-        fragment("coded", 6), // out of range
-        fragment("a", 0),     // no fragments at all
-        rename("a", "fresh", false),
-        Step::Create("b", replicated),
-        rename("fresh", "b", false), // existing, no overwrite
-        rename("fresh", "b", true),  // existing, overwrite: displaces b
-        rename("b", "b", true),      // self
-        rename("b", "b", false),
-        rename("b", "", true), // empty target
-        rename("missing", "c", true),
+        (Step::Create("a", replicated), OK),
+        (Step::Create("a", replicated), Err("AlreadyExists")),
+        (Step::Create("", replicated), Err("InvalidArgument")),
+        (Step::Create("coded", CODED), OK),
+        (size("a", 40), OK),
+        (size("missing", 1), Err("NotFound")),
+        (seal("coded", 2), OK),
+        (seal("coded", 1), Err("InvalidArgument")), // regressing
+        (seal("coded", 2), OK),                     // to where it is
+        (seal("a", 1), Err("InvalidArgument")),     // a replicated file
+        (seal("missing", 1), Err("NotFound")),
+        (fragment("coded", 3), OK),
+        (fragment("coded", 6), Err("InvalidArgument")), // out of range
+        (fragment("a", 0), Err("InvalidArgument")),     // no fragments at all
+        (rename("a", "fresh", false), OK),
+        (Step::Create("b", replicated), OK),
+        (rename("fresh", "b", false), Err("AlreadyExists")),
+        (rename("fresh", "b", true), OK), // displaces b
+        (rename("b", "b", true), OK),     // self
+        (rename("b", "b", false), OK),
+        (rename("b", "", true), Err("InvalidArgument")),
+        (rename("missing", "c", true), Err("NotFound")),
         // Wrong twice, across shards of the 4-shard ring: the empty
         // target is refused before the missing source is looked up.
-        rename("ghost", "", true),
-        size("b", 41),
-        delete("b"),
-        delete("b"), // again
-        Step::Create("b", replicated),
+        (rename("ghost", "", true), Err("InvalidArgument")),
+        (size("b", 41), OK),
+        (delete("b"), OK),
+        (delete("b"), Err("NotFound")),
+        (Step::Create("b", replicated), OK),
     ]
 }
 
@@ -312,29 +298,28 @@ fn random_script(seed: u64, steps: usize) -> Vec<Step> {
 #[test]
 fn every_plane_answers_the_script_like_the_one_nameserver() {
     let dir = TempDir::new("script");
-    let config = NameserverConfig::default();
-    let mut reference =
-        Nameserver::open(small_topo(), &dir.0.join("plain"), config.clone()).unwrap();
-    let mut planes: Vec<(&str, Box<dyn Plane>)> = vec![
-        (
-            "3-way Paxos group",
-            Box::new(
-                ReplicatedNameserver::open(small_topo(), &dir.0.join("paxos"), 3, config, 7)
-                    .unwrap(),
-            ),
-        ),
-        ("router, 1 plain shard", Box::new(routed(&dir, 1, None))),
-        ("router, 4 plain shards", Box::new(routed(&dir, 4, None))),
-        ("router, 1 Paxos shard", Box::new(routed(&dir, 1, Some(3)))),
-        ("router, 4 Paxos shards", Box::new(routed(&dir, 4, Some(3)))),
+    let mut reference = Nameserver::open(
+        small_topo(),
+        &dir.0.join("plain"),
+        NameserverConfig::default(),
+    )
+    .unwrap();
+    let mut planes = [
+        ("router, 1 shard", routed(&dir, 1)),
+        ("router, 4 shards", routed(&dir, 4)),
     ];
 
-    let mut script = fixed_script();
+    let fixed = fixed_script();
+    let mut script: Vec<Step> = fixed.iter().map(|(step, _)| step.clone()).collect();
     script.extend(random_script(0x4E53, 400));
     script.push(Step::Create("coded", CODED)); // there for the `Replace` below
     let mut refused = 0;
     for (i, step) in script.iter().enumerate() {
         let want = outcome(reference.step(step));
+        if let Some((_, verdict)) = fixed.get(i) {
+            let got: Verdict = want.as_ref().map(drop).map_err(|kind| *kind);
+            assert_eq!(got, *verdict, "step {i} {step:?} on the reference");
+        }
         refused += usize::from(want.is_err());
         for (label, plane) in &mut planes {
             assert_eq!(
@@ -362,16 +347,12 @@ fn every_plane_answers_the_script_like_the_one_nameserver() {
         let want = replace(&mut reference, name);
         assert_eq!(want.is_ok(), name == "coded");
         for (label, plane) in &mut planes {
-            assert_eq!(
-                replace(plane.as_mut(), name),
-                want,
-                "replace {name} on {label}"
-            );
+            assert_eq!(replace(plane, name), want, "replace {name} on {label}");
         }
     }
 
-    // After every refusal above, each plane — the Paxos group too —
-    // still takes a create, and all of them hold the same namespace.
+    // After every refusal above, each plane still takes a create, and
+    // all of them hold the same namespace.
     let last = Step::Create("after-everything", Redundancy::default());
     let want = outcome(reference.step(&last));
     assert!(want.is_ok());

@@ -264,6 +264,25 @@ fn plane_reopens_with_its_persisted_post_migration_map() {
     assert_eq!(plane.file_count(), 40);
 }
 
+/// A map file no ring can be built from is an error value, never a
+/// panic in the ring's constructor, and `open` leaves it as found.
+#[test]
+fn plane_over_a_zero_vnode_map_is_corrupt_metadata() {
+    let dir = TempDir::new("zero-vnodes");
+    std::fs::create_dir_all(&dir.0).unwrap();
+    let body = r#"{"epoch": 3, "vnodes": 0, "shards": [0, 1]}"#;
+    std::fs::write(dir.0.join("shardmap.json"), body).unwrap();
+    let opened = ShardedNameserver::open(
+        &dir.0,
+        small_topo(),
+        ShardPlaneConfig::default(),
+        &Registry::new(),
+    );
+    assert!(matches!(opened, Err(FsError::CorruptMetadata(_))));
+    let kept = std::fs::read_to_string(dir.0.join("shardmap.json")).unwrap();
+    assert_eq!(kept, body, "a refused map is left as found");
+}
+
 #[test]
 fn rebalancer_grows_the_ring_only_when_a_shard_runs_hot() {
     let dir = TempDir::new("hot");
@@ -292,40 +311,6 @@ fn rebalancer_grows_the_ring_only_when_a_shard_runs_hot() {
     let report = rb.rebalance(&plane, None).unwrap().unwrap();
     assert_eq!(report.to_epoch, map.epoch + 1);
     assert_eq!(plane.epoch(), map.epoch + 1);
-}
-
-#[test]
-fn paxos_backed_shards_serve_metadata() {
-    let dir = TempDir::new("paxos");
-    let registry = Registry::new();
-    let plane = Arc::new(
-        ShardedNameserver::open(
-            &dir.0,
-            small_topo(),
-            ShardPlaneConfig {
-                shards: 2,
-                vnodes: 16,
-                paxos_replicas: Some(3),
-                ..ShardPlaneConfig::default()
-            },
-            &registry,
-        )
-        .unwrap(),
-    );
-    let router = ShardRouter::new(plane.clone(), &registry.scope("shard_router"));
-    for i in 0..10 {
-        router
-            .create_with(&format!("paxos/f{i}"), Default::default())
-            .unwrap();
-    }
-    router.record_size("paxos/f0", 123).unwrap();
-    assert_eq!(router.lookup("paxos/f0").unwrap().size, 123);
-    router.delete("paxos/f9").unwrap();
-    assert!(matches!(
-        router.lookup("paxos/f9"),
-        Err(FsError::NotFound(_))
-    ));
-    assert_eq!(plane.file_count(), 9);
 }
 
 #[test]
@@ -415,7 +400,7 @@ fn rename_across_shards_moves_the_entry() {
 
 /// A sharded deployment whose files have 16-byte chunks (the shards'
 /// own nameserver settings decide that, not the data-path cluster's).
-fn small_sharded_cluster(dir: &TempDir, paxos_replicas: Option<usize>) -> ShardedCluster {
+fn small_sharded_cluster(dir: &TempDir) -> ShardedCluster {
     ShardedCluster::create(
         &dir.0,
         small_topo(),
@@ -423,12 +408,10 @@ fn small_sharded_cluster(dir: &TempDir, paxos_replicas: Option<usize>) -> Sharde
         ShardPlaneConfig {
             shards: 4,
             vnodes: 32,
-            paxos_replicas,
             nameserver: NameserverConfig {
                 chunk_size: 16,
                 ..NameserverConfig::default()
             },
-            ..ShardPlaneConfig::default()
         },
     )
     .unwrap()
@@ -441,7 +424,7 @@ fn small_sharded_cluster(dir: &TempDir, paxos_replicas: Option<usize>) -> Sharde
 #[test]
 fn self_rename_through_a_sharded_client_keeps_the_file_and_its_bytes() {
     let dir = TempDir::new("self-rename");
-    let sc = small_sharded_cluster(&dir, None);
+    let sc = small_sharded_cluster(&dir);
     let mut client = sc.client(small_topo().hosts()[0]);
     client.create("a").unwrap();
     client.append("a", b"still here").unwrap();
@@ -520,12 +503,13 @@ fn same_shard_rename_is_one_op_under_the_nameserver_rules() {
     assert!(router.lookup(&away).is_ok());
 }
 
-/// A Paxos-backed shard decides a create with the same code a plain
-/// one does, the coded half included.
+/// The one coded create → append → read → seal through a
+/// `ShardedCluster`: the shard's nameserver places the fragments, and
+/// the seal's watermark goes back through the router.
 #[test]
-fn coded_files_create_and_seal_on_paxos_backed_shards() {
-    let dir = TempDir::new("paxos-coded");
-    let sc = small_sharded_cluster(&dir, Some(3));
+fn coded_files_create_and_seal_on_sharded_clusters() {
+    let dir = TempDir::new("coded");
+    let sc = small_sharded_cluster(&dir);
     let hosts = small_topo().hosts();
     let mut writer = sc.client(hosts[0]);
     let policy = Redundancy::Coded { k: 4, m: 2 };

@@ -25,7 +25,6 @@
 //! | [`fs`] | the distributed filesystem: nameserver, dataservers, client |
 //! | [`recovery`] | failure detection, prioritized re-replication, repair scheduling |
 //! | [`kvstore`] | persistent KV store backing the nameserver (LevelDB substitute) |
-//! | [`consensus`] | Paxos replicated log (fault-tolerant nameserver extension) |
 //! | [`rpc`] | control-message transport (Thrift substitute) |
 //! | [`baselines`] | Nearest and Sinbad-R replica selection |
 //! | [`workload`] | Poisson/Zipf/staggered-locality workload synthesis |
@@ -58,7 +57,6 @@
 //! figures` and the benchmarks with `cargo bench`.
 
 pub use mayflower_baselines as baselines;
-pub use mayflower_consensus as consensus;
 pub use mayflower_flowserver as flowserver;
 pub use mayflower_fs as fs;
 pub use mayflower_kvstore as kvstore;
