@@ -204,6 +204,26 @@ if [[ -n "$unread" ]]; then
   exit 1
 fi
 
+echo "==> panic ratchet turns one way: the crates at zero keep denying, fs stays at 2 sites"
+# A crate with no non-test unwrap/expect/panic! denies them outside
+# tests; dropping that line would let new ones in unseen. fs keeps two
+# (Cluster::dataserver's documented `# Panics` and fan_out's slot
+# collection), counted over loc.sh's non-test cut; the cap only falls.
+for c in kvstore rpc sdn shard simnet; do
+  if ! grep -Eq '^[[:space:]]*deny\(clippy::unwrap_used, clippy::expect_used, clippy::panic\)' \
+      "crates/$c/src/lib.rs"; then
+    echo "crates/$c/src/lib.rs: lost its deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)" >&2
+    exit 1
+  fi
+done
+panics='unwrap\(\)|expect\(|panic!\('
+fs_sites=$(./loc.sh --lines crates/fs/src | grep -cE "$panics" || true)
+if ((fs_sites > 2)); then
+  ./loc.sh --lines crates/fs/src | grep -E "$panics" >&2
+  echo "crates/fs: $fs_sites non-test unwrap/expect/panic! sites; at most 2" >&2
+  exit 1
+fi
+
 echo "==> benchmark/ package: builds against the current API, own tests pass (read-only use)"
 # benchmark/ is a standalone workspace the root build never compiles;
 # without this gate a renamed API it pins stays green until the

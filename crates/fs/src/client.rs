@@ -666,7 +666,10 @@ impl Client {
         offset: u64,
         out: &mut [u8],
     ) -> Result<(), FsError> {
-        let (k, _) = meta.redundancy.coded_params().expect("coded file");
+        let (k, _) = meta
+            .redundancy
+            .coded_params()
+            .ok_or_else(|| FsError::InvalidArgument(format!("{} is not coded", meta.name)))?;
         let end = offset + out.len() as u64;
         let first_chunk = offset / meta.chunk_size;
         let preferred: Vec<Vec<usize>> = (first_chunk..=(end - 1) / meta.chunk_size)

@@ -375,11 +375,10 @@ pub(crate) fn read_sealed_chunk(
         )));
     }
 
-    let all_data_present = shards.iter().take(k).all(Option::is_some);
-    if all_data_present {
+    if shards.iter().take(k).all(Option::is_some) {
         let mut payload = Vec::with_capacity(payload_len as usize);
-        for shard in shards.iter().take(k) {
-            payload.extend_from_slice(shard.as_deref().expect("present"));
+        for shard in shards.iter().take(k).flatten() {
+            payload.extend_from_slice(shard);
         }
         payload.truncate(payload_len as usize);
         return Ok(payload);
@@ -452,7 +451,12 @@ pub(crate) fn rebuild_fragment(
         codec
             .reconstruct(&mut shards)
             .map_err(|e| FsError::Unavailable(format!("{}: chunk {chunk}: {e}", meta.name)))?;
-        let shard = shards[index].as_deref().expect("reconstructed");
+        let Some(shard) = shards[index].as_deref() else {
+            return Err(FsError::Unavailable(format!(
+                "{}: chunk {chunk}: fragment {index} not reconstructed",
+                meta.name
+            )));
+        };
         ds(dataservers, dest)?.put_fragment(meta.id, chunk, index, payload_len, shard)?;
         written += shard.len() as u64;
         if let Some(mx) = metrics {

@@ -108,8 +108,9 @@ pub(crate) struct RetryPolicy {
     pub(crate) backoff: std::time::Duration,
 }
 
-/// Runs `op`, retrying transient [`FsError::Unavailable`] failures.
-/// A free function (not a `Client` method) so worker threads can call
+/// Runs `op`, retrying transient [`FsError::Unavailable`] failures;
+/// after `policy.attempts` tries (at least one) the last one's error is
+/// the result. A free function (not a `Client` method) so worker threads can call
 /// it too.
 pub(crate) fn with_retry<T>(
     policy: RetryPolicy,
@@ -117,22 +118,20 @@ pub(crate) fn with_retry<T>(
     mut op: impl FnMut() -> Result<T, FsError>,
 ) -> Result<T, FsError> {
     let mut delay = policy.backoff;
-    let mut last = None;
-    for attempt in 0..policy.attempts.max(1) {
-        if attempt > 0 {
-            retries.inc();
-        }
+    let mut attempt = 1;
+    loop {
         match op() {
             Ok(v) => return Ok(v),
-            Err(e @ FsError::Unavailable(_)) => last = Some(e),
+            Err(FsError::Unavailable(_)) if attempt < policy.attempts => {}
             Err(e) => return Err(e),
         }
-        if attempt + 1 < policy.attempts && !delay.is_zero() {
+        if !delay.is_zero() {
             std::thread::sleep(delay);
             delay = (delay * 2).min(MAX_RETRY_BACKOFF);
         }
+        retries.inc();
+        attempt += 1;
     }
-    Err(last.expect("at least one attempt runs"))
 }
 
 /// Outcome of one piece fetch: how much of the piece buffer was
@@ -322,11 +321,23 @@ mod tests {
         let mut calls = 0;
         let out: Result<(), FsError> = with_retry(policy, &retries, || {
             calls += 1;
+            Err(FsError::Unavailable(format!("down {calls}")))
+        });
+        assert!(matches!(out, Err(FsError::Unavailable(m)) if m == "down 3"));
+        assert_eq!(calls, 3);
+        assert_eq!(retries.get(), 2);
+        // Zero attempts still runs the op once.
+        let once = RetryPolicy {
+            attempts: 0,
+            ..policy
+        };
+        let mut calls = 0;
+        let out: Result<(), FsError> = with_retry(once, &retries, || {
+            calls += 1;
             Err(FsError::Unavailable("down".into()))
         });
         assert!(matches!(out, Err(FsError::Unavailable(_))));
-        assert_eq!(calls, 3);
-        assert_eq!(retries.get(), 2);
+        assert_eq!((calls, retries.get()), (1, 2));
         // Non-retryable errors propagate immediately.
         let out: Result<(), FsError> =
             with_retry(policy, &retries, || Err(FsError::NotFound("gone".into())));

@@ -734,11 +734,15 @@ impl Dataserver {
             .map_err(|e| not_found_or_io(e, what))?;
         let stored = f.metadata()?.len();
         let mut header = [0u8; FRAGMENT_HEADER];
-        if f.read_exact(&mut header).is_err() || &header[..4] != FRAGMENT_MAGIC {
+        if f.read_exact(&mut header).is_err() {
             return Err(corrupt("bad frame"));
         }
-        let payload_len = u64::from_le_bytes(header[4..12].try_into().expect("8 bytes"));
-        let want_crc = u32::from_le_bytes(header[12..].try_into().expect("4 bytes"));
+        let [m0, m1, m2, m3, l0, l1, l2, l3, l4, l5, l6, l7, c0, c1, c2, c3] = header;
+        if &[m0, m1, m2, m3] != FRAGMENT_MAGIC {
+            return Err(corrupt("bad frame"));
+        }
+        let payload_len = u64::from_le_bytes([l0, l1, l2, l3, l4, l5, l6, l7]);
+        let want_crc = u32::from_le_bytes([c0, c1, c2, c3]);
         let shard = stored
             .checked_sub(FRAGMENT_HEADER as u64)
             .and_then(|len| usize::try_from(len).ok())

@@ -79,6 +79,8 @@ impl ReplicaSelector for PrimarySelector {
 /// with deterministic tie-breaking (lowest host id). This is the
 /// prototype comparison's "HDFS selects the replica in the same rack
 /// where the client is located, if any such replica exists" (§6.7).
+/// An empty replica set gets no assignment, which the client refuses
+/// as a read of zero of the requested bytes.
 #[derive(Debug, Clone)]
 pub struct NearestSelector {
     topo: Arc<Topology>,
@@ -99,15 +101,16 @@ impl ReplicaSelector for NearestSelector {
         replicas: &[HostId],
         size_bytes: u64,
     ) -> Vec<ReadAssignment> {
-        let best = replicas
+        replicas
             .iter()
             .copied()
             .min_by_key(|r| (self.topo.distance(client, *r).unwrap_or(usize::MAX), *r))
-            .expect("non-empty replica set");
-        vec![ReadAssignment {
-            replica: best,
-            bytes: size_bytes,
-        }]
+            .map(|best| ReadAssignment {
+                replica: best,
+                bytes: size_bytes,
+            })
+            .into_iter()
+            .collect()
     }
 
     /// Rack-aware fragment choice: live **data** fragments first (a
@@ -269,6 +272,13 @@ mod tests {
         let mut s = NearestSelector::new(topo);
         let a = s.select_read(HostId(5), &[HostId(40), HostId(5)], 10);
         assert_eq!(a[0].replica, HostId(5));
+    }
+
+    #[test]
+    fn nearest_selector_assigns_nothing_without_replicas() {
+        let topo = Arc::new(Topology::three_tier(&TreeParams::paper_testbed()));
+        let mut s = NearestSelector::new(topo);
+        assert!(s.select_read(HostId(0), &[], 10).is_empty());
     }
 
     #[test]

@@ -1,20 +1,23 @@
 //! CRC-32 (IEEE 802.3) checksums for WAL frames, segments and — via
 //! the dataserver — erasure-coded fragment frames.
 //!
-//! The kernel is slicing-by-4 (Kounavis & Berry, "A Systematic
-//! Approach to Building High Performance Software-Based CRC
-//! Generators"): four 256-entry tables turn four input bytes into one
-//! round of independent lookups, close to three times the speed of the
-//! classic byte-at-a-time loop, in plain safe Rust on every target.
+//! The kernel is slicing-by-16, Kounavis & Berry's construction ("A
+//! Systematic Approach to Building High Performance Software-Based CRC
+//! Generators") carried to sixteen tables: each round reads two
+//! little-endian words and makes sixteen independent table lookups, so
+//! the dependent chain through the running state is one XOR tree per
+//! 16 input bytes instead of one per byte. Plain safe Rust, one kernel
+//! on every target; about twice the throughput of slicing-by-4 on a
+//! fragment-sized buffer.
 
 /// The reflected IEEE polynomial.
 const POLY: u32 = 0xEDB8_8320;
 
 /// Input bytes consumed per round.
-const SLICES: usize = 4;
+const SLICES: usize = 16;
 
 /// `TABLES[0]` is the classic byte table; `TABLES[j][b]` is the state
-/// byte `b` leaves after `j` further zero bytes.
+/// byte `b` leaves after `j` further zero bytes. 16 KiB in all.
 static TABLES: [[u32; 256]; SLICES] = make_tables();
 
 const fn make_tables() -> [[u32; 256]; SLICES] {
@@ -43,19 +46,39 @@ const fn make_tables() -> [[u32; 256]; SLICES] {
     t
 }
 
-/// Advances the raw (un-inverted) CRC state over `data`, four bytes
-/// per round.
+/// Byte `i` (0 = least significant) of `w`, as a table index.
+fn byte(w: u64, i: u32) -> usize {
+    ((w >> (8 * i)) & 0xFF) as usize
+}
+
+/// Advances the raw (un-inverted) CRC state over `data`, sixteen bytes
+/// per round: input byte `i` of a round is looked up in
+/// `TABLES[15 - i]`, the state having been folded into bytes 0–3.
 fn update(mut state: u32, data: &[u8]) -> u32 {
     let t = &TABLES;
-    let mut rounds = data.chunks_exact(SLICES);
-    for r in &mut rounds {
-        let head = u32::from_le_bytes([r[0], r[1], r[2], r[3]]) ^ state;
-        state = t[3][(head & 0xFF) as usize]
-            ^ t[2][((head >> 8) & 0xFF) as usize]
-            ^ t[1][((head >> 16) & 0xFF) as usize]
-            ^ t[0][(head >> 24) as usize];
+    let (words, rest) = data.as_chunks::<8>();
+    let (rounds, odd_word) = words.as_chunks::<2>();
+    for &[lo, hi] in rounds {
+        let lo = u64::from_le_bytes(lo) ^ u64::from(state);
+        let hi = u64::from_le_bytes(hi);
+        state = t[15][byte(lo, 0)]
+            ^ t[14][byte(lo, 1)]
+            ^ t[13][byte(lo, 2)]
+            ^ t[12][byte(lo, 3)]
+            ^ t[11][byte(lo, 4)]
+            ^ t[10][byte(lo, 5)]
+            ^ t[9][byte(lo, 6)]
+            ^ t[8][byte(lo, 7)]
+            ^ t[7][byte(hi, 0)]
+            ^ t[6][byte(hi, 1)]
+            ^ t[5][byte(hi, 2)]
+            ^ t[4][byte(hi, 3)]
+            ^ t[3][byte(hi, 4)]
+            ^ t[2][byte(hi, 5)]
+            ^ t[1][byte(hi, 6)]
+            ^ t[0][byte(hi, 7)];
     }
-    for &b in rounds.remainder() {
+    for &b in odd_word.as_flattened().iter().chain(rest) {
         state = t[0][((state ^ u32::from(b)) & 0xFF) as usize] ^ (state >> 8);
     }
     state
@@ -136,6 +159,17 @@ mod tests {
             .map(|i| (i as u8).wrapping_mul(37).wrapping_add(11))
             .collect();
         assert_eq!(crc32(&shard), 0x32EC_5E76);
+    }
+
+    /// One benchmark-sized shard: a 4+2 fetch of a 1 MiB chunk is
+    /// 256 KiB, 16 384 full rounds. The value is the bitwise oracle's,
+    /// taken at the commit before the slicing-by-16 kernel, so a kernel
+    /// that goes wrong only over many rounds fails here by name.
+    #[test]
+    fn benchmark_sized_shard_is_pinned() {
+        let shard = pattern(256 << 10, 256);
+        assert_eq!(crc32(&shard), 0xE469_9E17);
+        assert_eq!(bytewise(&shard), 0xE469_9E17);
     }
 
     #[test]
