@@ -59,6 +59,16 @@ cargo test --release -q -p mayflower-fs --test datapath_stress
 cargo test --release -q -p mayflower-fs --test replica_table
 RUST_TEST_THREADS=1 cargo test --release -q -p mayflower-fs
 
+echo "==> vendored serde and serde_json: their own suites, the JSON parser against its per-character oracle"
+# vendor/ is outside the workspace, so no stage above reaches these.
+# The string-decode sweep runs in a debug build, where an overflow in
+# escape arithmetic panics instead of wrapping. Each crate builds under
+# target/ from its committed path-only Cargo.lock (`--locked`), so the
+# stage writes no file the last one would see.
+for crate in serde serde_json; do
+  cargo test -q --offline --locked --manifest-path "vendor/$crate/Cargo.toml" --target-dir target/vendor
+done
+
 echo "==> rpc envelope + framing: decoder bounds, reply-id check, poisoned connections (release)"
 # The id check and the envelope decoder's bounds arithmetic must hold
 # without debug assertions: a release build is what serves real peers.
@@ -204,11 +214,11 @@ if [[ -n "$unread" ]]; then
   exit 1
 fi
 
-echo "==> panic ratchet turns one way: the crates at zero keep denying, fs stays at 2 sites"
+echo "==> panic ratchet turns one way: the crates at zero keep denying, fs stays at 1 site"
 # A crate with no non-test unwrap/expect/panic! denies them outside
-# tests; dropping that line would let new ones in unseen. fs keeps two
-# (Cluster::dataserver's documented `# Panics` and fan_out's slot
-# collection), counted over loc.sh's non-test cut; the cap only falls.
+# tests; dropping that line would let new ones in unseen. fs keeps one
+# (Cluster::dataserver's documented `# Panics`), counted over loc.sh's
+# non-test cut; the cap only falls.
 for c in kvstore rpc sdn shard simnet; do
   if ! grep -Eq '^[[:space:]]*deny\(clippy::unwrap_used, clippy::expect_used, clippy::panic\)' \
       "crates/$c/src/lib.rs"; then
@@ -218,9 +228,9 @@ for c in kvstore rpc sdn shard simnet; do
 done
 panics='unwrap\(\)|expect\(|panic!\('
 fs_sites=$(./loc.sh --lines crates/fs/src | grep -cE "$panics" || true)
-if ((fs_sites > 2)); then
+if ((fs_sites > 1)); then
   ./loc.sh --lines crates/fs/src | grep -E "$panics" >&2
-  echo "crates/fs: $fs_sites non-test unwrap/expect/panic! sites; at most 2" >&2
+  echo "crates/fs: $fs_sites non-test unwrap/expect/panic! sites; at most 1" >&2
   exit 1
 fi
 

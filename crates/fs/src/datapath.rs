@@ -5,12 +5,12 @@
 //! Parallelism here overlaps *I/O latency* — dataserver RPC round
 //! trips — not CPU work, so pool width is a client policy knob
 //! ([`crate::client::Client::set_parallelism`]) rather than a function
-//! of core count. Results are position-addressed: every job writes its
-//! slot (and, for reads, its caller-provided buffer slice), so output
-//! bytes are identical regardless of completion order and a width-1
-//! pool runs the exact same code inline. The fluid simulator and the
-//! model checker never thread through this pool, so their determinism
-//! is untouched.
+//! of core count. Results are position-addressed: every job's value is
+//! returned under its index (and a read fills its caller-provided
+//! buffer slice), so output bytes are identical regardless of
+//! completion order and a width-1 pool runs the exact same code
+//! inline. The fluid simulator and the model checker never thread
+//! through this pool, so their determinism is untouched.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -69,24 +69,35 @@ where
     }
 
     // Work queue popped from the back; jobs are pushed reversed so the
-    // lowest index dispatches first.
+    // lowest index dispatches first. Each worker hands back the
+    // `(index, value)` pairs it ran; every index is popped exactly once.
     let queue: Mutex<Vec<(usize, F)>> = Mutex::new(jobs.into_iter().enumerate().rev().collect());
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let next = queue.lock().pop();
-                let Some((index, job)) = next else { break };
-                let value = run_one(job, metrics);
-                *slots[index].lock() = Some(value);
-            });
-        }
+    let mut done: Vec<(usize, T)> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut ran = Vec::new();
+                    loop {
+                        let next = queue.lock().pop();
+                        let Some((index, job)) = next else { break ran };
+                        ran.push((index, run_one(job, metrics)));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|worker| {
+                // A job's panic reaches the caller, as an unjoined
+                // scoped thread's would.
+                worker
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
     });
-
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("every job ran to completion"))
-        .collect()
+    done.sort_unstable_by_key(|&(index, _)| index);
+    done.into_iter().map(|(_, value)| value).collect()
 }
 
 fn run_one<T>(job: impl FnOnce() -> T, metrics: Option<&DatapathMetrics>) -> T {
@@ -296,6 +307,30 @@ mod tests {
             let met = fan_out(width, vec![rendezvous; width], None);
             assert_eq!(met, vec![true; width], "width {width} did not overlap");
         }
+    }
+
+    /// A job that panics fails the whole fan-out with its own payload,
+    /// after the other jobs have run.
+    #[test]
+    fn fan_out_reraises_a_jobs_panic() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let ran = AtomicUsize::new(0);
+        let jobs: Vec<_> = (0..6)
+            .map(|i| {
+                let ran = &ran;
+                move || {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    assert_ne!(i, 3, "job 3 fails");
+                    i
+                }
+            })
+            .collect();
+        let caught =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fan_out(2, jobs, None)));
+        let payload = caught.expect_err("the panic reaches the caller");
+        let message = payload.downcast_ref::<String>().unwrap();
+        assert!(message.contains("job 3 fails"), "{message}");
+        assert_eq!(ran.load(Ordering::Relaxed), 6);
     }
 
     #[test]

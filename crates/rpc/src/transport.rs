@@ -1,7 +1,7 @@
 //! Transports: in-process dispatch and a threaded TCP server/client.
 
 use std::fmt;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -207,11 +207,44 @@ fn check_id(sent: u64, received: u64) -> Result<(), RpcError> {
 /// with a transport error without touching the socket. Reconnect to
 /// recover.
 pub struct TcpTransport {
-    connection: Mutex<Connection>,
+    connection: Mutex<Connection<TcpStream, TcpStream>>,
 }
 
-struct Connection {
-    stream: TcpStream,
+/// One end of a connection, framed the same way on both sides: a
+/// `BufWriter`, so a control-sized frame leaves in one `write`, and a
+/// `BufReader` over a second handle to the same socket, so a frame that
+/// arrived in one segment is taken in one `read`.
+struct Framed<R, W: Write> {
+    reader: BufReader<R>,
+    writer: BufWriter<W>,
+}
+
+impl Framed<TcpStream, TcpStream> {
+    /// Frames a connected socket. Nagle is off: every frame is one
+    /// `write` already, so there is nothing to coalesce, only the peer's
+    /// delayed ack to wait for.
+    fn new(stream: TcpStream) -> std::io::Result<Self> {
+        stream.set_nodelay(true)?;
+        Ok(Framed {
+            reader: BufReader::new(stream.try_clone()?),
+            writer: BufWriter::new(stream),
+        })
+    }
+}
+
+impl<R: Read, W: Write> Framed<R, W> {
+    fn send(&mut self, envelope: &[u8]) -> std::io::Result<()> {
+        write_frame(&mut self.writer, envelope)
+    }
+
+    fn receive(&mut self) -> std::io::Result<Option<Vec<u8>>> {
+        read_frame(&mut self.reader)
+    }
+}
+
+/// The client end of a connection and whether it is poisoned.
+struct Connection<R, W: Write> {
+    framed: Framed<R, W>,
     poisoned: bool,
 }
 
@@ -222,21 +255,33 @@ impl TcpTransport {
     ///
     /// Returns the connection error.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<TcpTransport, RpcError> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
         Ok(TcpTransport {
             connection: Mutex::new(Connection {
-                stream,
+                framed: Framed::new(TcpStream::connect(addr)?)?,
                 poisoned: false,
             }),
         })
     }
 }
 
-impl Connection {
+impl<R: Read, W: Write> Connection<R, W> {
+    /// One round trip; once any has failed, every later one fails
+    /// without writing or reading a byte, buffered or not.
     fn round_trip(&mut self, request: &Request) -> Result<Response, RpcError> {
-        write_frame(&mut self.stream, &request.encode())?;
-        let Some(frame) = read_frame(&mut self.stream)? else {
+        if self.poisoned {
+            return Err(RpcError::Transport(std::io::Error::new(
+                std::io::ErrorKind::BrokenPipe,
+                "connection is out of step with its peer after an earlier failure",
+            )));
+        }
+        let result = self.exchange(request);
+        self.poisoned = result.is_err();
+        result
+    }
+
+    fn exchange(&mut self, request: &Request) -> Result<Response, RpcError> {
+        self.framed.send(&request.encode())?;
+        let Some(frame) = self.framed.receive()? else {
             return Err(RpcError::Transport(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "server closed the connection",
@@ -250,16 +295,7 @@ impl Connection {
 
 impl Transport for TcpTransport {
     fn round_trip(&self, request: Request) -> Result<Response, RpcError> {
-        let mut connection = self.connection.lock();
-        if connection.poisoned {
-            return Err(RpcError::Transport(std::io::Error::new(
-                std::io::ErrorKind::BrokenPipe,
-                "connection is out of step with its peer after an earlier failure",
-            )));
-        }
-        let result = connection.round_trip(&request);
-        connection.poisoned = result.is_err();
-        result
+        self.connection.lock().round_trip(&request)
     }
 }
 
@@ -328,13 +364,16 @@ impl Drop for TcpServer {
 }
 
 fn serve_connection(stream: TcpStream, service: &dyn Service) {
-    let Ok(peer_read) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(peer_read);
-    let mut writer = BufWriter::new(stream);
+    if let Ok(mut framed) = Framed::new(stream) {
+        serve(&mut framed, service);
+    }
+}
+
+/// Answers frames until the peer closes, a frame is torn or a request
+/// does not decode.
+fn serve<R: Read, W: Write>(framed: &mut Framed<R, W>, service: &dyn Service) {
     loop {
-        let frame = match read_frame(&mut reader) {
+        let frame = match framed.receive() {
             Ok(Some(f)) => f,
             Ok(None) | Err(_) => return,
         };
@@ -342,7 +381,7 @@ fn serve_connection(stream: TcpStream, service: &dyn Service) {
             return;
         };
         let response = dispatch(service, &request);
-        if write_frame(&mut writer, &response.encode()).is_err() {
+        if framed.send(&response.encode()).is_err() {
             return;
         }
     }
@@ -571,6 +610,163 @@ mod tests {
                 1,
                 "{what}: second call hit the wire"
             );
+        }
+    }
+
+    /// A socket stand-in that counts the `read` or `write` calls that
+    /// reach it: what would be syscalls on a real one.
+    struct Counted<T> {
+        inner: T,
+        calls: usize,
+    }
+
+    impl<T: Read> Read for Counted<T> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            self.inner.read(buf)
+        }
+    }
+
+    impl<T: Write> Write for Counted<T> {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            self.inner.write(buf)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    type FakeEnd = Framed<Counted<std::io::Cursor<Vec<u8>>>, Counted<Vec<u8>>>;
+
+    /// One end of a connection whose peer has already sent `incoming`.
+    fn fake_end(incoming: Vec<u8>) -> FakeEnd {
+        Framed {
+            reader: BufReader::new(Counted {
+                inner: std::io::Cursor::new(incoming),
+                calls: 0,
+            }),
+            writer: BufWriter::new(Counted {
+                inner: Vec::new(),
+                calls: 0,
+            }),
+        }
+    }
+
+    fn add_request(id: u64, a: i64, b: i64) -> Request {
+        Request {
+            id,
+            method: "add".into(),
+            body: serde_json::to_vec(&(a, b)).unwrap(),
+            trace: None,
+        }
+    }
+
+    /// A control-sized frame leaves either half in one `write`, and a
+    /// peer's frames that arrived together are taken in one `read`; the
+    /// bytes are the frame format's, unchanged.
+    #[test]
+    fn each_half_moves_a_control_frame_in_one_call() {
+        let sent = add_request(1, 1, 2);
+        let mut client = Connection {
+            framed: fake_end(framed(&reply_envelope(1))),
+            poisoned: false,
+        };
+        assert_eq!(
+            client.round_trip(&sent).unwrap(),
+            Response {
+                id: 1,
+                result: Ok(b"3".to_vec()),
+            }
+        );
+        let Framed { reader, writer } = &client.framed;
+        assert_eq!(writer.get_ref().calls, 1, "client writes");
+        assert_eq!(writer.get_ref().inner, framed(&sent.encode()));
+        assert_eq!(reader.get_ref().calls, 1, "client reads");
+
+        let requests: Vec<Vec<u8>> = (1..=3)
+            .map(|id| framed(&add_request(id, id as i64, 10).encode()))
+            .collect();
+        let mut server = fake_end(requests.concat());
+        serve(&mut server, &Arith);
+        let replies: Vec<Vec<u8>> = (1..=3)
+            .map(|id| {
+                let sum = (id as i64 + 10).to_string().into_bytes();
+                framed(
+                    &Response {
+                        id,
+                        result: Ok(sum),
+                    }
+                    .encode(),
+                )
+            })
+            .collect();
+        assert_eq!(server.writer.get_ref().calls, 3, "server writes");
+        assert_eq!(server.writer.get_ref().inner, replies.concat());
+        // One fill takes all three requests; one more sees the close.
+        assert_eq!(server.reader.get_ref().calls, 2, "server reads");
+    }
+
+    /// Both ends frame through one constructor, and it turns Nagle off:
+    /// an accepted socket starts with it on.
+    #[test]
+    fn both_ends_turn_nagle_off() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpTransport::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        assert!(!accepted.nodelay().unwrap());
+        let server = Framed::new(accepted).unwrap();
+        let connection = client.connection.lock();
+        for (end, framed) in [("client", &connection.framed), ("server", &server)] {
+            assert!(framed.writer.get_ref().nodelay().unwrap(), "{end} writer");
+            assert!(framed.reader.get_ref().nodelay().unwrap(), "{end} reader");
+        }
+    }
+
+    /// With a `BufReader` under the client, the reply behind a bad one
+    /// can already sit in its buffer. A poisoned connection leaves it
+    /// there: the next call neither writes nor reads.
+    #[test]
+    fn a_poisoned_connection_leaves_buffered_bytes_unread() {
+        use std::io::ErrorKind::{InvalidData, UnexpectedEof};
+        let torn = [100u32.to_le_bytes().as_slice(), b"abc"].concat();
+        let scripts = [
+            ("wrong id", framed(&reply_envelope(999)), InvalidData),
+            ("undecodable envelope", framed(b"{}"), InvalidData),
+            ("torn frame", torn, UnexpectedEof),
+        ];
+        for (what, bad, kind) in scripts {
+            // A torn frame runs to the end of the stream; nothing is
+            // behind it.
+            let behind = if kind == UnexpectedEof {
+                Vec::new()
+            } else {
+                framed(&reply_envelope(2))
+            };
+            let mut client = Connection {
+                framed: fake_end([bad, behind.clone()].concat()),
+                poisoned: false,
+            };
+            match client.round_trip(&add_request(1, 1, 2)) {
+                Err(RpcError::Transport(io)) => assert_eq!(io.kind(), kind, "{what}"),
+                other => panic!("{what}: expected a transport error, got {other:?}"),
+            }
+            assert_eq!(client.framed.reader.buffer(), behind, "{what}: buffered");
+            let reads = client.framed.reader.get_ref().calls;
+            match client.round_trip(&add_request(2, 1, 2)) {
+                Err(RpcError::Transport(io)) => {
+                    assert_eq!(io.kind(), std::io::ErrorKind::BrokenPipe, "{what}");
+                }
+                other => panic!("{what}: expected a transport error, got {other:?}"),
+            }
+            assert_eq!(
+                client.framed.reader.buffer(),
+                behind,
+                "{what}: still unread"
+            );
+            assert_eq!(client.framed.reader.get_ref().calls, reads, "{what}: reads");
+            assert_eq!(client.framed.writer.get_ref().calls, 1, "{what}: writes");
         }
     }
 
