@@ -1,46 +1,5 @@
-#![warn(missing_docs)]
-
-//! Single-decree Paxos and a replicated operation log.
-//!
-//! The paper leaves nameserver fault tolerance as future work: "We can
-//! improve the fault-tolerance of the nameserver by using a state
-//! machine replication algorithm, such as Paxos, to replicate the
-//! nameserver to multiple nodes" (§3.3.1). This crate provides that
-//! substrate:
-//!
-//! * [`acceptor`] / [`proposer`] — the two halves of single-decree
-//!   Paxos (the Synod protocol), as pure, deterministic state
-//!   machines.
-//! * [`replica`] — one node of a multi-slot replicated log: an
-//!   acceptor for every slot, a proposer when driving a proposal, and
-//!   a learner tracking chosen values.
-//! * [`cluster`] — a deterministic in-memory message network for
-//!   driving a replica group in tests and simulations, with seeded
-//!   message loss and duplication for fault injection.
-//!
-//! The state machines are transport-agnostic: every handler consumes
-//! one message and returns the messages to send, so the same code runs
-//! over the simulated network here or a real transport.
-//!
-//! # Example
-//!
-//! ```
-//! use mayflower_consensus::cluster::Cluster;
-//!
-//! let mut cluster: Cluster<String> = Cluster::new(3, 7);
-//! cluster.propose(0.into(), "create /a".to_string());
-//! cluster.run_to_quiescence();
-//! assert_eq!(cluster.chosen(0), Some(&"create /a".to_string()));
-//! ```
-
-pub mod acceptor;
-pub mod cluster;
-pub mod messages;
-pub mod proposer;
-pub mod replica;
-
-pub use acceptor::Acceptor;
-pub use cluster::Cluster;
-pub use messages::{Ballot, Message, ReplicaId, Slot};
-pub use proposer::Proposer;
-pub use replica::Replica;
+//! Empty. This crate held a Paxos log for a replicated nameserver (the
+//! paper's §3.3.1 future work) that no code ever read, and its code is
+//! gone. The crate stays only because `benchmark/Cargo.lock` records
+//! the `mayflower-fs → mayflower-consensus` edge; it goes, with that
+//! edge, in the change that refreshes the benchmark's lock.

@@ -92,7 +92,11 @@ pub fn flow_cost_into(
     existing_flow_new_shares_into(topo, tracker, path_links, est_bw, scratch);
     if impact_aware {
         for row in &scratch.impact {
-            let f = tracker.get(row.cookie).expect("impacted flow exists");
+            // Impact rows are built from tracked flows: every row
+            // resolves.
+            let Some(f) = tracker.get(row.cookie) else {
+                continue;
+            };
             let r = f.remaining_at(now);
             if row.new_bw <= 0.0 {
                 // The impacted rows stay in the scratch: a starving

@@ -873,12 +873,13 @@ impl Flowserver {
             if b_i <= 0.0 {
                 break;
             }
-            // Admitting subflow i may shrink the earlier subflows.
+            // Admitting subflow i may shrink the earlier subflows. Each
+            // was committed above, so the tracker holds it.
             let adjusted: Vec<f64> = assignments
                 .iter()
                 .map(|a| match pc.impacted.iter().find(|(c, _)| *c == a.cookie) {
                     Some((_, new_bw)) => *new_bw,
-                    None => self.tracker.get(a.cookie).expect("tracked").bw,
+                    None => self.tracker.get(a.cookie).map_or(0.0, |f| f.bw),
                 })
                 .collect();
             let combined: f64 = adjusted.iter().sum::<f64>() + b_i;
@@ -930,9 +931,14 @@ impl Flowserver {
         let mut assignments = Vec::with_capacity(needed);
         for _ in 0..needed {
             let fg = FlowPriority::Foreground;
-            let (path, pc) = self
-                .best_path(routes_to(client, &remaining), shard_bits, now, fg)
-                .expect("every remaining source has a live path");
+            // Every remaining source had a live path when listed above,
+            // a commit severs no link, and `best_path` takes the first
+            // live candidate it meets: each round finds one.
+            let Some((path, pc)) =
+                self.best_path(routes_to(client, &remaining), shard_bits, now, fg)
+            else {
+                break;
+            };
             remaining.retain(|s| *s != path.src());
             assignments.push(self.commit(path, pc, shard_bits, now));
         }

@@ -57,10 +57,6 @@ pub struct Client {
     /// paper prescribes "cache expiry times that depend on the mean
     /// time between replica migration and node failure" (§3.3).
     cache_ttl: std::time::Duration,
-    /// Maximum cached entries; inserting past this evicts the entry
-    /// closest to expiry so a client touching a large namespace cannot
-    /// grow without bound.
-    cache_capacity: usize,
     metrics: ClientMetrics,
     /// Parallel-pipeline telemetry, shared with every client of the
     /// cluster.
@@ -105,8 +101,10 @@ struct RangeOutcome {
 /// function of core count.
 const DEFAULT_PARALLELISM: usize = 4;
 
-/// Default metadata-cache capacity. A cached entry is ~a FileMeta, so
-/// even at the cap the cache stays well under a megabyte.
+/// Metadata-cache capacity: inserting past it evicts the entry closest
+/// to expiry, so a client touching a large namespace cannot grow
+/// without bound. A cached entry is ~a FileMeta, so even at the cap the
+/// cache stays well under a megabyte.
 const DEFAULT_CACHE_CAPACITY: usize = 1024;
 
 impl Client {
@@ -136,7 +134,6 @@ impl Client {
             selector,
             cache: HashMap::new(),
             cache_ttl: std::time::Duration::from_secs(300),
-            cache_capacity: DEFAULT_CACHE_CAPACITY,
             metrics,
             datapath,
             ec,
@@ -200,34 +197,14 @@ impl Client {
         self.cache_ttl = ttl;
     }
 
-    /// Sets the metadata cache capacity (default 1024 entries, min 1).
-    /// Shrinking below the current population evicts the entries
-    /// closest to expiry immediately.
-    pub fn set_cache_capacity(&mut self, capacity: usize) {
-        self.cache_capacity = capacity.max(1);
-        while self.cache.len() > self.cache_capacity {
-            self.evict_oldest();
-        }
-    }
-
-    /// Evicts the cached entry closest to expiry (the oldest insert).
-    fn evict_oldest(&mut self) {
-        let Some(victim) = self
-            .cache
-            .iter()
-            .min_by_key(|(_, (_, at))| *at)
-            .map(|(name, _)| name.clone())
-        else {
-            return;
-        };
-        self.cache.remove(&victim);
-    }
-
-    /// Inserts into the metadata cache, evicting the oldest entry when
-    /// a new key would exceed capacity.
+    /// Inserts into the metadata cache, evicting the entry closest to
+    /// expiry (the oldest insert) when a new key would exceed capacity.
     fn cache_insert(&mut self, name: &str, meta: FileMeta) {
-        if !self.cache.contains_key(name) && self.cache.len() >= self.cache_capacity {
-            self.evict_oldest();
+        if !self.cache.contains_key(name) && self.cache.len() >= DEFAULT_CACHE_CAPACITY {
+            let oldest = self.cache.iter().min_by_key(|(_, (_, at))| *at);
+            if let Some(victim) = oldest.map(|(name, _)| name.clone()) {
+                self.cache.remove(&victim);
+            }
         }
         self.cache
             .insert(name.to_string(), (meta, std::time::Instant::now()));
@@ -258,41 +235,28 @@ impl Client {
     /// Returns [`FsError::AlreadyExists`] for duplicate names and
     /// [`FsError::InvalidArgument`] for an unsatisfiable policy.
     pub fn create_with(&mut self, name: &str, redundancy: Redundancy) -> Result<FileMeta, FsError> {
-        let mut span = self.trace.span("create");
-        trace::annotate(&mut span, "file", name);
-        trace::annotate(&mut span, "redundancy", format!("{redundancy:?}"));
-        let out = {
-            let _g = span.as_ref().map(trace::ActiveSpan::enter);
-            self.create_with_inner(name, redundancy)
-        };
-        if out.is_err() {
-            trace::mark_error(&mut span);
-        }
-        out
-    }
-
-    fn create_with_inner(
-        &mut self,
-        name: &str,
-        redundancy: Redundancy,
-    ) -> Result<FileMeta, FsError> {
-        let meta = match self.nameserver.create_with(name, redundancy) {
-            Ok(meta) => meta,
-            Err(e @ FsError::AlreadyExists(_)) => {
-                // A create conflict proves someone else owns this name
-                // now; any cached entry (say, from a copy we created
-                // that another client has since deleted and re-created)
-                // is stale and must not serve future reads.
-                self.invalidate_stale(name);
-                return Err(e);
+        trace::in_span(self.trace.span("create"), |span| {
+            trace::annotate(span, "file", name);
+            trace::annotate(span, "redundancy", format!("{redundancy:?}"));
+            let meta = match self.nameserver.create_with(name, redundancy) {
+                Ok(meta) => meta,
+                Err(e @ FsError::AlreadyExists(_)) => {
+                    // A create conflict proves someone else owns this
+                    // name now; any cached entry (say, from a copy we
+                    // created that another client has since deleted and
+                    // re-created) is stale and must not serve future
+                    // reads.
+                    self.invalidate_stale(name);
+                    return Err(e);
+                }
+                Err(e) => return Err(e),
+            };
+            for r in &meta.replicas {
+                self.dataserver(*r)?.create_file(&meta)?;
             }
-            Err(e) => return Err(e),
-        };
-        for r in &meta.replicas {
-            self.dataserver(*r)?.create_file(&meta)?;
-        }
-        self.cache_insert(name, meta.clone());
-        Ok(meta)
+            self.cache_insert(name, meta.clone());
+            Ok(meta)
+        })
     }
 
     /// Appends `data` atomically: the primary orders the append and it
@@ -303,12 +267,10 @@ impl Client {
     ///
     /// Returns [`FsError::NotFound`] for unknown files.
     pub fn append(&mut self, name: &str, data: &[u8]) -> Result<u64, FsError> {
-        let mut span = self.trace.span("append");
-        trace::annotate(&mut span, "file", name);
-        trace::annotate(&mut span, "bytes", data.len().to_string());
-        let out = {
-            let _g = span.as_ref().map(trace::ActiveSpan::enter);
-            match self.append_attempt(name, data) {
+        trace::in_span(self.trace.span("append"), |span| {
+            trace::annotate(span, "file", name);
+            trace::annotate(span, "bytes", data.len().to_string());
+            let size = match self.append_attempt(name, data) {
                 // Replica-side NotFound under a cached entry means the
                 // file was deleted (and possibly re-created under a new
                 // id) behind our cache: drop the entry and retry fresh
@@ -317,13 +279,10 @@ impl Client {
                     self.append_attempt(name, data)
                 }
                 other => other,
-            }
-        };
-        match &out {
-            Ok(size) => trace::annotate(&mut span, "size", size.to_string()),
-            Err(_) => trace::mark_error(&mut span),
-        }
-        out
+            }?;
+            trace::annotate(span, "size", size.to_string());
+            Ok(size)
+        })
     }
 
     fn append_attempt(&mut self, name: &str, data: &[u8]) -> Result<u64, FsError> {
@@ -337,18 +296,10 @@ impl Client {
         // recovery has rebuilt the lost copy
         // ([`crate::Cluster::repair_to`], which puts the rebuilt copy
         // of a lost primary in its slot) a retry goes through.
-        let new_size = {
-            let mut span = self.trace.child("primary_write");
-            trace::annotate(&mut span, "host", meta.primary().0.to_string());
-            let out = {
-                let _g = span.as_ref().map(trace::ActiveSpan::enter);
-                self.with_retry(|| self.dataserver(meta.primary())?.append_local(meta.id, data))
-            };
-            if out.is_err() {
-                trace::mark_error(&mut span);
-            }
-            out
-        }?;
+        let new_size = trace::in_span(self.trace.child("primary_write"), |span| {
+            trace::annotate(span, "host", meta.primary().0.to_string());
+            self.with_retry(|| self.dataserver(meta.primary())?.append_local(meta.id, data))
+        })?;
         // The relay to the remaining replicas fans out on the worker
         // pool: the order is already fixed by the primary, so the
         // relays are independent and only the ack-all-before-return
@@ -370,19 +321,14 @@ impl Client {
             meta.replicas[1..]
                 .iter()
                 .zip(relay_spans)
-                .map(|(host, mut span)| {
+                .map(|(host, span)| {
                     let ctx = &ctx;
                     move || {
-                        let out = {
-                            let _g = span.as_ref().map(trace::ActiveSpan::enter);
+                        trace::in_span(span, |_| {
                             datapath::with_retry(ctx.policy, ctx.retries, || {
                                 ctx.dataserver(*host)?.append_local(meta.id, data)
                             })
-                        };
-                        if out.is_err() {
-                            trace::mark_error(&mut span);
-                        }
-                        out
+                        })
                     }
                 })
                 .collect(),
@@ -396,15 +342,18 @@ impl Client {
             // Still under the file lock: stripe newly complete chunks
             // to the fragment hosts. Best-effort — a down fragment
             // host defers the seal to the next append (the chunk stays
-            // replicated meanwhile, so durability never regresses).
-            let span = self.trace.child("seal");
-            let _g = span.as_ref().map(trace::ActiveSpan::enter);
-            let _ = coding::seal_complete_chunks(
-                self.nameserver.as_ref(),
-                &self.dataservers,
-                name,
-                Some(&self.ec),
-            );
+            // replicated meanwhile, so durability never regresses), and
+            // a seal that fails is not a failed append: its error is
+            // dropped and its span stays ok.
+            let _ = trace::in_span(self.trace.child("seal"), |_| {
+                let _ = coding::seal_complete_chunks(
+                    self.nameserver.as_ref(),
+                    &self.dataservers,
+                    name,
+                    Some(&self.ec),
+                );
+                Ok::<(), FsError>(())
+            });
         }
         if let Some((cached, _)) = self.cache.get_mut(name) {
             cached.size = new_size;
@@ -418,11 +367,9 @@ impl Client {
     ///
     /// Returns [`FsError::NotFound`] for unknown files.
     pub fn read(&mut self, name: &str) -> Result<Vec<u8>, FsError> {
-        let mut span = self.trace.span("read");
-        trace::annotate(&mut span, "file", name);
-        let out = {
-            let _g = span.as_ref().map(trace::ActiveSpan::enter);
-            match self.read_attempt(name) {
+        trace::in_span(self.trace.span("read"), |span| {
+            trace::annotate(span, "file", name);
+            let data = match self.read_attempt(name) {
                 // Every replica denying knowledge of a cached file id
                 // means the cache is stale (deleted, or
                 // deleted-and-recreated under a new id): invalidate and
@@ -431,13 +378,10 @@ impl Client {
                 // nameserver this time.
                 Err(FsError::NotFound(_)) if self.invalidate_stale(name) => self.read_attempt(name),
                 other => other,
-            }
-        };
-        match &out {
-            Ok(data) => trace::annotate(&mut span, "bytes", data.len().to_string()),
-            Err(_) => trace::mark_error(&mut span),
-        }
-        out
+            }?;
+            trace::annotate(span, "bytes", data.len().to_string());
+            Ok(data)
+        })
     }
 
     fn read_attempt(&mut self, name: &str) -> Result<Vec<u8>, FsError> {
@@ -500,33 +444,26 @@ impl Client {
     /// under strong consistency, failing over across replicas under
     /// sequential. Used when no data read piggybacked a usable size.
     fn probe_size(&self, meta: &FileMeta) -> Result<u64, FsError> {
-        let mut span = self.trace.child("probe_size");
-        let out = {
-            let _g = span.as_ref().map(trace::ActiveSpan::enter);
-            self.probe_size_inner(meta)
-        };
-        match &out {
-            Ok(size) => trace::annotate(&mut span, "size", size.to_string()),
-            Err(_) => trace::mark_error(&mut span),
-        }
-        out
-    }
-
-    fn probe_size_inner(&self, meta: &FileMeta) -> Result<u64, FsError> {
         let probe_order: &[HostId] = match self.consistency {
             Consistency::Strong => &meta.replicas[..1],
             Consistency::Sequential => &meta.replicas,
         };
-        self.with_retry(|| {
-            let mut last = None;
-            for host in probe_order {
-                match self.dataserver(*host)?.read_local(meta.id, 0, 0) {
-                    Ok((_, size)) => return Ok(size),
-                    Err(e @ (FsError::Unavailable(_) | FsError::NotFound(_))) => last = Some(e),
-                    Err(e) => return Err(e),
+        trace::in_span(self.trace.child("probe_size"), |span| {
+            let size = self.with_retry(|| {
+                let mut last = None;
+                for host in probe_order {
+                    match self.dataserver(*host)?.read_local(meta.id, 0, 0) {
+                        Ok((_, size)) => return Ok(size),
+                        Err(e @ (FsError::Unavailable(_) | FsError::NotFound(_))) => {
+                            last = Some(e);
+                        }
+                        Err(e) => return Err(e),
+                    }
                 }
-            }
-            Err(last.unwrap_or_else(|| FsError::NotFound(meta.name.clone())))
+                Err(last.unwrap_or_else(|| FsError::NotFound(meta.name.clone())))
+            })?;
+            trace::annotate(span, "size", size.to_string());
+            Ok(size)
         })
     }
 
@@ -536,28 +473,13 @@ impl Client {
     ///
     /// Returns [`FsError::NotFound`] for unknown files.
     pub fn read_range(&mut self, name: &str, offset: u64, len: u64) -> Result<Vec<u8>, FsError> {
-        let mut span = self.trace.span("read_range");
-        trace::annotate(&mut span, "file", name);
-        trace::annotate(&mut span, "offset", offset.to_string());
-        trace::annotate(&mut span, "len", len.to_string());
-        let out = {
-            let _g = span.as_ref().map(trace::ActiveSpan::enter);
+        trace::in_span(self.trace.span("read_range"), |span| {
+            trace::annotate(span, "file", name);
+            trace::annotate(span, "offset", offset.to_string());
+            trace::annotate(span, "len", len.to_string());
             let meta = self.meta(name)?;
-            self.read_range_inner(&meta, offset, len)
-        };
-        if out.is_err() {
-            trace::mark_error(&mut span);
-        }
-        out
-    }
-
-    fn read_range_inner(
-        &mut self,
-        meta: &FileMeta,
-        offset: u64,
-        len: u64,
-    ) -> Result<Vec<u8>, FsError> {
-        Ok(self.read_range_collect(meta, offset, len)?.data)
+            Ok(self.read_range_collect(&meta, offset, len)?.data)
+        })
     }
 
     fn read_range_collect(
@@ -783,7 +705,7 @@ impl Client {
                 .zip(slices)
                 .zip(piece_spans)
                 .map(
-                    |((&(chosen, piece_offset, _, primary_only), slice), mut span)| {
+                    |((&(chosen, piece_offset, _, primary_only), slice), span)| {
                         // Failover order: chosen replica, the rest, primary
                         // last (it is never stale).
                         let mut order = vec![chosen];
@@ -799,17 +721,12 @@ impl Client {
                         }
                         let ctx = &ctx;
                         move || {
-                            let out = {
-                                let _g = span.as_ref().map(trace::ActiveSpan::enter);
+                            trace::in_span(span, |span| {
                                 ctx.read_piece_into(meta, &order, piece_offset, slice)
-                            };
-                            match &out {
-                                Ok(done) => {
-                                    trace::annotate(&mut span, "filled", done.filled.to_string());
-                                }
-                                Err(_) => trace::mark_error(&mut span),
-                            }
-                            out
+                                    .inspect(|done| {
+                                        trace::annotate(span, "filled", done.filled.to_string());
+                                    })
+                            })
                         }
                     },
                 )
@@ -1073,32 +990,31 @@ mod tests {
         let dir = TempDir::new("cachecap");
         let c = cluster(&dir, Consistency::Sequential);
         let mut client = c.client(HostId(0));
-        client.set_cache_capacity(3);
-        for i in 0..5 {
+        let files = DEFAULT_CACHE_CAPACITY + 2;
+        for i in 0..files {
             client.create(&format!("f{i}")).unwrap();
         }
-        assert_eq!(client.cached_entries(), 3, "population stays bounded");
-        // The oldest inserts (f0, f1) were evicted; the newest remain.
-        // Re-reading an evicted file's meta is a miss...
+        assert_eq!(
+            client.cached_entries(),
+            DEFAULT_CACHE_CAPACITY,
+            "population stays bounded"
+        );
+        let counts = || {
+            let snap = c.registry().snapshot();
+            (
+                snap.counter("fs_client_cache_misses_total").unwrap_or(0),
+                snap.counter("fs_client_cache_hits_total").unwrap_or(0),
+            )
+        };
+        // The oldest inserts (f0, f1) were evicted: re-reading their
+        // meta misses...
+        let (misses, hits) = counts();
         client.meta("f0").unwrap();
-        // ...and a cached one is a hit.
-        client.meta("f4").unwrap();
-        let snap = c.registry().snapshot();
-        assert!(snap.counter("fs_client_cache_misses_total").unwrap() >= 1);
-        assert!(snap.counter("fs_client_cache_hits_total").unwrap() >= 1);
-    }
-
-    #[test]
-    fn shrinking_cache_capacity_evicts_immediately() {
-        let dir = TempDir::new("cacheshrink");
-        let c = cluster(&dir, Consistency::Sequential);
-        let mut client = c.client(HostId(0));
-        for i in 0..6 {
-            client.create(&format!("g{i}")).unwrap();
-        }
-        assert_eq!(client.cached_entries(), 6);
-        client.set_cache_capacity(2);
-        assert_eq!(client.cached_entries(), 2);
+        client.meta("f1").unwrap();
+        assert_eq!(counts(), (misses + 2, hits));
+        // ...and the newest is still cached.
+        client.meta(&format!("f{}", files - 1)).unwrap();
+        assert_eq!(counts(), (misses + 2, hits + 1));
     }
 
     #[test]

@@ -205,27 +205,6 @@ impl Cluster {
         )
     }
 
-    /// Runs `f` under a recovery-flow span named `op` (a child when an
-    /// ambient span exists — e.g. the recovery executor's task span —
-    /// else a root), marking it failed on error.
-    fn traced<T>(
-        &self,
-        op: &str,
-        file: &str,
-        f: impl FnOnce(&Cluster) -> Result<T, FsError>,
-    ) -> Result<T, FsError> {
-        let mut span = self.trace_recovery.span(op);
-        trace::annotate(&mut span, "file", file);
-        let out = {
-            let _g = span.as_ref().map(trace::ActiveSpan::enter);
-            f(self)
-        };
-        if out.is_err() {
-            trace::mark_error(&mut span);
-        }
-        out
-    }
-
     /// Stores `meta` over the file's nameserver entry in one step — a
     /// concurrent lookup sees the old mapping or the new one, never
     /// `NotFound` — then refreshes the replicas' local copies of it.
@@ -259,47 +238,48 @@ impl Cluster {
     /// live copy or `dest` is down, and nameserver errors from
     /// persisting the new mapping.
     pub fn repair_to(&self, name: &str, source: HostId, dest: HostId) -> Result<u64, FsError> {
-        self.traced("repair_to", name, |c| {
-            let mut span = c.trace_recovery.child("copy");
-            trace::annotate(&mut span, "source", source.to_string());
-            trace::annotate(&mut span, "dest", dest.to_string());
-            let out = c.repair_to_inner(name, source, dest);
-            match &out {
-                Ok(bytes) => trace::annotate(&mut span, "bytes", bytes.to_string()),
-                Err(_) => trace::mark_error(&mut span),
-            }
-            out
+        trace::in_span(self.trace_recovery.span("repair_to"), |span| {
+            trace::annotate(span, "file", name);
+            // `copy` times the step but is not the ambient parent: the
+            // dataservers' spans stay its siblings, under `repair_to`.
+            let repair = trace::current_context();
+            trace::in_span(self.trace_recovery.child("copy"), |copy| {
+                trace::annotate(copy, "source", source.to_string());
+                trace::annotate(copy, "dest", dest.to_string());
+                let copied = trace::with_context(repair, || {
+                    let meta = self.nameserver.lookup(name)?;
+                    let lock = self.coordinator.file_lock(meta.id);
+                    let _guard = lock.lock();
+                    // Re-read under the lock (a concurrent repair may
+                    // have won).
+                    let mut meta = self.nameserver.lookup(name)?;
+
+                    let Some(lost) = meta
+                        .replicas
+                        .iter()
+                        .position(|r| !self.dataserver(*r).has_file(meta.id))
+                    else {
+                        return Ok(0); // fully replicated again — nothing to do
+                    };
+                    if meta.replicas.contains(&dest) && self.dataserver(dest).has_file(meta.id) {
+                        return Ok(0);
+                    }
+                    if !self.dataserver(source).has_file(meta.id) {
+                        return Err(FsError::Unavailable(format!(
+                            "{name}: repair source host {source} lost its copy"
+                        )));
+                    }
+                    let copied = self
+                        .dataserver(dest)
+                        .pull_repair(&**self.dataserver(source), &meta)?;
+                    meta.replicas[lost] = dest;
+                    self.replace_mapping(&meta)?;
+                    Ok(copied)
+                })?;
+                trace::annotate(copy, "bytes", copied.to_string());
+                Ok(copied)
+            })
         })
-    }
-
-    fn repair_to_inner(&self, name: &str, source: HostId, dest: HostId) -> Result<u64, FsError> {
-        let meta = self.nameserver.lookup(name)?;
-        let lock = self.coordinator.file_lock(meta.id);
-        let _guard = lock.lock();
-        // Re-read under the lock (a concurrent repair may have won).
-        let mut meta = self.nameserver.lookup(name)?;
-
-        let Some(lost) = meta
-            .replicas
-            .iter()
-            .position(|r| !self.dataserver(*r).has_file(meta.id))
-        else {
-            return Ok(0); // fully replicated again — nothing to do
-        };
-        if meta.replicas.contains(&dest) && self.dataserver(dest).has_file(meta.id) {
-            return Ok(0);
-        }
-        if !self.dataserver(source).has_file(meta.id) {
-            return Err(FsError::Unavailable(format!(
-                "{name}: repair source host {source} lost its copy"
-            )));
-        }
-        let copied = self
-            .dataserver(dest)
-            .pull_repair(&**self.dataserver(source), &meta)?;
-        meta.replicas[lost] = dest;
-        self.replace_mapping(&meta)?;
-        Ok(copied)
     }
 
     /// Seals every complete-but-unsealed chunk of a coded file now,
@@ -317,11 +297,17 @@ impl Cluster {
     /// Returns [`FsError::NotFound`] for unknown files and
     /// [`FsError::CorruptMetadata`] for inconsistent fragment maps.
     pub fn seal(&self, name: &str) -> Result<u64, FsError> {
-        self.traced("seal", name, |c| {
-            let meta = c.nameserver.lookup(name)?;
-            let lock = c.coordinator.file_lock(meta.id);
+        trace::in_span(self.trace_recovery.span("seal"), |span| {
+            trace::annotate(span, "file", name);
+            let meta = self.nameserver.lookup(name)?;
+            let lock = self.coordinator.file_lock(meta.id);
             let _guard = lock.lock();
-            coding::seal_complete_chunks(c.nameserver.as_ref(), &c.dataservers, name, Some(&c.ec))
+            coding::seal_complete_chunks(
+                self.nameserver.as_ref(),
+                &self.dataservers,
+                name,
+                Some(&self.ec),
+            )
         })
     }
 
@@ -343,67 +329,68 @@ impl Cluster {
     /// fragment; [`FsError::Unavailable`] when fewer than `k` fragments
     /// of any sealed chunk survive.
     pub fn repair_fragment(&self, name: &str, index: usize, dest: HostId) -> Result<u64, FsError> {
-        self.traced("repair_fragment", name, |c| {
-            let mut span = c.trace_recovery.child("rebuild");
-            trace::annotate(&mut span, "fragment", index.to_string());
-            trace::annotate(&mut span, "dest", dest.to_string());
-            let out = c.repair_fragment_inner(name, index, dest);
-            match &out {
-                Ok(bytes) => trace::annotate(&mut span, "bytes", bytes.to_string()),
-                Err(_) => trace::mark_error(&mut span),
-            }
-            out
+        trace::in_span(self.trace_recovery.span("repair_fragment"), |span| {
+            trace::annotate(span, "file", name);
+            // As in `repair_to`: the fragment reads and puts stay
+            // siblings of `rebuild`, under `repair_fragment`.
+            let repair = trace::current_context();
+            trace::in_span(self.trace_recovery.child("rebuild"), |rebuild| {
+                trace::annotate(rebuild, "fragment", index.to_string());
+                trace::annotate(rebuild, "dest", dest.to_string());
+                let written = trace::with_context(repair, || {
+                    let meta = self.nameserver.lookup(name)?;
+                    let lock = self.coordinator.file_lock(meta.id);
+                    let _guard = lock.lock();
+                    // Re-read under the lock (a concurrent repair may
+                    // have won).
+                    let meta = self.nameserver.lookup(name)?;
+                    if !meta.is_coded() {
+                        return Err(FsError::InvalidArgument(format!(
+                            "{name} is not a coded file"
+                        )));
+                    }
+                    if index >= meta.fragments.len() {
+                        return Err(FsError::InvalidArgument(format!(
+                            "fragment index {index} out of range for {name}"
+                        )));
+                    }
+                    if meta
+                        .fragments
+                        .iter()
+                        .enumerate()
+                        .any(|(i, h)| i != index && *h == dest)
+                    {
+                        return Err(FsError::InvalidArgument(format!(
+                            "host {dest} already holds another fragment of {name}"
+                        )));
+                    }
+                    if meta.sealed_chunks == 0 {
+                        return Ok(0);
+                    }
+                    let current = meta.fragments[index];
+                    let intact = (0..meta.sealed_chunks)
+                        .all(|c| self.dataserver(current).has_fragment(meta.id, c, index));
+                    if intact {
+                        return Ok(0);
+                    }
+                    let written = coding::rebuild_fragment(
+                        &self.dataservers,
+                        &meta,
+                        index,
+                        dest,
+                        Some(&self.ec),
+                    )?;
+                    self.nameserver.set_fragment(name, index, dest)?;
+                    let meta = self.nameserver.lookup(name)?;
+                    for host in meta.replicas.iter().chain(&meta.fragments) {
+                        let _ = self.dataserver(*host).update_meta(&meta);
+                    }
+                    Ok(written)
+                })?;
+                trace::annotate(rebuild, "bytes", written.to_string());
+                Ok(written)
+            })
         })
-    }
-
-    fn repair_fragment_inner(
-        &self,
-        name: &str,
-        index: usize,
-        dest: HostId,
-    ) -> Result<u64, FsError> {
-        let meta = self.nameserver.lookup(name)?;
-        let lock = self.coordinator.file_lock(meta.id);
-        let _guard = lock.lock();
-        // Re-read under the lock (a concurrent repair may have won).
-        let meta = self.nameserver.lookup(name)?;
-        if !meta.is_coded() {
-            return Err(FsError::InvalidArgument(format!(
-                "{name} is not a coded file"
-            )));
-        }
-        if index >= meta.fragments.len() {
-            return Err(FsError::InvalidArgument(format!(
-                "fragment index {index} out of range for {name}"
-            )));
-        }
-        if meta
-            .fragments
-            .iter()
-            .enumerate()
-            .any(|(i, h)| i != index && *h == dest)
-        {
-            return Err(FsError::InvalidArgument(format!(
-                "host {dest} already holds another fragment of {name}"
-            )));
-        }
-        if meta.sealed_chunks == 0 {
-            return Ok(0);
-        }
-        let current = meta.fragments[index];
-        let intact = (0..meta.sealed_chunks)
-            .all(|c| self.dataserver(current).has_fragment(meta.id, c, index));
-        if intact {
-            return Ok(0);
-        }
-        let written =
-            coding::rebuild_fragment(&self.dataservers, &meta, index, dest, Some(&self.ec))?;
-        self.nameserver.set_fragment(name, index, dest)?;
-        let meta = self.nameserver.lookup(name)?;
-        for host in meta.replicas.iter().chain(&meta.fragments) {
-            let _ = self.dataserver(*host).update_meta(&meta);
-        }
-        Ok(written)
     }
 }
 

@@ -192,25 +192,21 @@ impl FetchCtx<'_> {
         with_retry(self.policy, self.retries, || {
             let mut last_err = None;
             for host in order {
-                let mut span = self.trace.child("attempt");
-                trace::annotate(&mut span, "host", host.0.to_string());
-                if round > 0 {
-                    trace::annotate(&mut span, "retry_round", round.to_string());
-                }
-                let out = {
-                    let _g = span.as_ref().map(trace::ActiveSpan::enter);
-                    self.try_read_piece_into(meta, *host, offset, &mut *buf)
-                };
-                match out {
-                    Ok(done) => {
-                        trace::annotate(&mut span, "filled", done.filled.to_string());
-                        return Ok(done);
+                let attempt = trace::in_span(self.trace.child("attempt"), |span| {
+                    trace::annotate(span, "host", host.0.to_string());
+                    if round > 0 {
+                        trace::annotate(span, "retry_round", round.to_string());
                     }
-                    Err(e) => {
-                        trace::annotate(&mut span, "error", e.to_string());
-                        trace::mark_error(&mut span);
-                        last_err = Some(e);
+                    let out = self.try_read_piece_into(meta, *host, offset, &mut *buf);
+                    match &out {
+                        Ok(done) => trace::annotate(span, "filled", done.filled.to_string()),
+                        Err(e) => trace::annotate(span, "error", e.to_string()),
                     }
+                    out
+                });
+                match attempt {
+                    Ok(done) => return Ok(done),
+                    Err(e) => last_err = Some(e),
                 }
             }
             round += 1;

@@ -449,43 +449,36 @@ impl Dataserver {
     ///
     /// Returns [`FsError::NotFound`] if the replica is absent.
     pub fn append_local(&self, id: FileId, data: &[u8]) -> Result<u64, FsError> {
-        let mut span = self.io_span("chunk_append");
-        trace::annotate(&mut span, "bytes", data.len().to_string());
-        let out = self.append_local_inner(id, data);
-        match &out {
-            Ok(size) => trace::annotate(&mut span, "size", size.to_string()),
-            Err(_) => trace::mark_error(&mut span),
-        }
-        out
-    }
-
-    fn append_local_inner(&self, id: FileId, data: &[u8]) -> Result<u64, FsError> {
-        let state = self.replica(id)?;
-        let held = self.hold(&state)?;
-        let size = state.size.load(Ordering::Relaxed); // stored only under `meta`
-        match self.write_chunks(id, state.chunk_size, size, data) {
-            Ok(new_size) => {
-                state.size.store(new_size, Ordering::Release);
-                if let Some(m) = self.metrics.get() {
-                    m.appends.inc();
-                    m.append_bytes.record(data.len() as u64);
+        trace::in_span(self.io_span("chunk_append"), |span| {
+            trace::annotate(span, "bytes", data.len().to_string());
+            let state = self.replica(id)?;
+            let held = self.hold(&state)?;
+            let size = state.size.load(Ordering::Relaxed); // stored only under `meta`
+            match self.write_chunks(id, state.chunk_size, size, data) {
+                Ok(new_size) => {
+                    state.size.store(new_size, Ordering::Release);
+                    if let Some(m) = self.metrics.get() {
+                        m.appends.inc();
+                        m.append_bytes.record(data.len() as u64);
+                    }
+                    trace::annotate(span, "size", new_size.to_string());
+                    Ok(new_size)
                 }
-                Ok(new_size)
-            }
-            Err(e) => {
-                // A write cut short leaves bytes past the published
-                // size. Give the entry up: the next touch loads the
-                // replica from its chunk files again, as a restart
-                // would, so the next append lands where they end.
-                state.retired.store(true, Ordering::Relaxed);
-                drop(held);
-                let mut table = self.replicas.lock();
-                if table.get(&id).is_some_and(|cur| Arc::ptr_eq(cur, &state)) {
-                    table.remove(&id);
+                Err(e) => {
+                    // A write cut short leaves bytes past the published
+                    // size. Give the entry up: the next touch loads the
+                    // replica from its chunk files again, as a restart
+                    // would, so the next append lands where they end.
+                    state.retired.store(true, Ordering::Relaxed);
+                    drop(held);
+                    let mut table = self.replicas.lock();
+                    if table.get(&id).is_some_and(|cur| Arc::ptr_eq(cur, &state)) {
+                        table.remove(&id);
+                    }
+                    Err(e)
                 }
-                Err(e)
             }
-        }
+        })
     }
 
     /// Writes `data` at `pos`, the end of the replica: one
@@ -549,16 +542,13 @@ impl Dataserver {
         offset: u64,
         buf: &mut [u8],
     ) -> Result<(usize, u64), FsError> {
-        let mut span = self.io_span("chunk_read");
-        trace::annotate(&mut span, "offset", offset.to_string());
-        let out = self
-            .replica(id)
-            .and_then(|state| self.fill_from_chunks(id, &state, offset, buf));
-        match &out {
-            Ok((filled, _)) => trace::annotate(&mut span, "bytes", filled.to_string()),
-            Err(_) => trace::mark_error(&mut span),
-        }
-        out
+        trace::in_span(self.io_span("chunk_read"), |span| {
+            trace::annotate(span, "offset", offset.to_string());
+            let state = self.replica(id)?;
+            let (filled, size) = self.fill_from_chunks(id, &state, offset, buf)?;
+            trace::annotate(span, "bytes", filled.to_string());
+            Ok((filled, size))
+        })
     }
 
     /// The shared read core: fills `buf` from the chunk files starting
@@ -611,48 +601,34 @@ impl Dataserver {
         payload_len: u64,
         shard: &[u8],
     ) -> Result<(), FsError> {
-        let mut span = self.io_span("fragment_put");
-        trace::annotate(&mut span, "chunk", chunk.to_string());
-        trace::annotate(&mut span, "fragment", index.to_string());
-        let out = self.put_fragment_inner(id, chunk, index, payload_len, shard);
-        if out.is_err() {
-            trace::mark_error(&mut span);
-        }
-        out
-    }
-
-    fn put_fragment_inner(
-        &self,
-        id: FileId,
-        chunk: u64,
-        index: usize,
-        payload_len: u64,
-        shard: &[u8],
-    ) -> Result<(), FsError> {
-        self.ensure_up()?;
-        let dir = self.file_dir(id);
-        std::fs::create_dir_all(&dir)?;
-        let mut header = [0u8; FRAGMENT_HEADER];
-        header[..4].copy_from_slice(FRAGMENT_MAGIC);
-        header[4..12].copy_from_slice(&payload_len.to_le_bytes());
-        header[12..].copy_from_slice(&mayflower_kvstore::crc::crc32(shard).to_le_bytes());
-        let tmp = dir.join(format!(
-            "f{}.{index}.tmp.{:?}",
-            chunk + 1,
-            std::thread::current().id()
-        ));
-        // Header and shard go to the file as two writes: no framed
-        // copy of the shard is ever built.
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&header)?;
-        f.write_all(shard)?;
-        drop(f);
-        std::fs::rename(&tmp, self.fragment_path(id, chunk, index))?;
-        if let Some(m) = self.metrics.get() {
-            m.appends.inc();
-            m.append_bytes.record(shard.len() as u64);
-        }
-        Ok(())
+        trace::in_span(self.io_span("fragment_put"), |span| {
+            trace::annotate(span, "chunk", chunk.to_string());
+            trace::annotate(span, "fragment", index.to_string());
+            self.ensure_up()?;
+            let dir = self.file_dir(id);
+            std::fs::create_dir_all(&dir)?;
+            let mut header = [0u8; FRAGMENT_HEADER];
+            header[..4].copy_from_slice(FRAGMENT_MAGIC);
+            header[4..12].copy_from_slice(&payload_len.to_le_bytes());
+            header[12..].copy_from_slice(&mayflower_kvstore::crc::crc32(shard).to_le_bytes());
+            let tmp = dir.join(format!(
+                "f{}.{index}.tmp.{:?}",
+                chunk + 1,
+                std::thread::current().id()
+            ));
+            // Header and shard go to the file as two writes: no framed
+            // copy of the shard is ever built.
+            let mut f = std::fs::File::create(&tmp)?;
+            f.write_all(&header)?;
+            f.write_all(shard)?;
+            drop(f);
+            std::fs::rename(&tmp, self.fragment_path(id, chunk, index))?;
+            if let Some(m) = self.metrics.get() {
+                m.appends.inc();
+                m.append_bytes.record(shard.len() as u64);
+            }
+            Ok(())
+        })
     }
 
     /// Reads fragment `index` of sealed chunk `chunk`, verifying the
@@ -671,7 +647,7 @@ impl Dataserver {
         index: usize,
     ) -> Result<(Vec<u8>, u64), FsError> {
         let mut shard = Vec::new();
-        let payload_len = self.read_fragment_traced(id, chunk, index, |len| {
+        let payload_len = self.read_fragment_inner(id, chunk, index, |len| {
             shard = vec![0u8; len];
             Some(&mut shard[..])
         })?;
@@ -697,29 +673,13 @@ impl Dataserver {
         index: usize,
         dst: &mut [u8],
     ) -> Result<u64, FsError> {
-        self.read_fragment_traced(id, chunk, index, |len| (len == dst.len()).then_some(dst))
+        self.read_fragment_inner(id, chunk, index, |len| (len == dst.len()).then_some(dst))
     }
 
-    fn read_fragment_traced<'a>(
-        &self,
-        id: FileId,
-        chunk: u64,
-        index: usize,
-        dst_for: impl FnOnce(usize) -> Option<&'a mut [u8]>,
-    ) -> Result<u64, FsError> {
-        let mut span = self.io_span("fragment_read");
-        trace::annotate(&mut span, "chunk", chunk.to_string());
-        trace::annotate(&mut span, "fragment", index.to_string());
-        let out = self.read_fragment_inner(id, chunk, index, dst_for);
-        if out.is_err() {
-            trace::mark_error(&mut span);
-        }
-        out
-    }
-
-    /// The one fragment-read core: open, 16-byte header, the shard
-    /// `read_exact` into the buffer `dst_for` supplies for the stored
-    /// shard length (`None` rejects that length), checksum in place.
+    /// The one fragment-read core, traced as `fragment_read`: open,
+    /// 16-byte header, the shard `read_exact` into the buffer `dst_for`
+    /// supplies for the stored shard length (`None` rejects that
+    /// length), checksum in place.
     fn read_fragment_inner<'a>(
         &self,
         id: FileId,
@@ -727,38 +687,42 @@ impl Dataserver {
         index: usize,
         dst_for: impl FnOnce(usize) -> Option<&'a mut [u8]>,
     ) -> Result<u64, FsError> {
-        self.ensure_up()?;
-        let what = || format!("fragment {index} of chunk {chunk} of {id}");
-        let corrupt = |why: &str| FsError::CorruptMetadata(format!("{}: {why}", what()));
-        let mut f = std::fs::File::open(self.fragment_path(id, chunk, index))
-            .map_err(|e| not_found_or_io(e, what))?;
-        let stored = f.metadata()?.len();
-        let mut header = [0u8; FRAGMENT_HEADER];
-        if f.read_exact(&mut header).is_err() {
-            return Err(corrupt("bad frame"));
-        }
-        let [m0, m1, m2, m3, l0, l1, l2, l3, l4, l5, l6, l7, c0, c1, c2, c3] = header;
-        if &[m0, m1, m2, m3] != FRAGMENT_MAGIC {
-            return Err(corrupt("bad frame"));
-        }
-        let payload_len = u64::from_le_bytes([l0, l1, l2, l3, l4, l5, l6, l7]);
-        let want_crc = u32::from_le_bytes([c0, c1, c2, c3]);
-        let shard = stored
-            .checked_sub(FRAGMENT_HEADER as u64)
-            .and_then(|len| usize::try_from(len).ok())
-            .and_then(dst_for)
-            .ok_or_else(|| corrupt("unexpected shard length"))?;
-        // A file that shrank since the stat is a torn frame, not an
-        // I/O failure.
-        f.read_exact(shard).map_err(|_| corrupt("short shard"))?;
-        if mayflower_kvstore::crc::crc32(shard) != want_crc {
-            return Err(corrupt("checksum mismatch"));
-        }
-        if let Some(m) = self.metrics.get() {
-            m.reads.inc();
-            m.read_bytes.record(shard.len() as u64);
-        }
-        Ok(payload_len)
+        trace::in_span(self.io_span("fragment_read"), |span| {
+            trace::annotate(span, "chunk", chunk.to_string());
+            trace::annotate(span, "fragment", index.to_string());
+            self.ensure_up()?;
+            let what = || format!("fragment {index} of chunk {chunk} of {id}");
+            let corrupt = |why: &str| FsError::CorruptMetadata(format!("{}: {why}", what()));
+            let mut f = std::fs::File::open(self.fragment_path(id, chunk, index))
+                .map_err(|e| not_found_or_io(e, what))?;
+            let stored = f.metadata()?.len();
+            let mut header = [0u8; FRAGMENT_HEADER];
+            if f.read_exact(&mut header).is_err() {
+                return Err(corrupt("bad frame"));
+            }
+            let [m0, m1, m2, m3, l0, l1, l2, l3, l4, l5, l6, l7, c0, c1, c2, c3] = header;
+            if &[m0, m1, m2, m3] != FRAGMENT_MAGIC {
+                return Err(corrupt("bad frame"));
+            }
+            let payload_len = u64::from_le_bytes([l0, l1, l2, l3, l4, l5, l6, l7]);
+            let want_crc = u32::from_le_bytes([c0, c1, c2, c3]);
+            let shard = stored
+                .checked_sub(FRAGMENT_HEADER as u64)
+                .and_then(|len| usize::try_from(len).ok())
+                .and_then(dst_for)
+                .ok_or_else(|| corrupt("unexpected shard length"))?;
+            // A file that shrank since the stat is a torn frame, not an
+            // I/O failure.
+            f.read_exact(shard).map_err(|_| corrupt("short shard"))?;
+            if mayflower_kvstore::crc::crc32(shard) != want_crc {
+                return Err(corrupt("checksum mismatch"));
+            }
+            if let Some(m) = self.metrics.get() {
+                m.reads.inc();
+                m.read_bytes.record(shard.len() as u64);
+            }
+            Ok(payload_len)
+        })
     }
 
     /// Whether this dataserver holds the given fragment. A downed
@@ -855,47 +819,43 @@ impl Dataserver {
     /// Returns [`FsError::Unavailable`] if either side is down, or the
     /// source's read errors.
     pub fn pull_repair(&self, source: &dyn RepairSource, meta: &FileMeta) -> Result<u64, FsError> {
-        let mut span = self.io_span("pull_repair");
-        trace::annotate(&mut span, "file", &meta.name);
-        let out = self.pull_repair_inner(source, meta);
-        match &out {
-            Ok(copied) => trace::annotate(&mut span, "bytes", copied.to_string()),
-            Err(_) => trace::mark_error(&mut span),
-        }
-        out
-    }
-
-    fn pull_repair_inner(
-        &self,
-        source: &dyn RepairSource,
-        meta: &FileMeta,
-    ) -> Result<u64, FsError> {
-        self.ensure_up()?;
-        if self.has_file(meta.id) {
-            return Ok(0);
-        }
-        // A coded file's replicas hold only the chunks above the seal
-        // watermark (the sealed region lives in fragments), so the copy
-        // starts there — which is where `create_file` puts the end of
-        // the new replica, keeping `append_local`'s chunk numbering
-        // consistent with the source.
-        let start = meta.sealed_bytes();
-        self.create_file(meta)?;
-        let copy = || -> Result<u64, FsError> {
-            let mut copied = 0u64;
-            loop {
-                let (data, total) = source.repair_read(meta.id, start + copied, meta.chunk_size)?;
-                if !data.is_empty() {
-                    copied += data.len() as u64;
-                    self.append_local(meta.id, &data)?;
-                }
-                if start + copied >= total || data.is_empty() {
-                    return Ok(copied);
-                }
-            }
-        };
-        copy().inspect_err(|_| {
-            let _ = self.delete_file(meta.id);
+        // The copy's chunk appends stay siblings of this span, under
+        // the caller's.
+        let caller = trace::current_context();
+        trace::in_span(self.io_span("pull_repair"), |span| {
+            trace::annotate(span, "file", &meta.name);
+            self.ensure_up()?;
+            let copied = if self.has_file(meta.id) {
+                0
+            } else {
+                // A coded file's replicas hold only the chunks above the
+                // seal watermark (the sealed region lives in fragments),
+                // so the copy starts there — which is where
+                // `create_file` puts the end of the new replica, keeping
+                // `append_local`'s chunk numbering consistent with the
+                // source.
+                let start = meta.sealed_bytes();
+                self.create_file(meta)?;
+                trace::with_context(caller, || -> Result<u64, FsError> {
+                    let mut copied = 0u64;
+                    loop {
+                        let (data, total) =
+                            source.repair_read(meta.id, start + copied, meta.chunk_size)?;
+                        if !data.is_empty() {
+                            copied += data.len() as u64;
+                            self.append_local(meta.id, &data)?;
+                        }
+                        if start + copied >= total || data.is_empty() {
+                            return Ok(copied);
+                        }
+                    }
+                })
+                .inspect_err(|_| {
+                    let _ = self.delete_file(meta.id);
+                })?
+            };
+            trace::annotate(span, "bytes", copied.to_string());
+            Ok(copied)
         })
     }
 }

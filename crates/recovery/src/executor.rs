@@ -202,18 +202,13 @@ impl RepairExecutor {
             if let Some(index) = task.fragment {
                 trace::annotate(&mut span, "fragment", index.to_string());
             }
-            let result = {
-                let _g = span.as_ref().map(trace::ActiveSpan::enter);
+            let result = trace::in_span(span, |span| {
                 match task.fragment {
                     Some(index) => cluster.repair_fragment(&task.name, index, task.dest),
                     None => cluster.repair_to(&task.name, task.source, task.dest),
                 }
-            };
-            match &result {
-                Ok(bytes) => trace::annotate(&mut span, "bytes", bytes.to_string()),
-                Err(_) => trace::mark_error(&mut span),
-            }
-            drop(span);
+                .inspect(|bytes| trace::annotate(span, "bytes", bytes.to_string()))
+            });
             if let Some(cookie) = task.cookie {
                 flowserver.flow_completed(cookie);
             }

@@ -138,35 +138,31 @@ impl ShardRouter {
         op: impl Fn(ShardId, u64) -> Result<T, ShardError>,
     ) -> Result<T, FsError> {
         self.metrics.routed_ops.inc();
-        let mut span = self.span("route");
-        trace::annotate(&mut span, "file", name);
-        let _g = span.as_ref().map(trace::ActiveSpan::enter);
-        for attempt in 0..MAX_ROUTE_RETRIES {
-            let (shard, epoch) = self.route(name);
-            if attempt == 0 {
-                trace::annotate(&mut span, "shard", shard.0.to_string());
-                trace::annotate(&mut span, "epoch", epoch.to_string());
-            }
-            match op(shard, epoch) {
-                Ok(v) => return Ok(v),
-                Err(ShardError::StaleMap { .. } | ShardError::NotOwner { .. }) => {
-                    trace::annotate(
-                        &mut span,
-                        "stale_retry",
-                        format!("attempt={attempt} shard={} epoch={epoch}", shard.0),
-                    );
-                    self.refresh();
+        trace::in_span(self.span("route"), |span| {
+            trace::annotate(span, "file", name);
+            for attempt in 0..MAX_ROUTE_RETRIES {
+                let (shard, epoch) = self.route(name);
+                if attempt == 0 {
+                    trace::annotate(span, "shard", shard.0.to_string());
+                    trace::annotate(span, "epoch", epoch.to_string());
                 }
-                Err(ShardError::Fs(e)) => {
-                    trace::mark_error(&mut span);
-                    return Err(e);
+                match op(shard, epoch) {
+                    Ok(v) => return Ok(v),
+                    Err(ShardError::StaleMap { .. } | ShardError::NotOwner { .. }) => {
+                        trace::annotate(
+                            span,
+                            "stale_retry",
+                            format!("attempt={attempt} shard={} epoch={epoch}", shard.0),
+                        );
+                        self.refresh();
+                    }
+                    Err(ShardError::Fs(e)) => return Err(e),
                 }
             }
-        }
-        trace::mark_error(&mut span);
-        Err(FsError::Unavailable(
-            "shard map churned through every routing retry".into(),
-        ))
+            Err(FsError::Unavailable(
+                "shard map churned through every routing retry".into(),
+            ))
+        })
     }
 
     /// Sends `op` to the shard that owns the first of the names it

@@ -10,7 +10,8 @@
 //! propagates two ways:
 //!
 //! * **in-process** through a thread-local ambient context
-//!   ([`current_context`] / [`ActiveSpan::enter`]), which also carries
+//!   ([`current_context`]; [`in_span`] enters a span for the step it
+//!   runs and marks it failed on `Err`), which also carries
 //!   across the datapath worker pool because piece spans are created
 //!   on the caller's thread (in planning order, so ids are stable) and
 //!   entered by whichever worker runs the job;
@@ -363,11 +364,24 @@ pub fn annotate(span: &mut Option<ActiveSpan>, key: &str, value: impl Into<Strin
     }
 }
 
-/// Marks the span failed if one is open.
-pub fn mark_error(span: &mut Option<ActiveSpan>) {
-    if let Some(s) = span.as_mut() {
+/// Runs one traced step inside `span`, the one way a step is traced:
+/// the span is the thread's ambient parent while `step` runs, `step`
+/// gets the span to annotate, an `Err` marks it failed, and the span
+/// ends as this returns the step's result unchanged. With tracing off
+/// (`span` is `None`) the step runs bare: no allocation, no branch but
+/// the `Option` checks.
+#[inline]
+pub fn in_span<T, E>(
+    mut span: Option<ActiveSpan>,
+    step: impl FnOnce(&mut Option<ActiveSpan>) -> Result<T, E>,
+) -> Result<T, E> {
+    let entered = span.as_ref().map(ActiveSpan::enter);
+    let out = step(&mut span);
+    drop(entered);
+    if let (Some(s), Err(_)) = (span.as_mut(), &out) {
         s.set_error();
     }
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -692,6 +706,38 @@ mod tests {
         let child_ev = &tree.events()[1];
         assert_eq!(child_ev.parent, Some(root_ev.span));
         assert_eq!(child_ev.annotation("k"), Some("v"));
+    }
+
+    #[test]
+    fn in_span_parents_annotates_and_marks_a_failed_step() {
+        let tracer = Tracer::new_manual();
+        let handle = tracer.handle("test");
+        let off = in_span(handle.root("off"), |span| {
+            assert!(span.is_none(), "tracing off: no span");
+            Err::<(), _>(7)
+        });
+        assert_eq!(off, Err(7));
+        tracer.begin_capture();
+        let ok = in_span(handle.root("ok"), |span| {
+            annotate(span, "k", "v");
+            assert!(
+                handle.child("inner").is_some(),
+                "the span is the ambient parent"
+            );
+            Ok::<_, ()>(1)
+        });
+        assert_eq!(ok, Ok(1));
+        assert!(current_context().is_none(), "left on return");
+        assert_eq!(
+            in_span(handle.root("failed"), |_| Err::<(), _>("no")),
+            Err("no")
+        );
+        let events = tracer.take_capture();
+        let named = |n: &str| events.iter().find(|e| e.name == n).expect("recorded");
+        assert!(named("ok").ok && named("inner").ok && !named("failed").ok);
+        assert_eq!(named("inner").parent, Some(named("ok").span));
+        assert_eq!(named("ok").annotation("k"), Some("v"));
+        assert_eq!(events.len(), 3);
     }
 
     #[test]

@@ -9,11 +9,14 @@
 //!   valid forest: one root per trace, no orphan parents, child
 //!   intervals nested within their parent's.
 
-use mayflower::fs::{Cluster, ClusterConfig};
+use mayflower::flowserver::{Flowserver, FlowserverConfig};
+use mayflower::fs::{Cluster, ClusterConfig, NameserverConfig, Redundancy};
 use mayflower::net::{HostId, Topology, TreeParams};
+use mayflower::recovery::{ExecutorConfig, RepairExecutor, RepairTask};
 use mayflower::sim::timeline::timeline;
 use mayflower::simcore::testutil::SeedGuard;
-use mayflower::telemetry::trace::TraceTree;
+use mayflower::simcore::SimTime;
+use mayflower::telemetry::trace::{SpanEvent, TraceTree, Tracer};
 use proptest::prelude::*;
 
 #[test]
@@ -74,6 +77,199 @@ fn fs_capture_is_well_formed() {
     drop(client);
     drop(cluster);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One capture's spans in id order, one line each, times masked:
+/// `trace span <parent> component/name ok|FAILED key=value...`.
+fn render_spans(events: &[SpanEvent]) -> String {
+    let mut events: Vec<&SpanEvent> = events.iter().collect();
+    events.sort_by_key(|e| e.span);
+    let mut out = String::new();
+    for e in events {
+        let parent = e
+            .parent
+            .map_or_else(|| "-".to_string(), |p| p.0.to_string());
+        let ok = if e.ok { "ok" } else { "FAILED" };
+        out += &format!(
+            "{} {} <{parent}> {}/{} {ok}",
+            e.trace.0, e.span.0, e.component, e.name
+        );
+        for (k, v) in &e.annotations {
+            out += &format!(" {k}={v}");
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// Runs `ops` inside one capture and appends its rendering under `title`.
+fn capture(tracer: &Tracer, golden: &mut String, title: &str, ops: impl FnOnce()) {
+    tracer.begin_capture();
+    ops();
+    *golden += &format!("# {title}\n{}", render_spans(&tracer.take_capture()));
+}
+
+/// Every fs span tree, pinned: ids, names, parents, ok bits and
+/// annotations of each traced step the filesystem takes, with only the
+/// times masked. A width-1 pool plans every span id on one thread, so
+/// the trees are the same on every run. `fs_capture_is_well_formed`
+/// checks shape; this checks that no step lost an error mark, an
+/// annotation or its place in the tree.
+#[test]
+fn fs_span_trees_match_the_golden() {
+    let topo = Topology::three_tier(&TreeParams {
+        pods: 2,
+        racks_per_pod: 2,
+        hosts_per_rack: 2,
+        ..TreeParams::paper_testbed()
+    });
+    let dir = std::env::temp_dir().join(format!("mayflower-trace-golden-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let config = ClusterConfig {
+        nameserver: NameserverConfig {
+            chunk_size: 16,
+            ..NameserverConfig::default()
+        },
+        ..ClusterConfig::default()
+    };
+    let cluster = Cluster::create(&dir, topo.into(), config).unwrap();
+    let tracer = cluster.tracer().clone();
+    let client_on = |host: HostId| {
+        let mut client = cluster.client(host);
+        client.set_parallelism(1);
+        client
+    };
+    let data: Vec<u8> = (0..40u8).collect();
+    let mut golden = String::new();
+    let mut writer = client_on(HostId(0));
+
+    capture(
+        &tracer,
+        &mut golden,
+        "replicated create, append, read",
+        || {
+            writer.create("r").unwrap();
+            assert_eq!(writer.append("r", &data).unwrap(), 40);
+            assert_eq!(writer.read("r").unwrap(), data);
+        },
+    );
+
+    // The reader's own host holds a replica and is down: the nearest
+    // choice fails and the piece fails over.
+    let meta = cluster.nameserver().lookup("r").unwrap();
+    let down = meta.replicas[1];
+    cluster.dataserver(down).crash();
+    let mut reader = client_on(down);
+    capture(
+        &tracer,
+        &mut golden,
+        "read failing over from a crashed replica",
+        || {
+            assert_eq!(reader.read("r").unwrap(), data);
+        },
+    );
+    capture(&tracer, &mut golden, "failing create and append", || {
+        assert!(writer.create("r").is_err());
+        // The relay to the crashed replica exhausts its retries.
+        assert!(writer.append("r", &data[..8]).is_err());
+    });
+    cluster.dataserver(down).restart();
+
+    capture(&tracer, &mut golden, "read_range", || {
+        assert_eq!(writer.read_range("r", 5, 20).unwrap(), &data[5..25]);
+    });
+
+    capture(
+        &tracer,
+        &mut golden,
+        "coded create, sealing append, read",
+        || {
+            writer
+                .create_with("c", Redundancy::Coded { k: 4, m: 2 })
+                .unwrap();
+            assert_eq!(writer.append("c", &data).unwrap(), 40);
+            assert_eq!(writer.read("c").unwrap(), data);
+        },
+    );
+
+    // A fragment host down defers the next seal; back up, an explicit
+    // seal catches up.
+    let coded = cluster.nameserver().lookup("c").unwrap();
+    let frag_host = *coded
+        .fragments
+        .iter()
+        .find(|h| !coded.replicas.contains(h))
+        .unwrap();
+    cluster.dataserver(frag_host).crash();
+    writer.append("c", &data[..8]).unwrap();
+    cluster.dataserver(frag_host).restart();
+    let free = |taken: &[HostId]| {
+        (0..8)
+            .map(HostId)
+            .find(|h| !taken.contains(h) && *h != frag_host)
+            .unwrap()
+    };
+    let coded = cluster.nameserver().lookup("c").unwrap();
+    let mut taken = coded.replicas.clone();
+    taken.extend(&coded.fragments);
+    let frag_dest = free(&taken);
+    let victim = coded.fragments[1];
+    cluster.dataserver(victim).delete_file(coded.id).unwrap();
+    cluster.dataserver(down).delete_file(meta.id).unwrap();
+    let copy_dest = free(&meta.replicas);
+    capture(
+        &tracer,
+        &mut golden,
+        "seal, repair_to, repair_fragment",
+        || {
+            assert_eq!(cluster.seal("c").unwrap(), 3);
+            assert!(cluster.repair_to("r", meta.replicas[0], copy_dest).unwrap() > 0);
+            assert!(cluster
+                .repair_to("missing", meta.replicas[0], copy_dest)
+                .is_err());
+            assert!(cluster.repair_fragment("c", 1, frag_dest).unwrap() > 0);
+        },
+    );
+
+    // One executor tick: a replica copy, then a fragment repair the
+    // replicated file refuses.
+    let meta = cluster.nameserver().lookup("r").unwrap();
+    cluster
+        .dataserver(meta.replicas[2])
+        .delete_file(meta.id)
+        .unwrap();
+    let task = |dest, fragment| RepairTask {
+        name: "r".into(),
+        id: meta.id,
+        source: meta.primary(),
+        dest,
+        bytes: 48,
+        cookie: None,
+        fragment,
+    };
+    let mut executor = RepairExecutor::new(ExecutorConfig::default());
+    executor.enqueue(vec![
+        task(free(&meta.replicas), None),
+        task(frag_dest, Some(0)),
+    ]);
+    let mut flowserver = Flowserver::new(cluster.topology().clone(), FlowserverConfig::default());
+    capture(&tracer, &mut golden, "repair executor step", || {
+        assert_eq!(
+            executor
+                .step(&cluster, &mut flowserver, SimTime::ZERO)
+                .len(),
+            2
+        );
+    });
+
+    capture(&tracer, &mut golden, "read of a missing file", || {
+        assert!(writer.read("missing").is_err());
+    });
+
+    drop((writer, reader));
+    drop(cluster);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(golden, include_str!("golden/fs_span_trees.txt"));
 }
 
 proptest! {
