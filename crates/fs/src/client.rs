@@ -874,25 +874,7 @@ mod tests {
     use crate::nameserver::NameserverConfig;
     use crate::selector::PrimarySelector;
     use mayflower_net::{Topology, TreeParams};
-    use std::path::PathBuf;
-
-    struct TempDir(PathBuf);
-    impl TempDir {
-        fn new(tag: &str) -> TempDir {
-            let dir = std::env::temp_dir().join(format!(
-                "mayflower-client-{tag}-{}-{:?}",
-                std::process::id(),
-                std::thread::current().id()
-            ));
-            std::fs::remove_dir_all(&dir).ok();
-            TempDir(dir)
-        }
-    }
-    impl Drop for TempDir {
-        fn drop(&mut self) {
-            std::fs::remove_dir_all(&self.0).ok();
-        }
-    }
+    use mayflower_simcore::testutil::TempDir;
 
     fn cluster(dir: &TempDir, consistency: Consistency) -> Cluster {
         let topo = Arc::new(Topology::three_tier(&TreeParams {
@@ -902,7 +884,7 @@ mod tests {
             ..TreeParams::paper_testbed()
         }));
         Cluster::create(
-            &dir.0,
+            dir.path(),
             topo,
             ClusterConfig {
                 nameserver: NameserverConfig {

@@ -218,10 +218,11 @@ impl Cluster {
 
     /// One **targeted** repair step, the unit of work the recovery
     /// subsystem's throttled executor issues: copy `name` from
-    /// `source` onto `dest` over the dataserver-to-dataserver repair
-    /// RPC and splice `dest` into the replica set in place of the
-    /// first lost replica. A lost primary is replaced in slot 0, so
-    /// `dest` becomes the file's primary and appends resume through it.
+    /// `source` onto `dest` with a dataserver-to-dataserver
+    /// [`Dataserver::pull_repair`] and splice `dest` into the replica
+    /// set in place of the first lost replica. A lost primary is
+    /// replaced in slot 0, so `dest` becomes the file's primary and
+    /// appends resume through it.
     ///
     /// The source and destination are decided by the caller — the
     /// repair planner picks them jointly with a network path by
@@ -398,25 +399,7 @@ impl Cluster {
 mod tests {
     use super::*;
     use mayflower_net::TreeParams;
-    use std::path::PathBuf;
-
-    struct TempDir(PathBuf);
-    impl TempDir {
-        fn new(tag: &str) -> TempDir {
-            let dir = std::env::temp_dir().join(format!(
-                "mayflower-cluster-{tag}-{}-{:?}",
-                std::process::id(),
-                std::thread::current().id()
-            ));
-            std::fs::remove_dir_all(&dir).ok();
-            TempDir(dir)
-        }
-    }
-    impl Drop for TempDir {
-        fn drop(&mut self) {
-            std::fs::remove_dir_all(&self.0).ok();
-        }
-    }
+    use mayflower_simcore::testutil::TempDir;
 
     fn small_cluster(dir: &TempDir) -> Cluster {
         let topo = Arc::new(Topology::three_tier(&TreeParams {
@@ -432,7 +415,7 @@ mod tests {
             },
             ..ClusterConfig::default()
         };
-        Cluster::create(&dir.0, topo, config).unwrap()
+        Cluster::create(dir.path(), topo, config).unwrap()
     }
 
     #[test]

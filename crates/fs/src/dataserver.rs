@@ -803,10 +803,8 @@ impl Dataserver {
     /// from `source` onto this dataserver chunk-by-chunk, creating the
     /// local directory with `meta` as its metadata (written once: the
     /// copied size is what the chunk files say, not a field to stamp
-    /// afterwards). This is the receiving half of the repair
-    /// RPC — `source` is either a co-resident [`Dataserver`] or a
-    /// remote stub speaking `dataserver.repair_read` over the RPC
-    /// layer.
+    /// afterwards). `source` is the co-resident [`Dataserver`] that
+    /// holds the replica.
     ///
     /// Idempotent: if this dataserver already holds the file, nothing
     /// is copied and `Ok(0)` is returned. A mid-copy failure removes
@@ -870,11 +868,10 @@ fn not_found_or_io(e: std::io::Error, what: impl FnOnce() -> String) -> FsError 
     }
 }
 
-/// The source side of the dataserver-to-dataserver repair RPC: a
+/// The source side of a dataserver-to-dataserver repair: a
 /// destination [`Dataserver::pull_repair`] streams chunks through this
-/// trait, so the same pull loop works against a local dataserver
-/// (in-process cluster) or a remote one (the
-/// `dataserver.repair_read` RPC stub in [`crate::remote`]).
+/// trait. [`Dataserver`] is the one source; tests substitute their own
+/// to watch the destination mid-copy.
 pub trait RepairSource {
     /// Reads `[offset, offset + len)` of the replica, returning the
     /// bytes and the replica's current total size.
@@ -888,7 +885,6 @@ pub trait RepairSource {
 
 impl RepairSource for Dataserver {
     fn repair_read(&self, id: FileId, offset: u64, len: u64) -> Result<(Vec<u8>, u64), FsError> {
-        self.ensure_up()?;
         self.read_local(id, offset, len)
     }
 }
@@ -896,24 +892,7 @@ impl RepairSource for Dataserver {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    struct TempDir(PathBuf);
-    impl TempDir {
-        fn new(tag: &str) -> TempDir {
-            let dir = std::env::temp_dir().join(format!(
-                "mayflower-ds-{tag}-{}-{:?}",
-                std::process::id(),
-                std::thread::current().id()
-            ));
-            std::fs::remove_dir_all(&dir).ok();
-            TempDir(dir)
-        }
-    }
-    impl Drop for TempDir {
-        fn drop(&mut self) {
-            std::fs::remove_dir_all(&self.0).ok();
-        }
-    }
+    use mayflower_simcore::testutil::TempDir;
 
     fn meta(id: u128, chunk_size: u64) -> FileMeta {
         FileMeta {
@@ -931,7 +910,7 @@ mod tests {
     #[test]
     fn create_append_read_roundtrip() {
         let dir = TempDir::new("roundtrip");
-        let ds = Dataserver::open(HostId(0), &dir.0).unwrap();
+        let ds = Dataserver::open(HostId(0), dir.path()).unwrap();
         let m = meta(1, 8);
         ds.create_file(&m).unwrap();
         assert_eq!(ds.append_local(m.id, b"hello ").unwrap(), 6);
@@ -944,12 +923,12 @@ mod tests {
     #[test]
     fn appends_spill_across_chunks() {
         let dir = TempDir::new("spill");
-        let ds = Dataserver::open(HostId(0), &dir.0).unwrap();
+        let ds = Dataserver::open(HostId(0), dir.path()).unwrap();
         let m = meta(2, 4);
         ds.create_file(&m).unwrap();
         ds.append_local(m.id, b"abcdefghij").unwrap(); // 10 bytes, chunk 4
                                                        // Chunks 1..=3 exist with sizes 4, 4, 2 (1-based names).
-        let d = dir.0.join(m.id.as_hex());
+        let d = dir.path().join(m.id.as_hex());
         assert_eq!(std::fs::metadata(d.join("1")).unwrap().len(), 4);
         assert_eq!(std::fs::metadata(d.join("2")).unwrap().len(), 4);
         assert_eq!(std::fs::metadata(d.join("3")).unwrap().len(), 2);
@@ -961,7 +940,7 @@ mod tests {
     #[test]
     fn read_past_eof_truncates_and_reports_size() {
         let dir = TempDir::new("eof");
-        let ds = Dataserver::open(HostId(0), &dir.0).unwrap();
+        let ds = Dataserver::open(HostId(0), dir.path()).unwrap();
         let m = meta(3, 8);
         ds.create_file(&m).unwrap();
         ds.append_local(m.id, b"12345").unwrap();
@@ -976,7 +955,7 @@ mod tests {
     #[test]
     fn double_create_rejected() {
         let dir = TempDir::new("dup");
-        let ds = Dataserver::open(HostId(0), &dir.0).unwrap();
+        let ds = Dataserver::open(HostId(0), dir.path()).unwrap();
         let m = meta(4, 8);
         ds.create_file(&m).unwrap();
         assert!(matches!(ds.create_file(&m), Err(FsError::AlreadyExists(_))));
@@ -985,7 +964,7 @@ mod tests {
     #[test]
     fn delete_removes_everything() {
         let dir = TempDir::new("delete");
-        let ds = Dataserver::open(HostId(0), &dir.0).unwrap();
+        let ds = Dataserver::open(HostId(0), dir.path()).unwrap();
         let m = meta(5, 8);
         ds.create_file(&m).unwrap();
         ds.append_local(m.id, b"data").unwrap();
@@ -1001,7 +980,7 @@ mod tests {
     #[test]
     fn list_files_finds_all_replicas() {
         let dir = TempDir::new("list");
-        let ds = Dataserver::open(HostId(0), &dir.0).unwrap();
+        let ds = Dataserver::open(HostId(0), dir.path()).unwrap();
         for i in 0..5u128 {
             ds.create_file(&meta(i, 8)).unwrap();
         }
@@ -1014,7 +993,7 @@ mod tests {
     #[test]
     fn local_size_tracks_chunks() {
         let dir = TempDir::new("size");
-        let ds = Dataserver::open(HostId(0), &dir.0).unwrap();
+        let ds = Dataserver::open(HostId(0), dir.path()).unwrap();
         let m = meta(6, 4);
         ds.create_file(&m).unwrap();
         ds.append_local(m.id, b"123456789").unwrap();
@@ -1024,7 +1003,7 @@ mod tests {
     #[test]
     fn concurrent_appends_serialize() {
         let dir = TempDir::new("concurrent");
-        let ds = Arc::new(Dataserver::open(HostId(0), &dir.0).unwrap());
+        let ds = Arc::new(Dataserver::open(HostId(0), dir.path()).unwrap());
         let m = meta(7, 1 << 20);
         ds.create_file(&m).unwrap();
         let threads: Vec<_> = (0..8)
@@ -1052,7 +1031,7 @@ mod tests {
     #[test]
     fn crash_refuses_requests_and_restart_recovers_data() {
         let dir = TempDir::new("crash");
-        let ds = Dataserver::open(HostId(0), &dir.0).unwrap();
+        let ds = Dataserver::open(HostId(0), dir.path()).unwrap();
         let m = meta(9, 8);
         ds.create_file(&m).unwrap();
         ds.append_local(m.id, b"durable").unwrap();
@@ -1081,8 +1060,8 @@ mod tests {
     fn pull_repair_copies_across_chunk_boundaries() {
         let src_dir = TempDir::new("pull-src");
         let dst_dir = TempDir::new("pull-dst");
-        let src = Dataserver::open(HostId(0), &src_dir.0).unwrap();
-        let dst = Dataserver::open(HostId(1), &dst_dir.0).unwrap();
+        let src = Dataserver::open(HostId(0), src_dir.path()).unwrap();
+        let dst = Dataserver::open(HostId(1), dst_dir.path()).unwrap();
         let mut m = meta(21, 8); // tiny chunks: the pull loops
         src.create_file(&m).unwrap();
         let payload = b"twenty-three byte body!";
@@ -1100,8 +1079,8 @@ mod tests {
     fn pull_repair_of_empty_file_creates_shell() {
         let src_dir = TempDir::new("pull-empty-src");
         let dst_dir = TempDir::new("pull-empty-dst");
-        let src = Dataserver::open(HostId(0), &src_dir.0).unwrap();
-        let dst = Dataserver::open(HostId(1), &dst_dir.0).unwrap();
+        let src = Dataserver::open(HostId(0), src_dir.path()).unwrap();
+        let dst = Dataserver::open(HostId(1), dst_dir.path()).unwrap();
         let m = meta(22, 8);
         src.create_file(&m).unwrap();
         assert_eq!(dst.pull_repair(&src, &m).unwrap(), 0);
@@ -1112,8 +1091,8 @@ mod tests {
     fn pull_repair_from_downed_source_leaves_no_partial() {
         let src_dir = TempDir::new("pull-down-src");
         let dst_dir = TempDir::new("pull-down-dst");
-        let src = Dataserver::open(HostId(0), &src_dir.0).unwrap();
-        let dst = Dataserver::open(HostId(1), &dst_dir.0).unwrap();
+        let src = Dataserver::open(HostId(0), src_dir.path()).unwrap();
+        let dst = Dataserver::open(HostId(1), dst_dir.path()).unwrap();
         let mut m = meta(23, 8);
         src.create_file(&m).unwrap();
         m.size = src.append_local(m.id, b"payload").unwrap();
@@ -1129,7 +1108,7 @@ mod tests {
     #[test]
     fn fragment_frame_is_byte_identical_to_the_pinned_layout() {
         let dir = TempDir::new("frame");
-        let ds = Dataserver::open(HostId(0), &dir.0).unwrap();
+        let ds = Dataserver::open(HostId(0), dir.path()).unwrap();
         let shard: Vec<u8> = (0..300u32)
             .map(|i| (i as u8).wrapping_mul(37).wrapping_add(11))
             .collect();
@@ -1165,12 +1144,12 @@ mod tests {
     fn meta_survives_reopen() {
         let dir = TempDir::new("reopen");
         {
-            let ds = Dataserver::open(HostId(0), &dir.0).unwrap();
+            let ds = Dataserver::open(HostId(0), dir.path()).unwrap();
             let m = meta(8, 8);
             ds.create_file(&m).unwrap();
             ds.append_local(m.id, b"persist").unwrap();
         }
-        let ds = Dataserver::open(HostId(0), &dir.0).unwrap();
+        let ds = Dataserver::open(HostId(0), dir.path()).unwrap();
         let m = ds.read_meta(FileId(8)).unwrap();
         assert_eq!(m.size, 7);
         let (data, _) = ds.read_local(FileId(8), 0, 7).unwrap();

@@ -675,30 +675,11 @@ impl Nameserver {
 mod tests {
     use super::*;
     use mayflower_net::TreeParams;
-    use std::path::PathBuf;
-
-    struct TempDir(PathBuf);
-    impl TempDir {
-        fn new(tag: &str) -> TempDir {
-            let dir = std::env::temp_dir().join(format!(
-                "mayflower-ns-{tag}-{}-{:?}",
-                std::process::id(),
-                std::thread::current().id()
-            ));
-            std::fs::remove_dir_all(&dir).ok();
-            std::fs::create_dir_all(&dir).unwrap();
-            TempDir(dir)
-        }
-    }
-    impl Drop for TempDir {
-        fn drop(&mut self) {
-            std::fs::remove_dir_all(&self.0).ok();
-        }
-    }
+    use mayflower_simcore::testutil::TempDir;
 
     fn nameserver(dir: &TempDir) -> Nameserver {
         let topo = Arc::new(Topology::three_tier(&TreeParams::paper_testbed()));
-        Nameserver::open(topo, &dir.0.join("db"), NameserverConfig::default()).unwrap()
+        Nameserver::open(topo, &dir.path().join("db"), NameserverConfig::default()).unwrap()
     }
 
     #[test]
@@ -754,12 +735,17 @@ mod tests {
         let dir = TempDir::new("restart");
         let topo = Arc::new(Topology::three_tier(&TreeParams::paper_testbed()));
         {
-            let ns = Nameserver::open(topo.clone(), &dir.0.join("db"), NameserverConfig::default())
-                .unwrap();
+            let ns = Nameserver::open(
+                topo.clone(),
+                &dir.path().join("db"),
+                NameserverConfig::default(),
+            )
+            .unwrap();
             ns.create("kept").unwrap();
             ns.flush().unwrap();
         }
-        let ns = Nameserver::open(topo, &dir.0.join("db"), NameserverConfig::default()).unwrap();
+        let ns =
+            Nameserver::open(topo, &dir.path().join("db"), NameserverConfig::default()).unwrap();
         assert!(ns.lookup("kept").is_ok());
     }
 
@@ -769,7 +755,7 @@ mod tests {
         let topo = Arc::new(Topology::three_tier(&TreeParams::paper_testbed()));
         let ns = Nameserver::open(
             topo.clone(),
-            &dir.0.join("db"),
+            &dir.path().join("db"),
             NameserverConfig {
                 chunk_size: 8,
                 ..NameserverConfig::default()
@@ -781,7 +767,7 @@ mod tests {
         let ds: Vec<Arc<Dataserver>> = meta
             .replicas
             .iter()
-            .map(|h| Arc::new(Dataserver::open(*h, &dir.0.join(format!("ds-{h}"))).unwrap()))
+            .map(|h| Arc::new(Dataserver::open(*h, &dir.path().join(format!("ds-{h}"))).unwrap()))
             .collect();
         for d in &ds {
             d.create_file(&meta).unwrap();
@@ -792,7 +778,7 @@ mod tests {
         // Simulate a nameserver crash with a stale DB: wipe and rebuild.
         let fresh = Nameserver::open(
             Arc::clone(&topo),
-            &dir.0.join("db2"),
+            &dir.path().join("db2"),
             NameserverConfig::default(),
         )
         .unwrap();
@@ -807,14 +793,18 @@ mod tests {
     fn rebuild_reports_the_files_with_an_unreadable_replica() {
         let dir = TempDir::new("rebuild-skipped");
         let topo = Arc::new(Topology::three_tier(&TreeParams::paper_testbed()));
-        let ns =
-            Nameserver::open(topo.clone(), &dir.0.join("db"), NameserverConfig::default()).unwrap();
+        let ns = Nameserver::open(
+            topo.clone(),
+            &dir.path().join("db"),
+            NameserverConfig::default(),
+        )
+        .unwrap();
         let hurt = ns.create("hurt").unwrap();
         let whole = ns.create_placed("whole", hurt.replicas.clone()).unwrap();
         let roots: Vec<_> = hurt
             .replicas
             .iter()
-            .map(|h| (*h, dir.0.join(format!("ds-{h}"))))
+            .map(|h| (*h, dir.path().join(format!("ds-{h}"))))
             .collect();
         for (host, root) in &roots {
             let ds = Dataserver::open(*host, root).unwrap();
@@ -832,7 +822,7 @@ mod tests {
             .collect();
 
         let fresh =
-            Nameserver::open(topo, &dir.0.join("db2"), NameserverConfig::default()).unwrap();
+            Nameserver::open(topo, &dir.path().join("db2"), NameserverConfig::default()).unwrap();
         assert_eq!(fresh.rebuild_from_dataservers(&ds).unwrap(), vec![hurt.id]);
         // Both files are back, from the copies that could be read.
         for name in ["hurt", "whole"] {

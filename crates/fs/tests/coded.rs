@@ -2,7 +2,6 @@
 //! on append, degraded reads with up to `m` fragments lost, checksum
 //! detection of silent corruption, and coded repair.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use mayflower_fs::{
@@ -10,24 +9,7 @@ use mayflower_fs::{
     ReplicaSelector,
 };
 use mayflower_net::{HostId, Topology, TreeParams};
-
-struct TempDir(PathBuf);
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let dir = std::env::temp_dir().join(format!(
-            "mayflower-coded-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        TempDir(dir)
-    }
-}
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
-}
+use mayflower_simcore::testutil::TempDir;
 
 fn cluster(dir: &TempDir, consistency: Consistency) -> Cluster {
     let topo = Arc::new(Topology::three_tier(&TreeParams {
@@ -37,7 +19,7 @@ fn cluster(dir: &TempDir, consistency: Consistency) -> Cluster {
         ..TreeParams::paper_testbed()
     }));
     Cluster::create(
-        &dir.0,
+        dir.path(),
         topo,
         ClusterConfig {
             nameserver: NameserverConfig {

@@ -4,7 +4,6 @@
 //! width-independence — parallel and serial reads must return
 //! identical bytes.
 
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -13,24 +12,7 @@ use mayflower_fs::{
     ReadAssignment, Redundancy, ReplicaSelector, SplitSelector,
 };
 use mayflower_net::{HostId, Topology, TreeParams};
-
-struct TempDir(PathBuf);
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let dir = std::env::temp_dir().join(format!(
-            "mayflower-dpstress-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        TempDir(dir)
-    }
-}
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
-}
+use mayflower_simcore::testutil::TempDir;
 
 fn cluster(dir: &TempDir, consistency: Consistency) -> Cluster {
     let topo = Arc::new(Topology::three_tier(&TreeParams {
@@ -40,7 +22,7 @@ fn cluster(dir: &TempDir, consistency: Consistency) -> Cluster {
         ..TreeParams::paper_testbed()
     }));
     Cluster::create(
-        &dir.0,
+        dir.path(),
         topo,
         ClusterConfig {
             nameserver: NameserverConfig {

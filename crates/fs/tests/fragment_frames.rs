@@ -5,13 +5,13 @@
 //! panic and never silently short or wrong bytes.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use mayflower_fs::{
     Cluster, ClusterConfig, Consistency, FileMeta, FsError, NameserverConfig, Redundancy,
 };
 use mayflower_net::{HostId, Topology, TreeParams};
+use mayflower_simcore::testutil::TempDir;
 use proptest::prelude::*;
 
 const CHUNK: u64 = 64;
@@ -21,25 +21,6 @@ const FILE_BYTES: usize = 3 * CHUNK as usize + 21;
 /// 11-byte shards whose last carries 9 payload bytes and 2 of padding.
 const SCHEMES: [(usize, usize); 2] = [(4, 2), (6, 3)];
 
-struct TempDir(PathBuf);
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "mayflower-frames-{tag}-{}-{}",
-            std::process::id(),
-            NEXT.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        TempDir(dir)
-    }
-}
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
-}
-
 fn payload(len: usize) -> Vec<u8> {
     (0..len)
         .map(|i| (i as u8).wrapping_mul(151).wrapping_add(23))
@@ -48,11 +29,12 @@ fn payload(len: usize) -> Vec<u8> {
 
 /// A cluster holding one `k+m` file of [`FILE_BYTES`] bytes.
 struct Fixture {
-    _dir: TempDir,
     cluster: Cluster,
     meta: FileMeta,
     data: Vec<u8>,
     k: usize,
+    /// Last, so the cluster closes before its directory goes.
+    _dir: TempDir,
 }
 
 impl Fixture {
@@ -66,7 +48,7 @@ impl Fixture {
             ..TreeParams::paper_testbed()
         }));
         let cluster = Cluster::create(
-            &dir.0,
+            dir.path(),
             topo,
             ClusterConfig {
                 nameserver: NameserverConfig {
@@ -84,11 +66,11 @@ impl Fixture {
         let meta = cluster.nameserver().lookup("f").unwrap();
         assert_eq!(meta.sealed_chunks, 3);
         Fixture {
-            _dir: dir,
             cluster,
             meta,
             data,
             k,
+            _dir: dir,
         }
     }
 

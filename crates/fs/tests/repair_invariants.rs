@@ -4,33 +4,15 @@
 //! and are checked there (`crates/recovery/tests/repair_invariants.rs`).
 
 use std::collections::BTreeSet;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use mayflower_fs::{Cluster, ClusterConfig};
 use mayflower_net::{Topology, TreeParams};
-
-struct TempDir(PathBuf);
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let dir = std::env::temp_dir().join(format!(
-            "mayfs-repair-inv-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        TempDir(dir)
-    }
-}
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
-}
+use mayflower_simcore::testutil::TempDir;
 
 fn cluster_in(dir: &TempDir) -> Cluster {
     let topo = Arc::new(Topology::three_tier(&TreeParams::paper_testbed()));
-    Cluster::create(&dir.0, topo, ClusterConfig::default()).unwrap()
+    Cluster::create(dir.path(), topo, ClusterConfig::default()).unwrap()
 }
 
 fn put(c: &Cluster, name: &str, data: &[u8]) -> mayflower_fs::FileMeta {

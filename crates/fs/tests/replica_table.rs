@@ -23,27 +23,9 @@ use std::sync::{Arc, Barrier};
 
 use mayflower_fs::{Dataserver, FileId, FileMeta, FsError, Redundancy, RepairSource};
 use mayflower_net::HostId;
-use mayflower_simcore::testutil::SeedGuard;
+use mayflower_simcore::testutil::{SeedGuard, TempDir};
 use mayflower_simcore::SimRng;
 use proptest::prelude::*;
-
-struct TempDir(PathBuf);
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let dir = std::env::temp_dir().join(format!(
-            "mayflower-table-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        TempDir(dir)
-    }
-}
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
-}
 
 fn meta(id: u128, chunk_size: u64) -> FileMeta {
     FileMeta {
@@ -235,8 +217,8 @@ const APPEND_SIZES: [u64; 9] = [
 fn run_sequence(seed: u64, dir: &TempDir) -> Outcome {
     let mut rng = SimRng::seed_from(seed);
     let mut stores = [
-        Store::open(&dir.0.join("a"), 0),
-        Store::open(&dir.0.join("b"), 1),
+        Store::open(&dir.path().join("a"), 0),
+        Store::open(&dir.path().join("b"), 1),
     ];
     for step in 0..60usize {
         let s = rng.index(2);
@@ -423,7 +405,7 @@ fn file_names(ds: &Dataserver, id: FileId) -> Vec<String> {
 #[test]
 fn appends_never_touch_meta_and_restamps_replace_it() {
     let dir = TempDir::new("mechanism");
-    let ds = Dataserver::open(HostId(0), &dir.0.join("a")).unwrap();
+    let ds = Dataserver::open(HostId(0), &dir.path().join("a")).unwrap();
     let mut m = meta(1, 64);
     m.redundancy = Redundancy::Coded { k: 2, m: 1 };
     ds.create_file(&m).unwrap();
@@ -485,7 +467,7 @@ fn appends_never_touch_meta_and_restamps_replace_it() {
             self.src.repair_read(id, offset, len)
         }
     }
-    let dst = Dataserver::open(HostId(1), &dir.0.join("b")).unwrap();
+    let dst = Dataserver::open(HostId(1), &dir.path().join("b")).unwrap();
     let source = Watching {
         src: &ds,
         dst: &dst,
@@ -509,7 +491,7 @@ fn readers_never_see_a_size_without_its_bytes() {
     const APPENDS: u64 = 2000;
     let pattern = |pos: u64| (pos.wrapping_mul(2_654_435_761) >> 7) as u8;
     let dir = TempDir::new("ordering");
-    let ds = Arc::new(Dataserver::open(HostId(0), &dir.0).unwrap());
+    let ds = Arc::new(Dataserver::open(HostId(0), dir.path()).unwrap());
     let m = meta(7, 256);
     ds.create_file(&m).unwrap();
 
@@ -630,9 +612,9 @@ fn impossible_layouts_are_reported_not_guessed_at() {
     ];
     for (tag, sealed, damage, names) in cases {
         let dir = TempDir::new(tag);
-        let m = stored(&dir.0, 5, sealed);
-        damage(&dir.0.join(m.id.as_hex()));
-        let ds = Dataserver::open(HostId(0), &dir.0).unwrap();
+        let m = stored(dir.path(), 5, sealed);
+        damage(&dir.path().join(m.id.as_hex()));
+        let ds = Dataserver::open(HostId(0), dir.path()).unwrap();
         let before = file_sizes(&ds, m.id);
         let outcomes = [
             ds.read_meta(m.id).map(|_| ()),
@@ -663,12 +645,12 @@ fn impossible_layouts_are_reported_not_guessed_at() {
 
     // What a reclaim or a cut append does leave behind loads fine.
     let dir = TempDir::new("legal");
-    let m = stored(&dir.0, 6, 2);
-    let d = dir.0.join(m.id.as_hex());
+    let m = stored(dir.path(), 6, 2);
+    let d = dir.path().join(m.id.as_hex());
     std::fs::remove_file(d.join("1")).unwrap(); // sealed and reclaimed
     std::fs::write(d.join("2"), [9u8; 3]).unwrap(); // below the watermark: not this replica's business
     std::fs::write(d.join("4"), [6u8; 1]).unwrap(); // tail cut short by a crash
-    let ds = Dataserver::open(HostId(0), &dir.0).unwrap();
+    let ds = Dataserver::open(HostId(0), dir.path()).unwrap();
     assert_eq!(ds.read_meta(m.id).unwrap().size, 25);
     assert_eq!(ds.append_local(m.id, b"ab").unwrap(), 27);
     assert_eq!(
@@ -683,7 +665,7 @@ fn impossible_layouts_are_reported_not_guessed_at() {
 #[test]
 fn a_cut_append_is_followed_by_a_reload() {
     let dir = TempDir::new("cut");
-    let ds = Dataserver::open(HostId(0), &dir.0).unwrap();
+    let ds = Dataserver::open(HostId(0), dir.path()).unwrap();
     let m = meta(4, 8);
     ds.create_file(&m).unwrap();
     assert_eq!(ds.append_local(m.id, b"01234").unwrap(), 5);
@@ -721,9 +703,13 @@ fn file_sizes(ds: &Dataserver, id: FileId) -> Vec<(String, u64)> {
 #[test]
 fn list_files_names_the_replicas_it_could_not_load() {
     let dir = TempDir::new("skipped");
-    let metas: Vec<FileMeta> = (1..=3).map(|id| stored(&dir.0, id, 0)).collect();
-    std::fs::write(dir.0.join(metas[1].id.as_hex()).join("meta"), b"garbage").unwrap();
-    let ds = Dataserver::open(HostId(0), &dir.0).unwrap();
+    let metas: Vec<FileMeta> = (1..=3).map(|id| stored(dir.path(), id, 0)).collect();
+    std::fs::write(
+        dir.path().join(metas[1].id.as_hex()).join("meta"),
+        b"garbage",
+    )
+    .unwrap();
+    let ds = Dataserver::open(HostId(0), dir.path()).unwrap();
     // A directory of fragments only is no replica: neither listed nor
     // reported.
     ds.put_fragment(FileId(9), 0, 1, 8, b"shard").unwrap();

@@ -244,7 +244,7 @@ impl RepairExecutor {
 
 #[cfg(test)]
 mod tests {
-    use std::path::PathBuf;
+    use mayflower_simcore::testutil::TempDir;
     use std::sync::Arc;
 
     use mayflower_flowserver::{FlowserverConfig, Selection};
@@ -253,27 +253,9 @@ mod tests {
 
     use super::*;
 
-    struct TempDir(PathBuf);
-    impl TempDir {
-        fn new(tag: &str) -> TempDir {
-            let dir = std::env::temp_dir().join(format!(
-                "mayfs-executor-{tag}-{}-{:?}",
-                std::process::id(),
-                std::thread::current().id()
-            ));
-            std::fs::remove_dir_all(&dir).ok();
-            TempDir(dir)
-        }
-    }
-    impl Drop for TempDir {
-        fn drop(&mut self) {
-            std::fs::remove_dir_all(&self.0).ok();
-        }
-    }
-
     fn cluster(dir: &TempDir) -> (Cluster, Arc<Topology>) {
         let topo = Arc::new(Topology::three_tier(&TreeParams::paper_testbed()));
-        let c = Cluster::create(&dir.0, Arc::clone(&topo), ClusterConfig::default()).unwrap();
+        let c = Cluster::create(dir.path(), Arc::clone(&topo), ClusterConfig::default()).unwrap();
         (c, topo)
     }
 

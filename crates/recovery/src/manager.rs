@@ -181,7 +181,7 @@ impl RecoveryManager {
 
 #[cfg(test)]
 mod tests {
-    use std::path::PathBuf;
+    use mayflower_simcore::testutil::TempDir;
 
     use mayflower_flowserver::FlowserverConfig;
     use mayflower_fs::ClusterConfig;
@@ -189,27 +189,9 @@ mod tests {
 
     use super::*;
 
-    struct TempDir(PathBuf);
-    impl TempDir {
-        fn new(tag: &str) -> TempDir {
-            let dir = std::env::temp_dir().join(format!(
-                "mayfs-manager-{tag}-{}-{:?}",
-                std::process::id(),
-                std::thread::current().id()
-            ));
-            std::fs::remove_dir_all(&dir).ok();
-            TempDir(dir)
-        }
-    }
-    impl Drop for TempDir {
-        fn drop(&mut self) {
-            std::fs::remove_dir_all(&self.0).ok();
-        }
-    }
-
     fn cluster(dir: &TempDir) -> Cluster {
         let topo = Arc::new(Topology::three_tier(&TreeParams::paper_testbed()));
-        Cluster::create(&dir.0, topo, ClusterConfig::default()).unwrap()
+        Cluster::create(dir.path(), topo, ClusterConfig::default()).unwrap()
     }
 
     fn put(c: &Cluster, name: &str, data: &[u8]) -> mayflower_fs::FileMeta {
@@ -353,7 +335,7 @@ mod tests {
         let dir = TempDir::new("coded");
         let topo = Arc::new(Topology::three_tier(&TreeParams::paper_testbed()));
         let c = Cluster::create(
-            &dir.0,
+            dir.path(),
             Arc::clone(&topo),
             ClusterConfig {
                 nameserver: NameserverConfig {

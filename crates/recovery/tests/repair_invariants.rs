@@ -10,14 +10,13 @@
 //! constraint re-checked against the whole final set).
 
 use std::collections::BTreeSet;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use mayflower_flowserver::{Flowserver, FlowserverConfig};
 use mayflower_fs::{Cluster, ClusterConfig, FileMeta};
 use mayflower_net::{HostId, Topology, TreeParams};
 use mayflower_recovery::{RecoveryConfig, RecoveryManager, RecoveryReport, RepairOutcome};
-use mayflower_simcore::testutil::SeedGuard;
+use mayflower_simcore::testutil::{SeedGuard, TempDir};
 use mayflower_simcore::SimTime;
 use proptest::prelude::*;
 
@@ -25,27 +24,9 @@ use proptest::prelude::*;
 /// throttled executor ticks.
 const HORIZON_SECS: u32 = 60;
 
-struct TempDir(PathBuf);
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let dir = std::env::temp_dir().join(format!(
-            "mayfs-recovery-inv-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        TempDir(dir)
-    }
-}
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
-}
-
 fn cluster_in(dir: &TempDir, params: &TreeParams) -> Cluster {
     let topo = Arc::new(Topology::three_tier(params));
-    Cluster::create(&dir.0, topo, ClusterConfig::default()).unwrap()
+    Cluster::create(dir.path(), topo, ClusterConfig::default()).unwrap()
 }
 
 fn put(c: &Cluster, name: &str, data: &[u8]) -> FileMeta {

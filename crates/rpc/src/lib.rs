@@ -18,11 +18,10 @@
 //!   (version, correlation id, method, trace context / result tag) in
 //!   front of an opaque body that is copied, never parsed.
 //! * [`transport`] — a [`Service`] trait for servers, a blocking
-//!   [`Client`] whose typed `call` puts serde JSON in the body and
-//!   whose `call_raw` puts the caller's bytes there, an in-process
-//!   transport (envelope encode and decode, no frame and no socket;
-//!   used by the simulations), and a real TCP transport with a threaded
-//!   server for deployments and integration tests.
+//!   [`Client`] whose typed `call` puts serde JSON in the body, an
+//!   in-process transport (envelope encode and decode, no frame and no
+//!   socket; used by the simulations), and a real TCP transport with a
+//!   threaded server for deployments and integration tests.
 //!
 //! The wire format is specified byte by byte in DESIGN.md §18.
 //!

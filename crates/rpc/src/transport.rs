@@ -154,35 +154,17 @@ impl<T: Transport> Client<T> {
         method: &str,
         arg: &A,
     ) -> Result<R, RpcError> {
-        let reply = self.exchange(method, serde_json::to_vec(arg)?)?;
-        Ok(serde_json::from_slice(&reply)?)
-    }
-
-    /// Calls `method` with `body` as the request body, verbatim, and
-    /// returns the reply body undecoded — for the payloads that are
-    /// bytes already (`dataserver.repair_read`), which serde JSON would
-    /// spell out as an array of numbers.
-    ///
-    /// # Errors
-    ///
-    /// Returns transport failures or [`RpcError::Remote`] when the
-    /// server reports an application error.
-    pub fn call_raw(&self, method: &str, body: Vec<u8>) -> Result<Vec<u8>, RpcError> {
-        self.exchange(method, body)
-    }
-
-    /// One round trip: `body` out, the matching reply's body back.
-    fn exchange(&self, method: &str, body: Vec<u8>) -> Result<Vec<u8>, RpcError> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let request = Request {
             id,
             method: method.to_string(),
-            body,
+            body: serde_json::to_vec(arg)?,
             trace: mayflower_telemetry::trace::current_context(),
         };
         let response = self.transport.round_trip(request)?;
         check_id(id, response.id)?;
-        response.result.map_err(RpcError::Remote)
+        let reply = response.result.map_err(RpcError::Remote)?;
+        Ok(serde_json::from_slice(&reply)?)
     }
 }
 
@@ -788,29 +770,6 @@ mod tests {
             panic!("expected transport error");
         };
         assert_eq!(io.kind(), std::io::ErrorKind::InvalidData);
-        assert!(matches!(
-            client.call_raw("echo", b"5".to_vec()),
-            Err(RpcError::Transport(_))
-        ));
-    }
-
-    #[test]
-    fn call_raw_carries_bodies_verbatim() {
-        struct Reverse;
-        impl Service for Reverse {
-            fn call(&self, _method: &str, body: &[u8]) -> Result<Vec<u8>, RpcError> {
-                Ok(body.iter().rev().copied().collect())
-            }
-        }
-        let server = TcpServer::bind("127.0.0.1:0", Arc::new(Reverse)).unwrap();
-        let client = Client::new(TcpTransport::connect(server.local_addr()).unwrap());
-        // Not JSON, not UTF-8: the rpc layer does not look.
-        let body = vec![0xFF, 0x00, b'{', 0x80];
-        assert_eq!(
-            client.call_raw("reverse", body).unwrap(),
-            [0x80, b'{', 0x00, 0xFF]
-        );
-        assert_eq!(client.call_raw("reverse", Vec::new()).unwrap(), []);
     }
 
     /// The server reassembles a frame from any segmentation: one frame

@@ -15,7 +15,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mayflower_fs::{FileMeta, FsError, MetadataService, NsOp, Redundancy};
-use mayflower_telemetry::trace::{self, TraceHandle};
 use mayflower_telemetry::{Counter, Scope};
 use parking_lot::Mutex;
 
@@ -47,9 +46,6 @@ pub struct ShardRouter {
     cached: Mutex<CachedMap>,
     lease: Mutex<Duration>,
     metrics: RouterMetrics,
-    /// Tracing handle for route/refresh spans (DESIGN.md §17); `None`
-    /// keeps routing trace-free.
-    trace: Mutex<Option<TraceHandle>>,
 }
 
 impl ShardRouter {
@@ -72,20 +68,7 @@ impl ShardRouter {
                 refreshes: scope.counter("map_refreshes_total"),
                 routed_ops: scope.counter("routed_ops_total"),
             },
-            trace: Mutex::new(None),
         }
-    }
-
-    /// Attaches a tracing handle: routed operations running under a
-    /// traced op then leave `route` spans (shard, epoch, stale
-    /// retries) and map refreshes leave `refresh` spans.
-    pub fn attach_trace(&self, handle: TraceHandle) {
-        *self.trace.lock() = Some(handle);
-    }
-
-    /// A child span of the ambient traced op, if tracing is on.
-    fn span(&self, name: &str) -> Option<trace::ActiveSpan> {
-        self.trace.lock().as_ref()?.child(name)
     }
 
     /// Sets the shard-map lease. A zero lease refreshes before every
@@ -103,9 +86,7 @@ impl ShardRouter {
 
     /// Re-fetches the map from the plane.
     fn refresh(&self) {
-        let mut span = self.span("refresh");
         let map = self.plane.shard_map();
-        trace::annotate(&mut span, "epoch", map.epoch.to_string());
         let mut cached = self.cached.lock();
         self.metrics.refreshes.inc();
         if map.epoch != cached.map.epoch {
@@ -138,31 +119,17 @@ impl ShardRouter {
         op: impl Fn(ShardId, u64) -> Result<T, ShardError>,
     ) -> Result<T, FsError> {
         self.metrics.routed_ops.inc();
-        trace::in_span(self.span("route"), |span| {
-            trace::annotate(span, "file", name);
-            for attempt in 0..MAX_ROUTE_RETRIES {
-                let (shard, epoch) = self.route(name);
-                if attempt == 0 {
-                    trace::annotate(span, "shard", shard.0.to_string());
-                    trace::annotate(span, "epoch", epoch.to_string());
-                }
-                match op(shard, epoch) {
-                    Ok(v) => return Ok(v),
-                    Err(ShardError::StaleMap { .. } | ShardError::NotOwner { .. }) => {
-                        trace::annotate(
-                            span,
-                            "stale_retry",
-                            format!("attempt={attempt} shard={} epoch={epoch}", shard.0),
-                        );
-                        self.refresh();
-                    }
-                    Err(ShardError::Fs(e)) => return Err(e),
-                }
+        for _ in 0..MAX_ROUTE_RETRIES {
+            let (shard, epoch) = self.route(name);
+            match op(shard, epoch) {
+                Ok(v) => return Ok(v),
+                Err(ShardError::StaleMap { .. } | ShardError::NotOwner { .. }) => self.refresh(),
+                Err(ShardError::Fs(e)) => return Err(e),
             }
-            Err(FsError::Unavailable(
-                "shard map churned through every routing retry".into(),
-            ))
-        })
+        }
+        Err(FsError::Unavailable(
+            "shard map churned through every routing retry".into(),
+        ))
     }
 
     /// Sends `op` to the shard that owns the first of the names it

@@ -7,34 +7,15 @@
 //! The namespace's rules are written once, in `Nameserver::apply`; this
 //! test is what notices a plane that answers an op any other way.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use mayflower_fs::nameserver::NameserverConfig;
 use mayflower_fs::{FileMeta, FsError, MetadataService, Nameserver, NsOp, Redundancy};
 use mayflower_net::{HostId, Topology, TreeParams};
 use mayflower_shard::{ShardError, ShardPlaneConfig, ShardRouter, ShardedNameserver};
+use mayflower_simcore::testutil::TempDir;
 use mayflower_simcore::SimRng;
 use mayflower_telemetry::Registry;
-
-struct TempDir(PathBuf);
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let dir = std::env::temp_dir().join(format!(
-            "mayflower-conformance-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        TempDir(dir)
-    }
-}
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
-}
 
 fn small_topo() -> Arc<Topology> {
     Arc::new(Topology::three_tier(&TreeParams {
@@ -176,7 +157,7 @@ fn routed(dir: &TempDir, shards: u32) -> Routed {
     let registry = Registry::new();
     let plane = Arc::new(
         ShardedNameserver::open(
-            &dir.0.join(format!("plane-{shards}")),
+            &dir.path().join(format!("plane-{shards}")),
             small_topo(),
             ShardPlaneConfig {
                 shards,
@@ -300,7 +281,7 @@ fn every_plane_answers_the_script_like_the_one_nameserver() {
     let dir = TempDir::new("script");
     let mut reference = Nameserver::open(
         small_topo(),
-        &dir.0.join("plain"),
+        &dir.path().join("plain"),
         NameserverConfig::default(),
     )
     .unwrap();

@@ -3,7 +3,6 @@
 //! flowserver-scheduled transfers, persistence, and the full
 //! [`ShardedCluster`] data path.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -15,26 +14,9 @@ use mayflower_shard::{
     migrate, FlowserverScheduler, Handoff, RebalanceConfig, Rebalancer, ShardError,
     ShardPlaneConfig, ShardRouter, ShardedCluster, ShardedNameserver,
 };
+use mayflower_simcore::testutil::TempDir;
 use mayflower_simcore::SimTime;
 use mayflower_telemetry::Registry;
-
-struct TempDir(PathBuf);
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let dir = std::env::temp_dir().join(format!(
-            "mayflower-shard-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        TempDir(dir)
-    }
-}
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
-}
 
 fn small_topo() -> Arc<Topology> {
     Arc::new(Topology::three_tier(&TreeParams {
@@ -48,7 +30,7 @@ fn small_topo() -> Arc<Topology> {
 fn open_plane(dir: &TempDir, shards: u32) -> (Arc<ShardedNameserver>, Registry) {
     let registry = Registry::new();
     let plane = ShardedNameserver::open(
-        &dir.0,
+        dir.path(),
         small_topo(),
         ShardPlaneConfig {
             shards,
@@ -269,17 +251,17 @@ fn plane_reopens_with_its_persisted_post_migration_map() {
 #[test]
 fn plane_over_a_zero_vnode_map_is_corrupt_metadata() {
     let dir = TempDir::new("zero-vnodes");
-    std::fs::create_dir_all(&dir.0).unwrap();
+    std::fs::create_dir_all(dir.path()).unwrap();
     let body = r#"{"epoch": 3, "vnodes": 0, "shards": [0, 1]}"#;
-    std::fs::write(dir.0.join("shardmap.json"), body).unwrap();
+    std::fs::write(dir.path().join("shardmap.json"), body).unwrap();
     let opened = ShardedNameserver::open(
-        &dir.0,
+        dir.path(),
         small_topo(),
         ShardPlaneConfig::default(),
         &Registry::new(),
     );
     assert!(matches!(opened, Err(FsError::CorruptMetadata(_))));
-    let kept = std::fs::read_to_string(dir.0.join("shardmap.json")).unwrap();
+    let kept = std::fs::read_to_string(dir.path().join("shardmap.json")).unwrap();
     assert_eq!(kept, body, "a refused map is left as found");
 }
 
@@ -319,7 +301,7 @@ fn sharded_cluster_appends_and_reads_across_shards_and_migrations() {
     let topo = small_topo();
     let hosts = topo.hosts();
     let sc = ShardedCluster::create(
-        &dir.0,
+        dir.path(),
         topo.clone(),
         ClusterConfig {
             nameserver: NameserverConfig {
@@ -402,7 +384,7 @@ fn rename_across_shards_moves_the_entry() {
 /// own nameserver settings decide that, not the data-path cluster's).
 fn small_sharded_cluster(dir: &TempDir) -> ShardedCluster {
     ShardedCluster::create(
-        &dir.0,
+        dir.path(),
         small_topo(),
         ClusterConfig::default(),
         ShardPlaneConfig {

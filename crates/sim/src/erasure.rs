@@ -437,27 +437,9 @@ pub fn run_erasure(
 
 #[cfg(test)]
 mod tests {
-    use std::path::PathBuf;
+    use mayflower_simcore::testutil::TempDir;
 
     use super::*;
-
-    struct TempDir(PathBuf);
-    impl TempDir {
-        fn new(tag: &str) -> TempDir {
-            let dir = std::env::temp_dir().join(format!(
-                "mayflower-erasure-{tag}-{}-{:?}",
-                std::process::id(),
-                std::thread::current().id()
-            ));
-            std::fs::remove_dir_all(&dir).ok();
-            TempDir(dir)
-        }
-    }
-    impl Drop for TempDir {
-        fn drop(&mut self) {
-            std::fs::remove_dir_all(&self.0).ok();
-        }
-    }
 
     fn quick() -> ErasureExperimentConfig {
         ErasureExperimentConfig {
@@ -473,7 +455,7 @@ mod tests {
     #[test]
     fn coded_tier_stores_less_and_reads_survive_losses() {
         let dir = TempDir::new("storage");
-        let r = run_erasure(&quick(), &dir.0).unwrap();
+        let r = run_erasure(&quick(), dir.path()).unwrap();
         assert_eq!(r.crashed.len(), 2);
         // 3× replication vs (k + m)/k plus framing: the coded tier
         // must be markedly cheaper.
@@ -497,7 +479,7 @@ mod tests {
     #[test]
     fn scheduled_arm_protects_background_flows() {
         let dir = TempDir::new("arms");
-        let r = run_erasure(&quick(), &dir.0).unwrap();
+        let r = run_erasure(&quick(), dir.path()).unwrap();
         // The joint selection sees the background elephants; hash
         // routing does not. The scheduled arm never interferes more,
         // and its read-latency premium for doing so stays bounded.
@@ -519,8 +501,8 @@ mod tests {
     fn same_seed_runs_render_byte_identical_json() {
         let one = TempDir::new("det-a");
         let two = TempDir::new("det-b");
-        let a = run_erasure(&quick(), &one.0).unwrap();
-        let b = run_erasure(&quick(), &two.0).unwrap();
+        let a = run_erasure(&quick(), one.path()).unwrap();
+        let b = run_erasure(&quick(), two.path()).unwrap();
         assert_eq!(a.to_json(), b.to_json());
     }
 }

@@ -425,27 +425,9 @@ pub fn run_metadata_scaling(
 
 #[cfg(test)]
 mod tests {
-    use std::path::PathBuf;
+    use mayflower_simcore::testutil::TempDir;
 
     use super::*;
-
-    struct TempDir(PathBuf);
-    impl TempDir {
-        fn new(tag: &str) -> TempDir {
-            let dir = std::env::temp_dir().join(format!(
-                "mayflower-metadata-{tag}-{}-{:?}",
-                std::process::id(),
-                std::thread::current().id()
-            ));
-            std::fs::remove_dir_all(&dir).ok();
-            TempDir(dir)
-        }
-    }
-    impl Drop for TempDir {
-        fn drop(&mut self) {
-            std::fs::remove_dir_all(&self.0).ok();
-        }
-    }
 
     fn quick() -> MetadataScalingConfig {
         MetadataScalingConfig {
@@ -458,7 +440,7 @@ mod tests {
     #[test]
     fn cached_plane_scales_and_uncached_head_pins_a_shard() {
         let dir = TempDir::new("scaling");
-        let r = run_metadata_scaling(&quick(), &dir.0).unwrap();
+        let r = run_metadata_scaling(&quick(), dir.path()).unwrap();
         assert_eq!(r.points.len(), 4);
         let at = |n: u32| r.points.iter().find(|p| p.shards == n).unwrap();
         // The acceptance gate: ≥3× from 1 to 4 shards under Zipf.
@@ -491,7 +473,7 @@ mod tests {
     #[test]
     fn migration_moves_keys_and_scheduled_arm_protects_foreground() {
         let dir = TempDir::new("arms");
-        let r = run_metadata_scaling(&quick(), &dir.0).unwrap();
+        let r = run_metadata_scaling(&quick(), dir.path()).unwrap();
         // The migration really ran, lost nothing, and reclaimed its
         // source copies.
         assert!(r.migration.keys_copied > 0);
@@ -516,8 +498,8 @@ mod tests {
     fn same_seed_runs_render_byte_identical_json() {
         let one = TempDir::new("det-a");
         let two = TempDir::new("det-b");
-        let a = run_metadata_scaling(&quick(), &one.0).unwrap();
-        let b = run_metadata_scaling(&quick(), &two.0).unwrap();
+        let a = run_metadata_scaling(&quick(), one.path()).unwrap();
+        let b = run_metadata_scaling(&quick(), two.path()).unwrap();
         assert_eq!(a.to_json(), b.to_json());
     }
 }

@@ -277,27 +277,9 @@ pub fn run_recovery_chaos(
 
 #[cfg(test)]
 mod tests {
-    use std::path::PathBuf;
+    use mayflower_simcore::testutil::TempDir;
 
     use super::*;
-
-    struct TempDir(PathBuf);
-    impl TempDir {
-        fn new(tag: &str) -> TempDir {
-            let dir = std::env::temp_dir().join(format!(
-                "mayflower-chaos-{tag}-{}-{:?}",
-                std::process::id(),
-                std::thread::current().id()
-            ));
-            std::fs::remove_dir_all(&dir).ok();
-            TempDir(dir)
-        }
-    }
-    impl Drop for TempDir {
-        fn drop(&mut self) {
-            std::fs::remove_dir_all(&self.0).ok();
-        }
-    }
 
     fn quick() -> RecoveryExperimentConfig {
         RecoveryExperimentConfig {
@@ -324,7 +306,7 @@ mod tests {
     #[test]
     fn enabled_run_heals_and_reads_stay_up() {
         let dir = TempDir::new("on");
-        let result = run_recovery_chaos(&quick(), &dir.0).unwrap();
+        let result = run_recovery_chaos(&quick(), dir.path()).unwrap();
         assert!(
             result.time_to_full_replication.is_some(),
             "recovery must reach full replication: {:?}",
@@ -345,7 +327,7 @@ mod tests {
             recovery_enabled: false,
             ..quick()
         };
-        let result = run_recovery_chaos(&cfg, &dir.0).unwrap();
+        let result = run_recovery_chaos(&cfg, dir.path()).unwrap();
         assert!(result.time_to_full_replication.is_none());
         let last = result.health.last().unwrap();
         assert!(last.replica_capacity < 1.0, "kills never repaired");

@@ -4,35 +4,15 @@
 //! determinism — the acceptance gates of the coding tier (DESIGN.md
 //! §14). `ci.sh` runs this suite in release mode.
 
-use std::path::PathBuf;
-
 use mayflower_sim::{run_erasure, ErasureExperimentConfig};
-use mayflower_simcore::testutil::SeedGuard;
-
-struct TempDir(PathBuf);
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let dir = std::env::temp_dir().join(format!(
-            "mayflower-erasure-it-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        TempDir(dir)
-    }
-}
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
-}
+use mayflower_simcore::testutil::{SeedGuard, TempDir};
 
 #[test]
 fn coding_tier_beats_replication_on_storage_and_ecmp_on_reads() {
     let dir = TempDir::new("arms");
     let cfg = ErasureExperimentConfig::default();
     let _seed_guard = SeedGuard::new("erasure_tier::arms", cfg.seed);
-    let r = run_erasure(&cfg, &dir.0).unwrap();
+    let r = run_erasure(&cfg, dir.path()).unwrap();
 
     // Storage: 3× replication vs (k + m)/k plus checksum framing.
     assert!((r.replicated_storage.overhead - 3.0).abs() < 0.01);
@@ -86,8 +66,8 @@ fn same_seed_erasure_runs_render_byte_identical_results() {
     let b_dir = TempDir::new("det-b");
     let cfg = ErasureExperimentConfig::default();
     let _seed_guard = SeedGuard::new("erasure_tier::byte_identical", cfg.seed);
-    let a = run_erasure(&cfg, &a_dir.0).unwrap();
-    let b = run_erasure(&cfg, &b_dir.0).unwrap();
+    let a = run_erasure(&cfg, a_dir.path()).unwrap();
+    let b = run_erasure(&cfg, b_dir.path()).unwrap();
     assert_eq!(a.to_json(), b.to_json(), "erasure run is not deterministic");
     assert_eq!(a, b);
 }

@@ -5,35 +5,15 @@
 //! the acceptance gates of the metadata plane (DESIGN.md §15).
 //! `ci.sh` runs this suite in release mode.
 
-use std::path::PathBuf;
-
 use mayflower_sim::{run_metadata_scaling, MetadataScalingConfig};
-use mayflower_simcore::testutil::SeedGuard;
-
-struct TempDir(PathBuf);
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let dir = std::env::temp_dir().join(format!(
-            "mayflower-metadata-it-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        TempDir(dir)
-    }
-}
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
-}
+use mayflower_simcore::testutil::{SeedGuard, TempDir};
 
 #[test]
 fn sharded_plane_scales_and_scheduled_migration_protects_foreground() {
     let dir = TempDir::new("gates");
     let cfg = MetadataScalingConfig::default();
     let _seed_guard = SeedGuard::new("metadata_scaling::gates", cfg.seed);
-    let r = run_metadata_scaling(&cfg, &dir.0).unwrap();
+    let r = run_metadata_scaling(&cfg, dir.path()).unwrap();
 
     let at = |n: u32| {
         r.points
@@ -85,8 +65,8 @@ fn metadata_scaling_report_is_byte_identical_across_runs() {
     let one = TempDir::new("det-a");
     let two = TempDir::new("det-b");
     let cfg = MetadataScalingConfig::default();
-    let a = run_metadata_scaling(&cfg, &one.0).unwrap();
-    let b = run_metadata_scaling(&cfg, &two.0).unwrap();
+    let a = run_metadata_scaling(&cfg, one.path()).unwrap();
+    let b = run_metadata_scaling(&cfg, two.path()).unwrap();
     assert_eq!(a.to_json(), b.to_json());
     // The report carries its own config, so a diff of two JSON files
     // always shows which knobs differed.

@@ -3,28 +3,8 @@
 //! byte-identical determinism — the acceptance gates of the recovery
 //! subsystem. `ci.sh` runs this suite in release mode.
 
-use std::path::PathBuf;
-
 use mayflower_sim::{run_recovery_chaos, RecoveryExperimentConfig};
-use mayflower_simcore::testutil::SeedGuard;
-
-struct TempDir(PathBuf);
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let dir = std::env::temp_dir().join(format!(
-            "mayflower-chaos-it-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        TempDir(dir)
-    }
-}
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
-}
+use mayflower_simcore::testutil::{SeedGuard, TempDir};
 
 #[test]
 fn recovery_restores_full_replication_where_disabled_runs_stay_degraded() {
@@ -32,13 +12,13 @@ fn recovery_restores_full_replication_where_disabled_runs_stay_degraded() {
     let off_dir = TempDir::new("arm-off");
     let cfg = RecoveryExperimentConfig::default();
     let _seed_guard = SeedGuard::new("recovery_chaos::on_vs_off", cfg.seed);
-    let on = run_recovery_chaos(&cfg, &on_dir.0).unwrap();
+    let on = run_recovery_chaos(&cfg, on_dir.path()).unwrap();
     let off = run_recovery_chaos(
         &RecoveryExperimentConfig {
             recovery_enabled: false,
             ..cfg.clone()
         },
-        &off_dir.0,
+        off_dir.path(),
     )
     .unwrap();
 
@@ -97,8 +77,8 @@ fn same_seed_chaos_runs_render_byte_identical_results() {
     let b_dir = TempDir::new("det-b");
     let cfg = RecoveryExperimentConfig::default();
     let _seed_guard = SeedGuard::new("recovery_chaos::byte_identical", cfg.seed);
-    let a = run_recovery_chaos(&cfg, &a_dir.0).unwrap();
-    let b = run_recovery_chaos(&cfg, &b_dir.0).unwrap();
+    let a = run_recovery_chaos(&cfg, a_dir.path()).unwrap();
+    let b = run_recovery_chaos(&cfg, b_dir.path()).unwrap();
     assert_eq!(a.to_json(), b.to_json(), "chaos run is not deterministic");
     assert_eq!(a, b);
 }

@@ -1,4 +1,5 @@
-//! Shared test support: seed reporting for reproducible failures.
+//! Shared test support: seed reporting for reproducible failures, and
+//! a scratch directory that cleans up after itself.
 //!
 //! Every stochastic suite in the workspace draws from [`crate::
 //! SimRng`] seeds, but a failing `#[test]` or proptest case that never
@@ -17,6 +18,8 @@
 //! // seed to reproduce
 //! panic!("boom");
 //! ```
+
+use std::path::{Path, PathBuf};
 
 /// Prints a test's seed to stderr when dropped during a panic, so
 /// every stochastic failure states how to reproduce itself.
@@ -54,6 +57,43 @@ impl Drop for SeedGuard {
                 self.label, self.seed
             );
         }
+    }
+}
+
+/// A test's scratch directory under the system temp dir, removed on
+/// drop.
+///
+/// The name joins the test's tag with the process id and the thread
+/// id, so tests running in parallel, in one binary or several, never
+/// share a directory. A leftover from an earlier run of the same test
+/// is removed first; the directory itself is not created, so the code
+/// under test meets a fresh path.
+#[derive(Debug)]
+pub struct TempDir(PathBuf);
+
+impl TempDir {
+    /// A fresh path for the test tagged `tag`.
+    #[must_use]
+    pub fn new(tag: &str) -> TempDir {
+        let dir = std::env::temp_dir().join(format!(
+            "mayflower-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        TempDir(dir)
+    }
+
+    /// The directory's path.
+    #[must_use]
+    pub fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
     }
 }
 

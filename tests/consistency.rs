@@ -2,35 +2,17 @@
 //! semantics across clients, and the §3.3.1 nameserver recovery paths
 //! over the real kvstore and dataservers.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use mayflower::fs::nameserver::NameserverConfig;
 use mayflower::fs::{Cluster, ClusterConfig, Consistency, Nameserver};
 use mayflower::net::{HostId, Topology, TreeParams};
-
-struct TempDir(PathBuf);
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let dir = std::env::temp_dir().join(format!(
-            "mayflower-cons-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        TempDir(dir)
-    }
-}
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
-}
+use mayflower::simcore::testutil::TempDir;
 
 fn cluster(dir: &TempDir, consistency: Consistency, chunk: u64) -> Cluster {
     let topo = Arc::new(Topology::three_tier(&TreeParams::paper_testbed()));
     Cluster::create(
-        &dir.0,
+        dir.path(),
         topo,
         ClusterConfig {
             nameserver: NameserverConfig {
@@ -108,7 +90,7 @@ fn strong_consistency_read_after_append_from_any_client() {
 fn nameserver_graceful_restart_preserves_namespace() {
     let dir = TempDir::new("graceful");
     let topo = Arc::new(Topology::three_tier(&TreeParams::paper_testbed()));
-    let db = dir.0.join("ns");
+    let db = dir.path().join("ns");
     let metas: Vec<_> = {
         let ns = Nameserver::open(topo.clone(), &db, NameserverConfig::default()).unwrap();
         let metas: Vec<_> = (0..20)
@@ -144,7 +126,7 @@ fn nameserver_crash_rebuild_matches_dataserver_truth() {
     // from the dataservers (§3.3.1).
     let fresh = Nameserver::open(
         c.topology().clone(),
-        &dir.0.join("fresh-ns"),
+        &dir.path().join("fresh-ns"),
         NameserverConfig::default(),
     )
     .unwrap();
@@ -162,7 +144,7 @@ fn nameserver_crash_rebuild_matches_dataserver_truth() {
 fn deleted_files_stay_deleted_across_restart() {
     let dir = TempDir::new("deleted");
     let topo = Arc::new(Topology::three_tier(&TreeParams::paper_testbed()));
-    let db = dir.0.join("ns");
+    let db = dir.path().join("ns");
     {
         let ns = Nameserver::open(topo.clone(), &db, NameserverConfig::default()).unwrap();
         ns.create("keep").unwrap();

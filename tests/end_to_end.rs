@@ -2,93 +2,24 @@
 //! driven by Flowserver-backed replica selection, and the nameserver
 //! served over real TCP RPC.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
-use mayflower::flowserver::{Flowserver, FlowserverConfig, Selection};
+use mayflower::flowserver::{Flowserver, FlowserverConfig};
 use mayflower::fs::nameserver::NameserverConfig;
 use mayflower::fs::remote::{NameserverService, RemoteNameserver};
-use mayflower::fs::{Cluster, ClusterConfig, ReadAssignment, ReplicaSelector};
+use mayflower::fs::{Cluster, ClusterConfig};
 use mayflower::net::{HostId, Topology, TreeParams};
 use mayflower::rpc::{TcpServer, TcpTransport};
+use mayflower::simcore::testutil::TempDir;
 use mayflower::simcore::SimTime;
 
-struct TempDir(PathBuf);
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let dir = std::env::temp_dir().join(format!(
-            "mayflower-e2e-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        TempDir(dir)
-    }
-}
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
-}
-
-/// A [`ReplicaSelector`] that queries the Flowserver for every read —
-/// the paper's client/Flowserver interaction (Figure 1): the client
-/// asks the SDN control plane which replica(s) to read from, then
-/// fetches the data from the chosen dataserver(s).
-struct FlowserverSelector {
-    fs: Flowserver,
-}
-
-impl ReplicaSelector for FlowserverSelector {
-    fn select_read(
-        &mut self,
-        client: HostId,
-        replicas: &[HostId],
-        size_bytes: u64,
-    ) -> Vec<ReadAssignment> {
-        let sel =
-            self.fs
-                .select_replica_path(client, replicas, (size_bytes * 8) as f64, SimTime::ZERO);
-        let out = match &sel {
-            // No reachable replica (only possible with down links);
-            // answer empty so the client's own failover takes over.
-            Selection::Unavailable => Vec::new(),
-            Selection::Local => vec![ReadAssignment {
-                replica: client,
-                bytes: size_bytes,
-            }],
-            Selection::Single(a) => vec![ReadAssignment {
-                replica: a.replica,
-                bytes: size_bytes,
-            }],
-            Selection::Split(parts) => {
-                // Proportional byte split, remainder to the first part.
-                let total_bits: f64 = parts.iter().map(|p| p.size_bits).sum();
-                let mut out: Vec<ReadAssignment> = parts
-                    .iter()
-                    .map(|p| ReadAssignment {
-                        replica: p.replica,
-                        bytes: ((p.size_bits / total_bits) * size_bytes as f64) as u64,
-                    })
-                    .collect();
-                let assigned: u64 = out.iter().map(|a| a.bytes).sum();
-                out[0].bytes += size_bytes - assigned;
-                out
-            }
-        };
-        // The metadata control flow is done; retire the tracked flows
-        // (in the full harness the fluid network drives completion).
-        for a in sel.assignments() {
-            self.fs.flow_completed(a.cookie);
-        }
-        out
-    }
-}
+mod common;
+use common::FlowserverSelector;
 
 fn testbed_cluster(dir: &TempDir) -> Cluster {
     let topo = Arc::new(Topology::three_tier(&TreeParams::paper_testbed()));
     Cluster::create(
-        &dir.0,
+        dir.path(),
         topo,
         ClusterConfig {
             nameserver: NameserverConfig {

@@ -1,46 +1,29 @@
 //! Failure-injection integration tests: replica loss, repair, and
 //! Flowserver-steered reads interacting across crates.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use mayflower::flowserver::{Flowserver, FlowserverConfig, Selection};
+use mayflower::flowserver::{Flowserver, FlowserverConfig};
 use mayflower::fs::nameserver::NameserverConfig;
 use mayflower::fs::{
-    Cluster, ClusterConfig, FallbackSelector, FileMeta, NearestSelector, ReadAssignment,
-    ReplicaSelector,
+    Cluster, ClusterConfig, FallbackSelector, FileMeta, NearestSelector, ReplicaSelector,
 };
 use mayflower::net::{HostId, NodeKind, Topology, TreeParams};
 use mayflower::sim::engine::NoHooks;
 use mayflower::sim::{replay_full, FaultEvent, FaultSchedule, ReplayOptions, Strategy};
-use mayflower::simcore::testutil::SeedGuard;
+use mayflower::simcore::testutil::{SeedGuard, TempDir};
 use mayflower::simcore::{SimRng, SimTime};
 use mayflower::workload::{TrafficMatrix, WorkloadParams};
 
-struct TempDir(PathBuf);
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let dir = std::env::temp_dir().join(format!(
-            "mayflower-chaosfs-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        TempDir(dir)
-    }
-}
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
-}
+mod common;
+use common::FlowserverSelector;
 
 fn cluster(dir: &TempDir) -> Cluster {
     let topo = Arc::new(Topology::three_tier(&TreeParams::paper_testbed()));
     Cluster::create(
-        &dir.0,
+        dir.path(),
         topo,
         ClusterConfig {
             nameserver: NameserverConfig {
@@ -102,55 +85,6 @@ fn lose_repair_read_cycle_preserves_data() {
     assert_eq!(writer.read("cycled").unwrap(), expected);
 }
 
-/// A selector that always consults a Flowserver and retires flows
-/// immediately (metadata-plane integration without a fluid net).
-struct Steered {
-    fs: Flowserver,
-}
-
-impl ReplicaSelector for Steered {
-    fn select_read(
-        &mut self,
-        client: HostId,
-        replicas: &[HostId],
-        size_bytes: u64,
-    ) -> Vec<ReadAssignment> {
-        let sel =
-            self.fs
-                .select_replica_path(client, replicas, (size_bytes * 8) as f64, SimTime::ZERO);
-        let out = match &sel {
-            // No reachable replica: answer empty so a wrapping
-            // `FallbackSelector` (or the client's own retry) takes over.
-            Selection::Unavailable => Vec::new(),
-            Selection::Local => vec![ReadAssignment {
-                replica: client,
-                bytes: size_bytes,
-            }],
-            Selection::Single(a) => vec![ReadAssignment {
-                replica: a.replica,
-                bytes: size_bytes,
-            }],
-            Selection::Split(parts) => {
-                let total: f64 = parts.iter().map(|p| p.size_bits).sum();
-                let mut v: Vec<ReadAssignment> = parts
-                    .iter()
-                    .map(|p| ReadAssignment {
-                        replica: p.replica,
-                        bytes: ((p.size_bits / total) * size_bytes as f64) as u64,
-                    })
-                    .collect();
-                let assigned: u64 = v.iter().map(|a| a.bytes).sum();
-                v[0].bytes += size_bytes - assigned;
-                v
-            }
-        };
-        for a in sel.assignments() {
-            self.fs.flow_completed(a.cookie);
-        }
-        out
-    }
-}
-
 #[test]
 fn flowserver_steered_reads_survive_replica_loss_and_migration() {
     let dir = TempDir::new("steered-loss");
@@ -167,7 +101,7 @@ fn flowserver_steered_reads_survive_replica_loss_and_migration() {
     c.dataserver(victim).delete_file(meta.id).unwrap();
     let mut reader = c.client_with_selector(
         HostId(30),
-        Box::new(Steered {
+        Box::new(FlowserverSelector {
             fs: Flowserver::new(topo.clone(), FlowserverConfig::default()),
         }),
     );
@@ -179,7 +113,7 @@ fn flowserver_steered_reads_survive_replica_loss_and_migration() {
     c.repair_to("steered", meta.primary(), dest).unwrap();
     let mut reader = c.client_with_selector(
         HostId(63),
-        Box::new(Steered {
+        Box::new(FlowserverSelector {
             fs: Flowserver::new(topo, FlowserverConfig::default()),
         }),
     );
@@ -203,7 +137,7 @@ fn flowserver_outage_falls_back_to_nearest_replica_with_correct_data() {
     // The availability flag stands in for the client's RPC timeout to
     // the Flowserver; the fault injector flips it from outside.
     let flowserver_up = Arc::new(AtomicBool::new(true));
-    let steered = Steered {
+    let steered = FlowserverSelector {
         fs: Flowserver::new(topo.clone(), FlowserverConfig::default()),
     };
     let selector = FallbackSelector::new(
@@ -227,7 +161,7 @@ fn flowserver_outage_falls_back_to_nearest_replica_with_correct_data() {
 
     // The degraded-mode counter is observable on an un-boxed selector.
     let mut direct = FallbackSelector::new(
-        Steered {
+        FlowserverSelector {
             fs: Flowserver::new(topo.clone(), FlowserverConfig::default()),
         },
         NearestSelector::new(topo),
@@ -310,7 +244,7 @@ fn agg_switch_failure_mid_read_reroutes_and_every_job_completes() {
         fs.set_link_state(*l, false);
         fs.set_link_state(ctopo.reverse_link(*l), false);
     }
-    let mut reader = c.client_with_selector(HostId(55), Box::new(Steered { fs }));
+    let mut reader = c.client_with_selector(HostId(55), Box::new(FlowserverSelector { fs }));
     reader.set_cache_ttl(std::time::Duration::ZERO);
     assert_eq!(reader.read("rerouted").unwrap(), payload);
 }
@@ -342,7 +276,7 @@ fn stale_stats_after_missed_polls_still_selects_and_reads_correctly() {
         "staleness reflects the silent interval"
     );
 
-    let mut reader = c.client_with_selector(HostId(21), Box::new(Steered { fs }));
+    let mut reader = c.client_with_selector(HostId(21), Box::new(FlowserverSelector { fs }));
     reader.set_cache_ttl(std::time::Duration::ZERO);
     assert_eq!(reader.read("stale").unwrap(), payload);
 }
@@ -357,7 +291,7 @@ fn kvstore_torn_wal_does_not_lose_earlier_files() {
     let mut client = c.client(HostId(0));
     client.create("persisted").unwrap();
     client.append("persisted", b"safe bytes").unwrap();
-    let ns_dir = dir.0.join("nameserver");
+    let ns_dir = dir.path().join("nameserver");
     drop(client);
     let dataservers = c.dataservers();
     drop(c);
@@ -375,7 +309,7 @@ fn kvstore_torn_wal_does_not_lose_earlier_files() {
     let topo = Arc::new(Topology::three_tier(&TreeParams::paper_testbed()));
     let fresh = mayflower::fs::Nameserver::open(
         topo,
-        &dir.0.join("rebuilt-ns"),
+        &dir.path().join("rebuilt-ns"),
         NameserverConfig::default(),
     )
     .unwrap();

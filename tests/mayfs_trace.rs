@@ -3,8 +3,10 @@
 //! dataserver's chunk read; a traced read that fails prints the same
 //! capture's critical path, the failed root marked, and exits non-zero.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Command, Output};
+
+use mayflower_simcore::testutil::TempDir;
 
 fn mayfs(dir: &Path, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_mayfs"))
@@ -21,22 +23,10 @@ fn ok(dir: &Path, args: &[&str]) -> String {
     String::from_utf8(out.stdout).expect("utf-8 stdout")
 }
 
-struct TempDir(PathBuf);
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
-}
-
 fn cluster(tag: &str) -> TempDir {
-    let dir = std::env::temp_dir().join(format!(
-        "mayflower-mayfs-trace-{tag}-{}",
-        std::process::id()
-    ));
-    std::fs::remove_dir_all(&dir).ok();
-    let dir = TempDir(dir);
+    let dir = TempDir::new(&format!("mayfs-trace-{tag}"));
     ok(
-        &dir.0,
+        dir.path(),
         &["init", "--pods", "2", "--racks", "2", "--hosts", "2"],
     );
     dir
@@ -45,13 +35,13 @@ fn cluster(tag: &str) -> TempDir {
 #[test]
 fn traced_read_prints_the_critical_path_to_the_chunk_read() {
     let dir = cluster("ok");
-    ok(&dir.0, &["create", "f", "--client", "0"]);
+    ok(dir.path(), &["create", "f", "--client", "0"]);
     ok(
-        &dir.0,
+        dir.path(),
         &["append", "f", "--data", "traced bytes", "--client", "0"],
     );
 
-    let stdout = ok(&dir.0, &["trace", "read", "f", "--client", "3"]);
+    let stdout = ok(dir.path(), &["trace", "read", "f", "--client", "3"]);
     let path: Vec<&str> = stdout
         .lines()
         .skip_while(|l| !l.ends_with("critical path:"))
@@ -66,7 +56,7 @@ fn traced_read_prints_the_critical_path_to_the_chunk_read() {
 #[test]
 fn traced_read_of_a_missing_file_reports_the_failed_capture() {
     let dir = cluster("missing");
-    let out = mayfs(&dir.0, &["trace", "read", "nope", "--client", "0"]);
+    let out = mayfs(dir.path(), &["trace", "read", "nope", "--client", "0"]);
     assert!(!out.status.success(), "{out:?}");
     assert!(out.stdout.is_empty(), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
