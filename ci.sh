@@ -256,6 +256,26 @@ if grep -rnE --include='*.rs' 'ActiveSpan::enter|\.enter\(\)' \
   exit 1
 fi
 
+echo "==> unsafe stays in the two SIMD kernels, and every unsafe block says why it holds"
+# Non-test code only (loc.sh's cut): the GF(2^8) and CRC-32 kernels
+# call runtime-detected intrinsics and are the only code that needs
+# `unsafe`. In those two files every `unsafe {` block, tests included,
+# sits right under the `// SAFETY:` comment that justifies it.
+kernels=(crates/ec/src/gf.rs crates/kvstore/src/crc.rs)
+if ./loc.sh --lines crates/*/src src |
+  grep -vE '^crates/(ec/src/gf|kvstore/src/crc)\.rs:' | grep -w unsafe; then
+  echo "unsafe code outside ${kernels[*]}" >&2
+  exit 1
+fi
+unexplained=$(awk 'FNR == 1 { prev = "" }
+                   /unsafe \{/ && prev !~ /^[[:space:]]*\/\/ SAFETY:/ { print FILENAME ":" FNR ":" $0 }
+                   { prev = $0 }' "${kernels[@]}")
+if [[ -n "$unexplained" ]]; then
+  echo "$unexplained" >&2
+  echo "an unsafe block needs a // SAFETY: comment on the line above it" >&2
+  exit 1
+fi
+
 echo "==> benchmark/ package: builds against the current API, own tests pass (read-only use)"
 # benchmark/ is a standalone workspace the root build never compiles;
 # without this gate a renamed API it pins stays green until the

@@ -252,7 +252,13 @@ fn wide_prefix<const ACC: bool>(c: u8, src: &[u8], dst: &mut [u8]) -> usize {
             return unsafe { x86::mul_slice_ssse3::<ACC>(c, src, dst) };
         }
     }
-    // Portable fallback: 64-bit SWAR over the bit columns.
+    mul_slice_swar::<ACC>(c, src, dst)
+}
+
+/// The portable tier: 64-bit SWAR over the bit columns, whole words
+/// only. Returns the number of bytes processed; the sub-word tail is
+/// left to the caller.
+fn mul_slice_swar<const ACC: bool>(c: u8, src: &[u8], dst: &mut [u8]) -> usize {
     let cols = bit_columns(c);
     let words = src.len() / 8;
     for i in 0..words {
@@ -379,10 +385,77 @@ mod tests {
         }
     }
 
+    /// One wide tier: multiplies a prefix of whole blocks and returns
+    /// its length.
+    type Tier = fn(u8, &[u8], &mut [u8]) -> usize;
+
+    /// Every tier this host can run, with its block size: AVX2 and
+    /// SSSE3 where detected (with a note where not), SWAR everywhere.
+    fn tiers<const ACC: bool>() -> Vec<(&'static str, usize, Tier)> {
+        let mut tiers: Vec<(&'static str, usize, Tier)> = vec![("swar", 8, mul_slice_swar::<ACC>)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: AVX2 presence was just verified.
+                tiers.push(("avx2", 32, |c, s, d| unsafe {
+                    x86::mul_slice_avx2::<ACC>(c, s, d)
+                }));
+            } else {
+                eprintln!("note: no AVX2 on this host; its tier is not tested");
+            }
+            if std::arch::is_x86_feature_detected!("ssse3") {
+                // SAFETY: SSSE3 presence was just verified.
+                tiers.push(("ssse3", 16, |c, s, d| unsafe {
+                    x86::mul_slice_ssse3::<ACC>(c, s, d)
+                }));
+            } else {
+                eprintln!("note: no SSSE3 on this host; its tier is not tested");
+            }
+        }
+        tiers
+    }
+
+    /// Each tier against the product table, for every multiplier, with
+    /// `ACC` off (`ACC = false`) or on: it handles exactly the whole
+    /// blocks of a 259-byte slice, multiplies them right, and leaves
+    /// the tail alone.
+    fn check_every_tier<const ACC: bool>() {
+        let src: Vec<u8> = (0..259u32)
+            .map(|i| (i.wrapping_mul(31) >> 2) as u8)
+            .collect();
+        let old: Vec<u8> = (0..259u32).map(|i| (i * 7 + 3) as u8).collect();
+        for (name, block, tier) in tiers::<ACC>() {
+            for c in 0..=255u8 {
+                let mut dst = old.clone();
+                let done = tier(c, &src, &mut dst);
+                assert_eq!(done, src.len() / block * block, "{name} c={c}");
+                for i in 0..src.len() {
+                    let want = match (i < done, ACC) {
+                        (false, _) => old[i],
+                        (true, false) => mul(c, src[i]),
+                        (true, true) => old[i] ^ mul(c, src[i]),
+                    };
+                    assert_eq!(dst[i], want, "{name} acc={ACC} c={c} i={i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_tier_scales_like_the_table_for_every_multiplier() {
+        check_every_tier::<false>();
+    }
+
+    #[test]
+    fn every_tier_accumulates_like_the_table_for_every_multiplier() {
+        check_every_tier::<true>();
+    }
+
     #[test]
     fn wide_kernels_match_table_kernels_for_every_multiplier() {
-        // Length 259 exercises the u64 fast path plus a 3-byte tail;
-        // the pattern covers every byte value.
+        // Length 259 exercises the widest tier this host detects plus
+        // its tail (the tests above hold every tier on its own); the
+        // pattern covers every byte value.
         let src: Vec<u8> = (0..259u32)
             .map(|i| (i.wrapping_mul(31) >> 2) as u8)
             .collect();

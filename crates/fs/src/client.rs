@@ -237,7 +237,7 @@ impl Client {
     pub fn create_with(&mut self, name: &str, redundancy: Redundancy) -> Result<FileMeta, FsError> {
         trace::in_span(self.trace.span("create"), |span| {
             trace::annotate(span, "file", name);
-            trace::annotate(span, "redundancy", format!("{redundancy:?}"));
+            trace::annotate(span, "redundancy", format_args!("{redundancy:?}"));
             let meta = match self.nameserver.create_with(name, redundancy) {
                 Ok(meta) => meta,
                 Err(e @ FsError::AlreadyExists(_)) => {
@@ -269,7 +269,7 @@ impl Client {
     pub fn append(&mut self, name: &str, data: &[u8]) -> Result<u64, FsError> {
         trace::in_span(self.trace.span("append"), |span| {
             trace::annotate(span, "file", name);
-            trace::annotate(span, "bytes", data.len().to_string());
+            trace::annotate(span, "bytes", data.len());
             let size = match self.append_attempt(name, data) {
                 // Replica-side NotFound under a cached entry means the
                 // file was deleted (and possibly re-created under a new
@@ -280,7 +280,7 @@ impl Client {
                 }
                 other => other,
             }?;
-            trace::annotate(span, "size", size.to_string());
+            trace::annotate(span, "size", size);
             Ok(size)
         })
     }
@@ -297,7 +297,7 @@ impl Client {
         // ([`crate::Cluster::repair_to`], which puts the rebuilt copy
         // of a lost primary in its slot) a retry goes through.
         let new_size = trace::in_span(self.trace.child("primary_write"), |span| {
-            trace::annotate(span, "host", meta.primary().0.to_string());
+            trace::annotate(span, "host", meta.primary().0);
             self.with_retry(|| self.dataserver(meta.primary())?.append_local(meta.id, data))
         })?;
         // The relay to the remaining replicas fans out on the worker
@@ -312,7 +312,7 @@ impl Client {
             .iter()
             .map(|host| {
                 let mut s = self.trace.child("relay");
-                trace::annotate(&mut s, "host", host.0.to_string());
+                trace::annotate(&mut s, "host", host.0);
                 s
             })
             .collect();
@@ -379,7 +379,7 @@ impl Client {
                 Err(FsError::NotFound(_)) if self.invalidate_stale(name) => self.read_attempt(name),
                 other => other,
             }?;
-            trace::annotate(span, "bytes", data.len().to_string());
+            trace::annotate(span, "bytes", data.len());
             Ok(data)
         })
     }
@@ -462,7 +462,7 @@ impl Client {
                 }
                 Err(last.unwrap_or_else(|| FsError::NotFound(meta.name.clone())))
             })?;
-            trace::annotate(span, "size", size.to_string());
+            trace::annotate(span, "size", size);
             Ok(size)
         })
     }
@@ -475,8 +475,8 @@ impl Client {
     pub fn read_range(&mut self, name: &str, offset: u64, len: u64) -> Result<Vec<u8>, FsError> {
         trace::in_span(self.trace.span("read_range"), |span| {
             trace::annotate(span, "file", name);
-            trace::annotate(span, "offset", offset.to_string());
-            trace::annotate(span, "len", len.to_string());
+            trace::annotate(span, "offset", offset);
+            trace::annotate(span, "len", len);
             let meta = self.meta(name)?;
             Ok(self.read_range_collect(&meta, offset, len)?.data)
         })
@@ -687,10 +687,10 @@ impl Client {
             .enumerate()
             .map(|(i, &(chosen, piece_offset, piece_len, primary_only))| {
                 let mut s = self.trace_datapath.child("piece");
-                trace::annotate(&mut s, "index", i.to_string());
-                trace::annotate(&mut s, "offset", piece_offset.to_string());
-                trace::annotate(&mut s, "bytes", piece_len.to_string());
-                trace::annotate(&mut s, "chosen", chosen.0.to_string());
+                trace::annotate(&mut s, "index", i);
+                trace::annotate(&mut s, "offset", piece_offset);
+                trace::annotate(&mut s, "bytes", piece_len);
+                trace::annotate(&mut s, "chosen", chosen.0);
                 if primary_only {
                     trace::annotate(&mut s, "primary_only", "true");
                 }
@@ -724,7 +724,7 @@ impl Client {
                             trace::in_span(span, |span| {
                                 ctx.read_piece_into(meta, &order, piece_offset, slice)
                                     .inspect(|done| {
-                                        trace::annotate(span, "filled", done.filled.to_string());
+                                        trace::annotate(span, "filled", done.filled);
                                     })
                             })
                         }

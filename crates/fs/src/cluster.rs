@@ -245,8 +245,8 @@ impl Cluster {
             // dataservers' spans stay its siblings, under `repair_to`.
             let repair = trace::current_context();
             trace::in_span(self.trace_recovery.child("copy"), |copy| {
-                trace::annotate(copy, "source", source.to_string());
-                trace::annotate(copy, "dest", dest.to_string());
+                trace::annotate(copy, "source", source);
+                trace::annotate(copy, "dest", dest);
                 let copied = trace::with_context(repair, || {
                     let meta = self.nameserver.lookup(name)?;
                     let lock = self.coordinator.file_lock(meta.id);
@@ -277,7 +277,7 @@ impl Cluster {
                     self.replace_mapping(&meta)?;
                     Ok(copied)
                 })?;
-                trace::annotate(copy, "bytes", copied.to_string());
+                trace::annotate(copy, "bytes", copied);
                 Ok(copied)
             })
         })
@@ -336,8 +336,8 @@ impl Cluster {
             // siblings of `rebuild`, under `repair_fragment`.
             let repair = trace::current_context();
             trace::in_span(self.trace_recovery.child("rebuild"), |rebuild| {
-                trace::annotate(rebuild, "fragment", index.to_string());
-                trace::annotate(rebuild, "dest", dest.to_string());
+                trace::annotate(rebuild, "fragment", index);
+                trace::annotate(rebuild, "dest", dest);
                 let written = trace::with_context(repair, || {
                     let meta = self.nameserver.lookup(name)?;
                     let lock = self.coordinator.file_lock(meta.id);
@@ -388,7 +388,7 @@ impl Cluster {
                     }
                     Ok(written)
                 })?;
-                trace::annotate(rebuild, "bytes", written.to_string());
+                trace::annotate(rebuild, "bytes", written);
                 Ok(written)
             })
         })

@@ -193,14 +193,14 @@ impl FetchCtx<'_> {
             let mut last_err = None;
             for host in order {
                 let attempt = trace::in_span(self.trace.child("attempt"), |span| {
-                    trace::annotate(span, "host", host.0.to_string());
+                    trace::annotate(span, "host", host.0);
                     if round > 0 {
-                        trace::annotate(span, "retry_round", round.to_string());
+                        trace::annotate(span, "retry_round", round);
                     }
                     let out = self.try_read_piece_into(meta, *host, offset, &mut *buf);
                     match &out {
-                        Ok(done) => trace::annotate(span, "filled", done.filled.to_string()),
-                        Err(e) => trace::annotate(span, "error", e.to_string()),
+                        Ok(done) => trace::annotate(span, "filled", done.filled),
+                        Err(e) => trace::annotate(span, "error", e),
                     }
                     out
                 });

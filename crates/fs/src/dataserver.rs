@@ -450,7 +450,7 @@ impl Dataserver {
     /// Returns [`FsError::NotFound`] if the replica is absent.
     pub fn append_local(&self, id: FileId, data: &[u8]) -> Result<u64, FsError> {
         trace::in_span(self.io_span("chunk_append"), |span| {
-            trace::annotate(span, "bytes", data.len().to_string());
+            trace::annotate(span, "bytes", data.len());
             let state = self.replica(id)?;
             let held = self.hold(&state)?;
             let size = state.size.load(Ordering::Relaxed); // stored only under `meta`
@@ -461,7 +461,7 @@ impl Dataserver {
                         m.appends.inc();
                         m.append_bytes.record(data.len() as u64);
                     }
-                    trace::annotate(span, "size", new_size.to_string());
+                    trace::annotate(span, "size", new_size);
                     Ok(new_size)
                 }
                 Err(e) => {
@@ -543,10 +543,10 @@ impl Dataserver {
         buf: &mut [u8],
     ) -> Result<(usize, u64), FsError> {
         trace::in_span(self.io_span("chunk_read"), |span| {
-            trace::annotate(span, "offset", offset.to_string());
+            trace::annotate(span, "offset", offset);
             let state = self.replica(id)?;
             let (filled, size) = self.fill_from_chunks(id, &state, offset, buf)?;
-            trace::annotate(span, "bytes", filled.to_string());
+            trace::annotate(span, "bytes", filled);
             Ok((filled, size))
         })
     }
@@ -602,8 +602,8 @@ impl Dataserver {
         shard: &[u8],
     ) -> Result<(), FsError> {
         trace::in_span(self.io_span("fragment_put"), |span| {
-            trace::annotate(span, "chunk", chunk.to_string());
-            trace::annotate(span, "fragment", index.to_string());
+            trace::annotate(span, "chunk", chunk);
+            trace::annotate(span, "fragment", index);
             self.ensure_up()?;
             let dir = self.file_dir(id);
             std::fs::create_dir_all(&dir)?;
@@ -688,8 +688,8 @@ impl Dataserver {
         dst_for: impl FnOnce(usize) -> Option<&'a mut [u8]>,
     ) -> Result<u64, FsError> {
         trace::in_span(self.io_span("fragment_read"), |span| {
-            trace::annotate(span, "chunk", chunk.to_string());
-            trace::annotate(span, "fragment", index.to_string());
+            trace::annotate(span, "chunk", chunk);
+            trace::annotate(span, "fragment", index);
             self.ensure_up()?;
             let what = || format!("fragment {index} of chunk {chunk} of {id}");
             let corrupt = |why: &str| FsError::CorruptMetadata(format!("{}: {why}", what()));
@@ -852,7 +852,7 @@ impl Dataserver {
                     let _ = self.delete_file(meta.id);
                 })?
             };
-            trace::annotate(span, "bytes", copied.to_string());
+            trace::annotate(span, "bytes", copied);
             Ok(copied)
         })
     }

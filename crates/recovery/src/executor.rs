@@ -197,17 +197,17 @@ impl RepairExecutor {
             // repair spans (copy / rebuild) nest underneath it.
             let mut span = trace_handle.span("repair_task");
             trace::annotate(&mut span, "file", &task.name);
-            trace::annotate(&mut span, "source", task.source.0.to_string());
-            trace::annotate(&mut span, "dest", task.dest.0.to_string());
+            trace::annotate(&mut span, "source", task.source.0);
+            trace::annotate(&mut span, "dest", task.dest.0);
             if let Some(index) = task.fragment {
-                trace::annotate(&mut span, "fragment", index.to_string());
+                trace::annotate(&mut span, "fragment", index);
             }
             let result = trace::in_span(span, |span| {
                 match task.fragment {
                     Some(index) => cluster.repair_fragment(&task.name, index, task.dest),
                     None => cluster.repair_to(&task.name, task.source, task.dest),
                 }
-                .inspect(|bytes| trace::annotate(span, "bytes", bytes.to_string()))
+                .inspect(|bytes| trace::annotate(span, "bytes", bytes))
             });
             if let Some(cookie) = task.cookie {
                 flowserver.flow_completed(cookie);

@@ -275,11 +275,11 @@ fn scheduled_read(tracer: &Arc<Tracer>, sc: &Scenario) -> TimelineArm {
             .enumerate()
             .map(|(i, (a, end_us))| {
                 let mut span = datapath.child("piece");
-                trace::annotate(&mut span, "index", i.to_string());
-                trace::annotate(&mut span, "replica", a.replica.0.to_string());
+                trace::annotate(&mut span, "index", i);
+                trace::annotate(&mut span, "replica", a.replica.0);
                 trace::annotate(&mut span, "links", render_links(&a.path));
-                trace::annotate(&mut span, "est_bw", format!("{:.3e}", a.est_bw));
-                trace::annotate(&mut span, "bits", format!("{:.3e}", a.size_bits));
+                trace::annotate(&mut span, "est_bw", format_args!("{:.3e}", a.est_bw));
+                trace::annotate(&mut span, "bits", format_args!("{:.3e}", a.size_bits));
                 PlannedSpan { span, end_us }
             })
             .collect();
@@ -314,9 +314,9 @@ fn ecmp_read(tracer: &Arc<Tracer>, sc: &Scenario) -> TimelineArm {
         fabric.admit(0, path.clone(), OP_BITS, None, SimTime::ZERO);
         let mut span = datapath.child("piece");
         trace::annotate(&mut span, "index", "0");
-        trace::annotate(&mut span, "replica", replica.0.to_string());
+        trace::annotate(&mut span, "replica", replica.0);
         trace::annotate(&mut span, "links", render_links(&path));
-        trace::annotate(&mut span, "bits", format!("{OP_BITS:.3e}"));
+        trace::annotate(&mut span, "bits", format_args!("{OP_BITS:.3e}"));
         let planned = vec![PlannedSpan {
             span,
             end_us: span_ends_us(&mut fabric, 1)[0],
@@ -353,7 +353,7 @@ fn append_arm(
     let mut root = client.root("append");
     trace::annotate(&mut root, "file", "timeline.dat");
     trace::annotate(&mut root, "scheduler", scheduler);
-    trace::annotate(&mut root, "bits", format!("{OP_BITS:.3e}"));
+    trace::annotate(&mut root, "bits", format_args!("{OP_BITS:.3e}"));
     let completion = {
         let _g = root.as_ref().map(trace::ActiveSpan::enter);
         let paths: Vec<Path> = hops
@@ -372,9 +372,9 @@ fn append_arm(
             .enumerate()
             .map(|(i, (path, end_us))| {
                 let mut span = datapath.child("relay");
-                trace::annotate(&mut span, "stage", i.to_string());
-                trace::annotate(&mut span, "src", hops[i].0 .0.to_string());
-                trace::annotate(&mut span, "dst", hops[i].1 .0.to_string());
+                trace::annotate(&mut span, "stage", i);
+                trace::annotate(&mut span, "src", hops[i].0 .0);
+                trace::annotate(&mut span, "dst", hops[i].1 .0);
                 trace::annotate(&mut span, "links", render_links(path));
                 PlannedSpan { span, end_us }
             })

@@ -357,10 +357,12 @@ impl Drop for ActiveSpan {
 }
 
 /// Annotates the span if one is open — the pervasive call-site idiom
-/// for `Option<ActiveSpan>`.
-pub fn annotate(span: &mut Option<ActiveSpan>, key: &str, value: impl Into<String>) {
+/// for `Option<ActiveSpan>`. `value` is formatted only then, so with
+/// tracing off a call allocates nothing: pass the value itself, or
+/// `format_args!`, never a `String` built for the call.
+pub fn annotate(span: &mut Option<ActiveSpan>, key: &str, value: impl std::fmt::Display) {
     if let Some(s) = span.as_mut() {
-        s.annotate(key, value);
+        s.annotate(key, value.to_string());
     }
 }
 
@@ -738,6 +740,31 @@ mod tests {
         assert_eq!(named("inner").parent, Some(named("ok").span));
         assert_eq!(named("ok").annotation("k"), Some("v"));
         assert_eq!(events.len(), 3);
+    }
+
+    #[test]
+    fn annotate_formats_only_into_a_live_span() {
+        /// Counts its `fmt` calls.
+        struct Counted<'a>(&'a std::cell::Cell<u32>);
+        impl std::fmt::Display for Counted<'_> {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                self.0.set(self.0.get() + 1);
+                f.write_str("v")
+            }
+        }
+        let calls = std::cell::Cell::new(0);
+        let tracer = Tracer::new_manual();
+        let handle = tracer.handle("test");
+        let mut off = handle.root("off");
+        assert!(off.is_none(), "tracing off: no span");
+        annotate(&mut off, "k", Counted(&calls));
+        assert_eq!(calls.get(), 0, "formatted with no span to hold it");
+        tracer.begin_capture();
+        let mut live = handle.root("live");
+        annotate(&mut live, "k", Counted(&calls));
+        assert_eq!(calls.get(), 1);
+        drop(live);
+        assert_eq!(tracer.take_capture()[0].annotation("k"), Some("v"));
     }
 
     #[test]
