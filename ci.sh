@@ -262,8 +262,14 @@ echo "==> unsafe stays in the two SIMD kernels, and every unsafe block says why 
 # `unsafe`. In those two files every `unsafe {` block, tests included,
 # sits right under the `// SAFETY:` comment that justifies it.
 kernels=(crates/ec/src/gf.rs crates/kvstore/src/crc.rs)
-if ./loc.sh --lines crates/*/src src |
-  grep -vE '^crates/(ec/src/gf|kvstore/src/crc)\.rs:' | grep -w unsafe; then
+# Captured first, so a failing loc.sh ends the script (set -e) and an
+# empty listing fails here instead of passing a grep that saw nothing.
+lines=$(./loc.sh --lines crates/*/src src)
+if [[ -z "$lines" ]]; then
+  echo "loc.sh --lines printed no code to check" >&2
+  exit 1
+fi
+if grep -vE '^crates/(ec/src/gf|kvstore/src/crc)\.rs:' <<<"$lines" | grep -w unsafe; then
   echo "unsafe code outside ${kernels[*]}" >&2
   exit 1
 fi

@@ -10,16 +10,17 @@
 //!   with the next 64 bytes, so a round costs eight independent
 //!   multiplies and no table loads; the lanes then fold into one, that
 //!   folds down to 64 bits, and a Barrett reduction leaves the 32-bit
-//!   state. It takes every input of at least `FOLD_MIN` (128) bytes and
-//!   leaves the sub-16-byte tail to slicing-by-16.
+//!   state. It takes every input on a host that has the instruction;
+//!   under 64 bytes there is nothing to fold and the whole input goes to
+//!   slicing-by-16, which also takes the sub-16-byte tail.
 //! * **Slicing-by-16**, Kounavis & Berry's construction ("A Systematic
 //!   Approach to Building High Performance Software-Based CRC
 //!   Generators") carried to sixteen tables: each round reads two
 //!   little-endian words and makes sixteen independent table lookups,
 //!   so the dependent chain through the running state is one XOR tree
 //!   per 16 input bytes instead of one per byte. Plain safe Rust; it
-//!   takes shorter inputs (typical WAL frames), the fold's tail, and
-//!   everything on other targets.
+//!   takes what the fold leaves (inputs under 64 bytes and the tail)
+//!   and everything on other targets.
 //!
 //! On a 256 KiB fragment the fold runs about ten times as fast as
 //! slicing-by-16 (DESIGN.md §14).
@@ -29,13 +30,6 @@ const POLY: u32 = 0xEDB8_8320;
 
 /// Input bytes consumed per round.
 const SLICES: usize = 16;
-
-/// Inputs at least this long take the fold where the host has it;
-/// shorter ones, typical WAL frames among them, stay on slicing-by-16.
-/// This is not the crossover (the fold already wins at its 64-byte
-/// minimum): it keeps small frames on the kernel they have always run,
-/// where the fold would save tens of nanoseconds a frame.
-const FOLD_MIN: usize = 128;
 
 /// `TABLES[0]` is the classic byte table; `TABLES[j][b]` is the state
 /// byte `b` leaves after `j` further zero bytes. 16 KiB in all.
@@ -116,7 +110,7 @@ fn update(mut state: u32, data: &[u8]) -> u32 {
 #[must_use]
 pub fn crc32(data: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
-    if data.len() >= FOLD_MIN && std::arch::is_x86_feature_detected!("pclmulqdq") {
+    if std::arch::is_x86_feature_detected!("pclmulqdq") {
         // SAFETY: PCLMULQDQ presence was just verified.
         return !unsafe { x86::update(!0, data) };
     }
@@ -256,11 +250,10 @@ mod tests {
         !kernel(!0, data)
     }
 
-    /// Block and threshold edges a kernel changes path at: the 16-byte
-    /// round and fold block, the fold's 64-byte minimum and four-lane
-    /// round, and `FOLD_MIN`.
-    const EDGES: [usize; 20] = [
-        0, 1, 15, 16, 17, 63, 64, 65, 79, 80, 127, 128, 129, 143, 144, 191, 192, 193, 256, 1000,
+    /// Block edges a kernel changes path at: the 16-byte round and fold
+    /// block, and the fold's 64-byte minimum and four-lane round.
+    const EDGES: [usize; 17] = [
+        0, 1, 15, 16, 17, 63, 64, 65, 79, 80, 143, 144, 191, 192, 193, 256, 1000,
     ];
 
     #[test]
@@ -363,7 +356,7 @@ mod tests {
 
     /// `kernel(kernel(s, a), b) == kernel(s, a ++ b)` for every pair of
     /// edge lengths: each side of a split lands below, on and above
-    /// every block edge and the fold threshold.
+    /// every block edge.
     fn check_continuation_across_edges(kernel: Kernel) {
         let buf = pattern(2000, 5);
         for state in [0, !0, 0x1234_5678] {

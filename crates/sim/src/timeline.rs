@@ -22,6 +22,7 @@
 //! run empty: a span ends when its flow completes at max-min rates, so
 //! a background flow that finishes gives its share back.
 
+use std::fmt;
 use std::sync::Arc;
 
 use mayflower_flowserver::{Flowserver, FlowserverConfig, Selection};
@@ -151,13 +152,19 @@ fn close_in_order(tracer: &Arc<Tracer>, mut planned: Vec<PlannedSpan>) -> u64 {
     completion
 }
 
-/// Renders a path's link indices as `a->b->c`.
-fn render_links(path: &Path) -> String {
-    path.links()
-        .iter()
-        .map(|l| l.index().to_string())
-        .collect::<Vec<_>>()
-        .join("->")
+/// A path's link indices, displayed as `a->b->c`.
+struct Links<'a>(&'a Path);
+
+impl fmt::Display for Links<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, l) in self.0.links().iter().enumerate() {
+            if i > 0 {
+                f.write_str("->")?;
+            }
+            write!(f, "{}", l.index())?;
+        }
+        Ok(())
+    }
 }
 
 /// A fabric scheduled end to end: a fresh Flowserver (its decision
@@ -277,7 +284,7 @@ fn scheduled_read(tracer: &Arc<Tracer>, sc: &Scenario) -> TimelineArm {
                 let mut span = datapath.child("piece");
                 trace::annotate(&mut span, "index", i);
                 trace::annotate(&mut span, "replica", a.replica.0);
-                trace::annotate(&mut span, "links", render_links(&a.path));
+                trace::annotate(&mut span, "links", Links(&a.path));
                 trace::annotate(&mut span, "est_bw", format_args!("{:.3e}", a.est_bw));
                 trace::annotate(&mut span, "bits", format_args!("{:.3e}", a.size_bits));
                 PlannedSpan { span, end_us }
@@ -315,7 +322,7 @@ fn ecmp_read(tracer: &Arc<Tracer>, sc: &Scenario) -> TimelineArm {
         let mut span = datapath.child("piece");
         trace::annotate(&mut span, "index", "0");
         trace::annotate(&mut span, "replica", replica.0);
-        trace::annotate(&mut span, "links", render_links(&path));
+        trace::annotate(&mut span, "links", Links(&path));
         trace::annotate(&mut span, "bits", format_args!("{OP_BITS:.3e}"));
         let planned = vec![PlannedSpan {
             span,
@@ -375,7 +382,7 @@ fn append_arm(
                 trace::annotate(&mut span, "stage", i);
                 trace::annotate(&mut span, "src", hops[i].0 .0);
                 trace::annotate(&mut span, "dst", hops[i].1 .0);
-                trace::annotate(&mut span, "links", render_links(path));
+                trace::annotate(&mut span, "links", Links(path));
                 PlannedSpan { span, end_us }
             })
             .collect();
