@@ -48,7 +48,7 @@ echo "==> sharded metadata plane: ring proptests, shard-map decode sweep, confor
 cargo test --release -q -p mayflower-shard
 cargo test --release -q -p mayflower-sim --test metadata_scaling
 
-echo "==> data-plane pipeline: stress tests, replica-table recovery equivalence + single-threaded fs suite (release)"
+echo "==> data-plane pipeline: stress tests, replica-table recovery equivalence, single-threaded fs suite, pool tests pinned to one CPU (release)"
 # The fs suite runs multi-threaded under the workspace `cargo test -q`
 # above; rerunning it pinned to one test thread shakes out any hidden
 # reliance on test-level parallelism masking worker-pool races.
@@ -58,6 +58,16 @@ cargo test --release -q -p mayflower-fs --test datapath_stress
 # arithmetic must hold without debug assertions.
 cargo test --release -q -p mayflower-fs --test replica_table
 RUST_TEST_THREADS=1 cargo test --release -q -p mayflower-fs
+# The benchmark confines itself to one CPU, and that is where a fan-out's
+# caller, itself one of the pool's workers, runs most jobs before its
+# helpers are scheduled: run the pool's unit tests and the stress tests
+# pinned the same way.
+if ! command -v taskset >/dev/null 2>&1; then
+  echo "ci.sh: taskset (util-linux) is missing; the data-plane stage pins the pool tests to one CPU with it" >&2
+  exit 1
+fi
+taskset -c 0 cargo test --release -q -p mayflower-fs --test datapath_stress
+taskset -c 0 cargo test --release -q -p mayflower-fs --lib datapath
 
 echo "==> vendored serde and serde_json: their own suites, the JSON parser against its per-character oracle"
 # vendor/ is outside the workspace, so no stage above reaches these.

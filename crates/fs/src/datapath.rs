@@ -2,15 +2,22 @@
 //! scoped-thread worker pool for piece fetches, append relays, and
 //! fragment reads, plus the shared fetch context those jobs run with.
 //!
-//! Parallelism here overlaps *I/O latency* — dataserver RPC round
-//! trips — not CPU work, so pool width is a client policy knob
+//! The data plane is in-process, so a "round trip" to a dataserver is
+//! a function call that copies through the page cache: what the pool
+//! overlaps is those copies on a multi-core host, and disk waits on a
+//! real disk. Pool width is a client policy knob
 //! ([`crate::client::Client::set_parallelism`]) rather than a function
-//! of core count. Results are position-addressed: every job's value is
-//! returned under its index (and a read fills its caller-provided
-//! buffer slice), so output bytes are identical regardless of
-//! completion order and a width-1 pool runs the exact same code
-//! inline. The fluid simulator and the model checker never thread
-//! through this pool, so their determinism is untouched.
+//! of core count. Thread starts are the pool's cost — pinned to one
+//! CPU a scoped spawn and join takes ~22 µs, a 4 KiB relay write
+//! ~5–6 µs — so the caller is one of the workers and a fan-out `w`
+//! wide spawns `w − 1` threads. Results are position-addressed: every
+//! job's value is returned under its index (and a read fills its
+//! caller-provided buffer slice), so output bytes are identical
+//! regardless of completion order and a width-1 pool runs the exact
+//! same code inline. Every job runs under the caller's trace context,
+//! so span trees do not depend on width either. The fluid simulator
+//! and the model checker never thread through this pool, so their
+//! determinism is untouched.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -47,10 +54,14 @@ impl DatapathMetrics {
     }
 }
 
-/// Runs `jobs` on a bounded pool of at most `width` scoped worker
-/// threads and returns their results **in job order**. Width ≤ 1 (or a
-/// single job) runs inline on the caller's thread — the serial
-/// baseline goes through the identical code path.
+/// Runs `jobs` with at most `width` of them at once and returns their
+/// results **in job order**. The caller is one of the workers: it
+/// spawns `width − 1` scoped helpers (fewer if there are fewer jobs)
+/// and pops jobs beside them, so a fan-out of two spawns one thread.
+/// Width ≤ 1 (or a single job) runs inline on the caller's thread —
+/// the serial baseline goes through the identical code path. Every
+/// job runs under the trace context the caller had on entry, whichever
+/// thread runs it.
 pub(crate) fn fan_out<T, F>(width: usize, jobs: Vec<F>, metrics: Option<&DatapathMetrics>) -> Vec<T>
 where
     T: Send,
@@ -72,43 +83,51 @@ where
     // lowest index dispatches first. Each worker hands back the
     // `(index, value)` pairs it ran; every index is popped exactly once.
     let queue: Mutex<Vec<(usize, F)>> = Mutex::new(jobs.into_iter().enumerate().rev().collect());
+    let drain = || {
+        let mut ran = Vec::new();
+        loop {
+            let next = queue.lock().pop();
+            let Some((index, job)) = next else { break ran };
+            ran.push((index, run_one(job, metrics)));
+        }
+    };
+    let ctx = trace::current_context();
     let mut done: Vec<(usize, T)> = std::thread::scope(|s| {
-        let workers: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut ran = Vec::new();
-                    loop {
-                        let next = queue.lock().pop();
-                        let Some((index, job)) = next else { break ran };
-                        ran.push((index, run_one(job, metrics)));
-                    }
-                })
-            })
+        let helpers: Vec<_> = (1..workers)
+            .map(|_| s.spawn(|| trace::with_context(ctx, drain)))
             .collect();
-        workers
-            .into_iter()
-            .flat_map(|worker| {
-                // A job's panic reaches the caller, as an unjoined
-                // scoped thread's would.
-                worker
+        // A panic in a job the caller runs unwinds out of the scope,
+        // which joins the helpers (they drain the rest) before it
+        // re-raises.
+        let mut done = drain();
+        for helper in helpers {
+            // A helper's job panic reaches the caller, as an unjoined
+            // scoped thread's would.
+            done.extend(
+                helper
                     .join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-            })
-            .collect()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
+        }
+        done
     });
     done.sort_unstable_by_key(|&(index, _)| index);
     done.into_iter().map(|(_, value)| value).collect()
 }
 
 fn run_one<T>(job: impl FnOnce() -> T, metrics: Option<&DatapathMetrics>) -> T {
-    if let Some(m) = metrics {
+    /// Leaves the gauge on drop, so a job that unwinds leaves it too.
+    struct Inflight<'a>(&'a Gauge);
+    impl Drop for Inflight<'_> {
+        fn drop(&mut self) {
+            self.0.sub(1);
+        }
+    }
+    let _inflight = metrics.map(|m| {
         m.inflight_fetches.add(1);
-    }
-    let value = job();
-    if let Some(m) = metrics {
-        m.inflight_fetches.sub(1);
-    }
-    value
+        Inflight(&m.inflight_fetches)
+    });
+    job()
 }
 
 /// The client's retry policy, detached from the (`!Sync`) client so
@@ -281,52 +300,113 @@ mod tests {
         assert_eq!(out, vec![true; 3], "width 1 runs on the caller's thread");
     }
 
-    /// `width` jobs that each wait until all `width` have started can
-    /// only finish if the pool really runs them at the same time: run
-    /// one after another, the first would wait for ever. The wait has
-    /// a deadline so that regression fails instead of hanging.
+    /// Runs `jobs` jobs at `width` that each wait until all `jobs` have
+    /// started, and returns the thread and trace context each ran
+    /// under. They can only finish if the pool really runs them at the
+    /// same time: run one after another, the first would wait for
+    /// ever. The wait has a deadline so that regression fails instead
+    /// of hanging. `fail` decides from the running thread whether a job
+    /// panics once every job is in.
+    fn rendezvous(
+        width: usize,
+        jobs: usize,
+        fail: impl Fn(std::thread::ThreadId) -> bool + Sync,
+    ) -> Vec<(std::thread::ThreadId, Option<(u64, u64)>)> {
+        use std::sync::{Condvar, Mutex};
+        let started = (Mutex::new(0usize), Condvar::new());
+        let job = || {
+            let (count, all_in) = &started;
+            let mut n = count.lock().expect("no job panics holding the count");
+            *n += 1;
+            all_in.notify_all();
+            let (n, wait) = all_in
+                .wait_timeout_while(n, std::time::Duration::from_secs(20), |n| *n < jobs)
+                .expect("no job panics holding the count");
+            drop(n);
+            assert!(
+                !wait.timed_out(),
+                "width {width}: {jobs} jobs did not overlap"
+            );
+            let thread = std::thread::current().id();
+            assert!(!fail(thread), "the chosen job fails");
+            (thread, trace::current_context())
+        };
+        fan_out(width, vec![job; jobs], None)
+    }
+
+    /// The caller is one of the workers: `width` overlapping jobs run on
+    /// exactly `width` threads, the caller's among them, and a fan-out
+    /// never runs on more threads than it has jobs. Every job, on a
+    /// helper or on the caller, sees the caller's trace context.
     #[test]
     fn fan_out_overlaps_jobs_up_to_width() {
-        use std::sync::{Condvar, Mutex};
-        for width in [2usize, 4] {
-            let started = (Mutex::new(0usize), Condvar::new());
-            let rendezvous = || {
-                let (count, all_in) = &started;
-                let mut n = count.lock().expect("no job panics holding the count");
-                *n += 1;
-                all_in.notify_all();
-                let (_n, wait) = all_in
-                    .wait_timeout_while(n, std::time::Duration::from_secs(20), |n| *n < width)
-                    .expect("no job panics holding the count");
-                !wait.timed_out()
-            };
-            let met = fan_out(width, vec![rendezvous; width], None);
-            assert_eq!(met, vec![true; width], "width {width} did not overlap");
+        let caller = std::thread::current().id();
+        let ctx = Some((7, 9));
+        for width in [2usize, 3, 4] {
+            let ran = trace::with_context(ctx, || rendezvous(width, width, |_| false));
+            let threads: std::collections::HashSet<_> = ran.iter().map(|&(t, _)| t).collect();
+            assert_eq!(threads.len(), width, "width {width}: one thread per job");
+            assert!(
+                threads.contains(&caller),
+                "width {width}: the caller runs a job"
+            );
+            assert!(ran.iter().all(|&(_, c)| c == ctx), "width {width}: {ran:?}");
         }
+        let ran = rendezvous(4, 2, |_| false);
+        let threads: std::collections::HashSet<_> = ran.iter().map(|&(t, _)| t).collect();
+        assert!(threads.len() <= 2, "2 jobs at width 4 ran on {threads:?}");
+        assert!(ran.iter().all(|&(_, c)| c.is_none()), "no context leaks");
     }
 
     /// A job that panics fails the whole fan-out with its own payload,
-    /// after the other jobs have run.
+    /// after the other jobs have run, and leaves the in-flight gauge
+    /// where it found it — whichever job fails, at any width.
     #[test]
     fn fan_out_reraises_a_jobs_panic() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let ran = AtomicUsize::new(0);
-        let jobs: Vec<_> = (0..6)
-            .map(|i| {
-                let ran = &ran;
-                move || {
-                    ran.fetch_add(1, Ordering::Relaxed);
-                    assert_ne!(i, 3, "job 3 fails");
-                    i
-                }
-            })
-            .collect();
-        let caught =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fan_out(2, jobs, None)));
-        let payload = caught.expect_err("the panic reaches the caller");
-        let message = payload.downcast_ref::<String>().unwrap();
-        assert!(message.contains("job 3 fails"), "{message}");
-        assert_eq!(ran.load(Ordering::Relaxed), 6);
+        let registry = mayflower_telemetry::Registry::new();
+        let metrics = DatapathMetrics::new(&registry.scope("dp"));
+        for width in [2, 3, 4] {
+            for bad in 0..6 {
+                let ran = AtomicUsize::new(0);
+                let jobs: Vec<_> = (0..6)
+                    .map(|i| {
+                        let ran = &ran;
+                        move || {
+                            ran.fetch_add(1, Ordering::Relaxed);
+                            assert_ne!(i, bad, "job {bad} fails");
+                            i
+                        }
+                    })
+                    .collect();
+                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    fan_out(width, jobs, Some(&metrics))
+                }));
+                let payload = caught.expect_err("the panic reaches the caller");
+                let message = payload.downcast_ref::<String>().unwrap();
+                assert!(message.contains(&format!("job {bad} fails")), "{message}");
+                assert_eq!(ran.load(Ordering::Relaxed), 6, "width {width}, job {bad}");
+                assert_eq!(
+                    metrics.inflight_fetches.get(),
+                    0,
+                    "width {width}, job {bad}"
+                );
+            }
+        }
+        // Pinned: two overlapping jobs run one on the caller and one on
+        // a helper, so each side's panic is exercised for certain.
+        let caller = std::thread::current().id();
+        for on_caller in [true, false] {
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                rendezvous(2, 2, |thread| (thread == caller) == on_caller)
+            }));
+            let payload = caught.expect_err("the panic reaches the caller");
+            let message = payload.downcast_ref::<&str>().unwrap();
+            assert_eq!(
+                *message, "the chosen job fails",
+                "on the caller: {on_caller}"
+            );
+        }
     }
 
     #[test]

@@ -1,13 +1,17 @@
 //! Trace reproducibility and well-formedness (DESIGN.md §17).
 //!
-//! Two guarantees, end to end:
+//! Three guarantees, end to end:
 //!
 //! * **byte determinism** — a fixed-seed traced sim run renders
 //!   byte-identical span-tree JSON (and Chrome export) every time, so
 //!   trace diffs are meaningful;
 //! * **well-formedness** — every capture the stack produces builds a
 //!   valid forest: one root per trace, no orphan parents, child
-//!   intervals nested within their parent's.
+//!   intervals nested within their parent's;
+//! * **width independence** — a filesystem operation records the same
+//!   span tree at every data-plane pool width.
+
+use std::collections::BTreeMap;
 
 use mayflower::flowserver::{Flowserver, FlowserverConfig};
 use mayflower::fs::{Cluster, ClusterConfig, NameserverConfig, Redundancy};
@@ -270,6 +274,98 @@ fn fs_span_trees_match_the_golden() {
     drop(cluster);
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(golden, include_str!("golden/fs_span_trees.txt"));
+}
+
+/// One capture as an indented forest with every id masked: a span is
+/// its `component/name ok|FAILED key=value...` line, its children sit
+/// under it, and the children of each span (and the roots) are sorted
+/// by their rendered subtrees. Which worker ran a job, and so the order
+/// in which sibling spans took their ids, does not show.
+fn render_tree(events: &[SpanEvent]) -> String {
+    fn subtree(
+        e: &SpanEvent,
+        children: &BTreeMap<Option<u64>, Vec<&SpanEvent>>,
+        depth: usize,
+    ) -> String {
+        let ok = if e.ok { "ok" } else { "FAILED" };
+        let mut out = format!("{}{}/{} {ok}", "  ".repeat(depth), e.component, e.name);
+        for (k, v) in &e.annotations {
+            out += &format!(" {k}={v}");
+        }
+        out.push('\n');
+        out + &forest(children.get(&Some(e.span.0)), children, depth + 1)
+    }
+    fn forest(
+        spans: Option<&Vec<&SpanEvent>>,
+        children: &BTreeMap<Option<u64>, Vec<&SpanEvent>>,
+        depth: usize,
+    ) -> String {
+        let mut trees: Vec<String> = spans
+            .into_iter()
+            .flatten()
+            .map(|e| subtree(e, children, depth))
+            .collect();
+        trees.sort();
+        trees.concat()
+    }
+    let mut children: BTreeMap<Option<u64>, Vec<&SpanEvent>> = BTreeMap::new();
+    for e in events {
+        children.entry(e.parent.map(|p| p.0)).or_default().push(e);
+    }
+    forest(children.get(&None), &children, 0)
+}
+
+/// Every width records the span trees width 1 records: each pool job
+/// runs under the trace context its caller had, on a helper thread and
+/// on the caller alike. Coded reads are the case that needs it — their
+/// fragment fetches open no span of their own, so a job that ran
+/// without the caller's context would record no `fragment_read`.
+#[test]
+fn fs_span_trees_do_not_depend_on_pool_width() {
+    let dir = std::env::temp_dir().join(format!("mayflower-trace-width-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let data: Vec<u8> = (0..40u8).collect();
+    let trees: Vec<String> = [1, 2, 4]
+        .into_iter()
+        .map(|width| {
+            let topo = Topology::three_tier(&TreeParams {
+                pods: 2,
+                racks_per_pod: 2,
+                hosts_per_rack: 2,
+                ..TreeParams::paper_testbed()
+            });
+            let config = ClusterConfig {
+                nameserver: NameserverConfig {
+                    chunk_size: 16,
+                    ..NameserverConfig::default()
+                },
+                ..ClusterConfig::default()
+            };
+            let cluster =
+                Cluster::create(&dir.join(width.to_string()), topo.into(), config).unwrap();
+            let tracer = cluster.tracer().clone();
+            let mut client = cluster.client(HostId(0));
+            client.set_parallelism(width);
+            let mut trees = String::new();
+            tracer.begin_capture();
+            client.create("r").unwrap();
+            assert_eq!(client.append("r", &data).unwrap(), 40);
+            assert_eq!(client.read("r").unwrap(), data);
+            trees += &render_tree(&tracer.take_capture());
+            tracer.begin_capture();
+            client
+                .create_with("c", Redundancy::Coded { k: 4, m: 2 })
+                .unwrap();
+            assert_eq!(client.append("c", &data).unwrap(), 40);
+            assert_eq!(client.read("c").unwrap(), data);
+            trees += &render_tree(&tracer.take_capture());
+            trees
+        })
+        .collect();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(trees[0].matches("dataserver/fragment_read").count(), 8);
+    assert_eq!(trees[1], trees[0], "width 2 against width 1");
+    assert_eq!(trees[2], trees[0], "width 4 against width 1");
 }
 
 proptest! {
