@@ -171,6 +171,26 @@ if grep -rn --include='*.rs' fair_bandwidths crates src tests examples benchmark
   exit 1
 fi
 
+echo "==> one data plane: only fs's DataPlane maps hosts to dataservers; no fs metrics parameter is optional"
+# Non-test code only (loc.sh's cut), captured first so a failing or
+# silent loc.sh fails here. Every client and the cluster reach a
+# dataserver through datapath::DataPlane::get and share its metrics; a
+# second map, or a metrics handle a caller may leave out, is the copy
+# the plane replaced.
+fs_lines=$(./loc.sh --lines crates/fs/src)
+if [[ -z "$fs_lines" ]]; then
+  echo "loc.sh --lines printed no fs code to check" >&2
+  exit 1
+fi
+if grep -v '^crates/fs/src/datapath\.rs:' <<<"$fs_lines" | grep -F 'BTreeMap<HostId, Arc<Dataserver>>'; then
+  echo "crates/fs: reach dataservers through datapath::DataPlane" >&2
+  exit 1
+fi
+if grep -E 'Option<&[[:alnum:]_:]*(EcMetrics|DatapathMetrics)>' <<<"$fs_lines"; then
+  echo "crates/fs: take the DataPlane's metrics, not an Option of them" >&2
+  exit 1
+fi
+
 echo "==> every pub fn has a reader: its name occurs on some line besides its definition"
 # Non-test definitions only (loc.sh's cut); any other line under the
 # trees a caller can live in counts, tests and doc links included. A

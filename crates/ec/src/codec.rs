@@ -131,6 +131,26 @@ impl Codec {
     /// [`EcError::ShardSizeMismatch`] when present shards disagree on
     /// length.
     pub fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), EcError> {
+        let shard_len = self.fill_data(shards)?;
+        // All data shards exist now; recompute any missing parity.
+        for r in 0..self.m {
+            if shards[self.k + r].is_some() {
+                continue;
+            }
+            let row = self.enc.row(self.k + r).to_vec();
+            let mut out = vec![0u8; shard_len];
+            for (c, coeff) in row.iter().enumerate() {
+                let shard = shards[c].as_ref().expect("data shards reconstructed");
+                gf::mul_acc_slice(*coeff, shard, &mut out);
+            }
+            shards[self.k + r] = Some(out);
+        }
+        Ok(())
+    }
+
+    /// [`Codec::reconstruct`] for the data shards only: missing parity
+    /// stays `None`. Same errors; returns the shard length.
+    fn fill_data(&self, shards: &mut [Option<Vec<u8>>]) -> Result<usize, EcError> {
         let n = self.n();
         if shards.len() != n {
             return Err(EcError::WrongShardCount {
@@ -172,20 +192,7 @@ impl Codec {
                 shards[d] = Some(out);
             }
         }
-        // All data shards exist now; recompute any missing parity.
-        for r in 0..self.m {
-            if shards[self.k + r].is_some() {
-                continue;
-            }
-            let row = self.enc.row(self.k + r).to_vec();
-            let mut out = vec![0u8; shard_len];
-            for (c, coeff) in row.iter().enumerate() {
-                let shard = shards[c].as_ref().expect("data shards reconstructed");
-                gf::mul_acc_slice(*coeff, shard, &mut out);
-            }
-            shards[self.k + r] = Some(out);
-        }
-        Ok(())
+        Ok(shard_len)
     }
 
     /// Shard length for a payload of `payload_len` bytes: the payload
@@ -222,9 +229,11 @@ impl Codec {
 
     /// Reconstructs the original payload of `payload_len` bytes from
     /// any `k` present shards (data shards first, `None` for missing).
+    /// Only missing data shards are rebuilt into `shards`; a missing
+    /// parity shard stays `None`, since the payload does not need it.
     ///
     /// # Errors
-    /// Propagates [`Codec::reconstruct`] errors; additionally returns
+    /// The errors of [`Codec::reconstruct`]; additionally
     /// [`EcError::ShardSizeMismatch`] when present shards are not
     /// `shard_len(payload_len)` bytes.
     pub fn decode_payload(
@@ -236,10 +245,10 @@ impl Codec {
         if shards.iter().flatten().any(|s| s.len() != want) {
             return Err(EcError::ShardSizeMismatch);
         }
-        self.reconstruct(shards)?;
+        self.fill_data(shards)?;
         let mut out = Vec::with_capacity(payload_len);
         for shard in shards.iter().take(self.k) {
-            let shard = shard.as_ref().expect("reconstruct filled all shards");
+            let shard = shard.as_ref().expect("fill_data filled the data shards");
             let take = want.min(payload_len - out.len());
             out.extend_from_slice(&shard[..take]);
         }
@@ -286,11 +295,17 @@ mod tests {
                 let mut opts: Vec<Option<Vec<u8>>> = shards.iter().cloned().map(Some).collect();
                 opts[a] = None;
                 opts[b] = None;
+                let mut lost = opts.clone();
                 let back = codec.decode_payload(&mut opts, data.len()).unwrap();
                 assert_eq!(back, data, "lost shards {a} and {b}");
-                // Reconstruct also restored the lost shards verbatim.
-                assert_eq!(opts[a].as_deref(), Some(shards[a].as_slice()));
-                assert_eq!(opts[b].as_deref(), Some(shards[b].as_slice()));
+                // The decode rebuilt lost data, and left lost parity alone.
+                for i in [a, b] {
+                    assert_eq!(opts[i].is_some(), i < 4, "lost shards {a} and {b}");
+                }
+                // Reconstruct restores the lost shards verbatim.
+                codec.reconstruct(&mut lost).unwrap();
+                assert_eq!(lost[a].as_deref(), Some(shards[a].as_slice()));
+                assert_eq!(lost[b].as_deref(), Some(shards[b].as_slice()));
             }
         }
     }

@@ -49,11 +49,13 @@ proptest! {
         let mut rng = SimRng::seed_from(seed ^ 0xec);
         let losses = (rng.next_u64() % (m as u64 + 1)) as usize;
         let mut opts = drop_shards(&shards, losses, &mut rng);
+        let mut lost = opts.clone();
         let back = codec.decode_payload(&mut opts, data.len()).expect("k shards survive");
         prop_assert_eq!(back, data);
-        // Reconstruction also restored every lost shard verbatim.
+        // Reconstruction restores every lost shard verbatim.
+        codec.reconstruct(&mut lost).expect("k shards survive");
         for (i, orig) in shards.iter().enumerate() {
-            prop_assert_eq!(opts[i].as_deref(), Some(orig.as_slice()));
+            prop_assert_eq!(lost[i].as_deref(), Some(orig.as_slice()));
         }
     }
 

@@ -1,27 +1,24 @@
 //! The Mayflower client library (§5): an HDFS-like API with metadata
 //! caching and pluggable read selection.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use mayflower_net::HostId;
 use mayflower_telemetry::trace::{self, TraceHandle};
 use mayflower_telemetry::{Counter, Scope};
 
-use crate::cluster::AppendCoordinator;
-use crate::coding::{self, EcMetrics};
-use crate::datapath::{self, DatapathMetrics, FetchCtx, RetryPolicy};
-use crate::dataserver::Dataserver;
+use crate::coding;
+use crate::datapath::{self, DataPlane, RetryPolicy};
 use crate::error::FsError;
 use crate::selector::{ReadAssignment, ReplicaSelector};
 use crate::service::MetadataService;
 use crate::types::{Consistency, FileMeta, Redundancy};
 
-/// Client-side telemetry. Handles come from the cluster registry, so
-/// every client of a cluster aggregates into the same series.
+/// Metadata-cache telemetry. Handles come from the cluster registry,
+/// so every client of a cluster aggregates into the same series.
 #[derive(Debug)]
 pub(crate) struct ClientMetrics {
-    retries: Arc<Counter>,
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
 }
@@ -29,7 +26,6 @@ pub(crate) struct ClientMetrics {
 impl ClientMetrics {
     pub(crate) fn new(scope: &Scope) -> ClientMetrics {
         ClientMetrics {
-            retries: scope.counter("retries_total"),
             cache_hits: scope.counter("cache_hits_total"),
             cache_misses: scope.counter("cache_misses_total"),
         }
@@ -46,8 +42,8 @@ impl ClientMetrics {
 pub struct Client {
     host: HostId,
     nameserver: Arc<dyn MetadataService>,
-    dataservers: BTreeMap<HostId, Arc<Dataserver>>,
-    coordinator: Arc<AppendCoordinator>,
+    /// The dataservers, append locks and shared metrics of the cluster.
+    plane: Arc<DataPlane>,
     consistency: Consistency,
     selector: Box<dyn ReplicaSelector>,
     cache: HashMap<String, (FileMeta, std::time::Instant)>,
@@ -58,26 +54,15 @@ pub struct Client {
     /// time between replica migration and node failure" (§3.3).
     cache_ttl: std::time::Duration,
     metrics: ClientMetrics,
-    /// Parallel-pipeline telemetry, shared with every client of the
-    /// cluster.
-    datapath: Arc<DatapathMetrics>,
-    /// Coded-tier telemetry, shared with the cluster's seal and repair
-    /// paths.
-    ec: Arc<EcMetrics>,
-    /// How many times a retryable ([`FsError::Unavailable`]) operation
-    /// is attempted before the error propagates.
-    retry_attempts: u32,
-    /// Base delay between attempts; doubles each retry, capped.
-    retry_backoff: std::time::Duration,
+    /// How a retryable ([`FsError::Unavailable`]) operation is retried
+    /// before the error propagates.
+    retry: RetryPolicy,
     /// Worker-pool width for parallel piece fetches, append relays and
     /// fragment reads; 1 runs everything serially inline.
     parallelism: usize,
     /// Client-side tracing: op roots (`create`/`append`/`read`) and
     /// their direct children open here.
     trace: TraceHandle,
-    /// Datapath tracing: piece spans, created on the client thread in
-    /// planning order (deterministic ids) and entered by pool workers.
-    trace_datapath: TraceHandle,
 }
 
 /// What a ranged read brought back: the bytes, plus the file sizes the
@@ -111,37 +96,30 @@ impl Client {
     /// Assembles a client. Use [`crate::Cluster::client`] in normal
     /// deployments.
     #[must_use]
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         host: HostId,
         nameserver: Arc<dyn MetadataService>,
-        dataservers: BTreeMap<HostId, Arc<Dataserver>>,
-        coordinator: Arc<AppendCoordinator>,
+        plane: Arc<DataPlane>,
         consistency: Consistency,
         selector: Box<dyn ReplicaSelector>,
         metrics: ClientMetrics,
-        datapath: Arc<DatapathMetrics>,
-        ec: Arc<EcMetrics>,
         trace: TraceHandle,
     ) -> Client {
-        let trace_datapath = trace.tracer().handle("datapath");
         Client {
             host,
             nameserver,
-            dataservers,
-            coordinator,
+            plane,
             consistency,
             selector,
             cache: HashMap::new(),
             cache_ttl: std::time::Duration::from_secs(300),
             metrics,
-            datapath,
-            ec,
-            retry_attempts: 3,
-            retry_backoff: std::time::Duration::from_millis(1),
+            retry: RetryPolicy {
+                attempts: 3,
+                backoff: std::time::Duration::from_millis(1),
+            },
             parallelism: DEFAULT_PARALLELISM,
             trace,
-            trace_datapath,
         }
     }
 
@@ -164,34 +142,20 @@ impl Client {
         self.parallelism
     }
 
-    fn retry_policy(&self) -> RetryPolicy {
-        RetryPolicy {
-            attempts: self.retry_attempts,
-            backoff: self.retry_backoff,
-        }
-    }
-
-    fn fetch_ctx(&self) -> FetchCtx<'_> {
-        FetchCtx {
-            dataservers: &self.dataservers,
-            policy: self.retry_policy(),
-            retries: &self.metrics.retries,
-            trace: &self.trace_datapath,
-        }
-    }
-
     /// Sets the retry policy for [`FsError::Unavailable`] failures:
     /// `attempts` total tries (min 1) with `backoff` between them,
     /// doubling per retry up to a small cap. Other errors never retry.
     pub fn set_retry_policy(&mut self, attempts: u32, backoff: std::time::Duration) {
-        self.retry_attempts = attempts.max(1);
-        self.retry_backoff = backoff;
+        self.retry = RetryPolicy {
+            attempts: attempts.max(1),
+            backoff,
+        };
     }
 
     /// Runs `op`, retrying transient [`FsError::Unavailable`] failures
     /// under the client's retry policy.
     fn with_retry<T>(&self, op: impl FnMut() -> Result<T, FsError>) -> Result<T, FsError> {
-        datapath::with_retry(self.retry_policy(), &self.metrics.retries, op)
+        datapath::with_retry(self.retry, &self.plane.retries, op)
     }
 
     /// Sets the metadata cache expiry (default five minutes). Shorter
@@ -256,7 +220,7 @@ impl Client {
                 Err(e) => return Err(e),
             };
             for r in &meta.replicas {
-                self.dataserver(*r)?.create_file(&meta)?;
+                self.plane.get(*r)?.create_file(&meta)?;
             }
             self.cache_insert(name, meta.clone());
             Ok(meta)
@@ -291,7 +255,7 @@ impl Client {
 
     fn append_attempt(&mut self, name: &str, data: &[u8]) -> Result<u64, FsError> {
         let meta = self.meta(name)?;
-        let lock = self.coordinator.file_lock(meta.id);
+        let lock = self.plane.file_lock(meta.id);
         let _guard = lock.lock();
         // The primary orders the append (§3.3.2): it is written first,
         // alone, and its size is the one recorded. Each replica write
@@ -302,7 +266,7 @@ impl Client {
         // of a lost primary in its slot) a retry goes through.
         let new_size = trace::in_span(self.trace.child("primary_write"), |span| {
             trace::annotate(span, "host", meta.primary().0);
-            self.with_retry(|| self.dataserver(meta.primary())?.append_local(meta.id, data))
+            self.with_retry(|| self.plane.get(meta.primary())?.append_local(meta.id, data))
         })?;
         // The relay to the remaining replicas fans out on the worker
         // pool: the order is already fixed by the primary, so the
@@ -311,7 +275,7 @@ impl Client {
         // replica index first, like the serial relay. Relay spans are
         // created here, in replica order, so span ids do not depend on
         // pool width or completion order.
-        let ctx = self.fetch_ctx();
+        let (plane, policy) = (&*self.plane, self.retry);
         let relay_spans: Vec<Option<trace::ActiveSpan>> = meta.replicas[1..]
             .iter()
             .map(|host| {
@@ -326,17 +290,16 @@ impl Client {
                 .iter()
                 .zip(relay_spans)
                 .map(|(host, span)| {
-                    let ctx = &ctx;
                     move || {
                         trace::in_span(span, |_| {
-                            datapath::with_retry(ctx.policy, ctx.retries, || {
-                                ctx.dataserver(*host)?.append_local(meta.id, data)
+                            datapath::with_retry(policy, &plane.retries, || {
+                                plane.get(*host)?.append_local(meta.id, data)
                             })
                         })
                     }
                 })
                 .collect(),
-            Some(&self.datapath),
+            &plane.metrics,
         );
         for size in relayed {
             size?;
@@ -350,12 +313,7 @@ impl Client {
             // a seal that fails is not a failed append: its error is
             // dropped and its span stays ok.
             let _ = trace::in_span(self.trace.child("seal"), |_| {
-                let _ = coding::seal_complete_chunks(
-                    self.nameserver.as_ref(),
-                    &self.dataservers,
-                    name,
-                    Some(&self.ec),
-                );
+                let _ = coding::seal_complete_chunks(self.nameserver.as_ref(), plane, name);
                 Ok::<(), FsError>(())
             });
         }
@@ -456,7 +414,7 @@ impl Client {
             let size = self.with_retry(|| {
                 let mut last = None;
                 for host in probe_order {
-                    match self.dataserver(*host)?.read_local(meta.id, 0, 0) {
+                    match self.plane.get(*host)?.read_local(meta.id, 0, 0) {
                         Ok((_, size)) => return Ok(size),
                         Err(e @ (FsError::Unavailable(_) | FsError::NotFound(_))) => {
                             last = Some(e);
@@ -607,24 +565,17 @@ impl Client {
                     .iter()
                     .enumerate()
                     .filter(|(i, h)| {
-                        self.dataservers
-                            .get(h)
-                            .is_some_and(|d| d.has_fragment(meta.id, chunk, *i))
+                        self.plane
+                            .get(**h)
+                            .is_ok_and(|d| d.has_fragment(meta.id, chunk, *i))
                     })
                     .map(|(i, h)| (i, *h))
                     .collect();
                 self.selector.select_fragments(self.host, &available, k)
             })
             .collect();
-        let served = coding::read_sealed_fast(
-            &self.dataservers,
-            meta,
-            offset,
-            out,
-            &preferred,
-            self.parallelism,
-            Some(&self.datapath),
-        );
+        let served =
+            coding::read_sealed_fast(&self.plane, meta, offset, out, &preferred, self.parallelism);
         for (slot, pref) in preferred.iter().enumerate() {
             if served[slot] {
                 continue;
@@ -632,15 +583,7 @@ impl Client {
             let chunk = first_chunk + slot as u64;
             let chunk_start = chunk * meta.chunk_size;
             let payload = self.with_retry(|| {
-                coding::read_sealed_chunk(
-                    &self.dataservers,
-                    meta,
-                    chunk,
-                    pref,
-                    self.parallelism,
-                    Some(&self.ec),
-                    Some(&self.datapath),
-                )
+                coding::read_sealed_chunk(&self.plane, meta, chunk, pref, self.parallelism)
             })?;
             let from = offset.max(chunk_start);
             let to = end.min(chunk_start + meta.chunk_size);
@@ -671,7 +614,7 @@ impl Client {
     ) -> Result<RangeOutcome, FsError> {
         let total: u64 = pieces.iter().map(|p| p.2).sum();
         let mut buf = vec![0u8; total as usize];
-        let ctx = self.fetch_ctx();
+        let (plane, policy) = (&*self.plane, self.retry);
 
         // Disjoint per-piece slices of the output buffer, in order.
         let mut slices: Vec<&mut [u8]> = Vec::with_capacity(pieces.len());
@@ -690,7 +633,7 @@ impl Client {
             .iter()
             .enumerate()
             .map(|(i, &(chosen, piece_offset, piece_len, primary_only))| {
-                let mut s = self.trace_datapath.child("piece");
+                let mut s = plane.trace.child("piece");
                 trace::annotate(&mut s, "index", i);
                 trace::annotate(&mut s, "offset", piece_offset);
                 trace::annotate(&mut s, "bytes", piece_len);
@@ -723,10 +666,10 @@ impl Client {
                                 order.push(meta.primary());
                             }
                         }
-                        let ctx = &ctx;
                         move || {
                             trace::in_span(span, |span| {
-                                ctx.read_piece_into(meta, &order, piece_offset, slice)
+                                plane
+                                    .read_piece_into(policy, meta, &order, piece_offset, slice)
                                     .inspect(|done| {
                                         trace::annotate(span, "filled", done.filled);
                                     })
@@ -735,7 +678,7 @@ impl Client {
                     },
                 )
                 .collect(),
-            Some(&self.datapath),
+            &plane.metrics,
         );
 
         // Assemble: pieces are consecutive, so a short piece (possible
@@ -776,18 +719,13 @@ impl Client {
     pub fn rename(&mut self, old: &str, new: &str) -> Result<(), FsError> {
         let displaced = self.nameserver.rename(old, new, true)?;
         if let Some(dead) = displaced {
-            for r in dead.replicas.iter().chain(&dead.fragments) {
-                match self.dataserver(*r)?.delete_file(dead.id) {
-                    Ok(()) | Err(FsError::NotFound(_)) => {}
-                    Err(e) => return Err(e),
-                }
-            }
+            self.delete_data(&dead)?;
         }
         // Refresh replica- and fragment-local metadata so a crash
         // rebuild sees the new name.
         let meta = self.nameserver.lookup(new)?;
         for r in meta.replicas.iter().chain(&meta.fragments) {
-            match self.dataserver(*r)?.update_meta(&meta) {
+            match self.plane.get(*r)?.update_meta(&meta) {
                 Ok(()) | Err(FsError::NotFound(_)) => {}
                 Err(e) => return Err(e),
             }
@@ -805,15 +743,23 @@ impl Client {
     /// Returns [`FsError::NotFound`] for unknown files.
     pub fn delete(&mut self, name: &str) -> Result<(), FsError> {
         let meta = self.nameserver.delete(name)?;
-        for r in meta.replicas.iter().chain(&meta.fragments) {
+        self.delete_data(&meta)?;
+        self.cache.remove(name);
+        Ok(())
+    }
+
+    /// Deletes an unmapped file's replicas and fragments, then its
+    /// append lock.
+    fn delete_data(&self, dead: &FileMeta) -> Result<(), FsError> {
+        for r in dead.replicas.iter().chain(&dead.fragments) {
             // A replica (or fragment host) may already be gone;
             // deletion is idempotent at the filesystem level.
-            match self.dataserver(*r)?.delete_file(meta.id) {
+            match self.plane.get(*r)?.delete_file(dead.id) {
                 Ok(()) | Err(FsError::NotFound(_)) => {}
                 Err(e) => return Err(e),
             }
         }
-        self.cache.remove(name);
+        self.plane.forget_file(dead.id);
         Ok(())
     }
 
@@ -852,12 +798,6 @@ impl Client {
     #[must_use]
     pub fn cached_entries(&self) -> usize {
         self.cache.len()
-    }
-
-    fn dataserver(&self, host: HostId) -> Result<&Arc<Dataserver>, FsError> {
-        self.dataservers
-            .get(&host)
-            .ok_or_else(|| FsError::InvalidArgument(format!("no dataserver on host {host}")))
     }
 }
 

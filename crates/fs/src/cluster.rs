@@ -1,22 +1,21 @@
 //! An in-process Mayflower deployment: one dataserver per topology
 //! host, a nameserver, and the primary-relay append path.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 
 use mayflower_net::{HostId, Topology};
 use mayflower_telemetry::trace::{self as trace, TraceHandle, Tracer};
-use parking_lot::Mutex;
 
 use crate::client::{Client, ClientMetrics};
-use crate::coding::{self, EcMetrics};
-use crate::datapath::DatapathMetrics;
+use crate::coding;
+use crate::datapath::DataPlane;
 use crate::dataserver::Dataserver;
 use crate::error::FsError;
 use crate::nameserver::{Nameserver, NameserverConfig, NsOp};
 use crate::selector::{NearestSelector, ReplicaSelector};
-use crate::types::{Consistency, FileId, FileMeta};
+use crate::types::{Consistency, FileMeta};
 
 /// Cluster-wide configuration.
 #[derive(Debug, Clone, Default)]
@@ -25,19 +24,6 @@ pub struct ClusterConfig {
     pub nameserver: NameserverConfig,
     /// Read consistency level for clients (§3.4).
     pub consistency: Consistency,
-}
-
-/// Serializes appends per file: the "primary dataserver is responsible
-/// for ordering all of the append requests for the file" (§3.3.2).
-#[derive(Debug, Default)]
-pub(crate) struct AppendCoordinator {
-    locks: Mutex<HashMap<FileId, Arc<Mutex<()>>>>,
-}
-
-impl AppendCoordinator {
-    pub(crate) fn file_lock(&self, id: FileId) -> Arc<Mutex<()>> {
-        self.locks.lock().entry(id).or_default().clone()
-    }
 }
 
 /// An in-process Mayflower cluster: the deployment unit used by the
@@ -50,12 +36,11 @@ impl AppendCoordinator {
 pub struct Cluster {
     topo: Arc<Topology>,
     nameserver: Arc<Nameserver>,
-    dataservers: BTreeMap<HostId, Arc<Dataserver>>,
-    coordinator: Arc<AppendCoordinator>,
+    /// The dataservers, append locks and data-path metrics every client
+    /// shares.
+    plane: Arc<DataPlane>,
     consistency: Consistency,
     registry: mayflower_telemetry::Registry,
-    ec: Arc<EcMetrics>,
-    datapath: Arc<DatapathMetrics>,
     /// Causal-tracing root (DESIGN.md §17), disabled by default; every
     /// component handle below shares it.
     tracer: Arc<Tracer>,
@@ -90,20 +75,14 @@ impl Cluster {
             ds.attach_trace(tracer.handle("dataserver"));
             dataservers.insert(host, Arc::new(ds));
         }
-        let ec = Arc::new(EcMetrics::new(&registry.scope("ec")));
-        let datapath = Arc::new(DatapathMetrics::new(
-            &registry.scope("fs").scope("datapath"),
-        ));
+        let plane = Arc::new(DataPlane::new(dataservers, &registry, &tracer));
         let trace_recovery = tracer.handle("recovery");
         Ok(Cluster {
             topo,
             nameserver,
-            dataservers,
-            coordinator: Arc::new(AppendCoordinator::default()),
+            plane,
             consistency: config.consistency,
             registry,
-            ec,
-            datapath,
             tracer,
             trace_recovery,
         })
@@ -145,15 +124,15 @@ impl Cluster {
     /// Panics if `host` is not in the topology.
     #[must_use]
     pub fn dataserver(&self, host: HostId) -> &Arc<Dataserver> {
-        self.dataservers
-            .get(&host)
+        self.plane
+            .get(host)
             .expect("every topology host runs a dataserver")
     }
 
     /// All dataservers, in host order.
     #[must_use]
     pub fn dataservers(&self) -> Vec<Arc<Dataserver>> {
-        self.dataservers.values().cloned().collect()
+        self.plane.dataservers().cloned().collect()
     }
 
     /// A client on `host` with the default HDFS-style nearest-replica
@@ -194,13 +173,10 @@ impl Cluster {
         Client::new(
             host,
             meta,
-            self.dataservers.clone(),
-            self.coordinator.clone(),
+            self.plane.clone(),
             self.consistency,
             selector,
             ClientMetrics::new(&self.registry.scope("fs").scope("client")),
-            self.datapath.clone(),
-            self.ec.clone(),
             self.tracer.handle("client"),
         )
     }
@@ -211,7 +187,7 @@ impl Cluster {
     fn replace_mapping(&self, meta: &FileMeta) -> Result<(), FsError> {
         self.nameserver.apply(&NsOp::Replace(meta.clone()))?;
         for r in &meta.replicas {
-            let _ = self.dataserver(*r).update_meta(meta);
+            let _ = self.plane.get(*r)?.update_meta(meta);
         }
         Ok(())
     }
@@ -249,30 +225,32 @@ impl Cluster {
                 trace::annotate(copy, "dest", dest);
                 let copied = trace::with_context(repair, || {
                     let meta = self.nameserver.lookup(name)?;
-                    let lock = self.coordinator.file_lock(meta.id);
+                    let lock = self.plane.file_lock(meta.id);
                     let _guard = lock.lock();
                     // Re-read under the lock (a concurrent repair may
                     // have won).
                     let mut meta = self.nameserver.lookup(name)?;
 
-                    let Some(lost) = meta
-                        .replicas
-                        .iter()
-                        .position(|r| !self.dataserver(*r).has_file(meta.id))
-                    else {
+                    let mut lost = None;
+                    for (slot, r) in meta.replicas.iter().enumerate() {
+                        if !self.plane.get(*r)?.has_file(meta.id) {
+                            lost = Some(slot);
+                            break;
+                        }
+                    }
+                    let Some(lost) = lost else {
                         return Ok(0); // fully replicated again — nothing to do
                     };
-                    if meta.replicas.contains(&dest) && self.dataserver(dest).has_file(meta.id) {
+                    let (source_ds, dest_ds) = (self.plane.get(source)?, self.plane.get(dest)?);
+                    if meta.replicas.contains(&dest) && dest_ds.has_file(meta.id) {
                         return Ok(0);
                     }
-                    if !self.dataserver(source).has_file(meta.id) {
+                    if !source_ds.has_file(meta.id) {
                         return Err(FsError::Unavailable(format!(
                             "{name}: repair source host {source} lost its copy"
                         )));
                     }
-                    let copied = self
-                        .dataserver(dest)
-                        .pull_repair(&**self.dataserver(source), &meta)?;
+                    let copied = dest_ds.pull_repair(&**source_ds, &meta)?;
                     meta.replicas[lost] = dest;
                     self.replace_mapping(&meta)?;
                     Ok(copied)
@@ -301,14 +279,9 @@ impl Cluster {
         trace::in_span(self.trace_recovery.span("seal"), |span| {
             trace::annotate(span, "file", name);
             let meta = self.nameserver.lookup(name)?;
-            let lock = self.coordinator.file_lock(meta.id);
+            let lock = self.plane.file_lock(meta.id);
             let _guard = lock.lock();
-            coding::seal_complete_chunks(
-                self.nameserver.as_ref(),
-                &self.dataservers,
-                name,
-                Some(&self.ec),
-            )
+            coding::seal_complete_chunks(self.nameserver.as_ref(), &self.plane, name)
         })
     }
 
@@ -340,7 +313,7 @@ impl Cluster {
                 trace::annotate(rebuild, "dest", dest);
                 let written = trace::with_context(repair, || {
                     let meta = self.nameserver.lookup(name)?;
-                    let lock = self.coordinator.file_lock(meta.id);
+                    let lock = self.plane.file_lock(meta.id);
                     let _guard = lock.lock();
                     // Re-read under the lock (a concurrent repair may
                     // have won).
@@ -368,23 +341,17 @@ impl Cluster {
                     if meta.sealed_chunks == 0 {
                         return Ok(0);
                     }
-                    let current = meta.fragments[index];
-                    let intact = (0..meta.sealed_chunks)
-                        .all(|c| self.dataserver(current).has_fragment(meta.id, c, index));
+                    let current = self.plane.get(meta.fragments[index])?;
+                    let intact =
+                        (0..meta.sealed_chunks).all(|c| current.has_fragment(meta.id, c, index));
                     if intact {
                         return Ok(0);
                     }
-                    let written = coding::rebuild_fragment(
-                        &self.dataservers,
-                        &meta,
-                        index,
-                        dest,
-                        Some(&self.ec),
-                    )?;
+                    let written = coding::rebuild_fragment(&self.plane, &meta, index, dest)?;
                     self.nameserver.set_fragment(name, index, dest)?;
                     let meta = self.nameserver.lookup(name)?;
                     for host in meta.replicas.iter().chain(&meta.fragments) {
-                        let _ = self.dataserver(*host).update_meta(&meta);
+                        let _ = self.plane.get(*host)?.update_meta(&meta);
                     }
                     Ok(written)
                 })?;
@@ -604,6 +571,76 @@ mod tests {
             );
             assert_eq!(c.nameserver().lookup(name).unwrap().replicas, meta.replicas);
         }
+    }
+
+    /// A file deleted everywhere, or displaced by a rename, leaves no
+    /// append lock behind: file ids are never reused, so a lock kept
+    /// for one would be kept for the life of the cluster.
+    #[test]
+    fn append_locks_go_with_their_files() {
+        let dir = TempDir::new("locks");
+        let c = small_cluster(&dir);
+        let mut client = c.client(HostId(0));
+        for i in 0..8 {
+            let name = format!("churn{i}");
+            client.create(&name).unwrap();
+            client.append(&name, b"bytes").unwrap();
+            client.delete(&name).unwrap();
+        }
+        assert_eq!(c.plane.locked_files(), 0, "deleted files keep no lock");
+        for name in ["draft", "final"] {
+            client.create(name).unwrap();
+            client.append(name, name.as_bytes()).unwrap();
+        }
+        client.rename("draft", "final").unwrap();
+        assert_eq!(
+            c.plane.locked_files(),
+            1,
+            "the displaced file's lock is gone"
+        );
+        client.delete("final").unwrap();
+        assert_eq!(c.plane.locked_files(), 0);
+    }
+
+    /// Placement is not checked against the topology, so metadata can
+    /// name a host the cluster does not run: repair answers an error for
+    /// it, as the client's own paths do, rather than panicking.
+    #[test]
+    fn repair_of_a_host_outside_the_topology_is_an_error() {
+        let dir = TempDir::new("stray");
+        let c = small_cluster(&dir);
+        let stray = HostId(99);
+        let (a, b) = (HostId(0), HostId(2));
+        let meta = c
+            .nameserver()
+            .create_placed("stray", vec![stray, a, b])
+            .unwrap();
+        for r in [a, b] {
+            c.dataserver(r).create_file(&meta).unwrap();
+        }
+        assert!(matches!(
+            c.repair_to("stray", a, HostId(4)),
+            Err(FsError::InvalidArgument(_))
+        ));
+
+        let mut client = c.client(HostId(0));
+        client
+            .create_with("coded", crate::Redundancy::Coded { k: 4, m: 2 })
+            .unwrap();
+        client.append("coded", &[7; 40]).unwrap();
+        c.nameserver().set_fragment("coded", 0, stray).unwrap();
+        let coded = c.nameserver().lookup("coded").unwrap();
+        assert!(coded.sealed_chunks > 0);
+        let dest = c
+            .topology()
+            .hosts()
+            .into_iter()
+            .find(|h| !coded.fragments.contains(h))
+            .unwrap();
+        assert!(matches!(
+            c.repair_fragment("coded", 0, dest),
+            Err(FsError::InvalidArgument(_))
+        ));
     }
 
     #[test]

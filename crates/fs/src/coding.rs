@@ -11,14 +11,13 @@
 //! codec (Reed-Solomon alone cannot tell a corrupt shard from a good
 //! one) and demoted to an erasure the decode can heal.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use mayflower_ec::Codec;
 use mayflower_net::HostId;
 use mayflower_telemetry::{Counter, Scope};
 
-use crate::dataserver::Dataserver;
+use crate::datapath::{fan_out, DataPlane};
 use crate::error::FsError;
 use crate::types::FileMeta;
 
@@ -52,20 +51,10 @@ impl EcMetrics {
     }
 }
 
-/// Looks up a dataserver by host.
-fn ds(
-    dataservers: &BTreeMap<HostId, Arc<Dataserver>>,
-    host: HostId,
-) -> Result<&Arc<Dataserver>, FsError> {
-    dataservers
-        .get(&host)
-        .ok_or_else(|| FsError::InvalidArgument(format!("no dataserver on host {host}")))
-}
-
 /// Reads the full payload of chunk `chunk` from any live replica
 /// (primary last wins ties on staleness: it is never behind).
 fn read_chunk_from_replicas(
-    dataservers: &BTreeMap<HostId, Arc<Dataserver>>,
+    plane: &DataPlane,
     meta: &FileMeta,
     chunk: u64,
 ) -> Result<Vec<u8>, FsError> {
@@ -73,7 +62,7 @@ fn read_chunk_from_replicas(
     let want = meta.chunk_payload_len(chunk);
     let mut last = None;
     for host in &meta.replicas {
-        match ds(dataservers, *host)?.read_local(meta.id, offset, want) {
+        match plane.get(*host)?.read_local(meta.id, offset, want) {
             Ok((data, _)) if data.len() as u64 == want => return Ok(data),
             Ok(_) => last = Some(FsError::Unavailable(format!("replica {host} short"))),
             Err(e) => last = Some(e),
@@ -101,9 +90,8 @@ fn read_chunk_from_replicas(
 /// merely stops early.
 pub(crate) fn seal_complete_chunks(
     nameserver: &dyn crate::service::MetadataService,
-    dataservers: &BTreeMap<HostId, Arc<Dataserver>>,
+    plane: &DataPlane,
     name: &str,
-    metrics: Option<&EcMetrics>,
 ) -> Result<u64, FsError> {
     let mut meta = nameserver.lookup(name)?;
     let Some((k, m)) = meta.redundancy.coded_params() else {
@@ -118,14 +106,15 @@ pub(crate) fn seal_complete_chunks(
     let codec = Codec::new(k, m);
     while meta.sealed_chunks < meta.complete_chunks() {
         let chunk = meta.sealed_chunks;
-        let Ok(payload) = read_chunk_from_replicas(dataservers, &meta, chunk) else {
+        let Ok(payload) = read_chunk_from_replicas(plane, &meta, chunk) else {
             break; // no live replica holds the chunk — retry later
         };
         let shards = codec.encode_payload(&payload);
         let mut stored_all = true;
         for (index, shard) in shards.iter().enumerate() {
             let host = meta.fragments[index];
-            if ds(dataservers, host)?
+            if plane
+                .get(host)?
                 .put_fragment(meta.id, chunk, index, payload.len() as u64, shard)
                 .is_err()
             {
@@ -138,18 +127,16 @@ pub(crate) fn seal_complete_chunks(
         }
         nameserver.record_seal(name, chunk + 1)?;
         meta = nameserver.lookup(name)?;
-        if let Some(mx) = metrics {
-            mx.encode_bytes.add(payload.len() as u64);
-            mx.chunks_sealed.inc();
-        }
+        plane.ec.encode_bytes.add(payload.len() as u64);
+        plane.ec.chunks_sealed.inc();
         // Refresh replica- and fragment-local metadata, then reclaim
         // the replicated copies. All best-effort: a down host misses
         // the update but the nameserver watermark is authoritative.
         for host in meta.replicas.iter().chain(&meta.fragments) {
-            let _ = ds(dataservers, *host)?.update_meta(&meta);
+            let _ = plane.get(*host)?.update_meta(&meta);
         }
         for host in &meta.replicas {
-            let _ = ds(dataservers, *host)?.drop_chunk(meta.id, chunk);
+            let _ = plane.get(*host)?.drop_chunk(meta.id, chunk);
         }
     }
     Ok(meta.sealed_chunks)
@@ -187,11 +174,11 @@ impl ShardFetch<'_> {
     /// or ending mid-shard, or the zero-padded last shard of a chunk
     /// `k` does not divide) goes through a scratch shard, because the
     /// checksum covers the whole stored shard.
-    fn run(self, dataservers: &BTreeMap<HostId, Arc<Dataserver>>, meta: &FileMeta) -> bool {
+    fn run(self, plane: &DataPlane, meta: &FileMeta) -> bool {
         let Some(server) = meta
             .fragments
             .get(self.index)
-            .and_then(|host| dataservers.get(host))
+            .and_then(|host| plane.get(*host).ok())
         else {
             return false;
         };
@@ -229,13 +216,12 @@ impl ShardFetch<'_> {
 /// missing, frame corrupt): the caller reads those chunks through
 /// [`read_sealed_chunk`], which promotes parity and decodes.
 pub(crate) fn read_sealed_fast(
-    dataservers: &BTreeMap<HostId, Arc<Dataserver>>,
+    plane: &DataPlane,
     meta: &FileMeta,
     offset: u64,
     out: &mut [u8],
     preferred: &[Vec<usize>],
     width: usize,
-    datapath: Option<&crate::datapath::DatapathMetrics>,
 ) -> Vec<bool> {
     let mut served = vec![false; preferred.len()];
     let Some((k, _)) = meta.redundancy.coded_params() else {
@@ -284,12 +270,12 @@ pub(crate) fn read_sealed_fast(
         }
     }
 
-    let fetched = crate::datapath::fan_out(
+    let fetched = fan_out(
         width,
         jobs.into_iter()
-            .map(|job| move || (job.slot, job.run(dataservers, meta)))
+            .map(|job| move || (job.slot, job.run(plane, meta)))
             .collect(),
-        datapath,
+        &plane.metrics,
     );
     for (slot, ok) in fetched {
         served[slot] &= ok;
@@ -299,12 +285,11 @@ pub(crate) fn read_sealed_fast(
 
 /// Reads the full payload of sealed chunk `chunk` from its fragments.
 ///
-/// Fast path: every data fragment the `selector_order` asks for first
-/// is live → concatenate, no decode. Degraded path: any data fragment
-/// missing or failing its checksum → fetch any `k` live fragments and
-/// decode. Fragment fetch failures (host down, frame corrupt) demote
-/// that fragment to an erasure and the sweep continues, so up to `m`
-/// arbitrary losses are survivable.
+/// Fetches any `k` live fragments and decodes; the decode rebuilds
+/// only the data fragments that are missing, so a chunk whose data
+/// fragments all arrived costs no arithmetic. Fragment fetch failures
+/// (host down, frame corrupt) demote that fragment to an erasure and
+/// the sweep continues, so up to `m` arbitrary losses are survivable.
 ///
 /// `preferred` gives the fragment indices to try first (a selector's
 /// choice); the remaining live fragments serve as failover. The `k`
@@ -318,13 +303,11 @@ pub(crate) fn read_sealed_fast(
 /// Returns [`FsError::Unavailable`] when fewer than `k` fragments can
 /// be read.
 pub(crate) fn read_sealed_chunk(
-    dataservers: &BTreeMap<HostId, Arc<Dataserver>>,
+    plane: &DataPlane,
     meta: &FileMeta,
     chunk: u64,
     preferred: &[usize],
     width: usize,
-    metrics: Option<&EcMetrics>,
-    datapath: Option<&crate::datapath::DatapathMetrics>,
 ) -> Result<Vec<u8>, FsError> {
     let (k, m) = meta
         .redundancy
@@ -344,14 +327,14 @@ pub(crate) fn read_sealed_chunk(
         // in order on the following round.
         let round: Vec<usize> = order[next..].iter().copied().take(k - have).collect();
         next += round.len();
-        let fetched = crate::datapath::fan_out(
+        let fetched = fan_out(
             width,
             round
                 .iter()
                 .map(|&index| {
                     let host = meta.fragments[index];
                     move || -> Option<(usize, Vec<u8>)> {
-                        let server = dataservers.get(&host)?;
+                        let server = plane.get(host).ok()?;
                         match server.read_fragment(meta.id, chunk, index) {
                             Ok((shard, len)) if len == payload_len => Some((index, shard)),
                             // Wrong payload length, corrupt frame, host
@@ -361,7 +344,7 @@ pub(crate) fn read_sealed_chunk(
                     }
                 })
                 .collect(),
-            datapath,
+            &plane.metrics,
         );
         for (index, shard) in fetched.into_iter().flatten() {
             shards[index] = Some(shard);
@@ -375,22 +358,13 @@ pub(crate) fn read_sealed_chunk(
         )));
     }
 
-    if shards.iter().take(k).all(Option::is_some) {
-        let mut payload = Vec::with_capacity(payload_len as usize);
-        for shard in shards.iter().take(k).flatten() {
-            payload.extend_from_slice(shard);
-        }
-        payload.truncate(payload_len as usize);
-        return Ok(payload);
-    }
-
-    let codec = Codec::new(k, m);
-    let payload = codec
+    let degraded = shards[..k].iter().any(Option::is_none);
+    let payload = Codec::new(k, m)
         .decode_payload(&mut shards, payload_len as usize)
         .map_err(|e| FsError::Unavailable(format!("{}: chunk {chunk}: {e}", meta.name)))?;
-    if let Some(mx) = metrics {
-        mx.degraded_reads.inc();
-        mx.decode_bytes.add(payload.len() as u64);
+    if degraded {
+        plane.ec.degraded_reads.inc();
+        plane.ec.decode_bytes.add(payload.len() as u64);
     }
     Ok(payload)
 }
@@ -405,11 +379,10 @@ pub(crate) fn read_sealed_chunk(
 /// Returns [`FsError::Unavailable`] when any sealed chunk has fewer
 /// than `k` live fragments, or when `dest` refuses the write.
 pub(crate) fn rebuild_fragment(
-    dataservers: &BTreeMap<HostId, Arc<Dataserver>>,
+    plane: &DataPlane,
     meta: &FileMeta,
     index: usize,
     dest: HostId,
-    metrics: Option<&EcMetrics>,
 ) -> Result<u64, FsError> {
     let (k, m) = meta
         .redundancy
@@ -431,7 +404,7 @@ pub(crate) fn rebuild_fragment(
             if i == index || have >= k {
                 continue;
             }
-            let Ok(server) = ds(dataservers, *host) else {
+            let Ok(server) = plane.get(*host) else {
                 continue;
             };
             match server.read_fragment(meta.id, chunk, i) {
@@ -457,14 +430,12 @@ pub(crate) fn rebuild_fragment(
                 meta.name
             )));
         };
-        ds(dataservers, dest)?.put_fragment(meta.id, chunk, index, payload_len, shard)?;
+        plane
+            .get(dest)?
+            .put_fragment(meta.id, chunk, index, payload_len, shard)?;
         written += shard.len() as u64;
-        if let Some(mx) = metrics {
-            mx.decode_bytes.add(payload_len);
-        }
+        plane.ec.decode_bytes.add(payload_len);
     }
-    if let Some(mx) = metrics {
-        mx.fragment_repairs.inc();
-    }
+    plane.ec.fragment_repairs.inc();
     Ok(written)
 }

@@ -1,6 +1,7 @@
 //! The parallel data-plane pipeline (DESIGN.md §16): a bounded
 //! scoped-thread worker pool for piece fetches, append relays, and
-//! fragment reads, plus the shared fetch context those jobs run with.
+//! fragment reads, plus the [`DataPlane`] every client of a cluster
+//! shares.
 //!
 //! The data plane is in-process, so a "round trip" to a dataserver is
 //! a function call that copies through the page cache: what the pool
@@ -18,18 +19,25 @@
 //! so span trees do not depend on width either. The fluid simulator
 //! and the model checker never thread through this pool, so their
 //! determinism is untouched.
+//!
+//! [`DataPlane`] owns what is the cluster's rather than one client's:
+//! the host → dataserver map and the one lookup into it, the per-file
+//! append locks, the pipeline and coded-tier metrics, the retry
+//! counter and the datapath trace handle. A client brings only its
+//! own knobs to it: pool width and retry policy.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use mayflower_net::HostId;
-use mayflower_telemetry::trace::{self, TraceHandle};
-use mayflower_telemetry::{Counter, Gauge, Histogram, Scope};
+use mayflower_telemetry::trace::{self, TraceHandle, Tracer};
+use mayflower_telemetry::{Counter, Gauge, Histogram, Registry, Scope};
 use parking_lot::Mutex;
 
+use crate::coding::EcMetrics;
 use crate::dataserver::Dataserver;
 use crate::error::FsError;
-use crate::types::FileMeta;
+use crate::types::{FileId, FileMeta};
 
 /// Backoff growth is capped so a long retry budget cannot make a
 /// client hang for seconds on a dead component.
@@ -62,7 +70,7 @@ impl DatapathMetrics {
 /// the serial baseline goes through the identical code path. Every
 /// job runs under the trace context the caller had on entry, whichever
 /// thread runs it.
-pub(crate) fn fan_out<T, F>(width: usize, jobs: Vec<F>, metrics: Option<&DatapathMetrics>) -> Vec<T>
+pub(crate) fn fan_out<T, F>(width: usize, jobs: Vec<F>, metrics: &DatapathMetrics) -> Vec<T>
 where
     T: Send,
     F: FnOnce() -> T + Send,
@@ -71,9 +79,7 @@ where
     if n == 0 {
         return Vec::new();
     }
-    if let Some(m) = metrics {
-        m.fan_out_width.record(n as u64);
-    }
+    metrics.fan_out_width.record(n as u64);
     let workers = width.max(1).min(n);
     if workers == 1 {
         return jobs.into_iter().map(|job| run_one(job, metrics)).collect();
@@ -115,7 +121,7 @@ where
     done.into_iter().map(|(_, value)| value).collect()
 }
 
-fn run_one<T>(job: impl FnOnce() -> T, metrics: Option<&DatapathMetrics>) -> T {
+fn run_one<T>(job: impl FnOnce() -> T, metrics: &DatapathMetrics) -> T {
     /// Leaves the gauge on drop, so a job that unwinds leaves it too.
     struct Inflight<'a>(&'a Gauge);
     impl Drop for Inflight<'_> {
@@ -123,10 +129,8 @@ fn run_one<T>(job: impl FnOnce() -> T, metrics: Option<&DatapathMetrics>) -> T {
             self.0.sub(1);
         }
     }
-    let _inflight = metrics.map(|m| {
-        m.inflight_fetches.add(1);
-        Inflight(&m.inflight_fetches)
-    });
+    metrics.inflight_fetches.add(1);
+    let _inflight = Inflight(&metrics.inflight_fetches);
     job()
 }
 
@@ -175,24 +179,80 @@ pub(crate) struct PieceDone {
     pub(crate) size_from: HostId,
 }
 
-/// The `Sync` subset of client state a piece fetch needs — the client
-/// itself holds `!Sync` state (the selector, the metadata cache) and
-/// cannot be shared with the pool.
-pub(crate) struct FetchCtx<'a> {
-    pub(crate) dataservers: &'a BTreeMap<HostId, Arc<Dataserver>>,
-    pub(crate) policy: RetryPolicy,
-    pub(crate) retries: &'a Counter,
-    /// Datapath tracing handle: piece fetches open per-host `attempt`
-    /// spans under the ambient piece span, so a failover sweep leaves
-    /// sibling attempts (failed and successful) in the trace.
-    pub(crate) trace: &'a TraceHandle,
+/// What every client of a cluster shares, and the only way to a
+/// dataserver: the cluster builds one and hands each client a clone of
+/// the `Arc`. It is `Sync`, so pool jobs use it directly — the client
+/// itself holds `!Sync` state (the selector, the metadata cache).
+#[derive(Debug)]
+pub(crate) struct DataPlane {
+    dataservers: BTreeMap<HostId, Arc<Dataserver>>,
+    /// Serializes appends per file: the "primary dataserver is
+    /// responsible for ordering all of the append requests for the
+    /// file" (§3.3.2). Seal and repair hold the same lock.
+    append_locks: Mutex<HashMap<FileId, Arc<Mutex<()>>>>,
+    pub(crate) metrics: DatapathMetrics,
+    pub(crate) ec: EcMetrics,
+    /// Retries of transient failures, by every client (the
+    /// `fs_client_retries_total` series).
+    pub(crate) retries: Arc<Counter>,
+    /// Datapath tracing: piece spans, created on the client thread in
+    /// planning order (deterministic ids) and entered by pool workers;
+    /// piece fetches open per-host `attempt` spans under them, so a
+    /// failover sweep leaves sibling attempts (failed and successful)
+    /// in the trace.
+    pub(crate) trace: TraceHandle,
 }
 
-impl FetchCtx<'_> {
-    pub(crate) fn dataserver(&self, host: HostId) -> Result<&Arc<Dataserver>, FsError> {
+impl DataPlane {
+    pub(crate) fn new(
+        dataservers: BTreeMap<HostId, Arc<Dataserver>>,
+        registry: &Registry,
+        tracer: &Arc<Tracer>,
+    ) -> DataPlane {
+        let fs = registry.scope("fs");
+        DataPlane {
+            dataservers,
+            append_locks: Mutex::default(),
+            metrics: DatapathMetrics::new(&fs.scope("datapath")),
+            ec: EcMetrics::new(&registry.scope("ec")),
+            retries: fs.scope("client").counter("retries_total"),
+            trace: tracer.handle("datapath"),
+        }
+    }
+
+    /// The dataserver on `host`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FsError::InvalidArgument`] for a host the cluster does
+    /// not run — metadata can name one, since placement is not checked
+    /// against the topology.
+    pub(crate) fn get(&self, host: HostId) -> Result<&Arc<Dataserver>, FsError> {
         self.dataservers
             .get(&host)
             .ok_or_else(|| FsError::InvalidArgument(format!("no dataserver on host {host}")))
+    }
+
+    /// Every dataserver, in host order.
+    pub(crate) fn dataservers(&self) -> impl Iterator<Item = &Arc<Dataserver>> {
+        self.dataservers.values()
+    }
+
+    /// The append lock of file `id`.
+    pub(crate) fn file_lock(&self, id: FileId) -> Arc<Mutex<()>> {
+        self.append_locks.lock().entry(id).or_default().clone()
+    }
+
+    /// Drops the append lock of a file whose data is deleted everywhere.
+    /// File ids are never reused, so without this the table would grow
+    /// with every file ever appended to.
+    pub(crate) fn forget_file(&self, id: FileId) {
+        self.append_locks.lock().remove(&id);
+    }
+
+    #[cfg(test)]
+    pub(crate) fn locked_files(&self) -> usize {
+        self.append_locks.lock().len()
     }
 
     /// Reads one contiguous piece into `buf`, sweeping the hosts in
@@ -202,13 +262,14 @@ impl FetchCtx<'_> {
     /// retry budget turns a transient outage into a slower read.
     pub(crate) fn read_piece_into(
         &self,
+        policy: RetryPolicy,
         meta: &FileMeta,
         order: &[HostId],
         offset: u64,
         buf: &mut [u8],
     ) -> Result<PieceDone, FsError> {
         let mut round = 0u32;
-        with_retry(self.policy, self.retries, || {
+        with_retry(policy, &self.retries, || {
             let mut last_err = None;
             for host in order {
                 let attempt = trace::in_span(self.trace.child("attempt"), |span| {
@@ -240,9 +301,7 @@ impl FetchCtx<'_> {
         offset: u64,
         buf: &mut [u8],
     ) -> Result<PieceDone, FsError> {
-        let (mut filled, size) = self
-            .dataserver(host)?
-            .read_local_into(meta.id, offset, buf)?;
+        let (mut filled, size) = self.get(host)?.read_local_into(meta.id, offset, buf)?;
         let mut done = PieceDone {
             filled,
             reported_size: size,
@@ -252,7 +311,7 @@ impl FetchCtx<'_> {
             // A lagging replica returned a short read; the primary is
             // never behind — fetch the remainder there. Its size
             // report supersedes the laggard's.
-            let (more, primary_size) = self.dataserver(meta.primary())?.read_local_into(
+            let (more, primary_size) = self.get(meta.primary())?.read_local_into(
                 meta.id,
                 offset + filled as u64,
                 &mut buf[filled..],
@@ -270,6 +329,11 @@ impl FetchCtx<'_> {
 mod tests {
     use super::*;
 
+    /// Metrics for a fan-out whose series no test reads.
+    fn unread() -> DatapathMetrics {
+        DatapathMetrics::new(&Registry::new().scope("dp"))
+    }
+
     #[test]
     fn fan_out_returns_results_in_job_order() {
         for width in [1, 2, 4, 9] {
@@ -283,7 +347,7 @@ mod tests {
                     }
                 })
                 .collect();
-            let out = fan_out(width, jobs, None);
+            let out = fan_out(width, jobs, &unread());
             assert_eq!(out, vec![0, 1, 2, 3, 4, 5, 6], "width {width}");
         }
     }
@@ -291,12 +355,12 @@ mod tests {
     #[test]
     fn fan_out_handles_empty_and_single_job_inline() {
         let none: Vec<Box<dyn FnOnce() -> u32 + Send>> = Vec::new();
-        assert!(fan_out(8, none, None).is_empty());
+        assert!(fan_out(8, none, &unread()).is_empty());
         let caller = std::thread::current().id();
         let on_caller = move || std::thread::current().id() == caller;
-        let out = fan_out(8, vec![on_caller], None);
+        let out = fan_out(8, vec![on_caller], &unread());
         assert_eq!(out, vec![true], "single job runs on the caller's thread");
-        let out = fan_out(1, vec![on_caller; 3], None);
+        let out = fan_out(1, vec![on_caller; 3], &unread());
         assert_eq!(out, vec![true; 3], "width 1 runs on the caller's thread");
     }
 
@@ -331,7 +395,7 @@ mod tests {
             assert!(!fail(thread), "the chosen job fails");
             (thread, trace::current_context())
         };
-        fan_out(width, vec![job; jobs], None)
+        fan_out(width, vec![job; jobs], &unread())
     }
 
     /// The caller is one of the workers: `width` overlapping jobs run on
@@ -364,7 +428,7 @@ mod tests {
     #[test]
     fn fan_out_reraises_a_jobs_panic() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let registry = mayflower_telemetry::Registry::new();
+        let registry = Registry::new();
         let metrics = DatapathMetrics::new(&registry.scope("dp"));
         for width in [2, 3, 4] {
             for bad in 0..6 {
@@ -380,7 +444,7 @@ mod tests {
                     })
                     .collect();
                 let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    fan_out(width, jobs, Some(&metrics))
+                    fan_out(width, jobs, &metrics)
                 }));
                 let payload = caught.expect_err("the panic reaches the caller");
                 let message = payload.downcast_ref::<String>().unwrap();
@@ -411,10 +475,10 @@ mod tests {
 
     #[test]
     fn fan_out_records_width_stall_and_inflight() {
-        let registry = mayflower_telemetry::Registry::new();
+        let registry = Registry::new();
         let metrics = DatapathMetrics::new(&registry.scope("dp"));
         let jobs: Vec<_> = (0..4).map(|i| move || i * 2).collect();
-        let out = fan_out(2, jobs, Some(&metrics));
+        let out = fan_out(2, jobs, &metrics);
         assert_eq!(out, vec![0, 2, 4, 6]);
         let snap = registry.snapshot();
         let width = snap.histogram("dp_fan_out_width").unwrap();
