@@ -17,8 +17,11 @@ cargo test -q
 echo "==> cargo build --workspace --examples (examples must compile)"
 cargo build --workspace --examples
 
-echo "==> mcheck smoke gate (every mutant caught, real protocols clean, fixed seeds)"
-cargo test --release -q -p mayflower-mcheck --test mutants
+echo "==> mcheck: the smoke gate (every mutant caught, real protocols clean, fixed seeds) and the crate's unit suites (release)"
+# All of the crate, not only the `mutants` gate: the scenarios' own
+# suites (real protocols over random walks, with and without the
+# repair race) run nowhere else.
+cargo test --release -q -p mayflower-mcheck
 
 # Opt-in long fuzz: MCHECK_BUDGET=5000 [MCHECK_SEED=7] ./ci.sh explores
 # that many random-walk schedules of every scenario on top of the gate.

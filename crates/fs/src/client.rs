@@ -233,7 +233,13 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Returns [`FsError::NotFound`] for unknown files.
+    /// Returns [`FsError::NotFound`] for unknown files, and
+    /// [`FsError::Unavailable`] when the primary or a replica stays
+    /// down past the retry budget. A failed append may already be on
+    /// the primary and on some replicas; the next successful append
+    /// relays it to the rest, and from then on it is part of the file
+    /// (DESIGN.md §8). Retrying a failed append can therefore write its
+    /// bytes twice.
     pub fn append(&mut self, name: &str, data: &[u8]) -> Result<u64, FsError> {
         trace::in_span(self.trace.span("append"), |span| {
             trace::annotate(span, "file", name);
@@ -255,8 +261,17 @@ impl Client {
 
     fn append_attempt(&mut self, name: &str, data: &[u8]) -> Result<u64, FsError> {
         let meta = self.meta(name)?;
-        let lock = self.plane.file_lock(meta.id);
-        let _guard = lock.lock();
+        let new_size = self
+            .plane
+            .with_file_lock(meta.id, || self.append_locked(name, &meta, data))?;
+        if let Some((cached, _)) = self.cache.get_mut(name) {
+            cached.size = new_size;
+        }
+        Ok(new_size)
+    }
+
+    /// [`Client::append`]'s step under the file's append lock.
+    fn append_locked(&self, name: &str, meta: &FileMeta, data: &[u8]) -> Result<u64, FsError> {
         // The primary orders the append (§3.3.2): it is written first,
         // alone, and its size is the one recorded. Each replica write
         // retries transient unavailability; if a replica stays down
@@ -268,14 +283,17 @@ impl Client {
             trace::annotate(span, "host", meta.primary().0);
             self.with_retry(|| self.plane.get(meta.primary())?.append_local(meta.id, data))
         })?;
-        // The relay to the remaining replicas fans out on the worker
-        // pool: the order is already fixed by the primary, so the
-        // relays are independent and only the ack-all-before-return
-        // barrier matters for durability. Errors propagate lowest
-        // replica index first, like the serial relay. Relay spans are
-        // created here, in replica order, so span ids do not depend on
-        // pool width or completion order.
+        // Each relay lands at the offset the primary assigned
+        // ([`crate::Dataserver::relay`]): a replica that missed earlier
+        // relays first copies what it lacks from the primary. The
+        // relays fan out on the worker pool: the order is already
+        // fixed by the primary, so the relays are independent and only
+        // the ack-all-before-return barrier matters for durability.
+        // Errors propagate lowest replica index first, like the serial
+        // relay. Relay spans are created here, in replica order, so
+        // span ids do not depend on pool width or completion order.
         let (plane, policy) = (&*self.plane, self.retry);
+        let (primary, offset) = (plane.get(meta.primary())?, new_size - data.len() as u64);
         let relay_spans: Vec<Option<trace::ActiveSpan>> = meta.replicas[1..]
             .iter()
             .map(|host| {
@@ -293,7 +311,7 @@ impl Client {
                     move || {
                         trace::in_span(span, |_| {
                             datapath::with_retry(policy, &plane.retries, || {
-                                plane.get(*host)?.append_local(meta.id, data)
+                                plane.get(*host)?.relay(&**primary, meta.id, offset, data)
                             })
                         })
                     }
@@ -316,9 +334,6 @@ impl Client {
                 let _ = coding::seal_complete_chunks(self.nameserver.as_ref(), plane, name);
                 Ok::<(), FsError>(())
             });
-        }
-        if let Some((cached, _)) = self.cache.get_mut(name) {
-            cached.size = new_size;
         }
         Ok(new_size)
     }
@@ -748,8 +763,7 @@ impl Client {
         Ok(())
     }
 
-    /// Deletes an unmapped file's replicas and fragments, then its
-    /// append lock.
+    /// Deletes an unmapped file's replicas and fragments.
     fn delete_data(&self, dead: &FileMeta) -> Result<(), FsError> {
         for r in dead.replicas.iter().chain(&dead.fragments) {
             // A replica (or fragment host) may already be gone;
@@ -759,7 +773,6 @@ impl Client {
                 Err(e) => return Err(e),
             }
         }
-        self.plane.forget_file(dead.id);
         Ok(())
     }
 
@@ -839,6 +852,18 @@ mod tests {
             },
         )
         .unwrap()
+    }
+
+    /// A selector that names one replica for every read.
+    struct Fixed(HostId);
+
+    impl crate::selector::ReplicaSelector for Fixed {
+        fn select_read(&mut self, _c: HostId, _r: &[HostId], bytes: u64) -> Vec<ReadAssignment> {
+            vec![ReadAssignment {
+                replica: self.0,
+                bytes,
+            }]
+        }
     }
 
     #[test]
@@ -1167,20 +1192,6 @@ mod tests {
             assert_eq!(reader.read("fragile").unwrap(), b"survives replica loss");
         }
         // Even if the selector names the dead replica explicitly.
-        struct Fixed(HostId);
-        impl crate::selector::ReplicaSelector for Fixed {
-            fn select_read(
-                &mut self,
-                _c: HostId,
-                _r: &[HostId],
-                bytes: u64,
-            ) -> Vec<crate::selector::ReadAssignment> {
-                vec![crate::selector::ReadAssignment {
-                    replica: self.0,
-                    bytes,
-                }]
-            }
-        }
         let mut reader = c.client_with_selector(HostId(9), Box::new(Fixed(victim)));
         assert_eq!(reader.read("fragile").unwrap(), b"survives replica loss");
     }
@@ -1280,21 +1291,6 @@ mod tests {
         let victim = meta.replicas[1];
         c.dataserver(victim).crash();
 
-        struct Fixed(HostId);
-        impl crate::selector::ReplicaSelector for Fixed {
-            fn select_read(
-                &mut self,
-                _c: HostId,
-                _r: &[HostId],
-                bytes: u64,
-            ) -> Vec<crate::selector::ReadAssignment> {
-                vec![crate::selector::ReadAssignment {
-                    replica: self.0,
-                    bytes,
-                }]
-            }
-        }
-
         let tracer = c.tracer().clone();
         tracer.begin_capture();
         let mut reader = c.client_with_selector(HostId(9), Box::new(Fixed(victim)));
@@ -1360,6 +1356,129 @@ mod tests {
             3,
             "every replica write traced"
         );
+    }
+
+    /// A replica that missed a relay (its append then failed) copies
+    /// the missed bytes from the primary at the next append, instead of
+    /// taking that append at its own end.
+    #[test]
+    fn a_replica_that_missed_a_relay_catches_up_at_the_next_append() {
+        for consistency in [Consistency::Sequential, Consistency::Strong] {
+            let dir = TempDir::new("catch-up");
+            let c = cluster(&dir, consistency);
+            let mut client = c.client(HostId(0));
+            client.set_retry_policy(1, std::time::Duration::ZERO);
+            let meta = client.create("f").unwrap();
+            let lagging = meta.replicas[1];
+            client.append("f", b"AAAA").unwrap();
+            c.dataserver(lagging).crash();
+            assert!(matches!(
+                client.append("f", b"BBBB"),
+                Err(FsError::Unavailable(_))
+            ));
+            c.dataserver(lagging).restart();
+            assert_eq!(client.append("f", b"CCCC").unwrap(), 12);
+            for r in &meta.replicas {
+                let (data, size) = c.dataserver(*r).read_local(meta.id, 0, 100).unwrap();
+                assert_eq!(data, b"AAAABBBBCCCC", "{consistency:?}: replica {r}");
+                assert_eq!(size, 12);
+            }
+            let mut reader = c.client_with_selector(HostId(5), Box::new(Fixed(lagging)));
+            assert_eq!(
+                reader.read("f").unwrap(),
+                b"AAAABBBBCCCC",
+                "{consistency:?}"
+            );
+        }
+    }
+
+    /// Seeded appends, crashes and restarts of the secondaries over one
+    /// file, at pool widths 1 and 4: after every step every replica that
+    /// is up is a byte-prefix of the primary and holds every
+    /// acknowledged byte.
+    #[test]
+    fn replicas_stay_prefixes_of_the_primary_through_crashes() {
+        for width in [1, 4] {
+            let dir = TempDir::new("prefix");
+            let c = cluster(&dir, Consistency::Sequential);
+            let mut client = c.client(HostId(0));
+            client.set_parallelism(width);
+            client.set_retry_policy(1, std::time::Duration::ZERO);
+            let meta = client.create("f").unwrap();
+            let mut rng = mayflower_simcore::SimRng::seed_from(36);
+            let (mut acked, mut failed) = (0u64, 0);
+            for step in 0..200u32 {
+                let secondary = c.dataserver(meta.replicas[1 + rng.index(2)]);
+                match rng.index(4) {
+                    0 => secondary.crash(),
+                    1 => secondary.restart(),
+                    _ => {
+                        let data = vec![step as u8; 1 + rng.index(20)];
+                        match client.append("f", &data) {
+                            Ok(size) => acked = size,
+                            Err(FsError::Unavailable(_)) => failed += 1,
+                            Err(e) => panic!("step {step}: {e}"),
+                        }
+                    }
+                }
+                let primary = c.dataserver(meta.primary());
+                let (want, _) = primary.read_local(meta.id, 0, u64::MAX).unwrap();
+                for r in &meta.replicas[1..] {
+                    let Ok((got, _)) = c.dataserver(*r).read_local(meta.id, 0, u64::MAX) else {
+                        continue; // down
+                    };
+                    assert!(
+                        want.starts_with(&got),
+                        "width {width}, step {step}: replica {r} is no prefix"
+                    );
+                    assert!(
+                        got.len() as u64 >= acked,
+                        "width {width}, step {step}: replica {r} lacks acked bytes"
+                    );
+                }
+            }
+            assert!(acked > 0 && failed > 0, "width {width}: {acked} {failed}");
+        }
+    }
+
+    /// A seal deferred past a primary crash reads the chunk from
+    /// `replicas[1]`: that copy must be the primary's bytes, or the
+    /// fragments encode bytes no append wrote.
+    #[test]
+    fn a_deferred_seal_encodes_the_primarys_bytes() {
+        let dir = TempDir::new("coded-catch-up");
+        let c = cluster(&dir, Consistency::Sequential);
+        let mut client = c.client(HostId(0));
+        client.set_retry_policy(1, std::time::Duration::ZERO);
+        let mut meta = client
+            .create_with("c", Redundancy::Coded { k: 4, m: 2 })
+            .unwrap();
+        // The seal runs with the primary down, so no fragment is its.
+        if let Some(i) = meta.fragments.iter().position(|h| *h == meta.primary()) {
+            let hosts = c.topology().hosts();
+            let spare = hosts.iter().find(|h| !meta.fragments.contains(h)).unwrap();
+            c.nameserver().set_fragment("c", i, *spare).unwrap();
+            meta = c.nameserver().lookup("c").unwrap();
+        }
+        let lagging = c.dataserver(meta.replicas[1]);
+        let fragment_host = meta
+            .fragments
+            .iter()
+            .find(|h| !meta.replicas.contains(h))
+            .map(|h| c.dataserver(*h))
+            .unwrap();
+        client.append("c", b"AAAA").unwrap();
+        lagging.crash();
+        assert!(client.append("c", b"BBBB").is_err());
+        lagging.restart();
+        fragment_host.crash();
+        assert_eq!(client.append("c", b"CCCC").unwrap(), 12);
+        assert_eq!(c.nameserver().lookup("c").unwrap().sealed_chunks, 0);
+        c.dataserver(meta.primary()).crash();
+        fragment_host.restart();
+        assert_eq!(c.seal("c").unwrap(), 1);
+        c.dataserver(meta.primary()).restart();
+        assert_eq!(client.read("c").unwrap(), b"AAAABBBBCCCC");
     }
 
     #[test]

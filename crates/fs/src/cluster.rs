@@ -224,41 +224,43 @@ impl Cluster {
                 trace::annotate(copy, "source", source);
                 trace::annotate(copy, "dest", dest);
                 let copied = trace::with_context(repair, || {
-                    let meta = self.nameserver.lookup(name)?;
-                    let lock = self.plane.file_lock(meta.id);
-                    let _guard = lock.lock();
-                    // Re-read under the lock (a concurrent repair may
-                    // have won).
-                    let mut meta = self.nameserver.lookup(name)?;
-
-                    let mut lost = None;
-                    for (slot, r) in meta.replicas.iter().enumerate() {
-                        if !self.plane.get(*r)?.has_file(meta.id) {
-                            lost = Some(slot);
-                            break;
-                        }
-                    }
-                    let Some(lost) = lost else {
-                        return Ok(0); // fully replicated again — nothing to do
-                    };
-                    let (source_ds, dest_ds) = (self.plane.get(source)?, self.plane.get(dest)?);
-                    if meta.replicas.contains(&dest) && dest_ds.has_file(meta.id) {
-                        return Ok(0);
-                    }
-                    if !source_ds.has_file(meta.id) {
-                        return Err(FsError::Unavailable(format!(
-                            "{name}: repair source host {source} lost its copy"
-                        )));
-                    }
-                    let copied = dest_ds.pull_repair(&**source_ds, &meta)?;
-                    meta.replicas[lost] = dest;
-                    self.replace_mapping(&meta)?;
-                    Ok(copied)
+                    let id = self.nameserver.lookup(name)?.id;
+                    self.plane
+                        .with_file_lock(id, || self.repair_locked(name, source, dest))
                 })?;
                 trace::annotate(copy, "bytes", copied);
                 Ok(copied)
             })
         })
+    }
+
+    /// [`Cluster::repair_to`]'s step under the file's append lock.
+    fn repair_locked(&self, name: &str, source: HostId, dest: HostId) -> Result<u64, FsError> {
+        // Re-read under the lock (a concurrent repair may have won).
+        let mut meta = self.nameserver.lookup(name)?;
+        let mut lost = None;
+        for (slot, r) in meta.replicas.iter().enumerate() {
+            if !self.plane.get(*r)?.has_file(meta.id) {
+                lost = Some(slot);
+                break;
+            }
+        }
+        let Some(lost) = lost else {
+            return Ok(0); // fully replicated again — nothing to do
+        };
+        let (source_ds, dest_ds) = (self.plane.get(source)?, self.plane.get(dest)?);
+        if meta.replicas.contains(&dest) && dest_ds.has_file(meta.id) {
+            return Ok(0);
+        }
+        if !source_ds.has_file(meta.id) {
+            return Err(FsError::Unavailable(format!(
+                "{name}: repair source host {source} lost its copy"
+            )));
+        }
+        let copied = dest_ds.pull_repair(&**source_ds, &meta)?;
+        meta.replicas[lost] = dest;
+        self.replace_mapping(&meta)?;
+        Ok(copied)
     }
 
     /// Seals every complete-but-unsealed chunk of a coded file now,
@@ -278,10 +280,10 @@ impl Cluster {
     pub fn seal(&self, name: &str) -> Result<u64, FsError> {
         trace::in_span(self.trace_recovery.span("seal"), |span| {
             trace::annotate(span, "file", name);
-            let meta = self.nameserver.lookup(name)?;
-            let lock = self.plane.file_lock(meta.id);
-            let _guard = lock.lock();
-            coding::seal_complete_chunks(self.nameserver.as_ref(), &self.plane, name)
+            let id = self.nameserver.lookup(name)?.id;
+            self.plane.with_file_lock(id, || {
+                coding::seal_complete_chunks(self.nameserver.as_ref(), &self.plane, name)
+            })
         })
     }
 
@@ -312,53 +314,56 @@ impl Cluster {
                 trace::annotate(rebuild, "fragment", index);
                 trace::annotate(rebuild, "dest", dest);
                 let written = trace::with_context(repair, || {
-                    let meta = self.nameserver.lookup(name)?;
-                    let lock = self.plane.file_lock(meta.id);
-                    let _guard = lock.lock();
-                    // Re-read under the lock (a concurrent repair may
-                    // have won).
-                    let meta = self.nameserver.lookup(name)?;
-                    if !meta.is_coded() {
-                        return Err(FsError::InvalidArgument(format!(
-                            "{name} is not a coded file"
-                        )));
-                    }
-                    if index >= meta.fragments.len() {
-                        return Err(FsError::InvalidArgument(format!(
-                            "fragment index {index} out of range for {name}"
-                        )));
-                    }
-                    if meta
-                        .fragments
-                        .iter()
-                        .enumerate()
-                        .any(|(i, h)| i != index && *h == dest)
-                    {
-                        return Err(FsError::InvalidArgument(format!(
-                            "host {dest} already holds another fragment of {name}"
-                        )));
-                    }
-                    if meta.sealed_chunks == 0 {
-                        return Ok(0);
-                    }
-                    let current = self.plane.get(meta.fragments[index])?;
-                    let intact =
-                        (0..meta.sealed_chunks).all(|c| current.has_fragment(meta.id, c, index));
-                    if intact {
-                        return Ok(0);
-                    }
-                    let written = coding::rebuild_fragment(&self.plane, &meta, index, dest)?;
-                    self.nameserver.set_fragment(name, index, dest)?;
-                    let meta = self.nameserver.lookup(name)?;
-                    for host in meta.replicas.iter().chain(&meta.fragments) {
-                        let _ = self.plane.get(*host)?.update_meta(&meta);
-                    }
-                    Ok(written)
+                    let id = self.nameserver.lookup(name)?.id;
+                    self.plane
+                        .with_file_lock(id, || self.rebuild_locked(name, index, dest))
                 })?;
                 trace::annotate(rebuild, "bytes", written);
                 Ok(written)
             })
         })
+    }
+
+    /// [`Cluster::repair_fragment`]'s step under the file's append
+    /// lock.
+    fn rebuild_locked(&self, name: &str, index: usize, dest: HostId) -> Result<u64, FsError> {
+        // Re-read under the lock (a concurrent repair may have won).
+        let meta = self.nameserver.lookup(name)?;
+        if !meta.is_coded() {
+            return Err(FsError::InvalidArgument(format!(
+                "{name} is not a coded file"
+            )));
+        }
+        if index >= meta.fragments.len() {
+            return Err(FsError::InvalidArgument(format!(
+                "fragment index {index} out of range for {name}"
+            )));
+        }
+        if meta
+            .fragments
+            .iter()
+            .enumerate()
+            .any(|(i, h)| i != index && *h == dest)
+        {
+            return Err(FsError::InvalidArgument(format!(
+                "host {dest} already holds another fragment of {name}"
+            )));
+        }
+        if meta.sealed_chunks == 0 {
+            return Ok(0);
+        }
+        let current = self.plane.get(meta.fragments[index])?;
+        let intact = (0..meta.sealed_chunks).all(|c| current.has_fragment(meta.id, c, index));
+        if intact {
+            return Ok(0);
+        }
+        let written = coding::rebuild_fragment(&self.plane, &meta, index, dest)?;
+        self.nameserver.set_fragment(name, index, dest)?;
+        let meta = self.nameserver.lookup(name)?;
+        for host in meta.replicas.iter().chain(&meta.fragments) {
+            let _ = self.plane.get(*host)?.update_meta(&meta);
+        }
+        Ok(written)
     }
 }
 
@@ -573,9 +578,9 @@ mod tests {
         }
     }
 
-    /// A file deleted everywhere, or displaced by a rename, leaves no
-    /// append lock behind: file ids are never reused, so a lock kept
-    /// for one would be kept for the life of the cluster.
+    /// An append lock leaves the table with its last holder: file ids
+    /// are never reused, so a lock kept for one would be kept for the
+    /// life of the cluster.
     #[test]
     fn append_locks_go_with_their_files() {
         let dir = TempDir::new("locks");
@@ -593,12 +598,22 @@ mod tests {
             client.append(name, name.as_bytes()).unwrap();
         }
         client.rename("draft", "final").unwrap();
-        assert_eq!(
-            c.plane.locked_files(),
-            1,
-            "the displaced file's lock is gone"
-        );
+        assert_eq!(c.plane.locked_files(), 0, "no append holds a lock");
         client.delete("final").unwrap();
+        assert_eq!(c.plane.locked_files(), 0);
+    }
+
+    /// An append through a cache that still names a deleted file takes
+    /// that file's lock and fails; the lock goes with it.
+    #[test]
+    fn a_stale_append_leaves_no_lock() {
+        let dir = TempDir::new("stale-lock");
+        let c = small_cluster(&dir);
+        let (mut a, mut b) = (c.client(HostId(0)), c.client(HostId(5)));
+        a.create("f").unwrap();
+        a.append("f", b"bytes").unwrap();
+        b.delete("f").unwrap();
+        assert!(matches!(a.append("f", b"more"), Err(FsError::NotFound(_))));
         assert_eq!(c.plane.locked_files(), 0);
     }
 
@@ -680,5 +695,7 @@ mod tests {
         for rec in reference.chunks(8) {
             assert!(rec.iter().all(|b| *b == rec[0]));
         }
+        // The last of the contending appends took the lock with it.
+        assert_eq!(c.plane.locked_files(), 0);
     }
 }

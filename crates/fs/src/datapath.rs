@@ -238,16 +238,24 @@ impl DataPlane {
         self.dataservers.values()
     }
 
-    /// The append lock of file `id`.
-    pub(crate) fn file_lock(&self, id: FileId) -> Arc<Mutex<()>> {
-        self.append_locks.lock().entry(id).or_default().clone()
-    }
-
-    /// Drops the append lock of a file whose data is deleted everywhere.
-    /// File ids are never reused, so without this the table would grow
-    /// with every file ever appended to.
-    pub(crate) fn forget_file(&self, id: FileId) {
-        self.append_locks.lock().remove(&id);
+    /// Runs `f` holding the append lock of file `id`. An entry lives in
+    /// the table only while someone holds or awaits it: every clone is
+    /// taken and dropped under the table lock, so the last one out sees
+    /// the table's own reference alone and removes the entry (file ids
+    /// are never reused). A panic in `f` leaves the entry to the file's
+    /// next holder to remove.
+    pub(crate) fn with_file_lock<T>(&self, id: FileId, f: impl FnOnce() -> T) -> T {
+        let lock = self.append_locks.lock().entry(id).or_default().clone();
+        let out = {
+            let _held = lock.lock();
+            f()
+        };
+        let mut table = self.append_locks.lock();
+        drop(lock);
+        if table.get(&id).is_some_and(|l| Arc::strong_count(l) == 1) {
+            table.remove(&id);
+        }
+        out
     }
 
     #[cfg(test)]
@@ -484,6 +492,47 @@ mod tests {
         let width = snap.histogram("dp_fan_out_width").unwrap();
         assert_eq!((width.count, width.sum), (1, 4));
         assert_eq!(metrics.inflight_fetches.get(), 0, "gauge drains to zero");
+    }
+
+    /// A lock's entry stays in the table while anyone else holds a
+    /// clone of it: removed early, a third caller would make a fresh
+    /// lock and run beside the second.
+    #[test]
+    fn a_file_lock_stays_while_a_waiter_holds_it() {
+        use std::sync::mpsc::channel;
+        let plane = &DataPlane::new(BTreeMap::new(), &Registry::new(), &Tracer::new_wall());
+        let id = FileId(7);
+        let clones = || plane.append_locks.lock().get(&id).map(Arc::strong_count);
+        std::thread::scope(|s| {
+            // Made in the scope, so a failed assert drops the senders
+            // and frees the threads before the scope joins them.
+            let ((a_in, a_inside), (a_go, a_wait)) = (channel(), channel::<()>());
+            let ((b_in, b_inside), (b_go, b_wait)) = (channel(), channel::<()>());
+            let a = s.spawn(move || {
+                plane.with_file_lock(id, || {
+                    a_in.send(()).unwrap();
+                    a_wait.recv().unwrap();
+                });
+            });
+            a_inside.recv().unwrap();
+            let b = s.spawn(move || {
+                plane.with_file_lock(id, || {
+                    b_in.send(()).unwrap();
+                    b_wait.recv().unwrap();
+                });
+            });
+            // The table's reference, A's and B's.
+            while clones() != Some(3) {
+                std::thread::yield_now();
+            }
+            a_go.send(()).unwrap();
+            a.join().unwrap();
+            assert_eq!(plane.locked_files(), 1, "B awaits or holds the lock");
+            b_inside.recv().unwrap();
+            b_go.send(()).unwrap();
+            b.join().unwrap();
+        });
+        assert_eq!(plane.locked_files(), 0);
     }
 
     #[test]

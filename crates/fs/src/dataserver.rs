@@ -449,17 +449,73 @@ impl Dataserver {
     ///
     /// Returns [`FsError::NotFound`] if the replica is absent.
     pub fn append_local(&self, id: FileId, data: &[u8]) -> Result<u64, FsError> {
+        self.append_with(id, data.len(), |state, end| {
+            self.write_chunks(id, state.chunk_size, end, data)
+        })
+    }
+
+    /// Applies an append the primary ordered at `offset`, so that this
+    /// replica stays a byte-prefix of `primary` (DESIGN.md §8). With `s`
+    /// the replica's size, read under its append lock:
+    ///
+    /// * `s == offset`: `data` is written, as by
+    ///   [`Dataserver::append_local`];
+    /// * `s < offset`: the replica missed earlier relays, so it copies
+    ///   `[s, offset)` from `primary` first, then writes `data`;
+    /// * `s > offset`: the first `s − offset` bytes of `data` are
+    ///   already here, so only the rest is written.
+    ///
+    /// The new size is published once, after every write, and returned.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FsError::NotFound`] if the replica is absent,
+    /// `primary`'s errors when the catch-up cannot read it, and
+    /// [`FsError::Consistency`] when `primary` ends before `offset`.
+    pub fn relay(
+        &self,
+        primary: &dyn RepairSource,
+        id: FileId,
+        offset: u64,
+        data: &[u8],
+    ) -> Result<u64, FsError> {
+        self.append_with(id, data.len(), |state, mut end| {
+            if end < offset {
+                copy_from(primary, id, state.chunk_size, end, offset, |piece| {
+                    end = self.write_chunks(id, state.chunk_size, end, piece)?;
+                    Ok(())
+                })?;
+                if end < offset {
+                    return Err(FsError::Consistency(format!(
+                        "{id}: the primary ends at {end}, before the relayed offset {offset}"
+                    )));
+                }
+            }
+            let have = usize::try_from(end - offset).map_or(data.len(), |n| n.min(data.len()));
+            self.write_chunks(id, state.chunk_size, end, &data[have..])
+        })
+    }
+
+    /// The one append core, traced as `chunk_append`: under the
+    /// replica's append lock, `write` writes from the replica's end and
+    /// returns the new end, which is published when it returns.
+    fn append_with(
+        &self,
+        id: FileId,
+        bytes: usize,
+        write: impl FnOnce(&ReplicaState, u64) -> Result<u64, FsError>,
+    ) -> Result<u64, FsError> {
         trace::in_span(self.io_span("chunk_append"), |span| {
-            trace::annotate(span, "bytes", data.len());
+            trace::annotate(span, "bytes", bytes);
             let state = self.replica(id)?;
             let held = self.hold(&state)?;
             let size = state.size.load(Ordering::Relaxed); // stored only under `meta`
-            match self.write_chunks(id, state.chunk_size, size, data) {
+            match write(&state, size) {
                 Ok(new_size) => {
                     state.size.store(new_size, Ordering::Release);
                     if let Some(m) = self.metrics.get() {
                         m.appends.inc();
-                        m.append_bytes.record(data.len() as u64);
+                        m.append_bytes.record(new_size - size);
                     }
                     trace::annotate(span, "size", new_size);
                     Ok(new_size)
@@ -834,19 +890,10 @@ impl Dataserver {
                 // source.
                 let start = meta.sealed_bytes();
                 self.create_file(meta)?;
-                trace::with_context(caller, || -> Result<u64, FsError> {
-                    let mut copied = 0u64;
-                    loop {
-                        let (data, total) =
-                            source.repair_read(meta.id, start + copied, meta.chunk_size)?;
-                        if !data.is_empty() {
-                            copied += data.len() as u64;
-                            self.append_local(meta.id, &data)?;
-                        }
-                        if start + copied >= total || data.is_empty() {
-                            return Ok(copied);
-                        }
-                    }
+                trace::with_context(caller, || {
+                    copy_from(source, meta.id, meta.chunk_size, start, u64::MAX, |piece| {
+                        self.append_local(meta.id, piece).map(drop)
+                    })
                 })
                 .inspect_err(|_| {
                     let _ = self.delete_file(meta.id);
@@ -868,10 +915,38 @@ fn not_found_or_io(e: std::io::Error, what: impl FnOnce() -> String) -> FsError 
     }
 }
 
-/// The source side of a dataserver-to-dataserver repair: a
-/// destination [`Dataserver::pull_repair`] streams chunks through this
-/// trait. [`Dataserver`] is the one source; tests substitute their own
-/// to watch the destination mid-copy.
+/// The one copy loop from a [`RepairSource`]: reads `[from, end)` of
+/// replica `id` a chunk's length at a time, stopping early where the
+/// source ends, and hands each piece to `sink` in order. Returns the
+/// bytes copied.
+fn copy_from(
+    source: &dyn RepairSource,
+    id: FileId,
+    chunk_size: u64,
+    from: u64,
+    end: u64,
+    mut sink: impl FnMut(&[u8]) -> Result<(), FsError>,
+) -> Result<u64, FsError> {
+    let mut pos = from;
+    while pos < end {
+        let (data, total) = source.repair_read(id, pos, chunk_size.min(end - pos))?;
+        if data.is_empty() {
+            break;
+        }
+        sink(&data)?;
+        pos += data.len() as u64;
+        if pos >= total {
+            break;
+        }
+    }
+    Ok(pos - from)
+}
+
+/// The source side of a copy between dataservers: a destination
+/// [`Dataserver::pull_repair`] streams a whole replica through this
+/// trait, and a lagging replica's [`Dataserver::relay`] the bytes it
+/// missed. [`Dataserver`] is the one source; tests substitute their
+/// own to watch the destination mid-copy.
 pub trait RepairSource {
     /// Reads `[offset, offset + len)` of the replica, returning the
     /// bytes and the replica's current total size.
@@ -1103,6 +1178,36 @@ mod tests {
         ));
         // The failed pull cleaned up after itself.
         assert!(!dst.has_file(m.id));
+    }
+
+    /// A relay behind the primary's offset copies the gap first, one
+    /// ahead writes only what it lacks, and one past the primary's end
+    /// is refused: the replica stays a prefix of the primary throughout.
+    #[test]
+    fn relay_lands_at_the_primarys_offset() {
+        let (p_dir, r_dir) = (TempDir::new("relay-p"), TempDir::new("relay-r"));
+        let primary = Dataserver::open(HostId(0), p_dir.path()).unwrap();
+        let replica = Dataserver::open(HostId(1), r_dir.path()).unwrap();
+        let m = meta(24, 4);
+        primary.create_file(&m).unwrap();
+        replica.create_file(&m).unwrap();
+        let bytes = |ds: &Dataserver| ds.read_local(m.id, 0, 100).unwrap().0;
+
+        primary.append_local(m.id, b"0123456789").unwrap();
+        assert_eq!(replica.relay(&primary, m.id, 6, b"6789").unwrap(), 10);
+        assert_eq!(bytes(&replica), bytes(&primary));
+
+        primary.append_local(m.id, b"abcdef").unwrap();
+        assert_eq!(replica.relay(&primary, m.id, 10, b"ab").unwrap(), 12);
+        assert_eq!(replica.relay(&primary, m.id, 10, b"abcdef").unwrap(), 16);
+        assert_eq!(replica.relay(&primary, m.id, 12, b"cd").unwrap(), 16);
+        assert_eq!(bytes(&replica), bytes(&primary));
+
+        assert!(matches!(
+            replica.relay(&primary, m.id, 20, b"x"),
+            Err(FsError::Consistency(_))
+        ));
+        assert_eq!(bytes(&replica), bytes(&primary));
     }
 
     #[test]

@@ -25,7 +25,7 @@ struct Args {
 }
 
 const USAGE: &str = "usage: mcheck [--scenario ns|data|data-strong|data-repair|freeze|shard] \
-    [--mutant none|wal-torn-tail|stale-last-chunk-read|unlocked-append|freeze-expiry-before-poll|serve-stale-after-handoff] \
+    [--mutant none|wal-torn-tail|stale-last-chunk-read|unlocked-append|relay-at-own-end|freeze-expiry-before-poll|serve-stale-after-handoff] \
     [--strategy fifo|random-walk|round-robin|exhaustive] [--seed N] [--budget N]";
 
 fn parse_args() -> Result<Args, String> {
@@ -47,6 +47,7 @@ fn parse_args() -> Result<Args, String> {
                     "wal-torn-tail" => Mutant::WalTornTail,
                     "stale-last-chunk-read" => Mutant::StaleLastChunkRead,
                     "unlocked-append" => Mutant::UnlockedAppend,
+                    "relay-at-own-end" => Mutant::RelayAtOwnEnd,
                     "freeze-expiry-before-poll" => Mutant::FreezeExpiryBeforePoll,
                     "serve-stale-after-handoff" => Mutant::ServeStaleAfterHandoff,
                     other => return Err(format!("unknown mutant {other:?}")),

@@ -7,15 +7,19 @@
 //! and read protocols step-by-step, one component call per event:
 //!
 //! * **Append** (§3.3.2): invoke → acquire the per-file ordering lock
-//!   → write the primary replica → acknowledge (`record_size` + the
-//!   client response) → relay to each secondary → release the lock.
-//!   The acknowledgement deliberately precedes the relays: the primary
-//!   *orders* appends, secondaries catch up — which is exactly why
-//!   §3.4's strong mode must route last-chunk reads through the
-//!   primary. Relays carry the primary-assigned offset and apply only
-//!   when the secondary is at that offset, so a secondary is always a
-//!   byte-prefix of the primary (skipped relays leave it lagging,
-//!   never holed).
+//!   → write the primary replica ([`Dataserver::append_local`]) →
+//!   acknowledge (`record_size` + the client response) → relay to each
+//!   secondary with [`Dataserver::relay`] at the offset the primary
+//!   assigned, the call the production client makes → release the
+//!   lock. A relay to a secondary that is down fails and is dropped;
+//!   the secondary catches up from the primary at its next relay.
+//!   The acknowledgement precedes the relays, as the paper allows: the
+//!   primary *orders* appends and relays may trail the ack, which is
+//!   what §3.4's primary pin for last-chunk reads exists for. The
+//!   production client acks only after every relay; under that order
+//!   a secondary holds every acknowledged byte, and a strong read
+//!   served from one (`stale-last-chunk-read`) is no bug the oracle
+//!   can see. This order keeps the wider window checked.
 //! * **Read**: invoke → probe the acknowledged size from the
 //!   nameserver → read each chunk piece (strong mode: the last chunk
 //!   only from the primary; other chunks from any replica, short
@@ -26,9 +30,9 @@
 //!   concurrent appends.
 //!
 //! The real protocol satisfies the oracle in *every* schedule. The
-//! [`Mutant::StaleLastChunkRead`] and [`Mutant::UnlockedAppend`]
-//! variants each violate it in *some* schedule — which is the point
-//! of exploring.
+//! [`Mutant::StaleLastChunkRead`], [`Mutant::UnlockedAppend`] and
+//! [`Mutant::RelayAtOwnEnd`] variants each violate it in *some*
+//! schedule — which is the point of exploring.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -165,20 +169,6 @@ impl Run<'_> {
         if let Some(w) = self.waiters.pop_front() {
             self.lock = Some(w);
             self.queue.schedule(SimTime::ZERO, w);
-        }
-    }
-
-    /// A secondary applies a relayed append only at its assigned
-    /// offset: behind (skipped earlier relay, wiped disk) or ahead
-    /// (repair already copied these bytes) both skip, so replicas stay
-    /// byte-prefixes of the primary.
-    fn relay_to(&self, replica: usize, off: u64, payload: &[u8]) {
-        let ds = &self.ds[replica];
-        let Ok((_, size)) = ds.read_local(self.meta.id, 0, 0) else {
-            return; // down or wiped
-        };
-        if size == off {
-            let _ = ds.append_local(self.meta.id, payload);
         }
     }
 
@@ -361,7 +351,12 @@ impl Run<'_> {
                 payload,
                 next,
             } => {
-                self.relay_to(next, off, &payload);
+                let secondary = &self.ds[next];
+                let _ = if self.scenario.mutant == Mutant::RelayAtOwnEnd {
+                    secondary.append_local(self.meta.id, &payload)
+                } else {
+                    secondary.relay(&*self.ds[0], self.meta.id, off, &payload)
+                };
                 if next + 1 < REPLICAS {
                     self.phases[c] = Phase::Relay {
                         call,

@@ -15,9 +15,10 @@
 //!
 //! Each scenario also supports **mutants**: deliberately broken
 //! harness-level variants of the protocol (a stale last-chunk read, a
-//! dropped append lock, an off-by-one freeze expiry, an over-eager WAL
-//! truncation) used to prove the checker catches real bug classes
-//! within the CI budget.
+//! dropped append lock, a relay at the secondary's own end, an
+//! off-by-one freeze expiry, an over-eager WAL truncation, a shard
+//! handoff without fences) used to prove the checker catches real bug
+//! classes within the CI budget.
 
 mod data;
 mod freeze;
@@ -48,6 +49,10 @@ pub enum Mutant {
     /// Appends skip the per-file primary-ordering lock, so replica
     /// relay order can diverge (§3.3.2 requires primary ordering).
     UnlockedAppend,
+    /// A relay appends at the secondary's own end instead of the
+    /// offset the primary assigned, so a secondary that missed a relay
+    /// takes the next one where the missed bytes belong.
+    RelayAtOwnEnd,
     /// The clock-side freeze-expiry sweep uses `now >= freeze_until`
     /// instead of the strict `now > freeze_until`, so a stats poll
     /// landing exactly on the boundary can clobber a frozen estimate
@@ -69,6 +74,7 @@ impl Mutant {
             Mutant::WalTornTail => "wal-torn-tail",
             Mutant::StaleLastChunkRead => "stale-last-chunk-read",
             Mutant::UnlockedAppend => "unlocked-append",
+            Mutant::RelayAtOwnEnd => "relay-at-own-end",
             Mutant::FreezeExpiryBeforePoll => "freeze-expiry-before-poll",
             Mutant::ServeStaleAfterHandoff => "serve-stale-after-handoff",
         }

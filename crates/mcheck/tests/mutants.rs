@@ -43,6 +43,17 @@ fn cases() -> Vec<Case> {
             budget: Budget::schedules(80),
         },
         Case {
+            real: Box::new(DataScenario::new(false).with_repair_race()),
+            mutated: Box::new(
+                DataScenario::new(false)
+                    .with_repair_race()
+                    .with_mutant(Mutant::RelayAtOwnEnd),
+            ),
+            kind: StrategyKind::RandomWalk,
+            seed: 1,
+            budget: Budget::schedules(80),
+        },
+        Case {
             real: Box::new(FreezeScenario::new()),
             mutated: Box::new(FreezeScenario::new().with_mutant(Mutant::FreezeExpiryBeforePoll)),
             kind: StrategyKind::Exhaustive,
