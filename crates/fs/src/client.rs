@@ -57,8 +57,9 @@ pub struct Client {
     /// How a retryable ([`FsError::Unavailable`]) operation is retried
     /// before the error propagates.
     retry: RetryPolicy,
-    /// Worker-pool width for parallel piece fetches, append relays and
-    /// fragment reads; 1 runs everything serially inline.
+    /// Worker-pool width for a read's split pieces and coded
+    /// fragments; 1 runs them serially inline. Appends never use the
+    /// pool.
     parallelism: usize,
     /// Client-side tracing: op roots (`create`/`append`/`read`) and
     /// their direct children open here.
@@ -124,13 +125,14 @@ impl Client {
     }
 
     /// Sets the data-plane worker-pool width (min 1): at most `width`
-    /// piece fetches, append relays or fragment reads run at once, the
+    /// of a read's piece fetches or fragment reads run at once, the
     /// calling thread being one of the workers, so a fan-out `w` wide
     /// spawns `w − 1` threads. Width 1 runs them serially on the
     /// caller's thread — the same code path, so bytes are identical at
     /// every width. A wider pool overlaps the page-cache copies of
-    /// split reads (§4.3) and replica fan-out on a multi-core host, and
-    /// their disk waits on a real disk; on one CPU a thread start
+    /// split reads (§4.3) and of coded fragments on a multi-core host,
+    /// and their disk waits on a real disk. An append's relays always
+    /// run serially on the caller's thread: on one CPU a thread start
     /// (~22 µs) outweighs a 4 KiB relay write (~5–6 µs).
     pub fn set_parallelism(&mut self, width: usize) {
         self.parallelism = width.max(1);
@@ -286,14 +288,13 @@ impl Client {
         // Each relay lands at the offset the primary assigned
         // ([`crate::Dataserver::relay`]): a replica that missed earlier
         // relays first copies what it lacks from the primary. The
-        // relays fan out on the worker pool: the order is already
-        // fixed by the primary, so the relays are independent and only
-        // the ack-all-before-return barrier matters for durability.
-        // Errors propagate lowest replica index first, like the serial
-        // relay. Relay spans are created here, in replica order, so
-        // span ids do not depend on pool width or completion order.
-        let (plane, policy) = (&*self.plane, self.retry);
-        let (primary, offset) = (plane.get(meta.primary())?, new_size - data.len() as u64);
+        // relays run in replica order on this thread: a 4 KiB relay
+        // write costs less than a thread start (DESIGN.md §16). Every
+        // relay is tried even after one fails; the lowest replica's
+        // error fails the append, which is then not recorded. All relay
+        // spans open first, in replica order, as the golden trees pin.
+        let primary = self.plane.get(meta.primary())?;
+        let offset = new_size - data.len() as u64;
         let relay_spans: Vec<Option<trace::ActiveSpan>> = meta.replicas[1..]
             .iter()
             .map(|host| {
@@ -302,26 +303,18 @@ impl Client {
                 s
             })
             .collect();
-        let relayed = datapath::fan_out(
-            self.parallelism,
-            meta.replicas[1..]
-                .iter()
-                .zip(relay_spans)
-                .map(|(host, span)| {
-                    move || {
-                        trace::in_span(span, |_| {
-                            datapath::with_retry(policy, &plane.retries, || {
-                                plane.get(*host)?.relay(&**primary, meta.id, offset, data)
-                            })
-                        })
-                    }
+        let mut relayed = Ok(new_size);
+        for (host, span) in meta.replicas[1..].iter().zip(relay_spans) {
+            let size = trace::in_span(span, |_| {
+                self.with_retry(|| {
+                    self.plane
+                        .get(*host)?
+                        .relay(&**primary, meta.id, offset, data)
                 })
-                .collect(),
-            &plane.metrics,
-        );
-        for size in relayed {
-            size?;
+            });
+            relayed = relayed.and(size);
         }
+        relayed?;
         self.nameserver.record_size(name, new_size)?;
         if meta.is_coded() && new_size / meta.chunk_size > meta.sealed_chunks {
             // Still under the file lock: stripe newly complete chunks
@@ -331,7 +324,7 @@ impl Client {
             // a seal that fails is not a failed append: its error is
             // dropped and its span stays ok.
             let _ = trace::in_span(self.trace.child("seal"), |_| {
-                let _ = coding::seal_complete_chunks(self.nameserver.as_ref(), plane, name);
+                let _ = coding::seal_complete_chunks(self.nameserver.as_ref(), &self.plane, name);
                 Ok::<(), FsError>(())
             });
         }
@@ -986,10 +979,57 @@ mod tests {
         // One dataserver read serves the whole request: size discovery
         // rides on the piece response instead of a standalone probe.
         assert_eq!(snap.counter("fs_dataserver_reads_total"), Some(1));
-        // The pipeline observed the dispatch and drained its in-flight
-        // gauge.
+        // The read's piece fetch went through the pool, which drained
+        // its in-flight gauge; the append's relays never do.
         assert!(snap.histogram("fs_datapath_fan_out_width").unwrap().count >= 1);
         assert_eq!(snap.gauge("fs_datapath_inflight_fetches"), Some(0));
+    }
+
+    /// An append relays on the caller's thread at any pool width: it
+    /// dispatches nothing to the pool, which a read then does.
+    #[test]
+    fn an_append_spawns_nothing() {
+        let dir = TempDir::new("no-spawn");
+        let c = cluster(&dir, Consistency::Sequential);
+        let mut client = c.client(HostId(0));
+        client.set_parallelism(4);
+        client.create("f").unwrap();
+        let fan_outs = || {
+            let snap = c.registry().snapshot();
+            let inflight = snap.gauge("fs_datapath_inflight_fetches").unwrap_or(0);
+            let width = snap.histogram("fs_datapath_fan_out_width");
+            (width.map_or(0, |h| h.count), inflight)
+        };
+        for i in 0..5u8 {
+            client.append("f", &[i; 20]).unwrap();
+        }
+        assert_eq!(fan_outs(), (0, 0), "appends use no pool");
+        assert_eq!(client.read("f").unwrap().len(), 100);
+        assert_eq!(fan_outs(), (1, 0), "a read does");
+    }
+
+    /// A relay that fails past its retry budget fails the append, but
+    /// the replicas after it still take the bytes.
+    #[test]
+    fn a_failed_relay_does_not_skip_later_replicas() {
+        for width in [1, 4] {
+            let dir = TempDir::new("skip");
+            let c = cluster(&dir, Consistency::Sequential);
+            let mut client = c.client(HostId(0));
+            client.set_parallelism(width);
+            client.set_retry_policy(1, std::time::Duration::ZERO);
+            let meta = client.create("f").unwrap();
+            c.dataserver(meta.replicas[1]).crash();
+            assert!(
+                matches!(client.append("f", b"AAAA"), Err(FsError::Unavailable(_))),
+                "width {width}"
+            );
+            let (data, size) = c
+                .dataserver(meta.replicas[2])
+                .read_local(meta.id, 0, 100)
+                .unwrap();
+            assert_eq!((data.as_slice(), size), (&b"AAAA"[..], 4), "width {width}");
+        }
     }
 
     #[test]

@@ -202,7 +202,11 @@ impl Cluster {
     ///
     /// The source and destination are decided by the caller — the
     /// repair planner picks them jointly with a network path by
-    /// consulting the Flowserver at background priority.
+    /// consulting the Flowserver at background priority. One exception:
+    /// a lost primary is rebuilt from the longest live replica when
+    /// that is longer than `source` (a secondary can hold a failed
+    /// append another lacks), and the `copy` span names it as
+    /// `copied_from`.
     ///
     /// Idempotent under the per-file lock: if the file is no longer
     /// under-replicated (a concurrent repair won the race) or `dest`
@@ -223,11 +227,14 @@ impl Cluster {
             trace::in_span(self.trace_recovery.child("copy"), |copy| {
                 trace::annotate(copy, "source", source);
                 trace::annotate(copy, "dest", dest);
-                let copied = trace::with_context(repair, || {
+                let (copied, from) = trace::with_context(repair, || {
                     let id = self.nameserver.lookup(name)?.id;
                     self.plane
                         .with_file_lock(id, || self.repair_locked(name, source, dest))
                 })?;
+                if from != source {
+                    trace::annotate(copy, "copied_from", from);
+                }
                 trace::annotate(copy, "bytes", copied);
                 Ok(copied)
             })
@@ -235,7 +242,13 @@ impl Cluster {
     }
 
     /// [`Cluster::repair_to`]'s step under the file's append lock.
-    fn repair_locked(&self, name: &str, source: HostId, dest: HostId) -> Result<u64, FsError> {
+    /// Returns the bytes copied and the host they came from.
+    fn repair_locked(
+        &self,
+        name: &str,
+        mut source: HostId,
+        dest: HostId,
+    ) -> Result<(u64, HostId), FsError> {
         // Re-read under the lock (a concurrent repair may have won).
         let mut meta = self.nameserver.lookup(name)?;
         let mut lost = None;
@@ -246,21 +259,33 @@ impl Cluster {
             }
         }
         let Some(lost) = lost else {
-            return Ok(0); // fully replicated again — nothing to do
+            return Ok((0, source)); // fully replicated again — nothing to do
         };
         let (source_ds, dest_ds) = (self.plane.get(source)?, self.plane.get(dest)?);
         if meta.replicas.contains(&dest) && dest_ds.has_file(meta.id) {
-            return Ok(0);
+            return Ok((0, source));
         }
         if !source_ds.has_file(meta.id) {
             return Err(FsError::Unavailable(format!(
                 "{name}: repair source host {source} lost its copy"
             )));
         }
-        let copied = dest_ds.pull_repair(&**source_ds, &meta)?;
+        if lost == 0 {
+            // The relay rule takes a replica's bytes past the relayed
+            // offset for the primary's, so the new primary must hold
+            // every live replica's bytes (a failed append may reach only
+            // some). All are prefixes of the lost one: take the longest.
+            let size = |h: &HostId| Some(self.plane.get(*h).ok()?.read_meta(meta.id).ok()?.size);
+            for r in &meta.replicas[1..] {
+                if size(r) > size(&source) {
+                    source = *r;
+                }
+            }
+        }
+        let copied = dest_ds.pull_repair(&**self.plane.get(source)?, &meta)?;
         meta.replicas[lost] = dest;
         self.replace_mapping(&meta)?;
-        Ok(copied)
+        Ok((copied, source))
     }
 
     /// Seals every complete-but-unsealed chunk of a coded file now,
@@ -509,6 +534,45 @@ mod tests {
             .read_local(meta.id, 0, 100)
             .unwrap();
         assert_eq!(stale, b"before crash ");
+    }
+
+    /// A secondary can hold a failed append another lacks. A primary
+    /// rebuilt from the shorter one would make the relay rule skip the
+    /// longer one's extra bytes for good: it is rebuilt from the
+    /// longest live replica instead, and the trace names it.
+    #[test]
+    fn a_rebuilt_primary_is_no_shorter_than_a_live_replica() {
+        let dir = TempDir::new("longest");
+        let c = small_cluster(&dir);
+        let mut client = c.client(HostId(0));
+        client.set_retry_policy(1, std::time::Duration::ZERO);
+        let meta = client.create("f").unwrap();
+        let (primary, ahead, behind) = (meta.replicas[0], meta.replicas[1], meta.replicas[2]);
+        client.append("f", b"AAAA").unwrap();
+        c.dataserver(behind).crash();
+        assert!(matches!(
+            client.append("f", b"XXXX"),
+            Err(FsError::Unavailable(_))
+        ));
+        c.dataserver(behind).restart();
+        c.dataserver(primary).crash();
+        let dest = spare(&c, &meta);
+        c.tracer().begin_capture();
+        assert_eq!(c.repair_to("f", behind, dest).unwrap(), 8);
+        let spans = c.tracer().take_capture();
+        let copy = spans.iter().find(|e| e.name == "copy").unwrap();
+        assert_eq!(
+            copy.annotation("copied_from"),
+            Some(ahead.to_string().as_str())
+        );
+
+        assert_eq!(c.client(dest).append("f", b"YYYY").unwrap(), 12);
+        let after = c.nameserver().lookup("f").unwrap();
+        assert_eq!(after.primary(), dest);
+        for r in &after.replicas {
+            let (data, _) = c.dataserver(*r).read_local(meta.id, 0, 100).unwrap();
+            assert_eq!(data, b"AAAAXXXXYYYY", "replica {r}");
+        }
     }
 
     /// Repair changes where a file lives in one namespace op: a lookup

@@ -1,7 +1,6 @@
 //! The parallel data-plane pipeline (DESIGN.md §16): a bounded
-//! scoped-thread worker pool for piece fetches, append relays, and
-//! fragment reads, plus the [`DataPlane`] every client of a cluster
-//! shares.
+//! scoped-thread worker pool for a read's piece fetches and fragment
+//! reads, plus the [`DataPlane`] every client of a cluster shares.
 //!
 //! The data plane is in-process, so a "round trip" to a dataserver is
 //! a function call that copies through the page cache: what the pool
@@ -10,7 +9,8 @@
 //! ([`crate::client::Client::set_parallelism`]) rather than a function
 //! of core count. Thread starts are the pool's cost — pinned to one
 //! CPU a scoped spawn and join takes ~22 µs, a 4 KiB relay write
-//! ~5–6 µs — so the caller is one of the workers and a fan-out `w`
+//! ~5–6 µs — so an append's relays stay off the pool, on the caller's
+//! thread, and in a fan-out the caller is one of the workers: `w`
 //! wide spawns `w − 1` threads. Results are position-addressed: every
 //! job's value is returned under its index (and a read fills its
 //! caller-provided buffer slice), so output bytes are identical
@@ -47,7 +47,7 @@ const MAX_RETRY_BACKOFF: std::time::Duration = std::time::Duration::from_millis(
 /// cluster (the registry dedups by metric name).
 #[derive(Debug)]
 pub(crate) struct DatapathMetrics {
-    /// Piece / relay / fragment fetches currently running on the pool.
+    /// Piece and fragment fetches currently running on the pool.
     pub(crate) inflight_fetches: Arc<Gauge>,
     /// Jobs dispatched per parallel operation (1 = serial path).
     pub(crate) fan_out_width: Arc<Histogram>,
@@ -144,8 +144,8 @@ pub(crate) struct RetryPolicy {
 
 /// Runs `op`, retrying transient [`FsError::Unavailable`] failures;
 /// after `policy.attempts` tries (at least one) the last one's error is
-/// the result. A free function (not a `Client` method) so worker threads can call
-/// it too.
+/// the result. A free function (not a `Client` method) so a read's
+/// piece jobs can call it on worker threads.
 pub(crate) fn with_retry<T>(
     policy: RetryPolicy,
     retries: &Counter,

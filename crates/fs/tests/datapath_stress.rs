@@ -1,5 +1,5 @@
 //! Stress tests for the parallel data-plane pipeline (DESIGN.md §16):
-//! split reads and append fan-out under replica kill/restart cycles,
+//! split reads and the append relay under replica kill/restart cycles,
 //! coded reads losing a fragment host they already chose, and
 //! width-independence — parallel and serial reads must return
 //! identical bytes.
@@ -182,9 +182,9 @@ fn fan_out_append_rides_out_a_replica_blip() {
     let secondary = *meta.replicas.last().unwrap();
 
     // The replica is down when the relay first reaches it and comes
-    // back inside the retry budget: the fan-out job for that replica
-    // retries until the restart lands, and the append still acks all
-    // replicas before returning.
+    // back inside the retry budget: the relay to that replica retries
+    // until the restart lands, and the append still acks all replicas
+    // before returning.
     c.dataserver(secondary).crash();
     let ds = c.dataserver(secondary).clone();
     let reviver = std::thread::spawn(move || {
@@ -218,8 +218,8 @@ fn fan_out_append_fails_whole_when_a_replica_stays_down() {
     let secondary = *meta.replicas.last().unwrap();
 
     // All-or-fail: a replica that stays down past the retry budget
-    // fails the append as a whole — the relay fan-out surfaces the
-    // error after the ack barrier — and the recorded size never moves,
+    // fails the append as a whole — its error surfaces once every
+    // relay has been tried — and the recorded size never moves,
     // so no reader is ever pointed at bytes that missed a replica.
     c.dataserver(secondary).crash();
     assert!(client.append("halted", b" lost").is_err());
