@@ -199,6 +199,29 @@ if grep -E 'Option<&[[:alnum:]_:]*(EcMetrics|DatapathMetrics)>' <<<"$fs_lines"; 
   exit 1
 fi
 
+echo "==> one replica read, one fragment gather: only the data plane reads a replica's bytes; coding.rs reads fragments in one place"
+# Over the same non-test fs listing as the stage above. A replica's
+# bytes are read through DataPlane::read_piece_into, which owns the
+# failover order; another loop over read_local would carry its own. A
+# sealed chunk's fragments are gathered by the one loop the degraded
+# read and the rebuild share. Every hit is printed before the stage
+# fails.
+failed=0
+if grep -Ev '^crates/fs/src/(datapath|dataserver)\.rs:' <<<"$fs_lines" |
+  grep -E '\bread_local(_into)?\('; then
+  echo "crates/fs: read a replica's bytes through DataPlane::read_piece_into" >&2
+  failed=1
+fi
+fragment_reads=$(grep '^crates/fs/src/coding\.rs:' <<<"$fs_lines" | grep -F '.read_fragment(' || true)
+if [[ $(wc -l <<<"$fragment_reads") -gt 1 ]]; then
+  echo "$fragment_reads"
+  echo "crates/fs/src/coding.rs: read fragments in the one gather" >&2
+  failed=1
+fi
+if ((failed)); then
+  exit 1
+fi
+
 echo "==> every pub fn has a reader: its name occurs on some line besides its definition"
 # Non-test definitions only (loc.sh's cut); any other line under the
 # trees a caller can live in counts, tests and doc links included. A

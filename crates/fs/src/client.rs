@@ -67,8 +67,10 @@ pub struct Client {
 }
 
 /// What a ranged read brought back: the bytes, plus the file sizes the
-/// serving dataservers piggybacked on their responses — the fold that
-/// replaces the standalone size-probe RPC in [`Client::read`].
+/// serving dataservers piggybacked on their responses, from which
+/// [`Client::read`] learns the file's size. A range no replica served
+/// (empty, or wholly sealed into fragments, which carry no file size)
+/// reports no size; the read then fetches one zero-length piece.
 #[derive(Debug, Default)]
 struct RangeOutcome {
     data: Vec<u8>,
@@ -364,30 +366,29 @@ impl Client {
         // with — it can only lag the recorded size, and every replica
         // acked every recorded append — and appended bytes the
         // piggybacked size reveals are fetched in one extension round.
-        // Coded files keep the standalone probe: their read path
-        // refreshes metadata from the nameserver anyway, and sealed
-        // fragments report no file size.
-        let hint = if meta.is_coded() { 0 } else { meta.size };
-        let mut outcome = if hint > 0 {
-            self.read_range_collect(&meta, 0, hint)?
-        } else {
-            RangeOutcome::default()
-        };
+        let hint = meta.size;
+        let mut outcome = self.read_range_collect(&meta, 0, hint)?;
         // Under strong consistency the size must come from the primary
-        // (it alone linearizes appends): the hinted tail piece is
-        // pinned to the primary, so its piggybacked size is normally
-        // in hand; otherwise — empty hint, or every serving replica
-        // was a non-primary — fall back to the explicit primary-only
-        // probe. Sequential consistency accepts any replica's size.
-        let size = match self.consistency {
-            Consistency::Strong => match outcome.primary_size {
-                Some(size) => size,
-                None => self.probe_size(&meta)?,
-            },
-            Consistency::Sequential => match outcome.max_size {
-                Some(size) => size.max(hint),
-                None => self.probe_size(&meta)?,
-            },
+        // (it alone linearizes appends), and the hinted tail piece is
+        // pinned there. Sequential consistency accepts any replica's
+        // size, and none is below the hint.
+        let consistency = self.consistency;
+        let reported = |o: &RangeOutcome| match consistency {
+            Consistency::Strong => o.primary_size,
+            Consistency::Sequential => o.max_size.map(|size| size.max(hint)),
+        };
+        let size = match reported(&outcome) {
+            Some(size) => size,
+            // No piece reported a usable size: the hint was empty, or
+            // the range lay wholly in sealed fragments, which carry no
+            // file size. One zero-length piece asks the primary,
+            // pinned there under strong consistency; a served piece
+            // always reports.
+            None => {
+                let pinned = consistency == Consistency::Strong;
+                let sized = self.fetch_pieces(&meta, &[(meta.primary(), 0, 0, pinned)])?;
+                reported(&sized).unwrap_or(hint)
+            }
         };
         if size > hint {
             // The file grew past the hint: one extension round fetches
@@ -397,8 +398,8 @@ impl Client {
             grown.size = size;
             let ext = self.read_range_collect(&grown, hint, size - hint)?;
             if outcome.data.is_empty() {
-                // Nothing was read over the hint (always so for coded
-                // files): the extension is the whole result.
+                // Nothing was read over the hint: the extension is the
+                // whole result.
                 outcome.data = ext.data;
             } else {
                 outcome.data.extend_from_slice(&ext.data);
@@ -408,33 +409,6 @@ impl Client {
             cached.size = size;
         }
         Ok(outcome.data)
-    }
-
-    /// The standalone size probe (a zero-length read): primary-only
-    /// under strong consistency, failing over across replicas under
-    /// sequential. Used when no data read piggybacked a usable size.
-    fn probe_size(&self, meta: &FileMeta) -> Result<u64, FsError> {
-        let probe_order: &[HostId] = match self.consistency {
-            Consistency::Strong => &meta.replicas[..1],
-            Consistency::Sequential => &meta.replicas,
-        };
-        trace::in_span(self.trace.child("probe_size"), |span| {
-            let size = self.with_retry(|| {
-                let mut last = None;
-                for host in probe_order {
-                    match self.plane.get(*host)?.read_local(meta.id, 0, 0) {
-                        Ok((_, size)) => return Ok(size),
-                        Err(e @ (FsError::Unavailable(_) | FsError::NotFound(_))) => {
-                            last = Some(e);
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                Err(last.unwrap_or_else(|| FsError::NotFound(meta.name.clone())))
-            })?;
-            trace::annotate(span, "size", size);
-            Ok(size)
-        })
     }
 
     /// Reads `[offset, offset + len)`, truncated at end-of-file.
@@ -611,10 +585,11 @@ impl Client {
 
     /// Fetches the planned pieces — concurrently when the pool is
     /// wider than one — assembling them by offset into one
-    /// preallocated buffer. Each piece keeps the serial path's
-    /// failover sweep (chosen replica, then the others, primary last;
-    /// primary only for a strong-consistency tail). Errors propagate
-    /// lowest piece index first, so width never changes the outcome.
+    /// preallocated buffer. Each piece is one
+    /// [`DataPlane::read_piece_into`], which sweeps the replicas from
+    /// the chosen one to the primary (only the primary for a piece
+    /// pinned there). Errors propagate lowest piece index first, so
+    /// width never changes the outcome.
     fn fetch_pieces(
         &self,
         meta: &FileMeta,
@@ -661,23 +636,17 @@ impl Client {
                 .zip(piece_spans)
                 .map(
                     |((&(chosen, piece_offset, _, primary_only), slice), span)| {
-                        // Failover order: chosen replica, the rest, primary
-                        // last (it is never stale).
-                        let mut order = vec![chosen];
-                        if !primary_only {
-                            for r in &meta.replicas {
-                                if *r != chosen && *r != meta.primary() {
-                                    order.push(*r);
-                                }
-                            }
-                            if meta.primary() != chosen {
-                                order.push(meta.primary());
-                            }
-                        }
                         move || {
                             trace::in_span(span, |span| {
                                 plane
-                                    .read_piece_into(policy, meta, &order, piece_offset, slice)
+                                    .read_piece_into(
+                                        policy,
+                                        meta,
+                                        chosen,
+                                        primary_only,
+                                        piece_offset,
+                                        slice,
+                                    )
                                     .inspect(|done| {
                                         trace::annotate(span, "filled", done.filled);
                                     })

@@ -17,7 +17,7 @@ use mayflower_ec::Codec;
 use mayflower_net::HostId;
 use mayflower_telemetry::{Counter, Scope};
 
-use crate::datapath::{fan_out, DataPlane};
+use crate::datapath::{fan_out, DataPlane, RetryPolicy};
 use crate::error::FsError;
 use crate::types::FileMeta;
 
@@ -51,38 +51,20 @@ impl EcMetrics {
     }
 }
 
-/// Reads the full payload of chunk `chunk` from any live replica
-/// (primary last wins ties on staleness: it is never behind).
-fn read_chunk_from_replicas(
-    plane: &DataPlane,
-    meta: &FileMeta,
-    chunk: u64,
-) -> Result<Vec<u8>, FsError> {
-    let offset = chunk * meta.chunk_size;
-    let want = meta.chunk_payload_len(chunk);
-    let mut last = None;
-    for host in &meta.replicas {
-        match plane.get(*host)?.read_local(meta.id, offset, want) {
-            Ok((data, _)) if data.len() as u64 == want => return Ok(data),
-            Ok(_) => last = Some(FsError::Unavailable(format!("replica {host} short"))),
-            Err(e) => last = Some(e),
-        }
-    }
-    Err(last.unwrap_or_else(|| FsError::NotFound(meta.name.clone())))
-}
-
 /// Seals every complete-but-unsealed chunk of a coded file: reads the
-/// chunk from a live replica, encodes it into `k + m` fragments, stores
+/// chunk from a live replica (one [`DataPlane::read_piece_into`] sweep,
+/// primary first, no retry), encodes it into `k + m` fragments, stores
 /// one fragment per fragment host, advances the nameserver's seal
 /// watermark, refreshes replica-local metadata, and reclaims the
 /// replicated chunk copies.
 ///
-/// **Best-effort and resumable**: a fragment host that is down stops
-/// the seal at the current watermark (the chunk stays replicated; a
-/// later append or an explicit [`crate::Cluster::seal`] retries), and a
-/// crash between fragment writes and the watermark update leaves only
-/// orphaned fragment files that the retry overwrites. Callers must
-/// hold the file's append lock. Returns the new watermark.
+/// **Best-effort and resumable**: a failed or short chunk read, or a
+/// fragment host that is down, stops the seal at the current watermark
+/// (the chunk stays replicated; a later append or an explicit
+/// [`crate::Cluster::seal`] retries), and a crash between fragment
+/// writes and the watermark update leaves only orphaned fragment files
+/// that the retry overwrites. Callers must hold the file's append lock.
+/// Returns the new watermark.
 ///
 /// # Errors
 ///
@@ -104,11 +86,18 @@ pub(crate) fn seal_complete_chunks(
         )));
     }
     let codec = Codec::new(k, m);
+    let one_try = RetryPolicy {
+        attempts: 1,
+        backoff: std::time::Duration::ZERO,
+    };
     while meta.sealed_chunks < meta.complete_chunks() {
         let chunk = meta.sealed_chunks;
-        let Ok(payload) = read_chunk_from_replicas(plane, &meta, chunk) else {
-            break; // no live replica holds the chunk — retry later
-        };
+        let mut payload = vec![0u8; meta.chunk_payload_len(chunk) as usize];
+        let offset = chunk * meta.chunk_size;
+        match plane.read_piece_into(one_try, &meta, meta.primary(), false, offset, &mut payload) {
+            Ok(done) if done.filled == payload.len() => {}
+            _ => break, // no live replica holds the chunk — retry later
+        }
         let shards = codec.encode_payload(&payload);
         let mut stored_all = true;
         for (index, shard) in shards.iter().enumerate() {
@@ -283,64 +272,44 @@ pub(crate) fn read_sealed_fast(
     served
 }
 
-/// Reads the full payload of sealed chunk `chunk` from its fragments.
-///
-/// Fetches any `k` live fragments and decodes; the decode rebuilds
-/// only the data fragments that are missing, so a chunk whose data
-/// fragments all arrived costs no arithmetic. Fragment fetch failures
-/// (host down, frame corrupt) demote that fragment to an erasure and
-/// the sweep continues, so up to `m` arbitrary losses are survivable.
-///
-/// `preferred` gives the fragment indices to try first (a selector's
-/// choice); the remaining live fragments serve as failover. The `k`
-/// fetches of each round race on a `width`-bounded pool (width 1 is
-/// the serial sweep); failed fetches promote the next fragments in
-/// deterministic index order, so the shard set a given failure pattern
+/// Gathers `codec.k()` fragments of sealed chunk `chunk`, indexed by
+/// fragment: the one fragment read of the degraded path and of coded
+/// repair. Rounds follow `order`, each fetching as many fragments as
+/// are still missing on a `width`-bounded pool (width 1 is the serial
+/// sweep); a failed fetch (host down, fragment missing, frame corrupt,
+/// wrong payload length) is an erasure the next round replaces with the
+/// next index in `order`. So the shard set a given failure pattern
 /// yields is independent of width and timing.
 ///
 /// # Errors
 ///
 /// Returns [`FsError::Unavailable`] when fewer than `k` fragments can
 /// be read.
-pub(crate) fn read_sealed_chunk(
+fn gather(
     plane: &DataPlane,
     meta: &FileMeta,
     chunk: u64,
-    preferred: &[usize],
+    codec: &Codec,
+    order: &[usize],
     width: usize,
-) -> Result<Vec<u8>, FsError> {
-    let (k, m) = meta
-        .redundancy
-        .coded_params()
-        .ok_or_else(|| FsError::InvalidArgument(format!("{} is not coded", meta.name)))?;
-    let n = k + m;
+) -> Result<Vec<Option<Vec<u8>>>, FsError> {
+    let k = codec.k();
     let payload_len = meta.chunk_payload_len(chunk);
-
-    let order = fetch_order(preferred, n);
-
-    let mut shards: Vec<Option<Vec<u8>>> = vec![None; n];
+    let mut shards: Vec<Option<Vec<u8>>> = vec![None; codec.n()];
     let mut have = 0;
-    let mut next = 0;
-    while have < k && next < order.len() {
-        // Fetch exactly as many fragments as are still missing, in
-        // parallel; any that fail are replaced by the next candidates
-        // in order on the following round.
-        let round: Vec<usize> = order[next..].iter().copied().take(k - have).collect();
-        next += round.len();
+    let mut rest = order;
+    while have < k && !rest.is_empty() {
+        let (round, later) = rest.split_at((k - have).min(rest.len()));
+        rest = later;
         let fetched = fan_out(
             width,
             round
                 .iter()
                 .map(|&index| {
-                    let host = meta.fragments[index];
                     move || -> Option<(usize, Vec<u8>)> {
-                        let server = plane.get(host).ok()?;
-                        match server.read_fragment(meta.id, chunk, index) {
-                            Ok((shard, len)) if len == payload_len => Some((index, shard)),
-                            // Wrong payload length, corrupt frame, host
-                            // down, fragment not yet written: erasures.
-                            Ok(_) | Err(_) => None,
-                        }
+                        let server = plane.get(*meta.fragments.get(index)?).ok()?;
+                        let (shard, len) = server.read_fragment(meta.id, chunk, index).ok()?;
+                        (len == payload_len).then_some((index, shard))
                     }
                 })
                 .collect(),
@@ -357,10 +326,38 @@ pub(crate) fn read_sealed_chunk(
             meta.name
         )));
     }
+    Ok(shards)
+}
 
+/// Reads the full payload of sealed chunk `chunk` from its fragments.
+///
+/// Gathers any `k` live fragments, `preferred` (a selector's choice)
+/// first and the rest in index order as failover, and decodes; the
+/// decode rebuilds only the data fragments that are missing, so a
+/// chunk whose data fragments all arrived costs no arithmetic. Up to
+/// `m` arbitrary losses are survivable.
+///
+/// # Errors
+///
+/// Returns [`FsError::Unavailable`] when fewer than `k` fragments can
+/// be read.
+pub(crate) fn read_sealed_chunk(
+    plane: &DataPlane,
+    meta: &FileMeta,
+    chunk: u64,
+    preferred: &[usize],
+    width: usize,
+) -> Result<Vec<u8>, FsError> {
+    let (k, m) = meta
+        .redundancy
+        .coded_params()
+        .ok_or_else(|| FsError::InvalidArgument(format!("{} is not coded", meta.name)))?;
+    let codec = Codec::new(k, m);
+    let order = fetch_order(preferred, k + m);
+    let mut shards = gather(plane, meta, chunk, &codec, &order, width)?;
     let degraded = shards[..k].iter().any(Option::is_none);
-    let payload = Codec::new(k, m)
-        .decode_payload(&mut shards, payload_len as usize)
+    let payload = codec
+        .decode_payload(&mut shards, meta.chunk_payload_len(chunk) as usize)
         .map_err(|e| FsError::Unavailable(format!("{}: chunk {chunk}: {e}", meta.name)))?;
     if degraded {
         plane.ec.degraded_reads.inc();
@@ -395,32 +392,12 @@ pub(crate) fn rebuild_fragment(
         )));
     }
     let codec = Codec::new(k, m);
+    // Every survivor in index order, one at a time.
+    let order: Vec<usize> = (0..n).filter(|&i| i != index).collect();
     let mut written = 0u64;
     for chunk in 0..meta.sealed_chunks {
         let payload_len = meta.chunk_payload_len(chunk);
-        let mut shards: Vec<Option<Vec<u8>>> = vec![None; n];
-        let mut have = 0;
-        for (i, host) in meta.fragments.iter().enumerate() {
-            if i == index || have >= k {
-                continue;
-            }
-            let Ok(server) = plane.get(*host) else {
-                continue;
-            };
-            match server.read_fragment(meta.id, chunk, i) {
-                Ok((shard, len)) if len == payload_len => {
-                    shards[i] = Some(shard);
-                    have += 1;
-                }
-                Ok(_) | Err(_) => {}
-            }
-        }
-        if have < k {
-            return Err(FsError::Unavailable(format!(
-                "{}: chunk {chunk} has {have} of {k} fragments needed for rebuild",
-                meta.name
-            )));
-        }
+        let mut shards = gather(plane, meta, chunk, &codec, &order, 1)?;
         codec
             .reconstruct(&mut shards)
             .map_err(|e| FsError::Unavailable(format!("{}: chunk {chunk}: {e}", meta.name)))?;

@@ -263,23 +263,32 @@ impl DataPlane {
         self.append_locks.lock().len()
     }
 
-    /// Reads one contiguous piece into `buf`, sweeping the hosts in
-    /// `order` (the chosen replica first, primary last) under the
-    /// retry policy. Keeps the per-piece failover semantics of the
-    /// serial path: a crashed dataserver that restarts within the
-    /// retry budget turns a transient outage into a slower read.
+    /// Reads file bytes `[offset, offset + buf.len())` into `buf`: the
+    /// one way to read a replica's bytes. The sweep tries `chosen`,
+    /// then the other secondaries in replica order, then the primary
+    /// last (it is never behind); with `primary_only` it tries `chosen`
+    /// alone, which callers set to the primary. A short read is topped
+    /// up from the primary, whose size report then supersedes. The
+    /// whole sweep runs under `policy`, so a crashed dataserver that
+    /// restarts within the retry budget turns a transient outage into
+    /// a slower read.
     pub(crate) fn read_piece_into(
         &self,
         policy: RetryPolicy,
         meta: &FileMeta,
-        order: &[HostId],
+        chosen: HostId,
+        primary_only: bool,
         offset: u64,
         buf: &mut [u8],
     ) -> Result<PieceDone, FsError> {
+        // Behind `chosen`: the secondaries in replica order, then the
+        // primary (`replicas[0]`).
+        let failover = meta.replicas.iter().skip(1).chain(meta.replicas.first());
+        let failover = failover.filter(move |host| !primary_only && **host != chosen);
         let mut round = 0u32;
         with_retry(policy, &self.retries, || {
             let mut last_err = None;
-            for host in order {
+            for host in std::iter::once(&chosen).chain(failover.clone()) {
                 let attempt = trace::in_span(self.trace.child("attempt"), |span| {
                     trace::annotate(span, "host", host.0);
                     if round > 0 {

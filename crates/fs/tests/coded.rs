@@ -289,3 +289,78 @@ fn replicated_files_are_untouched_by_the_coded_tier() {
     let snap = c.registry().snapshot();
     assert_eq!(snap.counter("ec_chunks_sealed_total"), Some(0));
 }
+
+/// A coded read learns the file size from its replicated tail piece:
+/// it makes exactly one dataserver read per fragment and per tail
+/// piece, and no separate size request.
+#[test]
+fn a_coded_read_with_a_tail_makes_no_size_request() {
+    let dir = TempDir::new("tail-size");
+    let c = cluster(&dir, Consistency::Strong);
+    let mut writer = c.client(HostId(0));
+    writer
+        .create_with("tailed", Redundancy::Coded { k: 4, m: 2 })
+        .unwrap();
+    let data = payload(40); // 2 sealed chunks + 8-byte tail
+    writer.append("tailed", &data).unwrap();
+    let reads = || {
+        c.registry()
+            .snapshot()
+            .counter("fs_dataserver_reads_total")
+            .unwrap_or(0)
+    };
+    let before = reads();
+    let mut reader = c.client(HostId(3));
+    assert_eq!(reader.read("tailed").unwrap(), data);
+    // Four data fragments per sealed chunk, and the tail as one piece
+    // pinned to the primary.
+    assert_eq!(reads() - before, 2 * 4 + 1);
+}
+
+/// A wholly sealed coded file has no tail piece to report its size, so
+/// the read asks the primary with one zero-length piece: pinned there
+/// under strong consistency, failing over to a secondary under
+/// sequential.
+#[test]
+fn a_sealed_coded_read_asks_the_primary_for_its_size() {
+    for consistency in [Consistency::Strong, Consistency::Sequential] {
+        let dir = TempDir::new("sealed-size");
+        let c = cluster(&dir, consistency);
+        let mut writer = c.client(HostId(0));
+        let meta = writer
+            .create_with("sealed", Redundancy::Coded { k: 4, m: 2 })
+            .unwrap();
+        let data = payload(64); // 4 sealed chunks, empty tail
+        writer.append("sealed", &data).unwrap();
+        assert_eq!(c.nameserver().lookup("sealed").unwrap().sealed_chunks, 4);
+        c.dataserver(meta.primary()).crash();
+        let mut reader = c.client(HostId(5));
+        reader.set_retry_policy(1, std::time::Duration::ZERO);
+        let read = reader.read("sealed");
+        match consistency {
+            Consistency::Strong => {
+                assert!(matches!(read, Err(FsError::Unavailable(_))), "{read:?}");
+            }
+            Consistency::Sequential => assert_eq!(read.unwrap(), data),
+        }
+    }
+}
+
+/// A seal encodes only a chunk it read whole: a recorded size ahead of
+/// every replica (here written past them by hand) leaves the short
+/// chunk replicated and the watermark where it was.
+#[test]
+fn a_seal_stops_at_a_short_chunk_read() {
+    let dir = TempDir::new("short-seal");
+    let c = cluster(&dir, Consistency::Sequential);
+    let mut client = c.client(HostId(0));
+    let meta = client
+        .create_with("short", Redundancy::Coded { k: 2, m: 1 })
+        .unwrap();
+    client.append("short", &payload(24)).unwrap(); // 1 sealed chunk + 8 bytes
+    c.nameserver().record_size("short", 32).unwrap();
+    assert_eq!(c.seal("short").unwrap(), 1);
+    for r in &meta.replicas {
+        assert_eq!(c.dataserver(*r).local_size(meta.id).unwrap(), 8);
+    }
+}

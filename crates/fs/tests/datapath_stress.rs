@@ -170,7 +170,7 @@ fn parallel_strong_read_survives_secondary_kill_cycles() {
 }
 
 #[test]
-fn fan_out_append_rides_out_a_replica_blip() {
+fn append_rides_out_a_replica_blip() {
     let dir = TempDir::new("append-blip");
     let c = cluster(&dir, Consistency::Sequential);
     let mut client = c.client(HostId(0));
@@ -206,7 +206,7 @@ fn fan_out_append_rides_out_a_replica_blip() {
 }
 
 #[test]
-fn fan_out_append_fails_whole_when_a_replica_stays_down() {
+fn append_fails_whole_when_a_replica_stays_down() {
     let dir = TempDir::new("append-down");
     let c = cluster(&dir, Consistency::Sequential);
     let mut client = c.client(HostId(0));

@@ -22,8 +22,9 @@
 //!   can see. This order keeps the wider window checked.
 //! * **Read**: invoke → probe the acknowledged size from the
 //!   nameserver → read each chunk piece (strong mode: the last chunk
-//!   only from the primary; other chunks from any replica, short
-//!   reads patched from the primary, as the production client does).
+//!   only from the primary; other chunks from the chosen replica, then
+//!   the other secondaries, the primary last, short reads patched from
+//!   the primary, as the production client does).
 //! * **Faults**: a scripted crash/restart of one secondary, plus a
 //!   two-phase repair (replica disk loss, then
 //!   [`Dataserver::pull_repair`] from the primary) racing the
@@ -172,10 +173,11 @@ impl Run<'_> {
         }
     }
 
-    /// Reads one piece with the production client's failover: the
-    /// chosen replica first, then the primary, then the rest; short
-    /// reads are patched from the primary. Strong-mode last-chunk
-    /// pieces allow no failover target but the primary itself.
+    /// Reads one piece with the production client's failover
+    /// (`DataPlane::read_piece_into`): the chosen replica first, then
+    /// the other secondaries, the primary last; short reads are patched
+    /// from the primary. Strong-mode last-chunk pieces allow no
+    /// failover target but the primary itself.
     fn read_piece(&self, piece: &Piece) -> Result<Vec<u8>, String> {
         let strong_last = self.scenario.strong && piece.is_last;
         let stale_serve = strong_last && self.scenario.mutant == Mutant::StaleLastChunkRead;
@@ -184,13 +186,10 @@ impl Run<'_> {
         } else if strong_last {
             vec![0]
         } else {
-            let mut cs = vec![piece.host];
-            for r in 0..REPLICAS {
-                if !cs.contains(&r) {
-                    cs.push(r);
-                }
-            }
-            cs
+            let failover = (1..REPLICAS).chain([0]);
+            std::iter::once(piece.host)
+                .chain(failover.filter(|&r| r != piece.host))
+                .collect()
         };
         for &r in &candidates {
             let Ok((bytes, _)) = self.ds[r].read_local(self.meta.id, piece.off, piece.want) else {

@@ -74,7 +74,9 @@ fn escape_label(v: &str) -> String {
         .replace('\n', "\\n")
 }
 
-fn escape_json(v: &str) -> String {
+/// JSON string escaping, shared by the registry's and the tracer's
+/// renderers.
+pub(crate) fn escape_json(v: &str) -> String {
     let mut out = String::with_capacity(v.len());
     for c in v.chars() {
         match c {

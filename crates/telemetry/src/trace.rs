@@ -36,6 +36,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use crate::registry::escape_json;
+
 /// Identifies one end-to-end operation; every span of the operation
 /// shares it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -578,8 +580,11 @@ impl TraceTree {
                 Some(p) => out.push_str(&format!("\"parent\": {}, ", p.0)),
                 None => out.push_str("\"parent\": null, "),
             }
-            out.push_str(&format!("\"component\": \"{}\", ", escape(e.component)));
-            out.push_str(&format!("\"name\": \"{}\", ", escape(&e.name)));
+            out.push_str(&format!(
+                "\"component\": \"{}\", ",
+                escape_json(e.component)
+            ));
+            out.push_str(&format!("\"name\": \"{}\", ", escape_json(&e.name)));
             out.push_str(&format!("\"start_us\": {}, ", e.start_us));
             out.push_str(&format!("\"end_us\": {}, ", e.end_us));
             out.push_str(&format!("\"ok\": {}, ", e.ok));
@@ -588,7 +593,7 @@ impl TraceTree {
                 if j > 0 {
                     out.push_str(", ");
                 }
-                out.push_str(&format!("\"{}\": \"{}\"", escape(k), escape(v)));
+                out.push_str(&format!("\"{}\": \"{}\"", escape_json(k), escape_json(v)));
             }
             out.push_str("}}");
         }
@@ -614,8 +619,8 @@ impl TraceTree {
             out.push_str(&format!(
                 "\n  {{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \"ts\": {}, \
                  \"dur\": {}, \"pid\": {}, \"tid\": {}, \"args\": {{",
-                escape(&e.name),
-                escape(e.component),
+                escape_json(&e.name),
+                escape_json(e.component),
                 e.start_us,
                 e.duration_us(),
                 e.trace.0,
@@ -624,30 +629,13 @@ impl TraceTree {
             out.push_str(&format!("\"span\": \"{}\", ", e.span.0));
             out.push_str(&format!("\"ok\": \"{}\"", e.ok));
             for (k, v) in &e.annotations {
-                out.push_str(&format!(", \"{}\": \"{}\"", escape(k), escape(v)));
+                out.push_str(&format!(", \"{}\": \"{}\"", escape_json(k), escape_json(v)));
             }
             out.push_str("}}");
         }
         out.push_str("\n]}\n");
         out
     }
-}
-
-/// JSON string escaping (mirrors the registry's renderer).
-fn escape(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -861,7 +849,7 @@ mod tests {
         assert_eq!(a.render_chrome(), b.render_chrome());
         assert!(a.render_json().contains("\"name\": \"piece1\""));
         assert!(a.render_chrome().contains("\"ph\": \"X\""));
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 
     #[test]
