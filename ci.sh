@@ -300,6 +300,37 @@ if ((fs_sites > 1)); then
   exit 1
 fi
 
+echo "==> settings ratchet: at most 58 pub fields across the *Config/*Options structs"
+# Every pub field of a non-test `pub struct *Config` or `*Options`
+# (loc.sh's cut) is a setting someone can set. A setting that every
+# caller leaves at one value is a constant; the cap only falls.
+settings=$(./loc.sh --lines crates src |
+  awk '{
+         i = index($0, ":"); j = index(substr($0, i + 1), ":")
+         file = substr($0, 1, i - 1); rest = substr($0, i + j + 1)
+         if (rest ~ /^[[:space:]]*pub struct [A-Za-z0-9_]*(Config|Options)[[:space:]<{]/ && rest ~ /\{[[:space:]]*$/) {
+           name = rest; sub(/^[[:space:]]*pub struct /, "", name); sub(/[^A-Za-z0-9_].*$/, "", name)
+           inside = 1; n[file " " name] = 0; next
+         }
+         if (inside && rest ~ /^[[:space:]]*\}/) { inside = 0; next }
+         if (inside && rest ~ /^[[:space:]]*pub [a-z_][a-z0-9_]*[[:space:]]*:/) { n[file " " name]++; total++ }
+       }
+       END {
+         for (k in n) printf "%4d  %s\n", n[k], k | "sort -k2"
+         close("sort -k2")
+         printf "%4d  total\n", total
+       }')
+echo "$settings"
+fields=$(tail -n 1 <<<"$settings" | awk '{ print $1 }')
+if ((fields == 0)); then
+  echo "loc.sh --lines printed no settings to count" >&2
+  exit 1
+fi
+if ((fields > 58)); then
+  echo "$fields pub fields in *Config/*Options structs; at most 58" >&2
+  exit 1
+fi
+
 echo "==> a traced step is written once: trace::in_span, not a hand-rolled enter/mark-failed"
 # `trace::in_span` enters the span, hands it to the step and marks it
 # failed on `Err`. Outside crates/telemetry nothing marks a span failed
@@ -356,6 +387,9 @@ echo "==> no gate rewrote a tracked file"
 # Run on a committed tree: any tracked file that differs from HEAD by
 # now was written by a stage above (a bench that saves its numbers, a
 # build that refreshes a lock file) and fails the gate.
-git diff --exit-code && test -z "$(git status --porcelain --untracked-files=no)"
+# Two commands, not one `&&` list: `set -e` ignores a failure anywhere
+# in such a list but its last command, so `git diff` could not fail it.
+git diff --exit-code
+test -z "$(git status --porcelain --untracked-files=no)"
 
 echo "==> ci.sh: all green ($(./loc.sh | tail -n 1 | xargs))"

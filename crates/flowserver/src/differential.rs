@@ -216,10 +216,10 @@ mod oracle {
         }
     }
 
-    /// §4.3 as it was before selection decided first: admit subflow
-    /// `i` tentatively, read the earlier subflows' bandwidths back
-    /// from the model, and roll back — here by putting a clone of the
-    /// whole Flowserver back — if the split does not pay.
+    /// §4.3 as it was before selection decided first: admit the second
+    /// subflow tentatively, read the first one's bandwidth back from
+    /// the model, and roll back — here by putting a clone of the whole
+    /// Flowserver back — if the split does not pay.
     pub fn select_multipath(
         fs: &mut Flowserver,
         client: HostId,
@@ -238,53 +238,35 @@ mod oracle {
         let b1 = pc1.est_bw;
         let a1 = fs.commit(path1, pc1, size_bits, now);
 
-        let mut assignments = vec![a1];
-        let mut committed_b: Vec<f64> = vec![b1];
-        for _ in 1..fs.config().max_subflows {
-            let remaining: Vec<HostId> = replicas
-                .iter()
-                .copied()
-                .filter(|r| assignments.iter().all(|a| a.replica != *r))
-                .collect();
-            if remaining.is_empty() {
-                break;
-            }
-            let Some((path_i, pc_i)) = best_path(fs, client, &remaining, size_bits, now, fg) else {
-                break;
-            };
-            if pc_i.est_bw <= 0.0 {
-                break;
-            }
-            let b_i = pc_i.est_bw;
-            // Admitting subflow i may shrink the earlier subflows.
-            let snapshot_i = fs.clone();
-            let a_i = fs.commit(path_i, pc_i, size_bits, now);
-            let adjusted: Vec<f64> = assignments
-                .iter()
-                .map(|a| fs.tracker().get(a.cookie).expect("tracked").bw)
-                .collect();
-            let combined: f64 = adjusted.iter().sum::<f64>() + b_i;
-            let solo_best = committed_b[0].max(b1);
-            if combined > solo_best + 1e-9 {
-                assignments.push(a_i);
-                committed_b = adjusted;
-                committed_b.push(b_i);
-            } else {
-                // Roll back subflow i.
-                *fs = snapshot_i;
-                break;
-            }
+        // Second subflow, chosen over the other replicas.
+        let rest: Vec<HostId> = replicas
+            .iter()
+            .copied()
+            .filter(|r| *r != a1.replica)
+            .collect();
+        let Some((path2, pc2)) = best_path(fs, client, &rest, size_bits, now, fg) else {
+            return Selection::Single(a1);
+        };
+        if pc2.est_bw <= 0.0 {
+            return Selection::Single(a1);
         }
-
-        if assignments.len() == 1 {
-            return Selection::Single(assignments.pop().expect("one assignment"));
+        let b2 = pc2.est_bw;
+        // Admitting subflow 2 may shrink subflow 1.
+        let snapshot = fs.clone();
+        let a2 = fs.commit(path2, pc2, size_bits, now);
+        let b1_kept = fs.tracker().get(a1.cookie).expect("tracked").bw;
+        if b1_kept + b2 <= b1 + 1e-9 {
+            // Roll back subflow 2.
+            *fs = snapshot;
+            return Selection::Single(a1);
         }
 
         // Proportion sizes so subflows finish together: S_i = d·b_i/b.
-        let total_b: f64 = committed_b.iter().sum();
-        for (a, b_i) in assignments.iter_mut().zip(&committed_b) {
+        let total_b = b1_kept + b2;
+        let mut assignments = vec![a1, a2];
+        for (a, b_i) in assignments.iter_mut().zip([b1_kept, b2]) {
             a.size_bits = size_bits * b_i / total_b;
-            a.est_bw = *b_i;
+            a.est_bw = b_i;
             fs.tracker_mut().resize_flow(a.cookie, a.size_bits, now);
         }
         Selection::Split(assignments)
@@ -798,13 +780,11 @@ proptest! {
         impact_aware in any::<bool>(),
         freeze_enabled in any::<bool>(),
         multipath in any::<bool>(),
-        max_subflows in 2usize..4,
     ) {
         let config = FlowserverConfig {
             impact_aware,
             freeze_enabled,
             multipath,
-            max_subflows,
             ..FlowserverConfig::default()
         };
         walk(&params, config, &evs);
@@ -851,7 +831,6 @@ fn scripted_walk_reaches_every_rewritten_path() {
     ];
     let config = FlowserverConfig {
         multipath: true,
-        max_subflows: 3,
         ..FlowserverConfig::default()
     };
     let cov = walk(&params, config, &evs);

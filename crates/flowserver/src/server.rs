@@ -80,11 +80,8 @@ impl FlowserverMetrics {
 pub struct FlowserverConfig {
     /// How often edge-switch statistics are polled, seconds (§3.3.3).
     pub poll_interval_secs: f64,
-    /// Whether reads may be split across multiple replicas (§4.3).
+    /// Whether reads may be split across two replicas (§4.3).
     pub multipath: bool,
-    /// Maximum number of subflows for a split read. The paper
-    /// evaluates two.
-    pub max_subflows: usize,
     /// Whether path cost includes the slowdown inflicted on existing
     /// flows (Eq. 2's Σ term). When off, selection greedily maximizes
     /// the new flow's own bandwidth — the strawman the paper argues
@@ -101,7 +98,6 @@ impl Default for FlowserverConfig {
         FlowserverConfig {
             poll_interval_secs: 1.0,
             multipath: false,
-            max_subflows: 2,
             impact_aware: true,
             freeze_enabled: true,
         }
@@ -180,9 +176,8 @@ impl Selection {
 enum Picks {
     /// The cheapest candidate at this priority.
     One(FlowPriority),
-    /// §4.3: the cheapest candidate, then further replicas while each
-    /// one raises the combined bandwidth, up to [`FlowserverConfig::
-    /// max_subflows`].
+    /// §4.3: the cheapest candidate, then a second replica if it
+    /// raises the combined bandwidth.
     Split,
     /// Exactly this many distinct sources, or nothing (a coded read's
     /// remote fragments).
@@ -839,10 +834,10 @@ impl Flowserver {
     /// §4.3's multiple-replica selection: greedily pick and admit
     /// `p1`; pick `p2` from the remaining replicas and decide before
     /// admitting it. The candidate's impact list already says what
-    /// bandwidth every earlier subflow would keep (`b'_1`), so the
-    /// subflow is committed only if the combined share `b'_1 + b_2`
-    /// beats `b_1` alone; the kept subflows get sizes `S_i = d · b_i /
-    /// b`. A declined subflow is never installed.
+    /// bandwidth `p1` would keep (`b'_1`), so `p2` is committed only if
+    /// the combined share `b'_1 + b_2` beats `b_1` alone; the two
+    /// subflows then get sizes `S_i = d · b_i / b`. A declined `p2` is
+    /// never installed.
     fn pick_split(
         &mut self,
         client: HostId,
@@ -856,54 +851,41 @@ impl Flowserver {
             return Selection::Unavailable;
         };
         let b1 = pc.est_bw;
-        let mut assignments = vec![self.commit(path, pc, size_bits, now)];
-        let mut committed_b = vec![b1];
-        for _ in 1..self.config.max_subflows {
-            let remaining: Vec<HostId> = replicas
-                .iter()
-                .copied()
-                .filter(|r| assignments.iter().all(|a| a.replica != *r))
-                .collect();
-            let Some((path, pc)) =
-                self.best_path(routes_to(client, &remaining), size_bits, now, fg)
-            else {
-                break;
-            };
-            let b_i = pc.est_bw;
-            if b_i <= 0.0 {
-                break;
-            }
-            // Admitting subflow i may shrink the earlier subflows. Each
-            // was committed above, so the tracker holds it.
-            let adjusted: Vec<f64> = assignments
-                .iter()
-                .map(|a| match pc.impacted.iter().find(|(c, _)| *c == a.cookie) {
-                    Some((_, new_bw)) => *new_bw,
-                    None => self.tracker.get(a.cookie).map_or(0.0, |f| f.bw),
-                })
-                .collect();
-            let combined: f64 = adjusted.iter().sum::<f64>() + b_i;
-            if combined > b1 + 1e-9 {
-                self.metrics.split_accepted.inc();
-                assignments.push(self.commit(path, pc, size_bits, now));
-                committed_b = adjusted;
-                committed_b.push(b_i);
-            } else {
-                self.metrics.split_rejected.inc();
-                break;
-            }
+        let first = self.commit(path, pc, size_bits, now);
+        let rest: Vec<HostId> = replicas
+            .iter()
+            .copied()
+            .filter(|r| *r != first.replica)
+            .collect();
+        let Some((path, pc)) = self
+            .best_path(routes_to(client, &rest), size_bits, now, fg)
+            .filter(|(_, pc)| pc.est_bw > 0.0)
+        else {
+            return Selection::Single(first);
+        };
+        let b2 = pc.est_bw;
+        // Admitting p2 may shrink p1. It was committed above, so the
+        // tracker holds it.
+        let b1_kept = match pc.impacted.iter().find(|(c, _)| *c == first.cookie) {
+            Some((_, new_bw)) => *new_bw,
+            None => self.tracker.get(first.cookie).map_or(0.0, |f| f.bw),
+        };
+        let total_b = b1_kept + b2;
+        if total_b > b1 + 1e-9 {
+            self.metrics.split_accepted.inc();
+        } else {
+            self.metrics.split_rejected.inc();
+            return Selection::Single(first);
         }
-        if assignments.len() > 1 {
-            // Proportion sizes so subflows finish together: S_i = d·b_i/b.
-            let total_b: f64 = committed_b.iter().sum();
-            for (a, b_i) in assignments.iter_mut().zip(&committed_b) {
-                a.size_bits = size_bits * b_i / total_b;
-                a.est_bw = *b_i;
-                // Also refreshes the freeze window for the reduced size.
-                self.tracker.resize_flow(a.cookie, a.size_bits, now);
-            }
+        let mut parts = vec![first, self.commit(path, pc, size_bits, now)];
+        // Proportion sizes so subflows finish together: S_i = d·b_i/b.
+        for (a, b_i) in parts.iter_mut().zip([b1_kept, b2]) {
+            a.size_bits = size_bits * b_i / total_b;
+            a.est_bw = b_i;
+            // Also refreshes the freeze window for the reduced size.
+            self.tracker.resize_flow(a.cookie, a.size_bits, now);
         }
-        Selection::of(assignments)
+        Selection::Split(parts)
     }
 
     /// Exactly `needed` flows of `shard_bits` each from distinct
@@ -1438,42 +1420,6 @@ mod tests {
         let t0 = parts[0].size_bits / parts[0].est_bw;
         let t1 = parts[1].size_bits / parts[1].est_bw;
         assert!((t0 - t1).abs() < 1e-6);
-    }
-
-    #[test]
-    fn three_way_split_when_allowed_and_beneficial() {
-        let topo = Arc::new(Topology::three_tier(&TreeParams::paper_testbed()));
-        // 24:1 oversubscription: core paths are ~0.167 Gbps, so even
-        // three subflows stay under the 1 Gbps client downlink.
-        let topo24 = Arc::new(Topology::three_tier(
-            &TreeParams::paper_testbed().with_oversubscription(24.0),
-        ));
-        let _ = topo;
-        let mut fs = Flowserver::new(
-            topo24,
-            FlowserverConfig {
-                multipath: true,
-                max_subflows: 3,
-                ..FlowserverConfig::default()
-            },
-        );
-        let sel = fs.select_replica_path(
-            HostId(0),
-            &[HostId(20), HostId(36), HostId(52)],
-            MB256,
-            SimTime::ZERO,
-        );
-        let Selection::Split(parts) = sel else {
-            panic!("expected a split")
-        };
-        assert_eq!(parts.len(), 3, "three replicas in three pods split 3 ways");
-        let total: f64 = parts.iter().map(|a| a.size_bits).sum();
-        assert!((total - MB256).abs() < 1.0);
-        // All three subflows finish together.
-        let t0 = parts[0].size_bits / parts[0].est_bw;
-        for p in &parts {
-            assert!((p.size_bits / p.est_bw - t0).abs() < 1e-6);
-        }
     }
 
     #[test]

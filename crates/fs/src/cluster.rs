@@ -20,7 +20,7 @@ use crate::types::{Consistency, FileMeta};
 /// Cluster-wide configuration.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterConfig {
-    /// Nameserver settings (replication, chunk size, placement).
+    /// Nameserver settings (replication, chunk size, placement seed).
     pub nameserver: NameserverConfig,
     /// Read consistency level for clients (§3.4).
     pub consistency: Consistency,

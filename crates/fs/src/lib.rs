@@ -74,7 +74,7 @@ pub use client::Client;
 pub use cluster::{Cluster, ClusterConfig};
 pub use dataserver::{Dataserver, RepairSource};
 pub use error::FsError;
-pub use nameserver::{Nameserver, NameserverConfig, NsOp};
+pub use nameserver::{Nameserver, NameserverConfig, NsOp, PLACEMENT};
 pub use selector::{
     FallbackSelector, NearestSelector, PrimarySelector, ReadAssignment, ReplicaSelector,
     SplitSelector,

@@ -12,6 +12,11 @@ use crate::dataserver::Dataserver;
 use crate::error::FsError;
 use crate::types::{FileId, FileMeta, Redundancy, DEFAULT_CHUNK_SIZE};
 
+/// The replica placement rule every nameserver places by, and the
+/// recovery planner places repairs by: the prototype's HDFS-style
+/// rack-aware placement (§5).
+pub const PLACEMENT: PlacementPolicy = PlacementPolicy::HdfsRackAware;
+
 /// Nameserver configuration.
 #[derive(Debug, Clone)]
 pub struct NameserverConfig {
@@ -19,9 +24,6 @@ pub struct NameserverConfig {
     pub replication: usize,
     /// Chunk size for new files (default 256 MB, §5).
     pub chunk_size: u64,
-    /// Replica placement rule (default: the prototype's HDFS-style
-    /// rack-aware placement, §5).
-    pub placement: PlacementPolicy,
     /// Seed for placement randomness.
     pub seed: u64,
 }
@@ -31,7 +33,6 @@ impl Default for NameserverConfig {
         NameserverConfig {
             replication: 3,
             chunk_size: DEFAULT_CHUNK_SIZE,
-            placement: PlacementPolicy::HdfsRackAware,
             seed: 0x4E53, // "NS"
         }
     }
@@ -211,12 +212,12 @@ impl Nameserver {
     }
 
     /// The **decide** step of a create: draws the [`FileId`] and the
-    /// placement — `replicas` when the caller pins them, the configured
-    /// fault-domain policy otherwise, plus `k + m` fragment hosts for a
-    /// coded file — and returns the metadata an [`NsOp::Create`]
-    /// carries. Everything random happens here, once, on the node that
-    /// takes the request; [`Nameserver::apply`] is deterministic, so
-    /// the op it feeds stores the same entry wherever it is applied.
+    /// placement — `replicas` when the caller pins them, [`PLACEMENT`]
+    /// otherwise, plus `k + m` fragment hosts for a coded file — and
+    /// returns the metadata an [`NsOp::Create`] carries. Everything
+    /// random happens here, once, on the node that takes the request;
+    /// [`Nameserver::apply`] is deterministic, so the op it feeds
+    /// stores the same entry wherever it is applied.
     ///
     /// Nothing is stored. A name that [`NsOp::Create`] would refuse is
     /// refused here too, before anything is drawn, so a failed create
@@ -241,7 +242,7 @@ impl Nameserver {
         let mut rng = self.rng.lock();
         let id = FileId((u128::from(rng.next_u64()) << 64) | u128::from(rng.next_u64()));
         let place = |n: usize, rng: &mut SimRng| {
-            replicas.unwrap_or_else(|| self.config.placement.place(&self.topo, n, rng))
+            replicas.unwrap_or_else(|| PLACEMENT.place(&self.topo, n, rng))
         };
         let (replicas, fragments) = match redundancy {
             Redundancy::Replicated { n } => {
@@ -429,7 +430,7 @@ impl Nameserver {
     }
 
     /// Creates a file: assigns a UUID, places replicas under the
-    /// configured fault-domain policy, records the mappings.
+    /// [`PLACEMENT`] fault-domain policy, records the mappings.
     ///
     /// # Errors
     ///
@@ -460,7 +461,7 @@ impl Nameserver {
     }
 
     /// Creates a file with an **explicit** replica placement instead of
-    /// the configured policy. Used by experiments that must pin files
+    /// [`PLACEMENT`]. Used by experiments that must pin files
     /// to predetermined hosts (the paper's Figure 8 runs Mayflower and
     /// HDFS "with the same primary replica location"), and by
     /// migration tooling.

@@ -238,6 +238,25 @@ impl<P: ReplicaSelector, F: ReplicaSelector> ReplicaSelector for FallbackSelecto
         self.fallbacks_taken += 1;
         self.fallback.select_read(client, replicas, size_bytes)
     }
+
+    /// The same rule as [`select_read`](Self::select_read): the
+    /// primary's choice while it is up and answers, the fallback's
+    /// otherwise.
+    fn select_fragments(
+        &mut self,
+        client: HostId,
+        available: &[(usize, HostId)],
+        k: usize,
+    ) -> Vec<usize> {
+        if self.primary_up.load(Ordering::SeqCst) {
+            let picked = self.primary.select_fragments(client, available, k);
+            if !picked.is_empty() {
+                return picked;
+            }
+        }
+        self.fallbacks_taken += 1;
+        self.fallback.select_fragments(client, available, k)
+    }
 }
 
 #[cfg(test)]
@@ -338,6 +357,51 @@ mod tests {
             s.select_read(HostId(0), &replicas, 10)[0].replica,
             HostId(1)
         );
+        assert_eq!(s.fallbacks_taken(), 2);
+    }
+
+    #[test]
+    fn fallback_forwards_fragment_choices_by_the_same_rule() {
+        // A primary that picks the last `k` fragments, or none.
+        struct LastK {
+            answer: bool,
+        }
+        impl ReplicaSelector for LastK {
+            fn select_read(&mut self, _: HostId, _: &[HostId], _: u64) -> Vec<ReadAssignment> {
+                Vec::new()
+            }
+            fn select_fragments(
+                &mut self,
+                _client: HostId,
+                available: &[(usize, HostId)],
+                k: usize,
+            ) -> Vec<usize> {
+                if !self.answer {
+                    return Vec::new();
+                }
+                available.iter().rev().take(k).map(|(i, _)| *i).collect()
+            }
+        }
+        let topo = Arc::new(Topology::three_tier(&TreeParams::paper_testbed()));
+        let up = Arc::new(AtomicBool::new(true));
+        let mut s = FallbackSelector::new(
+            LastK { answer: true },
+            NearestSelector::new(topo),
+            up.clone(),
+        );
+        // 2+2 with data fragment 1 lost: the nearest parity (fragment 3,
+        // on the client's own rack) fills in beside data fragment 0.
+        let available = [(0, HostId(40)), (2, HostId(20)), (3, HostId(1))];
+        // Primary reachable: its choice wins.
+        assert_eq!(s.select_fragments(HostId(0), &available, 2), vec![3, 2]);
+        assert_eq!(s.fallbacks_taken(), 0);
+        // Outage: the nearest-parity choice takes over.
+        up.store(false, Ordering::SeqCst);
+        assert_eq!(s.select_fragments(HostId(0), &available, 2), vec![0, 3]);
+        // Reachable but answering nothing: fall back.
+        up.store(true, Ordering::SeqCst);
+        s.primary.answer = false;
+        assert_eq!(s.select_fragments(HostId(0), &available, 2), vec![0, 3]);
         assert_eq!(s.fallbacks_taken(), 2);
     }
 

@@ -43,25 +43,17 @@ impl From<std::io::Error> for KvError {
     }
 }
 
+/// Memtable size (approximate bytes) that triggers a flush to a
+/// segment.
+const MEMTABLE_FLUSH_BYTES: usize = 4 << 20;
+
 /// Store tuning options.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Options {
     /// Whether every WAL append is fsynced. The paper runs LevelDB
     /// **with fsync off** "to speed up file creation and deletion";
     /// that is the default here too.
     pub fsync: bool,
-    /// Memtable size (approximate bytes) that triggers a flush to a
-    /// segment.
-    pub memtable_flush_bytes: usize,
-}
-
-impl Default for Options {
-    fn default() -> Options {
-        Options {
-            fsync: false,
-            memtable_flush_bytes: 4 << 20,
-        }
-    }
 }
 
 /// A persistent key-value store with an in-memory read path — the
@@ -70,7 +62,6 @@ impl Default for Options {
 #[derive(Debug)]
 pub struct KvStore {
     dir: PathBuf,
-    options: Options,
     wal: Wal,
     memtable: Memtable,
     /// Older segments first; newer entries shadow older ones.
@@ -115,7 +106,6 @@ impl KvStore {
         }
         Ok(KvStore {
             dir: dir.to_path_buf(),
-            options,
             wal,
             memtable,
             segments,
@@ -259,7 +249,7 @@ impl KvStore {
     }
 
     fn maybe_flush(&mut self) -> Result<(), KvError> {
-        if self.memtable.approx_bytes() >= self.options.memtable_flush_bytes {
+        if self.memtable.approx_bytes() >= MEMTABLE_FLUSH_BYTES {
             self.flush()?;
         }
         Ok(())
@@ -388,20 +378,16 @@ mod tests {
     #[test]
     fn automatic_flush_on_threshold() {
         let dir = TempDir::new("autoflush");
-        let mut db = KvStore::open(
-            dir.path(),
-            Options {
-                memtable_flush_bytes: 64,
-                ..Options::default()
-            },
-        )
-        .unwrap();
-        for i in 0..20u8 {
-            db.put(&[b'k', i], &[0u8; 32]).unwrap();
+        let mut db = KvStore::open(dir.path(), Options::default()).unwrap();
+        // Five values of half the threshold: the second and the fourth
+        // put each fill the memtable and flush it.
+        let value = vec![0u8; MEMTABLE_FLUSH_BYTES / 2];
+        for i in 0..5u8 {
+            db.put(&[b'k', i], &value).unwrap();
         }
-        assert!(db.segment_count() > 1, "threshold should force flushes");
-        for i in 0..20u8 {
-            assert!(db.get(&[b'k', i]).is_some());
+        assert_eq!(db.segment_count(), 2, "threshold should force flushes");
+        for i in 0..5u8 {
+            assert_eq!(db.get(&[b'k', i]).unwrap().len(), value.len());
         }
     }
 

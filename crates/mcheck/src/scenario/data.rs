@@ -39,12 +39,12 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use mayflower_fs::{Dataserver, FileMeta, FsError, Nameserver, NameserverConfig};
-use mayflower_net::{HostId, Topology, TreeParams};
+use mayflower_net::HostId;
 use mayflower_simcore::{EventQueue, SimTime};
 
 use crate::history::{CallId, History};
 use crate::oracle::{check_append_read, DataOp, DataRet};
-use crate::scenario::{Mutant, RunDir, Scenario, ScheduleOutcome};
+use crate::scenario::{small_topology, Mutant, RunDir, Scenario, ScheduleOutcome};
 use crate::strategy::Chooser;
 
 const FILE: &str = "f";
@@ -424,19 +424,6 @@ fn short_err(e: &FsError) -> String {
         FsError::NotFound(_) => "not-found".to_string(),
         other => format!("{other}"),
     }
-}
-
-fn small_topology() -> Arc<Topology> {
-    Arc::new(Topology::three_tier(&TreeParams {
-        pods: 2,
-        racks_per_pod: 2,
-        hosts_per_rack: 2,
-        aggs_per_pod: 1,
-        cores: 1,
-        edge_capacity: 1e9,
-        oversubscription: 1.0,
-        edge_tier_oversub: 1.0,
-    }))
 }
 
 impl Scenario for DataScenario {

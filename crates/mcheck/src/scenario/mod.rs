@@ -30,6 +30,12 @@ pub use freeze::FreezeScenario;
 pub use ns::NsMetaScenario;
 pub use shard::ShardHandoffScenario;
 
+use std::sync::Arc;
+
+use mayflower_fs::{FsError, MetadataService, Redundancy};
+use mayflower_net::{Topology, TreeParams};
+
+use crate::lin::{MetaOp, MetaRet};
 use crate::strategy::Chooser;
 
 /// A deliberately broken protocol variant for checker validation.
@@ -129,5 +135,54 @@ impl RunDir {
 impl Drop for RunDir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.path);
+    }
+}
+
+/// The fabric every scenario runs on: two pods of two racks of two
+/// hosts, one aggregation switch per pod and one core.
+fn small_topology() -> Arc<Topology> {
+    Arc::new(Topology::three_tier(&TreeParams {
+        pods: 2,
+        racks_per_pod: 2,
+        hosts_per_rack: 2,
+        aggs_per_pod: 1,
+        cores: 1,
+        edge_capacity: 1e9,
+        oversubscription: 1.0,
+        edge_tier_oversub: 1.0,
+    }))
+}
+
+/// Performs one metadata op on `plane` — a nameserver or a shard
+/// router — and maps the refusals the scripts expect to their
+/// returns; any other error is a harness bug.
+fn exec(plane: &dyn MetadataService, op: &MetaOp) -> MetaRet {
+    let map_err = |e: FsError| match e {
+        FsError::NotFound(_) => MetaRet::ErrNotFound,
+        FsError::AlreadyExists(_) => MetaRet::ErrAlreadyExists,
+        other => panic!("unexpected metadata error in scenario: {other}"),
+    };
+    match op {
+        MetaOp::Create(n) => plane
+            .create_with(n, Redundancy::default())
+            .map(|_| MetaRet::Created)
+            .unwrap_or_else(map_err),
+        MetaOp::Delete(n) => plane
+            .delete(n)
+            .map(|_| MetaRet::Deleted)
+            .unwrap_or_else(map_err),
+        MetaOp::Rename { from, to } => plane
+            .rename(from, to, true)
+            .map(|_| MetaRet::Renamed)
+            .unwrap_or_else(map_err),
+        MetaOp::RecordSize { name, size } => plane
+            .record_size(name, *size)
+            .map(|()| MetaRet::Recorded)
+            .unwrap_or_else(map_err),
+        MetaOp::Lookup(n) => plane
+            .lookup(n)
+            .map(|m| MetaRet::Found(m.size))
+            .unwrap_or_else(map_err),
+        MetaOp::Crash => unreachable!("a crash is the run loop's, not the plane's"),
     }
 }

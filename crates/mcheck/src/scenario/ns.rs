@@ -19,15 +19,12 @@
 //! a committed update silently vanishes and some later observation
 //! has no linearization point.
 
-use std::sync::Arc;
-
-use mayflower_fs::{FsError, Nameserver, NameserverConfig};
-use mayflower_net::{Topology, TreeParams};
+use mayflower_fs::{Nameserver, NameserverConfig};
 use mayflower_simcore::{EventQueue, SimTime};
 
 use crate::history::{CallId, History};
 use crate::lin::{check_linearizable, MetaOp, MetaRet};
-use crate::scenario::{Mutant, RunDir, Scenario, ScheduleOutcome};
+use crate::scenario::{exec, small_topology, Mutant, RunDir, Scenario, ScheduleOutcome};
 use crate::strategy::Chooser;
 
 /// The nameserver metadata scenario.
@@ -92,19 +89,6 @@ impl NsMetaScenario {
     }
 }
 
-fn small_topology() -> Arc<Topology> {
-    Arc::new(Topology::three_tier(&TreeParams {
-        pods: 2,
-        racks_per_pod: 2,
-        hosts_per_rack: 2,
-        aggs_per_pod: 1,
-        cores: 1,
-        edge_capacity: 1e9,
-        oversubscription: 1.0,
-        edge_tier_oversub: 1.0,
-    }))
-}
-
 /// Truncates the last **valid** record of the KV store's WAL — the
 /// over-truncation torn-tail mutant. (The real replay truncates only
 /// *invalid* tails; dropping a valid record loses a committed update.)
@@ -135,37 +119,6 @@ fn drop_last_wal_record(db_dir: &std::path::Path) {
             .open(&wal)
             .expect("reopen wal for truncation");
         f.set_len(start as u64).expect("truncate wal");
-    }
-}
-
-fn exec(ns: &Nameserver, op: &MetaOp) -> MetaRet {
-    let map_err = |e: FsError| match e {
-        FsError::NotFound(_) => MetaRet::ErrNotFound,
-        FsError::AlreadyExists(_) => MetaRet::ErrAlreadyExists,
-        other => panic!("unexpected nameserver error in scenario: {other}"),
-    };
-    match op {
-        MetaOp::Create(n) => ns
-            .create(n)
-            .map(|_| MetaRet::Created)
-            .unwrap_or_else(map_err),
-        MetaOp::Delete(n) => ns
-            .delete(n)
-            .map(|_| MetaRet::Deleted)
-            .unwrap_or_else(map_err),
-        MetaOp::Rename { from, to } => ns
-            .rename(from, to, true)
-            .map(|_| MetaRet::Renamed)
-            .unwrap_or_else(map_err),
-        MetaOp::RecordSize { name, size } => ns
-            .record_size(name, *size)
-            .map(|()| MetaRet::Recorded)
-            .unwrap_or_else(map_err),
-        MetaOp::Lookup(n) => ns
-            .lookup(n)
-            .map(|m| MetaRet::Found(m.size))
-            .unwrap_or_else(map_err),
-        MetaOp::Crash => unreachable!("crash handled by the run loop"),
     }
 }
 

@@ -26,15 +26,13 @@
 
 use std::sync::Arc;
 
-use mayflower_fs::{FsError, MetadataService, Redundancy};
-use mayflower_net::{Topology, TreeParams};
 use mayflower_shard::{Handoff, ShardMap, ShardPlaneConfig, ShardRouter, ShardedNameserver};
 use mayflower_simcore::{EventQueue, SimTime};
 use mayflower_telemetry::Registry;
 
 use crate::history::{CallId, History};
 use crate::lin::{check_linearizable, MetaOp, MetaRet};
-use crate::scenario::{Mutant, RunDir, Scenario, ScheduleOutcome};
+use crate::scenario::{exec, small_topology, Mutant, RunDir, Scenario, ScheduleOutcome};
 use crate::strategy::Chooser;
 
 /// The shard-handoff scenario.
@@ -114,50 +112,6 @@ fn scripts() -> Vec<Vec<MetaOp>> {
             MetaOp::Lookup(m0),
         ],
     ]
-}
-
-fn small_topology() -> Arc<Topology> {
-    Arc::new(Topology::three_tier(&TreeParams {
-        pods: 2,
-        racks_per_pod: 2,
-        hosts_per_rack: 2,
-        aggs_per_pod: 1,
-        cores: 1,
-        edge_capacity: 1e9,
-        oversubscription: 1.0,
-        edge_tier_oversub: 1.0,
-    }))
-}
-
-fn exec(router: &ShardRouter, op: &MetaOp) -> MetaRet {
-    let map_err = |e: FsError| match e {
-        FsError::NotFound(_) => MetaRet::ErrNotFound,
-        FsError::AlreadyExists(_) => MetaRet::ErrAlreadyExists,
-        other => panic!("unexpected shard-router error in scenario: {other}"),
-    };
-    match op {
-        MetaOp::Create(n) => router
-            .create_with(n, Redundancy::default())
-            .map(|_| MetaRet::Created)
-            .unwrap_or_else(map_err),
-        MetaOp::Delete(n) => router
-            .delete(n)
-            .map(|_| MetaRet::Deleted)
-            .unwrap_or_else(map_err),
-        MetaOp::Rename { from, to } => router
-            .rename(from, to, true)
-            .map(|_| MetaRet::Renamed)
-            .unwrap_or_else(map_err),
-        MetaOp::RecordSize { name, size } => router
-            .record_size(name, *size)
-            .map(|()| MetaRet::Recorded)
-            .unwrap_or_else(map_err),
-        MetaOp::Lookup(n) => router
-            .lookup(n)
-            .map(|m| MetaRet::Found(m.size))
-            .unwrap_or_else(map_err),
-        MetaOp::Crash => unreachable!("this scenario injects no crashes"),
-    }
 }
 
 /// One event: advance client `usize` by one phase. The last index is

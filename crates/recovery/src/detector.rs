@@ -42,26 +42,13 @@ impl HealthState {
     }
 }
 
-/// Detector timing knobs, all in simulated seconds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DetectorConfig {
-    /// How often hosts are expected to heartbeat.
-    pub heartbeat_interval_secs: f64,
-    /// Silence after which a host becomes [`HealthState::Suspect`].
-    pub suspect_after_secs: f64,
-    /// Silence after which a host is confirmed [`HealthState::Dead`].
-    pub dead_after_secs: f64,
-}
+/// Silence, in simulated seconds, after which a host becomes
+/// [`HealthState::Suspect`].
+pub const SUSPECT_AFTER_SECS: f64 = 2.5;
 
-impl Default for DetectorConfig {
-    fn default() -> DetectorConfig {
-        DetectorConfig {
-            heartbeat_interval_secs: 1.0,
-            suspect_after_secs: 2.5,
-            dead_after_secs: 5.0,
-        }
-    }
-}
+/// Silence, in simulated seconds, after which a host is confirmed
+/// [`HealthState::Dead`].
+pub const DEAD_AFTER_SECS: f64 = 5.0;
 
 /// One observed state change, recorded in the recovery report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -106,15 +93,16 @@ impl DetectorMetrics {
 #[derive(Debug)]
 pub struct FailureDetector {
     records: BTreeMap<HostId, HostRecord>,
-    config: DetectorConfig,
-    metrics: Option<DetectorMetrics>,
+    metrics: DetectorMetrics,
 }
 
 impl FailureDetector {
     /// Creates a detector tracking `hosts`, all initially live with a
-    /// heartbeat at time zero.
+    /// heartbeat at time zero, counting its transitions in `scope`'s
+    /// `transitions_total{to=…}`. All recorded values derive from sim
+    /// time, keeping snapshots deterministic.
     #[must_use]
-    pub fn new(hosts: impl IntoIterator<Item = HostId>, config: DetectorConfig) -> FailureDetector {
+    pub fn new(hosts: impl IntoIterator<Item = HostId>, scope: &Scope) -> FailureDetector {
         let records = hosts
             .into_iter()
             .map(|h| {
@@ -129,22 +117,8 @@ impl FailureDetector {
             .collect();
         FailureDetector {
             records,
-            config,
-            metrics: None,
+            metrics: DetectorMetrics::new(scope),
         }
-    }
-
-    /// Attaches telemetry: `transitions_total{to=…}` counters. All
-    /// recorded values derive from sim time, keeping snapshots
-    /// deterministic.
-    pub fn attach_metrics(&mut self, scope: &Scope) {
-        self.metrics = Some(DetectorMetrics::new(scope));
-    }
-
-    /// The timing configuration in effect.
-    #[must_use]
-    pub fn config(&self) -> &DetectorConfig {
-        &self.config
     }
 
     /// Records a heartbeat from `host`. Returns the transition if the
@@ -167,18 +141,16 @@ impl FailureDetector {
     }
 
     /// Advances the deadlines: every host silent past
-    /// `suspect_after_secs` becomes suspect, past `dead_after_secs`
+    /// [`SUSPECT_AFTER_SECS`] becomes suspect, past [`DEAD_AFTER_SECS`]
     /// dead. Returns the transitions observed this tick, in host
     /// order (deterministic).
     pub fn tick(&mut self, now: SimTime) -> Vec<StateTransition> {
         let mut out = Vec::new();
-        let suspect_after = self.config.suspect_after_secs;
-        let dead_after = self.config.dead_after_secs;
         for (host, rec) in &mut self.records {
             let silence = now.secs_since(rec.last_heartbeat);
-            let target = if silence >= dead_after {
+            let target = if silence >= DEAD_AFTER_SECS {
                 HealthState::Dead
-            } else if silence >= suspect_after {
+            } else if silence >= SUSPECT_AFTER_SECS {
                 HealthState::Suspect
             } else {
                 HealthState::Live
@@ -249,11 +221,10 @@ impl FailureDetector {
     }
 
     fn note_transition(&self, t: &StateTransition) {
-        let Some(m) = &self.metrics else { return };
         match t.to {
-            HealthState::Live => m.to_live.inc(),
-            HealthState::Suspect => m.to_suspect.inc(),
-            HealthState::Dead => m.to_dead.inc(),
+            HealthState::Live => self.metrics.to_live.inc(),
+            HealthState::Suspect => self.metrics.to_suspect.inc(),
+            HealthState::Dead => self.metrics.to_dead.inc(),
         }
     }
 }
@@ -263,7 +234,8 @@ mod tests {
     use super::*;
 
     fn detector(n: u32) -> FailureDetector {
-        FailureDetector::new((0..n).map(HostId), DetectorConfig::default())
+        let reg = mayflower_telemetry::Registry::new();
+        FailureDetector::new((0..n).map(HostId), &reg.scope("detector"))
     }
 
     fn t(secs: f64) -> SimTime {
@@ -329,8 +301,8 @@ mod tests {
     #[test]
     fn metrics_track_transitions() {
         let reg = mayflower_telemetry::Registry::new();
-        let mut d = detector(2);
-        d.attach_metrics(&reg.scope("recovery").scope("detector"));
+        let mut d =
+            FailureDetector::new((0..2).map(HostId), &reg.scope("recovery").scope("detector"));
         d.heartbeat(HostId(0), t(4.0));
         d.tick(t(6.0)); // host 1 silent for 6s -> dead
         d.heartbeat(HostId(1), t(7.0));

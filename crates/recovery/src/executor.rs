@@ -115,27 +115,22 @@ pub struct RepairExecutor {
     config: ExecutorConfig,
     queue: VecDeque<RepairTask>,
     queued_keys: BTreeSet<(String, HostId, Option<usize>)>,
-    metrics: Option<ExecutorMetrics>,
+    metrics: ExecutorMetrics,
 }
 
 impl RepairExecutor {
-    /// Creates an empty executor.
+    /// Creates an empty executor whose `repair_queue_depth` gauge and
+    /// per-outcome `repairs_total` counters live in `scope`.
     #[must_use]
-    pub fn new(config: ExecutorConfig) -> RepairExecutor {
+    pub fn new(config: ExecutorConfig, scope: &Scope) -> RepairExecutor {
+        let metrics = ExecutorMetrics::new(scope);
+        metrics.queue_depth.set(0);
         RepairExecutor {
             config,
             queue: VecDeque::new(),
             queued_keys: BTreeSet::new(),
-            metrics: None,
+            metrics,
         }
-    }
-
-    /// Attaches telemetry: the `repair_queue_depth` gauge and
-    /// per-outcome `repairs_total` counters.
-    pub fn attach_metrics(&mut self, scope: &Scope) {
-        let m = ExecutorMetrics::new(scope);
-        m.queue_depth.set(self.queue.len() as i64);
-        self.metrics = Some(m);
     }
 
     /// Appends tasks to the queue, skipping any `(file, dest,
@@ -150,9 +145,7 @@ impl RepairExecutor {
                 accepted += 1;
             }
         }
-        if let Some(m) = &self.metrics {
-            m.queue_depth.set(self.queue.len() as i64);
-        }
+        self.metrics.queue_depth.set(self.queue.len() as i64);
         accepted
     }
 
@@ -218,12 +211,10 @@ impl RepairExecutor {
                 Err(_) => (0, RepairOutcome::Failed),
             };
             bytes_moved += bytes;
-            if let Some(m) = &self.metrics {
-                match outcome {
-                    RepairOutcome::Repaired => m.repaired.inc(),
-                    RepairOutcome::AlreadyHealthy => m.noop.inc(),
-                    RepairOutcome::Failed => m.failed.inc(),
-                }
+            match outcome {
+                RepairOutcome::Repaired => self.metrics.repaired.inc(),
+                RepairOutcome::AlreadyHealthy => self.metrics.noop.inc(),
+                RepairOutcome::Failed => self.metrics.failed.inc(),
             }
             done.push(CompletedRepair {
                 at: now,
@@ -235,9 +226,7 @@ impl RepairExecutor {
                 fragment: task.fragment,
             });
         }
-        if let Some(m) = &self.metrics {
-            m.queue_depth.set(self.queue.len() as i64);
-        }
+        self.metrics.queue_depth.set(self.queue.len() as i64);
         done
     }
 }
@@ -257,6 +246,11 @@ mod tests {
         let topo = Arc::new(Topology::three_tier(&TreeParams::paper_testbed()));
         let c = Cluster::create(dir.path(), Arc::clone(&topo), ClusterConfig::default()).unwrap();
         (c, topo)
+    }
+
+    /// A scope in a registry no test reads.
+    fn scope() -> Scope {
+        mayflower_telemetry::Registry::new().scope("recovery")
     }
 
     /// Writes a file through the primary and returns its metadata.
@@ -316,9 +310,8 @@ mod tests {
         c.dataserver(dead).crash();
         let dest = fresh_dest(&c, &meta);
 
-        let mut ex = RepairExecutor::new(ExecutorConfig::default());
         let reg = mayflower_telemetry::Registry::new();
-        ex.attach_metrics(&reg.scope("recovery"));
+        let mut ex = RepairExecutor::new(ExecutorConfig::default(), &reg.scope("recovery"));
         let accepted = ex.enqueue(vec![task_for(
             &c,
             &mut fsrv,
@@ -360,7 +353,7 @@ mod tests {
         c.dataserver(meta.replicas[1]).crash();
         let dest = fresh_dest(&c, &meta);
 
-        let mut ex = RepairExecutor::new(ExecutorConfig::default());
+        let mut ex = RepairExecutor::new(ExecutorConfig::default(), &scope());
         let t = task_for(&c, &mut fsrv, "files/a", meta.replicas[0], dest);
         let mut dup = t.clone();
         dup.cookie = None;
@@ -395,10 +388,13 @@ mod tests {
             let dest = fresh_dest(&c, &meta);
             tasks.push(task_for(&c, &mut fsrv, &name, meta.replicas[0], dest));
         }
-        let mut ex = RepairExecutor::new(ExecutorConfig {
-            max_repairs_per_tick: 1,
-            max_bytes_per_tick: u64::MAX,
-        });
+        let mut ex = RepairExecutor::new(
+            ExecutorConfig {
+                max_repairs_per_tick: 1,
+                max_bytes_per_tick: u64::MAX,
+            },
+            &scope(),
+        );
         ex.enqueue(tasks);
         assert_eq!(ex.queue_len(), 3);
         assert_eq!(ex.step(&c, &mut fsrv, SimTime::ZERO).len(), 1);
@@ -423,10 +419,13 @@ mod tests {
         }
         // Budget far below one file: each tick still repairs exactly
         // one file (the no-starvation rule), then stops.
-        let mut ex = RepairExecutor::new(ExecutorConfig {
-            max_repairs_per_tick: 10,
-            max_bytes_per_tick: 10,
-        });
+        let mut ex = RepairExecutor::new(
+            ExecutorConfig {
+                max_repairs_per_tick: 10,
+                max_bytes_per_tick: 10,
+            },
+            &scope(),
+        );
         ex.enqueue(tasks);
         assert_eq!(ex.step(&c, &mut fsrv, SimTime::ZERO).len(), 1);
         assert_eq!(ex.step(&c, &mut fsrv, SimTime::ZERO).len(), 1);
@@ -443,7 +442,7 @@ mod tests {
         let dest = fresh_dest(&c, &meta);
         // Choose the *crashed* replica as source: the pull must fail.
         let t = task_for(&c, &mut fsrv, "files/a", meta.replicas[1], dest);
-        let mut ex = RepairExecutor::new(ExecutorConfig::default());
+        let mut ex = RepairExecutor::new(ExecutorConfig::default(), &scope());
         ex.enqueue(vec![t]);
         let done = ex.step(&c, &mut fsrv, SimTime::ZERO);
         assert_eq!(done[0].outcome, RepairOutcome::Failed);

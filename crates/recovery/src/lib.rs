@@ -18,7 +18,7 @@
 //!    deadlines. A silent dataserver becomes *suspect*, then
 //!    confirmed *dead*. It is the system's only record of liveness;
 //!    every later stage reads it directly.
-//! 2. [`ReplicationTracker`] — derives the under-replicated set from
+//! 2. [`tracker::scan`] — derives the under-replicated set from
 //!    nameserver metadata plus detector state, ordered most urgent
 //!    first (fewest live replicas, then name). Coded files surface
 //!    fragments stranded on dead hosts as a [`CodedLoss`].
@@ -42,10 +42,10 @@ pub mod planner;
 pub mod report;
 pub mod tracker;
 
-pub use detector::{DetectorConfig, FailureDetector, HealthState, StateTransition};
+pub use detector::{FailureDetector, HealthState, StateTransition};
 pub use executor::{CompletedRepair, ExecutorConfig, RepairExecutor, RepairOutcome};
 pub use manager::{RecoveryConfig, RecoveryManager};
 pub use mayflower_workload::PlacementPolicy;
 pub use planner::{PlannedRepair, RepairPlanner, RepairTask};
 pub use report::RecoveryReport;
-pub use tracker::{CodedLoss, ReplicationTracker, UnderReplicated};
+pub use tracker::{CodedLoss, UnderReplicated};

@@ -11,22 +11,17 @@ use mayflower_flowserver::Flowserver;
 use mayflower_fs::Cluster;
 use mayflower_net::Topology;
 use mayflower_simcore::{SimRng, SimTime};
-use mayflower_telemetry::Registry;
 use serde::{Deserialize, Serialize};
 
-use crate::detector::{DetectorConfig, FailureDetector, HealthState};
+use crate::detector::{FailureDetector, HealthState};
 use crate::executor::{ExecutorConfig, RepairExecutor};
 use crate::planner::RepairPlanner;
 use crate::report::RecoveryReport;
-use crate::tracker::{ReplicationTracker, UnderReplicated};
+use crate::tracker::{self, UnderReplicated};
 
 /// Configuration for the whole subsystem.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RecoveryConfig {
-    /// Failure-detector deadlines.
-    pub detector: DetectorConfig,
-    /// Executor throttles.
-    pub executor: ExecutorConfig,
     /// When false, the manager detects and tracks but never repairs —
     /// the control arm of the chaos experiment.
     pub repair_enabled: bool,
@@ -37,8 +32,6 @@ pub struct RecoveryConfig {
 impl Default for RecoveryConfig {
     fn default() -> RecoveryConfig {
         RecoveryConfig {
-            detector: DetectorConfig::default(),
-            executor: ExecutorConfig::default(),
             repair_enabled: true,
             seed: 7,
         }
@@ -54,7 +47,6 @@ impl Default for RecoveryConfig {
 pub struct RecoveryManager {
     topo: Arc<Topology>,
     detector: FailureDetector,
-    tracker: ReplicationTracker,
     planner: RepairPlanner,
     executor: RepairExecutor,
     rng: SimRng,
@@ -64,34 +56,27 @@ pub struct RecoveryManager {
 }
 
 impl RecoveryManager {
-    /// Creates a manager for `cluster`. The planner reuses the
-    /// cluster's own placement policy so repaired files satisfy the
-    /// same fault-domain invariants as freshly written ones.
+    /// Creates a manager for `cluster`. The planner places repairs by
+    /// the cluster's own [`PLACEMENT`](mayflower_fs::PLACEMENT) policy,
+    /// so repaired files satisfy the same fault-domain invariants as
+    /// freshly written ones. All recovery telemetry lives in the
+    /// cluster registry's `recovery` scope: detector transition
+    /// counters (`recovery_detector_*`), the repair queue depth gauge
+    /// and per-outcome repair counters.
     #[must_use]
     pub fn new(cluster: &Cluster, config: RecoveryConfig) -> RecoveryManager {
         let topo = Arc::clone(cluster.topology());
-        let detector = FailureDetector::new(topo.hosts(), config.detector);
-        let policy = cluster.nameserver().config().placement;
+        let scope = cluster.registry().scope("recovery");
         RecoveryManager {
-            detector,
-            tracker: ReplicationTracker::new(),
-            planner: RepairPlanner::new(policy),
-            executor: RepairExecutor::new(config.executor),
+            detector: FailureDetector::new(topo.hosts(), &scope.scope("detector")),
+            planner: RepairPlanner::new(mayflower_fs::PLACEMENT),
+            executor: RepairExecutor::new(ExecutorConfig::default(), &scope),
             rng: SimRng::seed_from(config.seed),
             repair_enabled: config.repair_enabled,
             saw_death: false,
             report: RecoveryReport::default(),
             topo,
         }
-    }
-
-    /// Attaches all recovery telemetry under `registry`'s `recovery`
-    /// scope: detector transition counters (`recovery_detector_*`),
-    /// the repair queue depth gauge and per-outcome repair counters.
-    pub fn attach_metrics(&mut self, registry: &Registry) {
-        let scope = registry.scope("recovery");
-        self.detector.attach_metrics(&scope.scope("detector"));
-        self.executor.attach_metrics(&scope);
     }
 
     /// One heartbeat interval of work. Returns the number of files
@@ -126,7 +111,7 @@ impl RecoveryManager {
             self.report.transitions.push(t);
         }
 
-        let under = self.tracker.scan(cluster.nameserver(), &self.detector);
+        let under = tracker::scan(cluster.nameserver(), &self.detector);
         if self.repair_enabled {
             let to_plan: Vec<UnderReplicated> = under
                 .into_iter()
@@ -149,7 +134,7 @@ impl RecoveryManager {
             self.report.completed.extend(completed);
         }
 
-        let remaining = self.tracker.scan(cluster.nameserver(), &self.detector);
+        let remaining = tracker::scan(cluster.nameserver(), &self.detector);
         if self.saw_death
             && self.report.full_replication_at.is_none()
             && remaining.is_empty()
@@ -235,7 +220,6 @@ mod tests {
         let victim = a.replicas[0];
 
         let mut mgr = RecoveryManager::new(&c, RecoveryConfig::default());
-        mgr.attach_metrics(c.registry());
         let remaining = run(&mut mgr, &c, &mut fsrv, &[victim], 20);
         assert_eq!(remaining, 0);
 
@@ -368,7 +352,6 @@ mod tests {
         let index = meta.fragments.iter().position(|h| *h == victim).unwrap();
 
         let mut mgr = RecoveryManager::new(&c, RecoveryConfig::default());
-        mgr.attach_metrics(c.registry());
         let remaining = run(&mut mgr, &c, &mut fsrv, &[victim], 20);
         assert_eq!(remaining, 0);
 

@@ -62,77 +62,61 @@ impl UnderReplicated {
     }
 }
 
-/// Scans nameserver metadata against detector verdicts.
-#[derive(Debug, Default)]
-pub struct ReplicationTracker;
-
-impl ReplicationTracker {
-    /// Creates a tracker.
-    #[must_use]
-    pub fn new() -> ReplicationTracker {
-        ReplicationTracker
-    }
-
-    /// Computes the under-replicated set: every file whose live
-    /// replica count (per `detector`) is below its metadata target or
-    /// whose sealed fragments sit on confirmed-dead hosts, ordered by
-    /// `(live replica count, name)` — files losing tail durability
-    /// sort ahead of coded files that merely lost parity margin.
-    pub fn scan(
-        &self,
-        nameserver: &Nameserver,
-        detector: &FailureDetector,
-    ) -> Vec<UnderReplicated> {
-        let mut out: Vec<UnderReplicated> = nameserver
-            .list()
-            .into_iter()
-            .filter_map(|meta| {
-                let live: Vec<HostId> = meta
-                    .replicas
-                    .iter()
-                    .copied()
-                    .filter(|h| detector.is_live(*h))
-                    .collect();
-                // Fragments only exist below the seal watermark, so an
-                // unsealed coded file has nothing to rebuild yet.
-                let coded = meta.redundancy.coded_params().and_then(|(k, _)| {
-                    if meta.sealed_chunks == 0 {
-                        return None;
-                    }
-                    let lost: Vec<usize> = meta
-                        .fragments
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, h)| !detector.is_live(**h))
-                        .map(|(i, _)| i)
-                        .collect();
-                    if lost.is_empty() {
-                        return None;
-                    }
-                    Some(CodedLoss {
-                        fragments: meta.fragments.clone(),
-                        lost,
-                        k,
-                        sealed_bytes: meta.sealed_bytes().min(meta.size),
-                    })
-                });
-                if live.len() >= meta.replicas.len() && coded.is_none() {
+/// Computes the under-replicated set: every file whose live
+/// replica count (per `detector`) is below its metadata target or
+/// whose sealed fragments sit on confirmed-dead hosts, ordered by
+/// `(live replica count, name)` — files losing tail durability
+/// sort ahead of coded files that merely lost parity margin.
+pub fn scan(nameserver: &Nameserver, detector: &FailureDetector) -> Vec<UnderReplicated> {
+    let mut out: Vec<UnderReplicated> = nameserver
+        .list()
+        .into_iter()
+        .filter_map(|meta| {
+            let live: Vec<HostId> = meta
+                .replicas
+                .iter()
+                .copied()
+                .filter(|h| detector.is_live(*h))
+                .collect();
+            // Fragments only exist below the seal watermark, so an
+            // unsealed coded file has nothing to rebuild yet.
+            let coded = meta.redundancy.coded_params().and_then(|(k, _)| {
+                if meta.sealed_chunks == 0 {
                     return None;
                 }
-                Some(UnderReplicated {
-                    name: meta.name.clone(),
-                    id: meta.id,
-                    size: meta.size,
-                    target: meta.replicas.len(),
-                    live,
-                    replicas: meta.replicas,
-                    coded,
+                let lost: Vec<usize> = meta
+                    .fragments
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, h)| !detector.is_live(**h))
+                    .map(|(i, _)| i)
+                    .collect();
+                if lost.is_empty() {
+                    return None;
+                }
+                Some(CodedLoss {
+                    fragments: meta.fragments.clone(),
+                    lost,
+                    k,
+                    sealed_bytes: meta.sealed_bytes().min(meta.size),
                 })
+            });
+            if live.len() >= meta.replicas.len() && coded.is_none() {
+                return None;
+            }
+            Some(UnderReplicated {
+                name: meta.name.clone(),
+                id: meta.id,
+                size: meta.size,
+                target: meta.replicas.len(),
+                live,
+                replicas: meta.replicas,
+                coded,
             })
-            .collect();
-        out.sort_by(|a, b| (a.live.len(), &a.name).cmp(&(b.live.len(), &b.name)));
-        out
-    }
+        })
+        .collect();
+    out.sort_by(|a, b| (a.live.len(), &a.name).cmp(&(b.live.len(), &b.name)));
+    out
 }
 
 #[cfg(test)]
@@ -141,9 +125,9 @@ mod tests {
 
     use mayflower_net::{Topology, TreeParams};
     use mayflower_simcore::SimTime;
+    use mayflower_telemetry::Registry;
 
     use super::*;
-    use crate::detector::DetectorConfig;
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -165,10 +149,9 @@ mod tests {
         let b = ns.create("files/b").unwrap();
         ns.record_size("files/a", 64).unwrap();
 
-        let mut det = FailureDetector::new(topo.hosts(), DetectorConfig::default());
+        let mut det = FailureDetector::new(topo.hosts(), &Registry::new().scope("detector"));
         // Everything live: nothing under-replicated.
-        let tracker = ReplicationTracker::new();
-        assert!(tracker.scan(&ns, &det).is_empty());
+        assert!(scan(&ns, &det).is_empty());
 
         // Kill two of b's replicas and one of a's by silencing them.
         let now = SimTime::from_secs(10.0);
@@ -180,7 +163,7 @@ mod tests {
         }
         det.tick(now);
 
-        let under = tracker.scan(&ns, &det);
+        let under = scan(&ns, &det);
         assert_eq!(under.len(), 2);
         // Most urgent (fewest live replicas) first; ties by name.
         assert!(under
@@ -202,7 +185,7 @@ mod tests {
         let ns = Nameserver::open(Arc::clone(&topo), &dir, Default::default()).unwrap();
         let a = ns.create("files/a").unwrap();
 
-        let mut det = FailureDetector::new(topo.hosts(), DetectorConfig::default());
+        let mut det = FailureDetector::new(topo.hosts(), &Registry::new().scope("detector"));
         // Silence one replica just long enough to be suspect, not dead.
         let now = SimTime::from_secs(3.0);
         for h in topo.hosts() {
@@ -215,7 +198,7 @@ mod tests {
             det.state(a.replicas[0]),
             crate::detector::HealthState::Suspect
         );
-        assert!(ReplicationTracker::new().scan(&ns, &det).is_empty());
+        assert!(scan(&ns, &det).is_empty());
 
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -245,16 +228,15 @@ mod tests {
             }
             det.tick(now);
         };
-        let tracker = ReplicationTracker::new();
 
         // Unsealed: the dead fragment host strands nothing yet.
-        let mut det = FailureDetector::new(topo.hosts(), DetectorConfig::default());
+        let mut det = FailureDetector::new(topo.hosts(), &Registry::new().scope("detector"));
         silence(&mut det);
-        assert!(tracker.scan(&ns, &det).is_empty());
+        assert!(scan(&ns, &det).is_empty());
 
         // Sealed: the loss surfaces with the rebuild parameters.
         ns.record_seal("files/c", 2).unwrap();
-        let under = tracker.scan(&ns, &det);
+        let under = scan(&ns, &det);
         assert_eq!(under.len(), 1);
         let u = &under[0];
         assert_eq!(u.missing(), 0, "tail replicas are all live");

@@ -37,9 +37,9 @@ pub struct ShardPlaneConfig {
     /// Virtual nodes per shard (64+ for the balance bound the ring
     /// proptests pin).
     pub vnodes: u32,
-    /// Per-shard nameserver settings (replication, chunk size,
-    /// placement, and the seed each shard's own is derived from) —
-    /// every shard places replicas over the same topology.
+    /// Per-shard nameserver settings (replication, chunk size, and the
+    /// seed each shard's own is derived from) — every shard places
+    /// replicas over the same topology.
     pub nameserver: NameserverConfig,
 }
 

@@ -82,6 +82,10 @@ pub struct NoHooks;
 
 impl JobHooks for NoHooks {}
 
+/// Base client retry backoff after an aborted transfer or a failed
+/// selection, seconds; grows linearly with the attempt count.
+const RETRY_BACKOFF_SECS: f64 = 0.25;
+
 /// Engine options beyond the strategy itself.
 #[derive(Debug, Clone)]
 pub struct ReplayOptions {
@@ -95,9 +99,6 @@ pub struct ReplayOptions {
     /// Fault schedule to inject (empty = fault-free run; the engine
     /// then behaves bit-for-bit like the pre-fault code path).
     pub faults: FaultSchedule,
-    /// Base client retry backoff after an aborted transfer or a failed
-    /// selection, seconds; grows linearly with the attempt count.
-    pub retry_backoff_secs: f64,
 }
 
 impl Default for ReplayOptions {
@@ -106,7 +107,6 @@ impl Default for ReplayOptions {
             poll_interval_secs: 1.0,
             flowserver: FlowserverConfig::default(),
             faults: FaultSchedule::default(),
-            retry_backoff_secs: 0.25,
         }
     }
 }
@@ -281,8 +281,7 @@ impl<'a> Run<'a> {
             fs.attach_metrics(&registry);
             fs
         });
-        let mut monitor = LinkLoadMonitor::new(topo);
-        monitor.attach_metrics(&registry.scope("sim").scope("monitor"));
+        let monitor = LinkLoadMonitor::new(topo, &registry.scope("sim").scope("monitor"));
 
         let total_jobs = matrix.jobs.len();
         let mut queue: EventQueue<Event> = EventQueue::new();
@@ -585,7 +584,7 @@ impl<'a> Run<'a> {
             "job {job} exhausted its retry budget: the fault schedule leaves \
              no usable replica or path for it"
         );
-        let backoff = self.opts.retry_backoff_secs * f64::from(attempt);
+        let backoff = RETRY_BACKOFF_SECS * f64::from(attempt);
         let fire = now + SimTime::from_secs(backoff);
         self.queue.schedule(fire, Event::Retry(job));
         self.report.retries.push(JobRetry {

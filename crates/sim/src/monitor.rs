@@ -24,15 +24,16 @@ pub struct LinkLoadMonitor {
     prev_bits: HashMap<LinkId, f64>,
     rates: HashMap<LinkId, f64>,
     last_sample: SimTime,
-    /// Poll cycles taken, once a registry is attached.
-    samples: Option<Arc<Counter>>,
+    /// Poll cycles taken.
+    samples: Arc<Counter>,
 }
 
 impl LinkLoadMonitor {
     /// Creates a monitor over every link adjacent to a host or edge
-    /// switch (both directions) — what end-host agents can observe.
+    /// switch (both directions) — what end-host agents can observe —
+    /// that counts its poll cycles in `scope`'s `samples_total`.
     #[must_use]
-    pub fn new(topo: &Topology) -> LinkLoadMonitor {
+    pub fn new(topo: &Topology, scope: &Scope) -> LinkLoadMonitor {
         let mut watched = Vec::new();
         for node in topo.nodes() {
             if matches!(node.kind(), NodeKind::Host | NodeKind::EdgeSwitch) {
@@ -48,14 +49,8 @@ impl LinkLoadMonitor {
             prev_bits: HashMap::new(),
             rates: HashMap::new(),
             last_sample: SimTime::ZERO,
-            samples: None,
+            samples: scope.counter("samples_total"),
         }
-    }
-
-    /// Homes the monitor's `samples_total` counter (poll cycles) in
-    /// `scope`.
-    pub fn attach_metrics(&mut self, scope: &Scope) {
-        self.samples = Some(scope.counter("samples_total"));
     }
 
     /// Takes one sample: reads cumulative counters from the network and
@@ -71,9 +66,7 @@ impl LinkLoadMonitor {
             }
             self.prev_bits.insert(l, total);
         }
-        if let Some(samples) = &self.samples {
-            samples.inc();
-        }
+        self.samples.inc();
         self.last_sample = now;
     }
 
@@ -96,13 +89,18 @@ mod tests {
     use mayflower_net::{HostId, TreeParams};
     use std::sync::Arc;
 
+    /// A scope in a registry no test reads.
+    fn scope() -> Scope {
+        mayflower_telemetry::Registry::new().scope("monitor")
+    }
+
     #[test]
     fn measures_rate_of_an_active_flow() {
         let topo = Arc::new(mayflower_net::Topology::three_tier(
             &TreeParams::paper_testbed(),
         ));
         let mut net = FluidNet::new(topo.clone());
-        let mut mon = LinkLoadMonitor::new(&topo);
+        let mut mon = LinkLoadMonitor::new(&topo, &scope());
         let p = topo.shortest_paths(HostId(0), HostId(1))[0].clone();
         let uplink = p.links()[0];
         net.add_flow(p, 10e9, SimTime::ZERO);
@@ -117,7 +115,7 @@ mod tests {
             &TreeParams::paper_testbed(),
         ));
         let net = FluidNet::new(topo.clone());
-        let mut mon = LinkLoadMonitor::new(&topo);
+        let mut mon = LinkLoadMonitor::new(&topo, &scope());
         mon.sample(&net, SimTime::from_secs(1.0));
         assert_eq!(mon.load_bps(topo.host_uplink(HostId(5))), 0.0);
     }
@@ -128,7 +126,7 @@ mod tests {
             &TreeParams::paper_testbed(),
         ));
         let mut net = FluidNet::new(topo.clone());
-        let mut mon = LinkLoadMonitor::new(&topo);
+        let mut mon = LinkLoadMonitor::new(&topo, &scope());
         let p = topo.shortest_paths(HostId(0), HostId(1))[0].clone();
         let uplink = p.links()[0];
         net.add_flow(p, 1e9, SimTime::ZERO); // finishes at t=1
@@ -141,14 +139,13 @@ mod tests {
     }
 
     #[test]
-    fn attached_metrics_count_samples() {
+    fn metrics_count_samples() {
         let topo = Arc::new(mayflower_net::Topology::three_tier(
             &TreeParams::paper_testbed(),
         ));
         let mut net = FluidNet::new(topo.clone());
-        let mut mon = LinkLoadMonitor::new(&topo);
         let registry = mayflower_telemetry::Registry::new();
-        mon.attach_metrics(&registry.scope("sim").scope("monitor"));
+        let mut mon = LinkLoadMonitor::new(&topo, &registry.scope("sim").scope("monitor"));
         let p = topo.shortest_paths(HostId(0), HostId(1))[0].clone();
         net.add_flow(p, 10e9, SimTime::ZERO);
         net.advance_to(SimTime::from_secs(1.0));

@@ -218,10 +218,8 @@ pub fn run_recovery_chaos(
         RecoveryConfig {
             repair_enabled: cfg.recovery_enabled,
             seed: cfg.seed,
-            ..RecoveryConfig::default()
         },
     );
-    manager.attach_metrics(cluster.registry());
 
     let mut health = Vec::new();
     let mut final_under = 0;

@@ -251,7 +251,10 @@ fn fs_span_trees_match_the_golden() {
         cookie: None,
         fragment,
     };
-    let mut executor = RepairExecutor::new(ExecutorConfig::default());
+    let mut executor = RepairExecutor::new(
+        ExecutorConfig::default(),
+        &cluster.registry().scope("recovery"),
+    );
     executor.enqueue(vec![
         task(free(&meta.replicas), None),
         task(frag_dest, Some(0)),
