@@ -103,9 +103,12 @@ cargo test --release -q --test mayfs_trace
 echo "==> simulated fabric: driver, engine and experiment unit suites, engine chaos, figures CLI, net and simnet vs their oracles (release)"
 # No flow, cookie or Flowserver model entry outlives a run (fault-free or
 # through the abort path), the consistency and write-placement runs poll
-# for real, each timeline arm equals a bare FluidNet drain, and a
-# mistyped `figures` invocation is a usage error the next stage can trust.
-cargo test --release -q -p mayflower-sim --lib --test engine_chaos --test figures_cli
+# for real, each timeline arm equals a bare FluidNet drain, a mistyped
+# `figures` invocation is a usage error the next stage can trust, and the
+# fabric's counted work on the seed-311 1024-host replay (refreshes,
+# flows re-solved, links indexed and sorted, rounds, links scanned) is
+# exactly what `fabric_work.rs` pins.
+cargo test --release -q -p mayflower-sim --lib --test engine_chaos --test figures_cli --test fabric_work
 # simnet's own suite (the root `cargo test -q` covers the root package
 # only): rates — over shortest paths and over arbitrary link sequences
 # with repeats, which the solver's member lists must index as given —

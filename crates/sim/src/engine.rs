@@ -10,7 +10,7 @@ use mayflower_flowserver::{Flowserver, FlowserverConfig, Selection};
 use mayflower_net::{ecmp_path, FlowKey, HostId, LinkId, Path, Topology};
 use mayflower_sdn::FlowCookie;
 use mayflower_simcore::{EventQueue, FaultSchedule, SimRng, SimTime};
-use mayflower_simnet::{FlowCompletion, FlowId};
+use mayflower_simnet::{FlowCompletion, FlowId, Work};
 use mayflower_telemetry::Registry;
 use mayflower_workload::{ReadJob, TrafficMatrix};
 use serde::{Deserialize, Serialize};
@@ -122,6 +122,9 @@ pub struct ReplayOutput {
     /// Every fault applied and every degraded-mode decision taken
     /// (empty on a fault-free run).
     pub fault_report: FaultReport,
+    /// The work the fabric's rate refreshes did: plain counts, exact
+    /// for a given seed, read by no series.
+    pub fabric_work: Work,
     /// The run's telemetry. Every layer under the engine — the
     /// Flowserver, Sinbad's monitor, and the engine itself — homes its
     /// metrics here, and all recorded values are sim-time- or
@@ -693,6 +696,7 @@ impl<'a> Run<'a> {
     /// job-level metrics.
     fn finish(self) -> ReplayOutput {
         let net = self.driver.net();
+        let fabric_work = net.work();
         let link_bits: HashMap<LinkId, f64> = self
             .topo
             .links()
@@ -714,6 +718,7 @@ impl<'a> Run<'a> {
             jobs,
             link_bits,
             fault_report: self.report,
+            fabric_work,
             registry: self.registry,
         }
     }

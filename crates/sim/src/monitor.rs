@@ -7,7 +7,6 @@
 //! into rates. Like the Flowserver, Sinbad sees **measurements with
 //! polling delay**, never simulator ground truth.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use mayflower_baselines::LinkLoadView;
@@ -21,8 +20,10 @@ use mayflower_telemetry::{Counter, Scope};
 #[derive(Debug, Clone)]
 pub struct LinkLoadMonitor {
     watched: Vec<LinkId>,
-    prev_bits: HashMap<LinkId, f64>,
-    rates: HashMap<LinkId, f64>,
+    /// Per link, by index: the counter at the last sample, and the rate
+    /// measured over the last interval. Links never sampled read 0.
+    prev_bits: Vec<f64>,
+    rates: Vec<f64>,
     last_sample: SimTime,
     /// Poll cycles taken.
     samples: Arc<Counter>,
@@ -46,8 +47,8 @@ impl LinkLoadMonitor {
         watched.dedup();
         LinkLoadMonitor {
             watched,
-            prev_bits: HashMap::new(),
-            rates: HashMap::new(),
+            prev_bits: vec![0.0; topo.links().len()],
+            rates: vec![0.0; topo.links().len()],
             last_sample: SimTime::ZERO,
             samples: scope.counter("samples_total"),
         }
@@ -59,12 +60,10 @@ impl LinkLoadMonitor {
         let dt = now.secs_since(self.last_sample);
         for &l in &self.watched {
             let total = net.link_bits(l);
-            let prev = self.prev_bits.get(&l).copied().unwrap_or(0.0);
+            let prev = std::mem::replace(&mut self.prev_bits[l.index()], total);
             if dt > 0.0 {
-                let rate = (total - prev).max(0.0) / dt;
-                self.rates.insert(l, rate);
+                self.rates[l.index()] = (total - prev).max(0.0) / dt;
             }
-            self.prev_bits.insert(l, total);
         }
         self.samples.inc();
         self.last_sample = now;
@@ -79,7 +78,7 @@ impl LinkLoadMonitor {
 
 impl LinkLoadView for LinkLoadMonitor {
     fn load_bps(&self, link: LinkId) -> f64 {
-        self.rates.get(&link).copied().unwrap_or(0.0)
+        self.rates[link.index()]
     }
 }
 

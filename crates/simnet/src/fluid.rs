@@ -7,7 +7,7 @@ use mayflower_net::{LinkId, Path, Topology};
 use mayflower_simcore::SimTime;
 use serde::{Deserialize, Serialize};
 
-use crate::maxmin::{compute_rates_masked, RoutedFlow};
+use crate::maxmin::{Component, Work, Workspace};
 
 /// Identifies a flow inside a [`FluidNet`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -84,7 +84,13 @@ impl FlowCompletion {
 #[derive(Debug, Clone)]
 pub struct FluidNet {
     topo: Arc<Topology>,
-    flows: BTreeMap<FlowId, FlowState>,
+    /// Every active flow by *slot*, a dense number a flow holds while
+    /// it is active; a free slot holds `None`.
+    flows: Vec<Option<FlowState>>,
+    /// The active flows' slots, in id order.
+    slots: BTreeMap<FlowId, u32>,
+    /// Slots no flow holds.
+    free: Vec<u32>,
     next_id: u64,
     now: SimTime,
     /// Cumulative bits carried per directed link.
@@ -96,15 +102,18 @@ pub struct FluidNet {
     /// The active flows on each link, and the links changed since the
     /// last refresh.
     index: LinkIndex,
+    /// The solver's buffers, reused by every refresh.
+    solver: Workspace,
+    /// The work the refreshes have done.
+    work: Work,
 }
 
 /// The link → flows index a [`FluidNet`] keeps across events, the links
 /// touched since its last refresh, and the marks its walk reuses.
 ///
-/// Lists name a flow by *slot*, a dense number a routed flow holds
-/// while it is active, so the walk marks flows in a flat buffer rather
-/// than by id. A flow with an empty route holds no slot and is on no
-/// list.
+/// Lists name a flow by its slot, so the walk marks flows in a flat
+/// buffer and reads each route from the slot, never from the id map. A
+/// flow with an empty route is on no list.
 #[derive(Debug, Clone)]
 struct LinkIndex {
     /// `on_link[l]`: the slots of the active flows routed over link
@@ -115,12 +124,17 @@ struct LinkIndex {
     touched: Vec<LinkId>,
     /// `link_seen[l]` iff `l` is in `touched`.
     link_seen: Vec<bool>,
-    /// The flow holding each slot; a free slot keeps its last flow's.
-    slots: Vec<FlowId>,
-    /// Slots no flow holds.
-    free: Vec<u32>,
-    /// A walk's marks on the slots it has reached; clear between walks.
+    /// `flow_seen[s]` iff slot `s` is in `reached`.
     flow_seen: Vec<bool>,
+    /// The slots the walk has reached, in walk order.
+    reached: Vec<u32>,
+}
+
+/// The route of the flow in `slot`; a free slot's is empty.
+fn route(flows: &[Option<FlowState>], slot: u32) -> &[LinkId] {
+    flows[slot as usize]
+        .as_ref()
+        .map_or(&[], |f| f.path.links())
 }
 
 impl LinkIndex {
@@ -129,9 +143,8 @@ impl LinkIndex {
             on_link: vec![Vec::new(); n_links],
             touched: Vec::new(),
             link_seen: vec![false; n_links],
-            slots: Vec::new(),
-            free: Vec::new(),
             flow_seen: Vec::new(),
+            reached: Vec::new(),
         }
     }
 
@@ -142,47 +155,31 @@ impl LinkIndex {
         }
     }
 
-    /// Lists flow `id` on every link of `route`, touching each.
-    fn insert(&mut self, id: FlowId, route: &[LinkId]) {
-        if route.is_empty() {
-            return;
-        }
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot as usize] = id;
-                slot
-            }
-            None => {
-                self.slots.push(id);
-                self.flow_seen.push(false);
-                (self.slots.len() - 1) as u32
-            }
-        };
+    /// Lists `slot` on every link of `route`, touching each.
+    fn insert(&mut self, slot: u32, route: &[LinkId]) {
         for &l in route {
             self.on_link[l.index()].push(slot);
             self.touch(l);
         }
     }
 
-    /// Takes flow `id` off every link of `route`, the route it was
-    /// listed under, touching each.
-    fn remove(&mut self, id: FlowId, route: &[LinkId]) {
-        let mut slot = None;
+    /// Takes `slot` off every link of `route`, the route it was listed
+    /// under, touching each.
+    fn remove(&mut self, slot: u32, route: &[LinkId]) {
         for &l in route {
             let list = &mut self.on_link[l.index()];
-            if let Some(at) = list.iter().position(|&s| self.slots[s as usize] == id) {
-                slot = Some(list.swap_remove(at));
+            if let Some(at) = list.iter().position(|&s| s == slot) {
+                list.swap_remove(at);
             }
             self.touch(l);
         }
-        self.free.extend(slot);
     }
 
-    /// The active flows the touched links reach, each once: a flow
-    /// listed on a reached link is reached, and so is every link of its
-    /// route. Leaves no link touched and no mark set.
-    fn reach<'a>(&mut self, flows: &'a BTreeMap<FlowId, FlowState>) -> Vec<&'a FlowState> {
-        let mut reached = Vec::new();
+    /// Walks from the touched links: a flow listed on a reached link is
+    /// reached, and so is every link of its route. Leaves each reached
+    /// link in `touched` and each reached flow in `reached`, once, with
+    /// its mark set until [`LinkIndex::settle`].
+    fn reach(&mut self, flows: &[Option<FlowState>]) {
         let mut next = 0;
         while let Some(&link) = self.touched.get(next) {
             next += 1;
@@ -190,25 +187,24 @@ impl LinkIndex {
                 if std::mem::replace(&mut self.flow_seen[slot as usize], true) {
                     continue;
                 }
-                let Some(f) = flows.get(&self.slots[slot as usize]) else {
-                    continue;
-                };
-                reached.push(f);
-                for &l in f.path.links() {
+                self.reached.push(slot);
+                for &l in route(flows, slot) {
                     if !std::mem::replace(&mut self.link_seen[l.index()], true) {
                         self.touched.push(l);
                     }
                 }
             }
         }
-        // Every mark was set from the list of a link the walk reached.
+    }
+
+    /// Ends a walk: no link touched, nothing reached, no mark set.
+    fn settle(&mut self) {
         for link in self.touched.drain(..) {
             self.link_seen[link.index()] = false;
-            for &slot in &self.on_link[link.index()] {
-                self.flow_seen[slot as usize] = false;
-            }
         }
-        reached
+        for slot in self.reached.drain(..) {
+            self.flow_seen[slot as usize] = false;
+        }
     }
 }
 
@@ -219,12 +215,16 @@ impl FluidNet {
         let n_links = topo.links().len();
         FluidNet {
             topo,
-            flows: BTreeMap::new(),
+            flows: Vec::new(),
+            slots: BTreeMap::new(),
+            free: Vec::new(),
             next_id: 0,
             now: SimTime::ZERO,
             link_bits: vec![0.0; n_links],
             link_up: vec![true; n_links],
             index: LinkIndex::new(n_links),
+            solver: Workspace::default(),
+            work: Work::default(),
         }
     }
 
@@ -232,6 +232,13 @@ impl FluidNet {
     #[must_use]
     pub fn topology(&self) -> &Arc<Topology> {
         &self.topo
+    }
+
+    /// The work the rate refreshes have done since the simulator was
+    /// created. Deterministic for a given sequence of calls.
+    #[must_use]
+    pub fn work(&self) -> Work {
+        self.work
     }
 
     /// Fails or heals a directed link (fault injection). Progress up to
@@ -256,8 +263,7 @@ impl FluidNet {
     /// downed link — the transfers a fault has stalled, in id order.
     #[must_use]
     pub fn stalled_flows(&self) -> Vec<FlowId> {
-        self.flows
-            .values()
+        self.in_id_order()
             .filter(|f| f.path.links().iter().any(|l| !self.link_up[l.index()]))
             .map(|f| f.id)
             .collect()
@@ -293,7 +299,15 @@ impl FluidNet {
 
         let id = FlowId(self.next_id);
         self.next_id += 1;
-        self.index.insert(id, path.links());
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None => {
+                self.flows.push(None);
+                self.index.flow_seen.push(false);
+                (self.flows.len() - 1) as u32
+            }
+        };
+        self.index.insert(slot, path.links());
         // A flow on no link is on no list, so no refresh reaches it: it
         // starts at the rate the solver gives an empty route.
         let rate = if path.links().is_empty() {
@@ -301,18 +315,16 @@ impl FluidNet {
         } else {
             0.0
         };
-        self.flows.insert(
+        self.flows[slot as usize] = Some(FlowState {
             id,
-            FlowState {
-                id,
-                path,
-                size_bits,
-                remaining_bits: size_bits,
-                rate,
-                started: at,
-                bits_sent: 0.0,
-            },
-        );
+            path,
+            size_bits,
+            remaining_bits: size_bits,
+            rate,
+            started: at,
+            bits_sent: 0.0,
+        });
+        self.slots.insert(id, slot);
         id
     }
 
@@ -325,7 +337,10 @@ impl FluidNet {
     ///
     /// Panics if `new_path` does not connect the flow's endpoints.
     pub fn reroute_flow(&mut self, id: FlowId, new_path: Path) -> bool {
-        let Some(flow) = self.flows.get_mut(&id) else {
+        let Some(&slot) = self.slots.get(&id) else {
+            return false;
+        };
+        let Some(flow) = &mut self.flows[slot as usize] else {
             return false;
         };
         assert_eq!(
@@ -333,8 +348,8 @@ impl FluidNet {
             (flow.path.src(), flow.path.dst()),
             "reroute must keep the flow's endpoints"
         );
-        self.index.remove(id, flow.path.links());
-        self.index.insert(id, new_path.links());
+        self.index.remove(slot, flow.path.links());
+        self.index.insert(slot, new_path.links());
         if new_path.links().is_empty() {
             // On no list, as in `add_flow`.
             flow.rate = f64::INFINITY;
@@ -346,27 +361,40 @@ impl FluidNet {
     /// Cancels an active flow, returning its final state, or `None` if
     /// the flow is unknown (already completed or cancelled).
     pub fn remove_flow(&mut self, id: FlowId) -> Option<FlowState> {
-        let state = self.flows.remove(&id)?;
-        self.index.remove(id, state.path.links());
+        let slot = self.slots.remove(&id)?;
+        let state = self.flows[slot as usize].take()?;
+        self.index.remove(slot, state.path.links());
+        self.free.push(slot);
         Some(state)
+    }
+
+    /// The active flows, in id order.
+    fn in_id_order(&self) -> impl Iterator<Item = &FlowState> {
+        let slots = self.slots.values();
+        slots.filter_map(|&slot| self.flows[slot as usize].as_ref())
     }
 
     /// The states of all active flows, in flow-id order.
     pub fn active_flows(&mut self) -> Vec<&FlowState> {
         self.refresh_rates();
-        self.flows.values().collect()
+        self.in_id_order().collect()
     }
 
     /// Number of active flows.
     #[must_use]
     pub fn flow_count(&self) -> usize {
-        self.flows.len()
+        self.slots.len()
+    }
+
+    fn get(&self, id: FlowId) -> Option<&FlowState> {
+        let slot = *self.slots.get(&id)?;
+        self.flows[slot as usize].as_ref()
     }
 
     /// Looks up an active flow.
     pub fn flow(&mut self, id: FlowId) -> Option<&FlowState> {
         self.refresh_rates();
-        self.flows.get(&id)
+        self.get(id)
     }
 
     /// Cumulative bits carried by a directed link since simulation
@@ -382,19 +410,22 @@ impl FluidNet {
     /// expired rules disappear too).
     #[must_use]
     pub fn flow_bits(&self, id: FlowId) -> Option<f64> {
-        self.flows.get(&id).map(|f| f.bits_sent)
+        self.get(id).map(|f| f.bits_sent)
     }
 
     /// When the next active flow will complete, assuming no further
     /// admissions. [`SimTime::MAX`] if no flow is active.
     pub fn next_completion_time(&mut self) -> SimTime {
         self.refresh_rates();
-        let mut earliest = SimTime::MAX;
-        for f in self.flows.values() {
-            let t = self.completion_instant(f);
-            earliest = earliest.min(t);
-        }
-        earliest
+        self.earliest_completion()
+    }
+
+    /// The earliest completion instant at the current rates.
+    fn earliest_completion(&self) -> SimTime {
+        let flows = self.flows.iter().flatten();
+        flows.fold(SimTime::MAX, |earliest, f| {
+            earliest.min(self.completion_instant(f))
+        })
     }
 
     fn completion_instant(&self, f: &FlowState) -> SimTime {
@@ -423,13 +454,7 @@ impl FluidNet {
         let mut completions = Vec::new();
         loop {
             self.refresh_rates();
-            let next = {
-                let mut earliest = SimTime::MAX;
-                for f in self.flows.values() {
-                    earliest = earliest.min(self.completion_instant(f));
-                }
-                earliest
-            };
+            let next = self.earliest_completion();
             let step_to = next.min(t);
             self.charge(step_to);
             if next > t {
@@ -442,8 +467,7 @@ impl FluidNet {
             // ~16k s), `now + remaining/rate` can round back to `now`
             // and no later step would ever drain it.
             let done_ids: Vec<FlowId> = self
-                .flows
-                .values()
+                .in_id_order()
                 .filter(|f| {
                     f.remaining_bits <= completion_epsilon(f.size_bits)
                         || self.completion_instant(f) <= self.now
@@ -451,10 +475,9 @@ impl FluidNet {
                 .map(|f| f.id)
                 .collect();
             for id in done_ids {
-                let Some(f) = self.flows.remove(&id) else {
+                let Some(f) = self.remove_flow(id) else {
                     continue;
                 };
-                self.index.remove(id, f.path.links());
                 completions.push(FlowCompletion {
                     flow: f.id,
                     at: step_to,
@@ -463,14 +486,13 @@ impl FluidNet {
                     path: f.path,
                 });
             }
-            if self.now >= t && completions.is_empty() && self.flows.is_empty() {
+            if self.now >= t && completions.is_empty() && self.slots.is_empty() {
                 break;
             }
             if self.now >= t {
                 // We are exactly at t; completions at t were collected.
                 // Check for more simultaneous completions.
-                let more = self.flows.values().any(|f| self.completion_instant(f) <= t);
-                if !more {
+                if self.earliest_completion() > t {
                     break;
                 }
             }
@@ -479,29 +501,24 @@ impl FluidNet {
         completions
     }
 
-    /// Transfers data from `self.now` to `to` at current rates.
+    /// Transfers data from `self.now` to `to` at current rates, in id
+    /// order: each link's counter sums its flows' bits in that order.
     fn charge(&mut self, to: SimTime) {
         let dt = to.secs_since(self.now);
-        if dt > 0.0 {
-            for f in self.flows.values_mut() {
-                if f.rate.is_infinite() {
-                    f.bits_sent = f.size_bits;
-                    f.remaining_bits = 0.0;
-                    continue;
-                }
+        for &slot in self.slots.values() {
+            let Some(f) = &mut self.flows[slot as usize] else {
+                continue;
+            };
+            if f.rate.is_infinite() {
+                // A zero-duration step still completes it.
+                f.bits_sent = f.size_bits;
+                f.remaining_bits = 0.0;
+            } else if dt > 0.0 {
                 let moved = (f.rate * dt).min(f.remaining_bits);
                 f.remaining_bits -= moved;
                 f.bits_sent += moved;
                 for &l in f.path.links() {
                     self.link_bits[l.index()] += moved;
-                }
-            }
-        } else {
-            // Zero-duration step still completes infinite-rate flows.
-            for f in self.flows.values_mut() {
-                if f.rate.is_infinite() {
-                    f.bits_sent = f.size_bits;
-                    f.remaining_bits = 0.0;
                 }
             }
         }
@@ -519,26 +536,44 @@ impl FluidNet {
     /// and is re-solved with its whole component. Any other component is
     /// as it was when its rates were last solved, and solving a
     /// component alone repeats its rounds bit for bit
-    /// ([`compute_rates_masked`]).
+    /// ([`crate::maxmin::compute_rates_masked`]).
+    ///
+    /// The refresh solves from the index itself: the walk reads routes
+    /// by slot and leaves the reached flows and links in the index, the
+    /// solver takes each link's flows straight from its list and sorts
+    /// only the reached links, and the rates go back by slot. Every
+    /// buffer is kept from refresh to refresh, so once they have grown a
+    /// refresh allocates nothing and looks up no flow by id.
     fn refresh_rates(&mut self) {
         if self.index.touched.is_empty() {
             return;
         }
-        let (ids, routed): (Vec<FlowId>, Vec<RoutedFlow<'_>>) = self
-            .index
-            .reach(&self.flows)
-            .into_iter()
-            .map(|f| {
-                let links = f.path.links();
-                (f.id, RoutedFlow { links })
-            })
-            .unzip();
-        let rates = compute_rates_masked(&self.topo, &routed, Some(&self.link_up));
-        for (id, rate) in ids.into_iter().zip(rates) {
-            if let Some(f) = self.flows.get_mut(&id) {
-                f.rate = rate;
+        let FluidNet {
+            topo,
+            flows,
+            link_up,
+            index,
+            solver,
+            work,
+            ..
+        } = self;
+        index.reach(flows);
+        work.refreshes += 1;
+        work.flows_solved += index.reached.len() as u64;
+        let (lists, routes): (&[Vec<u32>], &[Option<FlowState>]) = (&index.on_link, flows);
+        let component = Component {
+            members: move |l: LinkId| lists[l.index()].as_slice(),
+            route: move |slot| route(routes, slot),
+            flows: &index.reached,
+            links: &index.touched,
+        };
+        solver.solve(topo, Some(link_up), &component, work);
+        for &slot in &index.reached {
+            if let Some(f) = &mut flows[slot as usize] {
+                f.rate = solver.rate(slot);
             }
         }
+        index.settle();
     }
 }
 
@@ -851,6 +886,27 @@ mod tests {
     }
 
     #[test]
+    fn a_tie_goes_to_the_lowest_link_index() {
+        // The last admission touches `b` alone, so the walk reaches `b`
+        // before `a`: only the sort of the reached links puts `a` first.
+        let (topo, routes) = crate::maxmin::oracle::tied_links();
+        let mut net = FluidNet::new(Arc::new(topo));
+        let ids: Vec<FlowId> = routes
+            .into_iter()
+            .map(|r| net.add_flow(Path::new(HostId(0), HostId(1), r), 1e9, SimTime::ZERO))
+            .collect();
+        let got: Vec<u64> = ids
+            .iter()
+            .map(|&id| net.flow(id).unwrap().rate.to_bits())
+            .collect();
+        let want: Vec<u64> = crate::maxmin::oracle::tied_rates()
+            .iter()
+            .map(|r| r.to_bits())
+            .collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
     fn advance_without_flows_moves_clock() {
         let (_, mut net) = testbed();
         let done = net.advance_to(SimTime::from_secs(3.0));
@@ -862,7 +918,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::maxmin::oracle;
+    use crate::maxmin::{oracle, RoutedFlow};
     use mayflower_net::{HostId, TreeParams};
     use proptest::prelude::*;
 
@@ -896,19 +952,39 @@ mod proptests {
     }
 
     /// Every link's index entry against a rescan of the active routes,
-    /// as multisets of flow ids; `link_seen` marks exactly the touched
-    /// links, and no walk mark on a flow is left set.
+    /// as multisets of flow ids; the slots the id map names hold those
+    /// flows, and every other slot is free and listed nowhere;
+    /// `link_seen` marks exactly the touched links; and neither the walk
+    /// nor the solver leaves a mark set.
     fn index_matches_rescan(net: &FluidNet) -> Result<(), String> {
         let index = &net.index;
+        for (&id, &slot) in &net.slots {
+            let held = net.flows[slot as usize].as_ref().map(|f| f.id);
+            prop_assert_eq!(held, Some(id), "slot {}", slot);
+        }
+        let mut free: Vec<u32> = (0..net.flows.len() as u32)
+            .filter(|&s| net.flows[s as usize].is_none())
+            .collect();
+        prop_assert_eq!(net.slots.len() + free.len(), net.flows.len());
+        let mut listed_free = net.free.clone();
+        listed_free.sort_unstable();
+        free.sort_unstable();
+        prop_assert_eq!(listed_free, free);
         // Each link's ids come out sorted: the map iterates in id order.
         let mut rescan = vec![Vec::new(); index.on_link.len()];
-        for f in net.flows.values() {
+        for f in net.in_id_order() {
             for &l in f.path.links() {
                 rescan[l.index()].push(f.id);
             }
         }
         for (l, (list, want)) in index.on_link.iter().zip(rescan).enumerate() {
-            let mut got: Vec<FlowId> = list.iter().map(|&s| index.slots[s as usize]).collect();
+            let got: Option<Vec<FlowId>> = list
+                .iter()
+                .map(|&s| net.flows[s as usize].as_ref().map(|f| f.id))
+                .collect();
+            let Some(mut got) = got else {
+                return Err(format!("link {l} lists a free slot"));
+            };
             got.sort_unstable();
             prop_assert_eq!(got, want, "link {}", l);
         }
@@ -918,7 +994,10 @@ mod proptests {
             .filter(|&l| index.link_seen[l])
             .collect();
         prop_assert_eq!(touched, seen);
+        prop_assert_eq!(index.flow_seen.len(), net.flows.len());
         prop_assert!(!index.flow_seen.contains(&true), "a walk mark left set");
+        prop_assert!(index.reached.is_empty(), "a walk left flows reached");
+        prop_assert!(net.solver.is_clean(), "a solver mark left set");
         Ok(())
     }
 

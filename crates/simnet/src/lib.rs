@@ -47,4 +47,4 @@ pub mod fluid;
 pub mod maxmin;
 
 pub use fluid::{FlowCompletion, FlowId, FlowState, FluidNet};
-pub use maxmin::RoutedFlow;
+pub use maxmin::{RoutedFlow, Work};

@@ -9,6 +9,26 @@ pub struct RoutedFlow<'a> {
     pub links: &'a [LinkId],
 }
 
+/// The work the solver did, summed over the solves it counts: plain
+/// counts, deterministic for a given sequence of calls, that state a
+/// solver change's gain as work removed rather than as wall time.
+/// [`crate::FluidNet::work`] reads them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Work {
+    /// Refreshes that found a touched link and walked from it.
+    pub refreshes: u64,
+    /// Flows re-solved.
+    pub flows_solved: u64,
+    /// Links indexed: the distinct links the re-solved flows cross.
+    pub links_indexed: u64,
+    /// Elements the solver's setup sorted.
+    pub sorted: u64,
+    /// Progressive-filling rounds; each saturates one link.
+    pub rounds: u64,
+    /// Links the rounds' bottleneck scans compared.
+    pub links_scanned: u64,
+}
+
 /// Computes the global max-min fair rate for each flow using the
 /// classic progressive-filling algorithm:
 ///
@@ -34,13 +54,18 @@ pub struct RoutedFlow<'a> {
 /// All other flows share the surviving capacity max-min fairly as
 /// usual.
 ///
-/// Complexity: `O(flow_links × log flow_links +
+/// This function lists flow `i` under slot `i` on every link of its
+/// route in a transient link → flows index and runs the one solver
+/// [`crate::FluidNet`] runs on the index it keeps across events.
+///
+/// Complexity: `O(fabric_links + flow_links + links × log links +
 /// rounds × loaded_links + frozen_flows × path_len)`, one link
-/// saturated per round, and nothing sized to the fabric: setup sorts
-/// the `flow_links` route entries to index only the links the flows
-/// cross, a round compares the cached shares of the links that still
-/// carry an unfrozen flow, and freezing a flow recomputes the share of
-/// each of its links.
+/// saturated per round. The transient index is sized to the fabric
+/// (`FluidNet`'s is built once); the solve itself is sized to the
+/// `links` its flows cross: setup sorts only those distinct links, never
+/// the `flow_links` route entries, a round compares the cached shares
+/// of the links that still carry an unfrozen flow, and freezing a flow
+/// recomputes the share of each of its links.
 ///
 /// Bit-identity rule: every rate equals, to the bit, what a scan of
 /// *all* links and flows in every round yields (the `oracle` module,
@@ -71,130 +96,232 @@ pub fn compute_rates_masked(
     flows: &[RoutedFlow<'_>],
     link_up: Option<&[bool]>,
 ) -> Vec<f64> {
-    let links = topo.links();
     if let Some(mask) = link_up {
-        assert_eq!(mask.len(), links.len(), "mask must cover every link");
+        assert_eq!(mask.len(), topo.links().len(), "mask must cover every link");
     }
-    let mut rates = vec![0.0f64; flows.len()];
-    if flows.is_empty() {
-        return rates;
-    }
-    let mut frozen = vec![false; flows.len()];
-    let mut unfrozen_left = 0usize;
-
-    // Flat routes: flow `i`'s entries are `first[i]..first[i + 1]`, in
-    // route order. A key is an entry's link over its position, so the
-    // sorted keys run link by link, each link's entries in flow order.
-    let mut first = Vec::with_capacity(flows.len() + 1);
-    let mut owner = Vec::new();
-    let mut keys = Vec::new();
+    // A transient index: flow `i` holds slot `i`, and link `l`'s flows
+    // are `members[start[l]..start[l + 1]]`, counted, then placed.
+    let n_links = topo.links().len();
+    let mut start = vec![0u32; n_links + 1];
+    let mut links = Vec::new();
+    let mut routed = Vec::new();
     for (i, f) in flows.iter().enumerate() {
-        first.push(owner.len() as u32);
-        if f.links.is_empty() {
-            rates[i] = f64::INFINITY;
-            frozen[i] = true;
-            continue;
+        if !f.links.is_empty() {
+            routed.push(i as u32);
         }
-        unfrozen_left += 1;
         for &l in f.links {
-            keys.push((u64::from(l.0) << 32) | owner.len() as u64);
-            owner.push(i as u32);
+            if start[l.index() + 1] == 0 {
+                links.push(l);
+            }
+            start[l.index() + 1] += 1;
         }
     }
-    first.push(owner.len() as u32);
-    keys.sort_unstable();
-
-    // Local links: the distinct links the routes cross, ascending, so
-    // local order is `LinkId` order. `route[e]` is entry `e`'s local
-    // link; link `j`'s flows are `members[start[j]..start[j + 1]]`,
-    // ascending, once per time a route lists `j`.
-    let mut route = vec![0u32; keys.len()];
-    let mut members = Vec::with_capacity(keys.len());
-    let mut start = Vec::new();
-    let mut residual = Vec::new();
-    let mut last = None;
-    for &key in &keys {
-        let (link, entry) = ((key >> 32) as usize, key as u32 as usize);
-        if last != Some(link) {
-            last = Some(link);
-            start.push(members.len() as u32);
-            residual.push(match link_up {
-                Some(mask) if !mask[link] => 0.0,
-                _ => links[link].capacity(),
-            });
-        }
-        route[entry] = (start.len() - 1) as u32;
-        members.push(owner[entry]);
+    for l in 0..n_links {
+        start[l + 1] += start[l];
     }
-    start.push(members.len() as u32);
-
-    // Unfrozen-flow count and fair share per local link; the share is
-    // recomputed whenever the freeze step changes either operand.
-    let mut count: Vec<u32> = start.windows(2).map(|w| w[1] - w[0]).collect();
-    let mut share: Vec<f64> = residual
+    let mut next = start.clone();
+    let mut members = vec![0u32; start[n_links] as usize];
+    for (i, f) in flows.iter().enumerate() {
+        for &l in f.links {
+            members[next[l.index()] as usize] = i as u32;
+            next[l.index()] += 1;
+        }
+    }
+    let mut solver = Workspace::default();
+    let component = Component {
+        members: |l: LinkId| &members[start[l.index()] as usize..start[l.index() + 1] as usize],
+        route: |slot: u32| flows[slot as usize].links,
+        flows: &routed,
+        links: &links,
+    };
+    solver.solve(topo, link_up, &component, &mut Work::default());
+    flows
         .iter()
-        .zip(&count)
-        .map(|(r, &c)| (r / f64::from(c)).max(0.0))
-        .collect();
-
-    // Only a link that still carries an unfrozen flow can saturate
-    // next. Ascending; each round's search drops the links the round
-    // before emptied, in place.
-    let mut loaded: Vec<u32> = (0..residual.len() as u32).collect();
-
-    while unfrozen_left > 0 {
-        // Find the most constrained link.
-        let mut best_share = f64::INFINITY;
-        let mut best_link = None;
-        loaded.retain(|&j| {
-            let j = j as usize;
-            if count[j] == 0 {
-                return false;
+        .enumerate()
+        .map(|(i, f)| {
+            if f.links.is_empty() {
+                f64::INFINITY
+            } else {
+                solver.rate(i as u32)
             }
-            if share[j] < best_share {
-                best_share = share[j];
-                best_link = Some(j);
-            }
-            true
-        });
-        let Some(bottleneck) = best_link else {
-            // No unfrozen flow crosses any counted link (can't happen
-            // while unfrozen_left > 0, but stay safe).
-            break;
-        };
-
-        // Freeze every unfrozen flow crossing the bottleneck; its list
-        // also holds earlier-frozen flows and repeat entries, skipped.
-        let crossing = start[bottleneck] as usize..start[bottleneck + 1] as usize;
-        for &i in &members[crossing] {
-            let i = i as usize;
-            if frozen[i] {
-                continue;
-            }
-            rates[i] = best_share;
-            frozen[i] = true;
-            unfrozen_left -= 1;
-            for &j in &route[first[i] as usize..first[i + 1] as usize] {
-                let j = j as usize;
-                residual[j] = (residual[j] - best_share).max(0.0);
-                count[j] -= 1;
-                share[j] = (residual[j] / f64::from(count[j])).max(0.0);
-            }
-        }
-    }
-
-    rates
+        })
+        .collect()
 }
 
-/// The reference every faster solver is proven against, to the bit:
-/// progressive filling that rescans all links in every round (the
-/// solver as it stood before the loaded-link list), plus the inputs the
-/// bit-identity suites here and in `fluid.rs` draw. Test-only —
-/// non-test code has one solver, [`compute_rates_masked`].
+/// What [`Workspace::solve`] solves: flows closed under sharing a link,
+/// as a link → flows index names them.
+pub(crate) struct Component<'a, M, R> {
+    /// The slots of the flows routed over a link, once per time a route
+    /// lists it, in any order.
+    pub members: M,
+    /// The route of the flow in a slot.
+    pub route: R,
+    /// The slots to solve, each once: every flow listed on a link of
+    /// their routes is among them.
+    pub flows: &'a [u32],
+    /// Every link their routes cross, each once, in any order; a link
+    /// that lists no flow may be among them and is skipped.
+    pub links: &'a [LinkId],
+}
+
+/// The buffers of a solve, kept across solves: once they have grown to
+/// the largest component, a solve allocates nothing.
+///
+/// A component's *local* links are the links its flows cross, ascending,
+/// so local order is `LinkId` order; `links[j]` is local link `j`, and
+/// `residual`, `count`, `share` and `loaded` are indexed by it. `rate`
+/// and `unfrozen` are indexed by slot.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Workspace {
+    links: Vec<u32>,
+    /// `local[l]`: link `l`'s local index while `l` is a local link;
+    /// sized to the fabric, stale elsewhere.
+    local: Vec<u32>,
+    /// Capacity no frozen flow holds yet.
+    residual: Vec<f64>,
+    /// Unfrozen flows listed, once per listing.
+    count: Vec<u32>,
+    /// `(residual / count).max(0.0)`, recomputed whenever the freeze
+    /// step changes either operand.
+    share: Vec<f64>,
+    /// The local links that still carry an unfrozen flow, ascending:
+    /// only they can saturate next.
+    loaded: Vec<u32>,
+    /// The rate a slot's last solve gave it.
+    rate: Vec<f64>,
+    /// Set on a slot from the start of its solve until it is frozen; no
+    /// mark is set between solves.
+    unfrozen: Vec<bool>,
+}
+
+impl Workspace {
+    /// Solves `c`'s flows by progressive filling over `topo`'s
+    /// capacities under `link_up` (see [`compute_rates_masked`]) and
+    /// leaves each one's rate for [`Workspace::rate`], counting the work
+    /// in `work`. Visits no link and no flow outside `c`.
+    pub(crate) fn solve<'m, 'r, M, R>(
+        &mut self,
+        topo: &Topology,
+        link_up: Option<&[bool]>,
+        c: &Component<'_, M, R>,
+        work: &mut Work,
+    ) where
+        M: Fn(LinkId) -> &'m [u32],
+        R: Fn(u32) -> &'r [LinkId],
+    {
+        // Bound to locals: read through `self`, the rounds ran 1.4-1.6x
+        // slower (a timed 133-flow solve at 1024 hosts).
+        let Workspace {
+            links,
+            local,
+            residual,
+            count,
+            share,
+            loaded,
+            rate,
+            unfrozen,
+        } = self;
+        let caps = topo.links();
+        links.clear();
+        links.extend(
+            c.links
+                .iter()
+                .filter(|&&l| !(c.members)(l).is_empty())
+                .map(|l| l.0),
+        );
+        links.sort_unstable();
+        work.links_indexed += links.len() as u64;
+        work.sorted += links.len() as u64;
+
+        if local.len() < caps.len() {
+            local.resize(caps.len(), 0);
+        }
+        for (j, &l) in links.iter().enumerate() {
+            local[l as usize] = j as u32;
+        }
+        residual.clear();
+        residual.extend(links.iter().map(|&l| match link_up {
+            Some(mask) if !mask[l as usize] => 0.0,
+            _ => caps[l as usize].capacity(),
+        }));
+        count.clear();
+        count.extend(links.iter().map(|&l| (c.members)(LinkId(l)).len() as u32));
+        share.clear();
+        let shares = residual.iter().zip(count.iter());
+        share.extend(shares.map(|(r, &n)| (r / f64::from(n)).max(0.0)));
+        loaded.clear();
+        loaded.extend(0..links.len() as u32);
+        for &slot in c.flows {
+            let slot = slot as usize;
+            if slot >= unfrozen.len() {
+                unfrozen.resize(slot + 1, false);
+                rate.resize(slot + 1, 0.0);
+            }
+            unfrozen[slot] = true;
+        }
+
+        let mut unfrozen_left = c.flows.len();
+        while unfrozen_left > 0 {
+            work.rounds += 1;
+            work.links_scanned += loaded.len() as u64;
+            // Find the most constrained link, dropping the links the
+            // round before emptied.
+            let mut best_share = f64::INFINITY;
+            let mut best_link = None;
+            loaded.retain(|&j| {
+                let j = j as usize;
+                if count[j] == 0 {
+                    return false;
+                }
+                if share[j] < best_share {
+                    best_share = share[j];
+                    best_link = Some(j);
+                }
+                true
+            });
+            let Some(bottleneck) = best_link else {
+                // No unfrozen flow crosses a loaded link (can't happen
+                // while one is left, but stay safe and leave no mark).
+                for &slot in c.flows {
+                    unfrozen[slot as usize] = false;
+                }
+                break;
+            };
+
+            // Freeze every unfrozen flow crossing the bottleneck; its list
+            // also holds earlier-frozen flows and repeat entries, skipped.
+            for &slot in (c.members)(LinkId(links[bottleneck])) {
+                if !std::mem::replace(&mut unfrozen[slot as usize], false) {
+                    continue;
+                }
+                rate[slot as usize] = best_share;
+                unfrozen_left -= 1;
+                for &l in (c.route)(slot) {
+                    let j = local[l.index()] as usize;
+                    residual[j] = (residual[j] - best_share).max(0.0);
+                    count[j] -= 1;
+                    share[j] = (residual[j] / f64::from(count[j])).max(0.0);
+                }
+            }
+        }
+    }
+
+    /// The rate the last solve that covered `slot` gave it.
+    pub(crate) fn rate(&self, slot: u32) -> f64 {
+        self.rate[slot as usize]
+    }
+
+    /// Whether no slot is marked unfrozen, as between solves.
+    #[cfg(test)]
+    pub(crate) fn is_clean(&self) -> bool {
+        !self.unfrozen.contains(&true)
+    }
+}
+
 #[cfg(test)]
 pub(crate) mod oracle {
     use super::RoutedFlow;
-    use mayflower_net::{HostId, Path, Topology, TreeParams};
+    use mayflower_net::{HostId, LinkId, NodeKind, Path, Topology, TreeParams};
     use proptest::prelude::*;
 
     pub fn compute_rates_masked(
@@ -274,6 +401,40 @@ pub(crate) mod oracle {
             }
         }
 
+        rates
+    }
+
+    /// Two links that tie on share, ⅓ each: `a` (capacity 1, three
+    /// flows) below `b` (capacity 2, six flows), one flow routed over
+    /// `b` then `a`, so `b` is the first link a route lists. Which of
+    /// the two saturates first moves later rates by an ulp: `a` first
+    /// leaves `b`'s other five flows `(2 − ⅓) / 5`, `b` first leaves
+    /// `a`'s other two `(1 − ⅓) / 2`, and both round above ⅓.
+    pub fn tied_links() -> (Topology, Vec<Vec<LinkId>>) {
+        let mut topo = Topology::new();
+        let nodes: Vec<_> = (0..3)
+            .map(|_| topo.add_node(NodeKind::EdgeSwitch, None, None))
+            .collect();
+        let (a, _) = topo.add_duplex_link(nodes[0], nodes[1], 1.0);
+        let (b, _) = topo.add_duplex_link(nodes[1], nodes[2], 2.0);
+        topo.freeze();
+        let mut routes = vec![vec![b, a], vec![a], vec![a]];
+        routes.extend(std::iter::repeat_n(vec![b], 5));
+        (topo, routes)
+    }
+
+    /// The rates of [`tied_links`]' flows, the tie going to `a`, the
+    /// lower index: its three flows at ⅓, `b`'s other five at
+    /// `(2 − ⅓) / 5`.
+    pub fn tied_rates() -> Vec<f64> {
+        let third = 1.0f64 / 3.0;
+        let (after_a, after_b) = ((2.0 - third) / 5.0, (1.0 - third) / 2.0);
+        assert!(
+            after_a != third && after_b != third,
+            "the tie must move a bit"
+        );
+        let mut rates = vec![third; 3];
+        rates.extend([after_a; 5]);
         rates
     }
 
@@ -420,6 +581,16 @@ mod tests {
         );
         assert!((rates[0] - 2.0).abs() < 1e-9, "capped flow: {}", rates[0]);
         assert!((rates[1] - 8.0).abs() < 1e-9, "greedy flow: {}", rates[1]);
+    }
+
+    #[test]
+    fn a_tie_goes_to_the_lowest_link_index() {
+        let (topo, routes) = oracle::tied_links();
+        let flows: Vec<RoutedFlow> = routes.iter().map(|r| RoutedFlow { links: r }).collect();
+        let bits = |rates: Vec<f64>| rates.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+        let got = bits(compute_rates_masked(&topo, &flows, None));
+        assert_eq!(got, bits(oracle::tied_rates()));
+        assert_eq!(got, bits(oracle::compute_rates_masked(&topo, &flows, None)));
     }
 
     #[test]
