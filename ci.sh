@@ -203,9 +203,11 @@ if grep -E 'Option<&[[:alnum:]_:]*(EcMetrics|DatapathMetrics)>' <<<"$fs_lines"; 
 fi
 
 echo "==> one replica read, one fragment gather: only the data plane reads a replica's bytes; coding.rs reads fragments in one place"
-# Over the same non-test fs listing as the stage above. A replica's
-# bytes are read through DataPlane::read_piece_into, which owns the
-# failover order; another loop over read_local would carry its own. A
+# Over the same non-test fs listing as the stage above, and mcheck's. A
+# replica's bytes are read through DataPlane::read_piece_into, which
+# owns the failover order; another loop over read_local would carry its
+# own. mcheck's data scenario reads through it too; its one read_local
+# line is the oracle's ground truth, the primary's final content. A
 # sealed chunk's fragments are gathered by the one loop the degraded
 # read and the rebuild share. Every hit is printed before the stage
 # fails.
@@ -213,6 +215,18 @@ failed=0
 if grep -Ev '^crates/fs/src/(datapath|dataserver)\.rs:' <<<"$fs_lines" |
   grep -E '\bread_local(_into)?\('; then
   echo "crates/fs: read a replica's bytes through DataPlane::read_piece_into" >&2
+  failed=1
+fi
+mcheck_lines=$(./loc.sh --lines crates/mcheck/src)
+if [[ -z "$mcheck_lines" ]]; then
+  echo "loc.sh --lines printed no mcheck code to check" >&2
+  exit 1
+fi
+mcheck_reads=$(grep -E '\bread_local(_into)?\(' <<<"$mcheck_lines" || true)
+if [[ $(grep -c . <<<"$mcheck_reads") -gt 1 ]] ||
+  grep -v '^crates/mcheck/src/scenario/data\.rs:' <<<"$mcheck_reads" | grep .; then
+  echo "$mcheck_reads"
+  echo "crates/mcheck: read through the client's steps; one read_local, the data oracle's ground truth" >&2
   failed=1
 fi
 fragment_reads=$(grep '^crates/fs/src/coding\.rs:' <<<"$fs_lines" | grep -F '.read_fragment(' || true)

@@ -9,9 +9,9 @@ use mayflower_telemetry::trace::{self, TraceHandle};
 use mayflower_telemetry::{Counter, Scope};
 
 use crate::coding;
-use crate::datapath::{self, DataPlane, RetryPolicy};
+use crate::datapath::{self, DataPlane, Piece, ReportedSizes, RetryPolicy};
 use crate::error::FsError;
-use crate::selector::{ReadAssignment, ReplicaSelector};
+use crate::selector::ReplicaSelector;
 use crate::service::MetadataService;
 use crate::types::{Consistency, FileMeta, Redundancy};
 
@@ -66,21 +66,13 @@ pub struct Client {
     trace: TraceHandle,
 }
 
-/// What a ranged read brought back: the bytes, plus the file sizes the
-/// serving dataservers piggybacked on their responses, from which
-/// [`Client::read`] learns the file's size. A range no replica served
-/// (empty, or wholly sealed into fragments, which carry no file size)
-/// reports no size; the read then fetches one zero-length piece.
+/// What a ranged read brought back: the bytes, and the file sizes the
+/// serving dataservers reported, from which [`Client::read`] learns the
+/// file's size.
 #[derive(Debug, Default)]
 struct RangeOutcome {
     data: Vec<u8>,
-    /// Size reported by a response the primary served, if any. Under
-    /// strong consistency only this is authoritative.
-    primary_size: Option<u64>,
-    /// Largest size any serving replica reported. Any replica's size
-    /// is a valid sequential-consistency answer: a replica only knows
-    /// bytes whose append the primary ordered.
-    max_size: Option<u64>,
+    sizes: ReportedSizes,
 }
 
 /// Default data-plane pool width: a fixed small fan-out rather than a
@@ -243,7 +235,8 @@ impl Client {
     /// the primary and on some replicas; the next successful append
     /// relays it to the rest, and from then on it is part of the file
     /// (DESIGN.md §8). Retrying a failed append can therefore write its
-    /// bytes twice.
+    /// bytes twice. Its size is not recorded, yet a [`Client::read`]
+    /// returns its bytes before any later append succeeds.
     pub fn append(&mut self, name: &str, data: &[u8]) -> Result<u64, FsError> {
         trace::in_span(self.trace.span("append"), |span| {
             trace::annotate(span, "file", name);
@@ -333,7 +326,11 @@ impl Client {
         Ok(new_size)
     }
 
-    /// Reads the whole file.
+    /// Reads the whole file, up to the size the serving replicas report
+    /// (the primary's, under strong consistency), which can run ahead
+    /// of the recorded size: the bytes of an append that reached the
+    /// primary and then failed are returned, in either consistency
+    /// mode, before any later append succeeds (DESIGN.md §8).
     ///
     /// # Errors
     ///
@@ -368,34 +365,16 @@ impl Client {
         // piggybacked size reveals are fetched in one extension round.
         let hint = meta.size;
         let mut outcome = self.read_range_collect(&meta, 0, hint)?;
-        // Under strong consistency the size must come from the primary
-        // (it alone linearizes appends), and the hinted tail piece is
-        // pinned there. Sequential consistency accepts any replica's
-        // size, and none is below the hint.
-        let consistency = self.consistency;
-        let reported = |o: &RangeOutcome| match consistency {
-            Consistency::Strong => o.primary_size,
-            Consistency::Sequential => o.max_size.map(|size| size.max(hint)),
-        };
-        let size = match reported(&outcome) {
+        let size = match outcome.sizes.size(self.consistency, hint) {
             Some(size) => size,
-            // No piece reported a usable size: the hint was empty, or
-            // the range lay wholly in sealed fragments, which carry no
-            // file size. One zero-length piece asks the primary,
-            // pinned there under strong consistency; a served piece
-            // always reports.
-            None => {
-                let pinned = consistency == Consistency::Strong;
-                let sized = self.fetch_pieces(&meta, &[(meta.primary(), 0, 0, pinned)])?;
-                reported(&sized).unwrap_or(hint)
-            }
+            // A served piece always reports.
+            None => self
+                .fetch_pieces(&meta, &[Piece::size_query(&meta, self.consistency)])?
+                .sizes
+                .size(self.consistency, hint)
+                .unwrap_or(hint),
         };
-        if size > hint {
-            // The file grew past the hint: one extension round fetches
-            // the discovered tail. Planning uses the discovered size so
-            // the strong-mode primary pin covers the true last chunk.
-            let mut grown = meta.clone();
-            grown.size = size;
+        if let Some(grown) = datapath::extension_round(&meta, size) {
             let ext = self.read_range_collect(&grown, hint, size - hint)?;
             if outcome.data.is_empty() {
                 // Nothing was read over the hint: the extension is the
@@ -448,12 +427,13 @@ impl Client {
             meta
         };
 
-        let mut out = Vec::with_capacity(len as usize);
+        let mut out = Vec::new();
         let mut offset = offset;
         let mut len = len;
         let sealed_end = meta.sealed_bytes();
         if meta.is_coded() && offset < sealed_end {
             let span_end = (offset + len).min(sealed_end);
+            out.reserve_exact(len as usize);
             out.resize((span_end - offset) as usize, 0);
             self.read_sealed_span(meta, offset, &mut out)?;
             len -= span_end - offset;
@@ -461,63 +441,20 @@ impl Client {
             if len == 0 {
                 return Ok(RangeOutcome {
                     data: out,
-                    primary_size: None,
-                    max_size: None,
+                    ..RangeOutcome::default()
                 });
             }
         }
 
-        // Under strong consistency, bytes in the last chunk must come
-        // from the primary — with no failover to a secondary, whose
-        // tail could be stale; everything else is immutable and free
-        // to route (§3.4). `(host, offset, len, primary_only)`.
-        let mut pieces: Vec<(HostId, u64, u64, bool)> = Vec::new();
-        let mut selectable_end = offset + len;
-        if self.consistency == Consistency::Strong {
-            if let Some(last_chunk) = meta.last_chunk() {
-                let last_start = last_chunk * meta.chunk_size;
-                if offset + len > last_start {
-                    let tail_start = offset.max(last_start);
-                    pieces.push((meta.primary(), tail_start, offset + len - tail_start, true));
-                    selectable_end = tail_start;
-                }
-            }
+        let pieces = Piece::plan(meta, self.consistency, offset, len, |span| {
+            self.selector.select_read(self.host, &meta.replicas, span)
+        })?;
+        let mut outcome = self.fetch_pieces(meta, &pieces)?;
+        if !out.is_empty() {
+            out.extend_from_slice(&outcome.data);
+            outcome.data = out;
         }
-
-        if selectable_end > offset {
-            let span = selectable_end - offset;
-            let assignments = self.selector.select_read(self.host, &meta.replicas, span);
-            let total: u64 = assignments.iter().map(|a| a.bytes).sum();
-            if total != span {
-                return Err(FsError::InvalidArgument(format!(
-                    "selector assigned {total} bytes for a {span}-byte read"
-                )));
-            }
-            let mut pos = offset;
-            // Consecutive ranges, one per assignment, front-inserted so
-            // ordering stays by offset.
-            let mut selected = Vec::new();
-            for ReadAssignment { replica, bytes } in assignments {
-                if bytes == 0 {
-                    continue;
-                }
-                selected.push((replica, pos, bytes, false));
-                pos += bytes;
-            }
-            selected.extend(pieces);
-            pieces = selected;
-        }
-
-        let outcome = self.fetch_pieces(meta, &pieces)?;
-        if out.is_empty() {
-            return Ok(outcome);
-        }
-        out.extend_from_slice(&outcome.data);
-        Ok(RangeOutcome {
-            data: out,
-            primary_size: outcome.primary_size,
-            max_size: outcome.max_size,
-        })
+        Ok(outcome)
     }
 
     /// Fills `out` with sealed bytes `[offset, offset + out.len())` of
@@ -590,98 +527,58 @@ impl Client {
     /// the chosen one to the primary (only the primary for a piece
     /// pinned there). Errors propagate lowest piece index first, so
     /// width never changes the outcome.
-    fn fetch_pieces(
-        &self,
-        meta: &FileMeta,
-        pieces: &[(HostId, u64, u64, bool)],
-    ) -> Result<RangeOutcome, FsError> {
-        let total: u64 = pieces.iter().map(|p| p.2).sum();
+    fn fetch_pieces(&self, meta: &FileMeta, pieces: &[Piece]) -> Result<RangeOutcome, FsError> {
+        let total: u64 = pieces.iter().map(|p| p.len).sum();
         let mut buf = vec![0u8; total as usize];
         let (plane, policy) = (&*self.plane, self.retry);
 
-        // Disjoint per-piece slices of the output buffer, in order.
-        let mut slices: Vec<&mut [u8]> = Vec::with_capacity(pieces.len());
+        // One job per piece, each with its disjoint slice of the output
+        // buffer and its span. The spans are created here on the
+        // caller's thread, in planning order: span ids stay
+        // deterministic across pool widths, and each worker enters its
+        // span so per-host attempts parent under the right piece.
         let mut rest: &mut [u8] = &mut buf;
-        for &(_, _, piece_len, _) in pieces {
-            let (head, tail) = std::mem::take(&mut rest).split_at_mut(piece_len as usize);
-            slices.push(head);
-            rest = tail;
-        }
-
-        // Piece spans are created here on the caller's thread, in
-        // planning order: span ids stay deterministic across pool
-        // widths, and each worker enters its span so per-host attempts
-        // parent under the right piece.
-        let piece_spans: Vec<Option<trace::ActiveSpan>> = pieces
+        let jobs: Vec<_> = pieces
             .iter()
             .enumerate()
-            .map(|(i, &(chosen, piece_offset, piece_len, primary_only))| {
-                let mut s = plane.trace.child("piece");
-                trace::annotate(&mut s, "index", i);
-                trace::annotate(&mut s, "offset", piece_offset);
-                trace::annotate(&mut s, "bytes", piece_len);
-                trace::annotate(&mut s, "chosen", chosen.0);
-                if primary_only {
-                    trace::annotate(&mut s, "primary_only", "true");
+            .map(|(i, piece)| {
+                let slice;
+                (slice, rest) = std::mem::take(&mut rest).split_at_mut(piece.len as usize);
+                let mut span = plane.trace.child("piece");
+                trace::annotate(&mut span, "index", i);
+                trace::annotate(&mut span, "offset", piece.offset);
+                trace::annotate(&mut span, "bytes", piece.len);
+                trace::annotate(&mut span, "chosen", piece.host.0);
+                if piece.primary_only {
+                    trace::annotate(&mut span, "primary_only", "true");
                 }
-                s
+                move || {
+                    trace::in_span(span, |span| {
+                        plane
+                            .read_piece_into(policy, meta, piece, slice)
+                            .inspect(|done| trace::annotate(span, "filled", done.filled))
+                    })
+                }
             })
             .collect();
-
-        let results = datapath::fan_out(
-            self.parallelism,
-            pieces
-                .iter()
-                .zip(slices)
-                .zip(piece_spans)
-                .map(
-                    |((&(chosen, piece_offset, _, primary_only), slice), span)| {
-                        move || {
-                            trace::in_span(span, |span| {
-                                plane
-                                    .read_piece_into(
-                                        policy,
-                                        meta,
-                                        chosen,
-                                        primary_only,
-                                        piece_offset,
-                                        slice,
-                                    )
-                                    .inspect(|done| {
-                                        trace::annotate(span, "filled", done.filled);
-                                    })
-                            })
-                        }
-                    },
-                )
-                .collect(),
-            &plane.metrics,
-        );
+        let results = datapath::fan_out(self.parallelism, jobs, &plane.metrics);
 
         // Assemble: pieces are consecutive, so a short piece (possible
         // only at end-of-file — every replica holds every recorded
         // byte, and short reads below the recorded size are topped up
         // from the primary) truncates the result there.
         let mut kept = 0usize;
-        let mut primary_size = None;
-        let mut max_size = None;
+        let mut sizes = ReportedSizes::default();
         for (piece, result) in pieces.iter().zip(results) {
             let done = result?;
-            if done.size_from == meta.primary() {
-                primary_size = Some(done.reported_size.max(primary_size.unwrap_or(0)));
-            }
-            max_size = Some(done.reported_size.max(max_size.unwrap_or(0)));
+            sizes.note(meta, &done);
             kept += done.filled;
-            if (done.filled as u64) < piece.2 {
+            if (done.filled as u64) < piece.len {
                 break;
             }
         }
         buf.truncate(kept);
-        Ok(RangeOutcome {
-            data: buf,
-            primary_size,
-            max_size,
-        })
+        Ok(RangeOutcome { data: buf, sizes })
     }
 
     /// Moves `old` to `new`, overwriting and garbage-collecting any
@@ -791,7 +688,7 @@ mod tests {
     use super::*;
     use crate::cluster::{Cluster, ClusterConfig};
     use crate::nameserver::NameserverConfig;
-    use crate::selector::PrimarySelector;
+    use crate::selector::ReadAssignment;
     use mayflower_net::{Topology, TreeParams};
     use mayflower_simcore::testutil::TempDir;
 
@@ -814,6 +711,18 @@ mod tests {
             },
         )
         .unwrap()
+    }
+
+    /// Reads everything from the primary.
+    struct PrimarySelector;
+
+    impl ReplicaSelector for PrimarySelector {
+        fn select_read(&mut self, _c: HostId, r: &[HostId], bytes: u64) -> Vec<ReadAssignment> {
+            vec![ReadAssignment {
+                replica: r[0],
+                bytes,
+            }]
+        }
     }
 
     /// A selector that names one replica for every read.
@@ -998,6 +907,106 @@ mod tests {
                 .read_local(meta.id, 0, 100)
                 .unwrap();
             assert_eq!((data.as_slice(), size), (&b"AAAA"[..], 4), "width {width}");
+        }
+    }
+
+    /// Today's behaviour, pinned until a contract decides it: the bytes
+    /// of an append that failed on a relay are read back, in either
+    /// consistency mode, before any later append succeeds, while the
+    /// recorded size stays where the last good append left it.
+    #[test]
+    fn a_read_returns_a_failed_appends_bytes() {
+        for consistency in [Consistency::Sequential, Consistency::Strong] {
+            let dir = TempDir::new("failed-append-read");
+            let c = cluster(&dir, consistency);
+            let mut writer = c.client(HostId(0));
+            writer.set_retry_policy(1, std::time::Duration::ZERO);
+            let meta = writer.create("f").unwrap();
+            writer.append("f", b"AAAA").unwrap();
+            c.dataserver(meta.replicas[1]).crash();
+            let failed = writer.append("f", b"XXXX");
+            assert!(
+                matches!(failed, Err(FsError::Unavailable(_))),
+                "{consistency:?}: {failed:?}"
+            );
+            assert_eq!(c.nameserver().lookup("f").unwrap().size, 4);
+            let read = c.client(HostId(7)).read("f").unwrap();
+            assert_eq!(read, b"AAAAXXXX", "{consistency:?}");
+            c.dataserver(meta.replicas[1]).restart();
+            assert_eq!(writer.append("f", b"YYYY").unwrap(), 12, "{consistency:?}");
+        }
+    }
+
+    /// A piece that a lagging replica serves short is topped up from
+    /// the primary: here the extension round's piece, asked of the
+    /// replica that missed a failed append which another one reported.
+    #[test]
+    fn a_lagging_replicas_short_piece_is_topped_up_from_the_primary() {
+        /// Names the given replicas in turn, one per planned round.
+        struct InTurn(Vec<HostId>);
+        impl ReplicaSelector for InTurn {
+            fn select_read(
+                &mut self,
+                _c: HostId,
+                _r: &[HostId],
+                bytes: u64,
+            ) -> Vec<ReadAssignment> {
+                vec![ReadAssignment {
+                    replica: self.0.remove(0),
+                    bytes,
+                }]
+            }
+        }
+        let dir = TempDir::new("top-up");
+        let c = cluster(&dir, Consistency::Sequential);
+        let mut writer = c.client(HostId(0));
+        writer.set_retry_policy(1, std::time::Duration::ZERO);
+        let meta = writer.create("f").unwrap();
+        writer.append("f", b"AAAA").unwrap();
+        c.dataserver(meta.replicas[1]).crash();
+        assert!(writer.append("f", b"XXXX").is_err());
+        c.dataserver(meta.replicas[1]).restart();
+        let turns = InTurn(vec![meta.replicas[2], meta.replicas[1]]);
+        let mut reader = c.client_with_selector(HostId(7), Box::new(turns));
+        assert_eq!(reader.read("f").unwrap(), b"AAAAXXXX");
+    }
+
+    /// A selector whose assignments do not sum to the read is refused
+    /// before any piece is fetched, whether it assigns too few bytes or
+    /// too many.
+    #[test]
+    fn a_selector_that_misassigns_fetches_nothing() {
+        /// Assigns the primary the asked-for bytes plus `self.0`.
+        struct Off(i64);
+        impl ReplicaSelector for Off {
+            fn select_read(&mut self, _c: HostId, r: &[HostId], bytes: u64) -> Vec<ReadAssignment> {
+                vec![ReadAssignment {
+                    replica: r[0],
+                    bytes: bytes.saturating_add_signed(self.0),
+                }]
+            }
+        }
+        let dir = TempDir::new("misassign");
+        let c = cluster(&dir, Consistency::Sequential);
+        let mut writer = c.client(HostId(0));
+        writer.create("f").unwrap();
+        writer.append("f", b"0123456789").unwrap();
+        let reads = || {
+            c.registry()
+                .snapshot()
+                .counter("fs_dataserver_reads_total")
+                .unwrap_or(0)
+        };
+        for off in [-1i64, 1] {
+            let before = reads();
+            let mut reader = c.client_with_selector(HostId(5), Box::new(Off(off)));
+            let err = reader.read("f").unwrap_err();
+            let want = format!("selector assigned {} bytes for a 10-byte read", 10 + off);
+            assert!(
+                matches!(&err, FsError::InvalidArgument(m) if *m == want),
+                "off by {off}: {err}"
+            );
+            assert_eq!(reads(), before, "off by {off}");
         }
     }
 
@@ -1196,8 +1205,7 @@ mod tests {
         // A reader whose selector would pick any replica still gets
         // the data (failover to surviving replicas).
         for host in [0u32, 3, 6] {
-            let mut reader =
-                c.client_with_selector(HostId(host), Box::new(crate::selector::PrimarySelector));
+            let mut reader = c.client_with_selector(HostId(host), Box::new(PrimarySelector));
             assert_eq!(reader.read("fragile").unwrap(), b"survives replica loss");
         }
         // Even if the selector names the dead replica explicitly.

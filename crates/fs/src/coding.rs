@@ -17,7 +17,7 @@ use mayflower_ec::Codec;
 use mayflower_net::HostId;
 use mayflower_telemetry::{Counter, Scope};
 
-use crate::datapath::{fan_out, DataPlane, RetryPolicy};
+use crate::datapath::{fan_out, DataPlane, Piece, RetryPolicy};
 use crate::error::FsError;
 use crate::types::FileMeta;
 
@@ -86,15 +86,17 @@ pub(crate) fn seal_complete_chunks(
         )));
     }
     let codec = Codec::new(k, m);
-    let one_try = RetryPolicy {
-        attempts: 1,
-        backoff: std::time::Duration::ZERO,
-    };
     while meta.sealed_chunks < meta.complete_chunks() {
         let chunk = meta.sealed_chunks;
         let mut payload = vec![0u8; meta.chunk_payload_len(chunk) as usize];
         let offset = chunk * meta.chunk_size;
-        match plane.read_piece_into(one_try, &meta, meta.primary(), false, offset, &mut payload) {
+        let piece = Piece {
+            host: meta.primary(),
+            offset,
+            len: payload.len() as u64,
+            primary_only: false,
+        };
+        match plane.read_piece_into(RetryPolicy::ONCE, &meta, &piece, &mut payload) {
             Ok(done) if done.filled == payload.len() => {}
             _ => break, // no live replica holds the chunk — retry later
         }

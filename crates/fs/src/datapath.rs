@@ -25,6 +25,11 @@
 //! append locks, the pipeline and coded-tier metrics, the retry
 //! counter and the datapath trace handle. A client brings only its
 //! own knobs to it: pool width and retry policy.
+//!
+//! A read's replicated half is four steps, which [`crate::Client::read`]
+//! runs in one call and the model checker one piece per event:
+//! [`Piece::plan`], [`DataPlane::read_piece_into`], the size rule
+//! [`ReportedSizes::size`] and [`extension_round`].
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -37,7 +42,8 @@ use parking_lot::Mutex;
 use crate::coding::EcMetrics;
 use crate::dataserver::Dataserver;
 use crate::error::FsError;
-use crate::types::{FileId, FileMeta};
+use crate::selector::ReadAssignment;
+use crate::types::{Consistency, FileId, FileMeta};
 
 /// Backoff growth is capped so a long retry budget cannot make a
 /// client hang for seconds on a dead component.
@@ -137,9 +143,17 @@ fn run_one<T>(job: impl FnOnce() -> T, metrics: &DatapathMetrics) -> T {
 /// The client's retry policy, detached from the (`!Sync`) client so
 /// pool jobs can retry independently.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct RetryPolicy {
+pub struct RetryPolicy {
     pub(crate) attempts: u32,
     pub(crate) backoff: std::time::Duration,
+}
+
+impl RetryPolicy {
+    /// One try, no wait.
+    pub const ONCE: RetryPolicy = RetryPolicy {
+        attempts: 1,
+        backoff: std::time::Duration::ZERO,
+    };
 }
 
 /// Runs `op`, retrying transient [`FsError::Unavailable`] failures;
@@ -168,15 +182,144 @@ pub(crate) fn with_retry<T>(
     }
 }
 
+/// One piece of a read: `len` file bytes from `offset`, asked of `host`
+/// first.
+#[derive(Debug, Clone, Copy)]
+pub struct Piece {
+    /// The replica asked first.
+    pub(crate) host: HostId,
+    /// File offset of the piece's first byte.
+    pub(crate) offset: u64,
+    /// Bytes wanted.
+    pub len: u64,
+    /// No failover: `host`, the primary, alone may serve the piece.
+    pub(crate) primary_only: bool,
+}
+
+impl Piece {
+    /// Plans the replicated read of `[offset, offset + len)`. Under
+    /// strong consistency the part in the file's last chunk (per
+    /// `meta.size`) is one piece pinned to the primary, last: a
+    /// secondary's tail could be stale, while every other chunk is
+    /// immutable and free to route (§3.4). `select` assigns the rest:
+    /// given its byte count, it returns the selector's assignments,
+    /// which map in order onto consecutive pieces.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FsError::InvalidArgument`] when the assignments do not
+    /// sum to the byte count they were asked for.
+    pub fn plan(
+        meta: &FileMeta,
+        consistency: Consistency,
+        offset: u64,
+        len: u64,
+        select: impl FnOnce(u64) -> Vec<ReadAssignment>,
+    ) -> Result<Vec<Piece>, FsError> {
+        let end = offset + len;
+        let tail_start = match (consistency, meta.last_chunk()) {
+            (Consistency::Strong, Some(last)) => offset.max(last * meta.chunk_size).min(end),
+            _ => end,
+        };
+        let span = tail_start - offset;
+        let mut pieces = Vec::new();
+        if span > 0 {
+            let assignments = select(span);
+            let total: u64 = assignments.iter().map(|a| a.bytes).sum();
+            if total != span {
+                return Err(FsError::InvalidArgument(format!(
+                    "selector assigned {total} bytes for a {span}-byte read"
+                )));
+            }
+            pieces.reserve_exact(assignments.len() + 1);
+            let mut offset = offset;
+            for a in assignments.into_iter().filter(|a| a.bytes > 0) {
+                pieces.push(Piece {
+                    host: a.replica,
+                    offset,
+                    len: a.bytes,
+                    primary_only: false,
+                });
+                offset += a.bytes;
+            }
+        }
+        if end > tail_start {
+            pieces.push(Piece {
+                host: meta.primary(),
+                offset: tail_start,
+                len: end - tail_start,
+                primary_only: true,
+            });
+        }
+        Ok(pieces)
+    }
+
+    /// The zero-length piece asking the primary for the file's size
+    /// (pinned there under strong consistency), fetched when a read's
+    /// pieces reported no usable size: an empty hint, or a range wholly
+    /// in sealed fragments, which carry no file size.
+    #[must_use]
+    pub fn size_query(meta: &FileMeta, consistency: Consistency) -> Piece {
+        Piece {
+            host: meta.primary(),
+            offset: 0,
+            len: 0,
+            primary_only: consistency == Consistency::Strong,
+        }
+    }
+}
+
 /// Outcome of one piece fetch: how much of the piece buffer was
 /// filled, the file size the serving dataserver reported, and which
 /// host that size came from (the primary's size is authoritative under
 /// strong consistency).
 #[derive(Debug)]
-pub(crate) struct PieceDone {
-    pub(crate) filled: usize,
+pub struct PieceDone {
+    /// Bytes of the piece filled; fewer than asked only at end-of-file.
+    pub filled: usize,
     pub(crate) reported_size: u64,
     pub(crate) size_from: HostId,
+}
+
+/// The file sizes a read's pieces piggybacked on their responses.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct ReportedSizes {
+    primary: Option<u64>,
+    max: Option<u64>,
+}
+
+impl ReportedSizes {
+    /// Notes the size that one fetched piece of `meta` reported.
+    pub fn note(&mut self, meta: &FileMeta, done: &PieceDone) {
+        if done.size_from == meta.primary() {
+            self.primary = Some(done.reported_size.max(self.primary.unwrap_or(0)));
+        }
+        self.max = Some(done.reported_size.max(self.max.unwrap_or(0)));
+    }
+
+    /// The size rule (§3.4): under strong consistency the primary's
+    /// size (it alone linearizes appends); under sequential consistency
+    /// the largest size any replica reported, never below the `hint`
+    /// the read planned over. `None` when no piece reported one.
+    #[must_use]
+    pub fn size(&self, consistency: Consistency, hint: u64) -> Option<u64> {
+        match consistency {
+            Consistency::Strong => self.primary,
+            Consistency::Sequential => self.max.map(|size| size.max(hint)),
+        }
+    }
+}
+
+/// The metadata a read's extension round plans over: when the size
+/// rule finds the file longer than the hint `meta.size`, the bytes
+/// `[meta.size, size)` are fetched in one more round, over `meta`
+/// grown to `size` so that the strong pin covers the true last chunk.
+#[must_use]
+pub fn extension_round(meta: &FileMeta, size: u64) -> Option<FileMeta> {
+    (size > meta.size).then(|| FileMeta {
+        size,
+        ..meta.clone()
+    })
 }
 
 /// What every client of a cluster shares, and the only way to a
@@ -184,7 +327,7 @@ pub(crate) struct PieceDone {
 /// the `Arc`. It is `Sync`, so pool jobs use it directly — the client
 /// itself holds `!Sync` state (the selector, the metadata cache).
 #[derive(Debug)]
-pub(crate) struct DataPlane {
+pub struct DataPlane {
     dataservers: BTreeMap<HostId, Arc<Dataserver>>,
     /// Serializes appends per file: the "primary dataserver is
     /// responsible for ordering all of the append requests for the
@@ -204,7 +347,10 @@ pub(crate) struct DataPlane {
 }
 
 impl DataPlane {
-    pub(crate) fn new(
+    /// A data plane over `dataservers`, reporting to `registry` and
+    /// `tracer`.
+    #[must_use]
+    pub fn new(
         dataservers: BTreeMap<HostId, Arc<Dataserver>>,
         registry: &Registry,
         tracer: &Arc<Tracer>,
@@ -263,38 +409,39 @@ impl DataPlane {
         self.append_locks.lock().len()
     }
 
-    /// Reads file bytes `[offset, offset + buf.len())` into `buf`: the
-    /// one way to read a replica's bytes. The sweep tries `chosen`,
-    /// then the other secondaries in replica order, then the primary
-    /// last (it is never behind); with `primary_only` it tries `chosen`
-    /// alone, which callers set to the primary. A short read is topped
-    /// up from the primary, whose size report then supersedes. The
-    /// whole sweep runs under `policy`, so a crashed dataserver that
-    /// restarts within the retry budget turns a transient outage into
-    /// a slower read.
-    pub(crate) fn read_piece_into(
+    /// Fetches `piece` into `buf` (`piece.len` bytes): the one way to
+    /// read a replica's bytes. The sweep tries `piece.host`, then the
+    /// other secondaries in replica order, then the primary last (it is
+    /// never behind); a `primary_only` piece tries its host alone. A
+    /// short read is topped up from the primary, whose size report then
+    /// supersedes. The whole sweep runs under `policy`, so a crashed
+    /// dataserver that restarts within the retry budget turns a
+    /// transient outage into a slower read.
+    ///
+    /// # Errors
+    ///
+    /// The last attempt's error, when no host served the piece.
+    pub fn read_piece_into(
         &self,
         policy: RetryPolicy,
         meta: &FileMeta,
-        chosen: HostId,
-        primary_only: bool,
-        offset: u64,
+        piece: &Piece,
         buf: &mut [u8],
     ) -> Result<PieceDone, FsError> {
-        // Behind `chosen`: the secondaries in replica order, then the
-        // primary (`replicas[0]`).
+        // Behind the chosen host: the secondaries in replica order, then
+        // the primary (`replicas[0]`).
         let failover = meta.replicas.iter().skip(1).chain(meta.replicas.first());
-        let failover = failover.filter(move |host| !primary_only && **host != chosen);
+        let failover = failover.filter(|host| !piece.primary_only && **host != piece.host);
         let mut round = 0u32;
         with_retry(policy, &self.retries, || {
             let mut last_err = None;
-            for host in std::iter::once(&chosen).chain(failover.clone()) {
+            for host in std::iter::once(&piece.host).chain(failover.clone()) {
                 let attempt = trace::in_span(self.trace.child("attempt"), |span| {
                     trace::annotate(span, "host", host.0);
                     if round > 0 {
                         trace::annotate(span, "retry_round", round);
                     }
-                    let out = self.try_read_piece_into(meta, *host, offset, &mut *buf);
+                    let out = self.try_read_piece_into(meta, *host, piece.offset, &mut *buf);
                     match &out {
                         Ok(done) => trace::annotate(span, "filled", done.filled),
                         Err(e) => trace::annotate(span, "error", e),

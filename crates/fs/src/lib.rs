@@ -26,8 +26,8 @@
 //!   topology host plus the nameserver, with primary-relayed appends.
 //! * [`Client`] — HDFS-like API (`create` / `append` / `read` /
 //!   `delete`) with metadata caching and a pluggable
-//!   [`ReplicaSelector`] so reads can be steered by the Flowserver,
-//!   by rack-awareness, or round-robin.
+//!   [`ReplicaSelector`] so reads can be steered by the Flowserver or
+//!   by rack-awareness.
 //! * [`remote`] — the nameserver exposed over the RPC layer (the
 //!   paper's Thrift interface), for multi-process deployments.
 //!
@@ -72,12 +72,10 @@ pub mod types;
 
 pub use client::Client;
 pub use cluster::{Cluster, ClusterConfig};
+pub use datapath::{extension_round, DataPlane, Piece, PieceDone, ReportedSizes, RetryPolicy};
 pub use dataserver::{Dataserver, RepairSource};
 pub use error::FsError;
 pub use nameserver::{Nameserver, NameserverConfig, NsOp, PLACEMENT};
-pub use selector::{
-    FallbackSelector, NearestSelector, PrimarySelector, ReadAssignment, ReplicaSelector,
-    SplitSelector,
-};
+pub use selector::{FallbackSelector, NearestSelector, ReadAssignment, ReplicaSelector};
 pub use service::MetadataService;
 pub use types::{Consistency, FileId, FileMeta, Redundancy};

@@ -56,25 +56,6 @@ pub trait ReplicaSelector: Send {
     }
 }
 
-/// Always reads from the primary replica. Simple, and what a
-/// consistency-paranoid deployment would run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PrimarySelector;
-
-impl ReplicaSelector for PrimarySelector {
-    fn select_read(
-        &mut self,
-        _client: HostId,
-        replicas: &[HostId],
-        size_bytes: u64,
-    ) -> Vec<ReadAssignment> {
-        vec![ReadAssignment {
-            replica: replicas[0],
-            bytes: size_bytes,
-        }]
-    }
-}
-
 /// HDFS-style rack-aware selection: the topologically closest replica,
 /// with deterministic tie-breaking (lowest host id). This is the
 /// prototype comparison's "HDFS selects the replica in the same rack
@@ -134,53 +115,6 @@ impl ReplicaSelector for NearestSelector {
             .collect();
         ranked.sort_unstable();
         ranked.into_iter().take(k).map(|(_, _, i)| i).collect()
-    }
-}
-
-/// Splits every read into `pieces` equal consecutive ranges, assigned
-/// round-robin across the replicas — the §4.3 split-read shape with
-/// an explicit knob for how many RPCs one read fans out into. Pairs
-/// with [`crate::Client::set_parallelism`], which bounds how many of
-/// those pieces are in flight at once; the benches and stress tests
-/// use it to drive the data-plane pipeline at a fixed fan-out.
-#[derive(Debug, Clone, Copy)]
-pub struct SplitSelector {
-    pieces: u64,
-}
-
-impl SplitSelector {
-    /// A selector splitting each read into `pieces` ranges (min 1).
-    #[must_use]
-    pub fn new(pieces: u64) -> SplitSelector {
-        SplitSelector {
-            pieces: pieces.max(1),
-        }
-    }
-}
-
-impl ReplicaSelector for SplitSelector {
-    fn select_read(
-        &mut self,
-        _client: HostId,
-        replicas: &[HostId],
-        size_bytes: u64,
-    ) -> Vec<ReadAssignment> {
-        let per = size_bytes / self.pieces;
-        let mut left = size_bytes;
-        (0..self.pieces as usize)
-            .map(|i| {
-                let bytes = if i as u64 == self.pieces - 1 {
-                    left
-                } else {
-                    per
-                };
-                left -= bytes;
-                ReadAssignment {
-                    replica: replicas[i % replicas.len()],
-                    bytes,
-                }
-            })
-            .collect()
     }
 }
 
@@ -263,19 +197,6 @@ impl<P: ReplicaSelector, F: ReplicaSelector> ReplicaSelector for FallbackSelecto
 mod tests {
     use super::*;
     use mayflower_net::{Topology, TreeParams};
-
-    #[test]
-    fn primary_selector_reads_everything_from_primary() {
-        let mut s = PrimarySelector;
-        let a = s.select_read(HostId(0), &[HostId(7), HostId(9)], 100);
-        assert_eq!(
-            a,
-            vec![ReadAssignment {
-                replica: HostId(7),
-                bytes: 100
-            }]
-        );
-    }
 
     #[test]
     fn nearest_selector_prefers_same_rack() {
@@ -412,47 +333,5 @@ mod tests {
         // Both replicas cross-pod: lowest id wins.
         let a = s.select_read(HostId(0), &[HostId(40), HostId(20)], 10);
         assert_eq!(a[0].replica, HostId(20));
-    }
-
-    #[test]
-    fn split_selector_covers_the_range_round_robin() {
-        let replicas = [HostId(3), HostId(5), HostId(8)];
-        let mut s = SplitSelector::new(4);
-        let a = s.select_read(HostId(0), &replicas, 103);
-        assert_eq!(a.len(), 4);
-        assert_eq!(a.iter().map(|p| p.bytes).sum::<u64>(), 103);
-        // Equal pieces with the remainder on the last, replicas cycling.
-        assert_eq!(
-            a[0],
-            ReadAssignment {
-                replica: HostId(3),
-                bytes: 25
-            }
-        );
-        assert_eq!(
-            a[1],
-            ReadAssignment {
-                replica: HostId(5),
-                bytes: 25
-            }
-        );
-        assert_eq!(
-            a[2],
-            ReadAssignment {
-                replica: HostId(8),
-                bytes: 25
-            }
-        );
-        assert_eq!(
-            a[3],
-            ReadAssignment {
-                replica: HostId(3),
-                bytes: 28
-            }
-        );
-        // More pieces than bytes: zero-byte pieces are legal (the
-        // client skips them) and the sum still matches.
-        let tiny = SplitSelector::new(8).select_read(HostId(0), &replicas, 3);
-        assert_eq!(tiny.iter().map(|p| p.bytes).sum::<u64>(), 3);
     }
 }

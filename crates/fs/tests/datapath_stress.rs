@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use mayflower_fs::{
     Cluster, ClusterConfig, Consistency, Dataserver, NameserverConfig, NearestSelector,
-    ReadAssignment, Redundancy, ReplicaSelector, SplitSelector,
+    ReadAssignment, Redundancy, ReplicaSelector,
 };
 use mayflower_net::{HostId, Topology, TreeParams};
 use mayflower_simcore::testutil::TempDir;
@@ -101,6 +101,62 @@ fn payload(len: usize) -> Vec<u8> {
     (0..len)
         .map(|i| (i as u8).wrapping_mul(131).wrapping_add(7))
         .collect()
+}
+
+/// Splits every read into `pieces` equal consecutive ranges, assigned
+/// round-robin across the replicas: the §4.3 split-read shape with a
+/// fixed fan-out, which `Client::set_parallelism` then bounds.
+#[derive(Debug, Clone, Copy)]
+struct SplitSelector {
+    pieces: u64,
+}
+
+impl SplitSelector {
+    fn new(pieces: u64) -> SplitSelector {
+        SplitSelector {
+            pieces: pieces.max(1),
+        }
+    }
+}
+
+impl ReplicaSelector for SplitSelector {
+    fn select_read(
+        &mut self,
+        _client: HostId,
+        replicas: &[HostId],
+        size_bytes: u64,
+    ) -> Vec<ReadAssignment> {
+        let per = size_bytes / self.pieces;
+        let mut left = size_bytes;
+        (0..self.pieces as usize)
+            .map(|i| {
+                let bytes = if i as u64 == self.pieces - 1 {
+                    left
+                } else {
+                    per
+                };
+                left -= bytes;
+                ReadAssignment {
+                    replica: replicas[i % replicas.len()],
+                    bytes,
+                }
+            })
+            .collect()
+    }
+}
+
+#[test]
+fn split_selector_covers_the_range_round_robin() {
+    let replicas = [HostId(3), HostId(5), HostId(8)];
+    let a = SplitSelector::new(4).select_read(HostId(0), &replicas, 103);
+    // Equal pieces with the remainder on the last, replicas cycling.
+    let got: Vec<(HostId, u64)> = a.iter().map(|p| (p.replica, p.bytes)).collect();
+    let want = [(3, 25), (5, 25), (8, 25), (3, 28)].map(|(h, b)| (HostId(h), b));
+    assert_eq!(got, want);
+    // More pieces than bytes: zero-byte pieces are legal (the client
+    // skips them) and the sum still matches.
+    let tiny = SplitSelector::new(8).select_read(HostId(0), &replicas, 3);
+    assert_eq!(tiny.iter().map(|p| p.bytes).sum::<u64>(), 3);
 }
 
 #[test]

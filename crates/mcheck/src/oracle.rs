@@ -103,10 +103,13 @@ pub fn render_bytes(bytes: &[u8]) -> String {
     out
 }
 
-/// Checks an append/read history against the primary's final content.
+/// Checks an append/read history against the primary's final content
+/// and the nameserver's final `recorded` size.
 ///
 /// Always checked (sequential consistency): every successful read
-/// returned a byte prefix of `primary`. With `strong`, additionally:
+/// returned a byte prefix of `primary`, and no append was acknowledged
+/// at a size above `recorded` (a lower record lost it; reads take the
+/// primary's size, so none shows that). With `strong`, additionally:
 /// every successful read invoked after an append's acknowledgement
 /// covers that append's bytes (real-time freshness, §3.4), and every
 /// acknowledged append's bytes are present in `primary`.
@@ -117,6 +120,7 @@ pub fn render_bytes(bytes: &[u8]) -> String {
 pub fn check_append_read(
     history: &History<DataOp, DataRet>,
     primary: &[u8],
+    recorded: u64,
     strong: bool,
 ) -> Result<(), String> {
     let spans = history.spans();
@@ -136,6 +140,15 @@ pub fn check_append_read(
     };
 
     for (call, ret) in &completed {
+        if let DataRet::Appended(size) = ret {
+            if *size > recorded {
+                return Err(format!(
+                    "append[{}] was acknowledged at size {size}, but the \
+                     nameserver's final record is {recorded}",
+                    call.0
+                ));
+            }
+        }
         let Some(DataOp::Read { .. }) = op_of(*call) else {
             continue;
         };
@@ -221,7 +234,7 @@ mod tests {
         read_ret(&mut h, &[1, 1, 1]);
         read_ret(&mut h, &primary);
         read_ret(&mut h, &[]);
-        assert!(check_append_read(&h, &primary, false).is_ok());
+        assert!(check_append_read(&h, &primary, 4, false).is_ok());
     }
 
     #[test]
@@ -229,7 +242,7 @@ mod tests {
         let primary = [1, 1, 2, 2];
         let mut h = History::new();
         read_ret(&mut h, &[2, 2]);
-        let err = check_append_read(&h, &primary, false).unwrap_err();
+        let err = check_append_read(&h, &primary, 4, false).unwrap_err();
         assert!(err.contains("not a prefix"), "{err}");
     }
 
@@ -239,8 +252,8 @@ mod tests {
         let mut h = History::new();
         append_ret(&mut h, 2, 2, 4); // acked before the read begins
         read_ret(&mut h, &[1, 1]); // misses tag 2
-        assert!(check_append_read(&h, &primary, false).is_ok());
-        let err = check_append_read(&h, &primary, true).unwrap_err();
+        assert!(check_append_read(&h, &primary, 4, false).is_ok());
+        let err = check_append_read(&h, &primary, 4, true).unwrap_err();
         assert!(err.contains("strong read"), "{err}");
     }
 
@@ -260,7 +273,7 @@ mod tests {
         let r = h.invoke(1, DataOp::Read { file: "f".into() });
         h.respond(a, DataRet::Appended(4));
         h.respond(r, DataRet::Value(vec![1, 1]));
-        assert!(check_append_read(&h, &primary, true).is_ok());
+        assert!(check_append_read(&h, &primary, 4, true).is_ok());
     }
 
     #[test]
@@ -269,7 +282,7 @@ mod tests {
         let mut h = History::new();
         append_ret(&mut h, 9, 2, 4);
         read_ret(&mut h, &[1, 1]);
-        let err = check_append_read(&h, &primary, true).unwrap_err();
+        let err = check_append_read(&h, &primary, 4, true).unwrap_err();
         assert!(err.contains("never reached the primary"), "{err}");
     }
 
@@ -279,7 +292,18 @@ mod tests {
         let mut h = History::new();
         let r = h.invoke(1, DataOp::Read { file: "f".into() });
         h.respond(r, DataRet::Failed("replica down".into()));
-        assert!(check_append_read(&h, &primary, true).is_ok());
+        assert!(check_append_read(&h, &primary, 4, true).is_ok());
+    }
+
+    #[test]
+    fn a_record_below_an_acknowledged_size_fails() {
+        let primary = [1, 1, 2, 2];
+        let mut h = History::new();
+        append_ret(&mut h, 1, 2, 2);
+        append_ret(&mut h, 2, 2, 4);
+        assert!(check_append_read(&h, &primary, 4, false).is_ok());
+        let err = check_append_read(&h, &primary, 2, false).unwrap_err();
+        assert!(err.contains("acknowledged at size 4"), "{err}");
     }
 
     #[test]

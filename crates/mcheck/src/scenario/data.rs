@@ -3,44 +3,46 @@
 //! consistency oracle.
 //!
 //! The scenario runs a real [`Nameserver`] and three real
-//! [`Dataserver`]s (real chunk files on disk) and re-issues the append
-//! and read protocols step-by-step, one component call per event:
+//! [`Dataserver`]s (real chunk files on disk) and calls the functions
+//! the client calls, one component call per event:
 //!
 //! * **Append** (§3.3.2): invoke → acquire the per-file ordering lock
 //!   → write the primary replica ([`Dataserver::append_local`]) →
 //!   acknowledge (`record_size` + the client response) → relay to each
 //!   secondary with [`Dataserver::relay`] at the offset the primary
-//!   assigned, the call the production client makes → release the
-//!   lock. A relay to a secondary that is down fails and is dropped;
-//!   the secondary catches up from the primary at its next relay.
-//!   The acknowledgement precedes the relays, as the paper allows: the
-//!   primary *orders* appends and relays may trail the ack, which is
-//!   what §3.4's primary pin for last-chunk reads exists for. The
-//!   production client acks only after every relay; under that order
-//!   a secondary holds every acknowledged byte, and a strong read
-//!   served from one (`stale-last-chunk-read`) is no bug the oracle
-//!   can see. This order keeps the wider window checked.
-//! * **Read**: invoke → probe the acknowledged size from the
-//!   nameserver → read each chunk piece (strong mode: the last chunk
-//!   only from the primary; other chunks from the chosen replica, then
-//!   the other secondaries, the primary last, short reads patched from
-//!   the primary, as the production client does).
+//!   assigned → release the lock. A relay to a secondary that is down
+//!   fails and is dropped; the secondary catches up from the primary
+//!   at its next relay. The ack before the relays is the one order of
+//!   the scenario's own: the client acks after every relay, and under
+//!   that order a secondary holds every acknowledged byte, so a strong
+//!   read served from one (`stale-last-chunk-read`) is no bug the
+//!   oracle can see. The paper's primary orders appends and lets
+//!   relays trail the ack, which is the window §3.4's primary pin
+//!   exists for; this order keeps it checked.
+//! * **Read**: invoke → look the file up as a fresh client does (its
+//!   hint is the recorded size) → the client's read steps, one piece
+//!   per event ([`Piece::plan`] with round-robin assignments,
+//!   [`DataPlane::read_piece_into`], the size rule, [`extension_round`]).
 //! * **Faults**: a scripted crash/restart of one secondary, plus a
 //!   two-phase repair (replica disk loss, then
 //!   [`Dataserver::pull_repair`] from the primary) racing the
 //!   concurrent appends.
 //!
-//! The real protocol satisfies the oracle in *every* schedule. The
+//! The real protocol satisfies the oracles in *every* schedule. The
 //! [`Mutant::StaleLastChunkRead`], [`Mutant::UnlockedAppend`] and
-//! [`Mutant::RelayAtOwnEnd`] variants each violate it in *some*
+//! [`Mutant::RelayAtOwnEnd`] variants each violate one in *some*
 //! schedule — which is the point of exploring.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use mayflower_fs::{Dataserver, FileMeta, FsError, Nameserver, NameserverConfig};
+use mayflower_fs::{
+    extension_round, Consistency, DataPlane, Dataserver, FileMeta, FsError, Nameserver,
+    NameserverConfig, Piece, ReadAssignment, ReportedSizes, RetryPolicy,
+};
 use mayflower_net::HostId;
 use mayflower_simcore::{EventQueue, SimTime};
+use mayflower_telemetry::{trace::Tracer, Registry};
 
 use crate::history::{CallId, History};
 use crate::oracle::{check_append_read, DataOp, DataRet};
@@ -93,14 +95,30 @@ impl DataScenario {
     }
 }
 
-/// One read piece: chunk `chunk`, byte range `[off, off + want)`.
-#[derive(Debug, Clone)]
-struct Piece {
-    off: u64,
-    want: u64,
-    /// Replica index serving the raw bytes.
-    host: usize,
-    is_last: bool,
+/// A read between its steps: the metadata its round plans over, the
+/// round's pieces still to fetch, the bytes so far and the sizes the
+/// round's pieces reported.
+#[derive(Debug)]
+struct Read {
+    call: CallId,
+    meta: FileMeta,
+    round: Round,
+    pieces: std::vec::IntoIter<Piece>,
+    data: Vec<u8>,
+    sizes: ReportedSizes,
+}
+
+/// The rounds of [`Client::read`](mayflower_fs::Client::read), in order.
+#[derive(Debug, Clone, Copy)]
+enum Round {
+    /// Nothing planned yet.
+    Start,
+    /// The pieces planned over the size hint.
+    Hinted,
+    /// The zero-length piece asking the primary for the size.
+    SizeQuery,
+    /// The bytes found past the hint.
+    Extension,
 }
 
 #[derive(Debug)]
@@ -127,21 +145,19 @@ enum Phase {
         payload: Vec<u8>,
         next: usize,
     },
-    /// Read probed size `s`; next events fetch `pieces[next]`.
-    Pieces {
-        call: CallId,
-        pieces: Vec<Piece>,
-        next: usize,
-        acc: Vec<u8>,
-    },
+    /// A read; the next event fetches its next piece or ends its round.
+    Read(Box<Read>),
     /// Repair wiped the replica; next event pulls from the primary.
     RepairPull(CallId),
 }
 
 struct Run<'a> {
     scenario: &'a DataScenario,
+    consistency: Consistency,
     ns: Nameserver,
     ds: Vec<Arc<Dataserver>>,
+    /// The same dataservers, as the client's read steps reach them.
+    plane: DataPlane,
     meta: FileMeta,
     scripts: Vec<Vec<DataOp>>,
     cursors: Vec<usize>,
@@ -173,80 +189,77 @@ impl Run<'_> {
         }
     }
 
-    /// Reads one piece with the production client's failover
-    /// (`DataPlane::read_piece_into`): the chosen replica first, then
-    /// the other secondaries, the primary last; short reads are patched
-    /// from the primary. Strong-mode last-chunk pieces allow no
-    /// failover target but the primary itself.
-    fn read_piece(&self, piece: &Piece) -> Result<Vec<u8>, String> {
-        let strong_last = self.scenario.strong && piece.is_last;
-        let stale_serve = strong_last && self.scenario.mutant == Mutant::StaleLastChunkRead;
-        let candidates: Vec<usize> = if stale_serve {
-            vec![piece.host]
-        } else if strong_last {
-            vec![0]
-        } else {
-            let failover = (1..REPLICAS).chain([0]);
-            std::iter::once(piece.host)
-                .chain(failover.filter(|&r| r != piece.host))
-                .collect()
+    /// Plans a read's next round as [`Client::read`](mayflower_fs::Client::read)
+    /// does: the pieces over the hint, then the size rule, the size
+    /// query when no piece reported a size, and the extension round.
+    /// Returns whether a round follows.
+    fn next_round(&self, read: &mut Read) -> Result<bool, FsError> {
+        let (consistency, hint) = (self.consistency, read.meta.size);
+        let (round, pieces) = match (read.round, read.sizes.size(consistency, hint)) {
+            (Round::Start, _) => (
+                Round::Hinted,
+                Piece::plan(&read.meta, consistency, 0, hint, |span| {
+                    round_robin(&read.meta.replicas, span)
+                })?,
+            ),
+            (Round::Hinted, None) => (
+                Round::SizeQuery,
+                vec![Piece::size_query(&read.meta, consistency)],
+            ),
+            (Round::Extension, _) => return Ok(false),
+            (_, size) => {
+                let Some(grown) = extension_round(&read.meta, size.unwrap_or(hint)) else {
+                    return Ok(false);
+                };
+                let pieces = Piece::plan(&grown, consistency, hint, grown.size - hint, |span| {
+                    round_robin(&grown.replicas, span)
+                })?;
+                read.meta = grown;
+                (Round::Extension, pieces)
+            }
         };
-        for &r in &candidates {
-            let Ok((bytes, _)) = self.ds[r].read_local(self.meta.id, piece.off, piece.want) else {
-                continue;
-            };
-            if bytes.len() as u64 == piece.want || stale_serve {
-                return Ok(bytes); // the mutant serves the stale short read
-            }
-            if r == 0 {
-                return Err("primary returned a short read".to_string());
-            }
-            // Patch the lagging tail from the primary.
-            let patch_off = piece.off + bytes.len() as u64;
-            let patch_want = piece.want - bytes.len() as u64;
-            let Ok((patch, _)) = self.ds[0].read_local(self.meta.id, patch_off, patch_want) else {
-                continue;
-            };
-            if patch.len() as u64 == patch_want {
-                let mut out = bytes;
-                out.extend_from_slice(&patch);
-                return Ok(out);
-            }
-        }
-        Err(format!(
-            "no replica could serve [{}, {})",
-            piece.off,
-            piece.off + piece.want
-        ))
+        (read.round, read.pieces) = (round, pieces.into_iter());
+        read.sizes = ReportedSizes::default();
+        Ok(true)
     }
 
-    fn plan_pieces(&self, size: u64) -> Vec<Piece> {
-        let mut pieces = Vec::new();
-        if size == 0 {
-            return pieces;
+    /// Fetches a read's next piece, or ends its round; a short piece
+    /// ends the round at end-of-file.
+    fn read_step(&mut self, c: usize, mut read: Box<Read>) {
+        let step = match read.pieces.next() {
+            Some(piece) => {
+                let start = read.data.len();
+                read.data.resize(start + piece.len as usize, 0);
+                let buf = &mut read.data[start..];
+                let fetched =
+                    self.plane
+                        .read_piece_into(RetryPolicy::ONCE, &read.meta, &piece, buf);
+                fetched.map(|done| {
+                    read.data.truncate(start + done.filled);
+                    read.sizes.note(&read.meta, &done);
+                    if (done.filled as u64) < piece.len {
+                        read.pieces = Vec::new().into_iter();
+                    }
+                    true
+                })
+            }
+            None => self.next_round(&mut read),
+        };
+        match step {
+            Ok(true) => {
+                self.phases[c] = Phase::Read(read);
+                self.queue.schedule(SimTime::ZERO, c);
+            }
+            Ok(false) => {
+                self.history.respond(read.call, DataRet::Value(read.data));
+                self.finish_op(c);
+            }
+            Err(e) => {
+                self.history
+                    .respond(read.call, DataRet::Failed(short_err(&e)));
+                self.finish_op(c);
+            }
         }
-        let last_chunk = (size - 1) / CHUNK;
-        for chunk in 0..=last_chunk {
-            let off = chunk * CHUNK;
-            let want = CHUNK.min(size - off);
-            let is_last = chunk == last_chunk;
-            let host = if self.scenario.strong && is_last {
-                if self.scenario.mutant == Mutant::StaleLastChunkRead {
-                    1 // served stale from a secondary
-                } else {
-                    0 // §3.4: the primary
-                }
-            } else {
-                (chunk as usize) % REPLICAS
-            };
-            pieces.push(Piece {
-                off,
-                want,
-                host,
-                is_last,
-            });
-        }
-        pieces
     }
 
     /// Advances client `c` by one protocol step.
@@ -271,18 +284,22 @@ impl Run<'_> {
                     }
                 }
                 DataOp::Read { .. } => {
-                    let size = self
-                        .ns
-                        .lookup(FILE)
-                        .expect("file exists for the whole run")
-                        .size;
-                    self.phases[c] = Phase::Pieces {
+                    // A fresh client's metadata: its hint is the size
+                    // recorded now.
+                    let mut meta = self.ns.lookup(FILE).expect("file exists for the whole run");
+                    if self.scenario.mutant == Mutant::StaleLastChunkRead {
+                        // The steps take a secondary for the primary.
+                        meta.replicas.swap(0, 1);
+                    }
+                    let read = Read {
                         call,
-                        pieces: self.plan_pieces(size),
-                        next: 0,
-                        acc: Vec::new(),
+                        meta,
+                        round: Round::Start,
+                        pieces: Vec::new().into_iter(),
+                        data: Vec::new(),
+                        sizes: ReportedSizes::default(),
                     };
-                    self.queue.schedule(SimTime::ZERO, c);
+                    self.read_step(c, Box::new(read));
                 }
                 DataOp::Crash { replica } => {
                     self.ds[replica as usize].crash();
@@ -369,42 +386,7 @@ impl Run<'_> {
                     self.finish_op(c);
                 }
             }
-            Phase::Pieces {
-                call,
-                pieces,
-                next,
-                mut acc,
-            } => {
-                if next == pieces.len() {
-                    self.history.respond(call, DataRet::Value(acc));
-                    self.finish_op(c);
-                    return;
-                }
-                match self.read_piece(&pieces[next]) {
-                    Ok(bytes) => {
-                        let short = (bytes.len() as u64) < pieces[next].want;
-                        acc.extend_from_slice(&bytes);
-                        if short {
-                            // Only the stale-read mutant returns short:
-                            // its value ends early.
-                            self.history.respond(call, DataRet::Value(acc));
-                            self.finish_op(c);
-                        } else {
-                            self.phases[c] = Phase::Pieces {
-                                call,
-                                pieces,
-                                next: next + 1,
-                                acc,
-                            };
-                            self.queue.schedule(SimTime::ZERO, c);
-                        }
-                    }
-                    Err(why) => {
-                        self.history.respond(call, DataRet::Failed(why));
-                        self.finish_op(c);
-                    }
-                }
-            }
+            Phase::Read(read) => self.read_step(c, read),
             Phase::RepairPull(call) => {
                 let meta = self.ns.lookup(FILE).expect("file exists for the whole run");
                 let ret = match self.ds[1].pull_repair(&*self.ds[0], &meta) {
@@ -416,6 +398,18 @@ impl Run<'_> {
             }
         }
     }
+}
+
+/// The harness's replica choice: `CHUNK`-sized assignments, round-robin
+/// over the replicas from the first, so a read from offset 0 is served
+/// chunk `i` from replica `i mod 3`.
+fn round_robin(replicas: &[HostId], span: u64) -> Vec<ReadAssignment> {
+    (0..span.div_ceil(CHUNK))
+        .map(|i| ReadAssignment {
+            replica: replicas[i as usize % replicas.len()],
+            bytes: CHUNK.min(span - i * CHUNK),
+        })
+        .collect()
 }
 
 fn short_err(e: &FsError) -> String {
@@ -460,6 +454,11 @@ impl Scenario for DataScenario {
             d.create_file(&meta).expect("create replica");
             ds.push(Arc::new(d));
         }
+        let plane = DataPlane::new(
+            hosts.into_iter().zip(ds.iter().cloned()).collect(),
+            &Registry::new(),
+            &Tracer::new_manual(),
+        );
 
         let mut scripts: Vec<Vec<DataOp>> = vec![
             vec![
@@ -492,8 +491,14 @@ impl Scenario for DataScenario {
         let n = scripts.len();
         let mut run = Run {
             scenario: self,
+            consistency: if self.strong {
+                Consistency::Strong
+            } else {
+                Consistency::Sequential
+            },
             ns,
             ds,
+            plane,
             meta,
             scripts,
             cursors: vec![0; n],
@@ -514,15 +519,17 @@ impl Scenario for DataScenario {
         for d in &run.ds {
             d.restart();
         }
-        let (_, size) = run.ds[0]
-            .read_local(run.meta.id, 0, 0)
-            .expect("primary survives (disk is never lost)");
         let (primary, _) = run.ds[0]
-            .read_local(run.meta.id, 0, size)
-            .expect("primary content readable");
+            .read_local(run.meta.id, 0, u64::MAX)
+            .expect("primary survives (disk is never lost)");
+        let recorded = run
+            .ns
+            .lookup(FILE)
+            .expect("file exists for the whole run")
+            .size;
 
         ScheduleOutcome {
-            verdict: check_append_read(&run.history, &primary, self.strong),
+            verdict: check_append_read(&run.history, &primary, recorded, self.strong),
             trace: run.history.trace(),
         }
     }

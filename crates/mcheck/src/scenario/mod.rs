@@ -6,12 +6,10 @@
 //! [`mayflower_fs::Dataserver`]s with real bytes on disk, the real
 //! [`mayflower_flowserver`] flow tracker — but drives them through a
 //! `simcore` event queue so that the scheduler hook decides the order
-//! of same-timestamp steps. The production `Client` methods are
-//! monolithic (one call performs the whole protocol), so the scenarios
-//! re-issue the same component-level calls the client makes as
-//! *separate events*: that is what opens the interleaving space the
-//! checker explores, while the state every step touches stays the real
-//! implementation.
+//! of same-timestamp steps. A scenario makes the calls the client makes
+//! (a read runs the client's own read steps) as *separate events*: that
+//! opens the interleaving space the checker explores, and the scenario
+//! adds only the scheduling.
 //!
 //! Each scenario also supports **mutants**: deliberately broken
 //! harness-level variants of the protocol (a stale last-chunk read, a
@@ -50,10 +48,12 @@ pub enum Mutant {
     WalTornTail,
     /// Strong-consistency read serves the last chunk from a secondary
     /// replica without patching short reads from the primary (§3.4
-    /// requires the primary).
+    /// requires the primary): the client's read steps get a replica
+    /// list that names a secondary as the primary.
     StaleLastChunkRead,
-    /// Appends skip the per-file primary-ordering lock, so replica
-    /// relay order can diverge (§3.3.2 requires primary ordering).
+    /// Appends skip the per-file primary-ordering lock, so the size
+    /// record can fall below an acknowledged size (§3.3.2 requires
+    /// primary ordering).
     UnlockedAppend,
     /// A relay appends at the secondary's own end instead of the
     /// offset the primary assigned, so a secondary that missed a relay
