@@ -205,15 +205,16 @@ fi
 echo "==> one replica read, one fragment gather: only the data plane reads a replica's bytes; coding.rs reads fragments in one place"
 # Over the same non-test fs listing as the stage above, and mcheck's. A
 # replica's bytes are read through DataPlane::read_piece_into, which
-# owns the failover order; another loop over read_local would carry its
-# own. mcheck's data scenario reads through it too; its one read_local
-# line is the oracle's ground truth, the primary's final content. A
-# sealed chunk's fragments are gathered by the one loop the degraded
-# read and the rebuild share. Every hit is printed before the stage
-# fails.
+# owns the failover order; another loop over read_local, read_local_into
+# or read_local_onto (the appending read the data plane calls) would
+# carry its own. mcheck's data scenario reads through it too; its one
+# read_local line is the oracle's ground truth, the primary's final
+# content. A sealed chunk's fragments are gathered by the one loop the
+# degraded read and the rebuild share. Every hit is printed before the
+# stage fails.
 failed=0
 if grep -Ev '^crates/fs/src/(datapath|dataserver)\.rs:' <<<"$fs_lines" |
-  grep -E '\bread_local(_into)?\('; then
+  grep -E '\bread_local(_into|_onto)?\('; then
   echo "crates/fs: read a replica's bytes through DataPlane::read_piece_into" >&2
   failed=1
 fi
@@ -222,7 +223,7 @@ if [[ -z "$mcheck_lines" ]]; then
   echo "loc.sh --lines printed no mcheck code to check" >&2
   exit 1
 fi
-mcheck_reads=$(grep -E '\bread_local(_into)?\(' <<<"$mcheck_lines" || true)
+mcheck_reads=$(grep -E '\bread_local(_into|_onto)?\(' <<<"$mcheck_lines" || true)
 if [[ $(grep -c . <<<"$mcheck_reads") -gt 1 ]] ||
   grep -v '^crates/mcheck/src/scenario/data\.rs:' <<<"$mcheck_reads" | grep .; then
   echo "$mcheck_reads"

@@ -57,22 +57,13 @@ pub struct Client {
     /// How a retryable ([`FsError::Unavailable`]) operation is retried
     /// before the error propagates.
     retry: RetryPolicy,
-    /// Worker-pool width for a read's split pieces and coded
-    /// fragments; 1 runs them serially inline. Appends never use the
-    /// pool.
+    /// Worker-pool width for a coded read's fragment fetches; 1 runs
+    /// them serially inline. Replicated pieces and appends never use
+    /// the pool.
     parallelism: usize,
     /// Client-side tracing: op roots (`create`/`append`/`read`) and
     /// their direct children open here.
     trace: TraceHandle,
-}
-
-/// What a ranged read brought back: the bytes, and the file sizes the
-/// serving dataservers reported, from which [`Client::read`] learns the
-/// file's size.
-#[derive(Debug, Default)]
-struct RangeOutcome {
-    data: Vec<u8>,
-    sizes: ReportedSizes,
 }
 
 /// Default data-plane pool width: a fixed small fan-out rather than a
@@ -119,15 +110,17 @@ impl Client {
     }
 
     /// Sets the data-plane worker-pool width (min 1): at most `width`
-    /// of a read's piece fetches or fragment reads run at once, the
-    /// calling thread being one of the workers, so a fan-out `w` wide
-    /// spawns `w − 1` threads. Width 1 runs them serially on the
-    /// caller's thread — the same code path, so bytes are identical at
-    /// every width. A wider pool overlaps the page-cache copies of
-    /// split reads (§4.3) and of coded fragments on a multi-core host,
-    /// and their disk waits on a real disk. An append's relays always
-    /// run serially on the caller's thread: on one CPU a thread start
-    /// (~22 µs) outweighs a 4 KiB relay write (~5–6 µs).
+    /// of a coded read's fragment reads run at once, the calling thread
+    /// being one of the workers, so a fan-out `w` wide spawns `w − 1`
+    /// threads. Width 1 runs them serially on the caller's thread — the
+    /// same code path, so bytes are identical at every width. A wider
+    /// pool overlaps the fragment copies and checksums on a multi-core
+    /// host, and their disk waits on a real disk. A replicated read's
+    /// pieces, split ones (§4.3) included, are appended to the result
+    /// one after another on the caller's thread, so that each byte is
+    /// written once (DESIGN.md §16); an append's relays run there too:
+    /// on one CPU a thread start (~22 µs) outweighs a 4 KiB relay write
+    /// (~5–6 µs).
     pub fn set_parallelism(&mut self, width: usize) {
         self.parallelism = width.max(1);
     }
@@ -363,56 +356,63 @@ impl Client {
         // with — it can only lag the recorded size, and every replica
         // acked every recorded append — and appended bytes the
         // piggybacked size reveals are fetched in one extension round.
+        // Both rounds append to the one result.
         let hint = meta.size;
-        let mut outcome = self.read_range_collect(&meta, 0, hint)?;
-        let size = match outcome.sizes.size(self.consistency, hint) {
+        let mut data = Vec::new();
+        let sizes = self.read_range_collect(&meta, 0, hint, &mut data)?;
+        let size = match sizes.size(self.consistency, hint) {
             Some(size) => size,
             // A served piece always reports.
             None => self
-                .fetch_pieces(&meta, &[Piece::size_query(&meta, self.consistency)])?
-                .sizes
+                .fetch_pieces(
+                    &meta,
+                    &[Piece::size_query(&meta, self.consistency)],
+                    &mut data,
+                )?
                 .size(self.consistency, hint)
                 .unwrap_or(hint),
         };
         if let Some(grown) = datapath::extension_round(&meta, size) {
-            let ext = self.read_range_collect(&grown, hint, size - hint)?;
-            if outcome.data.is_empty() {
-                // Nothing was read over the hint: the extension is the
-                // whole result.
-                outcome.data = ext.data;
-            } else {
-                outcome.data.extend_from_slice(&ext.data);
-            }
+            self.read_range_collect(&grown, hint, size - hint, &mut data)?;
         }
         if let Some((cached, _)) = self.cache.get_mut(name) {
             cached.size = size;
         }
-        Ok(outcome.data)
+        Ok(data)
     }
 
     /// Reads `[offset, offset + len)`, truncated at end-of-file.
     ///
     /// # Errors
     ///
-    /// Returns [`FsError::NotFound`] for unknown files.
+    /// Returns [`FsError::NotFound`] for unknown files and
+    /// [`FsError::InvalidArgument`] when `offset + len` overflows.
     pub fn read_range(&mut self, name: &str, offset: u64, len: u64) -> Result<Vec<u8>, FsError> {
         trace::in_span(self.trace.span("read_range"), |span| {
             trace::annotate(span, "file", name);
             trace::annotate(span, "offset", offset);
             trace::annotate(span, "len", len);
             let meta = self.meta(name)?;
-            Ok(self.read_range_collect(&meta, offset, len)?.data)
+            let mut data = Vec::new();
+            self.read_range_collect(&meta, offset, len, &mut data)?;
+            Ok(data)
         })
     }
 
+    /// Appends `[offset, offset + len)` of the file, truncated at
+    /// end-of-file, to `out`, and returns the file sizes the serving
+    /// dataservers reported, from which [`Client::read`] learns the
+    /// file's size. `out` is reserved up front for no more than the
+    /// size hint `meta.size` says is there.
     fn read_range_collect(
         &mut self,
         meta: &FileMeta,
         offset: u64,
         len: u64,
-    ) -> Result<RangeOutcome, FsError> {
+        out: &mut Vec<u8>,
+    ) -> Result<ReportedSizes, FsError> {
         if len == 0 {
-            return Ok(RangeOutcome::default());
+            return Ok(ReportedSizes::default());
         }
 
         // The seal watermark moves outside the append-only invariant
@@ -427,34 +427,28 @@ impl Client {
             meta
         };
 
-        let mut out = Vec::new();
+        out.reserve(len.min(meta.size.saturating_sub(offset)) as usize);
         let mut offset = offset;
         let mut len = len;
         let sealed_end = meta.sealed_bytes();
         if meta.is_coded() && offset < sealed_end {
-            let span_end = (offset + len).min(sealed_end);
-            out.reserve_exact(len as usize);
-            out.resize((span_end - offset) as usize, 0);
-            self.read_sealed_span(meta, offset, &mut out)?;
+            // The sealed span is zero-filled and then filled in place by
+            // the fragment fan-out.
+            let span_end = offset.saturating_add(len).min(sealed_end);
+            let start = out.len();
+            out.resize(start + (span_end - offset) as usize, 0);
+            self.read_sealed_span(meta, offset, &mut out[start..])?;
             len -= span_end - offset;
             offset = span_end;
             if len == 0 {
-                return Ok(RangeOutcome {
-                    data: out,
-                    ..RangeOutcome::default()
-                });
+                return Ok(ReportedSizes::default());
             }
         }
 
         let pieces = Piece::plan(meta, self.consistency, offset, len, |span| {
             self.selector.select_read(self.host, &meta.replicas, span)
         })?;
-        let mut outcome = self.fetch_pieces(meta, &pieces)?;
-        if !out.is_empty() {
-            out.extend_from_slice(&outcome.data);
-            outcome.data = out;
-        }
-        Ok(outcome)
+        self.fetch_pieces(meta, &pieces, out)
     }
 
     /// Fills `out` with sealed bytes `[offset, offset + out.len())` of
@@ -520,31 +514,28 @@ impl Client {
         Ok(())
     }
 
-    /// Fetches the planned pieces — concurrently when the pool is
-    /// wider than one — assembling them by offset into one
-    /// preallocated buffer. Each piece is one
-    /// [`DataPlane::read_piece_into`], which sweeps the replicas from
-    /// the chosen one to the primary (only the primary for a piece
-    /// pinned there). Errors propagate lowest piece index first, so
-    /// width never changes the outcome.
-    fn fetch_pieces(&self, meta: &FileMeta, pieces: &[Piece]) -> Result<RangeOutcome, FsError> {
-        let total: u64 = pieces.iter().map(|p| p.len).sum();
-        let mut buf = vec![0u8; total as usize];
-        let (plane, policy) = (&*self.plane, self.retry);
-
-        // One job per piece, each with its disjoint slice of the output
-        // buffer and its span. The spans are created here on the
-        // caller's thread, in planning order: span ids stay
-        // deterministic across pool widths, and each worker enters its
-        // span so per-host attempts parent under the right piece.
-        let mut rest: &mut [u8] = &mut buf;
-        let jobs: Vec<_> = pieces
+    /// Appends the planned pieces to `out`, in plan order, on the
+    /// caller's thread: each is one [`DataPlane::read_piece_into`],
+    /// which sweeps the replicas from the chosen one to the primary
+    /// (only the primary for a piece pinned there). Pieces are
+    /// consecutive, so a short piece — possible only at end-of-file:
+    /// every replica holds every recorded byte, and short reads below
+    /// the recorded size are topped up from the primary — ends the
+    /// read there. Returns the sizes the pieces reported.
+    fn fetch_pieces(
+        &self,
+        meta: &FileMeta,
+        pieces: &[Piece],
+        out: &mut Vec<u8>,
+    ) -> Result<ReportedSizes, FsError> {
+        // Every piece span opens first, in plan order, as the golden
+        // span trees pin; per-host attempts then parent under their
+        // piece.
+        let spans: Vec<Option<trace::ActiveSpan>> = pieces
             .iter()
             .enumerate()
             .map(|(i, piece)| {
-                let slice;
-                (slice, rest) = std::mem::take(&mut rest).split_at_mut(piece.len as usize);
-                let mut span = plane.trace.child("piece");
+                let mut span = self.plane.trace.child("piece");
                 trace::annotate(&mut span, "index", i);
                 trace::annotate(&mut span, "offset", piece.offset);
                 trace::annotate(&mut span, "bytes", piece.len);
@@ -552,33 +543,22 @@ impl Client {
                 if piece.primary_only {
                     trace::annotate(&mut span, "primary_only", "true");
                 }
-                move || {
-                    trace::in_span(span, |span| {
-                        plane
-                            .read_piece_into(policy, meta, piece, slice)
-                            .inspect(|done| trace::annotate(span, "filled", done.filled))
-                    })
-                }
+                span
             })
             .collect();
-        let results = datapath::fan_out(self.parallelism, jobs, &plane.metrics);
-
-        // Assemble: pieces are consecutive, so a short piece (possible
-        // only at end-of-file — every replica holds every recorded
-        // byte, and short reads below the recorded size are topped up
-        // from the primary) truncates the result there.
-        let mut kept = 0usize;
         let mut sizes = ReportedSizes::default();
-        for (piece, result) in pieces.iter().zip(results) {
-            let done = result?;
+        for (piece, span) in pieces.iter().zip(spans) {
+            let done = trace::in_span(span, |span| {
+                self.plane
+                    .read_piece_into(self.retry, meta, piece, out)
+                    .inspect(|done| trace::annotate(span, "filled", done.filled))
+            })?;
             sizes.note(meta, &done);
-            kept += done.filled;
             if (done.filled as u64) < piece.len {
                 break;
             }
         }
-        buf.truncate(kept);
-        Ok(RangeOutcome { data: buf, sizes })
+        Ok(sizes)
     }
 
     /// Moves `old` to `new`, overwriting and garbage-collecting any
@@ -857,19 +837,53 @@ mod tests {
         // One dataserver read serves the whole request: size discovery
         // rides on the piece response instead of a standalone probe.
         assert_eq!(snap.counter("fs_dataserver_reads_total"), Some(1));
-        // The read's piece fetch went through the pool, which drained
-        // its in-flight gauge; the append's relays never do.
-        assert!(snap.histogram("fs_datapath_fan_out_width").unwrap().count >= 1);
+        // The read appended its piece on this thread, as the append
+        // relayed: neither touched the pool.
+        let fan_outs = |snap: &mayflower_telemetry::Snapshot| {
+            snap.histogram("fs_datapath_fan_out_width")
+                .map_or(0, |h| h.count)
+        };
+        assert_eq!(fan_outs(&snap), 0);
+        // A coded read's fragment fetches go through the pool, which
+        // drains its in-flight gauge.
+        client
+            .create_with("coded", Redundancy::Coded { k: 4, m: 2 })
+            .unwrap();
+        client.append("coded", b"0123456789abcdef").unwrap();
+        assert_eq!(client.read("coded").unwrap(), b"0123456789abcdef");
+        let snap = c.registry().snapshot();
+        assert_eq!(fan_outs(&snap), 1);
         assert_eq!(snap.gauge("fs_datapath_inflight_fetches"), Some(0));
     }
 
-    /// An append relays on the caller's thread at any pool width: it
-    /// dispatches nothing to the pool, which a read then does.
+    /// Splits `bytes` in two: the first half from `replicas[1]`, the
+    /// rest from `replicas[2]`.
+    struct Halves;
+
+    impl ReplicaSelector for Halves {
+        fn select_read(&mut self, _c: HostId, r: &[HostId], bytes: u64) -> Vec<ReadAssignment> {
+            vec![
+                ReadAssignment {
+                    replica: r[1],
+                    bytes: bytes / 2,
+                },
+                ReadAssignment {
+                    replica: r[2],
+                    bytes: bytes - bytes / 2,
+                },
+            ]
+        }
+    }
+
+    /// An append relays, and a replicated read appends its pieces, on
+    /// the caller's thread at any pool width: neither dispatches
+    /// anything to the pool, not even a read split in two. A coded
+    /// read's fragment fetches do.
     #[test]
     fn an_append_spawns_nothing() {
         let dir = TempDir::new("no-spawn");
         let c = cluster(&dir, Consistency::Sequential);
-        let mut client = c.client(HostId(0));
+        let mut client = c.client_with_selector(HostId(0), Box::new(Halves));
         client.set_parallelism(4);
         client.create("f").unwrap();
         let fan_outs = || {
@@ -878,12 +892,21 @@ mod tests {
             let width = snap.histogram("fs_datapath_fan_out_width");
             (width.map_or(0, |h| h.count), inflight)
         };
+        let mut want = Vec::new();
         for i in 0..5u8 {
             client.append("f", &[i; 20]).unwrap();
+            want.extend_from_slice(&[i; 20]);
         }
         assert_eq!(fan_outs(), (0, 0), "appends use no pool");
-        assert_eq!(client.read("f").unwrap().len(), 100);
-        assert_eq!(fan_outs(), (1, 0), "a read does");
+        assert_eq!(client.read("f").unwrap(), want);
+        assert_eq!(fan_outs(), (0, 0), "nor does a split replicated read");
+        client
+            .create_with("c", Redundancy::Coded { k: 4, m: 2 })
+            .unwrap();
+        client.append("c", &want[..16]).unwrap();
+        assert_eq!(fan_outs(), (0, 0), "nor does a seal");
+        assert_eq!(client.read("c").unwrap(), want[..16]);
+        assert_eq!(fan_outs(), (1, 0), "a coded read does");
     }
 
     /// A relay that fails past its retry budget fails the append, but
@@ -1037,6 +1060,66 @@ mod tests {
         client.append("short", b"xy").unwrap();
         assert_eq!(client.read_range("short", 0, 100).unwrap(), b"xy");
         assert_eq!(client.read_range("short", 50, 10).unwrap(), b"");
+    }
+
+    /// A range reaching far past end-of-file reserves no more than the
+    /// file holds, and one whose end overflows `u64` is refused, for a
+    /// replicated file and a coded one (two sealed chunks and a
+    /// replicated tail) alike.
+    #[test]
+    fn a_range_past_eof_reads_to_eof_and_an_overflowing_one_is_refused() {
+        let dir = TempDir::new("huge-range");
+        let c = cluster(&dir, Consistency::Sequential);
+        let mut client = c.client(HostId(0));
+        client.create("r").unwrap();
+        client
+            .create_with("c", Redundancy::Coded { k: 4, m: 2 })
+            .unwrap();
+        let file: Vec<u8> = (0..20).collect();
+        for name in ["r", "c"] {
+            client.append(name, &file).unwrap();
+            assert_eq!(client.read_range(name, 0, 1 << 40).unwrap(), file, "{name}");
+            let to_the_top = client.read_range(name, 3, u64::MAX - 3).unwrap();
+            assert_eq!(to_the_top, file[3..], "{name}");
+            let err = client.read_range(name, 1, u64::MAX).unwrap_err();
+            assert!(matches!(err, FsError::InvalidArgument(_)), "{name}: {err}");
+        }
+        assert_eq!(c.nameserver().lookup("c").unwrap().sealed_chunks, 2);
+    }
+
+    /// A replica that fails part-way through a piece (its second chunk
+    /// file is gone, so the first chunk's bytes have already landed)
+    /// leaves none of the piece behind: the next replica reads the
+    /// piece whole, after whatever the result held before it.
+    #[test]
+    fn a_replica_failing_mid_piece_leaves_none_of_it_behind() {
+        let dir = TempDir::new("mid-piece");
+        let c = cluster(&dir, Consistency::Sequential);
+        let mut writer = c.client(HostId(0));
+        writer.create("f").unwrap();
+        let file: Vec<u8> = (0..24).collect();
+        writer.append("f", &file).unwrap();
+        let meta = c.nameserver().lookup("f").unwrap();
+        let broken = meta.replicas[1];
+        let chunk_file = c.dataserver(broken).root().join(meta.id.as_hex()).join("2");
+        std::fs::remove_file(chunk_file).unwrap();
+        let mut reader = c.client_with_selector(HostId(7), Box::new(Fixed(broken)));
+        assert_eq!(reader.read("f").unwrap(), file);
+        // One step down: the piece lands after the bytes already there.
+        let pieces = Piece::plan(&meta, Consistency::Sequential, 0, 24, |bytes| {
+            vec![ReadAssignment {
+                replica: broken,
+                bytes,
+            }]
+        })
+        .unwrap();
+        let mut out = b"held".to_vec();
+        let done = reader
+            .plane
+            .read_piece_into(RetryPolicy::ONCE, &meta, &pieces[0], &mut out)
+            .unwrap();
+        assert_eq!((done.filled, done.size_from), (24, meta.replicas[2]));
+        assert_eq!((&out[..4], &out[4..]), (&b"held"[..], &file[..]));
     }
 
     #[test]

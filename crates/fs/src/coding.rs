@@ -88,16 +88,15 @@ pub(crate) fn seal_complete_chunks(
     let codec = Codec::new(k, m);
     while meta.sealed_chunks < meta.complete_chunks() {
         let chunk = meta.sealed_chunks;
-        let mut payload = vec![0u8; meta.chunk_payload_len(chunk) as usize];
-        let offset = chunk * meta.chunk_size;
         let piece = Piece {
             host: meta.primary(),
-            offset,
-            len: payload.len() as u64,
+            offset: chunk * meta.chunk_size,
+            len: meta.chunk_payload_len(chunk),
             primary_only: false,
         };
+        let mut payload = Vec::with_capacity(piece.len as usize);
         match plane.read_piece_into(RetryPolicy::ONCE, &meta, &piece, &mut payload) {
-            Ok(done) if done.filled == payload.len() => {}
+            Ok(done) if done.filled as u64 == piece.len => {}
             _ => break, // no live replica holds the chunk — retry later
         }
         let shards = codec.encode_payload(&payload);

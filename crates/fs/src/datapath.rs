@@ -1,6 +1,6 @@
-//! The parallel data-plane pipeline (DESIGN.md §16): a bounded
-//! scoped-thread worker pool for a read's piece fetches and fragment
-//! reads, plus the [`DataPlane`] every client of a cluster shares.
+//! The data-plane pipeline (DESIGN.md §16): a bounded scoped-thread
+//! worker pool for a coded read's fragment reads, plus the
+//! [`DataPlane`] every client of a cluster shares.
 //!
 //! The data plane is in-process, so a "round trip" to a dataserver is
 //! a function call that copies through the page cache: what the pool
@@ -11,14 +11,17 @@
 //! CPU a scoped spawn and join takes ~22 µs, a 4 KiB relay write
 //! ~5–6 µs — so an append's relays stay off the pool, on the caller's
 //! thread, and in a fan-out the caller is one of the workers: `w`
-//! wide spawns `w − 1` threads. Results are position-addressed: every
-//! job's value is returned under its index (and a read fills its
-//! caller-provided buffer slice), so output bytes are identical
-//! regardless of completion order and a width-1 pool runs the exact
-//! same code inline. Every job runs under the caller's trace context,
-//! so span trees do not depend on width either. The fluid simulator
-//! and the model checker never thread through this pool, so their
-//! determinism is untouched.
+//! wide spawns `w − 1` threads. A replicated read stays off the pool
+//! too: its pieces append to the one result in plan order, so each
+//! byte is written once, where a pool would need the result
+//! zero-filled first to hand each piece its own slice. Fan-out results
+//! are position-addressed: every job's value is returned under its
+//! index (and a fragment fetch fills its slice of the sealed span), so
+//! output bytes are identical regardless of completion order and a
+//! width-1 pool runs the exact same code inline. Every job runs under
+//! the caller's trace context, so span trees do not depend on width
+//! either. The fluid simulator and the model checker never thread
+//! through this pool, so their determinism is untouched.
 //!
 //! [`DataPlane`] owns what is the cluster's rather than one client's:
 //! the host → dataserver map and the one lookup into it, the per-file
@@ -53,7 +56,7 @@ const MAX_RETRY_BACKOFF: std::time::Duration = std::time::Duration::from_millis(
 /// cluster (the registry dedups by metric name).
 #[derive(Debug)]
 pub(crate) struct DatapathMetrics {
-    /// Piece and fragment fetches currently running on the pool.
+    /// Fragment fetches currently running on the pool.
     pub(crate) inflight_fetches: Arc<Gauge>,
     /// Jobs dispatched per parallel operation (1 = serial path).
     pub(crate) fan_out_width: Arc<Histogram>,
@@ -207,8 +210,9 @@ impl Piece {
     ///
     /// # Errors
     ///
-    /// Returns [`FsError::InvalidArgument`] when the assignments do not
-    /// sum to the byte count they were asked for.
+    /// Returns [`FsError::InvalidArgument`] when `offset + len`
+    /// overflows, or when the assignments do not sum to the byte count
+    /// they were asked for.
     pub fn plan(
         meta: &FileMeta,
         consistency: Consistency,
@@ -216,7 +220,9 @@ impl Piece {
         len: u64,
         select: impl FnOnce(u64) -> Vec<ReadAssignment>,
     ) -> Result<Vec<Piece>, FsError> {
-        let end = offset + len;
+        let end = offset.checked_add(len).ok_or_else(|| {
+            FsError::InvalidArgument(format!("a {len}-byte read at {offset} overflows u64"))
+        })?;
         let tail_start = match (consistency, meta.last_chunk()) {
             (Consistency::Strong, Some(last)) => offset.max(last * meta.chunk_size).min(end),
             _ => end,
@@ -269,13 +275,14 @@ impl Piece {
     }
 }
 
-/// Outcome of one piece fetch: how much of the piece buffer was
-/// filled, the file size the serving dataserver reported, and which
+/// Outcome of one piece fetch: how many of the piece's bytes were
+/// appended, the file size the serving dataserver reported, and which
 /// host that size came from (the primary's size is authoritative under
 /// strong consistency).
 #[derive(Debug)]
 pub struct PieceDone {
-    /// Bytes of the piece filled; fewer than asked only at end-of-file.
+    /// Bytes of the piece appended; fewer than asked only at
+    /// end-of-file.
     pub filled: usize,
     pub(crate) reported_size: u64,
     pub(crate) size_from: HostId,
@@ -338,11 +345,10 @@ pub struct DataPlane {
     /// Retries of transient failures, by every client (the
     /// `fs_client_retries_total` series).
     pub(crate) retries: Arc<Counter>,
-    /// Datapath tracing: piece spans, created on the client thread in
-    /// planning order (deterministic ids) and entered by pool workers;
-    /// piece fetches open per-host `attempt` spans under them, so a
-    /// failover sweep leaves sibling attempts (failed and successful)
-    /// in the trace.
+    /// Datapath tracing: piece spans, all opened before the first
+    /// fetch in planning order (deterministic ids); piece fetches open
+    /// per-host `attempt` spans under them, so a failover sweep leaves
+    /// sibling attempts (failed and successful) in the trace.
     pub(crate) trace: TraceHandle,
 }
 
@@ -409,29 +415,32 @@ impl DataPlane {
         self.append_locks.lock().len()
     }
 
-    /// Fetches `piece` into `buf` (`piece.len` bytes): the one way to
+    /// Appends `piece` (`piece.len` bytes) to `out`: the one way to
     /// read a replica's bytes. The sweep tries `piece.host`, then the
     /// other secondaries in replica order, then the primary last (it is
     /// never behind); a `primary_only` piece tries its host alone. A
-    /// short read is topped up from the primary, whose size report then
-    /// supersedes. The whole sweep runs under `policy`, so a crashed
-    /// dataserver that restarts within the retry budget turns a
-    /// transient outage into a slower read.
+    /// failed attempt truncates `out` back to the piece's start, so the
+    /// next host reads the piece whole. A short read is topped up from
+    /// the primary, whose size report then supersedes. The whole sweep
+    /// runs under `policy`, so a crashed dataserver that restarts within
+    /// the retry budget turns a transient outage into a slower read.
     ///
     /// # Errors
     ///
-    /// The last attempt's error, when no host served the piece.
+    /// The last attempt's error, when no host served the piece; `out`
+    /// is then as it was.
     pub fn read_piece_into(
         &self,
         policy: RetryPolicy,
         meta: &FileMeta,
         piece: &Piece,
-        buf: &mut [u8],
+        out: &mut Vec<u8>,
     ) -> Result<PieceDone, FsError> {
         // Behind the chosen host: the secondaries in replica order, then
         // the primary (`replicas[0]`).
         let failover = meta.replicas.iter().skip(1).chain(meta.replicas.first());
         let failover = failover.filter(|host| !piece.primary_only && **host != piece.host);
+        let start = out.len();
         let mut round = 0u32;
         with_retry(policy, &self.retries, || {
             let mut last_err = None;
@@ -441,16 +450,19 @@ impl DataPlane {
                     if round > 0 {
                         trace::annotate(span, "retry_round", round);
                     }
-                    let out = self.try_read_piece_into(meta, *host, piece.offset, &mut *buf);
-                    match &out {
+                    let result = self.try_read_piece_into(meta, *host, piece, &mut *out);
+                    match &result {
                         Ok(done) => trace::annotate(span, "filled", done.filled),
                         Err(e) => trace::annotate(span, "error", e),
                     }
-                    out
+                    result
                 });
                 match attempt {
                     Ok(done) => return Ok(done),
-                    Err(e) => last_err = Some(e),
+                    Err(e) => {
+                        out.truncate(start);
+                        last_err = Some(e);
+                    }
                 }
             }
             round += 1;
@@ -462,23 +474,26 @@ impl DataPlane {
         &self,
         meta: &FileMeta,
         host: HostId,
-        offset: u64,
-        buf: &mut [u8],
+        piece: &Piece,
+        out: &mut Vec<u8>,
     ) -> Result<PieceDone, FsError> {
-        let (mut filled, size) = self.get(host)?.read_local_into(meta.id, offset, buf)?;
+        let (mut filled, size) =
+            self.get(host)?
+                .read_local_onto(meta.id, piece.offset, piece.len, out)?;
         let mut done = PieceDone {
             filled,
             reported_size: size,
             size_from: host,
         };
-        if filled < buf.len() {
+        if (filled as u64) < piece.len {
             // A lagging replica returned a short read; the primary is
-            // never behind — fetch the remainder there. Its size
+            // never behind — append the remainder from there. Its size
             // report supersedes the laggard's.
-            let (more, primary_size) = self.get(meta.primary())?.read_local_into(
+            let (more, primary_size) = self.get(meta.primary())?.read_local_onto(
                 meta.id,
-                offset + filled as u64,
-                &mut buf[filled..],
+                piece.offset + filled as u64,
+                piece.len - filled as u64,
+                out,
             )?;
             filled += more;
             done.filled = filled;

@@ -571,23 +571,47 @@ impl Dataserver {
     ///
     /// Returns [`FsError::NotFound`] if the replica is absent.
     pub fn read_local(&self, id: FileId, offset: u64, len: u64) -> Result<(Vec<u8>, u64), FsError> {
-        let state = self.replica(id)?;
-        // Size the allocation from the replica's actual extent — `len`
-        // may reach far past end-of-file.
-        let size = state.size.load(Ordering::Acquire);
-        let want = offset.saturating_add(len).min(size).saturating_sub(offset);
-        let mut out = vec![0u8; want as usize];
-        let (filled, size) = self.fill_from_chunks(id, &state, offset, &mut out)?;
-        debug_assert_eq!(filled, out.len());
+        let mut out = Vec::new();
+        let (_, size) = self.read_chunks(id, offset, len, |f, n, rest| {
+            append_exactly(f, n, rest, &mut out)
+        })?;
         Ok((out, size))
     }
 
-    /// Zero-copy variant of [`Dataserver::read_local`]: reads
-    /// `[offset, offset + buf.len())` directly into `buf`, returning
-    /// the byte count actually filled (shorter than the buffer at
-    /// end-of-file) and the replica's current size. The parallel read
-    /// pipeline hands each piece a disjoint slice of one preallocated
-    /// output buffer, so assembly needs no per-piece `Vec` churn.
+    /// Appends `[offset, offset + len)` of the local replica to `out`,
+    /// traced as `chunk_read`: the bytes land once, in `out`'s spare
+    /// capacity, with nothing zero-filled first. Returns the byte count
+    /// appended (shorter than `len` at end-of-file) and the replica's
+    /// current size. `out` grows by at most what the replica holds, so
+    /// a `len` far past end-of-file allocates nothing for it. On error
+    /// `out` may keep part of the range past its old length.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FsError::NotFound`] if the replica is absent.
+    pub fn read_local_onto(
+        &self,
+        id: FileId,
+        offset: u64,
+        len: u64,
+        out: &mut Vec<u8>,
+    ) -> Result<(usize, u64), FsError> {
+        trace::in_span(self.io_span("chunk_read"), |span| {
+            trace::annotate(span, "offset", offset);
+            let (filled, size) = self.read_chunks(id, offset, len, |f, n, rest| {
+                append_exactly(f, n, rest, out)
+            })?;
+            trace::annotate(span, "bytes", filled);
+            Ok((filled, size))
+        })
+    }
+
+    /// Reads `[offset, offset + buf.len())` of the local replica into
+    /// `buf`, traced as `chunk_read`, returning the byte count filled
+    /// (shorter than the buffer at end-of-file) and the replica's
+    /// current size. The fixed-buffer form of
+    /// [`Dataserver::read_local_onto`] (which the data path calls): the
+    /// benchmark's dataserver probe reads through it.
     ///
     /// # Errors
     ///
@@ -600,38 +624,42 @@ impl Dataserver {
     ) -> Result<(usize, u64), FsError> {
         trace::in_span(self.io_span("chunk_read"), |span| {
             trace::annotate(span, "offset", offset);
-            let state = self.replica(id)?;
-            let (filled, size) = self.fill_from_chunks(id, &state, offset, buf)?;
+            let mut at = 0;
+            let (filled, size) = self.read_chunks(id, offset, buf.len() as u64, |f, n, _| {
+                f.read_exact(&mut buf[at..at + n])?;
+                at += n;
+                Ok(())
+            })?;
             trace::annotate(span, "bytes", filled);
             Ok((filled, size))
         })
     }
 
-    /// The shared read core: fills `buf` from the chunk files starting
-    /// at `offset`, truncating at the replica's published size.
-    fn fill_from_chunks(
+    /// The one read core: `[offset, offset + len)` of replica `id`,
+    /// truncated at its published size, one chunk file at a time.
+    /// `land(file, n, rest)` reads the next `n` bytes from `file`,
+    /// which is positioned at them; `rest ≥ n` bytes remain to be read
+    /// in all. Returns the bytes read and the replica's size.
+    fn read_chunks(
         &self,
         id: FileId,
-        state: &ReplicaState,
         offset: u64,
-        buf: &mut [u8],
+        len: u64,
+        mut land: impl FnMut(&mut std::fs::File, usize, usize) -> std::io::Result<()>,
     ) -> Result<(usize, u64), FsError> {
+        let state = self.replica(id)?;
         let size = state.size.load(Ordering::Acquire);
-        let end = offset.saturating_add(buf.len() as u64).min(size);
-        if offset >= end {
-            // Size probes (zero-length reads) are requests too.
-            if let Some(m) = self.metrics.get() {
-                m.reads.inc();
-                m.read_bytes.record(0);
-            }
-            return Ok((0, size));
-        }
+        let end = offset.saturating_add(len).min(size);
+        let want = end.saturating_sub(offset) as usize;
         let mut filled = 0usize;
-        for slice in split_range(state.chunk_size, offset, end - offset) {
-            let mut f = std::fs::File::open(self.chunk_path(id, slice.chunk))?;
-            f.seek(SeekFrom::Start(slice.offset_in_chunk))?;
-            f.read_exact(&mut buf[filled..filled + slice.len as usize])?;
-            filled += slice.len as usize;
+        // A zero-length read is a size probe, and a request too.
+        if want > 0 {
+            for slice in split_range(state.chunk_size, offset, end - offset) {
+                let mut f = std::fs::File::open(self.chunk_path(id, slice.chunk))?;
+                f.seek(SeekFrom::Start(slice.offset_in_chunk))?;
+                land(&mut f, slice.len as usize, want - filled)?;
+                filled += slice.len as usize;
+            }
         }
         if let Some(m) = self.metrics.get() {
             m.reads.inc();
@@ -690,8 +718,8 @@ impl Dataserver {
     /// Reads fragment `index` of sealed chunk `chunk`, verifying the
     /// checksum. Returns the shard bytes and the chunk's original
     /// payload length. The allocating twin of
-    /// [`Dataserver::read_fragment_into`]: same read core, with a
-    /// buffer sized from the stored frame.
+    /// [`Dataserver::read_fragment_into`]: same read core, the shard
+    /// appended to a buffer sized from the stored frame.
     ///
     /// # Errors
     ///
@@ -703,9 +731,9 @@ impl Dataserver {
         index: usize,
     ) -> Result<(Vec<u8>, u64), FsError> {
         let mut shard = Vec::new();
-        let payload_len = self.read_fragment_inner(id, chunk, index, |len| {
-            shard = vec![0u8; len];
-            Some(&mut shard[..])
+        let out = &mut shard;
+        let payload_len = self.read_fragment_inner(id, chunk, index, move |f, len| {
+            Some(append_exactly(f, len, len, out).map(|()| out.as_slice()))
         })?;
         Ok((shard, payload_len))
     }
@@ -729,19 +757,21 @@ impl Dataserver {
         index: usize,
         dst: &mut [u8],
     ) -> Result<u64, FsError> {
-        self.read_fragment_inner(id, chunk, index, |len| (len == dst.len()).then_some(dst))
+        self.read_fragment_inner(id, chunk, index, move |f, len| {
+            (len == dst.len()).then(|| f.read_exact(dst).map(|()| &*dst))
+        })
     }
 
     /// The one fragment-read core, traced as `fragment_read`: open,
-    /// 16-byte header, the shard `read_exact` into the buffer `dst_for`
-    /// supplies for the stored shard length (`None` rejects that
-    /// length), checksum in place.
+    /// 16-byte header, then `land` reads the shard of the stored length
+    /// and returns it (`None` rejects that length), and the checksum is
+    /// verified in place.
     fn read_fragment_inner<'a>(
         &self,
         id: FileId,
         chunk: u64,
         index: usize,
-        dst_for: impl FnOnce(usize) -> Option<&'a mut [u8]>,
+        land: impl FnOnce(&mut std::fs::File, usize) -> Option<std::io::Result<&'a [u8]>>,
     ) -> Result<u64, FsError> {
         trace::in_span(self.io_span("fragment_read"), |span| {
             trace::annotate(span, "chunk", chunk);
@@ -765,11 +795,11 @@ impl Dataserver {
             let shard = stored
                 .checked_sub(FRAGMENT_HEADER as u64)
                 .and_then(|len| usize::try_from(len).ok())
-                .and_then(dst_for)
-                .ok_or_else(|| corrupt("unexpected shard length"))?;
-            // A file that shrank since the stat is a torn frame, not an
-            // I/O failure.
-            f.read_exact(shard).map_err(|_| corrupt("short shard"))?;
+                .and_then(|len| land(&mut f, len))
+                .ok_or_else(|| corrupt("unexpected shard length"))?
+                // A file that shrank since the stat is a torn frame, not
+                // an I/O failure.
+                .map_err(|_| corrupt("short shard"))?;
             if mayflower_kvstore::crc::crc32(shard) != want_crc {
                 return Err(corrupt("checksum mismatch"));
             }
@@ -903,6 +933,23 @@ impl Dataserver {
             Ok(copied)
         })
     }
+}
+
+/// Appends the next `n` bytes of `f` to `out`, reserving `rest ≥ n`
+/// when `out` has less spare capacity: `read_to_end` fills the spare
+/// capacity without zeroing it first. Fewer than `n` bytes is
+/// `UnexpectedEof`, as `read_exact` reports it.
+fn append_exactly(
+    f: &mut std::fs::File,
+    n: usize,
+    rest: usize,
+    out: &mut Vec<u8>,
+) -> std::io::Result<()> {
+    out.reserve(rest);
+    if f.take(n as u64).read_to_end(out)? < n {
+        return Err(std::io::ErrorKind::UnexpectedEof.into());
+    }
+    Ok(())
 }
 
 /// Maps a failed open or read of a path that should exist: absence is

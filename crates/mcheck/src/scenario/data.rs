@@ -228,14 +228,13 @@ impl Run<'_> {
     fn read_step(&mut self, c: usize, mut read: Box<Read>) {
         let step = match read.pieces.next() {
             Some(piece) => {
-                let start = read.data.len();
-                read.data.resize(start + piece.len as usize, 0);
-                let buf = &mut read.data[start..];
-                let fetched =
-                    self.plane
-                        .read_piece_into(RetryPolicy::ONCE, &read.meta, &piece, buf);
+                let fetched = self.plane.read_piece_into(
+                    RetryPolicy::ONCE,
+                    &read.meta,
+                    &piece,
+                    &mut read.data,
+                );
                 fetched.map(|done| {
-                    read.data.truncate(start + done.filled);
                     read.sizes.note(&read.meta, &done);
                     if (done.filled as u64) < piece.len {
                         read.pieces = Vec::new().into_iter();
