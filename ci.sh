@@ -202,40 +202,41 @@ if grep -E 'Option<&[[:alnum:]_:]*(EcMetrics|DatapathMetrics)>' <<<"$fs_lines"; 
   exit 1
 fi
 
-echo "==> one replica read, one fragment gather: only the data plane reads a replica's bytes; coding.rs reads fragments in one place"
-# Over the same non-test fs listing as the stage above, and mcheck's. A
+echo "==> one replica read, one fragment gather: outside fs's data plane only mcheck's oracle reads a replica's bytes; fs reads fragments once in the gather and once in the fast plan"
+# Over the non-test lines of every crate and of src/ (loc.sh's cut),
+# captured first so a failing or silent loc.sh fails here. Inside fs a
 # replica's bytes are read through DataPlane::read_piece_into, which
-# owns the failover order; another loop over read_local, read_local_into
-# or read_local_onto (the appending read the data plane calls) would
-# carry its own. mcheck's data scenario reads through it too; its one
-# read_local line is the oracle's ground truth, the primary's final
-# content. A sealed chunk's fragments are gathered by the one loop the
-# degraded read and the rebuild share. Every hit is printed before the
-# stage fails.
-failed=0
-if grep -Ev '^crates/fs/src/(datapath|dataserver)\.rs:' <<<"$fs_lines" |
-  grep -E '\bread_local(_into|_onto)?\('; then
-  echo "crates/fs: read a replica's bytes through DataPlane::read_piece_into" >&2
-  failed=1
-fi
-mcheck_lines=$(./loc.sh --lines crates/mcheck/src)
-if [[ -z "$mcheck_lines" ]]; then
-  echo "loc.sh --lines printed no mcheck code to check" >&2
+# owns the failover order, and every other crate reads through
+# fs::Client; another loop over read_local, read_local_into or
+# read_local_onto (the appending read the data plane calls) would carry
+# its own. The one exception is mcheck's data oracle: its one read_local
+# line is the ground truth, the primary's final content. A sealed
+# chunk's fragments are read by the one gather the degraded read and
+# the rebuild share (read_fragment) and by the fast plan's per-fragment
+# fetch (read_fragment_into), exactly once each. Every hit is printed
+# before the stage fails.
+all_lines=$(./loc.sh --lines crates/*/src src)
+if [[ -z "$all_lines" ]]; then
+  echo "loc.sh --lines printed no code to check" >&2
   exit 1
 fi
-mcheck_reads=$(grep -E '\bread_local(_into|_onto)?\(' <<<"$mcheck_lines" || true)
-if [[ $(grep -c . <<<"$mcheck_reads") -gt 1 ]] ||
-  grep -v '^crates/mcheck/src/scenario/data\.rs:' <<<"$mcheck_reads" | grep .; then
-  echo "$mcheck_reads"
-  echo "crates/mcheck: read through the client's steps; one read_local, the data oracle's ground truth" >&2
+failed=0
+replica_reads=$(grep -Ev '^crates/fs/src/(datapath|dataserver)\.rs:' <<<"$all_lines" |
+  grep -E '\bread_local(_into|_onto)?\(' || true)
+if [[ $(grep -c . <<<"$replica_reads") -gt 1 ]] ||
+  grep -v '^crates/mcheck/src/scenario/data\.rs:' <<<"$replica_reads" | grep -q .; then
+  echo "$replica_reads"
+  echo "read a replica's bytes through fs::Client (DataPlane::read_piece_into inside fs); mcheck keeps one read_local, the data oracle's ground truth" >&2
   failed=1
 fi
-fragment_reads=$(grep '^crates/fs/src/coding\.rs:' <<<"$fs_lines" | grep -F '.read_fragment(' || true)
-if [[ $(wc -l <<<"$fragment_reads") -gt 1 ]]; then
-  echo "$fragment_reads"
-  echo "crates/fs/src/coding.rs: read fragments in the one gather" >&2
-  failed=1
-fi
+for call in read_fragment read_fragment_into; do
+  fragment_reads=$(grep -v '^crates/fs/src/dataserver\.rs:' <<<"$fs_lines" | grep -E "\\b$call\\(" || true)
+  if [[ $(grep -c . <<<"$fragment_reads") -ne 1 ]]; then
+    echo "$fragment_reads"
+    echo "crates/fs: exactly one $call( outside dataserver.rs (read_fragment in coding.rs's gather, read_fragment_into in the fast plan's ShardFetch::run)" >&2
+    failed=1
+  fi
+done
 if ((failed)); then
   exit 1
 fi
@@ -298,25 +299,16 @@ if [[ -n "$unread" ]]; then
   exit 1
 fi
 
-echo "==> panic ratchet turns one way: the crates at zero keep denying, fs stays at 1 site"
+echo "==> panic ratchet turns one way: the crates at zero keep denying"
 # A crate with no non-test unwrap/expect/panic! denies them outside
-# tests; dropping that line would let new ones in unseen. fs keeps one
-# (Cluster::dataserver's documented `# Panics`), counted over loc.sh's
-# non-test cut; the cap only falls.
-for c in flowserver kvstore rpc sdn shard simnet; do
+# tests; dropping that line would let new ones in unseen.
+for c in flowserver fs kvstore rpc sdn shard simnet; do
   if ! grep -Eq '^[[:space:]]*deny\(clippy::unwrap_used, clippy::expect_used, clippy::panic\)' \
       "crates/$c/src/lib.rs"; then
     echo "crates/$c/src/lib.rs: lost its deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)" >&2
     exit 1
   fi
 done
-panics='unwrap\(\)|expect\(|panic!\('
-fs_sites=$(./loc.sh --lines crates/fs/src | grep -cE "$panics" || true)
-if ((fs_sites > 1)); then
-  ./loc.sh --lines crates/fs/src | grep -E "$panics" >&2
-  echo "crates/fs: $fs_sites non-test unwrap/expect/panic! sites; at most 1" >&2
-  exit 1
-fi
 
 echo "==> settings ratchet: at most 58 pub fields across the *Config/*Options structs"
 # Every pub field of a non-test `pub struct *Config` or `*Options`
@@ -372,14 +364,9 @@ echo "==> unsafe stays in the two SIMD kernels, and every unsafe block says why 
 # `unsafe`. In those two files every `unsafe {` block, tests included,
 # sits right under the `// SAFETY:` comment that justifies it.
 kernels=(crates/ec/src/gf.rs crates/kvstore/src/crc.rs)
-# Captured first, so a failing loc.sh ends the script (set -e) and an
-# empty listing fails here instead of passing a grep that saw nothing.
-lines=$(./loc.sh --lines crates/*/src src)
-if [[ -z "$lines" ]]; then
-  echo "loc.sh --lines printed no code to check" >&2
-  exit 1
-fi
-if grep -vE '^crates/(ec/src/gf|kvstore/src/crc)\.rs:' <<<"$lines" | grep -w unsafe; then
+# Over the listing the "one replica read" stage captured and checked
+# for emptiness, so a failing or silent loc.sh has already failed there.
+if grep -vE '^crates/(ec/src/gf|kvstore/src/crc)\.rs:' <<<"$all_lines" | grep -w unsafe; then
   echo "unsafe code outside ${kernels[*]}" >&2
   exit 1
 fi

@@ -920,13 +920,14 @@ mod tests {
             client.set_parallelism(width);
             client.set_retry_policy(1, std::time::Duration::ZERO);
             let meta = client.create("f").unwrap();
-            c.dataserver(meta.replicas[1]).crash();
+            c.dataserver(meta.replicas[1]).unwrap().crash();
             assert!(
                 matches!(client.append("f", b"AAAA"), Err(FsError::Unavailable(_))),
                 "width {width}"
             );
             let (data, size) = c
                 .dataserver(meta.replicas[2])
+                .unwrap()
                 .read_local(meta.id, 0, 100)
                 .unwrap();
             assert_eq!((data.as_slice(), size), (&b"AAAA"[..], 4), "width {width}");
@@ -946,7 +947,7 @@ mod tests {
             writer.set_retry_policy(1, std::time::Duration::ZERO);
             let meta = writer.create("f").unwrap();
             writer.append("f", b"AAAA").unwrap();
-            c.dataserver(meta.replicas[1]).crash();
+            c.dataserver(meta.replicas[1]).unwrap().crash();
             let failed = writer.append("f", b"XXXX");
             assert!(
                 matches!(failed, Err(FsError::Unavailable(_))),
@@ -955,7 +956,7 @@ mod tests {
             assert_eq!(c.nameserver().lookup("f").unwrap().size, 4);
             let read = c.client(HostId(7)).read("f").unwrap();
             assert_eq!(read, b"AAAAXXXX", "{consistency:?}");
-            c.dataserver(meta.replicas[1]).restart();
+            c.dataserver(meta.replicas[1]).unwrap().restart();
             assert_eq!(writer.append("f", b"YYYY").unwrap(), 12, "{consistency:?}");
         }
     }
@@ -986,9 +987,9 @@ mod tests {
         writer.set_retry_policy(1, std::time::Duration::ZERO);
         let meta = writer.create("f").unwrap();
         writer.append("f", b"AAAA").unwrap();
-        c.dataserver(meta.replicas[1]).crash();
+        c.dataserver(meta.replicas[1]).unwrap().crash();
         assert!(writer.append("f", b"XXXX").is_err());
-        c.dataserver(meta.replicas[1]).restart();
+        c.dataserver(meta.replicas[1]).unwrap().restart();
         let turns = InTurn(vec![meta.replicas[2], meta.replicas[1]]);
         let mut reader = c.client_with_selector(HostId(7), Box::new(turns));
         assert_eq!(reader.read("f").unwrap(), b"AAAAXXXX");
@@ -1041,7 +1042,7 @@ mod tests {
         let meta = writer.create("bouncy").unwrap();
         writer.append("bouncy", b"x").unwrap();
         for r in &meta.replicas {
-            c.dataserver(*r).crash();
+            c.dataserver(*r).unwrap().crash();
         }
         let mut reader = c.client(HostId(5));
         reader.set_retry_policy(3, std::time::Duration::ZERO);
@@ -1101,7 +1102,12 @@ mod tests {
         writer.append("f", &file).unwrap();
         let meta = c.nameserver().lookup("f").unwrap();
         let broken = meta.replicas[1];
-        let chunk_file = c.dataserver(broken).root().join(meta.id.as_hex()).join("2");
+        let chunk_file = c
+            .dataserver(broken)
+            .unwrap()
+            .root()
+            .join(meta.id.as_hex())
+            .join("2");
         std::fs::remove_file(chunk_file).unwrap();
         let mut reader = c.client_with_selector(HostId(7), Box::new(Fixed(broken)));
         assert_eq!(reader.read("f").unwrap(), file);
@@ -1133,7 +1139,7 @@ mod tests {
 
         // Lose a replica and repair: the replica set changes.
         let victim = meta.replicas[1];
-        c.dataserver(victim).delete_file(meta.id).unwrap();
+        c.dataserver(victim).unwrap().delete_file(meta.id).unwrap();
         let dest = c
             .topology()
             .hosts()
@@ -1223,7 +1229,7 @@ mod tests {
         let meta = client.meta("new-name").unwrap();
         for r in &meta.replicas {
             assert_eq!(
-                c.dataserver(*r).read_meta(meta.id).unwrap().name,
+                c.dataserver(*r).unwrap().read_meta(meta.id).unwrap().name,
                 "new-name"
             );
         }
@@ -1251,7 +1257,7 @@ mod tests {
         assert_eq!(client.read("doc").unwrap(), b"version TWO of the doc");
         // The displaced file's replica data was garbage-collected.
         for r in &old_meta.replicas {
-            assert!(!c.dataserver(*r).has_file(old_meta.id));
+            assert!(!c.dataserver(*r).unwrap().has_file(old_meta.id));
         }
     }
 
@@ -1283,7 +1289,7 @@ mod tests {
 
         // Lose a non-primary replica entirely (disk wiped).
         let victim = meta.replicas[1];
-        c.dataserver(victim).delete_file(meta.id).unwrap();
+        c.dataserver(victim).unwrap().delete_file(meta.id).unwrap();
 
         // A reader whose selector would pick any replica still gets
         // the data (failover to surviving replicas).
@@ -1307,20 +1313,20 @@ mod tests {
         let meta = writer.create("hardy").unwrap();
         writer.append("hardy", b"still readable").unwrap();
 
-        c.dataserver(meta.primary()).crash();
+        c.dataserver(meta.primary()).unwrap().crash();
         let mut reader = c.client(HostId(5));
         reader.set_retry_policy(1, std::time::Duration::ZERO);
         assert_eq!(reader.read("hardy").unwrap(), b"still readable");
 
         // Strong consistency pins the probe to the primary: the read
         // reports Unavailable rather than risking a stale tail.
-        c.dataserver(meta.primary()).restart();
+        c.dataserver(meta.primary()).unwrap().restart();
         let d2 = TempDir::new("primarycrash-strong");
         let cs = cluster(&d2, Consistency::Strong);
         let mut w = cs.client(HostId(0));
         let m = w.create("strict").unwrap();
         w.append("strict", b"tail").unwrap();
-        cs.dataserver(m.primary()).crash();
+        cs.dataserver(m.primary()).unwrap().crash();
         let mut r = cs.client(HostId(5));
         r.set_retry_policy(1, std::time::Duration::ZERO);
         assert!(matches!(r.read("strict"), Err(FsError::Unavailable(_))));
@@ -1336,7 +1342,7 @@ mod tests {
 
         // All replicas down: first attempt must fail...
         for r in &meta.replicas {
-            c.dataserver(*r).crash();
+            c.dataserver(*r).unwrap().crash();
         }
         let mut impatient = c.client(HostId(5));
         impatient.set_retry_policy(1, std::time::Duration::ZERO);
@@ -1353,7 +1359,7 @@ mod tests {
             std::thread::spawn(move || {
                 std::thread::sleep(std::time::Duration::from_millis(10));
                 for r in &replicas {
-                    c.dataserver(*r).restart();
+                    c.dataserver(*r).unwrap().restart();
                 }
             })
         };
@@ -1371,7 +1377,7 @@ mod tests {
         let meta = writer.create("doomed").unwrap();
         writer.append("doomed", b"x").unwrap();
         for r in &meta.replicas {
-            c.dataserver(*r).delete_file(meta.id).unwrap();
+            c.dataserver(*r).unwrap().delete_file(meta.id).unwrap();
         }
         let mut reader = c.client(HostId(5));
         assert!(matches!(reader.read("doomed"), Err(FsError::NotFound(_))));
@@ -1389,7 +1395,7 @@ mod tests {
         writer.append("traced", b"observable bytes").unwrap();
 
         let victim = meta.replicas[1];
-        c.dataserver(victim).crash();
+        c.dataserver(victim).unwrap().crash();
 
         let tracer = c.tracer().clone();
         tracer.begin_capture();
@@ -1471,15 +1477,19 @@ mod tests {
             let meta = client.create("f").unwrap();
             let lagging = meta.replicas[1];
             client.append("f", b"AAAA").unwrap();
-            c.dataserver(lagging).crash();
+            c.dataserver(lagging).unwrap().crash();
             assert!(matches!(
                 client.append("f", b"BBBB"),
                 Err(FsError::Unavailable(_))
             ));
-            c.dataserver(lagging).restart();
+            c.dataserver(lagging).unwrap().restart();
             assert_eq!(client.append("f", b"CCCC").unwrap(), 12);
             for r in &meta.replicas {
-                let (data, size) = c.dataserver(*r).read_local(meta.id, 0, 100).unwrap();
+                let (data, size) = c
+                    .dataserver(*r)
+                    .unwrap()
+                    .read_local(meta.id, 0, 100)
+                    .unwrap();
                 assert_eq!(data, b"AAAABBBBCCCC", "{consistency:?}: replica {r}");
                 assert_eq!(size, 12);
             }
@@ -1508,7 +1518,7 @@ mod tests {
             let mut rng = mayflower_simcore::SimRng::seed_from(36);
             let (mut acked, mut failed) = (0u64, 0);
             for step in 0..200u32 {
-                let secondary = c.dataserver(meta.replicas[1 + rng.index(2)]);
+                let secondary = c.dataserver(meta.replicas[1 + rng.index(2)]).unwrap();
                 match rng.index(4) {
                     0 => secondary.crash(),
                     1 => secondary.restart(),
@@ -1521,10 +1531,11 @@ mod tests {
                         }
                     }
                 }
-                let primary = c.dataserver(meta.primary());
+                let primary = c.dataserver(meta.primary()).unwrap();
                 let (want, _) = primary.read_local(meta.id, 0, u64::MAX).unwrap();
                 for r in &meta.replicas[1..] {
-                    let Ok((got, _)) = c.dataserver(*r).read_local(meta.id, 0, u64::MAX) else {
+                    let Ok((got, _)) = c.dataserver(*r).unwrap().read_local(meta.id, 0, u64::MAX)
+                    else {
                         continue; // down
                     };
                     assert!(
@@ -1560,12 +1571,12 @@ mod tests {
             c.nameserver().set_fragment("c", i, *spare).unwrap();
             meta = c.nameserver().lookup("c").unwrap();
         }
-        let lagging = c.dataserver(meta.replicas[1]);
+        let lagging = c.dataserver(meta.replicas[1]).unwrap();
         let fragment_host = meta
             .fragments
             .iter()
             .find(|h| !meta.replicas.contains(h))
-            .map(|h| c.dataserver(*h))
+            .map(|h| c.dataserver(*h).unwrap())
             .unwrap();
         client.append("c", b"AAAA").unwrap();
         lagging.crash();
@@ -1574,10 +1585,10 @@ mod tests {
         fragment_host.crash();
         assert_eq!(client.append("c", b"CCCC").unwrap(), 12);
         assert_eq!(c.nameserver().lookup("c").unwrap().sealed_chunks, 0);
-        c.dataserver(meta.primary()).crash();
+        c.dataserver(meta.primary()).unwrap().crash();
         fragment_host.restart();
         assert_eq!(c.seal("c").unwrap(), 1);
-        c.dataserver(meta.primary()).restart();
+        c.dataserver(meta.primary()).unwrap().restart();
         assert_eq!(client.read("c").unwrap(), b"AAAABBBBCCCC");
     }
 

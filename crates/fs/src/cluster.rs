@@ -119,14 +119,12 @@ impl Cluster {
 
     /// The dataserver on a host.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `host` is not in the topology.
-    #[must_use]
-    pub fn dataserver(&self, host: HostId) -> &Arc<Dataserver> {
-        self.plane
-            .get(host)
-            .expect("every topology host runs a dataserver")
+    /// Returns [`FsError::InvalidArgument`] if `host` is not in the
+    /// topology.
+    pub fn dataserver(&self, host: HostId) -> Result<&Arc<Dataserver>, FsError> {
+        self.plane.get(host)
     }
 
     /// All dataservers, in host order.
@@ -428,11 +426,11 @@ mod tests {
         let c = small_cluster(&dir);
         let meta = c.nameserver().create("f").unwrap();
         for r in &meta.replicas {
-            c.dataserver(*r).create_file(&meta).unwrap();
+            c.dataserver(*r).unwrap().create_file(&meta).unwrap();
         }
         c.client(meta.primary()).append("f", b"hello").unwrap();
         for r in &meta.replicas {
-            let (data, size) = c.dataserver(*r).read_local(meta.id, 0, 5).unwrap();
+            let (data, size) = c.dataserver(*r).unwrap().read_local(meta.id, 0, 5).unwrap();
             assert_eq!(data, b"hello", "replica {r} diverged");
             assert_eq!(size, 5);
         }
@@ -447,7 +445,7 @@ mod tests {
             .replicas
             .iter()
             .copied()
-            .filter(|r| c.dataserver(*r).has_file(meta.id))
+            .filter(|r| c.dataserver(*r).unwrap().has_file(meta.id))
             .collect();
         topo.hosts()
             .into_iter()
@@ -464,7 +462,7 @@ mod tests {
         let c = small_cluster(&dir);
         let meta = c.nameserver().create("fixme").unwrap();
         for r in &meta.replicas {
-            c.dataserver(*r).create_file(&meta).unwrap();
+            c.dataserver(*r).unwrap().create_file(&meta).unwrap();
         }
         c.client(meta.primary())
             .append("fixme", b"precious payload")
@@ -472,7 +470,7 @@ mod tests {
 
         // Lose a non-primary replica.
         let victim = meta.replicas[1];
-        c.dataserver(victim).delete_file(meta.id).unwrap();
+        c.dataserver(victim).unwrap().delete_file(meta.id).unwrap();
 
         let dest = spare(&c, &meta);
         assert_eq!(c.repair_to("fixme", meta.primary(), dest).unwrap(), 16);
@@ -483,7 +481,11 @@ mod tests {
         assert_eq!(fixed.primary(), meta.primary(), "primary preserved");
         // Every replica (incl. the new one) serves the full payload.
         for r in &fixed.replicas {
-            let (data, _) = c.dataserver(*r).read_local(meta.id, 0, 100).unwrap();
+            let (data, _) = c
+                .dataserver(*r)
+                .unwrap()
+                .read_local(meta.id, 0, 100)
+                .unwrap();
             assert_eq!(data, b"precious payload", "replica {r}");
         }
         // No two replicas share a rack.
@@ -505,13 +507,13 @@ mod tests {
         let c = small_cluster(&dir);
         let meta = c.nameserver().create("hot").unwrap();
         for r in &meta.replicas {
-            c.dataserver(*r).create_file(&meta).unwrap();
+            c.dataserver(*r).unwrap().create_file(&meta).unwrap();
         }
         let mut client = c.client(meta.primary());
         client.append("hot", b"before crash ").unwrap();
 
         let old_primary = meta.primary();
-        c.dataserver(old_primary).crash();
+        c.dataserver(old_primary).unwrap().crash();
         let dest = spare(&c, &meta);
         c.repair_to("hot", meta.replicas[1], dest).unwrap();
         let after = c.nameserver().lookup("hot").unwrap();
@@ -522,15 +524,20 @@ mod tests {
         let mut client = c.client(dest);
         client.append("hot", b"after crash").unwrap();
         for r in &after.replicas {
-            let (data, _) = c.dataserver(*r).read_local(meta.id, 0, 100).unwrap();
+            let (data, _) = c
+                .dataserver(*r)
+                .unwrap()
+                .read_local(meta.id, 0, 100)
+                .unwrap();
             assert_eq!(data, b"before crash after crash", "replica {r}");
         }
 
         // The crashed host restarts with its pre-crash bytes intact —
         // stale, and no longer in the replica set.
-        c.dataserver(old_primary).restart();
+        c.dataserver(old_primary).unwrap().restart();
         let (stale, _) = c
             .dataserver(old_primary)
+            .unwrap()
             .read_local(meta.id, 0, 100)
             .unwrap();
         assert_eq!(stale, b"before crash ");
@@ -549,13 +556,13 @@ mod tests {
         let meta = client.create("f").unwrap();
         let (primary, ahead, behind) = (meta.replicas[0], meta.replicas[1], meta.replicas[2]);
         client.append("f", b"AAAA").unwrap();
-        c.dataserver(behind).crash();
+        c.dataserver(behind).unwrap().crash();
         assert!(matches!(
             client.append("f", b"XXXX"),
             Err(FsError::Unavailable(_))
         ));
-        c.dataserver(behind).restart();
-        c.dataserver(primary).crash();
+        c.dataserver(behind).unwrap().restart();
+        c.dataserver(primary).unwrap().crash();
         let dest = spare(&c, &meta);
         c.tracer().begin_capture();
         assert_eq!(c.repair_to("f", behind, dest).unwrap(), 8);
@@ -570,7 +577,11 @@ mod tests {
         let after = c.nameserver().lookup("f").unwrap();
         assert_eq!(after.primary(), dest);
         for r in &after.replicas {
-            let (data, _) = c.dataserver(*r).read_local(meta.id, 0, 100).unwrap();
+            let (data, _) = c
+                .dataserver(*r)
+                .unwrap()
+                .read_local(meta.id, 0, 100)
+                .unwrap();
             assert_eq!(data, b"AAAAXXXXYYYY", "replica {r}");
         }
     }
@@ -600,12 +611,12 @@ mod tests {
         for _ in 0..200 {
             let before = c.nameserver().lookup("busy").unwrap();
             let crashed = before.primary();
-            c.dataserver(crashed).crash();
+            c.dataserver(crashed).unwrap().crash();
             let dest = spare(&c, &before);
             c.repair_to("busy", before.replicas[1], dest).unwrap();
             // The crashed host comes back empty, free to be a spare.
-            c.dataserver(crashed).restart();
-            c.dataserver(crashed).delete_file(id).unwrap();
+            c.dataserver(crashed).unwrap().restart();
+            c.dataserver(crashed).unwrap().delete_file(id).unwrap();
         }
         done.store(true, Ordering::Relaxed);
         assert!(reader.join().unwrap() > 0);
@@ -622,7 +633,7 @@ mod tests {
         for (name, crash) in [("gone", false), ("doomed", true)] {
             let meta = c.nameserver().create(name).unwrap();
             for r in &meta.replicas {
-                let ds = c.dataserver(*r);
+                let ds = c.dataserver(*r).unwrap();
                 ds.create_file(&meta).unwrap();
                 if crash {
                     ds.crash();
@@ -695,7 +706,7 @@ mod tests {
             .create_placed("stray", vec![stray, a, b])
             .unwrap();
         for r in [a, b] {
-            c.dataserver(r).create_file(&meta).unwrap();
+            c.dataserver(r).unwrap().create_file(&meta).unwrap();
         }
         assert!(matches!(
             c.repair_to("stray", a, HostId(4)),
@@ -728,7 +739,7 @@ mod tests {
         let c = Arc::new(small_cluster(&dir));
         let meta = c.nameserver().create("f").unwrap();
         for r in &meta.replicas {
-            c.dataserver(*r).create_file(&meta).unwrap();
+            c.dataserver(*r).unwrap().create_file(&meta).unwrap();
         }
         let threads: Vec<_> = (0..6u8)
             .map(|t| {
@@ -746,13 +757,19 @@ mod tests {
         let size = 6 * 30 * 8;
         let reference = c
             .dataserver(meta.replicas[0])
+            .unwrap()
             .read_local(meta.id, 0, size)
             .unwrap()
             .0;
         assert_eq!(reference.len() as u64, size);
         // Sequential consistency: every replica saw the same order.
         for r in &meta.replicas[1..] {
-            let other = c.dataserver(*r).read_local(meta.id, 0, size).unwrap().0;
+            let other = c
+                .dataserver(*r)
+                .unwrap()
+                .read_local(meta.id, 0, size)
+                .unwrap()
+                .0;
             assert_eq!(other, reference, "replica {r} ordered differently");
         }
         // And no torn append records.

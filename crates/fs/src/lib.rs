@@ -1,4 +1,8 @@
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 //! The Mayflower distributed filesystem (§3 and §5 of the paper).
 //!

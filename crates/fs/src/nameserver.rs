@@ -58,7 +58,13 @@ pub enum NsOp {
     /// `NotFound`.
     Delete(String),
     /// Record a file's new size after an append. Refused with
-    /// `NotFound`.
+    /// `NotFound`. The size replaces the record even when it is
+    /// smaller, so a record can move backwards: only the append lock
+    /// (`DataPlane::with_file_lock`) keeps two appends' records in the
+    /// primary's order, and clients that do not share one
+    /// [`crate::DataPlane`] share no such lock. mcheck's
+    /// `unlocked-append` counterexample ends with a record below an
+    /// acknowledged append's size.
     RecordSize {
         /// File name.
         name: String,
@@ -497,7 +503,9 @@ impl Nameserver {
         Self::load(&self.db.lock(), name)
     }
 
-    /// Records a file's new size after an append.
+    /// Records a file's new size after an append. The record can move
+    /// backwards: it is ordered only by the append lock of a shared
+    /// [`crate::DataPlane`] (see [`NsOp::RecordSize`]).
     ///
     /// # Errors
     ///

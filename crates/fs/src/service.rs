@@ -41,7 +41,9 @@ pub trait MetadataService: Send + Sync {
     /// Returns [`FsError::NotFound`] for unknown files.
     fn lookup(&self, name: &str) -> Result<FileMeta, FsError>;
 
-    /// Records the file's size after an append.
+    /// Records the file's size after an append. The record can move
+    /// backwards: it is ordered only by the append lock of a shared
+    /// [`crate::DataPlane`] (see [`crate::NsOp::RecordSize`]).
     ///
     /// # Errors
     ///

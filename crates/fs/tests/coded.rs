@@ -59,14 +59,14 @@ fn append_seals_complete_chunks_into_fragments() {
     for chunk in 0..2 {
         for (i, host) in sealed.fragments.iter().enumerate() {
             assert!(
-                c.dataserver(*host).has_fragment(meta.id, chunk, i),
+                c.dataserver(*host).unwrap().has_fragment(meta.id, chunk, i),
                 "fragment {i} of chunk {chunk} missing on host {host}"
             );
         }
     }
     // The replicas reclaimed the sealed chunks but keep the tail.
     for r in &sealed.replicas {
-        assert_eq!(c.dataserver(*r).local_size(meta.id).unwrap(), 8);
+        assert_eq!(c.dataserver(*r).unwrap().local_size(meta.id).unwrap(), 8);
     }
     // And the read is byte-identical across the sealed/tail boundary.
     assert_eq!(client.read("coded").unwrap(), data);
@@ -102,14 +102,15 @@ fn degraded_read_survives_m_fragment_losses() {
         .find(|(_, h)| !sealed.replicas.contains(h))
         .map(|(i, h)| (i, *h))
         .expect("a non-replica fragment host exists");
-    c.dataserver(crashed.1).crash();
+    c.dataserver(crashed.1).unwrap().crash();
     let corrupt_idx = (0..sealed.fragments.len())
         .find(|i| *i != crashed.0)
         .unwrap();
     for chunk in 0..sealed.sealed_chunks {
-        let path =
-            c.dataserver(sealed.fragments[corrupt_idx])
-                .fragment_path(meta.id, chunk, corrupt_idx);
+        let path = c
+            .dataserver(sealed.fragments[corrupt_idx])
+            .unwrap()
+            .fragment_path(meta.id, chunk, corrupt_idx);
         let mut frame = std::fs::read(&path).unwrap();
         let last = frame.len() - 1;
         frame[last] ^= 0xff;
@@ -133,7 +134,7 @@ fn degraded_read_survives_m_fragment_losses() {
         .find(|(i, h)| *i != crashed.0 && *i != corrupt_idx && !sealed.replicas.contains(h))
         .map(|(_, h)| *h)
         .expect("another non-replica fragment host");
-    c.dataserver(third).crash();
+    c.dataserver(third).unwrap().crash();
     let mut reader = c.client(HostId(0));
     reader.set_retry_policy(1, std::time::Duration::ZERO);
     assert!(matches!(reader.read("frail"), Err(FsError::Unavailable(_))));
@@ -159,8 +160,8 @@ fn repair_fragment_rebuilds_onto_a_new_host() {
 
     // Wipe fragment 1's host and rebuild onto a host holding nothing.
     let victim = sealed.fragments[1];
-    c.dataserver(victim).delete_file(meta.id).ok();
-    c.dataserver(victim).crash();
+    c.dataserver(victim).unwrap().delete_file(meta.id).ok();
+    c.dataserver(victim).unwrap().crash();
     let dest = c
         .topology()
         .hosts()
@@ -173,7 +174,7 @@ fn repair_fragment_rebuilds_onto_a_new_host() {
     let mended = c.nameserver().lookup("mend").unwrap();
     assert_eq!(mended.fragments[1], dest);
     for chunk in 0..mended.sealed_chunks {
-        assert!(c.dataserver(dest).has_fragment(meta.id, chunk, 1));
+        assert!(c.dataserver(dest).unwrap().has_fragment(meta.id, chunk, 1));
     }
     // Repaired state reads clean even with the victim still down.
     let mut reader = c.client(HostId(5));
@@ -202,7 +203,7 @@ fn seal_defers_while_a_fragment_host_is_down() {
         .copied()
         .find(|h| !meta.replicas.contains(h))
         .expect("a non-replica fragment host exists");
-    c.dataserver(down).crash();
+    c.dataserver(down).unwrap().crash();
     let data = payload(32); // 2 complete chunks
     client.append("patient", &data).unwrap();
     // Durability never regresses: the chunks stay replicated.
@@ -210,11 +211,11 @@ fn seal_defers_while_a_fragment_host_is_down() {
     assert_eq!(client.read("patient").unwrap(), data);
 
     // Once the host returns, an explicit seal catches up.
-    c.dataserver(down).restart();
+    c.dataserver(down).unwrap().restart();
     assert_eq!(c.seal("patient").unwrap(), 2);
     assert_eq!(client.read("patient").unwrap(), data);
     for r in &c.nameserver().lookup("patient").unwrap().replicas {
-        assert_eq!(c.dataserver(*r).local_size(meta.id).unwrap(), 0);
+        assert_eq!(c.dataserver(*r).unwrap().local_size(meta.id).unwrap(), 0);
     }
 }
 
@@ -333,7 +334,7 @@ fn a_sealed_coded_read_asks_the_primary_for_its_size() {
         let data = payload(64); // 4 sealed chunks, empty tail
         writer.append("sealed", &data).unwrap();
         assert_eq!(c.nameserver().lookup("sealed").unwrap().sealed_chunks, 4);
-        c.dataserver(meta.primary()).crash();
+        c.dataserver(meta.primary()).unwrap().crash();
         let mut reader = c.client(HostId(5));
         reader.set_retry_policy(1, std::time::Duration::ZERO);
         let read = reader.read("sealed");
@@ -361,6 +362,6 @@ fn a_seal_stops_at_a_short_chunk_read() {
     c.nameserver().record_size("short", 32).unwrap();
     assert_eq!(c.seal("short").unwrap(), 1);
     for r in &meta.replicas {
-        assert_eq!(c.dataserver(*r).local_size(meta.id).unwrap(), 8);
+        assert_eq!(c.dataserver(*r).unwrap().local_size(meta.id).unwrap(), 8);
     }
 }

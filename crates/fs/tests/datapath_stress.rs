@@ -182,14 +182,14 @@ fn parallel_split_read_fails_over_when_a_replica_dies_mid_fetch() {
     // before that piece is fetched: the piece must fail over inside the
     // pool.
     for round in 0..4 {
-        kill.arm(c.dataserver(secondary));
+        kill.arm(c.dataserver(secondary).unwrap());
         let got = client.read("victim").unwrap();
         assert!(
             kill.landed(),
             "round {round}: the split never chose the victim"
         );
         assert_eq!(got, data, "round {round}: bytes diverged after kill");
-        c.dataserver(secondary).restart();
+        c.dataserver(secondary).unwrap().restart();
         let got = client.read("victim").unwrap();
         assert_eq!(got, data, "round {round}: bytes diverged after restart");
     }
@@ -217,10 +217,10 @@ fn parallel_strong_read_survives_secondary_kill_cycles() {
     // its fetches; the primary-pinned tail piece is untouched and the
     // rest fail over, so every read sees the full append.
     for &victim in &meta.replicas[1..] {
-        kill.arm(c.dataserver(victim));
+        kill.arm(c.dataserver(victim).unwrap());
         assert_eq!(client.read("strong").unwrap(), data);
         assert!(kill.landed(), "the split never chose replica {victim}");
-        c.dataserver(victim).restart();
+        c.dataserver(victim).unwrap().restart();
         assert_eq!(client.read("strong").unwrap(), data);
     }
 }
@@ -241,8 +241,8 @@ fn append_rides_out_a_replica_blip() {
     // back inside the retry budget: the relay to that replica retries
     // until the restart lands, and the append still acks all replicas
     // before returning.
-    c.dataserver(secondary).crash();
-    let ds = c.dataserver(secondary).clone();
+    c.dataserver(secondary).unwrap().crash();
+    let ds = c.dataserver(secondary).unwrap().clone();
     let reviver = std::thread::spawn(move || {
         std::thread::sleep(Duration::from_millis(15));
         ds.restart();
@@ -254,6 +254,7 @@ fn append_rides_out_a_replica_blip() {
     for host in &meta.replicas {
         let (bytes, size) = c
             .dataserver(*host)
+            .unwrap()
             .read_local(meta.id, 0, new_size)
             .unwrap();
         assert_eq!(size, new_size, "replica {host} lagging");
@@ -277,14 +278,14 @@ fn append_fails_whole_when_a_replica_stays_down() {
     // fails the append as a whole — its error surfaces once every
     // relay has been tried — and the recorded size never moves,
     // so no reader is ever pointed at bytes that missed a replica.
-    c.dataserver(secondary).crash();
+    c.dataserver(secondary).unwrap().crash();
     assert!(client.append("halted", b" lost").is_err());
     assert_eq!(c.nameserver().lookup("halted").unwrap().size, 6);
 
     // The recorded range stays fully readable at every width after the
     // replica comes back; recovering the failed append itself is the
     // out-of-band re-election/repair path, not the relay's job.
-    c.dataserver(secondary).restart();
+    c.dataserver(secondary).unwrap().restart();
     for width in [1, 4] {
         client.set_parallelism(width);
         assert_eq!(client.read_range("halted", 0, 6).unwrap(), b"before");
@@ -317,14 +318,14 @@ fn coded_read_survives_fragment_host_dying_after_selection() {
     // round-based sweep promotes a parity fragment, so the read
     // decodes instead of erroring.
     let victim = meta.fragments[1];
-    kill.arm(c.dataserver(victim));
+    kill.arm(c.dataserver(victim).unwrap());
     let got = client.read("coded").unwrap();
     assert!(kill.landed(), "the selector never chose fragment 1");
     assert_eq!(got, data, "degraded coded read diverged");
 
     // Still down: every subsequent read promotes deterministically.
     assert_eq!(client.read("coded").unwrap(), data);
-    c.dataserver(victim).restart();
+    c.dataserver(victim).unwrap().restart();
     assert_eq!(client.read("coded").unwrap(), data);
 }
 

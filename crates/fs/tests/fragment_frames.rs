@@ -81,6 +81,7 @@ impl Fixture {
     fn fragment_file(&self, chunk: u64, index: usize) -> PathBuf {
         self.cluster
             .dataserver(self.meta.fragments[index])
+            .unwrap()
             .fragment_path(self.meta.id, chunk, index)
     }
 
@@ -89,6 +90,7 @@ impl Fixture {
         let mut dst = vec![0u8; self.shard_len()];
         self.cluster
             .dataserver(self.meta.fragments[index])
+            .unwrap()
             .read_fragment_into(self.meta.id, chunk, index, &mut dst)
     }
 
@@ -161,7 +163,7 @@ fn a_frame_cut_anywhere_in_its_header_is_an_error() {
         }
         // A destination of the wrong size is refused, not half filled.
         std::fs::write(&path, &frame).unwrap();
-        let server = fx.cluster.dataserver(fx.meta.fragments[0]);
+        let server = fx.cluster.dataserver(fx.meta.fragments[0]).unwrap();
         for wrong in [0, fx.shard_len() - 1, fx.shard_len() + 1] {
             let mut dst = vec![0u8; wrong];
             assert!(matches!(

@@ -18,7 +18,7 @@ fn cluster_in(dir: &TempDir) -> Cluster {
 fn put(c: &Cluster, name: &str, data: &[u8]) -> mayflower_fs::FileMeta {
     let meta = c.nameserver().create(name).unwrap();
     for r in &meta.replicas {
-        c.dataserver(*r).create_file(&meta).unwrap();
+        c.dataserver(*r).unwrap().create_file(&meta).unwrap();
     }
     c.client(meta.primary()).append(name, data).unwrap();
     c.nameserver().lookup(name).unwrap()
@@ -29,7 +29,7 @@ fn concurrent_identical_repairs_copy_once() {
     let dir = TempDir::new("concurrent-same");
     let c = Arc::new(cluster_in(&dir));
     let meta = put(&c, "files/a", b"payload");
-    c.dataserver(meta.replicas[2]).crash();
+    c.dataserver(meta.replicas[2]).unwrap().crash();
     let dest = c
         .topology()
         .hosts()
@@ -57,8 +57,12 @@ fn concurrent_identical_repairs_copy_once() {
     assert_eq!(distinct.len(), 3, "no duplicate replicas: {healed:?}");
     assert!(healed.replicas.contains(&dest));
     for r in &healed.replicas {
-        assert!(c.dataserver(*r).has_file(healed.id));
-        let (data, _) = c.dataserver(*r).read_local(healed.id, 0, 7).unwrap();
+        assert!(c.dataserver(*r).unwrap().has_file(healed.id));
+        let (data, _) = c
+            .dataserver(*r)
+            .unwrap()
+            .read_local(healed.id, 0, 7)
+            .unwrap();
         assert_eq!(data, b"payload");
     }
 }
@@ -69,8 +73,8 @@ fn concurrent_distinct_repairs_fill_distinct_slots() {
     let c = Arc::new(cluster_in(&dir));
     let meta = put(&c, "files/a", b"ab");
     // Two replicas lost, two racing targeted repairs to two new hosts.
-    c.dataserver(meta.replicas[1]).crash();
-    c.dataserver(meta.replicas[2]).crash();
+    c.dataserver(meta.replicas[1]).unwrap().crash();
+    c.dataserver(meta.replicas[2]).unwrap().crash();
     let mut fresh = c
         .topology()
         .hosts()
@@ -99,6 +103,6 @@ fn concurrent_distinct_repairs_fill_distinct_slots() {
     assert!(distinct.contains(&dest_a) && distinct.contains(&dest_b));
     assert!(distinct.contains(&source));
     for r in &healed.replicas {
-        assert!(c.dataserver(*r).has_file(healed.id));
+        assert!(c.dataserver(*r).unwrap().has_file(healed.id));
     }
 }

@@ -257,7 +257,7 @@ mod tests {
     fn put(c: &Cluster, name: &str, data: &[u8]) -> mayflower_fs::FileMeta {
         let meta = c.nameserver().create(name).unwrap();
         for r in &meta.replicas {
-            c.dataserver(*r).create_file(&meta).unwrap();
+            c.dataserver(*r).unwrap().create_file(&meta).unwrap();
         }
         c.client(meta.primary()).append(name, data).unwrap();
         c.nameserver().lookup(name).unwrap()
@@ -307,7 +307,7 @@ mod tests {
         let mut fsrv = Flowserver::new(topo, FlowserverConfig::default());
         let meta = put(&c, "files/a", b"payload");
         let dead = meta.replicas[1];
-        c.dataserver(dead).crash();
+        c.dataserver(dead).unwrap().crash();
         let dest = fresh_dest(&c, &meta);
 
         let reg = mayflower_telemetry::Registry::new();
@@ -333,7 +333,11 @@ mod tests {
         let healed = c.nameserver().lookup("files/a").unwrap();
         assert!(healed.replicas.contains(&dest));
         assert!(!healed.replicas.contains(&dead));
-        let (data, _) = c.dataserver(dest).read_local(healed.id, 0, 7).unwrap();
+        let (data, _) = c
+            .dataserver(dest)
+            .unwrap()
+            .read_local(healed.id, 0, 7)
+            .unwrap();
         assert_eq!(data, b"payload");
 
         let snap = reg.snapshot();
@@ -350,7 +354,7 @@ mod tests {
         let (c, topo) = cluster(&dir);
         let mut fsrv = Flowserver::new(topo, FlowserverConfig::default());
         let meta = put(&c, "files/a", b"xyz");
-        c.dataserver(meta.replicas[1]).crash();
+        c.dataserver(meta.replicas[1]).unwrap().crash();
         let dest = fresh_dest(&c, &meta);
 
         let mut ex = RepairExecutor::new(ExecutorConfig::default(), &scope());
@@ -384,7 +388,7 @@ mod tests {
         for i in 0..3 {
             let name = format!("files/f{i}");
             let meta = put(&c, &name, b"0123456789");
-            c.dataserver(meta.replicas[1]).crash();
+            c.dataserver(meta.replicas[1]).unwrap().crash();
             let dest = fresh_dest(&c, &meta);
             tasks.push(task_for(&c, &mut fsrv, &name, meta.replicas[0], dest));
         }
@@ -413,7 +417,7 @@ mod tests {
         for i in 0..2 {
             let name = format!("files/big{i}");
             let meta = put(&c, &name, &[0xAB; 100]);
-            c.dataserver(meta.replicas[1]).crash();
+            c.dataserver(meta.replicas[1]).unwrap().crash();
             let dest = fresh_dest(&c, &meta);
             tasks.push(task_for(&c, &mut fsrv, &name, meta.replicas[0], dest));
         }
@@ -438,7 +442,7 @@ mod tests {
         let (c, topo) = cluster(&dir);
         let mut fsrv = Flowserver::new(topo, FlowserverConfig::default());
         let meta = put(&c, "files/a", b"data");
-        c.dataserver(meta.replicas[1]).crash();
+        c.dataserver(meta.replicas[1]).unwrap().crash();
         let dest = fresh_dest(&c, &meta);
         // Choose the *crashed* replica as source: the pull must fail.
         let t = task_for(&c, &mut fsrv, "files/a", meta.replicas[1], dest);
@@ -448,7 +452,7 @@ mod tests {
         assert_eq!(done[0].outcome, RepairOutcome::Failed);
         assert_eq!(fsrv.tracked_flows(), 0);
         // The file is still damaged; a corrected task heals it.
-        assert!(!c.dataserver(dest).has_file(meta.id));
+        assert!(!c.dataserver(dest).unwrap().has_file(meta.id));
         let t2 = task_for(&c, &mut fsrv, "files/a", meta.replicas[0], dest);
         ex.enqueue(vec![t2]);
         let done = ex.step(&c, &mut fsrv, SimTime::ZERO);

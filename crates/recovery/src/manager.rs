@@ -98,7 +98,7 @@ impl RecoveryManager {
     ///    stamped into the report.
     pub fn tick(&mut self, cluster: &Cluster, flowserver: &mut Flowserver, now: SimTime) -> usize {
         for host in self.topo.hosts() {
-            if cluster.dataserver(host).is_up() {
+            if cluster.dataserver(host).is_ok_and(|ds| ds.is_up()) {
                 if let Some(t) = self.detector.heartbeat(host, now) {
                     self.report.transitions.push(t);
                 }
@@ -182,7 +182,7 @@ mod tests {
     fn put(c: &Cluster, name: &str, data: &[u8]) -> mayflower_fs::FileMeta {
         let meta = c.nameserver().create(name).unwrap();
         for r in &meta.replicas {
-            c.dataserver(*r).create_file(&meta).unwrap();
+            c.dataserver(*r).unwrap().create_file(&meta).unwrap();
         }
         c.client(meta.primary()).append(name, data).unwrap();
         c.nameserver().lookup(name).unwrap()
@@ -203,7 +203,7 @@ mod tests {
             last = mgr.tick(c, fsrv, now);
             if step == 0 {
                 for v in victims {
-                    c.dataserver(*v).crash();
+                    c.dataserver(*v).unwrap().crash();
                 }
             }
         }
@@ -236,7 +236,10 @@ mod tests {
             let meta = c.nameserver().lookup(name).unwrap();
             assert!(!meta.replicas.contains(&victim), "{name} still on victim");
             for r in &meta.replicas {
-                assert!(c.dataserver(*r).has_file(meta.id), "{name} missing on {r}");
+                assert!(
+                    c.dataserver(*r).unwrap().has_file(meta.id),
+                    "{name} missing on {r}"
+                );
             }
         }
         // The repaired copy carries the data, not just metadata.
@@ -246,7 +249,11 @@ mod tests {
             .iter()
             .find(|r| !a.replicas.contains(r))
             .unwrap();
-        let (data, _) = c.dataserver(*fresh).read_local(healed.id, 0, 4).unwrap();
+        let (data, _) = c
+            .dataserver(*fresh)
+            .unwrap()
+            .read_local(healed.id, 0, 4)
+            .unwrap();
         assert_eq!(data, b"aaaa");
         let _ = b;
 
@@ -295,13 +302,13 @@ mod tests {
         let mut mgr = RecoveryManager::new(&c, RecoveryConfig::default());
 
         mgr.tick(&c, &mut fsrv, SimTime::from_secs(0.0));
-        c.dataserver(victim).crash();
+        c.dataserver(victim).unwrap().crash();
         // Silent for 3s: suspect, not dead.
         for s in 1..=3 {
             mgr.tick(&c, &mut fsrv, SimTime::from_secs(f64::from(s)));
         }
         assert_eq!(mgr.detector().state(victim), HealthState::Suspect);
-        c.dataserver(victim).restart();
+        c.dataserver(victim).unwrap().restart();
         let remaining = mgr.tick(&c, &mut fsrv, SimTime::from_secs(4.0));
         assert_eq!(remaining, 0);
         assert_eq!(mgr.detector().state(victim), HealthState::Live);
@@ -371,7 +378,10 @@ mod tests {
         let dest = healed.fragments[index];
         assert_ne!(dest, victim);
         for chunk in 0..healed.sealed_chunks {
-            assert!(c.dataserver(dest).has_fragment(healed.id, chunk, index));
+            assert!(c
+                .dataserver(dest)
+                .unwrap()
+                .has_fragment(healed.id, chunk, index));
         }
         // Reads stay byte-identical with the victim still down.
         let mut reader = c.client(HostId(1));

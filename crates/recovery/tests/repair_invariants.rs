@@ -32,7 +32,7 @@ fn cluster_in(dir: &TempDir, params: &TreeParams) -> Cluster {
 fn put(c: &Cluster, name: &str, data: &[u8]) -> FileMeta {
     let meta = c.nameserver().create(name).unwrap();
     for r in &meta.replicas {
-        c.dataserver(*r).create_file(&meta).unwrap();
+        c.dataserver(*r).unwrap().create_file(&meta).unwrap();
     }
     c.client(meta.primary()).append(name, data).unwrap();
     c.nameserver().lookup(name).unwrap()
@@ -50,7 +50,7 @@ fn heal(c: &Cluster, victims: &BTreeSet<HostId>, seed: u64) -> RecoveryReport {
         },
     );
     for v in victims {
-        c.dataserver(*v).crash();
+        c.dataserver(*v).unwrap().crash();
     }
     for step in 0..=HORIZON_SECS {
         mgr.tick(c, &mut fsrv, SimTime::from_secs(f64::from(step)));
@@ -120,8 +120,8 @@ proptest! {
             // Every replica is live and holds the right bytes.
             for r in &meta.replicas {
                 prop_assert!(!killed.contains(r));
-                prop_assert!(c.dataserver(*r).has_file(meta.id));
-                let (data, _) = c.dataserver(*r).read_local(meta.id, 0, meta.size).unwrap();
+                prop_assert!(c.dataserver(*r).unwrap().has_file(meta.id));
+                let (data, _) = c.dataserver(*r).unwrap().read_local(meta.id, 0, meta.size).unwrap();
                 let expect = format!("data-{i}").into_bytes();
                 prop_assert_eq!(&data, &expect);
             }
@@ -168,6 +168,6 @@ fn repair_degrades_gracefully_when_racks_are_scarce() {
     assert_eq!(healed.replicas.len(), 3);
     assert!(!healed.replicas.contains(&victim));
     for r in &healed.replicas {
-        assert!(c.dataserver(*r).has_file(healed.id));
+        assert!(c.dataserver(*r).unwrap().has_file(healed.id));
     }
 }

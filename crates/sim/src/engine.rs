@@ -58,18 +58,14 @@ enum Event {
     Retry(usize),
 }
 
-/// Callbacks letting a caller attach real work to the simulated jobs.
+/// A callback letting a caller attach real work to the simulated jobs.
 ///
-/// The Figure 8 prototype experiment implements these to drive the
-/// **real** Mayflower filesystem: metadata lookups through the
-/// nameserver on arrival, and real chunk reads from the chosen
-/// replica's dataserver per assignment — while the engine keeps
-/// charging transfer *time* through the fluid network model.
+/// The Figure 8 prototype experiment implements it to drive the
+/// **real** Mayflower filesystem: per assignment, an `fs::Client` on
+/// the job's host looks the file up and reads it from the replica the
+/// engine chose — while the engine keeps charging transfer *time*
+/// through the fluid network model.
 pub trait JobHooks {
-    /// A job arrived (before replica selection).
-    fn on_arrival(&mut self, job: &ReadJob) {
-        let _ = job;
-    }
     /// A replica was assigned `bytes` of the job's read.
     fn on_assignment(&mut self, job: &ReadJob, replica: HostId, bytes: f64) {
         let _ = (job, replica, bytes);
@@ -439,7 +435,6 @@ impl<'a> Run<'a> {
             // Only the un-delivered remainder is re-fetched.
             self.retry_bits[id].max(1.0)
         } else {
-            hooks.on_arrival(job);
             self.matrix.size_of(job)
         };
 

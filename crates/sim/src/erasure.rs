@@ -145,19 +145,6 @@ pub struct ErasureRunResult {
     pub coded_repair: RepairSample,
 }
 
-impl ErasureRunResult {
-    /// Deterministic JSON rendering — two same-config runs are
-    /// byte-identical.
-    ///
-    /// # Panics
-    ///
-    /// Never — the result contains no non-serializable values.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("result serializes")
-    }
-}
-
 fn rep_name(i: usize) -> String {
     format!("erasure/rep{i:03}")
 }
@@ -181,11 +168,11 @@ fn footprint(cluster: &Cluster, metas: &[FileMeta]) -> Result<StorageFootprint, 
     for meta in metas {
         logical += meta.size;
         for r in &meta.replicas {
-            physical += cluster.dataserver(*r).local_size(meta.id)?;
+            physical += cluster.dataserver(*r)?.local_size(meta.id)?;
         }
         for (j, host) in meta.fragments.iter().enumerate() {
             for chunk in 0..meta.sealed_chunks {
-                let path = cluster.dataserver(*host).fragment_path(meta.id, chunk, j);
+                let path = cluster.dataserver(*host)?.fragment_path(meta.id, chunk, j);
                 if let Ok(md) = std::fs::metadata(path) {
                     physical += md.len();
                 }
@@ -273,7 +260,7 @@ pub fn run_erasure(
         .take(cfg.lost_hosts)
         .collect();
     for h in &crashed {
-        cluster.dataserver(*h).crash();
+        cluster.dataserver(*h)?.crash();
     }
 
     // Draw every probe up front from one rng so the two arms replay
@@ -503,6 +490,9 @@ mod tests {
         let two = TempDir::new("det-b");
         let a = run_erasure(&quick(), one.path()).unwrap();
         let b = run_erasure(&quick(), two.path()).unwrap();
-        assert_eq!(a.to_json(), b.to_json());
+        assert_eq!(
+            serde_json::to_string_pretty(&a).unwrap(),
+            serde_json::to_string_pretty(&b).unwrap()
+        );
     }
 }

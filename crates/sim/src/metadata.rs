@@ -171,19 +171,6 @@ pub struct MetadataScalingResult {
     pub unscheduled: MigrationArm,
 }
 
-impl MetadataScalingResult {
-    /// Deterministic JSON rendering — two same-config runs are
-    /// byte-identical.
-    ///
-    /// # Panics
-    ///
-    /// Never — the result contains no non-serializable values.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("result serializes")
-    }
-}
-
 /// Popularity rank → file name (shared by both phases, so the ring
 /// hashes the exact strings clients would use).
 fn meta_name(rank: usize) -> String {
@@ -500,6 +487,9 @@ mod tests {
         let two = TempDir::new("det-b");
         let a = run_metadata_scaling(&quick(), one.path()).unwrap();
         let b = run_metadata_scaling(&quick(), two.path()).unwrap();
-        assert_eq!(a.to_json(), b.to_json());
+        assert_eq!(
+            serde_json::to_string_pretty(&a).unwrap(),
+            serde_json::to_string_pretty(&b).unwrap()
+        );
     }
 }

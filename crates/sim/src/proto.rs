@@ -10,9 +10,11 @@
 //!   (metadata in the kvstore, replicas pinned to the traffic matrix's
 //!   placements so "the same primary replica location" serves both
 //!   systems, §6.7);
-//! * every job performs a **real metadata lookup** and a **real chunk
-//!   read** from the chosen replica's dataserver, with content
-//!   verification;
+//! * every replica assignment is a **real read** through a
+//!   [`mayflower_fs::Client`] on the job's host: a metadata lookup,
+//!   then the file's chunks from the replica the engine chose (the
+//!   client's selector answers with it, and the client fails over as
+//!   it always does), with content verification;
 //! * transfer *time* is charged through the fluid network model, at
 //!   the paper's 256 MB scale.
 //!
@@ -25,7 +27,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use mayflower_fs::{Cluster, ClusterConfig, FileMeta};
+use mayflower_fs::{Cluster, ClusterConfig, FileMeta, FsError, ReadAssignment, ReplicaSelector};
 use mayflower_net::{HostId, Topology, TreeParams};
 use mayflower_simcore::SimRng;
 use mayflower_workload::{ReadJob, TrafficMatrix, WorkloadParams};
@@ -71,39 +73,46 @@ pub fn figure8_systems() -> Vec<(&'static str, Strategy)> {
     ]
 }
 
+/// The engine's replica choice, handed to the client as its selector:
+/// every read goes wholly to the replica the engine assigned.
+struct Chosen(HostId);
+
+impl ReplicaSelector for Chosen {
+    fn select_read(&mut self, _: HostId, _: &[HostId], size_bytes: u64) -> Vec<ReadAssignment> {
+        vec![ReadAssignment {
+            replica: self.0,
+            bytes: size_bytes,
+        }]
+    }
+}
+
 /// Hooks that drive the real filesystem per simulated job.
 struct FsHooks<'a> {
     cluster: &'a Cluster,
     metas: &'a [FileMeta],
     real_len: u64,
     reads_verified: usize,
-    lookups: usize,
 }
 
 impl JobHooks for FsHooks<'_> {
-    fn on_arrival(&mut self, job: &ReadJob) {
-        // Real metadata path: nameserver lookup through the kvstore.
-        let meta = self
-            .cluster
-            .nameserver()
-            .lookup(&self.metas[job.file_rank].name)
-            .expect("file exists");
-        assert_eq!(meta.id, self.metas[job.file_rank].id);
-        self.lookups += 1;
-    }
-
     fn on_assignment(&mut self, job: &ReadJob, replica: HostId, _bytes: f64) {
-        // Real data path: read the replica's chunks and verify content.
-        // The network model carries the paper-scale size; the real
-        // bytes on disk are the scaled-down REAL_BYTES_PER_FILE.
+        // Real read: a client on the job's host looks the file up and
+        // reads it from the engine's replica (failing over as any
+        // client does), then the content is verified. The network
+        // model carries the paper-scale size; the real bytes on disk
+        // are the scaled-down REAL_BYTES_PER_FILE.
         let meta = &self.metas[job.file_rank];
-        let (data, size) = self
+        let data = self
             .cluster
-            .dataserver(replica)
-            .read_local(meta.id, 0, self.real_len)
-            .expect("replica holds the file");
-        assert_eq!(size, self.real_len, "file {} truncated", meta.name);
-        assert_eq!(data.len() as u64, self.real_len);
+            .client_with_selector(job.client, Box::new(Chosen(replica)))
+            .read(&meta.name)
+            .expect("the file reads");
+        assert_eq!(
+            data.len() as u64,
+            self.real_len,
+            "file {} truncated",
+            meta.name
+        );
         // Deterministic content: byte i of file rank r is (r + i) & 0xFF.
         let r = job.file_rank as u64;
         for (i, b) in data.iter().enumerate().step_by(4099) {
@@ -120,33 +129,25 @@ fn build_cluster(
     dir: &Path,
     topo: &Arc<Topology>,
     matrix: &TrafficMatrix,
-) -> (Cluster, Vec<FileMeta>) {
-    let cluster = Cluster::create(dir, topo.clone(), ClusterConfig::default())
-        .expect("cluster directories are creatable");
+) -> Result<(Cluster, Vec<FileMeta>), FsError> {
+    let cluster = Cluster::create(dir, topo.clone(), ClusterConfig::default())?;
     let mut metas = Vec::with_capacity(matrix.files.len());
     let mut payload = vec![0u8; REAL_BYTES_PER_FILE];
     for spec in matrix.files.files() {
         let name = format!("bench/file-{:05}", spec.rank);
         let meta = cluster
             .nameserver()
-            .create_placed(&name, spec.replicas.clone())
-            .expect("unique names");
+            .create_placed(&name, spec.replicas.clone())?;
         for r in &meta.replicas {
-            cluster
-                .dataserver(*r)
-                .create_file(&meta)
-                .expect("fresh replica");
+            cluster.dataserver(*r)?.create_file(&meta)?;
         }
         for (i, b) in payload.iter_mut().enumerate() {
             *b = ((spec.rank as u64 + i as u64) & 0xFF) as u8;
         }
-        cluster
-            .client(meta.primary())
-            .append(&name, &payload)
-            .expect("append succeeds");
-        metas.push(cluster.nameserver().lookup(&name).expect("just created"));
+        cluster.client(meta.primary()).append(&name, &payload)?;
+        metas.push(cluster.nameserver().lookup(&name)?);
     }
-    (cluster, metas)
+    Ok((cluster, metas))
 }
 
 /// Runs the Figure 8 prototype comparison.
@@ -179,13 +180,13 @@ pub fn figure8(
         for (label, strategy) in figure8_systems() {
             let dir = scratch_dir.join(format!("fig8-{lambda}-{label}"));
             std::fs::remove_dir_all(&dir).ok();
-            let (cluster, metas) = build_cluster(&dir, &topo, &matrix);
+            let (cluster, metas) =
+                build_cluster(&dir, &topo, &matrix).expect("the scratch directory is writable");
             let mut hooks = FsHooks {
                 cluster: &cluster,
                 metas: &metas,
                 real_len: REAL_BYTES_PER_FILE as u64,
                 reads_verified: 0,
-                lookups: 0,
             };
             let mut run_rng = rng.clone();
             let opts = ReplayOptions::default();
@@ -250,7 +251,33 @@ pub fn render_figure8(fig: &Figure8) -> String {
 
 #[cfg(test)]
 mod tests {
+    use mayflower_simcore::testutil::TempDir;
+
     use super::*;
+
+    #[test]
+    fn a_read_from_a_crashed_replica_fails_over_and_verifies() {
+        let dir = TempDir::new("fig8-failover");
+        let topo = Arc::new(Topology::three_tier(&TreeParams::paper_testbed()));
+        let params = WorkloadParams {
+            file_count: 4,
+            job_count: 4,
+            ..WorkloadParams::default()
+        };
+        let matrix = TrafficMatrix::generate(&topo, &params, &mut SimRng::seed_from(7));
+        let (cluster, metas) = build_cluster(dir.path(), &topo, &matrix).unwrap();
+        let job = &matrix.jobs[0];
+        let replica = matrix.replicas_of(job)[0];
+        cluster.dataserver(replica).unwrap().crash();
+        let mut hooks = FsHooks {
+            cluster: &cluster,
+            metas: &metas,
+            real_len: REAL_BYTES_PER_FILE as u64,
+            reads_verified: 0,
+        };
+        hooks.on_assignment(job, replica, 1.0);
+        assert_eq!(hooks.reads_verified, 1);
+    }
 
     #[test]
     fn prototype_runs_real_filesystem_reads() {

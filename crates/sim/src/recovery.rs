@@ -20,9 +20,10 @@
 //! every file keeps at least one live replica.
 //!
 //! Per tick the experiment also probes a **degraded read** of every
-//! file — a deterministic metadata lookup plus a local read from the
-//! first replica whose dataserver still holds the data — yielding a
-//! read-availability series for the recovery-on vs. -off comparison.
+//! file through a fresh [`mayflower_fs::Client`] — a metadata lookup,
+//! then the client's own failover over the replicas, one try each and
+//! no backoff — yielding a read-availability series for the
+//! recovery-on vs. -off comparison.
 //! Everything derives from sim time and seeded randomness: the same
 //! [`RecoveryExperimentConfig`] always produces a byte-identical
 //! [`RecoveryRunResult`] JSON.
@@ -30,6 +31,7 @@
 use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::Arc;
+use std::time::Duration;
 
 use mayflower_flowserver::{Flowserver, FlowserverConfig};
 use mayflower_fs::{Cluster, ClusterConfig, FsError};
@@ -106,19 +108,6 @@ pub struct RecoveryRunResult {
     pub report: RecoveryReport,
 }
 
-impl RecoveryRunResult {
-    /// Deterministic JSON rendering — two same-config runs are
-    /// byte-identical.
-    ///
-    /// # Panics
-    ///
-    /// Never — the result contains no non-serializable values.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("result serializes")
-    }
-}
-
 /// The paper-testbed topology the chaos runs use.
 #[must_use]
 pub fn chaos_topology() -> Arc<Topology> {
@@ -161,22 +150,6 @@ pub fn kill_list(replica_hosts: &[HostId], cfg: &RecoveryExperimentConfig) -> Ve
         .collect()
 }
 
-/// Reads `name` without going through a client: fresh metadata
-/// lookup, then the first replica whose dataserver still holds the
-/// data serves a local read. Deterministic (replica order is metadata
-/// order) and wall-clock free, unlike the client retry path.
-fn probe_read(cluster: &Cluster, name: &str) -> Result<Vec<u8>, FsError> {
-    let meta = cluster.nameserver().lookup(name)?;
-    for r in &meta.replicas {
-        let ds = cluster.dataserver(*r);
-        if ds.has_file(meta.id) {
-            let (data, _) = ds.read_local(meta.id, 0, meta.size)?;
-            return Ok(data);
-        }
-    }
-    Err(FsError::Unavailable(format!("{name}: all replicas down")))
-}
-
 fn file_name(i: usize) -> String {
     format!("chaos/f{i:03}")
 }
@@ -198,16 +171,12 @@ pub fn run_recovery_chaos(
         // verify bytes, not just availability.
         (0..cfg.file_size).map(|b| ((b + i) % 251) as u8).collect()
     };
+    let mut writer = cluster.client(HostId(0));
     let mut replica_hosts = BTreeSet::new();
     for i in 0..cfg.files {
-        let meta = cluster.nameserver().create(&file_name(i))?;
-        for r in &meta.replicas {
-            cluster.dataserver(*r).create_file(&meta)?;
-            replica_hosts.insert(*r);
-        }
-        cluster
-            .client(meta.primary())
-            .append(&meta.name, &payload(i))?;
+        let meta = writer.create(&file_name(i))?;
+        replica_hosts.extend(&meta.replicas);
+        writer.append(&meta.name, &payload(i))?;
     }
     let replica_hosts: Vec<HostId> = replica_hosts.into_iter().collect();
 
@@ -230,7 +199,7 @@ pub fn run_recovery_chaos(
         // time-to-full-replication includes the confirmation delay.
         if step == 0 {
             for h in &killed {
-                cluster.dataserver(*h).crash();
+                cluster.dataserver(*h)?.crash();
             }
         }
         final_under = manager.tick(&cluster, &mut flowserver, now);
@@ -244,14 +213,19 @@ pub fn run_recovery_chaos(
             let live = meta
                 .replicas
                 .iter()
-                .filter(|r| cluster.dataserver(**r).has_file(meta.id))
+                .filter(|r| cluster.dataserver(**r).is_ok_and(|ds| ds.has_file(meta.id)))
                 .count();
             live_total += live;
             target_total += meta.replicas.len();
             if live == meta.replicas.len() {
                 fully += 1;
             }
-            if probe_read(&cluster, &file_name(i)).is_ok_and(|d| d == payload(i)) {
+            // A fresh client looks the file up anew and tries each
+            // replica once, with no backoff: the probe never waits on
+            // the wall clock.
+            let mut probe = cluster.client(HostId(0));
+            probe.set_retry_policy(1, Duration::ZERO);
+            if probe.read(&meta.name).is_ok_and(|d| d == payload(i)) {
                 readable += 1;
             }
         }

@@ -68,6 +68,10 @@ fn same_seed_erasure_runs_render_byte_identical_results() {
     let _seed_guard = SeedGuard::new("erasure_tier::byte_identical", cfg.seed);
     let a = run_erasure(&cfg, a_dir.path()).unwrap();
     let b = run_erasure(&cfg, b_dir.path()).unwrap();
-    assert_eq!(a.to_json(), b.to_json(), "erasure run is not deterministic");
+    assert_eq!(
+        serde_json::to_string_pretty(&a).unwrap(),
+        serde_json::to_string_pretty(&b).unwrap(),
+        "erasure run is not deterministic"
+    );
     assert_eq!(a, b);
 }

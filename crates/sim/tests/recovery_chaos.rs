@@ -79,6 +79,10 @@ fn same_seed_chaos_runs_render_byte_identical_results() {
     let _seed_guard = SeedGuard::new("recovery_chaos::byte_identical", cfg.seed);
     let a = run_recovery_chaos(&cfg, a_dir.path()).unwrap();
     let b = run_recovery_chaos(&cfg, b_dir.path()).unwrap();
-    assert_eq!(a.to_json(), b.to_json(), "chaos run is not deterministic");
+    assert_eq!(
+        serde_json::to_string_pretty(&a).unwrap(),
+        serde_json::to_string_pretty(&b).unwrap(),
+        "chaos run is not deterministic"
+    );
     assert_eq!(a, b);
 }

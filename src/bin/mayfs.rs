@@ -193,7 +193,7 @@ fn cmd_status(dir: &Path, args: &Args) -> Result<(), String> {
 
     let mut hosts = Vec::new();
     for host in cluster.topology().hosts() {
-        let ds = cluster.dataserver(host);
+        let ds = cluster.dataserver(host).map_err(|e| e.to_string())?;
         let mut assigned = 0;
         let mut held = 0;
         for meta in &files {
@@ -225,7 +225,7 @@ fn cmd_status(dir: &Path, args: &Args) -> Result<(), String> {
             let missing: Vec<u32> = meta
                 .replicas
                 .iter()
-                .filter(|r| !cluster.dataserver(**r).has_file(meta.id))
+                .filter(|r| !cluster.dataserver(**r).is_ok_and(|ds| ds.has_file(meta.id)))
                 .map(|r| r.0)
                 .collect();
             if missing.is_empty() {
@@ -266,8 +266,9 @@ fn cmd_status(dir: &Path, args: &Args) -> Result<(), String> {
             .iter()
             .enumerate()
             .filter(|(j, h)| {
-                let ds = cluster.dataserver(**h);
-                (0..meta.sealed_chunks).any(|c| !ds.has_fragment(meta.id, c, *j))
+                !cluster.dataserver(**h).is_ok_and(|ds| {
+                    (0..meta.sealed_chunks).all(|c| ds.has_fragment(meta.id, c, *j))
+                })
             })
             .map(|(j, _)| j)
             .collect();

@@ -53,11 +53,17 @@ fn sequential_consistency_replicas_agree_after_concurrent_appends() {
     let total = 4 * 25 * 8;
     let reference = c
         .dataserver(meta.replicas[0])
+        .unwrap()
         .read_local(meta.id, 0, total)
         .unwrap()
         .0;
     for r in &meta.replicas[1..] {
-        let other = c.dataserver(*r).read_local(meta.id, 0, total).unwrap().0;
+        let other = c
+            .dataserver(*r)
+            .unwrap()
+            .read_local(meta.id, 0, total)
+            .unwrap()
+            .0;
         assert_eq!(other, reference, "replica {r} saw a different order");
     }
     // No torn records.
@@ -182,6 +188,7 @@ fn strong_last_chunk_reads_route_to_the_primary() {
     for r in &fresh.replicas[1..] {
         let chunk_file = c
             .dataserver(*r)
+            .unwrap()
             .root()
             .join(meta.id.as_hex())
             .join(format!("{}", last_chunk + 1));
@@ -231,6 +238,7 @@ fn strong_reads_observe_a_prefix_of_the_primary_order_under_a_concurrent_appende
     let total = u64::from(RECORDS) * REC as u64;
     let (primary_order, size) = c
         .dataserver(meta.replicas[0])
+        .unwrap()
         .read_local(meta.id, 0, total)
         .unwrap();
     assert_eq!(size, total, "all appends reached the primary");

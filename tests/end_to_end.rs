@@ -109,7 +109,7 @@ fn nameserver_over_tcp_serves_a_real_cluster() {
     // bytes through the local dataservers.
     let meta = remote.create("tcp/data").unwrap();
     for r in &meta.replicas {
-        cluster.dataserver(*r).create_file(&meta).unwrap();
+        cluster.dataserver(*r).unwrap().create_file(&meta).unwrap();
     }
     cluster
         .client(meta.primary())
@@ -119,6 +119,7 @@ fn nameserver_over_tcp_serves_a_real_cluster() {
 
     let (data, size) = cluster
         .dataserver(meta.replicas[1])
+        .unwrap()
         .read_local(meta.id, 0, 64)
         .unwrap();
     assert_eq!(data, b"over the wire");

@@ -64,7 +64,10 @@ fn lose_repair_read_cycle_preserves_data() {
     for round in 0..4 {
         let current = c.nameserver().lookup("cycled").unwrap();
         let victim = current.replicas[1 + (round % 2)];
-        c.dataserver(victim).delete_file(current.id).unwrap();
+        c.dataserver(victim)
+            .unwrap()
+            .delete_file(current.id)
+            .unwrap();
         // Read with a lost replica (failover path).
         let mut reader = c.client(HostId(37));
         assert_eq!(reader.read("cycled").unwrap(), payload, "round {round}");
@@ -98,7 +101,7 @@ fn flowserver_steered_reads_survive_replica_loss_and_migration() {
     // The Flowserver may steer to the replica we are about to lose;
     // the client's failover keeps the read correct either way.
     let victim = meta.replicas[2];
-    c.dataserver(victim).delete_file(meta.id).unwrap();
+    c.dataserver(victim).unwrap().delete_file(meta.id).unwrap();
     let mut reader = c.client_with_selector(
         HostId(30),
         Box::new(FlowserverSelector {

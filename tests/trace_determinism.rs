@@ -162,7 +162,7 @@ fn fs_span_trees_match_the_golden() {
     // choice fails and the piece fails over.
     let meta = cluster.nameserver().lookup("r").unwrap();
     let down = meta.replicas[1];
-    cluster.dataserver(down).crash();
+    cluster.dataserver(down).unwrap().crash();
     let mut reader = client_on(down);
     capture(
         &tracer,
@@ -177,7 +177,7 @@ fn fs_span_trees_match_the_golden() {
         // The relay to the crashed replica exhausts its retries.
         assert!(writer.append("r", &data[..8]).is_err());
     });
-    cluster.dataserver(down).restart();
+    cluster.dataserver(down).unwrap().restart();
 
     capture(&tracer, &mut golden, "read_range", || {
         assert_eq!(writer.read_range("r", 5, 20).unwrap(), &data[5..25]);
@@ -204,9 +204,9 @@ fn fs_span_trees_match_the_golden() {
         .iter()
         .find(|h| !coded.replicas.contains(h))
         .unwrap();
-    cluster.dataserver(frag_host).crash();
+    cluster.dataserver(frag_host).unwrap().crash();
     writer.append("c", &data[..8]).unwrap();
-    cluster.dataserver(frag_host).restart();
+    cluster.dataserver(frag_host).unwrap().restart();
     let free = |taken: &[HostId]| {
         (0..8)
             .map(HostId)
@@ -218,8 +218,16 @@ fn fs_span_trees_match_the_golden() {
     taken.extend(&coded.fragments);
     let frag_dest = free(&taken);
     let victim = coded.fragments[1];
-    cluster.dataserver(victim).delete_file(coded.id).unwrap();
-    cluster.dataserver(down).delete_file(meta.id).unwrap();
+    cluster
+        .dataserver(victim)
+        .unwrap()
+        .delete_file(coded.id)
+        .unwrap();
+    cluster
+        .dataserver(down)
+        .unwrap()
+        .delete_file(meta.id)
+        .unwrap();
     let copy_dest = free(&meta.replicas);
     capture(
         &tracer,
@@ -240,6 +248,7 @@ fn fs_span_trees_match_the_golden() {
     let meta = cluster.nameserver().lookup("r").unwrap();
     cluster
         .dataserver(meta.replicas[2])
+        .unwrap()
         .delete_file(meta.id)
         .unwrap();
     let task = |dest, fragment| RepairTask {
